@@ -36,6 +36,9 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds every other value of the line by unit: MB/s, and
+	// what the benchmark reported with b.ReportMetric (e.g. "ns/pkt").
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the emitted document.
@@ -48,12 +51,18 @@ type Report struct {
 // parse consumes `go test -bench` output. Lines look like:
 //
 //	BenchmarkEngineTCoP-8   228   5171434 ns/op   2138152 B/op   21523 allocs/op
+//
+// Values in other units (MB/s, b.ReportMetric) are kept under Metrics.
 func parse(lines []string) Report {
 	var rep Report
 	for _, line := range lines {
 		switch {
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg := strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			if rep.Package != "" {
+				pkg = rep.Package + "," + pkg // one run over several packages
+			}
+			rep.Package = pkg
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -69,15 +78,20 @@ func parse(lines []string) Report {
 		b.Iterations, _ = strconv.ParseInt(f[1], 10, 64)
 		b.NsPerOp, _ = strconv.ParseFloat(f[2], 64)
 		for i := 4; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseInt(f[i], 10, 64)
+			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				continue
 			}
 			switch f[i+1] {
 			case "B/op":
-				b.BytesPerOp = v
+				b.BytesPerOp = int64(v)
 			case "allocs/op":
-				b.AllocsPerOp = v
+				b.AllocsPerOp = int64(v)
+			default:
+				if b.Metrics == nil {
+					b.Metrics = map[string]float64{}
+				}
+				b.Metrics[f[i+1]] = v
 			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)

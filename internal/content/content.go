@@ -100,7 +100,7 @@ func NewAssembler(size, packetSize int) *Assembler {
 	if size > 0 {
 		n = int64((size + packetSize - 1) / packetSize)
 	}
-	a := &Assembler{size: size, packetSize: packetSize, numPackets: n, recov: parity.NewRecoverer()}
+	a := &Assembler{size: size, packetSize: packetSize, numPackets: n, recov: parity.NewSizedRecoverer(int(n))}
 	a.recov.OnData(func(k int64) {
 		// The hook fires once per index; out-of-range indices (a peer
 		// serving a different content) must not count toward completion.
@@ -111,8 +111,9 @@ func NewAssembler(size, packetSize int) *Assembler {
 	return a
 }
 
-// Add feeds one received packet.
-func (a *Assembler) Add(p seq.Packet) { a.recov.Add(p) }
+// Add feeds one received packet and reports whether it is the first
+// receipt of that packet (false for a duplicate delivery).
+func (a *Assembler) Add(p seq.Packet) bool { return a.recov.Add(p) }
 
 // Have returns how many of the content's data packets are present
 // (received or recovered). O(1): maintained incrementally as packets

@@ -180,9 +180,11 @@ func (tx *transmitter) sendNext() {
 // overrun), deduplicates, and measures arrival rate inside the
 // experiment's window.
 type leafNode struct {
-	r     *runner
+	r *runner
+	// recov, non-nil when Config.TrackDelivery, also tells first receipts
+	// from duplicates; without it seen counts the receipts per identity.
+	recov *parity.Recoverer
 	seen  map[string]int
-	recov *parity.Recoverer // non-nil when Config.TrackDelivery
 
 	// Totals over the whole run.
 	total, dup int64
@@ -215,9 +217,11 @@ type leafNode struct {
 }
 
 func newLeaf(r *runner) *leafNode {
-	l := &leafNode{r: r, seen: make(map[string]int)}
+	l := &leafNode{r: r}
 	if r.cfg.TrackDelivery {
-		l.recov = parity.NewRecoverer()
+		l.recov = parity.NewSizedRecoverer(int(r.cfg.ContentLen))
+	} else {
+		l.seen = make(map[string]int)
 	}
 	if r.cfg.Repair {
 		// Seed lastProgress so that even after the bounded quiet-period
@@ -270,17 +274,19 @@ func (l *leafNode) Receive(from simnet.NodeID, m simnet.Message) {
 		}
 	}
 	l.lastArrivalAt = now
+	var isDup bool
 	if l.recov != nil {
 		before := l.recov.Recovered()
-		l.recov.Add(dm.Pkt)
+		isDup = !l.recov.Add(dm.Pkt)
 		if d := l.recov.Recovered() - before; d > 0 {
 			l.r.met.recovered.Add(int64(d))
 		}
 		l.r.met.delivered.Set(float64(l.recov.DataPresent()))
+	} else {
+		key := dm.Pkt.Key()
+		l.seen[key]++
+		isDup = l.seen[key] > 1
 	}
-	key := dm.Pkt.Key()
-	l.seen[key]++
-	isDup := l.seen[key] > 1
 	if isDup {
 		l.dup++
 		l.r.met.arrivalsDup.Inc()

@@ -101,7 +101,6 @@ type Leaf struct {
 	asm      *content.Assembler
 	total    int64
 	dup      int64
-	seen     map[string]bool
 	lastGain time.Time
 	// lastHeard and maxIdx record, per sender, when the leaf last
 	// received a data packet and the highest data index it carried —
@@ -159,7 +158,6 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(seed)),
 		asm:       content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
-		seen:      make(map[string]bool),
 		lastHeard: make(map[string]time.Time),
 		maxIdx:    make(map[string]int64),
 		lastGain:  time.Now(),
@@ -320,39 +318,41 @@ func (l *Leaf) handle(m transport.Msg) {
 	if m.Decode(&b) != nil {
 		return
 	}
+	now := time.Now()
 	l.mu.Lock()
 	l.total++
 	l.met.arrivals.Inc()
 	if !l.gotFirst {
 		l.gotFirst = true
-		now := liveNow()
-		l.met.timeToFirstPacket.Observe(now - l.sessionStart)
+		first := now.Sub(liveEpoch).Seconds()
+		l.met.timeToFirstPacket.Observe(first - l.sessionStart)
 		if l.cfg.Spans != nil {
 			l.cfg.Spans.Add(span.Span{
 				Trace: l.cfg.SpanTrace, ID: l.cfg.Spans.NextID(), Parent: l.sessionSpan,
-				Name: "first_packet", Peer: -1, Start: now, End: now,
+				Name: "first_packet", Peer: -1, Start: first, End: first,
 			})
 		}
 	}
-	l.lastHeard[m.From] = time.Now()
+	l.lastHeard[m.From] = now
 	if b.Pkt.IsData() && b.Pkt.Index > l.maxIdx[m.From] {
 		l.maxIdx[m.From] = b.Pkt.Index
 	}
-	key := b.Pkt.Key()
-	if l.seen[key] {
+	have, recovered := l.asm.Have(), l.asm.Recovered()
+	if !l.asm.Add(b.Pkt) {
 		l.dup++
 		l.met.dups.Inc()
 		l.mu.Unlock()
 		return
 	}
-	l.seen[key] = true
-	before := l.asm.Have()
-	l.asm.Add(b.Pkt)
-	if l.asm.Have() > before {
-		l.lastGain = time.Now()
+	// The gauges move only when their value does: a parity packet that
+	// completes no segment changes neither.
+	if got := l.asm.Have(); got > have {
+		l.lastGain = now
+		l.met.delivered.Set(float64(got))
 	}
-	l.met.delivered.Set(float64(l.asm.Have()))
-	l.met.recovered.Set(float64(l.asm.Recovered()))
+	if got := l.asm.Recovered(); got > recovered {
+		l.met.recovered.Set(float64(got))
+	}
 	complete := l.asm.Complete()
 	l.mu.Unlock()
 	if complete {

@@ -1059,14 +1059,21 @@ func (p *Peer) kick() {
 	}
 }
 
-// streamLoop transmits the current stream at the current rate.
+// streamLoop transmits the current stream at the current rate, on the
+// pacer's schedule: it sleeps on one reused timer until the next packet
+// is due and sends without sleeping while it is behind.
 func (p *Peer) streamLoop() {
+	var pace pacer
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
 	for {
 		p.mu.Lock()
 		active := p.active && p.pos < len(p.stream)
 		rate := p.rate
 		p.mu.Unlock()
 		if !active {
+			pace.reset()
 			select {
 			case <-p.stopCh:
 				return
@@ -1078,10 +1085,21 @@ func (p *Peer) streamLoop() {
 		if interval < 50*time.Microsecond {
 			interval = 50 * time.Microsecond
 		}
-		select {
-		case <-p.stopCh:
-			return
-		case <-time.After(interval):
+		if wait := pace.next(time.Now(), interval); wait > 0 {
+			// The timer is idle here: it has never run, or it fired and
+			// its channel was drained below.
+			timer.Reset(wait)
+			select {
+			case <-p.stopCh:
+				return
+			case <-timer.C:
+			}
+		} else {
+			select {
+			case <-p.stopCh:
+				return
+			default:
+			}
 		}
 		p.sendOne()
 	}

@@ -1,6 +1,7 @@
 package parity
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,24 +34,32 @@ func BenchmarkXOR(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoverWithLoss feeds an h = 4 enhanced content with one packet
+// of every recovery segment lost. ns/pkt must not grow with the content
+// length l: recovery work per arrival is constant.
 func BenchmarkRecoverWithLoss(b *testing.B) {
-	var s seq.Sequence
-	rng := rand.New(rand.NewSource(1))
-	for k := int64(1); k <= 1000; k++ {
-		buf := make([]byte, 64)
-		rng.Read(buf)
-		s = append(s, seq.NewDataPayload(k, buf))
-	}
-	e := Enhance(s, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewRecoverer()
-		for j, p := range e {
-			if j%5 != 2 { // drop one packet per segment
-				r.Add(p)
+	for _, l := range []int64{1 << 10, 8 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("%dk", l>>10), func(b *testing.B) {
+			var s seq.Sequence
+			rng := rand.New(rand.NewSource(1))
+			for k := int64(1); k <= l; k++ {
+				buf := make([]byte, 64)
+				rng.Read(buf)
+				s = append(s, seq.NewDataPayload(k, buf))
 			}
-		}
+			e := Enhance(s, 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := NewRecoverer()
+				for j, p := range e {
+					if j%5 != 2 { // drop one packet per segment
+						r.Add(p)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(e)), "ns/pkt")
+		})
 	}
 }
 

@@ -151,7 +151,8 @@ func TestRecovererOrderIndependence(t *testing.T) {
 
 // FuzzRecovererDeliveryOrder fuzzes the decoder with arbitrary content
 // shapes, per-segment loss, and shuffled (including duplicated)
-// delivery orders; any order must recover every data packet.
+// delivery orders; any order must recover every data packet, deriving
+// step by step what the fixpoint oracle derives.
 func FuzzRecovererDeliveryOrder(f *testing.F) {
 	f.Add(int64(1), int64(20), 3)
 	f.Add(int64(2), int64(7), 1)
@@ -177,6 +178,11 @@ func FuzzRecovererDeliveryOrder(f *testing.F) {
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		deliverAndCheck(t, s, kept, order, "fuzz")
+		arrivals := make(seq.Sequence, len(order))
+		for i, j := range order {
+			arrivals[i] = kept[j]
+		}
+		checkAgainstOracle(t, NewRecoverer(), arrivals, l, "fuzz")
 	})
 }
 

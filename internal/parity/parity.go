@@ -15,11 +15,12 @@
 //
 // Because coordination re-enhances subsequences at every tree level
 // (§3.6), segments may contain parity packets, producing nested parities
-// such as t⟨5,⟨7,8⟩⟩. The Recoverer resolves nested parities to a
-// fixpoint.
+// such as t⟨5,⟨7,8⟩⟩. The Recoverer (recoverer.go) resolves nested
+// parities to the closure of the recovery rules.
 package parity
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"strconv"
 	"strings"
@@ -114,9 +115,7 @@ func XOR(bufs [][]byte) []byte {
 	}
 	out := make([]byte, maxLen)
 	for _, b := range bufs {
-		for i, c := range b {
-			out[i] ^= c
-		}
+		subtle.XORBytes(out, out, b)
 	}
 	return out
 }
@@ -125,12 +124,23 @@ func XOR(bufs [][]byte) []byte {
 // covered packets, honoring nesting. ok is false when key is not a parity
 // key.
 func CoversOf(key string) (covers []string, ok bool) {
-	if !strings.HasPrefix(key, "p(") || !strings.HasSuffix(key, ")") {
+	covers, ok = appendCovers(nil, key)
+	if !ok {
 		return nil, false
+	}
+	return covers, true
+}
+
+// appendCovers is CoversOf appending to dst, so the Recoverer can parse
+// into a reused buffer. The covers are substrings of key. When ok is
+// false the returned slice may hold a partial parse past len(dst).
+func appendCovers(dst []string, key string) (covers []string, ok bool) {
+	if !strings.HasPrefix(key, "p(") || !strings.HasSuffix(key, ")") {
+		return dst, false
 	}
 	inner := key[2 : len(key)-1]
 	if inner == "" {
-		return nil, false
+		return dst, false
 	}
 	depth := 0
 	start := 0
@@ -142,16 +152,15 @@ func CoversOf(key string) (covers []string, ok bool) {
 			depth--
 		case ',':
 			if depth == 0 {
-				covers = append(covers, inner[start:i])
+				dst = append(dst, inner[start:i])
 				start = i + 1
 			}
 		}
 	}
 	if depth != 0 {
-		return nil, false
+		return dst, false
 	}
-	covers = append(covers, inner[start:])
-	return covers, true
+	return append(dst, inner[start:]), true
 }
 
 // DataKey returns the identity key "t<k>" of content data packet t_k.
@@ -160,7 +169,10 @@ func DataKey(k int64) string {
 }
 
 // DataIndexOf parses a data identity key "t<k>" back into its content
-// index. ok is false when key is not a data key.
+// index. ok is false when key is not a data key. Only the canonical
+// spelling DataKey produces is accepted ("t07" and "t+7" are not t7):
+// identity is string equality, and the Recoverer files data packets by
+// index.
 func DataIndexOf(key string) (k int64, ok bool) {
 	if len(key) < 2 || key[0] != 't' {
 		return 0, false
@@ -169,179 +181,11 @@ func DataIndexOf(key string) (k int64, ok bool) {
 	if err != nil {
 		return 0, false
 	}
+	var buf [20]byte
+	if string(strconv.AppendInt(buf[:0], k, 10)) != key[1:] {
+		return 0, false
+	}
 	return k, true
-}
-
-// Recoverer reconstructs lost packets at the leaf peer from received data
-// and parity packets. Add every received packet, then call Recover (or
-// rely on the incremental recovery Add performs). A packet is "present"
-// once received or derived.
-//
-// Recovery rule: if a parity packet p(a,b,…,z) is present and exactly one
-// of its covers is missing, the missing packet's payload is the XOR of the
-// parity payload with the present covers' payloads. Derived parity packets
-// recursively enable further recovery; Recover runs to a fixpoint.
-type Recoverer struct {
-	payload   map[string][]byte   // key → payload for present packets
-	rules     map[string][]string // parity key → covered keys (known structure)
-	recovered int
-	// dataPresent counts the distinct data packets present, so callers
-	// need not rescan the whole content to measure delivery.
-	dataPresent int
-	// onData, when set, is invoked with the content index of every data
-	// packet that becomes present (received or recovered), exactly once
-	// per index — the incremental feed for missing-set tracking.
-	onData func(k int64)
-}
-
-// NewRecoverer returns an empty Recoverer.
-func NewRecoverer() *Recoverer {
-	return &Recoverer{
-		payload: make(map[string][]byte),
-		rules:   make(map[string][]string),
-	}
-}
-
-// Add records a received packet and performs any recovery it enables.
-func (r *Recoverer) Add(p seq.Packet) {
-	r.AddKey(p.Key(), p.Payload)
-}
-
-// AddKey records a received packet by identity key and payload.
-func (r *Recoverer) AddKey(key string, payload []byte) {
-	if r.Has(key) {
-		return
-	}
-	r.markPresent(key, payload)
-	r.noteRule(key)
-	r.fixpoint()
-}
-
-// markPresent is the single insertion point into the present-packet map:
-// it maintains the data-packet counter and fires the OnData hook.
-func (r *Recoverer) markPresent(key string, payload []byte) {
-	r.payload[key] = payload
-	if k, ok := DataIndexOf(key); ok {
-		r.dataPresent++
-		if r.onData != nil {
-			r.onData(k)
-		}
-	}
-}
-
-// OnData registers fn to be called with the content index of every data
-// packet that becomes present from now on (received or recovered), once
-// per index. Pass nil to clear.
-func (r *Recoverer) OnData(fn func(k int64)) { r.onData = fn }
-
-// noteRule registers the recovery rule implied by a parity key, and
-// recursively the rules of nested parity covers.
-func (r *Recoverer) noteRule(key string) {
-	covers, ok := CoversOf(key)
-	if !ok {
-		return
-	}
-	if _, seen := r.rules[key]; seen {
-		return
-	}
-	r.rules[key] = covers
-	for _, c := range covers {
-		r.noteRule(c)
-	}
-}
-
-// Has reports whether the packet with the given key is present (received
-// or recovered).
-func (r *Recoverer) Has(key string) bool {
-	_, ok := r.payload[key]
-	return ok
-}
-
-// HasData reports whether content data packet t_k is present.
-func (r *Recoverer) HasData(k int64) bool {
-	return r.Has(DataKey(k))
-}
-
-// DataPayload returns the payload of data packet t_k if present.
-func (r *Recoverer) DataPayload(k int64) ([]byte, bool) {
-	b, ok := r.payload[DataKey(k)]
-	return b, ok
-}
-
-// Recovered returns how many packets have been derived (not directly
-// received) so far.
-func (r *Recoverer) Recovered() int { return r.recovered }
-
-// Present returns the number of present packets (received + recovered).
-func (r *Recoverer) Present() int { return len(r.payload) }
-
-// DataPresent returns the number of distinct data packets present.
-func (r *Recoverer) DataPresent() int { return r.dataPresent }
-
-// fixpoint applies recovery rules until no further packet can be derived.
-func (r *Recoverer) fixpoint() {
-	for {
-		progressed := false
-		for pk, covers := range r.rules {
-			if !r.Has(pk) {
-				// The parity itself can be rebuilt if all covers are
-				// present; that in turn may satisfy an outer rule.
-				if r.allPresent(covers) {
-					r.markPresent(pk, r.xorOf(covers, "", ""))
-					r.recovered++
-					progressed = true
-				}
-				continue
-			}
-			missing := ""
-			nMissing := 0
-			for _, c := range covers {
-				if !r.Has(c) {
-					missing = c
-					nMissing++
-					if nMissing > 1 {
-						break
-					}
-				}
-			}
-			if nMissing == 1 {
-				r.markPresent(missing, r.xorOf(covers, missing, pk))
-				r.noteRule(missing)
-				r.recovered++
-				progressed = true
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
-func (r *Recoverer) allPresent(keys []string) bool {
-	for _, k := range keys {
-		if !r.Has(k) {
-			return false
-		}
-	}
-	return true
-}
-
-// xorOf XORs the payloads of the given present covers, excluding skip,
-// and of the parity packet parityKey owning them when skip is non-empty
-// (missing = p ⊕ others). The caller already holds the parity key, so it
-// is never re-joined from the cover strings.
-func (r *Recoverer) xorOf(covers []string, skip, parityKey string) []byte {
-	bufs := make([][]byte, 0, len(covers)+1)
-	for _, c := range covers {
-		if skip != "" && c == skip {
-			continue
-		}
-		bufs = append(bufs, r.payload[c])
-	}
-	if skip != "" {
-		bufs = append(bufs, r.payload[parityKey])
-	}
-	return XOR(bufs)
 }
 
 // PerPeerRate returns the transmission rate τ(h+1)/(hH) each of H peers
