@@ -1,30 +1,30 @@
 // Command mssplay demonstrates live multi-source streaming over TCP
-// loopback: it spins up n contents peers (each listening on its own
-// socket), streams a synthetic content to a leaf peer with the tree-based
-// coordination protocol, optionally crash-stops peers mid-stream, and
-// reports delivery statistics.
+// loopback: it spins up a population of nodes (each listening on its own
+// socket and holding every content), opens -sessions leaf sessions on
+// them — each streaming one synthetic content from the other nodes with
+// the tree-based coordination protocol, all concurrently over one set of
+// sockets — optionally crash-stops serving nodes mid-stream (the
+// churn-tolerant hand-off covers for them), and verifies every delivery
+// byte-for-byte.
 //
-// With -udp the peers run on UDP sockets instead (real datagram
+// With -udp the nodes run on UDP sockets instead (real datagram
 // semantics), and with -mem on the in-process fabric; on either, the
 // -loss/-burst/-dup/-reorder flags inject seeded impairment so §3.2
 // parity recovery and stall repair do real work.
 //
-// With -listen the session also serves its observability endpoints over
-// HTTP: Prometheus-format /metrics, /healthz, expvar on /debug/vars,
-// net/http/pprof on /debug/pprof/, the live topology snapshot on
-// /debug/overlay (?format=dot for Graphviz) and the per-peer flight log
-// on /debug/flight. Sending the process SIGUSR1 dumps both to temp
-// files at any time, and -flight-out writes the flight log on exit.
-//
-// With -sessions N the demo switches to the session-oriented node API:
-// a node population shares a catalog of N contents and N leaf sessions
-// stream concurrently over one set of sockets, surviving -kill node
-// crashes via the churn-tolerant hand-off.
+// With -listen the population also serves its observability endpoints
+// over HTTP: Prometheus-format /metrics, /healthz, expvar on /debug/vars,
+// net/http/pprof on /debug/pprof/, the live topology snapshots on
+// /debug/overlay (?session=S&format=dot for Graphviz), the per-peer
+// flight log on /debug/flight and every node's directory view on
+// /debug/directory. Sending the process SIGUSR1 dumps overlay and flight
+// log to temp files at any time, and -flight-out writes the flight log
+// on exit.
 //
 // With -discover the population drops the static roster entirely: every
 // node gossips signed announcements of its catalog (-announce-interval
 // tunes the cadence) and sessions resolve their serving peers from the
-// swarm directory, inspectable on /debug/directory with -listen.
+// swarm directory.
 //
 // Usage:
 //
@@ -55,19 +55,19 @@ import (
 
 func main() {
 	var (
-		nPeers   = flag.Int("peers", 8, "number of contents peers")
+		nPeers   = flag.Int("peers", 8, "number of nodes; each holds every content and serves the sessions opened on the others")
 		fanout   = flag.Int("h", 3, "selection fanout H")
 		interval = flag.Int("parity", 2, "parity interval h")
 		size     = flag.Int("size", 64<<10, "content size in bytes")
 		pktSize  = flag.Int("pkt", 256, "packet payload size in bytes")
 		rate     = flag.Float64("rate", 800, "content rate in packets/second")
-		kill     = flag.Int("kill", 0, "crash this many active peers mid-stream")
+		kill     = flag.Int("kill", 0, "crash this many serving nodes mid-stream")
 		proto    = flag.String("proto", p2pmss.TCoP, "live coordination protocol: tcop or dcop")
 		timeout  = flag.Duration("timeout", 60*time.Second, "delivery deadline")
 		seed     = flag.Int64("seed", 1, "random seed")
 		sessions = flag.Int("sessions", 1, "stream this many concurrent sessions over one node population")
 		discover = flag.Bool("discover", false,
-			"no static roster: nodes gossip their catalogs and resolve session rosters from the swarm (needs -sessions)")
+			"no static roster: nodes gossip their catalogs and resolve session rosters from the swarm")
 		announceEvery = flag.Duration("announce-interval", 200*time.Millisecond,
 			"discovery announcement period (with -discover)")
 		retries  = flag.Int("retries", 0, "alternate-peer retries per failed child slot (0 = per-peer default H)")
@@ -118,8 +118,8 @@ func main() {
 	flightSet := p2pmss.NewFlightSet(0)
 
 	// Metrics are registered only when they will be served. The mux is
-	// late-bound: the server starts before the cluster exists and gains
-	// /debug/overlay + /debug/flight once it does.
+	// late-bound: the server starts before the population exists and gains
+	// its /debug endpoints once it does.
 	var reg *p2pmss.MetricsRegistry
 	var mux *lateMux
 	if *listen != "" {
@@ -128,7 +128,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("observability on http://%s/metrics (also /healthz, /debug/vars, /debug/pprof/, /debug/overlay, /debug/flight)\n", ln.Addr())
+		fmt.Printf("observability on http://%s/metrics (also /healthz, /debug/vars, /debug/pprof/, /debug/overlay, /debug/flight, /debug/directory)\n", ln.Addr())
 		mux = &lateMux{}
 		mux.Set(p2pmss.MetricsDebugMux(reg))
 		srv := &http.Server{Handler: mux}
@@ -137,115 +137,12 @@ func main() {
 
 	wire := wiring{useUDP: *useUDP, useMem: *useMem, impair: impair, queueCap: *queueCap, policy: policy}
 
-	if *discover && *sessions <= 1 {
-		fatal(fmt.Errorf("-discover needs the session-oriented node API: set -sessions"))
-	}
-	if *sessions > 1 {
-		runSessions(*nPeers, *sessions, *fanout, *interval, *size, *pktSize, *rate,
-			*kill, *proto, *timeout, *seed, *retries, *hsTime, wire, *discover, *announceEvery,
-			reg, mux, flightSet, spanCol, *traceOut, *flightOut)
-		return
-	}
-
-	data := make([]byte, *size)
-	rand.New(rand.NewSource(*seed)).Read(data)
-	c := p2pmss.NewContent("demo", data, *pktSize)
-	fmt.Printf("content %s: %d bytes, %d packets of %d bytes\n",
-		c.ID(), c.Size(), c.NumPackets(), c.PacketSize())
-
-	start := time.Now()
-	cl, err := p2pmss.StartLiveCluster(p2pmss.LiveClusterConfig{
-		Content:          c,
-		Peers:            *nPeers,
-		H:                *fanout,
-		Interval:         *interval,
-		Rate:             *rate,
-		Protocol:         *proto,
-		UseTCP:           !wire.useUDP && !wire.useMem,
-		UseUDP:           wire.useUDP,
-		Impair:           wire.impair,
-		QueueCap:         wire.queueCap,
-		QueuePolicy:      wire.policy,
-		HandshakeTimeout: *hsTime,
-		Retries:          *retries,
-		Seed:             *seed,
-		Obs: p2pmss.Observability{
-			Metrics: reg,
-			Spans:   spanCol,
-			Flight:  flightSet,
-		},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if mux != nil {
-		mux.Set(p2pmss.MetricsDebugMux(reg, cl.DebugHandlers()...))
-	}
-	armFlightDump(func() string {
-		return dumpIntrospection(flightSet, func(enc *json.Encoder) error { return enc.Encode(cl.Snapshot()) })
-	})
-	for i, p := range cl.Peers {
-		fmt.Printf("peer %2d listening on %s\n", i, p.Addr())
-	}
-	fmt.Printf("leaf listening on %s; requesting from %d of %d peers\n\n",
-		cl.Leaf.Addr(), *fanout, *nPeers)
-
-	if *kill > 0 {
-		go func() {
-			time.Sleep(300 * time.Millisecond)
-			killed := 0
-			for _, p := range cl.Peers {
-				if killed >= *kill {
-					break
-				}
-				if p.Active() {
-					fmt.Printf("!! crash-stopping peer %s (had sent %d packets)\n", p.Addr(), p.Sent())
-					p.Close()
-					killed++
-				}
-			}
-		}()
-	}
-
-	// Progress ticker.
-	doneCh := make(chan error, 1)
-	go func() { doneCh <- cl.Wait(*timeout) }()
-	tick := time.NewTicker(500 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case err := <-doneCh:
-			if err != nil {
-				writeFlight(*flightOut, flightSet)
-				fatal(err)
-			}
-			total, dup, recovered := cl.Leaf.Stats()
-			got, ok := cl.Bytes()
-			fmt.Printf("\ncomplete in %v: %d arrivals, %d duplicates, %d parity-recovered\n",
-				time.Since(start).Round(time.Millisecond), total, dup, recovered)
-			if !ok || len(got) != len(data) {
-				fatal(fmt.Errorf("reassembly failed"))
-			}
-			for i := range got {
-				if got[i] != data[i] {
-					fatal(fmt.Errorf("content corrupted at byte %d", i))
-				}
-			}
-			fmt.Println("content verified byte-for-byte ✓")
-			cl.Close()
-			writeTrace(*traceOut, spanCol)
-			writeFlight(*flightOut, flightSet)
-			return
-		case <-tick.C:
-			fmt.Printf("  %d/%d packets delivered\n", cl.Leaf.Progress(), c.NumPackets())
-		}
-	}
+	runSessions(*nPeers, *sessions, *fanout, *interval, *size, *pktSize, *rate,
+		*kill, *proto, *timeout, *seed, *retries, *hsTime, wire, *discover, *announceEvery,
+		reg, mux, flightSet, spanCol, *traceOut, *flightOut)
 }
 
-// runSessions streams `sessions` distinct contents concurrently over one
-// node population on TCP loopback, optionally crash-stopping serving
-// nodes mid-stream.
-// wiring bundles the transport selection shared by both demo modes.
+// wiring bundles the transport selection.
 type wiring struct {
 	useUDP, useMem bool
 	impair         p2pmss.TransportImpairment
@@ -253,14 +150,16 @@ type wiring struct {
 	policy         p2pmss.TransportQueuePolicy
 }
 
+// runSessions streams `sessions` distinct contents concurrently over one
+// node population, optionally crash-stopping serving nodes mid-stream.
 func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate float64,
 	kill int, proto string, timeout time.Duration, seed int64,
 	retries int, hsTimeout time.Duration, wire wiring, discover bool,
 	announceEvery time.Duration, reg *p2pmss.MetricsRegistry,
 	mux *lateMux, flightSet *p2pmss.FlightSet,
 	spanCol *p2pmss.SpanCollector, traceOut, flightOut string) {
-	if sessions > nodes {
-		fatal(fmt.Errorf("-sessions %d needs at least as many -peers (have %d)", sessions, nodes))
+	if sessions < 1 || sessions > nodes {
+		fatal(fmt.Errorf("-sessions %d: want 1..-peers (%d)", sessions, nodes))
 	}
 	store := p2pmss.NewContentStore()
 	contents := make(map[string][]byte, sessions)
@@ -321,22 +220,15 @@ func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate floa
 	}
 
 	start := time.Now()
-	// Datagram transports can lose the request itself; arm the leaf's
-	// request-retry deadline there.
-	var requestRetry time.Duration
-	if wire.useUDP || wire.impair.Enabled() {
-		requestRetry = 200 * time.Millisecond
-	}
 	leaves := make([]*p2pmss.LiveLeafSession, sessions)
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("demo%d", i)
 		ls, err := nc.Open(i, p2pmss.LiveSessionConfig{
-			ContentID:    id,
-			ContentSize:  size,
-			PacketSize:   pktSize,
-			Rate:         rate,
-			RepairAfter:  400 * time.Millisecond,
-			RequestRetry: requestRetry,
+			ContentID:   id,
+			ContentSize: size,
+			PacketSize:  pktSize,
+			Rate:        rate,
+			RepairAfter: 400 * time.Millisecond,
 		})
 		if err != nil {
 			fatal(err)
@@ -395,7 +287,7 @@ func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate floa
 	if failed > 0 {
 		fatal(fmt.Errorf("%d/%d sessions failed", failed, sessions))
 	}
-	fmt.Printf("all %d sessions verified byte-for-byte in %v\n", sessions, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("content verified byte-for-byte ✓ (%d session(s) in %v)\n", sessions, time.Since(start).Round(time.Millisecond))
 	// Close now (idempotent; the deferred call becomes a no-op) so every
 	// open span is finalized before the trace is written.
 	nc.Close()
@@ -404,8 +296,8 @@ func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate floa
 }
 
 // lateMux serves a swappable handler, so the observability server can
-// accept scrapes before the cluster exists and gain /debug/overlay and
-// /debug/flight the moment it does.
+// accept scrapes before the population exists and gain its /debug
+// endpoints the moment it does.
 type lateMux struct {
 	mu sync.Mutex
 	h  http.Handler

@@ -38,26 +38,38 @@ func ExampleAllocate() {
 	// CP3: [7]
 }
 
-// ExampleStartLiveCluster streams a content through live goroutine peers
-// over the in-memory fabric and verifies byte-exact delivery.
-func ExampleStartLiveCluster() {
+// ExampleStartLiveNodes streams a content from six contents peers to a
+// leaf session on the seventh node, over the in-memory fabric, and
+// verifies byte-exact delivery.
+func ExampleStartLiveNodes() {
 	data := bytes.Repeat([]byte("multimedia "), 400)
-	cluster, err := p2pmss.StartLiveCluster(p2pmss.LiveClusterConfig{
-		Content:  p2pmss.NewContent("movie", data, 64),
-		Peers:    6,
+	store := p2pmss.NewContentStore()
+	store.Put(p2pmss.NewContent("movie", data, 64))
+	nodes, err := p2pmss.StartLiveNodes(p2pmss.LiveNodesConfig{
+		Nodes:    7,
+		Store:    store,
 		H:        3,
 		Interval: 2,
-		Rate:     500,
 		Seed:     1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Close()
-	if err := cluster.Wait(30 * time.Second); err != nil {
+	defer nodes.Close()
+	session, err := nodes.Open(6, p2pmss.LiveSessionConfig{
+		ContentID:   "movie",
+		ContentSize: len(data),
+		PacketSize:  64,
+		Rate:        500,
+		RepairAfter: 500 * time.Millisecond,
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	got, ok := cluster.Bytes()
+	if err := session.Wait(30 * time.Second); err != nil {
+		log.Fatal(err)
+	}
+	got, ok := session.Bytes()
 	fmt.Println(ok && bytes.Equal(got, data))
 	// Output:
 	// true

@@ -19,9 +19,7 @@ import (
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/failure"
-	"p2pmss/internal/flight"
 	"p2pmss/internal/fluid"
-	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/parity"
@@ -30,7 +28,6 @@ import (
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
-	"p2pmss/internal/trace"
 )
 
 // Protocol identifies a coordination protocol; the names are shared with
@@ -169,45 +166,13 @@ type Config struct {
 	// RepairMaxRounds bounds repair attempts (default 20).
 	RepairMaxRounds int
 	// Obs bundles the run's observers (metrics, trace, spans, flight
-	// rings) in the struct shared with the live runtime. Non-nil
-	// members override the corresponding legacy fields below during
-	// normalization. Prefer Obs for new code.
+	// rings) in the struct shared with the live runtime. None of them
+	// feeds back into the simulation: an instrumented run is
+	// event-for-event identical to a bare one, and because the DES is
+	// single-threaded the metrics snapshot and span trace of a seeded
+	// run are byte-identical across repetitions. A zero Obs.SpanTrace
+	// derives the trace ID from the seed.
 	Obs obs.Observability
-	// Trace, when non-nil, records activations, control packets and
-	// hand-offs.
-	//
-	// Deprecated: set via Obs.Trace.
-	Trace *trace.Tracer
-	// Metrics, when non-nil, registers and updates the run's counters,
-	// gauges and histograms (control packets by type, activations,
-	// arrivals, network traffic) on the registry. Metrics never feed
-	// back into the simulation: an instrumented run is event-for-event
-	// identical to a bare one, and the snapshot of a seeded run is
-	// itself deterministic.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects causal spans (handshake rounds,
-	// confirmation waves, commits, hand-offs, streaming, leaf stalls)
-	// with virtual-time timestamps. Like Metrics, span collection never
-	// feeds back into the simulation, and because the DES is
-	// single-threaded, span IDs are allocated in event order — the
-	// trace of a seeded run is byte-identical across repetitions.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// SpanTrace is the trace (session) ID spans are recorded under.
-	// Zero derives one from the seed.
-	//
-	// Deprecated: set via Obs.SpanTrace.
-	SpanTrace span.TraceID
-	// Flight, when non-nil, records every peer's engine event/effect
-	// stream into per-peer flight rings with virtual-time stamps, for
-	// topology forensics and sim-vs-live divergence diffing. Like Spans,
-	// recording never feeds back into the simulation.
-	//
-	// Deprecated: set via Obs.Flight.
-	Flight *flight.Set
 }
 
 // DataPlaneMode selects the data-plane simulation strategy.
@@ -319,25 +284,8 @@ func (c *Config) normalize() error {
 	if c.Retries < 0 {
 		c.Retries = 0
 	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if c.Obs.Metrics != nil {
-		c.Metrics = c.Obs.Metrics
-	}
-	if c.Obs.Trace != nil {
-		c.Trace = c.Obs.Trace
-	}
-	if c.Obs.Spans != nil {
-		c.Spans = c.Obs.Spans
-	}
-	if c.Obs.SpanTrace != 0 && c.SpanTrace == 0 {
-		c.SpanTrace = c.Obs.SpanTrace
-	}
-	if c.Obs.Flight != nil {
-		c.Flight = c.Obs.Flight
-	}
-	if c.Spans != nil && c.SpanTrace == 0 {
-		c.SpanTrace = span.DeriveTrace(fmt.Sprintf("coord/seed=%d", c.Seed))
+	if c.Obs.Spans != nil && c.Obs.SpanTrace == 0 {
+		c.Obs.SpanTrace = span.DeriveTrace(fmt.Sprintf("coord/seed=%d", c.Seed))
 	}
 	if c.HandshakeTimeout == 0 {
 		c.HandshakeTimeout = 2*(c.Delta+c.Jitter) + 0.001
@@ -591,8 +539,8 @@ func newRunner(cfg Config) (*runner, error) {
 	eng := des.New(cfg.Seed)
 	nw := simnet.New(eng)
 	nw.SetDefaultLink(simnet.LinkParams{Latency: cfg.Delta, Jitter: cfg.Jitter, LossProb: cfg.LossProb})
-	nw.Instrument(cfg.Metrics)
-	r := &runner{cfg: cfg, eng: eng, nw: nw, met: newCoordMetrics(cfg.Metrics)}
+	nw.Instrument(cfg.Obs.Metrics)
+	r := &runner{cfg: cfg, eng: eng, nw: nw, met: newCoordMetrics(cfg.Obs.Metrics)}
 	r.res.Protocol = "?"
 	if cfg.fluid() {
 		// The fluid plane never materializes the content: assignments are
@@ -676,8 +624,8 @@ func (r *runner) sendCtl(from, to simnet.NodeID, m simnet.Message, round int) {
 
 // trace records an event when tracing is enabled.
 func (r *runner) trace(node int, kind, format string, args ...any) {
-	if r.cfg.Trace != nil {
-		r.cfg.Trace.Record(r.eng.Now(), node, kind, format, args...)
+	if r.cfg.Obs.Trace != nil {
+		r.cfg.Obs.Trace.Record(r.eng.Now(), node, kind, format, args...)
 	}
 }
 
@@ -829,9 +777,9 @@ func (r *runner) closeSpans() {
 	for _, p := range r.peers {
 		p.spans.Finish(now)
 	}
-	if r.cfg.Spans != nil && r.sessionSpan != 0 {
-		r.cfg.Spans.Add(span.Span{
-			Trace: r.cfg.SpanTrace, ID: r.sessionSpan,
+	if r.cfg.Obs.Spans != nil && r.sessionSpan != 0 {
+		r.cfg.Obs.Spans.Add(span.Span{
+			Trace: r.cfg.Obs.SpanTrace, ID: r.sessionSpan,
 			Name: "session", Peer: -1, Start: r.sessionStart, End: now,
 		})
 	}

@@ -516,7 +516,7 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 	cfg.TrackDelivery = true
 	cfg.ContentLen = 300
 	cfg.Rate = 10
-	cfg.Trace = trace.New(4096)
+	cfg.Obs.Trace = trace.New(4096)
 	cfg.Churn = &failure.ChurnSchedule{Events: []failure.ChurnEvent{
 		{At: 30, Peer: 3},
 		{At: 60, Peer: 3, Join: true},
@@ -526,7 +526,7 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	churned := cfg.Trace.Filter("churn")
+	churned := cfg.Obs.Trace.Filter("churn")
 	if len(churned) != 3 {
 		t.Errorf("trace has %d churn events, want 3", len(churned))
 	}

@@ -265,9 +265,9 @@ func (l *leafNode) Receive(from simnet.NodeID, m simnet.Message) {
 		// Time-to-first-packet: coordination starts at virtual time 0,
 		// so the first arrival's timestamp is the startup delay.
 		l.r.met.timeToFirstPacket.Observe(now)
-		if l.r.cfg.Spans != nil {
-			l.r.cfg.Spans.Add(span.Span{
-				Trace: l.r.cfg.SpanTrace, ID: l.r.cfg.Spans.NextID(),
+		if l.r.cfg.Obs.Spans != nil {
+			l.r.cfg.Obs.Spans.Add(span.Span{
+				Trace: l.r.cfg.Obs.SpanTrace, ID: l.r.cfg.Obs.Spans.NextID(),
 				Parent: l.r.sessionSpan, Name: "first_packet",
 				Peer: -1, Start: now, End: now,
 			})
@@ -379,9 +379,9 @@ func (l *leafNode) repairCheck() {
 	// open a repair wave in the trace.
 	now := r.eng.Now()
 	r.met.stallDuration.Observe(now - l.lastArrivalAt)
-	if r.cfg.Spans != nil {
-		r.cfg.Spans.Add(span.Span{
-			Trace: r.cfg.SpanTrace, ID: r.cfg.Spans.NextID(),
+	if r.cfg.Obs.Spans != nil {
+		r.cfg.Obs.Spans.Add(span.Span{
+			Trace: r.cfg.Obs.SpanTrace, ID: r.cfg.Obs.Spans.NextID(),
 			Parent: r.sessionSpan, Name: "stall", Peer: -1,
 			Start: l.lastArrivalAt, End: now,
 			Detail: fmt.Sprintf("%d missing", len(l.missing)),

@@ -42,8 +42,8 @@ func (r *runner) initEngine(dcopMode bool) {
 	for _, p := range r.peers {
 		rng := rand.New(rand.NewSource(engine.PeerSeed(r.cfg.Seed, p.id)))
 		p.core = engine.NewPeer(ecfg, p.id, rng)
-		p.spans = engine.NewSpanTracker(r.cfg.Spans, r.cfg.SpanTrace, int(p.id), sm)
-		p.flight = engine.NewFlightObserver(r.cfg.Flight.Recorder("", int(p.id)))
+		p.spans = engine.NewSpanTracker(r.cfg.Obs.Spans, r.cfg.Obs.SpanTrace, int(p.id), sm)
+		p.flight = engine.NewFlightObserver(r.cfg.Obs.Flight.Recorder("", int(p.id)))
 	}
 }
 
@@ -58,11 +58,11 @@ func (r *runner) leafRand() *rand.Rand {
 func (r *runner) startRequests() {
 	sel, _ := engine.SelectInitial(r.leafRand(), r.cfg.N, r.cfg.H)
 	var root span.Context
-	if r.cfg.Spans != nil {
+	if r.cfg.Obs.Spans != nil {
 		// Root "session" span on the leaf track; closed in closeSpans.
-		r.sessionSpan = r.cfg.Spans.NextID()
+		r.sessionSpan = r.cfg.Obs.Spans.NextID()
 		r.sessionStart = r.eng.Now()
-		root = span.Context{Trace: r.cfg.SpanTrace, Span: r.sessionSpan}
+		root = span.Context{Trace: r.cfg.Obs.SpanTrace, Span: r.sessionSpan}
 	}
 	for u, cp := range sel {
 		m := reqMsg{Rate: r.cfg.Rate, Index: u, Round: 1, Span: root}

@@ -218,7 +218,7 @@ func TestPlaybackRequiresDataPlane(t *testing.T) {
 func TestTraceRecordsRun(t *testing.T) {
 	cfg := baseCfg()
 	tr := trace.New(10000)
-	cfg.Trace = tr
+	cfg.Obs.Trace = tr
 	if _, err := Run(DCoP, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestTraceRecordsRun(t *testing.T) {
 func TestTraceRecordsCrashes(t *testing.T) {
 	cfg := baseCfg()
 	tr := trace.New(10000)
-	cfg.Trace = tr
+	cfg.Obs.Trace = tr
 	cfg.CrashPeers = []overlay.PeerID{1, 2}
 	cfg.CrashAt = 1.5
 	if _, err := Run(DCoP, cfg); err != nil {

@@ -27,7 +27,7 @@ func TestMetricsDoNotPerturbResult(t *testing.T) {
 	for _, proto := range Protocols {
 		bare := metricsTestConfig()
 		instr := metricsTestConfig()
-		instr.Metrics = metrics.New()
+		instr.Obs.Metrics = metrics.New()
 		r1, err := Run(proto, bare)
 		if err != nil {
 			t.Fatalf("%s bare: %v", proto, err)
@@ -49,11 +49,11 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 		cfg := metricsTestConfig()
 		cfg.Repair = true
 		cfg.CrashPeers = []overlay.PeerID{1}
-		cfg.Metrics = metrics.New()
+		cfg.Obs.Metrics = metrics.New()
 		if _, err := Run(DCoP, cfg); err != nil {
 			t.Fatal(err)
 		}
-		return cfg.Metrics.Snapshot()
+		return cfg.Obs.Metrics.Snapshot()
 	}
 	s1, s2 := run(), run()
 	if !reflect.DeepEqual(s1, s2) {
@@ -66,7 +66,7 @@ func TestMetricsAgreeWithResult(t *testing.T) {
 	for _, proto := range []string{DCoP, TCoP} {
 		cfg := metricsTestConfig()
 		reg := metrics.New()
-		cfg.Metrics = reg
+		cfg.Obs.Metrics = reg
 		res, err := Run(proto, cfg)
 		if err != nil {
 			t.Fatal(err)

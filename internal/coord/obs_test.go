@@ -1,7 +1,7 @@
 package coord
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"p2pmss/internal/flight"
@@ -11,87 +11,56 @@ import (
 	"p2pmss/internal/trace"
 )
 
-// The consolidated Obs bundle must be exactly equivalent to the legacy
-// per-observer fields: the same run instrumented either way yields
-// identical results, metrics snapshots, and span sets.
-func TestObsEquivalentToLegacyFields(t *testing.T) {
+// Every observer attached through Obs must see the run, for every
+// protocol.
+func TestObsBundleObserves(t *testing.T) {
 	for _, proto := range Protocols {
-		legacy := metricsTestConfig()
-		legacy.Metrics = metrics.New()
-		legacy.Trace = trace.New(1 << 16)
-		legacy.Spans = span.NewCollector()
-		legacy.Flight = flight.NewSet(64)
-
-		bundled := metricsTestConfig()
-		bundled.Obs = obs.Observability{
+		cfg := metricsTestConfig()
+		cfg.Obs = obs.Observability{
 			Metrics: metrics.New(),
 			Trace:   trace.New(1 << 16),
 			Spans:   span.NewCollector(),
 			Flight:  flight.NewSet(64),
 		}
-
-		r1, err := Run(proto, legacy)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", proto, err)
+		if _, err := Run(proto, cfg); err != nil {
+			t.Fatalf("%s: %v", proto, err)
 		}
-		r2, err := Run(proto, bundled)
-		if err != nil {
-			t.Fatalf("%s bundled: %v", proto, err)
+		if len(cfg.Obs.Metrics.Snapshot().Counters) == 0 {
+			t.Errorf("%s: registry recorded nothing", proto)
 		}
-		if !reflect.DeepEqual(r1, r2) {
-			t.Errorf("%s: bundled result differs from legacy:\n%+v\n%+v", proto, r1, r2)
+		if len(cfg.Obs.Spans.Spans()) == 0 {
+			t.Errorf("%s: collector recorded no spans", proto)
 		}
-		s1, s2 := legacy.Metrics.Snapshot(), bundled.Obs.Metrics.Snapshot()
-		if !reflect.DeepEqual(s1, s2) {
-			t.Errorf("%s: metrics snapshots differ", proto)
+		if len(cfg.Obs.Trace.Events()) == 0 {
+			t.Errorf("%s: tracer recorded nothing", proto)
 		}
-		if len(s2.Counters) == 0 {
-			t.Errorf("%s: bundled registry recorded nothing", proto)
-		}
-		sp1, sp2 := legacy.Spans.Spans(), bundled.Obs.Spans.Spans()
-		if len(sp2) == 0 {
-			t.Errorf("%s: bundled collector recorded no spans", proto)
-		}
-		if len(sp1) != len(sp2) {
-			t.Errorf("%s: span counts differ: legacy %d bundled %d", proto, len(sp1), len(sp2))
-		}
-		if len(bundled.Obs.Trace.Events()) == 0 {
-			t.Errorf("%s: bundled tracer recorded nothing", proto)
+		if (proto == DCoP || proto == TCoP) && len(cfg.Obs.Flight.Events()) == 0 {
+			t.Errorf("%s: flight set recorded nothing", proto)
 		}
 	}
 }
 
-// Obs.SpanTrace labels the collected spans when the legacy field is
-// unset, and the legacy field wins when both are present.
-func TestObsSpanTracePrecedence(t *testing.T) {
-	want := span.DeriveTrace("obs-test")
+// Obs.SpanTrace labels the collected spans; zero derives the trace ID
+// from the seed.
+func TestObsSpanTrace(t *testing.T) {
 	cfg := metricsTestConfig()
-	cfg.Obs.Spans = span.NewCollector()
-	cfg.Obs.SpanTrace = want
-	if _, err := Run(DCoP, cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range cfg.Obs.Spans.Spans() {
-		if s.Trace != want {
-			t.Fatalf("span trace %v, want %v", s.Trace, want)
+	explicit := span.DeriveTrace("obs-test")
+	for _, tc := range []struct{ set, want span.TraceID }{
+		{explicit, explicit},
+		{0, span.DeriveTrace(fmt.Sprintf("coord/seed=%d", cfg.Seed))},
+	} {
+		cfg.Obs.Spans, cfg.Obs.SpanTrace = span.NewCollector(), tc.set
+		if _, err := Run(DCoP, cfg); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	legacyWant := span.DeriveTrace("legacy-wins")
-	cfg2 := metricsTestConfig()
-	cfg2.SpanTrace = legacyWant
-	cfg2.Obs.Spans = span.NewCollector()
-	cfg2.Obs.SpanTrace = span.DeriveTrace("obs-loses")
-	if _, err := Run(DCoP, cfg2); err != nil {
-		t.Fatal(err)
-	}
-	spans := cfg2.Obs.Spans.Spans()
-	if len(spans) == 0 {
-		t.Fatal("no spans collected")
-	}
-	for _, s := range spans {
-		if s.Trace != legacyWant {
-			t.Fatalf("span trace %v, want legacy %v", s.Trace, legacyWant)
+		spans := cfg.Obs.Spans.Spans()
+		if len(spans) == 0 {
+			t.Fatal("no spans collected")
+		}
+		for _, s := range spans {
+			if s.Trace != tc.want {
+				t.Fatalf("span trace %v, want %v", s.Trace, tc.want)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package live
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -20,71 +19,6 @@ import (
 // the /debug/overlay and /debug/flight handlers mounted on
 // metrics.DebugMux, and the automatic dump a stalled Leaf.Wait
 // triggers.
-
-// Snapshot walks every peer's coordination outcome into a versioned
-// overlay snapshot (slot assignments, hand-off edges, per-peer
-// role/depth, tree health). It is safe mid-run and after Close — peer
-// outcomes are mutex-guarded — and refreshes the overlay_* gauges when
-// the cluster is instrumented.
-func (c *Cluster) Snapshot() overlay.Snapshot {
-	outs := make([]engine.Outcome, 0, len(c.Peers))
-	for _, p := range c.Peers {
-		outs = append(outs, p.Outcome())
-	}
-	s := engine.TopologySnapshot(outs, engine.TopologyInfo{
-		Protocol:   c.protoName,
-		Time:       liveNow(),
-		ContentLen: c.contentLen,
-		Addr: func(id engine.PeerID) string {
-			if id >= 0 && int(id) < len(c.roster) {
-				return c.roster[id]
-			}
-			return ""
-		},
-	})
-	engine.PublishTopology(c.metrics, s)
-	return s
-}
-
-// Flight returns the cluster's flight recorder set (nil when
-// ClusterConfig.Flight was unset).
-func (c *Cluster) Flight() *flight.Set { return c.flight }
-
-// DumpFlight writes the cluster's flight log as JSONL in deterministic
-// (peer, seq) order; a disabled recorder writes nothing.
-func (c *Cluster) DumpFlight(w io.Writer) error {
-	return c.flight.DumpJSONL(w)
-}
-
-// DebugHandlers returns the cluster's extra debug endpoints, ready to
-// mount on metrics.DebugMux:
-//
-//	/debug/overlay  topology snapshot (JSON; ?format=dot for Graphviz)
-//	/debug/flight   flight log (JSONL; 404 when recording is off)
-func (c *Cluster) DebugHandlers() []metrics.DebugHandler {
-	return []metrics.DebugHandler{
-		{Pattern: "/debug/overlay", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			serveOverlay(w, r, c.Snapshot())
-		})},
-		{Pattern: "/debug/flight", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			serveFlight(w, r, c.flight)
-		})},
-	}
-}
-
-// introspect is the Leaf.Wait timeout hook: it dumps the topology
-// snapshot (JSON) and the flight log (JSONL) to temp files and returns
-// a one-line diagnosis naming them plus the tree-health summary, so a
-// stalled session's error already points at the forensics.
-func (c *Cluster) introspect() string {
-	s := c.Snapshot()
-	summary := healthLine(s)
-	paths := dumpIntrospection(s, c.flight)
-	if paths != "" {
-		return summary + "; dumped " + paths
-	}
-	return summary
-}
 
 // healthLine renders a snapshot's health as one line, naming orphans.
 func healthLine(s overlay.Snapshot) string {
@@ -149,7 +83,7 @@ func serveOverlay(w http.ResponseWriter, r *http.Request, s overlay.Snapshot) {
 // ?session= and ?peer=.
 func serveFlight(w http.ResponseWriter, r *http.Request, fl *flight.Set) {
 	if fl == nil {
-		http.Error(w, "flight recording disabled (set Flight on the cluster config)", http.StatusNotFound)
+		http.Error(w, "flight recording disabled (set Obs.Flight on the nodes config)", http.StatusNotFound)
 		return
 	}
 	events := fl.Events()
@@ -174,8 +108,6 @@ func filterEvents(events []flight.Event, keep func(flight.Event) bool) []flight.
 	return out
 }
 
-// ---- node-cluster introspection -------------------------------------------
-
 // Sessions lists every session any node currently serves, sorted.
 func (nc *NodeCluster) Sessions() []SessionID {
 	seen := make(map[SessionID]bool)
@@ -193,28 +125,38 @@ func (nc *NodeCluster) Sessions() []SessionID {
 }
 
 // Snapshot builds the topology of one session across the node
-// population from the serving peers' engine outcomes. Nodes that never
-// served the session contribute nothing; crashed nodes still report
-// their last coordination state.
+// population from the serving peers' engine outcomes (slot assignments,
+// hand-off edges, per-peer role/depth, tree health), and refreshes the
+// session's overlay_* gauges when the population is instrumented. It is
+// safe mid-run — peer state is mutex-guarded. Nodes that never served
+// the session, or whose serving state was reaped or closed, contribute
+// nothing.
 func (nc *NodeCluster) Snapshot(sid SessionID) overlay.Snapshot {
 	var outs []engine.Outcome
 	var roster []string
+	contentLen := 0
 	for _, nd := range nc.Nodes {
-		if p, ok := nd.Serving()[sid]; ok {
-			outs = append(outs, p.Outcome())
-			if roster == nil {
-				// Engine peer ids are positions in the session's roster —
-				// which, under discovery, is the resolved serving subset,
-				// not the node-population order.
-				roster = p.cfg.Roster
-			}
+		p, ok := nd.Serving()[sid]
+		if !ok {
+			continue
 		}
+		outs = append(outs, p.Outcome())
+		// Engine peer ids are positions in the session's roster — which,
+		// under discovery, is the resolved serving subset, not the
+		// node-population order.
+		roster = p.cfg.Roster
+		p.mu.Lock()
+		if p.content != nil {
+			contentLen = int(p.content.NumPackets())
+		}
+		p.mu.Unlock()
 	}
 	sort.Slice(outs, func(i, j int) bool { return outs[i].ID < outs[j].ID })
-	return engine.TopologySnapshot(outs, engine.TopologyInfo{
-		Protocol: nc.protoName(),
-		Session:  string(sid),
-		Time:     liveNow(),
+	s := engine.TopologySnapshot(outs, engine.TopologyInfo{
+		Protocol:   nc.protoName(),
+		Session:    string(sid),
+		Time:       liveNow(),
+		ContentLen: contentLen,
 		Addr: func(id engine.PeerID) string {
 			if id >= 0 && int(id) < len(roster) {
 				return roster[id]
@@ -222,6 +164,21 @@ func (nc *NodeCluster) Snapshot(sid SessionID) overlay.Snapshot {
 			return ""
 		},
 	})
+	engine.PublishTopology(nc.obs.Metrics, s, "session", string(sid))
+	return s
+}
+
+// introspect is the Leaf.Wait timeout hook: it dumps the session's
+// topology snapshot (JSON) and the flight log (JSONL) to temp files and
+// returns a one-line diagnosis naming them plus the tree-health summary,
+// so a stalled session's error already points at the forensics.
+func (nc *NodeCluster) introspect(sid SessionID) string {
+	s := nc.Snapshot(sid)
+	summary := healthLine(s)
+	if paths := dumpIntrospection(s, nc.obs.Flight); paths != "" {
+		return summary + "; dumped " + paths
+	}
+	return summary
 }
 
 // Directory renders every node's directory view: a JSON object keyed by
@@ -246,10 +203,6 @@ func (nc *NodeCluster) protoName() string {
 	}
 	return ""
 }
-
-// Flight returns the population's shared flight recorder set (nil when
-// NodesConfig.Flight was unset).
-func (nc *NodeCluster) Flight() *flight.Set { return nc.flight }
 
 // DebugHandlers returns the population's extra debug endpoints, ready
 // to mount on metrics.DebugMux:
@@ -282,7 +235,7 @@ func (nc *NodeCluster) DebugHandlers() []metrics.DebugHandler {
 			enc.Encode(all) //nolint:errcheck // client went away
 		})},
 		{Pattern: "/debug/flight", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			serveFlight(w, r, nc.flight)
+			serveFlight(w, r, nc.obs.Flight)
 		})},
 	}
 }

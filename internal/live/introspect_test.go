@@ -6,14 +6,20 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
+	"p2pmss/internal/obs"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/transport"
 )
@@ -36,58 +42,73 @@ func scrapeBody(t *testing.T, base, path string) []byte {
 	return body
 }
 
-// TestClusterOverlayEdgesMatchOutcomes is the introspection acceptance
+// sessionOutcomes reads the committed truth of a session: every serving
+// peer's engine outcome, in engine-id order (the session runs on a
+// startSession population, where node i is engine peer i).
+func sessionOutcomes(nc *NodeCluster, sid SessionID) []engine.Outcome {
+	var outs []engine.Outcome
+	for _, nd := range nc.Nodes {
+		if p, ok := nd.Serving()[sid]; ok {
+			outs = append(outs, p.Outcome())
+		}
+	}
+	return outs
+}
+
+// TestSessionOverlayEdgesMatchOutcomes is the introspection acceptance
 // test: a 100-peer live session under 5% injected loss completes, and
 // the /debug/overlay snapshot's edges exactly match the edges derived
 // from the peers' own committed engine outcomes — the snapshot reports
 // the overlay that actually exists, not an approximation of it.
-func TestClusterOverlayEdgesMatchOutcomes(t *testing.T) {
+func TestSessionOverlayEdgesMatchOutcomes(t *testing.T) {
 	data := make([]byte, 12000)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
 	reg := metrics.New()
 	fl := flight.NewSet(0)
-	cl, err := StartCluster(ClusterConfig{
-		Content:     content.New("accept", data, 128),
-		Peers:       100,
-		H:           10,
-		Interval:    3,
-		Rate:        2000,
-		Impair:      transport.Impairment{Seed: 424, Loss: 0.05, Reorder: 0.02, ReorderWindow: 4},
-		RepairAfter: 250 * time.Millisecond,
-		Seed:        424,
-		Metrics:     reg,
-		Flight:      fl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Wait(60 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Quiesce: Close stops every peer, so outcomes and the snapshot are
-	// frozen for the comparison.
-	cl.Close()
+	nc, ls := startSession(t, NodesConfig{
+		H:         10,
+		Interval:  3,
+		Impair:    transport.Impairment{Seed: 424, Loss: 0.05, Reorder: 0.02, ReorderWindow: 4},
+		ReapAfter: -1, // the comparison below needs every serving peer still there
+		Seed:      424,
+		Obs:       obs.Observability{Metrics: reg, Flight: fl},
+	}, 100, data, SessionConfig{PacketSize: 128, Rate: 2000, RepairAfter: 250 * time.Millisecond})
+	waitExact(t, ls, data, 60*time.Second)
 
-	srv := httptest.NewServer(metrics.DebugMux(reg, cl.DebugHandlers()...))
+	srv := httptest.NewServer(metrics.DebugMux(reg, nc.DebugHandlers()...))
 	defer srv.Close()
 
+	// The peers keep running (closing a node drops its session state), so
+	// take the scrape between two reads of the outcomes and retry until
+	// both reads agree: late coordination traffic may still be landing.
 	var snap overlay.Snapshot
-	if err := json.Unmarshal(scrapeBody(t, srv.URL, "/debug/overlay"), &snap); err != nil {
-		t.Fatalf("overlay snapshot is not JSON: %v", err)
+	var outs []engine.Outcome
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		before := sessionOutcomes(nc, ls.ID)
+		if err := json.Unmarshal(scrapeBody(t, srv.URL, "/debug/overlay?session="+url.QueryEscape(string(ls.ID))), &snap); err != nil {
+			t.Fatalf("overlay snapshot is not JSON: %v", err)
+		}
+		outs = sessionOutcomes(nc, ls.ID)
+		if reflect.DeepEqual(before, outs) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("peer outcomes never settled")
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	if snap.Version != overlay.SnapshotVersion || len(snap.Nodes) != 100 {
-		t.Fatalf("snapshot version=%d nodes=%d", snap.Version, len(snap.Nodes))
+	if snap.Version != overlay.SnapshotVersion || snap.Session != string(ls.ID) || len(snap.Nodes) != len(outs) {
+		t.Fatalf("snapshot version=%d session=%q nodes=%d, want %d nodes", snap.Version, snap.Session, len(snap.Nodes), len(outs))
 	}
 
-	// The committed truth: every peer's engine outcome, edges derived the
-	// same way the snapshotter must derive them (children lists, deduped).
+	// Edges derived the same way the snapshotter must derive them
+	// (children lists, deduped).
 	var wantEdges []overlay.Edge
 	active := 0
-	for _, p := range cl.Peers {
-		o := p.Outcome()
+	for _, o := range outs {
 		if o.Active {
 			active++
 		}
@@ -118,7 +139,7 @@ func TestClusterOverlayEdgesMatchOutcomes(t *testing.T) {
 	}
 
 	// DOT rendering of the same snapshot.
-	dot := string(scrapeBody(t, srv.URL, "/debug/overlay?format=dot"))
+	dot := string(scrapeBody(t, srv.URL, "/debug/overlay?format=dot&session="+url.QueryEscape(string(ls.ID))))
 	if !strings.HasPrefix(dot, "digraph overlay {") || !strings.Contains(dot, "->") {
 		t.Errorf("DOT output malformed:\n%.200s", dot)
 	}
@@ -188,8 +209,7 @@ func TestNodeClusterDebugEndpointsUnderChaos(t *testing.T) {
 		Delta:            5 * time.Millisecond,
 		HandshakeTimeout: 80 * time.Millisecond,
 		Seed:             717,
-		Metrics:          reg,
-		Flight:           fl,
+		Obs:              obs.Observability{Metrics: reg, Flight: fl},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,6 +329,92 @@ func TestNodeClusterDebugEndpointsUnderChaos(t *testing.T) {
 			t.Errorf("session %s has no flight events", found)
 		}
 	}
+}
+
+// TestNodeSessionTimeoutDumpsOverlay: a node-hosted session whose Wait
+// times out self-diagnoses — the error carries the overlay health line
+// and names the topology and flight dumps it wrote.
+func TestNodeSessionTimeoutDumpsOverlay(t *testing.T) {
+	data := randomData(16<<10, 61) // 256 packets at 100/s: far from done at the timeout
+	_, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Seed: 62, Obs: obs.Observability{Flight: flight.NewSet(0)}},
+		6, data, SessionConfig{PacketSize: 64, Rate: 100})
+	err := ls.Wait(400 * time.Millisecond)
+	if err == nil {
+		t.Fatal("a 2.5 s stream completed within 400 ms")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "overlay: active=") || strings.Contains(msg, "active=0/") {
+		t.Errorf("timeout error lacks a live overlay health line: %q", msg)
+	}
+	paths := regexp.MustCompile(`dumped overlay (\S+\.json), flight (\S+\.jsonl)`).FindStringSubmatch(msg)
+	if paths == nil {
+		t.Fatalf("timeout error names no overlay+flight dump: %q", msg)
+	}
+	defer os.Remove(paths[1])
+	defer os.Remove(paths[2])
+	raw, err := os.ReadFile(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap overlay.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("overlay dump is not JSON: %v", err)
+	}
+	if snap.Session != string(ls.ID) || len(snap.Nodes) == 0 {
+		t.Errorf("overlay dump: session %q, %d nodes", snap.Session, len(snap.Nodes))
+	}
+	f, err := os.Open(paths[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if events, err := flight.ReadJSONL(f); err != nil || len(events) == 0 {
+		t.Errorf("flight dump: %d events, err %v", len(events), err)
+	}
+}
+
+// TestNodeClusterSnapshotCoverageAndGauges: a node population's snapshot
+// knows the content length (so coverage is the real division coverage,
+// not 0) and refreshes the session's overlay_* gauges.
+func TestNodeClusterSnapshotCoverageAndGauges(t *testing.T) {
+	data := randomData(16<<10, 63)
+	reg := metrics.New()
+	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Seed: 64, Obs: obs.Observability{Metrics: reg}},
+		6, data, SessionConfig{PacketSize: 64, Rate: 400})
+	// Mid-stream: serving state is dropped once a session is reaped.
+	deadline := time.Now().Add(10 * time.Second)
+	for ls.Progress() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no delivery progress within 10s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	snap := nc.Snapshot(ls.ID)
+	if snap.Health.Coverage <= 0 || snap.Health.Coverage > 1.0001 {
+		t.Errorf("coverage = %v, want (0, 1]", snap.Health.Coverage)
+	}
+	want := map[string]float64{
+		"overlay_active_peers":   float64(snap.Health.ActivePeers),
+		"overlay_coverage_ratio": snap.Health.Coverage,
+		"overlay_depth":          float64(snap.Health.Depth),
+	}
+	for _, g := range reg.Snapshot().Gauges {
+		v, ok := want[g.Name]
+		if !ok {
+			continue
+		}
+		if len(g.Labels) != 1 || g.Labels[0].Key != "session" || g.Labels[0].Value != string(ls.ID) {
+			t.Errorf("%s labels = %v, want session=%s", g.Name, g.Labels, ls.ID)
+		}
+		if g.Value != v {
+			t.Errorf("%s = %v, snapshot says %v", g.Name, g.Value, v)
+		}
+		delete(want, g.Name)
+	}
+	for name := range want {
+		t.Errorf("gauge %s never published", name)
+	}
+	waitExact(t, ls, data, 30*time.Second)
 }
 
 // TestServeFlightDisabled pins the 404 contract when recording is off.

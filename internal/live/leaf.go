@@ -10,7 +10,6 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
@@ -60,31 +59,13 @@ type LeafConfig struct {
 	// Seed seeds peer selection; 0 uses the clock.
 	Seed int64
 	// Obs bundles the leaf's observers in the struct shared with the
-	// simulation. Non-nil members override the corresponding legacy
-	// fields below; Obs.Trace and Obs.Flight are ignored (the leaf
-	// runs no coordination engine to record). Prefer Obs for new code.
+	// simulation: Metrics receives the leaf's counters and
+	// delivery-progress gauges, and Spans the root "session" span every
+	// member's spans nest under (a zero SpanTrace derives the trace ID
+	// from the Session id, matching the peers' derivation). Obs.Trace and
+	// Obs.Flight are ignored — the leaf runs no coordination engine to
+	// record.
 	Obs obs.Observability
-	// Metrics, when non-nil, receives the leaf's counters (arrivals,
-	// duplicates, repair requests, retries, failovers) and
-	// delivery-progress gauges.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects the session's causal spans; the leaf
-	// opens the root "session" span every member's spans nest under.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// SpanTrace identifies the session's trace; zero derives it from the
-	// Session id (matching the peers' derivation).
-	//
-	// Deprecated: set via Obs.SpanTrace.
-	SpanTrace span.TraceID
-	// Introspect, when non-nil, is invoked on a Wait timeout; whatever
-	// it returns is appended to the timeout error. StartCluster wires it
-	// to an automatic flight+topology dump so a stalled session
-	// self-diagnoses.
-	Introspect func() string
 }
 
 // Leaf is a live leaf peer LP_s: it requests a content from H contents
@@ -117,14 +98,19 @@ type Leaf struct {
 	sessionSpan  span.SpanID
 	sessionStart float64
 	gotFirst     bool
-	done         chan struct{}
-	doneOnce     sync.Once
+	// introspect, when non-nil, is invoked on a Wait timeout and its
+	// result appended to the error; NodeCluster.Open wires it to an
+	// automatic flight+topology dump so a stalled session self-diagnoses.
+	introspect func() string
+
+	done     chan struct{}
+	doneOnce sync.Once
 
 	stopCh  chan struct{}
 	stopped sync.Once
 }
 
-// NewLeaf creates a leaf on the given transport (WithFabric, WithTCP, or
+// NewLeaf creates a leaf on the given transport (WithFabric, or
 // WithAttach for pre-bound endpoints).
 func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 	if tr == nil {
@@ -140,19 +126,8 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.SpanTrace != 0 && cfg.SpanTrace == 0 {
-		cfg.SpanTrace = cfg.Obs.SpanTrace
-	}
-	if cfg.Spans != nil && cfg.SpanTrace == 0 {
-		cfg.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
+	if cfg.Obs.Spans != nil && cfg.Obs.SpanTrace == 0 {
+		cfg.Obs.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
 	}
 	l := &Leaf{
 		cfg:       cfg,
@@ -169,7 +144,7 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 		return nil, err
 	}
 	l.ep = ep
-	l.met = newLeafMetrics(cfg.Metrics, cfg.Session)
+	l.met = newLeafMetrics(cfg.Obs.Metrics, cfg.Session)
 	return l, nil
 }
 
@@ -206,12 +181,12 @@ func (l *Leaf) Start() error {
 	selIdx, spareIdx := engine.SelectInitial(l.rng, len(l.cfg.Roster), l.cfg.H)
 	l.sessionStart = liveNow()
 	var root span.Context
-	if l.cfg.Spans != nil {
+	if l.cfg.Obs.Spans != nil {
 		// Root "session" span on the leaf track (-1); closed in Close.
 		// Requests carry its context so every member's handshake nests
 		// under it.
-		l.sessionSpan = l.cfg.Spans.NextID()
-		root = span.Context{Trace: l.cfg.SpanTrace, Span: l.sessionSpan}
+		l.sessionSpan = l.cfg.Obs.Spans.NextID()
+		root = span.Context{Trace: l.cfg.Obs.SpanTrace, Span: l.sessionSpan}
 	}
 	l.mu.Unlock()
 	sel := make([]string, len(selIdx))
@@ -326,9 +301,9 @@ func (l *Leaf) handle(m transport.Msg) {
 		l.gotFirst = true
 		first := now.Sub(liveEpoch).Seconds()
 		l.met.timeToFirstPacket.Observe(first - l.sessionStart)
-		if l.cfg.Spans != nil {
-			l.cfg.Spans.Add(span.Span{
-				Trace: l.cfg.SpanTrace, ID: l.cfg.Spans.NextID(), Parent: l.sessionSpan,
+		if l.cfg.Obs.Spans != nil {
+			l.cfg.Obs.Spans.Add(span.Span{
+				Trace: l.cfg.Obs.SpanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
 				Name: "first_packet", Peer: -1, Start: first, End: first,
 			})
 		}
@@ -396,10 +371,10 @@ func (l *Leaf) repairLoop() {
 			l.lastGain = time.Now() // back off until the next stall
 			if len(missing) > 0 {
 				l.met.stallDuration.Observe(stalledFor)
-				if l.cfg.Spans != nil {
+				if l.cfg.Obs.Spans != nil {
 					now := liveNow()
-					l.cfg.Spans.Add(span.Span{
-						Trace: l.cfg.SpanTrace, ID: l.cfg.Spans.NextID(), Parent: l.sessionSpan,
+					l.cfg.Obs.Spans.Add(span.Span{
+						Trace: l.cfg.Obs.SpanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
 						Name: "stall", Peer: -1, Start: now - stalledFor, End: now,
 						Detail: fmt.Sprintf("%d missing", len(missing)),
 					})
@@ -507,8 +482,8 @@ func (l *Leaf) Wait(timeout time.Duration) error {
 		}
 		err := fmt.Errorf("live: timeout with %d/%d packets (%d arrivals, %d dup); missing %s; sources: %s",
 			l.asm.Have(), want, l.total, l.dup, formatRanges(missing, 6), served)
-		if l.cfg.Introspect != nil {
-			if extra := l.cfg.Introspect(); extra != "" {
+		if l.introspect != nil {
+			if extra := l.introspect(); extra != "" {
 				err = fmt.Errorf("%w; %s", err, extra)
 			}
 		}
@@ -548,8 +523,8 @@ func (l *Leaf) Close() error {
 		close(l.stopCh)
 		l.mu.Lock()
 		if l.sessionSpan != 0 {
-			l.cfg.Spans.Add(span.Span{
-				Trace: l.cfg.SpanTrace, ID: l.sessionSpan,
+			l.cfg.Obs.Spans.Add(span.Span{
+				Trace: l.cfg.Obs.SpanTrace, ID: l.sessionSpan,
 				Name: "session", Peer: -1, Start: l.sessionStart, End: liveNow(),
 				Detail: string(l.cfg.Session),
 			})

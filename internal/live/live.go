@@ -40,7 +40,6 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/parity"
@@ -157,11 +156,6 @@ type joinBody struct {
 // with the simulation layer via internal/protocol.
 type Protocol = protocol.Protocol
 
-// The live-only ProtocolTCoP / ProtocolDCoP aliases are gone: the sim
-// and live layers accept the same shared protocol.TCoP / protocol.DCoP
-// values (p2pmss.TCoP / p2pmss.DCoP), so the parallel names only
-// invited drift.
-
 // PeerConfig configures a live contents peer.
 type PeerConfig struct {
 	// Content is the peer's copy of the content (every contents peer
@@ -207,35 +201,13 @@ type PeerConfig struct {
 	// Seed seeds the peer's random selection; 0 uses the clock.
 	Seed int64
 	// Obs bundles the peer's observers in the struct shared with the
-	// simulation. Non-nil members override the corresponding legacy
-	// fields below; Obs.Trace is ignored (sim-only) and Obs.Flight is
-	// resolved to this peer's per-(session, index) recorder at start.
-	// Prefer Obs for new code.
+	// simulation. Several peers may share one registry, and all members
+	// of a session should share one span collector; a zero Obs.SpanTrace
+	// derives the trace ID from the Session id, so every member agrees
+	// without coordination. Obs.Flight is the population's recorder set —
+	// the peer resolves its own per-(session, roster index) ring from it
+	// at start — and Obs.Trace is ignored (sim-only).
 	Obs obs.Observability
-	// Metrics, when non-nil, receives the peer's counters (data packets
-	// sent, hand-offs, activations, repair packets served, per-session
-	// retries and failovers). Several peers may share one registry.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects causal coordination spans (handshake
-	// rounds, confirmation waves, commits, hand-offs, streaming). All
-	// members of a session should share one collector.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// SpanTrace identifies the session's trace; zero derives it from the
-	// Session id so every member agrees without coordination.
-	//
-	// Deprecated: set via Obs.SpanTrace.
-	SpanTrace span.TraceID
-	// Flight, when non-nil, records the peer's engine event/effect
-	// stream into the given flight ring with wall-clock (seconds since
-	// process start) stamps; nil disables recording at zero cost.
-	//
-	// Deprecated: set via Obs.Flight (a *flight.Set; the peer resolves
-	// its own recorder from it).
-	Flight *flight.Recorder
 	// PayloadMemoCap bounds the derived-payload memo (entries); the memo
 	// is LRU-evicted past the cap. Zero means 4096.
 	PayloadMemoCap int
@@ -270,21 +242,8 @@ func (cfg *PeerConfig) normalize() error {
 	if cfg.Seed == 0 {
 		cfg.Seed = time.Now().UnixNano()
 	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	// Obs.Flight is per-set, not per-recorder; NewPeer resolves it once
-	// the peer knows its roster index.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.SpanTrace != 0 && cfg.SpanTrace == 0 {
-		cfg.SpanTrace = cfg.Obs.SpanTrace
-	}
-	if cfg.Spans != nil && cfg.SpanTrace == 0 {
-		cfg.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
+	if cfg.Obs.Spans != nil && cfg.Obs.SpanTrace == 0 {
+		cfg.Obs.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
 	}
 	if cfg.PayloadMemoCap <= 0 {
 		cfg.PayloadMemoCap = 4096
@@ -353,8 +312,8 @@ type Peer struct {
 	sent int64
 }
 
-// NewPeer creates a live peer on the given transport (WithFabric,
-// WithTCP, or WithAttach for pre-bound endpoints).
+// NewPeer creates a live peer on the given transport (WithFabric, or
+// WithAttach for pre-bound endpoints).
 func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("live: peer needs a transport")
@@ -391,7 +350,7 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 	if err := ecfg.Normalize(); err != nil {
 		return nil, err
 	}
-	p.met = newPeerMetrics(cfg.Metrics, ep.Name(), cfg.Session)
+	p.met = newPeerMetrics(cfg.Obs.Metrics, ep.Name(), cfg.Session)
 	p.payloads.cap = cfg.PayloadMemoCap
 	p.payloads.evictions = p.met.memoEvictions
 	p.mu.Lock()
@@ -400,17 +359,14 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 	}
 	self := p.idOfLocked(ep.Name())
 	p.core = engine.NewPeer(ecfg, self, rand.New(rand.NewSource(cfg.Seed)))
-	p.spans = engine.NewSpanTracker(cfg.Spans, cfg.SpanTrace, int(self), engine.SpanMetrics{
+	p.spans = engine.NewSpanTracker(cfg.Obs.Spans, cfg.Obs.SpanTrace, int(self), engine.SpanMetrics{
 		HandshakeRTT:   p.met.handshakeRTT,
 		CommitLatency:  p.met.commitLatency,
 		RetryWaveDepth: p.met.retryWaveDepth,
 	})
-	if cfg.Flight == nil {
-		// Obs carries the whole flight set; the per-peer recorder can
-		// only be resolved here, once the roster index is known.
-		cfg.Flight = cfg.Obs.Flight.Recorder(string(cfg.Session), int(self))
-	}
-	p.flight = engine.NewFlightObserver(cfg.Flight)
+	// Obs carries the whole flight set; the per-peer ring can only be
+	// resolved here, once the roster index is known.
+	p.flight = engine.NewFlightObserver(cfg.Obs.Flight.Recorder(string(cfg.Session), int(self)))
 	p.mu.Unlock()
 	go p.streamLoop()
 	return p, nil

@@ -165,8 +165,8 @@ func TestLiveLossAcceptance(t *testing.T) {
 }
 
 // TestLiveOverUDPWithLoss is the tentpole acceptance test: a full session
-// over real UDP sockets — every peer and the leaf on its own datagram
-// socket — with 5% injected loss plus reordering on every link, for both
+// over real UDP sockets — every node on its own datagram socket — with
+// 5% injected loss plus reordering on every link, for both
 // protocols. No send ever reports failure on UDP, so completion proves
 // the coordination plane survives on timer deadlines alone and the data
 // plane on §3.2 parity plus repair, ending byte-identical.
@@ -176,30 +176,16 @@ func TestLiveOverUDPWithLoss(t *testing.T) {
 		proto := proto
 		t.Run(fmt.Sprintf("%v", proto), func(t *testing.T) {
 			t.Parallel()
-			cl, err := StartCluster(ClusterConfig{
-				Content:     content.New("movie", data, 64),
-				Peers:       8,
-				H:           3,
-				Interval:    3,
-				Rate:        400,
-				Protocol:    proto,
-				UseUDP:      true,
-				Impair:      transport.Impairment{Seed: 7, Loss: 0.05, Reorder: 0.05, ReorderWindow: 4},
-				Delta:       5 * time.Millisecond,
-				RepairAfter: 250 * time.Millisecond,
-				Seed:        11,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			if err := cl.Wait(60 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			got, ok := cl.Bytes()
-			if !ok || !bytes.Equal(got, data) {
-				t.Fatal("reassembled bytes differ over lossy UDP")
-			}
+			_, ls := startSession(t, NodesConfig{
+				H:        3,
+				Interval: 3,
+				Protocol: proto,
+				UseUDP:   true,
+				Impair:   transport.Impairment{Seed: 7, Loss: 0.05, Reorder: 0.05, ReorderWindow: 4},
+				Delta:    5 * time.Millisecond,
+				Seed:     11,
+			}, 8, data, SessionConfig{PacketSize: 64, Rate: 400, RepairAfter: 250 * time.Millisecond})
+			waitExact(t, ls, data, 60*time.Second)
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/metrics"
+	"p2pmss/internal/obs"
 	"p2pmss/internal/transport"
 )
 
@@ -75,7 +76,7 @@ func TestPayloadMemoBoundedDuringStreaming(t *testing.T) {
 			Interval:       2,
 			Delta:          5 * time.Millisecond,
 			Seed:           int64(31 + i),
-			Metrics:        reg,
+			Obs:            obs.Observability{Metrics: reg},
 			PayloadMemoCap: memoCap,
 		}, WithFabric(f, name))
 		if err != nil {

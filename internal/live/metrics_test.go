@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"p2pmss/internal/content"
 	"p2pmss/internal/metrics"
+	"p2pmss/internal/obs"
 )
 
 // scrape GETs url and returns each non-comment sample line as
@@ -60,29 +60,18 @@ func sumSeries(samples map[string]float64, family string) (total float64, n int)
 	return total, n
 }
 
-// TestClusterMetricsScrapeMidStream is the issue's acceptance test: a
+// TestSessionMetricsScrapeMidStream is the metrics acceptance test: a
 // live session instrumented on a shared registry serves Prometheus-format
 // /metrics over HTTP, and a scrape taken while the stream is in flight
 // shows non-zero data-packets-sent and leaf-delivery counters.
-func TestClusterMetricsScrapeMidStream(t *testing.T) {
+func TestSessionMetricsScrapeMidStream(t *testing.T) {
 	data := make([]byte, 64<<10)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
 	reg := metrics.New()
-	cl, err := StartCluster(ClusterConfig{
-		Content:  content.New("movie", data, 256),
-		Peers:    8,
-		H:        3,
-		Interval: 4,
-		Rate:     600,
-		Seed:     42,
-		Metrics:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	_, ls := startSession(t, NodesConfig{H: 3, Interval: 4, Seed: 42, Obs: obs.Observability{Metrics: reg}}, 8, data,
+		SessionConfig{PacketSize: 256, Rate: 600})
 
 	srv := httptest.NewServer(metrics.DebugMux(reg))
 	defer srv.Close()
@@ -90,7 +79,7 @@ func TestClusterMetricsScrapeMidStream(t *testing.T) {
 	// Wait until the stream is demonstrably mid-flight: the leaf holds
 	// some packets but (typically) not yet all of them.
 	deadline := time.Now().Add(10 * time.Second)
-	for cl.Leaf.Progress() == 0 {
+	for ls.Progress() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no delivery progress within 10s")
 		}
@@ -102,7 +91,7 @@ func TestClusterMetricsScrapeMidStream(t *testing.T) {
 	if sent <= 0 || series == 0 {
 		t.Errorf("live_data_packets_sent_total: want >0 across >0 series, got %v across %d", sent, series)
 	}
-	if v := samples["live_leaf_delivered_packets"]; v <= 0 {
+	if v, _ := sumSeries(samples, "live_leaf_delivered_packets"); v <= 0 {
 		t.Errorf("live_leaf_delivered_packets = %v, want > 0", v)
 	}
 	if v, _ := sumSeries(samples, "live_leaf_arrivals_total"); v <= 0 {
@@ -123,40 +112,24 @@ func TestClusterMetricsScrapeMidStream(t *testing.T) {
 		t.Errorf("/healthz = %q, want ok", body)
 	}
 
-	if err := cl.Wait(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitExact(t, ls, data, 30*time.Second)
 	// After completion the delivered gauge matches the leaf's own count.
 	final := scrape(t, srv.URL+"/metrics")
-	if v := final["live_leaf_delivered_packets"]; int64(v) != cl.Leaf.Progress() {
-		t.Errorf("delivered gauge %v != leaf progress %d", v, cl.Leaf.Progress())
+	if v, _ := sumSeries(final, "live_leaf_delivered_packets"); int64(v) != ls.Progress() {
+		t.Errorf("delivered gauge %v != leaf progress %d", v, ls.Progress())
 	}
 }
 
-// TestClusterMetricsTCP exercises the TCP transport counters end to end.
-func TestClusterMetricsTCP(t *testing.T) {
+// TestSessionMetricsTCP exercises the TCP transport counters end to end.
+func TestSessionMetricsTCP(t *testing.T) {
 	data := make([]byte, 8<<10)
 	for i := range data {
 		data[i] = byte(i)
 	}
 	reg := metrics.New()
-	cl, err := StartCluster(ClusterConfig{
-		Content:  content.New("clip", data, 256),
-		Peers:    4,
-		H:        2,
-		Interval: 4,
-		Rate:     2000,
-		UseTCP:   true,
-		Seed:     7,
-		Metrics:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Wait(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	_, ls := startSession(t, NodesConfig{H: 2, Interval: 4, UseTCP: true, Seed: 7, Obs: obs.Observability{Metrics: reg}}, 4, data,
+		SessionConfig{PacketSize: 256, Rate: 2000})
+	waitExact(t, ls, data, 30*time.Second)
 	snap := reg.Snapshot()
 	var sent, received int64
 	for _, c := range snap.Counters {

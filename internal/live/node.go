@@ -9,11 +9,8 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/disco"
-	"p2pmss/internal/flight"
-	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/protocol"
-	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
 )
 
@@ -73,26 +70,13 @@ type NodeConfig struct {
 	// clock.
 	Seed int64
 	// Obs bundles the node's observers in the struct shared with the
-	// simulation. Non-nil members override the corresponding legacy
-	// fields below; Obs.Trace and Obs.SpanTrace are ignored (trace IDs
-	// are derived per session). Prefer Obs for new code.
+	// simulation: Metrics instruments the node and all its sessions,
+	// Spans collects every session's causal spans (each session gets its
+	// own trace, derived from the session id so all nodes agree), and
+	// Flight records every serving peer's engine event/effect stream into
+	// per-(session, peer) rings — all nodes of a population share one
+	// set. Obs.Trace and Obs.SpanTrace are ignored.
 	Obs obs.Observability
-	// Metrics, when non-nil, instruments the node and all its sessions.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects causal spans for every session this
-	// node participates in; each session gets its own trace, derived
-	// from the session id so all nodes agree.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// Flight, when non-nil, records every serving peer's engine
-	// event/effect stream into per-(session, peer) flight rings; all
-	// nodes of a population share one set.
-	//
-	// Deprecated: set via Obs.Flight.
-	Flight *flight.Set
 }
 
 // sessionShards fixes the width of the node's session table. Power of
@@ -181,17 +165,8 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	default:
 		return nil, fmt.Errorf("live: unknown protocol %q", cfg.Protocol)
 	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.Flight != nil {
-		cfg.Flight = cfg.Obs.Flight
-	}
+	// Each session derives its own trace ID; one ID must not span them all.
+	cfg.Obs.SpanTrace = 0
 	n := &Node{
 		cfg:      cfg,
 		carry:    cfg.Directory != nil || cfg.Discover,
@@ -211,7 +186,7 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &nodeRuntime{ep: ep, met: newNodeMetrics(cfg.Metrics, ep.Name())}
+	rt := &nodeRuntime{ep: ep, met: newNodeMetrics(cfg.Obs.Metrics, ep.Name())}
 	switch {
 	case cfg.Directory != nil:
 		rt.dir = cfg.Directory
@@ -230,7 +205,7 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 			Interval: cfg.AnnounceInterval,
 			TTL:      cfg.DirectoryTTL,
 			Seed:     dseed,
-			Metrics:  cfg.Metrics,
+			Metrics:  cfg.Obs.Metrics,
 		})
 		if err != nil {
 			ep.Close()
@@ -357,17 +332,6 @@ func (n *Node) admit(rt *nodeRuntime) bool {
 	return true
 }
 
-// rosterIndex returns the node's position in a session roster — the
-// engine peer id its serving peer runs under — or -1 when off-roster.
-func rosterIndex(roster []string, self string) int {
-	for i, a := range roster {
-		if a == self {
-			return i
-		}
-	}
-	return -1
-}
-
 // sessionSeed derives a deterministic per-session seed.
 func (n *Node) sessionSeed(sid SessionID) int64 {
 	if n.cfg.Seed == 0 {
@@ -399,9 +363,7 @@ func (n *Node) newServingPeerLocked(rt *nodeRuntime, sh *sessionShard, sid Sessi
 		HandshakeTimeout: n.cfg.HandshakeTimeout,
 		Retries:          n.cfg.Retries,
 		Seed:             n.sessionSeed(sid),
-		Metrics:          n.cfg.Metrics,
-		Spans:            n.cfg.Spans,
-		Flight:           n.cfg.Flight.Recorder(string(sid), rosterIndex(roster, rt.ep.Name())),
+		Obs:              n.cfg.Obs,
 	}, WithAttach(func(transport.Handler) (transport.Endpoint, error) { return se, nil }))
 	if err != nil {
 		n.sessions.Add(-1)
@@ -508,8 +470,7 @@ func (n *Node) Open(sc SessionConfig) (*LeafSession, error) {
 		RequestRetry:  sc.RequestRetry,
 		Session:       sid,
 		Seed:          seed,
-		Metrics:       n.cfg.Metrics,
-		Spans:         n.cfg.Spans,
+		Obs:           n.cfg.Obs,
 	}, WithAttach(func(transport.Handler) (transport.Endpoint, error) { return se, nil }))
 	if err != nil {
 		n.sessions.Add(-1)
@@ -824,39 +785,33 @@ type NodesConfig struct {
 	// Impair injects seeded loss/duplication/reordering into every send
 	// on the in-memory fabric or the UDP sockets; see transport.Impairment.
 	Impair transport.Impairment
-	// QueueCap and QueuePolicy bound the in-memory fabric's queue; see
-	// ClusterConfig.
+	// QueueCap bounds the in-memory fabric's pending queue (default
+	// 4096; negative leaves it unbounded) and QueuePolicy picks whether
+	// a full queue blocks senders (default) or drops the newest message.
+	// Ignored under TCP/UDP, where the kernel's socket buffers bound the
+	// queue instead.
 	QueueCap    int
 	QueuePolicy transport.QueuePolicy
 	// Seed seeds all nodes deterministically; 0 uses the clock.
 	Seed int64
-	// Obs bundles the population's observers in the struct shared with
-	// the simulation. Non-nil members override the corresponding legacy
-	// fields below; Obs.Trace and Obs.SpanTrace are ignored. Prefer
-	// Obs for new code.
+	// Obs bundles the population's observers — shared by every node, its
+	// sessions and the transport — in the struct shared with the
+	// simulation (see NodeConfig.Obs). Flight is served on /debug/flight
+	// via DebugHandlers.
 	Obs obs.Observability
-	// Metrics instruments all nodes and the transport when non-nil.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects causal spans across every node and
-	// session on one shared collector.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// Flight, when non-nil, records every serving peer's engine
-	// event/effect stream across all nodes and sessions on one shared
-	// set, served on /debug/flight via DebugHandlers.
-	//
-	// Deprecated: set via Obs.Flight.
-	Flight *flight.Set
 }
 
 // NodeCluster is a running node population.
 type NodeCluster struct {
-	Nodes  []*Node
-	fabric *transport.Fabric
-	flight *flight.Set
+	Nodes []*Node
+	obs   obs.Observability
+	// eps are the pre-bound socket listeners. The nodes own them once
+	// started; Close closes them again (idempotently) so a StartNodes
+	// that fails half-way leaks none.
+	eps []transport.Endpoint
+	// datagram records that sends can be lost without an error (UDP, or
+	// impairment on the fabric), which Open's RequestRetry default needs.
+	datagram bool
 
 	closeOnce sync.Once
 }
@@ -878,67 +833,11 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 	if cfg.UseTCP && cfg.Impair.Enabled() {
 		return nil, fmt.Errorf("live: impairment needs a datagram transport (in-memory fabric or UDP), not TCP")
 	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.Flight != nil {
-		cfg.Flight = cfg.Obs.Flight
-	}
-	nc := &NodeCluster{flight: cfg.Flight}
-	var roster []string
-	trs := make([]Transport, cfg.Nodes)
-	if cfg.UseTCP {
-		for i := range trs {
-			lb := &lateBinder{}
-			ep, err := transport.ListenTCP("127.0.0.1:0", lb.dispatch)
-			if err != nil {
-				nc.Close()
-				return nil, err
-			}
-			lb.ep = ep
-			ep.Instrument(cfg.Metrics)
-			roster = append(roster, ep.Name())
-			trs[i] = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
-				lb.bind(h)
-				return lb.ep, nil
-			})
-		}
-	} else if cfg.UseUDP {
-		delta := cfg.Delta
-		if delta == 0 {
-			delta = 10 * time.Millisecond
-		}
-		imp := udpImpairment(cfg.Impair, delta)
-		for i := range trs {
-			lb := &lateBinder{}
-			ep, err := transport.ListenUDP("127.0.0.1:0", lb.dispatch)
-			if err != nil {
-				nc.Close()
-				return nil, err
-			}
-			lb.ep = ep
-			ep.Instrument(cfg.Metrics)
-			ep.SetImpairment(imp)
-			roster = append(roster, ep.Name())
-			trs[i] = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
-				lb.bind(h)
-				return lb.ep, nil
-			})
-		}
-	} else {
-		nc.fabric = clusterFabric(cfg.QueueCap, cfg.QueuePolicy)
-		nc.fabric.Instrument(cfg.Metrics)
-		nc.fabric.SetImpairment(cfg.Impair)
-		for i := range trs {
-			name := fmt.Sprintf("node%d", i)
-			roster = append(roster, name)
-			trs[i] = WithFabric(nc.fabric, name)
-		}
+	nc := &NodeCluster{obs: cfg.Obs, datagram: cfg.UseUDP || cfg.Impair.Enabled()}
+	roster, trs, err := nc.listen(cfg)
+	if err != nil {
+		nc.Close()
+		return nil, err
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		seed := cfg.Seed
@@ -960,9 +859,7 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 			MaxSessions:      cfg.MaxSessions,
 			ReapAfter:        cfg.ReapAfter,
 			Seed:             seed,
-			Metrics:          cfg.Metrics,
-			Spans:            cfg.Spans,
-			Flight:           cfg.Flight,
+			Obs:              cfg.Obs,
 		}
 		if cfg.Discover {
 			// No static roster: each node announces its own catalog and
@@ -987,16 +884,110 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 	return nc, nil
 }
 
-// Fabric exposes the in-memory fabric (nil under TCP) for fault
-// injection in tests.
-func (nc *NodeCluster) Fabric() *transport.Fabric { return nc.fabric }
+// listen binds every node's endpoint before any node exists — the roster
+// (and the discovery bootstrap contact) must be known up front — and
+// returns each node's address and transport.
+func (nc *NodeCluster) listen(cfg NodesConfig) (roster []string, trs []Transport, err error) {
+	if !cfg.UseTCP && !cfg.UseUDP {
+		queueCap := cfg.QueueCap
+		if queueCap == 0 {
+			queueCap = 4096
+		}
+		// A bounded FIFO queue rather than a goroutine per message: a
+		// runaway sender saturates a queue, not the scheduler.
+		fabric := transport.NewBoundedQueuedFabric(queueCap, cfg.QueuePolicy)
+		fabric.Instrument(cfg.Obs.Metrics)
+		fabric.SetImpairment(cfg.Impair)
+		for i := 0; i < cfg.Nodes; i++ {
+			name := fmt.Sprintf("node%d", i)
+			roster = append(roster, name)
+			trs = append(trs, WithFabric(fabric, name))
+		}
+		return roster, trs, nil
+	}
+	imp := cfg.Impair
+	if imp.Enabled() && imp.MaxHold == 0 {
+		// A held (reordered) datagram on a link that goes quiet would
+		// never be released; real sockets get a wall-clock bound of a few
+		// one-way latencies.
+		delta := cfg.Delta
+		if delta == 0 {
+			delta = 10 * time.Millisecond
+		}
+		imp.MaxHold = 5 * delta
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		lb := &lateBinder{}
+		if cfg.UseUDP {
+			ep, err := transport.ListenUDP("127.0.0.1:0", lb.dispatch)
+			if err != nil {
+				return nil, nil, err
+			}
+			ep.Instrument(cfg.Obs.Metrics)
+			ep.SetImpairment(imp)
+			lb.ep = ep
+		} else {
+			ep, err := transport.ListenTCP("127.0.0.1:0", lb.dispatch)
+			if err != nil {
+				return nil, nil, err
+			}
+			ep.Instrument(cfg.Obs.Metrics)
+			lb.ep = ep
+		}
+		nc.eps = append(nc.eps, lb.ep)
+		roster = append(roster, lb.ep.Name())
+		trs = append(trs, lb)
+	}
+	return roster, trs, nil
+}
 
-// Open starts a leaf session on node i.
+// lateBinder is the Transport of a listener (TCP or UDP) started before
+// its node exists: frames arriving before the node opens it are dropped,
+// as a real socket would drop traffic for a process still booting.
+type lateBinder struct {
+	ep transport.Endpoint
+
+	mu sync.Mutex
+	h  transport.Handler
+}
+
+func (l *lateBinder) open(h transport.Handler) (transport.Endpoint, error) {
+	l.mu.Lock()
+	l.h = h
+	l.mu.Unlock()
+	return l.ep, nil
+}
+
+func (l *lateBinder) dispatch(m transport.Msg) {
+	l.mu.Lock()
+	h := l.h
+	l.mu.Unlock()
+	if h != nil {
+		h(m)
+	}
+}
+
+// Open starts a leaf session on node i. On a datagram transport (UDP, or
+// impairment enabled) a zero sc.RequestRetry defaults to half of
+// RepairAfter: a request can be lost there without a send error, which
+// the fabric's and TCP's failover would otherwise have caught. A Wait
+// that times out on the returned session appends the overlay health line
+// and dumps the topology snapshot and flight log to temp files.
 func (nc *NodeCluster) Open(i int, sc SessionConfig) (*LeafSession, error) {
 	if i < 0 || i >= len(nc.Nodes) {
 		return nil, fmt.Errorf("live: node %d out of range", i)
 	}
-	return nc.Nodes[i].Open(sc)
+	if sc.RequestRetry == 0 && nc.datagram {
+		sc.RequestRetry = sc.RepairAfter / 2
+	}
+	ls, err := nc.Nodes[i].Open(sc)
+	if err != nil {
+		return nil, err
+	}
+	ls.mu.Lock()
+	ls.introspect = func() string { return nc.introspect(ls.ID) }
+	ls.mu.Unlock()
+	return ls, nil
 }
 
 // WaitDiscovery blocks until every node's discovery directory has
@@ -1053,6 +1044,9 @@ func (nc *NodeCluster) Close() {
 	nc.closeOnce.Do(func() {
 		for _, nd := range nc.Nodes {
 			nd.Close()
+		}
+		for _, ep := range nc.eps {
+			ep.Close()
 		}
 	})
 }

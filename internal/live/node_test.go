@@ -10,6 +10,7 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/metrics"
+	"p2pmss/internal/obs"
 	"p2pmss/internal/transport"
 )
 
@@ -43,7 +44,7 @@ func TestNodeSessionsChaos(t *testing.T) {
 		Delta:            5 * time.Millisecond,
 		HandshakeTimeout: 80 * time.Millisecond,
 		Seed:             901,
-		Metrics:          reg,
+		Obs:              obs.Observability{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +214,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 			Delta:            5 * time.Millisecond,
 			HandshakeTimeout: 60 * time.Millisecond,
 			Seed:             int64(i) + 1,
-			Metrics:          reg,
+			Obs:              obs.Observability{Metrics: reg},
 		}, WithFabric(f, name))
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +231,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 		PacketSize:  64,
 		RepairAfter: 200 * time.Millisecond,
 		Seed:        52,
-		Metrics:     reg,
+		Obs:         obs.Observability{Metrics: reg},
 	}, WithFabric(f, "leaf"))
 	if err != nil {
 		t.Fatal(err)
@@ -341,33 +342,23 @@ func TestWaitTimeoutNamesMissing(t *testing.T) {
 	}
 }
 
-// TestClusterCloseIdempotent: Close is safe to call repeatedly,
-// concurrently with itself, and after CrashActive already stopped peers.
-func TestClusterCloseIdempotent(t *testing.T) {
-	data := randomData(4000, 7)
-	c, err := StartCluster(ClusterConfig{
-		Content:  content.New("m", data, 64),
-		Peers:    5,
-		H:        2,
-		Interval: 2,
-		Rate:     400,
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestNodeClusterCloseAfterCrash: Close is safe to call repeatedly,
+// concurrently with itself, and after CrashServing already stopped nodes.
+func TestNodeClusterCloseAfterCrash(t *testing.T) {
+	nc, _ := startSession(t, NodesConfig{H: 2, Interval: 2, Seed: 3}, 5, randomData(4000, 7),
+		SessionConfig{PacketSize: 64, Rate: 400})
 	time.Sleep(50 * time.Millisecond)
-	c.CrashActive(2)
+	nc.CrashServing(2)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Close()
+			nc.Close()
 		}()
 	}
 	wg.Wait()
-	c.Close() // and once more after everything stopped
+	nc.Close() // and once more after everything stopped
 }
 
 // TestNodeCloseIdempotent: Node and NodeCluster Close are idempotent.

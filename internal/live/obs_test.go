@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -13,37 +12,19 @@ import (
 	"p2pmss/internal/transport"
 )
 
-// A cluster configured through the consolidated Obs bundle must stream
-// to completion with every observer live: the registry fills with
-// counters, the collector with spans, and the flight set with per-peer
-// engine events.
-func TestClusterObsBundle(t *testing.T) {
+// A session configured through the Obs bundle must stream to completion
+// with every observer live: the registry fills with counters, the
+// collector with spans, and the flight set with per-peer engine events.
+func TestSessionObsBundle(t *testing.T) {
 	data := randomData(5000, 47)
 	o := obs.Observability{
 		Metrics: metrics.New(),
 		Spans:   span.NewCollector(),
 		Flight:  flight.NewSet(256),
 	}
-	c, err := StartCluster(ClusterConfig{
-		Content:  content.New("m", data, 64),
-		Peers:    6,
-		H:        3,
-		Interval: 2,
-		Rate:     400,
-		Seed:     3,
-		Obs:      o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Wait(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Bytes()
-	if !ok || !bytes.Equal(got, data) {
-		t.Fatal("cluster content mismatch")
-	}
+	_, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Seed: 3, Obs: o}, 6, data,
+		SessionConfig{PacketSize: 64, Rate: 400})
+	waitExact(t, ls, data, 20*time.Second)
 	if snap := o.Metrics.Snapshot(); len(snap.Counters) == 0 {
 		t.Error("Obs.Metrics recorded nothing")
 	}

@@ -1,12 +1,9 @@
 package live
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
-	"p2pmss/internal/content"
 	"p2pmss/internal/protocol"
 	"p2pmss/internal/transport"
 )
@@ -25,28 +22,15 @@ func TestEffectRecycleWithQueuedSendsInFlight(t *testing.T) {
 	for _, proto := range []Protocol{protocol.DCoP, protocol.TCoP} {
 		t.Run(string(proto), func(t *testing.T) {
 			data := randomData(6000, 53)
-			c, err := StartCluster(ClusterConfig{
-				Content:     content.New("m", data, 64),
-				Peers:       8,
+			_, ls := startSession(t, NodesConfig{
 				H:           3,
 				Interval:    2,
-				Rate:        600,
 				Protocol:    proto,
 				QueueCap:    1, // every burst of sends blocks mid-flight
 				QueuePolicy: transport.QueueBlock,
 				Seed:        5,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.Wait(20 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			got, ok := c.Bytes()
-			if !ok || !bytes.Equal(got, data) {
-				t.Fatal("content corrupted under queued sends + effect recycling")
-			}
+			}, 8, data, SessionConfig{PacketSize: 64, Rate: 600})
+			waitExact(t, ls, data, 20*time.Second)
 		})
 	}
 }
@@ -56,27 +40,13 @@ func TestEffectRecycleWithQueuedSendsInFlight(t *testing.T) {
 // recycled effect memory.
 func TestEffectRecycleWithDroppingQueue(t *testing.T) {
 	data := randomData(4000, 54)
-	c, err := StartCluster(ClusterConfig{
-		Content:     content.New("m", data, 64),
-		Peers:       6,
+	_, ls := startSession(t, NodesConfig{
 		H:           3,
 		Interval:    2,
-		Rate:        400,
 		Protocol:    protocol.DCoP,
 		QueueCap:    64,
 		QueuePolicy: transport.QueueDropNewest,
-		RepairAfter: 250 * time.Millisecond,
 		Seed:        6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Wait(20 * time.Second); err != nil {
-		t.Fatal(fmt.Errorf("session did not complete under dropping queue: %w", err))
-	}
-	got, ok := c.Bytes()
-	if !ok || !bytes.Equal(got, data) {
-		t.Fatal("content corrupted under dropping queue + effect recycling")
-	}
+	}, 6, data, SessionConfig{PacketSize: 64, Rate: 400, RepairAfter: 250 * time.Millisecond})
+	waitExact(t, ls, data, 20*time.Second)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pmss/internal/obs"
 	"p2pmss/internal/span"
 )
 
@@ -27,7 +28,7 @@ func TestConcurrentSessionsShareOneCollector(t *testing.T) {
 		Interval: 2,
 		Delta:    5 * time.Millisecond,
 		Seed:     701,
-		Spans:    col,
+		Obs:      obs.Observability{Spans: col},
 	})
 	if err != nil {
 		t.Fatal(err)

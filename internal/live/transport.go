@@ -7,9 +7,8 @@ import (
 )
 
 // Transport selects how a live peer, leaf or node attaches to the
-// network. Construct one with WithFabric, WithTCP or WithAttach and pass
-// it to NewPeer, NewLeaf or NewNode; the option hides the
-// handler-inversion plumbing the old attach-callback API exposed.
+// network. Construct one with WithFabric or WithAttach and pass it to
+// NewPeer, NewLeaf or NewNode.
 type Transport interface {
 	// open registers the participant's inbound handler and returns its
 	// endpoint. The method is unexported so the option set stays closed.
@@ -32,30 +31,10 @@ func WithFabric(f *transport.Fabric, name string) Transport {
 	})
 }
 
-// WithTCP attaches the participant to its own TCP listener on addr
-// (e.g. "127.0.0.1:0"); the endpoint's name is the bound address.
-func WithTCP(addr string) Transport {
-	return transportFunc(func(h transport.Handler) (transport.Endpoint, error) {
-		return transport.ListenTCP(addr, h)
-	})
-}
-
-// WithUDP attaches the participant to its own UDP socket on addr
-// (e.g. "127.0.0.1:0"); the endpoint's name is the bound address.
-// Datagram semantics apply: sends never report delivery failure, so the
-// participant's liveness rests on its timer deadlines and §3.2 parity,
-// not on transport errors.
-func WithUDP(addr string) Transport {
-	return transportFunc(func(h transport.Handler) (transport.Endpoint, error) {
-		return transport.ListenUDP(addr, h)
-	})
-}
-
-// WithAttach adapts the legacy attach-callback form (the function
-// receives the participant's handler and returns its endpoint). It
-// exists so pre-Transport callers and endpoints bound before their
-// participant (e.g. TCP listeners whose address the roster needs) keep
-// working.
+// WithAttach attaches the participant through a callback that receives
+// its inbound handler and returns its endpoint — for endpoints the
+// caller binds itself (a session's view of a node endpoint, a
+// benchmark's instrumented socket).
 func WithAttach(attach func(transport.Handler) (transport.Endpoint, error)) Transport {
 	if attach == nil {
 		return transportFunc(func(transport.Handler) (transport.Endpoint, error) {

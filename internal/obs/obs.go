@@ -1,9 +1,8 @@
-// Package obs consolidates the observability configuration shared by
-// the simulated (coord) and live runtimes into one struct. Before it
-// existed every config carried its own parallel Trace/Metrics/Spans/
-// SpanTrace/Flight fields; Observability is the single place to set
-// them, and each runtime folds it into its legacy fields during
-// normalization, so the two spellings stay equivalent.
+// Package obs holds the observability configuration shared by the
+// simulated (coord) and live runtimes: one Observability struct is the
+// only way to attach a metrics registry, event tracer, span collector or
+// flight recorder set to a run, so both runtimes spell it the same way
+// and a caller can hand one bundle to either.
 package obs
 
 import (

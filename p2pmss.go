@@ -19,9 +19,10 @@
 //   - Experiments: Figure10, Figure11, Figure12 and Baselines regenerate
 //     the paper's evaluation (§4) as printable tables and CSV.
 //
-//   - Live streaming: NewContent, NewPeer and NewLeaf run the same
-//     protocols on goroutines over an in-memory fabric or TCP loopback,
-//     streaming real bytes with parity recovery and repair.
+//   - Live streaming: StartLiveNodes runs the same protocols on
+//     goroutines over an in-memory fabric, TCP or UDP loopback; each
+//     LiveNodeCluster.Open streams one content's real bytes to a leaf
+//     with parity recovery and repair.
 //
 // A quickstart:
 //
@@ -40,7 +41,6 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/coord"
-	"p2pmss/internal/disco"
 	"p2pmss/internal/experiment"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/live"
@@ -132,35 +132,30 @@ func WriteTraceJSONL(w io.Writer, events []TraceEvent) error {
 // Observability bundles every optional observer a run can attach —
 // metrics registry, event tracer (sim only), span collector + trace ID,
 // and flight recorder set — in one struct accepted by both the
-// simulation (SimConfig.Obs) and the live runtime (LivePeerConfig.Obs,
-// LiveClusterConfig.Obs, LiveNodeConfig.Obs, LiveNodesConfig.Obs,
-// LiveLeafConfig.Obs). The zero value attaches nothing; the per-config
-// Metrics/Trace/Spans/SpanTrace/Flight fields it supersedes remain as
-// deprecated aliases.
+// simulation (SimConfig.Obs) and the live runtime (LiveNodesConfig.Obs,
+// LivePeerConfig.Obs, LiveLeafConfig.Obs). The zero value attaches
+// nothing.
 type Observability = obs.Observability
 
 // ---- metrics --------------------------------------------------------------
 
 // MetricsRegistry is a concurrency-safe registry of named counters,
 // gauges and histograms. A nil registry disables all instrumentation at
-// near-zero cost, so SimConfig.Metrics / LiveClusterConfig.Metrics can be
-// left unset in the common case.
+// near-zero cost, so Observability.Metrics can be left unset in the
+// common case.
 type MetricsRegistry = metrics.Registry
-
-// MetricsSnapshot is a deterministic point-in-time copy of a registry.
-type MetricsSnapshot = metrics.Snapshot
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
 
 // DebugHandler is an extra endpoint to mount on MetricsDebugMux, e.g.
-// a live cluster's /debug/overlay and /debug/flight handlers.
+// a live population's /debug/overlay and /debug/flight handlers.
 type DebugHandler = metrics.DebugHandler
 
 // MetricsDebugMux returns an http.Handler serving the registry's
 // Prometheus text on /metrics plus /healthz, expvar on /debug/vars and
 // net/http/pprof on /debug/pprof/. Extra handlers (e.g.
-// LiveCluster.DebugHandlers) are mounted after the built-ins.
+// LiveNodeCluster.DebugHandlers) are mounted after the built-ins.
 func MetricsDebugMux(r *MetricsRegistry, extras ...DebugHandler) http.Handler {
 	return metrics.DebugMux(r, extras...)
 }
@@ -298,10 +293,6 @@ func PrintGossipCoverage(w io.Writer, n int, pts []GossipCoveragePoint) {
 // simulated or live run.
 type Span = span.Span
 
-// SpanContext is the (trace, span) pair a message carries so its
-// receiver can nest its own spans under the sender's.
-type SpanContext = span.Context
-
 // SpanCollector accumulates spans concurrently; a nil collector is the
 // disabled state, costing nothing on the engine's hot path.
 type SpanCollector = span.Collector
@@ -309,17 +300,8 @@ type SpanCollector = span.Collector
 // SpanSummaryRow is one (trace, name) group's latency quantiles.
 type SpanSummaryRow = span.SummaryRow
 
-// SpanTraceID identifies one traced session or run; SimConfig.SpanTrace
-// takes one.
-type SpanTraceID = span.TraceID
-
 // NewSpanCollector returns an empty span collector.
 func NewSpanCollector() *SpanCollector { return span.NewCollector() }
-
-// DeriveTrace deterministically derives a non-zero trace id from a
-// name, so repeated runs of "fig10/H=10/seed=3" share a trace id and
-// distinct names do not collide.
-func DeriveTrace(name string) SpanTraceID { return span.DeriveTrace(name) }
 
 // WriteSpansJSONL writes spans to w as JSON Lines, one span per line.
 func WriteSpansJSONL(w io.Writer, spans []Span) error { return span.WriteJSONL(w, spans) }
@@ -393,26 +375,17 @@ type LiveLeaf = live.Leaf
 // LiveLeafConfig configures a live leaf peer.
 type LiveLeafConfig = live.LeafConfig
 
-// TransportMsg is a framed live-transport message.
-type TransportMsg = transport.Msg
-
-// TransportHandler processes inbound live-transport messages.
-type TransportHandler = transport.Handler
-
-// TransportEndpoint sends live-transport messages to named peers.
-type TransportEndpoint = transport.Endpoint
-
 // Fabric is the in-memory transport for single-process demos and tests.
 type Fabric = transport.Fabric
 
 // NewFabric returns an empty in-memory transport fabric.
 func NewFabric() *Fabric { return transport.NewFabric() }
 
-// TransportQueuePolicy selects what a bounded queued fabric does with a
-// send arriving while its queue is full.
+// TransportQueuePolicy selects what the population's bounded in-memory
+// fabric does with a send arriving while its queue is full.
 type TransportQueuePolicy = transport.QueuePolicy
 
-// Bounded-queue policies for NewBoundedQueuedFabric.
+// Full-queue policies for LiveNodesConfig.QueuePolicy.
 const (
 	// QueueBlock applies backpressure: the sender waits for a free slot.
 	QueueBlock = transport.QueueBlock
@@ -420,59 +393,18 @@ const (
 	QueueDropNewest = transport.QueueDropNewest
 )
 
-// NewQueuedFabric returns an in-memory fabric with deterministic FIFO
-// delivery from a single pump goroutine.
-func NewQueuedFabric() *Fabric { return transport.NewQueuedFabric() }
-
-// NewBoundedQueuedFabric is NewQueuedFabric with the pending queue capped
-// at capacity messages; policy picks backpressure or loss when full.
-func NewBoundedQueuedFabric(capacity int, policy TransportQueuePolicy) *Fabric {
-	return transport.NewBoundedQueuedFabric(capacity, policy)
-}
-
 // TransportImpairment is a seeded loss/duplication/reordering policy for
 // the in-memory fabric (Fabric.SetImpairment) and UDP endpoints; the
 // zero value disables everything.
 type TransportImpairment = transport.Impairment
 
-// TransportImpairer applies an installed impairment policy and exposes
-// its Stats and Flush.
-type TransportImpairer = transport.Impairer
-
-// ListenTCP starts a TCP transport endpoint on addr (e.g. "127.0.0.1:0").
-func ListenTCP(addr string, h TransportHandler) (TransportEndpoint, error) {
-	return transport.ListenTCP(addr, h)
-}
-
-// ListenUDP starts a UDP transport endpoint on addr (e.g. "127.0.0.1:0").
-// Datagram semantics: a lost message is never reported to the sender, so
-// live participants on UDP rely on timer deadlines and §3.2 parity, not
-// transport errors.
-func ListenUDP(addr string, h TransportHandler) (TransportEndpoint, error) {
-	return transport.ListenUDP(addr, h)
-}
-
 // LiveTransport selects how a live participant attaches to the network;
-// construct one with WithFabric, WithTCP, WithUDP or WithAttach.
+// construct one with WithFabric.
 type LiveTransport = live.Transport
 
 // WithFabric attaches a live participant to the in-memory fabric under
 // the given endpoint name.
 func WithFabric(f *Fabric, name string) LiveTransport { return live.WithFabric(f, name) }
-
-// WithTCP attaches a live participant to its own TCP listener on addr
-// (e.g. "127.0.0.1:0").
-func WithTCP(addr string) LiveTransport { return live.WithTCP(addr) }
-
-// WithUDP attaches a live participant to its own UDP socket on addr
-// (e.g. "127.0.0.1:0").
-func WithUDP(addr string) LiveTransport { return live.WithUDP(addr) }
-
-// WithAttach adapts a legacy attach callback (the function receives the
-// participant's handler and returns its endpoint) to a LiveTransport.
-func WithAttach(attach func(TransportHandler) (TransportEndpoint, error)) LiveTransport {
-	return live.WithAttach(attach)
-}
 
 // StartLivePeer starts a live contents peer on the given transport.
 func StartLivePeer(cfg LivePeerConfig, tr LiveTransport) (*LivePeer, error) {
@@ -483,11 +415,6 @@ func StartLivePeer(cfg LivePeerConfig, tr LiveTransport) (*LivePeer, error) {
 func StartLiveLeaf(cfg LiveLeafConfig, tr LiveTransport) (*LiveLeaf, error) {
 	return live.NewLeaf(cfg, tr)
 }
-
-// The attach-callback constructors NewLivePeer / NewLiveLeaf are gone:
-// StartLivePeer / StartLiveLeaf with WithFabric, WithTCP, WithUDP, or
-// WithAttach cover every attachment style through one transport
-// argument instead of a second constructor shape.
 
 // WriteRoundsSVG renders a Figure 10/11-style chart (rounds + control
 // packets vs H) into dir/name.svg.
@@ -501,24 +428,6 @@ func WriteRateSVG(dir, name, title string, dcop, tcop Series) error {
 	return experiment.WriteSVG(dir, name, experiment.RateChart(title, dcop, tcop))
 }
 
-// LiveCluster is a running live session (peers + leaf) created by
-// StartLiveCluster.
-type LiveCluster = live.Cluster
-
-// LiveClusterConfig wires a whole live session in one call.
-type LiveClusterConfig = live.ClusterConfig
-
-// The LiveTCoP / LiveDCoP aliases are gone: LivePeerConfig.Protocol and
-// LiveClusterConfig.Protocol accept the shared TCoP / DCoP constants
-// directly.
-
-// StartLiveCluster builds and starts a live session: n contents peers
-// plus a leaf over the in-memory fabric or TCP loopback, with the
-// content request already sent.
-func StartLiveCluster(cfg LiveClusterConfig) (*LiveCluster, error) {
-	return live.StartCluster(cfg)
-}
-
 // ContentStore is a peer's catalog of contents, keyed by ID.
 type ContentStore = content.Store
 
@@ -527,27 +436,11 @@ func NewContentStore() *ContentStore { return content.NewStore() }
 
 // ---- session-oriented live nodes ------------------------------------------
 
-// SessionID identifies one streaming session on a live node.
-type SessionID = live.SessionID
-
-// LiveNode hosts a content store on one endpoint and participates in
-// many concurrent streaming sessions, serving some as a contents peer
-// and consuming others as a leaf.
-type LiveNode = live.Node
-
-// LiveNodeConfig configures a session-multiplexing live node.
-type LiveNodeConfig = live.NodeConfig
-
 // LiveSessionConfig describes one leaf session a node opens.
 type LiveSessionConfig = live.SessionConfig
 
 // LiveLeafSession is a leaf session hosted on a node.
 type LiveLeafSession = live.LeafSession
-
-// NewLiveNode creates a session-multiplexing node on the given transport.
-func NewLiveNode(cfg LiveNodeConfig, tr LiveTransport) (*LiveNode, error) {
-	return live.NewNode(cfg, tr)
-}
 
 // LiveNodeCluster is a running node population created by StartLiveNodes.
 type LiveNodeCluster = live.NodeCluster
@@ -560,81 +453,21 @@ func StartLiveNodes(cfg LiveNodesConfig) (*LiveNodeCluster, error) {
 	return live.StartNodes(cfg)
 }
 
-// ---- decentralized discovery ----------------------------------------------
-
-// Directory resolves which peers serve a content — the abstraction a
-// live node opens sessions through. NewStaticDirectory wraps a
-// configured roster; NewDirectoryCatalog joins the gossip-backed
-// discovery swarm; LiveNodeConfig.Discover wires the latter into a node
-// automatically.
-type Directory = disco.Directory
-
-// StaticDirectory is the configured-roster Directory: every lookup
-// answers with the full static roster, in its original order.
-type StaticDirectory = disco.Static
-
-// NewStaticDirectory wraps a static roster as a Directory.
-func NewStaticDirectory(roster []string) *StaticDirectory { return disco.NewStatic(roster) }
-
-// DirectoryRecord is one entry of a discovery directory: a node's
-// signed announcement of the contents it serves.
-type DirectoryRecord = disco.Record
-
-// DirectoryCatalog is the gossip-backed Directory: it announces this
-// node's catalog, accumulates other nodes' signed announcements, and
-// expires entries whose owner went silent.
-type DirectoryCatalog = disco.Catalog
-
-// DirectoryCatalogConfig parameterizes a DirectoryCatalog.
-type DirectoryCatalogConfig = disco.CatalogConfig
-
-// NewDirectoryCatalog starts a gossip-backed directory node.
-func NewDirectoryCatalog(cfg DirectoryCatalogConfig) (*DirectoryCatalog, error) {
-	return disco.NewCatalog(cfg)
-}
-
 // ---- overlay introspection & flight recording -----------------------------
 
 // OverlaySnapshot is a versioned point-in-time view of an overlay:
 // per-peer slot assignments, parent/child streaming edges, division
-// coverage, and tree-health gauges. Produced by LiveCluster.Snapshot
-// and LiveNodeCluster.Snapshot, served on /debug/overlay, rendered to
+// coverage, and tree-health gauges. Produced by
+// LiveNodeCluster.Snapshot, served on /debug/overlay, rendered to
 // Graphviz with its DOT method.
 type OverlaySnapshot = overlay.Snapshot
 
-// OverlayNode is one peer's entry in an overlay snapshot.
-type OverlayNode = overlay.Node
-
-// OverlayEdge is one parent→child streaming edge in a snapshot.
-type OverlayEdge = overlay.Edge
-
-// OverlayHealth summarizes a snapshot's tree health (depth, fanout,
-// orphaned leaves, division coverage).
-type OverlayHealth = overlay.Health
-
-// FlightRecorder is one peer's bounded in-memory ring of coordination
-// events and effects — a crash-forensics flight recorder. A nil
-// recorder is the disabled state and costs nothing on the hot path.
-type FlightRecorder = flight.Recorder
-
 // FlightSet is a population of per-peer flight recorders sharing one
-// capacity, attachable to SimConfig.Flight, LiveClusterConfig.Flight
-// and LiveNodesConfig.Flight.
+// capacity, attachable as Observability.Flight.
 type FlightSet = flight.Set
 
 // FlightEvent is one recorded engine event or effect.
 type FlightEvent = flight.Event
-
-// FlightLog labels a flight-event stream for divergence diffing.
-type FlightLog = flight.Log
-
-// FlightDivergence names the first event where two flight logs
-// disagree: the peer, the per-peer event index, and both sides' events.
-type FlightDivergence = flight.Divergence
-
-// FlightDiffOptions tunes FirstFlightDivergence (timer-event handling,
-// session filtering).
-type FlightDiffOptions = flight.DiffOptions
 
 // NewFlightSet returns a recorder population holding up to perPeerCap
 // events per peer (0 picks the 512-event default).
@@ -648,16 +481,6 @@ func WriteFlightJSONL(w io.Writer, events []FlightEvent) error {
 // ReadFlightJSONL reads a JSONL flight log written by WriteFlightJSONL
 // or FlightSet.DumpJSONL.
 func ReadFlightJSONL(r io.Reader) ([]FlightEvent, error) { return flight.ReadJSONL(r) }
-
-// FirstFlightDivergence aligns two flight logs — e.g. a simulated run
-// and its live conformance twin — per (session, peer) and returns the
-// first event where they disagree, or nil when the logs agree.
-// Timestamps are never compared (one side counts virtual time, the
-// other wall time); identity is (peer, direction, type, counterpart,
-// round, size).
-func FirstFlightDivergence(a, b FlightLog, opt FlightDiffOptions) *FlightDivergence {
-	return flight.FirstDivergence(a, b, opt)
-}
 
 // SummarizeFlight groups flight events by (session, peer, direction,
 // type) with counts and first/last timestamps.
