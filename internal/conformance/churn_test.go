@@ -112,10 +112,7 @@ func liveChurnOutcomes(t *testing.T, proto protocol.Protocol, seed int64, victim
 	}
 	defer leaf.Close()
 
-	if err := leaf.Start(); err != nil {
-		t.Fatalf("live start: %v", err)
-	}
-	fab.Wait()
+	startAndSettle(t, fab, leaf)
 
 	outs := make([]engine.Outcome, confN)
 	for i, p := range peers {

@@ -127,19 +127,38 @@ func liveOutcomes(t *testing.T, proto protocol.Protocol, seed int64, fl *flight.
 	}
 	defer leaf.Close()
 
-	if err := leaf.Start(); err != nil {
-		t.Fatalf("live start: %v", err)
-	}
 	// The queued pump runs every handler to completion before the next
 	// delivery; when the fabric quiesces, coordination has finished
 	// (timers only fire later, and are stale by then).
-	fab.Wait()
+	startAndSettle(t, fab, leaf)
 
 	outs := make([]engine.Outcome, confN)
 	for i, p := range peers {
 		outs[i] = p.Outcome()
 	}
 	return outs
+}
+
+// startAndSettle starts the leaf from a handler, i.e. on the fabric's
+// pump goroutine, and waits for the fabric to quiesce. The simulator
+// issues the leaf's H requests at one instant; Start sends them one by
+// one, and from any other goroutine the pump may deliver the first
+// request — and enqueue the control packets it triggers — before the
+// last request is queued, which is a different (legitimate, but not the
+// simulator's) delivery order. On the pump nothing is delivered until
+// Start returns.
+func startAndSettle(t *testing.T, fab *transport.Fabric, leaf *live.Leaf) {
+	t.Helper()
+	var err error
+	starter := fab.Endpoint("starter", func(transport.Msg) { err = leaf.Start() })
+	defer starter.Close()
+	if serr := starter.Send("starter", transport.Msg{Type: "start"}); serr != nil {
+		t.Fatalf("live start: %v", serr)
+	}
+	fab.Wait()
+	if err != nil {
+		t.Fatalf("live start: %v", err)
+	}
 }
 
 // TestSimLiveConformance runs both drivers from the same seed and

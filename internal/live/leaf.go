@@ -154,21 +154,18 @@ func (l *Leaf) Addr() string { return l.ep.Name() }
 // Session returns the session this leaf consumes (empty when standalone).
 func (l *Leaf) Session() SessionID { return l.cfg.Session }
 
-// send encodes v, stamps the leaf's session, and transmits.
-func (l *Leaf) send(to, typ string, v any) error {
-	return l.sendCtx(to, typ, v, span.Context{})
+// send encodes body, stamps the leaf's session, and transmits.
+func (l *Leaf) send(to, typ string, body transport.WireAppender) error {
+	return l.sendCtx(to, typ, body, span.Context{})
 }
 
 // sendCtx is send with a causal span context stamped on the frame.
-func (l *Leaf) sendCtx(to, typ string, v any, ctx span.Context) error {
-	m, err := transport.Encode(typ, l.Addr(), v)
-	if err != nil {
-		return err
-	}
-	m.Session = string(l.cfg.Session)
-	m.Trace = uint64(ctx.Trace)
-	m.Span = uint64(ctx.Span)
-	return l.ep.Send(to, m)
+func (l *Leaf) sendCtx(to, typ string, body transport.WireAppender, ctx span.Context) error {
+	return l.ep.Send(to, transport.Msg{
+		Type: typ, From: l.Addr(), Session: string(l.cfg.Session),
+		Trace: uint64(ctx.Trace), Span: uint64(ctx.Span),
+		Payload: body.AppendWire(nil),
+	})
 }
 
 // Start sends the content request to H selected contents peers (DCoP/TCoP
@@ -290,7 +287,8 @@ func (l *Leaf) handle(m transport.Msg) {
 		return
 	}
 	var b dataBody
-	if m.Decode(&b) != nil {
+	if b.DecodeWire(m.Payload) != nil {
+		l.met.decodeErrors.Inc()
 		return
 	}
 	now := time.Now()

@@ -1,7 +1,7 @@
 // Package live runs the paper's multi-source streaming on real
 // goroutines and wall-clock time: contents peers are concurrent
-// processes exchanging JSON control packets over a transport (in-memory
-// or TCP), coordinating with TCoP (§3.5, the default) or DCoP (§3.4) and
+// processes exchanging binary control packets over a transport (in-memory,
+// TCP or UDP), coordinating with TCoP (§3.5, the default) or DCoP (§3.4) and
 // streaming packet payloads to a leaf peer, which reassembles the content
 // bytes with parity recovery and a repair round for anything still
 // missing (e.g. after a peer crash).
@@ -23,7 +23,7 @@
 // decodes transport messages into engine events, translates roster
 // addresses to engine peer ids, hydrates payload-stripped sequences from
 // its content copy, and applies the engine's effects: Send becomes a
-// JSON message, SetTimer a time.AfterFunc, Activate/Merge/Handoff
+// wire message, SetTimer a time.AfterFunc, Activate/Merge/Handoff
 // operations on the streaming goroutine's sequence.
 //
 // A Node hosts a content.Store on one endpoint and multiplexes many
@@ -72,84 +72,88 @@ const (
 	typeAnnounce = "announce"
 )
 
+// The message bodies. Each knows its own binary wire form (wire.go;
+// layouts in DESIGN.md §9); the three that can open a session on a node
+// that has never seen it — request, control, commit — lead with Roster,
+// so Node.sessionRosterFrom reads it without decoding the rest.
+
 // requestBody is the leaf's content request. Roster carries the
 // session's resolved membership when it was discovered dynamically
 // (gossip directory) instead of configured statically: the receiving
 // node cannot otherwise know which peer numbering the session runs
-// under. Static sessions leave it empty, keeping their wire bytes
-// identical to the pre-discovery protocol.
+// under. Static sessions leave it empty.
 type requestBody struct {
-	ContentID string   `json:"content_id"`
-	Rate      float64  `json:"rate"` // packets per second
-	H         int      `json:"h"`
-	Interval  int      `json:"interval"`
-	Index     int      `json:"index"`
-	Selected  []string `json:"selected"`
-	Leaf      string   `json:"leaf"`
-	Roster    []string `json:"roster,omitempty"`
+	Roster    []string
+	ContentID string
+	Rate      float64 // packets per second
+	H         int
+	Interval  int
+	Index     int
+	Selected  []string
+	Leaf      string
 }
 
 // controlBody is the control packet c1 — engine.MsgControl on the wire,
 // with peers named by address and the assigned sequence payload-stripped
 // (the receiver re-derives payloads from its own content copy).
 type controlBody struct {
-	Parent    string       `json:"parent"`
-	View      []string     `json:"view"`
-	Leaf      string       `json:"leaf"`
-	ContentID string       `json:"content_id,omitempty"`
-	SeqOffset int          `json:"seq_offset"`
-	Rate      float64      `json:"rate"`
-	ChildRate float64      `json:"child_rate,omitempty"`
-	Children  int          `json:"children"`
-	ChildIdx  int          `json:"child_idx,omitempty"`
-	Assigned  seq.Sequence `json:"assigned,omitempty"`
-	Round     int          `json:"round"`
 	// Roster propagates a discovered session membership (see
 	// requestBody.Roster); empty on static sessions.
-	Roster []string `json:"roster,omitempty"`
+	Roster    []string
+	Parent    string
+	View      []string
+	Leaf      string
+	ContentID string
+	SeqOffset int
+	Rate      float64
+	ChildRate float64
+	Children  int
+	ChildIdx  int
+	Round     int
+	Assigned  seq.Sequence
 }
 
 // confirmBody is TCoP's confirmation cc1.
 type confirmBody struct {
-	Child  string `json:"child"`
-	Accept bool   `json:"accept"`
-	Round  int    `json:"round"`
+	Child  string
+	Accept bool
+	Round  int
 }
 
 // commitBody is TCoP's c2 (and the mid-stream join grant), carrying the
 // child's payload-stripped subsequence.
 type commitBody struct {
-	Parent    string       `json:"parent"`
-	ContentID string       `json:"content_id"`
-	Leaf      string       `json:"leaf"`
-	Streams   int          `json:"streams"`
-	SeqOffset int          `json:"seq_offset"`
-	Rate      float64      `json:"rate"`
-	ChildIdx  int          `json:"child_idx"`
-	Assigned  seq.Sequence `json:"assigned,omitempty"`
-	Round     int          `json:"round"`
 	// Roster propagates a discovered session membership (see
 	// requestBody.Roster); empty on static sessions.
-	Roster []string `json:"roster,omitempty"`
+	Roster    []string
+	Parent    string
+	ContentID string
+	Leaf      string
+	Streams   int
+	SeqOffset int
+	Rate      float64
+	ChildIdx  int
+	Round     int
+	Assigned  seq.Sequence
 }
 
 // dataBody carries one packet.
 type dataBody struct {
-	Pkt seq.Packet `json:"pkt"`
+	Pkt seq.Packet
 }
 
 // repairBody asks a peer to retransmit specific data packets.
 type repairBody struct {
-	ContentID string  `json:"content_id"`
-	Indices   []int64 `json:"indices"`
-	Leaf      string  `json:"leaf"`
+	ContentID string
+	Leaf      string
+	Indices   []int64
 }
 
 // joinBody volunteers a peer for an in-flight session: an active member
 // receiving it hands the joiner a slice of its remaining stream.
 type joinBody struct {
-	ContentID string `json:"content_id"`
-	Joiner    string `json:"joiner"`
+	ContentID string
+	Joiner    string
 }
 
 // Protocol identifies a live coordination protocol; the names are shared
@@ -428,24 +432,21 @@ func (p *Peer) Close() error {
 	return p.ep.Close()
 }
 
-// send encodes v, stamps the peer's session, and transmits. The error is
-// surfaced so callers can fail over to an alternate peer.
-func (p *Peer) send(to, typ string, v any) error {
-	return p.sendCtx(to, typ, v, span.Context{})
+// send encodes body, stamps the peer's session, and transmits. The error
+// is surfaced so callers can fail over to an alternate peer.
+func (p *Peer) send(to, typ string, body transport.WireAppender) error {
+	return p.sendCtx(to, typ, body, span.Context{})
 }
 
 // sendCtx is send with a causal span context stamped on the frame (the
 // zero context leaves the frame untouched, byte-identical to an
 // untraced send).
-func (p *Peer) sendCtx(to, typ string, v any, ctx span.Context) error {
-	m, err := transport.Encode(typ, p.Addr(), v)
-	if err != nil {
-		return err
-	}
-	m.Session = string(p.cfg.Session)
-	m.Trace = uint64(ctx.Trace)
-	m.Span = uint64(ctx.Span)
-	return p.ep.Send(to, m)
+func (p *Peer) sendCtx(to, typ string, body transport.WireAppender, ctx span.Context) error {
+	return p.ep.Send(to, transport.Msg{
+		Type: typ, From: p.Addr(), Session: string(p.cfg.Session),
+		Trace: uint64(ctx.Trace), Span: uint64(ctx.Span),
+		Payload: body.AppendWire(nil),
+	})
 }
 
 // ---- address/id codec ---------------------------------------------------
@@ -615,7 +616,7 @@ func (m *payloadMemo) len() int {
 type outSend struct {
 	to   string
 	typ  string
-	body any
+	body transport.WireAppender
 	toID engine.PeerID
 	msg  any          // the engine message, nil for data-plane sends
 	ctx  span.Context // causal context stamped on the frame
@@ -865,37 +866,41 @@ func (p *Peer) handle(m transport.Msg) {
 	// The frame's causal context (zero when the sender traces nothing)
 	// parents whatever spans handling this message opens.
 	parent := span.Context{Trace: span.TraceID(m.Trace), Span: span.SpanID(m.Span)}
+	var err error
 	switch m.Type {
 	case typeRequest:
 		var b requestBody
-		if m.Decode(&b) == nil {
+		if err = b.DecodeWire(m.Payload); err == nil {
 			p.onRequest(b, parent)
 		}
 	case typeControl:
 		var b controlBody
-		if m.Decode(&b) == nil {
+		if err = b.DecodeWire(m.Payload); err == nil {
 			p.onControl(b, parent)
 		}
 	case typeConfirm:
 		var b confirmBody
-		if m.Decode(&b) == nil {
+		if err = b.DecodeWire(m.Payload); err == nil {
 			p.onConfirm(b, parent)
 		}
 	case typeCommit:
 		var b commitBody
-		if m.Decode(&b) == nil {
+		if err = b.DecodeWire(m.Payload); err == nil {
 			p.onCommit(b, parent)
 		}
 	case typeRepair:
 		var b repairBody
-		if m.Decode(&b) == nil {
+		if err = b.DecodeWire(m.Payload); err == nil {
 			p.onRepair(b, parent)
 		}
 	case typeJoin:
 		var b joinBody
-		if m.Decode(&b) == nil {
+		if err = b.DecodeWire(m.Payload); err == nil {
 			p.onJoin(b, parent)
 		}
+	}
+	if err != nil {
+		p.met.decodeErrors.Inc()
 	}
 }
 
@@ -1078,5 +1083,10 @@ func (p *Peer) sendOne() {
 	leaf := p.leaf
 	p.mu.Unlock()
 	p.met.sent.Inc()
-	p.send(leaf, typeData, dataBody{Pkt: pkt}) //nolint:errcheck // a vanished leaf ends the session; repair handles the rest
+	// The per-packet path builds the message itself: going through send
+	// would box a dataBody in an interface for every packet.
+	p.ep.Send(leaf, transport.Msg{ //nolint:errcheck // a vanished leaf ends the session; repair handles the rest
+		Type: typeData, From: p.Addr(), Session: string(p.cfg.Session),
+		Payload: seq.AppendPacket(nil, pkt),
+	})
 }

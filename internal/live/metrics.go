@@ -31,6 +31,9 @@ type peerMetrics struct {
 	failovers *metrics.Counter
 	// memoEvictions counts payload-memo entries dropped by the LRU bound.
 	memoEvictions *metrics.Counter
+	// decodeErrors counts well-framed messages whose body failed
+	// DecodeWire and was dropped.
+	decodeErrors *metrics.Counter
 	// Coordination-latency histograms (seconds), fed by the engine span
 	// tracker.
 	handshakeRTT   *metrics.Histogram
@@ -51,6 +54,7 @@ func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetri
 		retries:       reg.Counter("live_session_retries_total", withSession(sid, "role", "peer")...),
 		failovers:     reg.Counter("live_session_failovers_total", withSession(sid, "role", "peer")...),
 		memoEvictions: reg.Counter("live_payload_memo_evictions_total", withSession(sid)...),
+		decodeErrors:  reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "peer")...),
 
 		handshakeRTT:   reg.Histogram("live_handshake_rtt_seconds", latencyBounds, withSession(sid)...),
 		commitLatency:  reg.Histogram("live_control_commit_latency_seconds", latencyBounds, withSession(sid)...),
@@ -71,6 +75,9 @@ type leafMetrics struct {
 	// peer after a send error (crashed or unknown endpoint).
 	retries   *metrics.Counter
 	failovers *metrics.Counter
+	// decodeErrors counts data messages whose body failed DecodeWire and
+	// was dropped.
+	decodeErrors *metrics.Counter
 	// timeToFirstPacket observes request→first-data latency;
 	// stallDuration observes how long each detected stall lasted before
 	// the repair round fired (both in seconds).
@@ -87,6 +94,7 @@ func newLeafMetrics(reg *metrics.Registry, sid SessionID) leafMetrics {
 		recovered:      reg.Gauge("live_leaf_recovered_packets", withSession(sid)...),
 		retries:        reg.Counter("live_session_retries_total", withSession(sid, "role", "leaf")...),
 		failovers:      reg.Counter("live_session_failovers_total", withSession(sid, "role", "leaf")...),
+		decodeErrors:   reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "leaf")...),
 
 		timeToFirstPacket: reg.Histogram("live_time_to_first_packet_seconds", latencyBounds, withSession(sid)...),
 		stallDuration:     reg.Histogram("live_stall_duration_seconds", latencyBounds, withSession(sid)...),

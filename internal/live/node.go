@@ -251,7 +251,7 @@ func (n *Node) handle(m transport.Msg) {
 	sid := SessionID(m.Session)
 	if sid == "" {
 		if m.Type == typeAnnounce && rt.catalog != nil {
-			rt.catalog.Deliver(m.From, []byte(m.Payload))
+			rt.catalog.Deliver(m.From, m.Payload)
 		}
 		return // all other node traffic is session-scoped
 	}
@@ -288,11 +288,8 @@ func (n *Node) handle(m transport.Msg) {
 // message must be dropped.
 func (n *Node) sessionRosterFrom(m transport.Msg) []string {
 	if n.carry {
-		var probe struct {
-			Roster []string `json:"roster"`
-		}
-		if m.Decode(&probe) == nil && len(probe.Roster) > 0 {
-			return probe.Roster
+		if roster, err := peekRoster(m.Payload); err == nil && len(roster) > 0 {
+			return roster
 		}
 	}
 	if len(n.cfg.Roster) > 0 {

@@ -395,10 +395,7 @@ func TestTCPSendToCrashedEndpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := transport.Encode("ping", a.Name(), map[string]int{"x": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := transport.Msg{Type: "ping", From: a.Name(), Payload: []byte{1}}
 	if err := a.Send(b.Name(), m); err != nil {
 		t.Fatalf("send to live endpoint: %v", err)
 	}

@@ -1,0 +1,495 @@
+package live
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"p2pmss/internal/content"
+	"p2pmss/internal/metrics"
+	"p2pmss/internal/obs"
+	"p2pmss/internal/parity"
+	"p2pmss/internal/protocol"
+	"p2pmss/internal/seq"
+	"p2pmss/internal/span"
+	"p2pmss/internal/transport"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/wire/*.bin from the current encoder")
+
+// wireBody is both halves of a body's codec, for table-driven tests.
+type wireBody interface {
+	transport.WireAppender
+	transport.WireDecoder
+}
+
+// newBody returns an empty body of the given message type (nil for a
+// type the live runtime attaches no body codec to).
+func newBody(typ string) wireBody {
+	switch typ {
+	case typeRequest:
+		return new(requestBody)
+	case typeControl:
+		return new(controlBody)
+	case typeConfirm:
+		return new(confirmBody)
+	case typeCommit:
+		return new(commitBody)
+	case typeData:
+		return new(dataBody)
+	case typeRepair:
+		return new(repairBody)
+	case typeJoin:
+		return new(joinBody)
+	}
+	return nil
+}
+
+var bodyTypes = []string{typeRequest, typeControl, typeConfirm, typeCommit, typeData, typeRepair, typeJoin}
+
+// sampleParity is the nested parity packet of the paper's §3.6 example,
+// t⟨5,⟨7,8⟩⟩, with a payload.
+func sampleParity() seq.Packet {
+	inner := seq.NewParity([]seq.Packet{seq.NewData(7), seq.NewData(8)}, 8.5)
+	p := seq.NewParity([]seq.Packet{seq.NewData(5), inner}, 8.75)
+	p.Payload = []byte{0xde, 0xad, 0xbe, 0xef}
+	return p
+}
+
+// control2048 is a control body whose Assigned holds 2048 payload-stripped
+// packets (1707 data + 341 parity), the size a large content's first
+// hand-off carries.
+func control2048() controlBody {
+	return controlBody{
+		Parent: "10.0.0.1:7001", View: []string{"10.0.0.2:7001", "10.0.0.3:7001"}, Leaf: "10.0.0.9:7001",
+		ContentID: "movie", SeqOffset: 12, Rate: 853.3333333333334, ChildRate: 284.44444444444446,
+		Children: 2, ChildIdx: 1, Round: 2,
+		Assigned: stripPayloads(parity.Enhance(seq.Range(1, 1707), 5)),
+	}
+}
+
+// goldenBodies is one hand-written body per message type; their frames
+// are checked in under testdata/wire so a format change is a visible diff.
+func goldenBodies() map[string]transport.WireAppender {
+	roster := []string{"10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001"}
+	assigned := stripPayloads(seq.Sequence{seq.NewData(3), sampleParity(), seq.NewData(9)})
+	return map[string]transport.WireAppender{
+		typeRequest: requestBody{Roster: roster, ContentID: "movie", Rate: 400, H: 3, Interval: 2, Index: 1,
+			Selected: roster[:2], Leaf: "10.0.0.9:7001"},
+		typeControl: controlBody{Parent: roster[0], View: roster[1:], Leaf: "10.0.0.9:7001", ContentID: "movie",
+			SeqOffset: 40, Rate: 200, ChildRate: 66.5, Children: 2, ChildIdx: 1, Round: 2, Assigned: assigned},
+		typeConfirm: confirmBody{Child: roster[1], Accept: true, Round: 2},
+		typeCommit: commitBody{Roster: roster, Parent: roster[0], ContentID: "movie", Leaf: "10.0.0.9:7001",
+			Streams: 3, SeqOffset: 41, Rate: 66.5, ChildIdx: 1, Round: 2, Assigned: assigned},
+		typeData:   dataBody{Pkt: seq.NewDataPayload(300, []byte("sixteen byte pkt"))},
+		typeRepair: repairBody{ContentID: "movie", Leaf: "10.0.0.9:7001", Indices: []int64{4, 5, 130, 70000}},
+		typeJoin:   joinBody{ContentID: "movie", Joiner: "10.0.0.4:7001"},
+	}
+}
+
+func TestWireGolden(t *testing.T) {
+	for typ, body := range goldenBodies() {
+		m := transport.Msg{Type: typ, From: "10.0.0.1:7001", Session: "s-1", Payload: body.AppendWire(nil)}
+		if typ == typeControl {
+			m.Trace, m.Span = 0x0123456789abcdef, 42 // one golden carries the trace context
+		}
+		frame := transport.AppendFrame(nil, m)
+		path := filepath.Join("testdata", "wire", typ+".bin")
+		if *updateGolden {
+			if err := os.WriteFile(path, frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run go test -run TestWireGolden -update ./internal/live after an intended format change)", err)
+		}
+		if !bytes.Equal(frame, want) {
+			t.Errorf("%s frame changed:\n got %x\nwant %x\nan intended change bumps the version byte of the frame magic", typ, frame, want)
+		}
+		checkFrameRoundTrip(t, want)
+	}
+}
+
+// checkFrameRoundTrip is the codec's contract on one well-formed frame:
+// it decodes, the decoded value re-encodes to exactly the bytes it came
+// from (every value has one spelling), and decoding those again yields
+// an equal value.
+func checkFrameRoundTrip(t testing.TB, frame []byte) {
+	t.Helper()
+	m, err := transport.DecodeFrame(frame)
+	if err != nil {
+		t.Fatalf("frame %x: %v", frame, err)
+	}
+	body := newBody(m.Type)
+	if body == nil {
+		if again := transport.AppendFrame(nil, m); !bytes.Equal(again, frame) {
+			t.Fatalf("%s envelope re-encoded to\n%x, from\n%x", m.Type, again, frame)
+		}
+		return
+	}
+	if err := body.DecodeWire(m.Payload); err != nil {
+		t.Fatalf("%s body %x: %v", m.Type, m.Payload, err)
+	}
+	again := m
+	again.Payload = body.AppendWire(nil)
+	reframed := transport.AppendFrame(nil, again)
+	if !bytes.Equal(reframed, frame) {
+		t.Fatalf("%s re-encoded to\n%x, from\n%x", m.Type, reframed, frame)
+	}
+	m2, err := transport.DecodeFrame(reframed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body2 := newBody(m2.Type)
+	if err := body2.DecodeWire(m2.Payload); err != nil {
+		t.Fatal(err)
+	}
+	// Compared as Go syntax, not with DeepEqual: a mutated Pos or Rate can
+	// be NaN, which round-trips bit for bit yet never equals itself.
+	if x, x2 := fmt.Sprintf("%#v %#v", m, body), fmt.Sprintf("%#v %#v", m2, body2); x != x2 {
+		t.Fatalf("%s: decode(encode(x)) != x:\n%s\n%s", m.Type, x, x2)
+	}
+}
+
+// tapEndpoint records every message its owner sends.
+type tapEndpoint struct {
+	transport.Endpoint
+	rec func(transport.Msg)
+}
+
+func (e tapEndpoint) Send(to string, m transport.Msg) error {
+	e.rec(m)
+	return e.Endpoint.Send(to, m)
+}
+
+// captureSession streams a small content through a real session of the
+// given protocol — traced, roster-carrying, and lossy enough on the way
+// to the leaf that repair rounds run — and returns a few frames of each
+// kind of message its members sent.
+func captureSession(tb testing.TB, proto Protocol) [][]byte {
+	tb.Helper()
+	f := transport.NewFabric()
+	var mu sync.Mutex
+	var toLeaf int
+	f.Drop = func(_, to string) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if to != "leaf" {
+			return false
+		}
+		toLeaf++
+		return toLeaf%3 == 0
+	}
+	kept := map[string]int{}
+	var frames [][]byte
+	tap := func(name string) Transport {
+		return WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
+			return tapEndpoint{f.Endpoint(name, h), func(m transport.Msg) {
+				kind := m.Type
+				if m.Type == typeData && len(m.Payload) > 0 && m.Payload[0] == byte(seq.Parity) {
+					kind = "parity"
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if kept[kind] < 3 {
+					kept[kind]++
+					frames = append(frames, transport.AppendFrame(nil, m))
+				}
+			}}, nil
+		})
+	}
+	data := randomData(3000, 77)
+	c := content.New("movie", data, 64)
+	names := []string{"cp0", "cp1", "cp2", "cp3", "cp4", "cp5"}
+	o := obs.Observability{Spans: span.NewCollector()}
+	for i, name := range names {
+		p, err := NewPeer(PeerConfig{
+			Content: c, Roster: names, CarryRoster: true, H: 3, Interval: 2, Protocol: proto,
+			Session: "cap", Delta: 2 * time.Millisecond, Seed: int64(i) + 1, Obs: o,
+		}, tap(name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer p.Close()
+	}
+	leaf, err := NewLeaf(LeafConfig{
+		Roster: names, SessionRoster: append(names[:len(names):len(names)], "leaf"), H: 3, Interval: 2, Rate: 4000,
+		ContentSize: len(data), PacketSize: 64, RepairAfter: 40 * time.Millisecond,
+		Session: "cap", Seed: 9, Obs: o,
+	}, tap("leaf"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer leaf.Close()
+	if err := leaf.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := leaf.Wait(20 * time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	if got, ok := leaf.Bytes(); !ok || !bytes.Equal(got, data) {
+		tb.Fatal("captured session did not deliver its content")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{typeRequest, typeControl, typeData, "parity", typeRepair}
+	if proto == protocol.TCoP {
+		want = append(want, typeConfirm, typeCommit)
+	}
+	for _, kind := range want {
+		if kept[kind] == 0 {
+			tb.Fatalf("%s session sent no %s message", proto, kind)
+		}
+	}
+	return frames
+}
+
+// seedFrames is the fuzzers' corpus: frames captured off a TCoP and a
+// DCoP session, the goldens, a 2048-packet control, and envelopes the
+// sessions do not produce (inline type, announce with an opaque body).
+func seedFrames(tb testing.TB) [][]byte {
+	frames := append(captureSession(tb, protocol.TCoP), captureSession(tb, protocol.DCoP)...)
+	for typ, body := range goldenBodies() {
+		frames = append(frames, transport.AppendFrame(nil, transport.Msg{Type: typ, From: "a", Payload: body.AppendWire(nil)}))
+	}
+	return append(frames,
+		transport.AppendFrame(nil, transport.Msg{Type: typeControl, From: "10.0.0.1:7001", Session: "s-1", Span: 3,
+			Payload: control2048().AppendWire(nil)}),
+		transport.AppendFrame(nil, transport.Msg{Type: typeData, From: "b", Payload: dataBody{Pkt: sampleParity()}.AppendWire(nil)}),
+		transport.AppendFrame(nil, transport.Msg{Type: typeAnnounce, From: "c", Payload: []byte(`{"records":[]}`)}),
+		transport.AppendFrame(nil, transport.Msg{Type: "gossip", From: "d", Payload: []byte{1, 2, 3}}),
+		transport.AppendFrame(nil, transport.Msg{}),
+	)
+}
+
+// The seeds themselves hold the round-trip contract, fuzzing or not.
+func TestCodecRoundTripSeeds(t *testing.T) {
+	for _, frame := range seedFrames(t) {
+		checkFrameRoundTrip(t, frame)
+	}
+}
+
+// FuzzCodecRoundTrip mutates real frames. Whatever still decodes —
+// envelope and body — must re-encode to the very bytes it was decoded
+// from and decode again to a deeply equal value: since every value has
+// exactly one spelling on the wire, that is decode(encode(x)) == x over
+// everything the decoders can produce.
+func FuzzCodecRoundTrip(f *testing.F) {
+	for _, frame := range seedFrames(f) {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		m, err := transport.DecodeFrame(frame)
+		if err != nil {
+			return
+		}
+		if body := newBody(m.Type); body != nil && body.DecodeWire(m.Payload) != nil {
+			return
+		}
+		checkFrameRoundTrip(t, frame)
+	})
+}
+
+// allocatedBy reports how many bytes fn made the process allocate — the
+// smallest of a few attempts, so another goroutine's allocation cannot
+// be charged to it.
+func allocatedBy(fn func()) uint64 {
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for try := 0; try < 3; try++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// FuzzCodecDecodeGarbage hands arbitrary bytes to the frame decoder (as
+// a socket would) and to every body decoder (as a well-framed message
+// with a hostile body would). None may panic, none may allocate more
+// than a small multiple of its input however large the lengths inside
+// claim to be, the frame decoder must not keep a reference into the
+// read buffer, and a body that does decode is the one spelling of its
+// value.
+func FuzzCodecDecodeGarbage(f *testing.F) {
+	for _, frame := range seedFrames(f) {
+		f.Add(frame)
+		if m, err := transport.DecodeFrame(frame); err == nil {
+			f.Add([]byte(m.Payload))
+		}
+	}
+	f.Add([]byte("p2p2\x05\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7f"))
+	f.Add([]byte("\xff\xff\xff\xff\x0f"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		budget := 32*uint64(len(in)) + 1024
+
+		var m transport.Msg
+		var err error
+		sockbuf := bytes.Clone(in) // the engine's input must not be written to
+		if got := allocatedBy(func() { m, err = transport.DecodeFrame(sockbuf) }); got > budget {
+			t.Fatalf("DecodeFrame allocated %d bytes for %d bytes of input", got, len(in))
+		}
+		if err == nil {
+			before := transport.AppendFrame(nil, m)
+			for i := range sockbuf {
+				sockbuf[i] = 0x5a // the socket reads its next datagram into the same buffer
+			}
+			if !bytes.Equal(transport.AppendFrame(nil, m), before) {
+				t.Fatal("DecodeFrame's result aliases its input")
+			}
+		}
+
+		for _, typ := range bodyTypes {
+			body := newBody(typ)
+			if got := allocatedBy(func() { err = body.DecodeWire(in) }); got > budget {
+				t.Fatalf("%s DecodeWire allocated %d bytes for %d bytes of input", typ, got, len(in))
+			}
+			if err == nil && !bytes.Equal(body.AppendWire(nil), in) {
+				t.Fatalf("%s body %x decoded but re-encodes differently", typ, in)
+			}
+		}
+	})
+}
+
+// The data path's allocation gates: encoding a packet into a buffer that
+// is large enough allocates nothing, decoding one allocates only its
+// Covers (the payload aliases the message), and the leaf's whole handler
+// stays within that.
+func TestDataBodyAllocs(t *testing.T) {
+	data := dataBody{Pkt: seq.NewDataPayload(1234, make([]byte, 1024))}
+	par := dataBody{Pkt: sampleParity()}
+	buf := make([]byte, 0, 2048)
+	for name, b := range map[string]dataBody{"data": data, "parity": par} {
+		if got := testing.AllocsPerRun(100, func() { buf = b.AppendWire(buf[:0]) }); got != 0 {
+			t.Errorf("%s: AppendWire into a supplied buffer: %.0f allocs, want 0", name, got)
+		}
+		enc := b.AppendWire(nil)
+		limit := float64(1 + len(b.Pkt.Covers))
+		var out dataBody
+		if got := testing.AllocsPerRun(100, func() {
+			if err := out.DecodeWire(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); got > limit {
+			t.Errorf("%s: DecodeWire: %.0f allocs, want <= %.0f", name, got, limit)
+		}
+		if len(b.Pkt.Payload) > 0 && &out.Pkt.Payload[0] != &enc[len(enc)-len(out.Pkt.Payload)] {
+			t.Errorf("%s: decoded payload is a copy; on the fabric it should alias the message", name)
+		}
+	}
+}
+
+// A well-framed message whose body does not decode is dropped — and
+// counted, by the peer and by the leaf.
+func TestBodyDecodeErrorsAreCounted(t *testing.T) {
+	reg := metrics.New()
+	f := transport.NewFabric()
+	c := content.New("movie", randomData(640, 5), 64)
+	p, err := NewPeer(PeerConfig{Content: c, Roster: []string{"cp"}, H: 1, Interval: 2, Seed: 1,
+		Obs: obs.Observability{Metrics: reg}}, WithFabric(f, "cp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	leaf, err := NewLeaf(LeafConfig{Roster: []string{"cp"}, H: 1, Interval: 2, Rate: 100,
+		ContentSize: 640, PacketSize: 64, Obs: obs.Observability{Metrics: reg}}, WithFabric(f, "leaf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	src := f.Endpoint("src", func(transport.Msg) {})
+	good := requestBody{ContentID: "movie", Rate: 100, H: 1, Interval: 2, Selected: []string{"cp"}, Leaf: "leaf"}.AppendWire(nil)
+	for _, m := range []transport.Msg{
+		{Type: typeRequest, Payload: good[:len(good)-2]},
+		{Type: typeConfirm, Payload: []byte{1, 'x', 7, 1}}, // Accept is neither 0 nor 1
+		{Type: typeRepair, Payload: []byte(`{"content_id":"movie","indices":[1]}`)},
+	} {
+		if err := src.Send("cp", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Send("leaf", transport.Msg{Type: typeData, Payload: []byte{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	f.Wait()
+	for role, want := range map[string]int64{"peer": 3, "leaf": 1} {
+		if got := reg.Counter("live_body_decode_errors_total", "role", role).Value(); got != want {
+			t.Errorf("live_body_decode_errors_total{role=%q} = %d, want %d", role, got, want)
+		}
+	}
+	if p.Active() {
+		t.Error("a malformed request activated the peer")
+	}
+}
+
+// ---- codec micro-benchmarks (BENCH_codec.json) ------------------------------
+
+var benchSink []byte
+
+func benchEncode(b *testing.B, body transport.WireAppender) {
+	buf := body.AppendWire(nil)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = body.AppendWire(buf[:0])
+	}
+	benchSink = buf
+}
+
+func benchDecode(b *testing.B, body transport.WireAppender, into transport.WireDecoder) {
+	buf := body.AppendWire(nil)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := into.DecodeWire(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchRequest() requestBody {
+	roster := make([]string, 24)
+	for i := range roster {
+		roster[i] = fmt.Sprintf("127.0.0.1:%d", 40000+i)
+	}
+	return requestBody{Roster: roster, ContentID: "c-17", Rate: 8000, H: 4, Interval: 4, Index: 2,
+		Selected: roster[:4], Leaf: "127.0.0.1:40100"}
+}
+
+func benchData() dataBody { return dataBody{Pkt: seq.NewDataPayload(1234, make([]byte, 1024))} }
+
+// benchParity is the parity packet of a four-packet recovery segment.
+func benchParity() dataBody {
+	for _, p := range parity.Enhance(seq.Range(1, 4), 4) {
+		if !p.IsData() {
+			p.Payload = make([]byte, 1024)
+			return dataBody{Pkt: p}
+		}
+	}
+	panic("no parity packet in an enhanced segment")
+}
+
+func BenchmarkCodecEncodeData(b *testing.B)    { benchEncode(b, benchData()) }
+func BenchmarkCodecEncodeParity(b *testing.B)  { benchEncode(b, benchParity()) }
+func BenchmarkCodecEncodeRequest(b *testing.B) { benchEncode(b, benchRequest()) }
+func BenchmarkCodecEncodeControl2048(b *testing.B) {
+	benchEncode(b, control2048())
+}
+
+func BenchmarkCodecDecodeData(b *testing.B)    { benchDecode(b, benchData(), new(dataBody)) }
+func BenchmarkCodecDecodeParity(b *testing.B)  { benchDecode(b, benchParity(), new(dataBody)) }
+func BenchmarkCodecDecodeRequest(b *testing.B) { benchDecode(b, benchRequest(), new(requestBody)) }
+func BenchmarkCodecDecodeControl2048(b *testing.B) {
+	benchDecode(b, control2048(), new(controlBody))
+}

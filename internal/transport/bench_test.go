@@ -1,18 +1,14 @@
 package transport
 
 import (
-	"encoding/json"
 	"sync/atomic"
 	"testing"
 )
 
-// benchMsg builds a message with a data-plane-sized payload (a few
-// hundred JSON bytes, like one content packet).
+// benchMsg builds a data message with a 1 KiB body, like one content
+// packet of the live data plane.
 func benchMsg() Msg {
-	body, _ := json.Marshal(map[string]any{
-		"idx": 12345, "payload": string(make([]byte, 256)),
-	})
-	return Msg{Type: "data", From: "tx", Payload: body}
+	return Msg{Type: "data", From: "127.0.0.1:40001", Session: "s-1", Payload: make([]byte, 1024+14)}
 }
 
 // benchFabric pushes b.N messages through one link of f and waits for
@@ -62,8 +58,8 @@ func BenchmarkTransportFabricImpairedSend(b *testing.B) {
 	f.Wait()
 }
 
-// BenchmarkTransportUDPSend measures the datagram send path — JSON
-// encode, magic prefix, one WriteToUDP — against a live loopback socket
+// BenchmarkTransportUDPSend measures the datagram send path — frame
+// built in a pooled buffer, one WriteToUDP — against a live loopback socket
 // draining on the other end. Receipt is not awaited: datagram sends
 // complete at the socket, and under benchmark load the kernel may shed
 // some, which is the semantics being measured.

@@ -165,3 +165,51 @@ func TestBoundedQueueUnboundedWhenCapZero(t *testing.T) {
 		t.Errorf("drops on an unbounded queue: %d", f.QueueDrops())
 	}
 }
+
+// TestQueuedFabricPumpSurvivesIdleGaps pins the pump's lifetime: one
+// goroutine serves every burst while any endpoint is open (a paced
+// stream empties the queue after each message, and a goroutine per
+// message was a quarter of the live_sessions CPU profile), it goes away
+// with the last endpoint, and a later send starts a fresh one.
+func TestQueuedFabricPumpSurvivesIdleGaps(t *testing.T) {
+	f := NewBoundedQueuedFabric(8, QueueBlock)
+	ids := make(chan uint64, 1)
+	sink := f.Endpoint("sink", func(Msg) { ids <- goid() })
+	src := f.Endpoint("src", func(Msg) {})
+	deliver := func() uint64 {
+		t.Helper()
+		if err := src.Send("sink", Msg{Type: "m"}); err != nil {
+			t.Fatal(err)
+		}
+		f.Wait() // the queue is empty again: the gap between two bursts
+		return <-ids
+	}
+	pumping := func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.pumping
+	}
+	first := deliver()
+	for i := 0; i < 3; i++ {
+		if id := deliver(); id != first {
+			t.Fatalf("burst %d ran on goroutine %d, the first on %d: the pump was respawned", i, id, first)
+		}
+	}
+	if !pumping() {
+		t.Fatal("pump exited while endpoints were open")
+	}
+	src.Close()
+	if !pumping() {
+		t.Fatal("pump exited with an endpoint still open")
+	}
+	sink.Close()
+	waitFor(t, "the pump to exit with the last endpoint", func() bool { return !pumping() })
+
+	sink = f.Endpoint("sink", func(Msg) { ids <- goid() })
+	src = f.Endpoint("src", func(Msg) {})
+	if id := deliver(); id == first {
+		t.Fatalf("a fabric reopened after its pump exited delivered on the old goroutine %d", id)
+	}
+	src.Close()
+	sink.Close()
+}

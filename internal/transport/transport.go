@@ -1,7 +1,11 @@
 // Package transport provides the live runtime's message fabric: named
-// endpoints exchanging length-prefixed JSON frames. Two implementations
-// are provided — an in-process memory fabric for tests and single-binary
-// demos, and a TCP fabric where every peer listens on a socket.
+// endpoints exchanging Msg values. Three implementations are provided —
+// an in-process memory fabric for tests and single-binary demos, which
+// hands messages over as they are, and TCP and UDP endpoints, which frame
+// each message in the binary envelope of codec.go (a UDP datagram is one
+// envelope, a TCP frame one envelope behind a 4-byte length). A message
+// body is opaque bytes to every transport; bodies that know their wire
+// form (WireAppender, WireDecoder) go through Encode and Msg.Decode.
 //
 // The simulator (internal/simnet) models the same role under virtual
 // time; this package is the real-time counterpart used by internal/live.
@@ -9,7 +13,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,6 +32,9 @@ type fabricMetrics struct {
 	msgs, bytes, dropped, received *metrics.Counter
 	queueDropped                   *metrics.Counter
 	inflight                       *metrics.Gauge
+	// decodeErrs counts inbound frames rejected by DecodeFrame, by
+	// frameError; nil on the fabric, which decodes nothing.
+	decodeErrs [numFrameErrors]*metrics.Counter
 }
 
 func newTransportMetrics(reg *metrics.Registry, kind string) fabricMetrics {
@@ -42,42 +48,49 @@ func newTransportMetrics(reg *metrics.Registry, kind string) fabricMetrics {
 	}
 }
 
-// Msg is one framed wire message.
+// newSocketMetrics is newTransportMetrics for a transport that parses
+// frames off a socket: it adds the decode-error counters.
+func newSocketMetrics(reg *metrics.Registry, kind string) fabricMetrics {
+	met := newTransportMetrics(reg, kind)
+	for e, reason := range frameErrorNames {
+		met.decodeErrs[e] = reg.Counter("transport_decode_errors_total", "transport", kind, "reason", reason)
+	}
+	return met
+}
+
+// decodeFailed counts one rejected inbound frame under its reason.
+func (m *fabricMetrics) decodeFailed(err error) {
+	var fe frameError
+	if errors.As(err, &fe) {
+		m.decodeErrs[fe].Inc()
+	}
+}
+
+// Msg is one message: a small routed header and an opaque body.
 type Msg struct {
 	// Type tags the payload (e.g. "request", "control", "data").
-	Type string `json:"type"`
+	Type string
 	// From names the sending endpoint.
-	From string `json:"from"`
+	From string
 	// Session scopes the message to one streaming session when an
 	// endpoint participates in several concurrently (live.Node); empty
 	// on single-session traffic.
-	Session string `json:"session,omitempty"`
+	Session string
 	// Trace and Span carry the sender's causal span context
 	// (internal/span) so the receiver can parent its own spans under the
 	// coordination step that triggered the message. Zero when tracing is
 	// disabled — omitted from the frame, keeping the wire byte-identical
 	// to an untraced run.
-	Trace uint64 `json:"trace,omitempty"`
-	Span  uint64 `json:"span,omitempty"`
-	// Payload is the JSON-encoded body.
-	Payload json.RawMessage `json:"payload"`
-}
-
-// Encode builds a message of the given type from body v.
-func Encode(typ, from string, v any) (Msg, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return Msg{}, fmt.Errorf("transport: encode %s: %w", typ, err)
-	}
-	return Msg{Type: typ, From: from, Payload: b}, nil
-}
-
-// Decode unmarshals the message body into v.
-func (m Msg) Decode(v any) error {
-	if err := json.Unmarshal(m.Payload, v); err != nil {
-		return fmt.Errorf("transport: decode %s: %w", m.Type, err)
-	}
-	return nil
+	Trace uint64
+	Span  uint64
+	// Payload is the encoded body. Ownership passes with the message: a
+	// sender must not modify or reuse the slice after Send, every
+	// transport delivers a slice it will never touch again (the fabric
+	// hands over the sender's, socket transports a private copy), and a
+	// handler may therefore keep it — or sub-slices of it, as the packet
+	// decoder does — for as long as it likes, but must not write to it:
+	// a duplicated fabric delivery shares one slice between handlers.
+	Payload []byte
 }
 
 // Handler processes an inbound message. Handlers may be invoked
@@ -121,14 +134,19 @@ type Fabric struct {
 	// already in flight — the breadth-first order a discrete-event
 	// simulator with uniform latency produces. Latency is ignored; Drop
 	// is still honored at enqueue time.
-	queued  bool
-	queue   []queuedMsg
+	queued bool
+	queue  []queuedMsg
+	// pumping is true while a pump goroutine exists; it parks on work
+	// between bursts and exits once the queue is empty and every endpoint
+	// is closed.
 	pumping bool
+	work    *sync.Cond
 	// Bounded-queue state (NewBoundedQueuedFabric): queueCap caps the
 	// pending queue, policy picks what a full queue does to new sends,
 	// space wakes blocked senders, pumpID identifies the pump goroutine
-	// (whose own enqueues must never block — they would deadlock the
-	// drain), and queueDrops counts messages lost to QueueDropNewest.
+	// on a QueueBlock fabric (whose own enqueues must never block — they
+	// would deadlock the drain), and queueDrops counts messages lost to
+	// QueueDropNewest.
 	queueCap   int
 	policy     QueuePolicy
 	space      *sync.Cond
@@ -188,6 +206,7 @@ func NewFabric() *Fabric {
 func NewQueuedFabric() *Fabric {
 	f := NewFabric()
 	f.queued = true
+	f.work = sync.NewCond(&f.mu)
 	return f
 }
 
@@ -324,11 +343,11 @@ func (f *Fabric) deliverOne(to string, m Msg) {
 	}()
 }
 
-// enqueue appends to the FIFO queue and starts the pump if idle. On a
-// bounded fabric a full queue either drops the message (QueueDropNewest)
-// or blocks the sender until the pump frees a slot (QueueBlock) — except
-// when the sender IS the pump (a handler sending mid-delivery), which
-// may exceed the cap rather than deadlock the drain.
+// enqueue appends to the FIFO queue and wakes the pump, starting one if
+// none exists. On a bounded fabric a full queue either drops the message
+// (QueueDropNewest) or blocks the sender until the pump frees a slot
+// (QueueBlock) — except when the sender IS the pump (a handler sending
+// mid-delivery), which may exceed the cap rather than deadlock the drain.
 func (f *Fabric) enqueue(to string, m Msg) {
 	f.mu.Lock()
 	if f.queueCap > 0 && len(f.queue) >= f.queueCap {
@@ -338,7 +357,11 @@ func (f *Fabric) enqueue(to string, m Msg) {
 			f.mu.Unlock()
 			return
 		}
-		if f.pumpID != goid() {
+		// goid walks the stack: not under the lock every sender needs.
+		f.mu.Unlock()
+		self := goid()
+		f.mu.Lock()
+		if f.pumpID != self {
 			for len(f.queue) >= f.queueCap {
 				f.space.Wait()
 			}
@@ -348,27 +371,36 @@ func (f *Fabric) enqueue(to string, m Msg) {
 	f.wg.Add(1)
 	f.met.inflight.Add(1)
 	start := !f.pumping
-	if start {
-		f.pumping = true
-	}
+	f.pumping = true
 	f.mu.Unlock()
 	if start {
 		go f.pump()
+	} else {
+		f.work.Signal()
 	}
 }
 
-// pump drains the queue in order, one delivery at a time.
+// pump drains the queue in order, one delivery at a time, and parks
+// between bursts: a paced stream empties the queue after every message,
+// and a goroutine per burst would pay a fresh stack (regrown inside the
+// handler) each time. It exits when there is nothing to deliver and no
+// endpoint left to deliver to; the next enqueue starts another.
 func (f *Fabric) pump() {
+	var id uint64
+	if f.queueCap > 0 && f.policy == QueueBlock {
+		id = goid() // enqueue is pumpID's only reader, and only when blocking
+	}
 	f.mu.Lock()
-	f.pumpID = goid()
-	f.mu.Unlock()
+	f.pumpID = id
 	for {
-		f.mu.Lock()
-		if len(f.queue) == 0 {
-			f.pumping = false
-			f.pumpID = 0
-			f.mu.Unlock()
-			return
+		for len(f.queue) == 0 {
+			if len(f.handlers) == len(f.closed) {
+				f.pumping = false
+				f.pumpID = 0
+				f.mu.Unlock()
+				return
+			}
+			f.work.Wait()
 		}
 		qm := f.queue[0]
 		f.queue = f.queue[1:]
@@ -387,11 +419,13 @@ func (f *Fabric) pump() {
 		}
 		met.inflight.Add(-1)
 		f.wg.Done()
+		f.mu.Lock()
 	}
 }
 
 // goid parses the running goroutine's id from its stack header; used
-// only on the bounded-queue slow path to recognize the pump goroutine.
+// once per pump goroutine and on the bounded-queue slow path, to
+// recognize the pump there.
 func goid() uint64 {
 	var buf [32]byte
 	n := runtime.Stack(buf[:], false)
@@ -412,6 +446,9 @@ func (e *memEndpoint) Close() error {
 	e.f.mu.Lock()
 	defer e.f.mu.Unlock()
 	e.f.closed[e.name] = true
+	if e.f.work != nil {
+		e.f.work.Signal() // a parked pump exits with the last endpoint
+	}
 	return nil
 }
 
@@ -419,7 +456,7 @@ func (e *memEndpoint) Close() error {
 
 // TCPEndpoint is an endpoint listening on a TCP address; peers are
 // addressed by their host:port. Frames are 4-byte big-endian length +
-// JSON.
+// one envelope (codec.go).
 type TCPEndpoint struct {
 	name string
 	ln   net.Listener
@@ -439,7 +476,7 @@ type TCPEndpoint struct {
 func (e *TCPEndpoint) Instrument(reg *metrics.Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.met = newTransportMetrics(reg, "tcp")
+	e.met = newSocketMetrics(reg, "tcp")
 }
 
 // MaxFrame bounds a frame's size (16 MiB) to fail fast on corrupt input.
@@ -495,17 +532,24 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
+// readLoop delivers the connection's frames until it fails. A malformed
+// frame is counted and ends the connection: after it the stream's frame
+// boundaries cannot be trusted.
 func (e *TCPEndpoint) readLoop(c net.Conn) {
+	var buf []byte
 	for {
-		m, err := readFrame(c)
-		if err != nil {
-			return
-		}
+		var m Msg
+		var err error
+		m, buf, err = readFrame(c, buf)
 		e.mu.Lock()
 		closed := e.closed
 		met := e.met
 		e.mu.Unlock()
 		if closed {
+			return
+		}
+		if err != nil {
+			met.decodeFailed(err)
 			return
 		}
 		met.received.Inc()
@@ -582,39 +626,65 @@ func (e *TCPEndpoint) Close() error {
 	return err
 }
 
-// writeFrame writes one frame and reports the bytes put on the wire.
+// writeFrame writes one frame — length header and envelope built in one
+// pooled buffer, put on the wire by a single Write so concurrent senders
+// sharing the connection cannot interleave — and reports its size.
 func writeFrame(w io.Writer, m Msg) (int, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return 0, err
+	bp := framePool.Get().(*[]byte)
+	b := AppendFrame(append((*bp)[:0], 0, 0, 0, 0), m)
+	defer putFrame(bp, b)
+	if len(b)-4 > MaxFrame {
+		return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(b)-4)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
 	if _, err := w.Write(b); err != nil {
 		return 0, err
 	}
-	return len(hdr) + len(b), nil
+	return len(b), nil
 }
 
-func readFrame(r io.Reader) (Msg, error) {
+// readStep bounds how much readFrame grows its buffer ahead of the bytes
+// that have actually arrived.
+const readStep = 32 << 10
+
+// readFrame reads one frame into buf (the connection's reusable read
+// buffer, returned for the next call) and decodes it. The length header
+// is a claim by the peer: the buffer grows by at most readStep per read,
+// so a connection that announces 16 MiB and then idles pins one step,
+// not the announcement. A malformed frame is reported as a frameError;
+// any other error is the connection's.
+func readFrame(r io.Reader, buf []byte) (Msg, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Msg{}, err
+		if err == io.ErrUnexpectedEOF {
+			err = truncated // hung up inside the header; a bare EOF is a clean close
+		}
+		return Msg{}, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
-		return Msg{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return Msg{}, buf, badLength
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return Msg{}, err
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), readStep)
+		if cap(buf)-len(buf) < step {
+			grown := make([]byte, len(buf), max(2*cap(buf), len(buf)+step))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				err = truncated // the peer hung up inside a frame
+			}
+			return Msg{}, nil, err
+		}
 	}
-	var m Msg
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Msg{}, err
+	m, err := DecodeFrame(buf)
+	if cap(buf) > maxPooledFrame {
+		buf = nil // as with send buffers, a rare large frame is not kept
 	}
-	return m, nil
+	return m, buf, err
 }

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"p2pmss/internal/wire"
 )
 
 type inbox struct {
@@ -32,27 +34,48 @@ func (b *inbox) first() Msg {
 	return b.msgs[0]
 }
 
+// testBody is a body with a wire form, as the live runtime's are.
+type testBody struct {
+	X int
+	S []string
+}
+
+func (b testBody) AppendWire(buf []byte) []byte {
+	return wire.AppendStrings(wire.AppendInt(buf, b.X), b.S)
+}
+
+func (b *testBody) DecodeWire(buf []byte) error {
+	r := wire.NewReader(buf)
+	*b = testBody{X: r.Int(), S: r.Strings()}
+	return r.Done()
+}
+
 func TestEncodeDecode(t *testing.T) {
-	type body struct {
-		X int      `json:"x"`
-		S []string `json:"s"`
-	}
-	m, err := Encode("control", "a", body{X: 7, S: []string{"p", "q"}})
+	m, err := Encode("control", "a", testBody{X: 7, S: []string{"p", "q"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Type != "control" || m.From != "a" {
 		t.Errorf("header = %+v", m)
 	}
-	var got body
+	var got testBody
 	if err := m.Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got.X != 7 || len(got.S) != 2 {
 		t.Errorf("body = %+v", got)
 	}
+	m.Payload = m.Payload[:len(m.Payload)-1]
+	if err := m.Decode(&got); err == nil {
+		t.Error("truncated body decoded")
+	}
+	// There is no reflective fallback: a body without a wire form is an
+	// error in both directions, not a silent JSON encoding.
+	if _, err := Encode("control", "a", map[string]int{"x": 1}); err == nil {
+		t.Error("Encode accepted a body with no wire form")
+	}
 	if err := m.Decode(&[]int{}); err == nil {
-		t.Error("mismatched decode succeeded")
+		t.Error("Decode accepted a target with no wire form")
 	}
 }
 
@@ -61,8 +84,7 @@ func TestFabricDelivery(t *testing.T) {
 	var b inbox
 	f.Endpoint("bob", b.handler())
 	a := f.Endpoint("alice", func(Msg) {})
-	m, _ := Encode("hello", "alice", map[string]int{"v": 1})
-	if err := a.Send("bob", m); err != nil {
+	if err := a.Send("bob", Msg{Type: "hello", From: "alice", Payload: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
 	f.Wait()
@@ -142,7 +164,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	defer cli.Close()
 
-	m, _ := Encode("data", cli.Name(), map[string]string{"k": "t1"})
+	m := Msg{Type: "data", From: cli.Name(), Payload: []byte("t1")}
 	for i := 0; i < 50; i++ {
 		if err := cli.Send(srv.Name(), m); err != nil {
 			t.Fatal(err)

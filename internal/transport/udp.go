@@ -1,11 +1,10 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 
 	"p2pmss/internal/metrics"
@@ -13,21 +12,18 @@ import (
 
 // ---- UDP fabric -----------------------------------------------------------
 
-// udpMagic prefixes every datagram so stray traffic arriving on the port
-// is rejected before JSON decoding.
-var udpMagic = [4]byte{'p', '2', 'p', '1'}
-
 // MaxDatagram bounds one encoded message to the IPv4 UDP payload ceiling.
 // Unlike TCP frames there is no streaming escape hatch: a message that
 // does not fit in one datagram cannot be sent. At the packet sizes the
-// streaming layer uses (content packets of a few KiB, JSON-inflated)
-// this leaves ample headroom.
+// streaming layer uses (content packets of a few KiB plus a header of
+// tens of bytes) this leaves ample headroom.
 const MaxDatagram = 65507
 
 // UDPEndpoint is an endpoint bound to a UDP socket; peers are addressed
-// by host:port. Every Msg is one self-contained datagram (magic prefix +
-// JSON), so the codec survives loss, duplication, and reordering by
-// construction — each datagram decodes independently or is discarded.
+// by host:port. Every Msg is one self-contained datagram (one envelope,
+// codec.go), so the codec survives loss, duplication, and reordering by
+// construction — each datagram decodes independently or is counted
+// under transport_decode_errors_total and discarded.
 //
 // UDP gives true datagram semantics: a Send whose datagram is lost —
 // whether in flight or at the local socket — returns nil. The engine's
@@ -40,7 +36,7 @@ type UDPEndpoint struct {
 	h    Handler
 
 	mu     sync.Mutex
-	addrs  map[string]*net.UDPAddr // resolved peer addresses
+	addrs  map[string]netip.AddrPort // resolved peer addresses
 	impair *Impairer
 	closed bool
 	wg     sync.WaitGroup
@@ -70,7 +66,7 @@ func ListenUDP(addr string, h Handler) (*UDPEndpoint, error) {
 		name:  conn.LocalAddr().String(),
 		conn:  conn,
 		h:     h,
-		addrs: make(map[string]*net.UDPAddr),
+		addrs: make(map[string]netip.AddrPort),
 	}
 	e.wg.Add(1)
 	go e.readLoop()
@@ -84,7 +80,7 @@ func (e *UDPEndpoint) Name() string { return e.name }
 // transport_*{transport="udp"} series. Call before traffic starts.
 func (e *UDPEndpoint) Instrument(reg *metrics.Registry) {
 	e.mu.Lock()
-	e.met = newTransportMetrics(reg, "udp")
+	e.met = newSocketMetrics(reg, "udp")
 	e.reg = reg
 	imp := e.impair
 	e.mu.Unlock()
@@ -106,11 +102,11 @@ func (e *UDPEndpoint) SetImpairment(cfg Impairment) *Impairer {
 	}
 	imp := NewImpairer(cfg, func(to string, m Msg) {
 		e.mu.Lock()
-		ua := e.addrs[to]
+		ua, ok := e.addrs[to]
 		closed := e.closed
 		met := e.met
 		e.mu.Unlock()
-		if closed || ua == nil {
+		if closed || !ok {
 			return
 		}
 		_ = e.write(ua, m, met)
@@ -143,10 +139,11 @@ func (e *UDPEndpoint) Send(to string, m Msg) error {
 		if err != nil {
 			return fmt.Errorf("transport: resolve %s: %w", to, err)
 		}
+		// Unmapped, the address suits an IPv4 and an IPv6 socket alike.
+		ua = netip.AddrPortFrom(ra.AddrPort().Addr().Unmap(), uint16(ra.Port))
 		e.mu.Lock()
-		e.addrs[to] = ra
+		e.addrs[to] = ua
 		e.mu.Unlock()
-		ua = ra
 	}
 	if imp != nil {
 		due, dropped := imp.Admit(e.name, to, m)
@@ -164,19 +161,16 @@ func (e *UDPEndpoint) Send(to string, m Msg) error {
 	return e.write(ua, m, met)
 }
 
-// write puts one encoded datagram on the wire.
-func (e *UDPEndpoint) write(ua *net.UDPAddr, m Msg, met fabricMetrics) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("transport: encode datagram: %w", err)
+// write puts one encoded datagram on the wire: the frame is built in a
+// pooled buffer that goes back as soon as the socket has copied it.
+func (e *UDPEndpoint) write(ua netip.AddrPort, m Msg, met fabricMetrics) error {
+	bp := framePool.Get().(*[]byte)
+	pkt := AppendFrame((*bp)[:0], m)
+	defer putFrame(bp, pkt)
+	if len(pkt) > MaxDatagram {
+		return fmt.Errorf("transport: datagram of %d bytes exceeds %d", len(pkt), MaxDatagram)
 	}
-	if len(udpMagic)+len(b) > MaxDatagram {
-		return fmt.Errorf("transport: datagram of %d bytes exceeds %d", len(udpMagic)+len(b), MaxDatagram)
-	}
-	pkt := make([]byte, 0, len(udpMagic)+len(b))
-	pkt = append(pkt, udpMagic[:]...)
-	pkt = append(pkt, b...)
-	if _, err := e.conn.WriteToUDP(pkt, ua); err != nil {
+	if _, err := e.conn.WriteToUDPAddrPort(pkt, ua); err != nil {
 		met.dropped.Inc()
 		return nil // lost locally ≈ lost in flight; datagrams don't report
 	}
@@ -186,30 +180,28 @@ func (e *UDPEndpoint) write(ua *net.UDPAddr, m Msg, met fabricMetrics) error {
 }
 
 // readLoop decodes datagrams and hands them to the handler. Anything
-// that is not a well-formed magic-prefixed message — foreign traffic,
-// truncation, corruption — is silently discarded, exactly as a lossy
-// network would have discarded it.
+// that is not a well-formed frame of this format version — foreign
+// traffic, truncation, corruption, an older peer — is counted by reason
+// and discarded, as a lossy network would have discarded it.
 func (e *UDPEndpoint) readLoop() {
 	defer e.wg.Done()
 	buf := make([]byte, MaxDatagram+1)
 	for {
-		n, _, err := e.conn.ReadFromUDP(buf)
+		n, _, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
-		if n < len(udpMagic) || !bytes.Equal(buf[:len(udpMagic)], udpMagic[:]) {
-			continue
-		}
-		var m Msg
-		if json.Unmarshal(buf[len(udpMagic):n], &m) != nil {
-			continue
-		}
+		m, err := DecodeFrame(buf[:n])
 		e.mu.Lock()
 		closed := e.closed
 		met := e.met
 		e.mu.Unlock()
 		if closed {
 			return
+		}
+		if err != nil {
+			met.decodeFailed(err)
+			continue
 		}
 		met.received.Inc()
 		e.h(m)

@@ -1,13 +1,14 @@
 package transport
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"p2pmss/internal/metrics"
 )
 
 // collect returns a handler appending message types to a shared slice.
@@ -57,7 +58,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 
-	body, _ := json.Marshal(map[string]int{"k": 7})
+	body := []byte{0, 1, 2, 0xff, 'k', 7}
 	for i := 0; i < 20; i++ {
 		if err := a.Send(b.Name(), Msg{Type: fmt.Sprintf("m%d", i), From: a.Name(), Payload: body}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -72,7 +73,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for _, m := range got {
-		if m.From != a.Name() || string(m.Payload) != string(body) {
+		if m.From != a.Name() || !bytes.Equal(m.Payload, body) {
 			t.Fatalf("corrupted message: %+v", m)
 		}
 	}
@@ -108,7 +109,7 @@ func TestUDPSendErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	big := Msg{Type: "data", Payload: json.RawMessage(`"` + strings.Repeat("x", MaxDatagram) + `"`)}
+	big := Msg{Type: "data", Payload: make([]byte, MaxDatagram)}
 	if err := a.Send(a.Name(), big); err == nil {
 		t.Fatal("oversize datagram accepted")
 	}
@@ -118,35 +119,51 @@ func TestUDPSendErrors(t *testing.T) {
 }
 
 // Foreign and corrupt datagrams on the port are discarded without
-// reaching the handler or killing the read loop.
-func TestUDPIgnoresForeignDatagrams(t *testing.T) {
+// reaching the handler or killing the read loop — and never silently:
+// each is counted under the reason it was rejected for. A datagram in
+// the previous format ("p2p1" + JSON) is foreign traffic like any other.
+func TestUDPCountsMalformedDatagrams(t *testing.T) {
 	h, got := collect()
 	e, err := ListenUDP("127.0.0.1:0", h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	reg := metrics.New()
+	e.Instrument(reg)
 	raw, err := net.Dial("udp", e.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	raw.Write([]byte("not a p2pmss datagram"))
-	raw.Write([]byte{})
-	raw.Write(append(append([]byte{}, udpMagic[:]...), []byte("{garbage")...))
-
-	src, err := ListenUDP("127.0.0.1:0", func(Msg) {})
-	if err != nil {
-		t.Fatal(err)
+	good := AppendFrame(nil, Msg{Type: "data", From: "10.0.0.1:9", Session: "s", Payload: []byte("body")})
+	magic := string(frameMagic[:])
+	for _, dgram := range [][]byte{
+		[]byte("not a p2pmss datagram"), // magic
+		{},                              // magic
+		[]byte(`p2p1{"type":"data","from":"a","payload":{"pkt":{}}}`), // magic: the old format
+		good[:5],                               // truncated: ends before the flags
+		[]byte(magic + "\x05\x01\x00\x00\x00"), // truncated: ends inside the trace id
+		good[:9],                               // length: cut inside From, whose prefix now overruns
+		[]byte(magic + "\x05\x00\x7fab"),       // length: From claims 127 bytes
+		[]byte(magic + "\xee\x00\x00\x00"),     // type: unknown code
+		[]byte(magic + "\x05\x80\x00\x00"),     // type: unknown flag
+	} {
+		if _, err := raw.Write(dgram); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer src.Close()
-	if err := src.Send(e.Name(), Msg{Type: "real"}); err != nil {
+	if _, err := raw.Write(good); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the real message", func() bool { return len(got()) >= 1 })
-	for _, typ := range got() {
-		if typ != "real" {
-			t.Fatalf("foreign datagram reached handler as %q", typ)
+	if types := got(); len(types) != 1 || types[0] != "data" {
+		t.Fatalf("handler saw %q, want only the well-formed message", types)
+	}
+	for reason, want := range map[string]int64{"magic": 3, "truncated": 2, "length": 2, "type": 2} {
+		got := reg.Counter("transport_decode_errors_total", "transport", "udp", "reason", reason).Value()
+		if got != want {
+			t.Errorf("transport_decode_errors_total{reason=%q} = %d, want %d", reason, got, want)
 		}
 	}
 }
