@@ -1,22 +1,24 @@
-// Command msstrace runs one coordination simulation with event tracing
-// and dumps the timeline: every activation, control packet, hand-off and
-// crash in virtual-time order. Useful for understanding how DCoP's
-// flooding or TCoP's handshake actually unfolds.
+// Command msstrace runs one coordination simulation with the flight
+// recorder attached and prints the timeline: every control packet sent
+// and handled, activation, hand-off, timer, crash and repair request in
+// virtual-time order. Useful for understanding how DCoP's flooding or
+// TCoP's handshake actually unfolds.
+//
+// The timeline is the flight log — the one event record both runtimes
+// write — so `msstrace flight` prints a live run's log (mssplay
+// -flight-out, /debug/flight, or a SIGUSR1 dump) through the same
+// formatter, filtered, or as a per-peer summary table.
 //
 // It also post-processes causal span traces written by mssim/mssplay
 // -trace-out: `msstrace perfetto` converts a span JSONL file to Chrome
 // trace-event JSON (open in https://ui.perfetto.dev, one track per
 // peer), and `msstrace summary` prints per-session latency quantiles.
 //
-// `msstrace flight` inspects per-peer flight logs (mssplay -flight-out,
-// /debug/flight, or a SIGUSR1 dump): filtered event listings or a
-// per-peer summary table.
-//
 // Usage:
 //
 //	msstrace -proto dcop -n 20 -h 4
-//	msstrace -proto tcop -n 12 -h 3 -kinds activate,crash
-//	msstrace -proto dcop -json | jq .kind
+//	msstrace -proto tcop -n 12 -h 3 -kinds activate,handoff
+//	msstrace -proto dcop -json | jq .type
 //	msstrace perfetto trace.jsonl -o trace.json
 //	msstrace summary trace.jsonl
 //	msstrace flight flight.jsonl -summary
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"p2pmss"
@@ -60,17 +63,22 @@ func splitInput(args []string) (input string, rest []string) {
 	return "", args
 }
 
-// readSpans loads a span JSONL trace ("-" or no path reads stdin).
-func readSpans(path string) []p2pmss.Span {
-	var r io.Reader = os.Stdin
-	if path != "" && path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		r = f
+// openInput opens a subcommand's input file ("-" or no path is stdin).
+func openInput(path string) io.ReadCloser {
+	if path == "" || path == "-" {
+		return os.Stdin
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		fatal(err)
+	}
+	return f
+}
+
+// readSpans loads a span JSONL trace.
+func readSpans(path string) []p2pmss.Span {
+	r := openInput(path)
+	defer r.Close()
 	spans, err := p2pmss.ReadSpansJSONL(r)
 	if err != nil {
 		fatal(err)
@@ -149,15 +157,8 @@ func runFlight(args []string) {
 		input = fs.Arg(0)
 	}
 
-	var r io.Reader = os.Stdin
-	if input != "" && input != "-" {
-		f, err := os.Open(input)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		r = f
-	}
+	r := openInput(input)
+	defer r.Close()
 	all, err := p2pmss.ReadFlightJSONL(r)
 	if err != nil {
 		fatal(err)
@@ -187,21 +188,46 @@ func runFlight(args []string) {
 		return
 	}
 
-	shown := 0
-	for _, e := range events {
-		if *limit > 0 && shown >= *limit {
-			fmt.Printf("... %d more (raise -limit)\n", len(events)-shown)
+	printTimeline(os.Stdout, events, *limit)
+	fmt.Fprintf(os.Stderr, "msstrace: %d events (%d after filters)\n", len(all), len(events))
+}
+
+// sortTimeline puts flight records in reading order: by time, ties
+// broken by (session, peer, seq) so each peer's records keep their
+// recorded order.
+func sortTimeline(events []p2pmss.FlightEvent) {
+	sort.SliceStable(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.T != b.T {
+			return a.T < b.T
+		}
+		if a.Session != b.Session {
+			return a.Session < b.Session
+		}
+		if a.Peer != b.Peer {
+			return a.Peer < b.Peer
+		}
+		return a.Seq < b.Seq
+	})
+}
+
+// printTimeline writes flight records one per line in sortTimeline
+// order. It is the only event formatter: a simulated run and a live
+// flight dump read identically. A positive limit cuts the listing short.
+func printTimeline(w io.Writer, events []p2pmss.FlightEvent, limit int) {
+	sortTimeline(events)
+	for i, e := range events {
+		if limit > 0 && i >= limit {
+			fmt.Fprintf(w, "... %d more (raise -limit)\n", len(events)-i)
 			break
 		}
 		sessPrefix := ""
 		if e.Session != "" {
 			sessPrefix = e.Session + "/"
 		}
-		fmt.Printf("%12.6f %speer%-3d %-4s %-20s other=%-3d round=%-2d n=%d\n",
+		fmt.Fprintf(w, "%12.6f %speer%-3d %-4s %-20s other=%-3d round=%-2d n=%d\n",
 			e.T, sessPrefix, e.Peer, e.Dir, e.Type, e.Other, e.Round, e.N)
-		shown++
 	}
-	fmt.Fprintf(os.Stderr, "msstrace: %d events (%d after filters)\n", len(all), len(events))
 }
 
 func fatal(err error) {
@@ -209,15 +235,28 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// simulate runs one coordination simulation with a flight set of the
+// given per-peer ring size attached and returns the set.
+func simulate(proto string, n, h int, seed int64, ringCap int) (*p2pmss.FlightSet, p2pmss.SimResult, error) {
+	cfg := p2pmss.DefaultSimConfig()
+	cfg.N = n
+	cfg.H = h
+	cfg.Seed = seed
+	cfg.Obs.Flight = p2pmss.NewFlightSet(ringCap)
+	res, err := p2pmss.Simulate(proto, cfg)
+	return cfg.Obs.Flight, res, err
+}
+
+// runTimeline simulates one coordination run and prints its flight log.
 func runTimeline() {
 	var (
 		proto   = flag.String("proto", p2pmss.DCoP, "protocol: dcop, tcop, broadcast, unicast, centralized, ams")
 		n       = flag.Int("n", 20, "contents peers")
 		fanout  = flag.Int("h", 4, "fanout H")
 		seed    = flag.Int64("seed", 1, "random seed")
-		kinds   = flag.String("kinds", "", "comma-separated event kinds to show (default all)")
-		limit   = flag.Int("limit", 20000, "trace capacity (must be positive)")
-		jsonOut = flag.Bool("json", false, "emit the timeline as JSON Lines (one event per line)")
+		kinds   = flag.String("kinds", "", "comma-separated record types to show, e.g. activate,send_control (default all)")
+		limit   = flag.Int("limit", 512, "per-peer flight ring size; older records are evicted (must be positive)")
+		jsonOut = flag.Bool("json", false, "emit the timeline as flight JSON Lines (one record per line)")
 	)
 	flag.Parse()
 
@@ -227,51 +266,40 @@ func runTimeline() {
 		os.Exit(2)
 	}
 
-	tr := p2pmss.NewTracer(*limit)
-	cfg := p2pmss.DefaultSimConfig()
-	cfg.N = *n
-	cfg.H = *fanout
-	cfg.Seed = *seed
-	cfg.Obs.Trace = tr
-
-	res, err := p2pmss.Simulate(*proto, cfg)
+	set, res, err := simulate(*proto, *n, *fanout, *seed, *limit)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "msstrace:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-
-	// Resolve the events to print: the full timeline, or only the
-	// requested kinds (in their per-kind recording order, as before).
-	var events []p2pmss.TraceEvent
-	if *kinds == "" {
-		events = tr.Events()
-	} else {
+	events := set.Events()
+	if *kinds != "" {
+		show := make(map[string]bool)
 		for _, k := range strings.Split(*kinds, ",") {
-			events = append(events, tr.Filter(strings.TrimSpace(k))...)
+			show[strings.TrimSpace(k)] = true
 		}
+		kept := events[:0]
+		for _, e := range events {
+			if show[e.Type] {
+				kept = append(kept, e)
+			}
+		}
+		events = kept
+	}
+	if ev := set.Evicted(); ev > 0 {
+		fmt.Fprintf(os.Stderr, "msstrace: %d records evicted (raise -limit)\n", ev)
 	}
 
+	// With -json stdout stays pure JSONL; the human summary goes to stderr.
+	summary := os.Stdout
 	if *jsonOut {
-		if err := p2pmss.WriteTraceJSONL(os.Stdout, events); err != nil {
-			fmt.Fprintln(os.Stderr, "msstrace:", err)
-			os.Exit(1)
-		}
-		// Keep stdout pure JSONL; the human summary goes to stderr.
-		fmt.Fprintf(os.Stderr, "%s: %d/%d peers active, %d rounds, %d control packets, sync at t=%.2f\n",
-			res.Protocol, res.ActivePeers, *n, res.Rounds, res.ControlPackets, res.SyncTime)
-		return
-	}
-
-	if *kinds == "" {
-		if err := tr.Dump(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "msstrace:", err)
-			os.Exit(1)
+		summary = os.Stderr
+		sortTimeline(events)
+		if err := p2pmss.WriteFlightJSONL(os.Stdout, events); err != nil {
+			fatal(err)
 		}
 	} else {
-		for _, e := range events {
-			fmt.Println(e)
-		}
+		printTimeline(os.Stdout, events, 0)
+		fmt.Println()
 	}
-	fmt.Printf("\n%s: %d/%d peers active, %d rounds, %d control packets, sync at t=%.2f\n",
+	fmt.Fprintf(summary, "%s: %d/%d peers active, %d rounds, %d control packets, sync at t=%.2f\n",
 		res.Protocol, res.ActivePeers, *n, res.Rounds, res.ControlPackets, res.SyncTime)
 }

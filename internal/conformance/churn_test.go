@@ -11,7 +11,6 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/live"
 	"p2pmss/internal/overlay"
-	"p2pmss/internal/protocol"
 	"p2pmss/internal/transport"
 )
 
@@ -39,7 +38,7 @@ func crashVictims(seed int64, count int) []engine.PeerID {
 // simChurnOutcomes runs the simulator with the victims crash-stopped
 // before the run (coord.Config.CrashPeers with CrashAt zero) and
 // member-level retries enabled, mirroring the live driver's defaults.
-func simChurnOutcomes(t *testing.T, proto protocol.Protocol, seed int64, victims []engine.PeerID) []engine.Outcome {
+func simChurnOutcomes(t *testing.T, proto engine.Protocol, seed int64, victims []engine.PeerID) []engine.Outcome {
 	t.Helper()
 	crash := make([]overlay.PeerID, len(victims))
 	for i, v := range victims {
@@ -67,7 +66,7 @@ func simChurnOutcomes(t *testing.T, proto protocol.Protocol, seed int64, victims
 // engines — the same failover the simulator derives from
 // coord.Config.CrashPeers. The fabric is the bounded queued variant, so
 // the churn run also exercises the capped FIFO path end to end.
-func liveChurnOutcomes(t *testing.T, proto protocol.Protocol, seed int64, victims []engine.PeerID) []engine.Outcome {
+func liveChurnOutcomes(t *testing.T, proto engine.Protocol, seed int64, victims []engine.PeerID) []engine.Outcome {
 	t.Helper()
 	data := make([]byte, confPackets*16)
 	for i := range data {
@@ -126,7 +125,7 @@ func liveChurnOutcomes(t *testing.T, proto protocol.Protocol, seed int64, victim
 // agree on the repaired tree / assignment unions, and the victims must
 // end inactive on both sides.
 func TestSimLiveConformanceUnderChurn(t *testing.T) {
-	for _, proto := range []protocol.Protocol{protocol.TCoP, protocol.DCoP} {
+	for _, proto := range []engine.Protocol{engine.TCoP, engine.DCoP} {
 		for seed := int64(1); seed <= 5; seed++ {
 			victims := crashVictims(seed, 2)
 			if len(victims) != 2 {
@@ -147,7 +146,7 @@ func TestSimLiveConformanceUnderChurn(t *testing.T) {
 // swarm still activates, on the simulator side of the comparison.
 func TestChurnConformanceIsNotVacuous(t *testing.T) {
 	victims := crashVictims(1, 2)
-	outs := simChurnOutcomes(t, protocol.TCoP, 1, victims)
+	outs := simChurnOutcomes(t, engine.TCoP, 1, victims)
 	crashed := make(map[engine.PeerID]bool)
 	for _, v := range victims {
 		crashed[v] = true

@@ -28,8 +28,6 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/live"
-	"p2pmss/internal/obs"
-	"p2pmss/internal/protocol"
 	"p2pmss/internal/transport"
 )
 
@@ -62,7 +60,7 @@ func outcomeLines(outs []engine.Outcome) string {
 
 // simOutcomes runs the simulator and returns its per-peer outcomes,
 // recording the engine event/effect stream into fl when non-nil.
-func simOutcomes(t *testing.T, proto protocol.Protocol, seed int64, fl *flight.Set) []engine.Outcome {
+func simOutcomes(t *testing.T, proto engine.Protocol, seed int64, fl *flight.Set) []engine.Outcome {
 	t.Helper()
 	res, err := coord.Run(proto, coord.Config{
 		N: confN, H: confH, Interval: confInterval,
@@ -71,7 +69,7 @@ func simOutcomes(t *testing.T, proto protocol.Protocol, seed int64, fl *flight.S
 		DataPlane:  true, ContentLen: confPackets,
 		Settle: 1, Window: 1,
 		Seed: seed,
-		Obs:  obs.Observability{Flight: fl},
+		Obs:  engine.Observability{Flight: fl},
 	})
 	if err != nil {
 		t.Fatalf("sim %s seed %d: %v", proto, seed, err)
@@ -85,7 +83,7 @@ func simOutcomes(t *testing.T, proto protocol.Protocol, seed int64, fl *flight.S
 // liveOutcomes runs the live runtime on a queued (deterministic FIFO)
 // fabric and returns its per-peer outcomes in roster order, recording
 // the engine event/effect stream into fl when non-nil.
-func liveOutcomes(t *testing.T, proto protocol.Protocol, seed int64, fl *flight.Set) []engine.Outcome {
+func liveOutcomes(t *testing.T, proto engine.Protocol, seed int64, fl *flight.Set) []engine.Outcome {
 	t.Helper()
 	data := make([]byte, confPackets*16)
 	for i := range data {
@@ -108,7 +106,7 @@ func liveOutcomes(t *testing.T, proto protocol.Protocol, seed int64, fl *flight.
 			Delta:    time.Millisecond,
 			Protocol: proto,
 			Seed:     engine.PeerSeed(seed, engine.PeerID(i)),
-			Obs:      obs.Observability{Flight: fl},
+			Obs:      engine.Observability{Flight: fl},
 		}, live.WithFabric(fab, roster[i]))
 		if err != nil {
 			t.Fatalf("live peer %d: %v", i, err)
@@ -167,7 +165,7 @@ func startAndSettle(t *testing.T, fab *transport.Fabric, leaf *live.Leaf) {
 // with the first divergent engine event — the offending peer and event,
 // not just two differing outcome dumps.
 func TestSimLiveConformance(t *testing.T) {
-	for _, proto := range []protocol.Protocol{protocol.TCoP, protocol.DCoP} {
+	for _, proto := range []engine.Protocol{engine.TCoP, engine.DCoP} {
 		for seed := int64(1); seed <= 5; seed++ {
 			simFl, liveFl := flight.NewSet(0), flight.NewSet(0)
 			sim := outcomeLines(simOutcomes(t, proto, seed, simFl))
@@ -193,7 +191,7 @@ func TestSimLiveConformance(t *testing.T) {
 // conformance pass — both sides empty — would slip through the byte
 // comparison).
 func TestSimLiveConformanceCoversContent(t *testing.T) {
-	outs := simOutcomes(t, protocol.TCoP, 1, nil)
+	outs := simOutcomes(t, engine.TCoP, 1, nil)
 	covered := make(map[string]bool)
 	total := 0
 	for _, o := range outs {

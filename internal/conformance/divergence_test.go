@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
-	"p2pmss/internal/protocol"
 )
 
 // TestFirstDivergenceOnAgreeingRuns is the control: a sim run and its
@@ -13,7 +13,7 @@ import (
 // divergence — otherwise the divergence reporter would cry wolf on
 // every conformance failure.
 func TestFirstDivergenceOnAgreeingRuns(t *testing.T) {
-	for _, proto := range []protocol.Protocol{protocol.TCoP, protocol.DCoP} {
+	for _, proto := range []engine.Protocol{engine.TCoP, engine.DCoP} {
 		simFl, liveFl := flight.NewSet(0), flight.NewSet(0)
 		simOutcomes(t, proto, 1, simFl)
 		liveOutcomes(t, proto, 1, liveFl)
@@ -40,8 +40,8 @@ func TestFirstDivergenceOnAgreeingRuns(t *testing.T) {
 // live track). This is the fixture the CI divergence job runs.
 func TestFirstDivergenceNamesOffendingPeer(t *testing.T) {
 	simFl, liveFl := flight.NewSet(0), flight.NewSet(0)
-	simOutcomes(t, protocol.TCoP, 1, simFl)
-	liveOutcomes(t, protocol.TCoP, 2, liveFl)
+	simOutcomes(t, engine.TCoP, 1, simFl)
+	liveOutcomes(t, engine.TCoP, 2, liveFl)
 
 	d := flight.FirstDivergence(
 		flight.Log{Label: "sim", Events: simFl.Events()},

@@ -19,36 +19,40 @@ import (
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/failure"
+	"p2pmss/internal/flight"
 	"p2pmss/internal/fluid"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/parity"
-	"p2pmss/internal/protocol"
 	"p2pmss/internal/schedule"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
 )
 
-// Protocol identifies a coordination protocol; the names are shared with
-// the live layer via internal/protocol.
-type Protocol = protocol.Protocol
+// Protocol identifies a coordination protocol. DCoP and TCoP are the
+// engine's names, shared with the live runtime; the four baselines exist
+// only in the simulator.
+type Protocol = engine.Protocol
 
-// Protocol names accepted by Run, aliased from the shared registry.
+// Protocol names accepted by Run.
 const (
-	DCoP        = protocol.DCoP
-	TCoP        = protocol.TCoP
-	Broadcast   = protocol.Broadcast
-	Unicast     = protocol.Unicast
-	Centralized = protocol.Centralized
+	DCoP = engine.DCoP
+	TCoP = engine.TCoP
+	// Broadcast is the §3.1 baseline where the leaf contacts all n peers
+	// and peers exchange state in a group communication.
+	Broadcast Protocol = "broadcast"
+	// Unicast is the §3.1 chain baseline: one peer informs the next.
+	Unicast Protocol = "unicast"
+	// Centralized is the 2PC-style controller protocol of reference [5].
+	Centralized Protocol = "centralized"
 	// AMS is the asynchronous multi-source streaming precursor of [3–5]:
 	// asynchronous start plus periodic all-to-all state exchange via
 	// causal group communication.
-	AMS = protocol.AMS
+	AMS Protocol = "ams"
 )
 
 // Protocols lists all implemented coordination protocols.
-var Protocols = protocol.All
+var Protocols = []Protocol{DCoP, TCoP, Broadcast, Unicast, Centralized, AMS}
 
 // Config parameterizes one coordination run.
 type Config struct {
@@ -165,14 +169,14 @@ type Config struct {
 	RepairInterval float64
 	// RepairMaxRounds bounds repair attempts (default 20).
 	RepairMaxRounds int
-	// Obs bundles the run's observers (metrics, trace, spans, flight
-	// rings) in the struct shared with the live runtime. None of them
-	// feeds back into the simulation: an instrumented run is
-	// event-for-event identical to a bare one, and because the DES is
-	// single-threaded the metrics snapshot and span trace of a seeded
-	// run are byte-identical across repetitions. A zero Obs.SpanTrace
-	// derives the trace ID from the seed.
-	Obs obs.Observability
+	// Obs bundles the run's observers (metrics, spans, flight rings) in
+	// the struct shared with the live runtime. None of them feeds back
+	// into the simulation: an instrumented run is event-for-event
+	// identical to a bare one, and because the DES is single-threaded
+	// the metrics snapshot and span trace of a seeded run are
+	// byte-identical across repetitions. A zero Obs.SpanTrace derives
+	// the trace ID from the seed.
+	Obs engine.Observability
 }
 
 // DataPlaneMode selects the data-plane simulation strategy.
@@ -582,7 +586,7 @@ func newRunner(cfg Config) (*runner, error) {
 					// network drops sends from a crashed node.
 					r.fl.Mask(int(cp), eng.Now())
 				}
-				r.trace(int(cp), "crash", "crash-stop")
+				r.note(int(cp), flight.Event{Dir: flight.DirDriver, Type: "crash"})
 			})
 		} else {
 			nw.Crash(simnet.NodeID(cp))
@@ -590,7 +594,7 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	if cfg.Churn != nil {
 		err := cfg.Churn.Install(nw, func(e failure.ChurnEvent) {
-			what := "crash-stop"
+			what := "crash"
 			if e.Join {
 				what = "rejoin"
 			}
@@ -601,7 +605,7 @@ func newRunner(cfg Config) (*runner, error) {
 					r.fl.Mask(int(e.Peer), eng.Now())
 				}
 			}
-			r.trace(int(e.Peer), "churn", what)
+			r.note(int(e.Peer), flight.Event{Dir: flight.DirDriver, Type: what})
 		})
 		if err != nil {
 			return nil, err
@@ -612,21 +616,39 @@ func newRunner(cfg Config) (*runner, error) {
 
 // sendCtl transmits a coordination message and accounts for it.
 func (r *runner) sendCtl(from, to simnet.NodeID, m simnet.Message, round int) {
+	typ := ctlTypeName(m)
 	r.res.ControlPackets++
-	r.met.ctl[ctlTypeName(m)].Inc()
+	r.met.ctl[typ].Inc()
 	if round > r.res.Rounds {
 		r.res.Rounds = round
 		r.met.rounds.Set(float64(round))
 	}
-	r.trace(int(from), "control", "%T to %d (round %d)", m, to, round)
+	if r.cfg.Obs.Flight != nil && r.peers[0].core == nil {
+		// Baseline run: no engine records the send, so the driver does,
+		// in the engine's vocabulary.
+		r.note(r.flightPeer(from), flight.Event{Dir: "eff", Type: "send_" + typ, Other: r.flightPeer(to), Round: round})
+	}
 	r.nw.Send(from, to, m)
 }
 
-// trace records an event when tracing is enabled.
-func (r *runner) trace(node int, kind, format string, args ...any) {
-	if r.cfg.Obs.Trace != nil {
-		r.cfg.Obs.Trace.Record(r.eng.Now(), node, kind, format, args...)
+// note records onto a peer's flight track what the engine cannot see:
+// the sends and activations of the engine-less baselines, and driver
+// occurrences (crash, rejoin, the leaf's repair request) under
+// flight.DirDriver. The caller fills Dir, Type, Other, Round and N.
+// Passive, and free when recording is off: a nil Set hands out the nil
+// recorder (BenchmarkFlightDisabledNote).
+func (r *runner) note(peer int, e flight.Event) {
+	e.T = r.eng.Now()
+	r.cfg.Obs.Flight.Recorder("", peer).Record(e)
+}
+
+// flightPeer maps a simnet node to its flight track: the leaf (node N)
+// records as engine.LeafID, the id the engine's own records name it by.
+func (r *runner) flightPeer(id simnet.NodeID) int {
+	if id == r.leafID() {
+		return int(engine.LeafID)
 	}
+	return int(id)
 }
 
 // activate marks peer p active at the given round and (data plane)
@@ -648,7 +670,9 @@ func (p *peerNode) activate(round int, s seq.Sequence, rate float64) {
 		p.r.met.activations.Inc()
 		p.r.met.activePeers.Set(float64(p.r.activeCount))
 		p.r.met.activationRound.Observe(float64(round))
-		p.r.trace(int(p.id), "activate", "round %d, rate %.4f, %d packets", round, rate, len(s))
+		if p.core == nil { // baseline: the engine records its own Activate effects
+			p.r.note(int(p.id), flight.Event{Dir: "eff", Type: "activate", Round: round, N: len(s)})
+		}
 		p.r.scheduleMeasurement()
 	}
 	if p.r.cfg.DataPlane {

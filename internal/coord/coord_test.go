@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"p2pmss/internal/failure"
+	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/seq"
-	"p2pmss/internal/trace"
 )
 
 func baseCfg() Config {
@@ -504,8 +504,8 @@ func TestTCoPTreeEdgeCount(t *testing.T) {
 }
 
 // A deterministic churn schedule (crash then rejoin) runs inside the
-// simulation and leaves trace evidence; delivery still holds thanks to
-// DCoP's redundancy plus parity.
+// simulation and leaves driver notes in the flight log; delivery still
+// holds thanks to DCoP's redundancy plus parity.
 func TestChurnScheduleInSimulation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 12
@@ -516,7 +516,7 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 	cfg.TrackDelivery = true
 	cfg.ContentLen = 300
 	cfg.Rate = 10
-	cfg.Obs.Trace = trace.New(4096)
+	cfg.Obs.Flight = flight.NewSet(4096)
 	cfg.Churn = &failure.ChurnSchedule{Events: []failure.ChurnEvent{
 		{At: 30, Peer: 3},
 		{At: 60, Peer: 3, Join: true},
@@ -526,9 +526,9 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	churned := cfg.Obs.Trace.Filter("churn")
-	if len(churned) != 3 {
-		t.Errorf("trace has %d churn events, want 3", len(churned))
+	notes := countTypes(cfg.Obs.Flight.Events())
+	if notes["crash"] != 2 || notes["rejoin"] != 1 {
+		t.Errorf("flight log has %d crash and %d rejoin notes, want 2 and 1", notes["crash"], notes["rejoin"])
 	}
 	frac := float64(res.DeliveredData) / float64(cfg.ContentLen)
 	if frac < 0.5 {

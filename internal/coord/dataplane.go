@@ -5,6 +5,8 @@ import (
 	"slices"
 
 	"p2pmss/internal/des"
+	"p2pmss/internal/engine"
+	"p2pmss/internal/flight"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
@@ -400,7 +402,7 @@ func (l *leafNode) repairCheck() {
 	target := alive[r.eng.Rand().Intn(len(alive))]
 	r.res.RepairRequests++
 	r.met.repairRequests.Inc()
-	r.trace(-1, "repair", "%d missing, asking node %d", len(missing), target)
+	r.note(int(engine.LeafID), flight.Event{Dir: flight.DirDriver, Type: "repair_request", Other: int(target), N: len(missing)})
 	r.nw.Send(r.leafID(), target, repairMsg{Indices: missing})
 	r.eng.After(r.cfg.RepairInterval, l.repairCheck)
 }

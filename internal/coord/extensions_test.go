@@ -1,12 +1,11 @@
 package coord
 
 import (
-	"strings"
 	"testing"
 
+	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/simnet"
-	"p2pmss/internal/trace"
 )
 
 // simnetLink builds link params matching cfg plus a bandwidth cap.
@@ -217,35 +216,62 @@ func TestPlaybackRequiresDataPlane(t *testing.T) {
 
 func TestTraceRecordsRun(t *testing.T) {
 	cfg := baseCfg()
-	tr := trace.New(10000)
-	cfg.Obs.Trace = tr
+	cfg.Obs.Flight = flight.NewSet(0)
 	if _, err := Run(DCoP, cfg); err != nil {
 		t.Fatal(err)
 	}
-	counts := tr.Counts()
-	if counts["activate"] == 0 || counts["control"] == 0 {
-		t.Errorf("trace counts = %v", counts)
-	}
-	var b strings.Builder
-	if err := tr.Dump(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "activate") {
-		t.Error("dump missing activations")
+	counts := countTypes(cfg.Obs.Flight.Events())
+	if counts["activate"] == 0 || counts["send_control"] == 0 {
+		t.Errorf("flight counts = %v", counts)
 	}
 }
 
 func TestTraceRecordsCrashes(t *testing.T) {
 	cfg := baseCfg()
-	tr := trace.New(10000)
-	cfg.Obs.Trace = tr
+	cfg.Obs.Flight = flight.NewSet(0)
 	cfg.CrashPeers = []overlay.PeerID{1, 2}
 	cfg.CrashAt = 1.5
 	if _, err := Run(DCoP, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Filter("crash")) != 2 {
-		t.Errorf("crash events = %d", len(tr.Filter("crash")))
+	var crashed []int
+	for _, e := range cfg.Obs.Flight.Events() {
+		if e.Dir == flight.DirDriver && e.Type == "crash" {
+			if e.T != cfg.CrashAt {
+				t.Errorf("crash note at t=%v, want %v", e.T, cfg.CrashAt)
+			}
+			crashed = append(crashed, e.Peer)
+		}
+	}
+	if len(crashed) != 2 || crashed[0] != 1 || crashed[1] != 2 {
+		t.Errorf("crash notes on peers %v, want [1 2]", crashed)
+	}
+}
+
+// Driver notes are invisible to the divergence differ: a run whose log
+// carries crash notes (the crashes land after coordination quiesced, so
+// no protocol decision changes) aligns with the note-free run of the
+// same seed.
+func TestDriverNotesDoNotDiverge(t *testing.T) {
+	bare, noted := baseCfg(), baseCfg()
+	bare.Obs.Flight, noted.Obs.Flight = flight.NewSet(0), flight.NewSet(0)
+	noted.CrashPeers = []overlay.PeerID{1, 2}
+	noted.CrashAt = 1e6
+	for _, cfg := range []Config{bare, noted} {
+		if _, err := Run(TCoP, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := countTypes(noted.Obs.Flight.Events())["crash"]; n != 2 {
+		t.Fatalf("%d crash notes in the log, want 2", n)
+	}
+	d := flight.FirstDivergence(
+		flight.Log{Label: "bare", Events: bare.Obs.Flight.Events()},
+		flight.Log{Label: "noted", Events: noted.Obs.Flight.Events()},
+		flight.DiffOptions{IncludeTimers: true},
+	)
+	if d != nil {
+		t.Errorf("driver notes reported as divergence:\n%s", d)
 	}
 }
 
@@ -263,6 +289,7 @@ func TestRepairRecoversAfterCrash(t *testing.T) {
 	cfg.Rate = 10
 	cfg.CrashPeers = []overlay.PeerID{0, 1}
 	cfg.CrashAt = 10
+	cfg.Obs.Flight = flight.NewSet(0)
 	res, err := Run(DCoP, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,6 +300,11 @@ func TestRepairRecoversAfterCrash(t *testing.T) {
 	if res.RepairRequests == 0 {
 		t.Error("repair never triggered despite crashes")
 	}
+	// Each request is a driver note on the leaf's flight track.
+	if n := countTypes(cfg.Obs.Flight.Events())["repair_request"]; int64(n) != res.RepairRequests {
+		t.Errorf("%d repair_request notes for %d repair requests", n, res.RepairRequests)
+	}
+	cfg.Obs.Flight = nil
 
 	// Control: without repair the same scenario loses content.
 	cfg.Repair = false

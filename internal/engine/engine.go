@@ -42,6 +42,22 @@ type PeerID = overlay.PeerID
 // contents peer and never appears in views.
 const LeafID PeerID = -1
 
+// Protocol names a coordination protocol. It is a string alias (not a
+// defined type) so a value read from a flag or config file flows
+// unchanged to either driver.
+type Protocol = string
+
+// The two protocols the engine implements, under the names every layer
+// accepts (the simulator adds its sim-only baselines in internal/coord).
+const (
+	// DCoP is the paper's redundant distributed coordination protocol
+	// (§3.4): flooding where a peer may be selected by multiple parents.
+	DCoP Protocol = "dcop"
+	// TCoP is the non-redundant tree-based coordination protocol (§3.5):
+	// a three-round handshake gives every peer at most one parent.
+	TCoP Protocol = "tcop"
+)
+
 // Config parameterizes one peer's coordination state machine. Times
 // (MarkDelta, HandshakeTimeout, CommitRelease) are in the driver's time
 // unit — virtual time units in the simulator, seconds in the live

@@ -1,8 +1,8 @@
 // Package failure provides the fault models the paper's reliability
-// analysis assumes (§3.2): crash-stop contents peers, performance
-// degradation, and — because the parity scheme explicitly targets packets
-// "lost with (H−h) channels in a bursty manner" — a Gilbert–Elliott
-// two-state bursty loss channel usable as simnet's BurstLoss hook.
+// analysis assumes (§3.2): crash-stop contents peers and — because the
+// parity scheme explicitly targets packets "lost with (H−h) channels in a
+// bursty manner" — a Gilbert–Elliott two-state bursty loss channel usable
+// as simnet's BurstLoss hook.
 package failure
 
 import (
@@ -211,20 +211,4 @@ func PeriodicChurn(first simnet.NodeID, count int, start, period, downAfter floa
 		}
 	}
 	return s
-}
-
-// Degradation models a peer whose effective transmission rate decays by
-// Factor at time At — the paper's "degraded in performance" failure. The
-// coordination layer consults Multiplier when scheduling sends.
-type Degradation struct {
-	At     float64
-	Factor float64 // new rate = old rate × Factor (0 < Factor ≤ 1)
-}
-
-// Multiplier returns the rate multiplier in effect at time now.
-func (d Degradation) Multiplier(now float64) float64 {
-	if now >= d.At && d.Factor > 0 {
-		return d.Factor
-	}
-	return 1
 }

@@ -142,20 +142,6 @@ func TestCrashPlan(t *testing.T) {
 	}
 }
 
-func TestDegradation(t *testing.T) {
-	d := Degradation{At: 10, Factor: 0.25}
-	if d.Multiplier(5) != 1 {
-		t.Error("degraded early")
-	}
-	if d.Multiplier(10) != 0.25 {
-		t.Error("not degraded at At")
-	}
-	zero := Degradation{At: 0, Factor: 0}
-	if zero.Multiplier(5) != 1 {
-		t.Error("zero factor should be ignored")
-	}
-}
-
 func BenchmarkGilbertElliott(b *testing.B) {
 	g := NewGilbertElliott(0.05, 0.3, 0.001, 0.5, 1)
 	for i := 0; i < b.N; i++ {

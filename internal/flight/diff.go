@@ -73,7 +73,9 @@ func (d *Divergence) String() string {
 // first event where they disagree, or nil when every track matches.
 // Events are compared by driver-independent identity (Dir, Type, Other,
 // Round, N) — never by timestamp, since the sides run on different
-// clocks (DES virtual time vs wall time). Tracks are scanned in
+// clocks (DES virtual time vs wall time) — and driver notes (DirDriver)
+// are left out: they describe the run's environment, not a protocol
+// decision. Tracks are scanned in
 // (session, peer) order and the lowest diverging track wins, so the
 // report is deterministic.
 func FirstDivergence(a, b Log, opt DiffOptions) *Divergence {
@@ -142,6 +144,9 @@ func tracks(events []Event, opt DiffOptions) map[trackKey][]Event {
 			continue
 		}
 		if !opt.IncludeTimers && e.Dir == "ev" && strings.HasPrefix(e.Type, "timer_") {
+			continue
+		}
+		if e.Dir == DirDriver {
 			continue
 		}
 		k := trackKey{session: e.Session, peer: e.Peer}

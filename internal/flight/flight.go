@@ -20,9 +20,9 @@ import (
 	"sync"
 )
 
-// Event is one recorded occurrence on a peer's flight track: either an
-// engine event the peer handled (Dir "ev") or an effect it emitted
-// (Dir "eff"). The identity fields (Dir, Type, Other, Round, N) are
+// Event is one recorded occurrence on a peer's flight track: an engine
+// event the peer handled (Dir "ev"), an effect it emitted (Dir "eff"),
+// or a driver note (DirDriver). The identity fields (Dir, Type, Other, Round, N) are
 // driver-independent — a simulated and a live run of the same seed
 // record the same identities in the same per-peer order — while Seq and
 // T carry the recording driver's local ordering and clock (virtual time
@@ -38,7 +38,8 @@ type Event struct {
 	Session string `json:"sess,omitempty"`
 	// Peer is the recording peer's overlay id.
 	Peer int `json:"peer"`
-	// Dir is "ev" for handled events, "eff" for emitted effects.
+	// Dir is "ev" for handled events, "eff" for emitted effects,
+	// DirDriver for driver notes.
 	Dir string `json:"dir"`
 	// Type names the event or effect kind (see engine.FlightObserver).
 	Type string `json:"type"`
@@ -53,6 +54,12 @@ type Event struct {
 	// index count, hand-off share count, or timer generation.
 	N int `json:"n,omitempty"`
 }
+
+// DirDriver marks a record the driver wrote about its own environment
+// rather than the engine's event/effect stream — a peer crash or rejoin,
+// the leaf's repair request. FirstDivergence skips these, as it skips
+// timer deliveries: the other driver has no counterpart to align with.
+const DirDriver = "drv"
 
 // Key is the driver-independent identity of an event — everything but
 // the local sequence number, timestamp and session label.

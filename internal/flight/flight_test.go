@@ -206,6 +206,25 @@ func TestFirstDivergenceFiltersDeliveredTimers(t *testing.T) {
 	}
 }
 
+func TestFirstDivergenceSkipsDriverNotes(t *testing.T) {
+	// Crash, rejoin and repair-request notes describe the recording
+	// driver's environment; the other side has nothing to align them
+	// with, not even a track for the leaf.
+	a := []Event{
+		ev(0, "ev", "control", 1, 1, 2),
+		ev(0, DirDriver, "crash", 0, 0, 0),
+		ev(0, "eff", "activate", 0, 1, 2),
+		ev(-1, DirDriver, "repair_request", 3, 0, 64),
+	}
+	b := []Event{
+		ev(0, "ev", "control", 1, 1, 2),
+		ev(0, "eff", "activate", 0, 1, 2),
+	}
+	if d := FirstDivergence(Log{"sim", a}, Log{"live", b}, DiffOptions{IncludeTimers: true}); d != nil {
+		t.Errorf("driver note counted as divergence:\n%s", d)
+	}
+}
+
 func TestFirstDivergenceSessionFilter(t *testing.T) {
 	a := []Event{
 		{Session: "s1", Peer: 0, Dir: "ev", Type: "control"},

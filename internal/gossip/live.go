@@ -5,13 +5,11 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"p2pmss/internal/transport"
 )
 
 // This file is the wall-clock driver: periodic push rounds over real
-// send callbacks (or a transport.Endpoint), with a dynamic candidate
-// view instead of the DES driver's fixed 0..N-1 population. It carries
+// send callbacks, with a dynamic candidate view instead of the DES
+// driver's fixed 0..N-1 population. It carries
 // state dissemination for long-lived swarms — each round the node
 // pushes its current payload to Fanout targets — rather than the DES
 // driver's one-shot rumor.
@@ -82,15 +80,6 @@ func StartLive(cfg LiveConfig) (*Live, error) {
 	}
 	go l.loop()
 	return l, nil
-}
-
-// SendOverEndpoint adapts a transport endpoint into a LiveConfig.Send:
-// pushes travel as messages of the given type with no session scope.
-// Delivery failures are dropped — gossip's redundancy is the retry.
-func SendOverEndpoint(ep transport.Endpoint, msgType string) func(to string, payload []byte) {
-	return func(to string, payload []byte) {
-		ep.Send(to, transport.Msg{Type: msgType, From: ep.Name(), Payload: payload}) //nolint:errcheck // unreachable targets age out of the view
-	}
 }
 
 // Poke triggers an immediate extra round (e.g. after a local state

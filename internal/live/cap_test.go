@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
-	"p2pmss/internal/protocol"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/transport"
 )
 
@@ -29,7 +29,7 @@ func TestLiveDCoPChildrenCapSmallH(t *testing.T) {
 			H:        capH,
 			Interval: 2,
 			Delta:    5 * time.Millisecond,
-			Protocol: protocol.DCoP,
+			Protocol: engine.DCoP,
 			Seed:     int64(i) + 1,
 		}, WithFabric(f, name))
 		if err != nil {

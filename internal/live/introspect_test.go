@@ -19,7 +19,6 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/transport"
 )
@@ -73,7 +72,7 @@ func TestSessionOverlayEdgesMatchOutcomes(t *testing.T) {
 		Impair:    transport.Impairment{Seed: 424, Loss: 0.05, Reorder: 0.02, ReorderWindow: 4},
 		ReapAfter: -1, // the comparison below needs every serving peer still there
 		Seed:      424,
-		Obs:       obs.Observability{Metrics: reg, Flight: fl},
+		Obs:       engine.Observability{Metrics: reg, Flight: fl},
 	}, 100, data, SessionConfig{PacketSize: 128, Rate: 2000, RepairAfter: 250 * time.Millisecond})
 	waitExact(t, ls, data, 60*time.Second)
 
@@ -209,7 +208,7 @@ func TestNodeClusterDebugEndpointsUnderChaos(t *testing.T) {
 		Delta:            5 * time.Millisecond,
 		HandshakeTimeout: 80 * time.Millisecond,
 		Seed:             717,
-		Obs:              obs.Observability{Metrics: reg, Flight: fl},
+		Obs:              engine.Observability{Metrics: reg, Flight: fl},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +335,7 @@ func TestNodeClusterDebugEndpointsUnderChaos(t *testing.T) {
 // and names the topology and flight dumps it wrote.
 func TestNodeSessionTimeoutDumpsOverlay(t *testing.T) {
 	data := randomData(16<<10, 61) // 256 packets at 100/s: far from done at the timeout
-	_, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Seed: 62, Obs: obs.Observability{Flight: flight.NewSet(0)}},
+	_, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Seed: 62, Obs: engine.Observability{Flight: flight.NewSet(0)}},
 		6, data, SessionConfig{PacketSize: 64, Rate: 100})
 	err := ls.Wait(400 * time.Millisecond)
 	if err == nil {
@@ -379,7 +378,7 @@ func TestNodeSessionTimeoutDumpsOverlay(t *testing.T) {
 func TestNodeClusterSnapshotCoverageAndGauges(t *testing.T) {
 	data := randomData(16<<10, 63)
 	reg := metrics.New()
-	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Seed: 64, Obs: obs.Observability{Metrics: reg}},
+	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Seed: 64, Obs: engine.Observability{Metrics: reg}},
 		6, data, SessionConfig{PacketSize: 64, Rate: 400})
 	// Mid-stream: serving state is dropped once a session is reaped.
 	deadline := time.Now().Add(10 * time.Second)

@@ -10,7 +10,6 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
 )
@@ -48,11 +47,9 @@ type LeafConfig struct {
 	// request silently (Send returns nil), leaving the slot's whole
 	// division untransmitted — more loss than parity can absorb.
 	// Re-sent requests are idempotent at the peers (an already-active
-	// peer ignores them). Zero disables the deadline.
+	// peer ignores them). Zero disables the deadline; the loop gives up
+	// after requestRetryWaves re-sends.
 	RequestRetry time.Duration
-	// RequestRetries caps the re-send waves (default 5 when
-	// RequestRetry is positive).
-	RequestRetries int
 	// Session scopes the leaf to one streaming session (see
 	// PeerConfig.Session).
 	Session SessionID
@@ -62,10 +59,9 @@ type LeafConfig struct {
 	// simulation: Metrics receives the leaf's counters and
 	// delivery-progress gauges, and Spans the root "session" span every
 	// member's spans nest under (a zero SpanTrace derives the trace ID
-	// from the Session id, matching the peers' derivation). Obs.Trace and
-	// Obs.Flight are ignored — the leaf runs no coordination engine to
-	// record.
-	Obs obs.Observability
+	// from the Session id, matching the peers' derivation). Obs.Flight is
+	// ignored — the leaf runs no coordination engine to record.
+	Obs engine.Observability
 }
 
 // Leaf is a live leaf peer LP_s: it requests a content from H contents
@@ -229,6 +225,9 @@ func (l *Leaf) Start() error {
 	return nil
 }
 
+// requestRetryWaves caps requestLoop's re-send waves.
+const requestRetryWaves = 5
+
 // requestLoop is the datagram-side counterpart of Start's send-error
 // failover: every RequestRetry it re-sends the content request to each
 // selected peer that has not yet delivered a single data packet, until
@@ -237,13 +236,9 @@ func (l *Leaf) Start() error {
 // engine's own deadlines guard the later handshake rounds, but nothing
 // guarded round 1's request).
 func (l *Leaf) requestLoop(sel []string, root span.Context) {
-	retries := l.cfg.RequestRetries
-	if retries <= 0 {
-		retries = 5
-	}
 	tick := time.NewTicker(l.cfg.RequestRetry)
 	defer tick.Stop()
-	for wave := 0; wave < retries; wave++ {
+	for wave := 0; wave < requestRetryWaves; wave++ {
 		select {
 		case <-l.done:
 			return

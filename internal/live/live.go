@@ -41,9 +41,7 @@ import (
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/parity"
-	"p2pmss/internal/protocol"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
@@ -156,9 +154,9 @@ type joinBody struct {
 	Joiner    string
 }
 
-// Protocol identifies a live coordination protocol; the names are shared
-// with the simulation layer via internal/protocol.
-type Protocol = protocol.Protocol
+// Protocol identifies a live coordination protocol; the names are the
+// engine's, shared with the simulation layer.
+type Protocol = engine.Protocol
 
 // PeerConfig configures a live contents peer.
 type PeerConfig struct {
@@ -210,8 +208,8 @@ type PeerConfig struct {
 	// derives the trace ID from the Session id, so every member agrees
 	// without coordination. Obs.Flight is the population's recorder set —
 	// the peer resolves its own per-(session, roster index) ring from it
-	// at start — and Obs.Trace is ignored (sim-only).
-	Obs obs.Observability
+	// at start.
+	Obs engine.Observability
 	// PayloadMemoCap bounds the derived-payload memo (entries); the memo
 	// is LRU-evicted past the cap. Zero means 4096.
 	PayloadMemoCap int
@@ -229,8 +227,8 @@ func (cfg *PeerConfig) normalize() error {
 	}
 	switch cfg.Protocol {
 	case "":
-		cfg.Protocol = protocol.TCoP
-	case protocol.TCoP, protocol.DCoP:
+		cfg.Protocol = engine.TCoP
+	case engine.TCoP, engine.DCoP:
 	default:
 		return fmt.Errorf("live: unknown protocol %q", cfg.Protocol)
 	}
@@ -349,7 +347,7 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 		HandshakeTimeout: cfg.HandshakeTimeout.Seconds(),
 		CommitRelease:    (4 * cfg.HandshakeTimeout).Seconds(),
 		Retries:          cfg.Retries,
-		DCoP:             cfg.Protocol == protocol.DCoP,
+		DCoP:             cfg.Protocol == engine.DCoP,
 	}
 	if err := ecfg.Normalize(); err != nil {
 		return nil, err

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
-	"p2pmss/internal/protocol"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/transport"
 )
 
@@ -277,7 +277,7 @@ func TestLiveDCoPStreamingComplete(t *testing.T) {
 			H:        3,
 			Interval: 2,
 			Delta:    5 * time.Millisecond,
-			Protocol: protocol.DCoP,
+			Protocol: engine.DCoP,
 			Seed:     int64(i) + 1,
 		}, WithFabric(f, name))
 		if err != nil {
@@ -323,7 +323,7 @@ func TestLivePeerProtocolValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.cfg.Protocol != protocol.TCoP {
+	if p.cfg.Protocol != engine.TCoP {
 		t.Errorf("default protocol = %q", p.cfg.Protocol)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
-	"p2pmss/internal/protocol"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/transport"
 )
 
@@ -62,7 +62,7 @@ func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 		// The leaf's first send is the request for slot 0.
 		return from == "leaf" && atomic.AddInt32(&swallowed, 1) == 1
 	}
-	peers, leaf := buildLossySession(t, f, 6, 3, 2, protocol.DCoP, data, 64, 21, func(cfg *LeafConfig) {
+	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.DCoP, data, 64, 21, func(cfg *LeafConfig) {
 		cfg.RepairAfter = 0 // isolate: only the request deadline may save this
 		cfg.RequestRetry = 150 * time.Millisecond
 	})
@@ -94,7 +94,7 @@ func TestLeafDuplicateRepairDelivery(t *testing.T) {
 	data := randomData(4000, 9)
 	f := transport.NewFabric()
 	f.SetImpairment(transport.Impairment{Seed: 31, Loss: 0.10, Duplicate: 0.5})
-	peers, leaf := buildLossySession(t, f, 6, 3, 2, protocol.TCoP, data, 64, 33, func(cfg *LeafConfig) {
+	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.TCoP, data, 64, 33, func(cfg *LeafConfig) {
 		cfg.RepairAfter = 250 * time.Millisecond
 		cfg.RequestRetry = 250 * time.Millisecond
 	})
@@ -135,7 +135,7 @@ func TestLiveLossAcceptance(t *testing.T) {
 		{"loss5pct", transport.Impairment{Seed: 102, Loss: 0.05, Duplicate: 0.02, Reorder: 0.05, ReorderWindow: 4}},
 		{"burst20pct", transport.Impairment{Seed: 103, Loss: 0.05, BurstLen: 3, Reorder: 0.03, ReorderWindow: 6}},
 	}
-	for _, proto := range []Protocol{protocol.DCoP, protocol.TCoP} {
+	for _, proto := range []Protocol{engine.DCoP, engine.TCoP} {
 		proto := proto
 		for _, tc := range cases {
 			tc := tc
@@ -172,7 +172,7 @@ func TestLiveLossAcceptance(t *testing.T) {
 // plane on §3.2 parity plus repair, ending byte-identical.
 func TestLiveOverUDPWithLoss(t *testing.T) {
 	data := randomData(6000, 5)
-	for _, proto := range []Protocol{protocol.DCoP, protocol.TCoP} {
+	for _, proto := range []Protocol{engine.DCoP, engine.TCoP} {
 		proto := proto
 		t.Run(fmt.Sprintf("%v", proto), func(t *testing.T) {
 			t.Parallel()

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/transport"
 )
 
@@ -76,7 +76,7 @@ func TestPayloadMemoBoundedDuringStreaming(t *testing.T) {
 			Interval:       2,
 			Delta:          5 * time.Millisecond,
 			Seed:           int64(31 + i),
-			Obs:            obs.Observability{Metrics: reg},
+			Obs:            engine.Observability{Metrics: reg},
 			PayloadMemoCap: memoCap,
 		}, WithFabric(f, name))
 		if err != nil {

@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 )
 
 // scrape GETs url and returns each non-comment sample line as
@@ -70,7 +70,7 @@ func TestSessionMetricsScrapeMidStream(t *testing.T) {
 		data[i] = byte(i * 31)
 	}
 	reg := metrics.New()
-	_, ls := startSession(t, NodesConfig{H: 3, Interval: 4, Seed: 42, Obs: obs.Observability{Metrics: reg}}, 8, data,
+	_, ls := startSession(t, NodesConfig{H: 3, Interval: 4, Seed: 42, Obs: engine.Observability{Metrics: reg}}, 8, data,
 		SessionConfig{PacketSize: 256, Rate: 600})
 
 	srv := httptest.NewServer(metrics.DebugMux(reg))
@@ -127,7 +127,7 @@ func TestSessionMetricsTCP(t *testing.T) {
 		data[i] = byte(i)
 	}
 	reg := metrics.New()
-	_, ls := startSession(t, NodesConfig{H: 2, Interval: 4, UseTCP: true, Seed: 7, Obs: obs.Observability{Metrics: reg}}, 4, data,
+	_, ls := startSession(t, NodesConfig{H: 2, Interval: 4, UseTCP: true, Seed: 7, Obs: engine.Observability{Metrics: reg}}, 4, data,
 		SessionConfig{PacketSize: 256, Rate: 2000})
 	waitExact(t, ls, data, 30*time.Second)
 	snap := reg.Snapshot()

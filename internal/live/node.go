@@ -9,8 +9,7 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/disco"
-	"p2pmss/internal/obs"
-	"p2pmss/internal/protocol"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/transport"
 )
 
@@ -75,8 +74,8 @@ type NodeConfig struct {
 	// own trace, derived from the session id so all nodes agree), and
 	// Flight records every serving peer's engine event/effect stream into
 	// per-(session, peer) rings — all nodes of a population share one
-	// set. Obs.Trace and Obs.SpanTrace are ignored.
-	Obs obs.Observability
+	// set. Obs.SpanTrace is ignored.
+	Obs engine.Observability
 }
 
 // sessionShards fixes the width of the node's session table. Power of
@@ -160,8 +159,8 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	}
 	switch cfg.Protocol {
 	case "":
-		cfg.Protocol = protocol.TCoP
-	case protocol.TCoP, protocol.DCoP:
+		cfg.Protocol = engine.TCoP
+	case engine.TCoP, engine.DCoP:
 	default:
 		return nil, fmt.Errorf("live: unknown protocol %q", cfg.Protocol)
 	}
@@ -795,13 +794,13 @@ type NodesConfig struct {
 	// sessions and the transport — in the struct shared with the
 	// simulation (see NodeConfig.Obs). Flight is served on /debug/flight
 	// via DebugHandlers.
-	Obs obs.Observability
+	Obs engine.Observability
 }
 
 // NodeCluster is a running node population.
 type NodeCluster struct {
 	Nodes []*Node
-	obs   obs.Observability
+	obs   engine.Observability
 	// eps are the pre-bound socket listeners. The nodes own them once
 	// started; Close closes them again (idempotently) so a StartNodes
 	// that fails half-way leaks none.

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/transport"
 )
 
@@ -44,7 +44,7 @@ func TestNodeSessionsChaos(t *testing.T) {
 		Delta:            5 * time.Millisecond,
 		HandshakeTimeout: 80 * time.Millisecond,
 		Seed:             901,
-		Obs:              obs.Observability{Metrics: reg},
+		Obs:              engine.Observability{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 			Delta:            5 * time.Millisecond,
 			HandshakeTimeout: 60 * time.Millisecond,
 			Seed:             int64(i) + 1,
-			Obs:              obs.Observability{Metrics: reg},
+			Obs:              engine.Observability{Metrics: reg},
 		}, WithFabric(f, name))
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +231,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 		PacketSize:  64,
 		RepairAfter: 200 * time.Millisecond,
 		Seed:        52,
-		Obs:         obs.Observability{Metrics: reg},
+		Obs:         engine.Observability{Metrics: reg},
 	}, WithFabric(f, "leaf"))
 	if err != nil {
 		t.Fatal(err)

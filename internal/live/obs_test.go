@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
 )
@@ -17,7 +17,7 @@ import (
 // collector with spans, and the flight set with per-peer engine events.
 func TestSessionObsBundle(t *testing.T) {
 	data := randomData(5000, 47)
-	o := obs.Observability{
+	o := engine.Observability{
 		Metrics: metrics.New(),
 		Spans:   span.NewCollector(),
 		Flight:  flight.NewSet(256),
@@ -54,7 +54,7 @@ func TestPeerObsFlightResolution(t *testing.T) {
 			Interval: 2,
 			Delta:    5 * time.Millisecond,
 			Seed:     int64(i) + 1,
-			Obs:      obs.Observability{Flight: set},
+			Obs:      engine.Observability{Flight: set},
 		}, WithFabric(f, name))
 		if err != nil {
 			t.Fatal(err)

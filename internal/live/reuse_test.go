@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"p2pmss/internal/protocol"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/transport"
 )
 
@@ -19,7 +19,7 @@ import (
 // flag the concurrent write (and the leaf would reassemble corrupted
 // bytes); the session must instead complete exactly.
 func TestEffectRecycleWithQueuedSendsInFlight(t *testing.T) {
-	for _, proto := range []Protocol{protocol.DCoP, protocol.TCoP} {
+	for _, proto := range []Protocol{engine.DCoP, engine.TCoP} {
 		t.Run(string(proto), func(t *testing.T) {
 			data := randomData(6000, 53)
 			_, ls := startSession(t, NodesConfig{
@@ -43,7 +43,7 @@ func TestEffectRecycleWithDroppingQueue(t *testing.T) {
 	_, ls := startSession(t, NodesConfig{
 		H:           3,
 		Interval:    2,
-		Protocol:    protocol.DCoP,
+		Protocol:    engine.DCoP,
 		QueueCap:    64,
 		QueuePolicy: transport.QueueDropNewest,
 		Seed:        6,

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
-	"p2pmss/internal/protocol"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/transport"
 )
 
@@ -58,7 +58,7 @@ func TestSessionFabric(t *testing.T) {
 
 func TestSessionTCPWithCrash(t *testing.T) {
 	data := randomData(6000, 42)
-	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, UseTCP: true, Protocol: protocol.DCoP, Seed: 2}, 6, data,
+	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, UseTCP: true, Protocol: engine.DCoP, Seed: 2}, 6, data,
 		SessionConfig{PacketSize: 128, Rate: 600})
 	time.Sleep(150 * time.Millisecond)
 	if killed := nc.CrashServing(1); killed != 1 {

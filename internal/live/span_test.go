@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"p2pmss/internal/obs"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/span"
 )
 
@@ -28,7 +28,7 @@ func TestConcurrentSessionsShareOneCollector(t *testing.T) {
 		Interval: 2,
 		Delta:    5 * time.Millisecond,
 		Seed:     701,
-		Obs:      obs.Observability{Spans: col},
+		Obs:      engine.Observability{Spans: col},
 	})
 	if err != nil {
 		t.Fatal(err)

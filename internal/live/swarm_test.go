@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/transport"
 )
 
@@ -62,7 +62,7 @@ func TestSwarmDiscoveryAcceptance(t *testing.T) {
 		HandshakeTimeout: 100 * time.Millisecond,
 		ReapAfter:        300 * time.Millisecond,
 		Seed:             7001,
-		Obs:              obs.Observability{Metrics: reg},
+		Obs:              engine.Observability{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestNodeReapsIdleSessions(t *testing.T) {
 		Delta:     5 * time.Millisecond,
 		ReapAfter: 50 * time.Millisecond,
 		Seed:      7201,
-		Obs:       obs.Observability{Metrics: reg},
+		Obs:       engine.Observability{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestNodeAdmissionBudget(t *testing.T) {
 			MaxSessions: maxSessions,
 			ReapAfter:   -1, // manual lifecycle: the budget, not the reaper, frees slots
 			Seed:        7301,
-			Obs:         obs.Observability{Metrics: reg},
+			Obs:         engine.Observability{Metrics: reg},
 		}, WithFabric(f, name))
 		if err != nil {
 			t.Fatal(err)

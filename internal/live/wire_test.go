@@ -12,10 +12,9 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/parity"
-	"p2pmss/internal/protocol"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
@@ -209,7 +208,7 @@ func captureSession(tb testing.TB, proto Protocol) [][]byte {
 	data := randomData(3000, 77)
 	c := content.New("movie", data, 64)
 	names := []string{"cp0", "cp1", "cp2", "cp3", "cp4", "cp5"}
-	o := obs.Observability{Spans: span.NewCollector()}
+	o := engine.Observability{Spans: span.NewCollector()}
 	for i, name := range names {
 		p, err := NewPeer(PeerConfig{
 			Content: c, Roster: names, CarryRoster: true, H: 3, Interval: 2, Protocol: proto,
@@ -241,7 +240,7 @@ func captureSession(tb testing.TB, proto Protocol) [][]byte {
 	mu.Lock()
 	defer mu.Unlock()
 	want := []string{typeRequest, typeControl, typeData, "parity", typeRepair}
-	if proto == protocol.TCoP {
+	if proto == engine.TCoP {
 		want = append(want, typeConfirm, typeCommit)
 	}
 	for _, kind := range want {
@@ -256,7 +255,7 @@ func captureSession(tb testing.TB, proto Protocol) [][]byte {
 // DCoP session, the goldens, a 2048-packet control, and envelopes the
 // sessions do not produce (inline type, announce with an opaque body).
 func seedFrames(tb testing.TB) [][]byte {
-	frames := append(captureSession(tb, protocol.TCoP), captureSession(tb, protocol.DCoP)...)
+	frames := append(captureSession(tb, engine.TCoP), captureSession(tb, engine.DCoP)...)
 	for typ, body := range goldenBodies() {
 		frames = append(frames, transport.AppendFrame(nil, transport.Msg{Type: typ, From: "a", Payload: body.AppendWire(nil)}))
 	}
@@ -395,13 +394,13 @@ func TestBodyDecodeErrorsAreCounted(t *testing.T) {
 	f := transport.NewFabric()
 	c := content.New("movie", randomData(640, 5), 64)
 	p, err := NewPeer(PeerConfig{Content: c, Roster: []string{"cp"}, H: 1, Interval: 2, Seed: 1,
-		Obs: obs.Observability{Metrics: reg}}, WithFabric(f, "cp"))
+		Obs: engine.Observability{Metrics: reg}}, WithFabric(f, "cp"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	leaf, err := NewLeaf(LeafConfig{Roster: []string{"cp"}, H: 1, Interval: 2, Rate: 100,
-		ContentSize: 640, PacketSize: 64, Obs: obs.Observability{Metrics: reg}}, WithFabric(f, "leaf"))
+		ContentSize: 640, PacketSize: 64, Obs: engine.Observability{Metrics: reg}}, WithFabric(f, "leaf"))
 	if err != nil {
 		t.Fatal(err)
 	}

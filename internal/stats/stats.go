@@ -1,12 +1,11 @@
 // Package stats provides the summary statistics the experiment harness
-// reports: means, standard deviations, confidence intervals, histograms
-// and rate estimators. Stdlib-only, allocation-light.
+// reports: means, standard deviations and confidence intervals.
+// Stdlib-only, allocation-light.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates observations.
@@ -81,29 +80,6 @@ func (s *Sample) Max() float64 {
 	return m
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	sorted := append([]float64{}, s.xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // CI95 returns the half-width of the 95% confidence interval of the mean
 // using the normal approximation (adequate for the harness's ≥5 seeds).
 func (s *Sample) CI95() float64 {
@@ -117,83 +93,4 @@ func (s *Sample) CI95() float64 {
 // Summary formats "mean ± ci95".
 func (s *Sample) Summary() string {
 	return fmt.Sprintf("%.3f ± %.3f", s.Mean(), s.CI95())
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi);
-// out-of-range observations land in the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram builds a histogram with the given bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: bad histogram [%v,%v)/%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction returns the share of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// RateEstimator measures an event rate over a sliding window of virtual
-// or wall-clock time, used for instantaneous receipt-rate traces.
-type RateEstimator struct {
-	window float64
-	times  []float64
-}
-
-// NewRateEstimator builds an estimator with the given window length.
-func NewRateEstimator(window float64) *RateEstimator {
-	if window <= 0 {
-		panic(fmt.Sprintf("stats: window %v must be positive", window))
-	}
-	return &RateEstimator{window: window}
-}
-
-// Tick records an event at time t (non-decreasing).
-func (r *RateEstimator) Tick(t float64) {
-	r.times = append(r.times, t)
-	r.trim(t)
-}
-
-// Rate returns events per unit time over the window ending at t.
-func (r *RateEstimator) Rate(t float64) float64 {
-	r.trim(t)
-	return float64(len(r.times)) / r.window
-}
-
-func (r *RateEstimator) trim(t float64) {
-	cut := t - r.window
-	i := 0
-	for i < len(r.times) && r.times[i] < cut {
-		i++
-	}
-	if i > 0 {
-		r.times = append(r.times[:0], r.times[i:]...)
-	}
 }

@@ -41,23 +41,21 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/coord"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/experiment"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/live"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/obs"
 	"p2pmss/internal/overlay"
-	"p2pmss/internal/protocol"
 	"p2pmss/internal/schedule"
 	"p2pmss/internal/span"
-	"p2pmss/internal/trace"
 	"p2pmss/internal/transport"
 )
 
 // Protocol identifies a coordination protocol by name. One shared set of
 // values is accepted by every layer: Simulate (all six) and the live
 // runtime (DCoP, TCoP).
-type Protocol = protocol.Protocol
+type Protocol = engine.Protocol
 
 // Coordination protocol names accepted by Simulate; DCoP and TCoP are
 // also the live runtime's protocols.
@@ -111,31 +109,15 @@ const (
 	PlaneFluid  = coord.PlaneFluid
 )
 
-// Tracer records simulation events (activations, control packets,
-// hand-offs, crashes) for timeline analysis; see cmd/msstrace.
-type Tracer = trace.Tracer
-
-// TraceEvent is one recorded trace occurrence.
-type TraceEvent = trace.Event
-
-// NewTracer returns a tracer holding up to capacity events.
-func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
-
-// WriteTraceJSONL writes trace events to w as JSON Lines, one compact
-// object per event, in the given order.
-func WriteTraceJSONL(w io.Writer, events []TraceEvent) error {
-	return trace.WriteJSONL(w, events)
-}
-
 // ---- observability --------------------------------------------------------
 
 // Observability bundles every optional observer a run can attach —
-// metrics registry, event tracer (sim only), span collector + trace ID,
-// and flight recorder set — in one struct accepted by both the
-// simulation (SimConfig.Obs) and the live runtime (LiveNodesConfig.Obs,
-// LivePeerConfig.Obs, LiveLeafConfig.Obs). The zero value attaches
-// nothing.
-type Observability = obs.Observability
+// metrics registry, span collector + trace ID, and flight recorder set
+// (the event log cmd/msstrace renders) — in one struct accepted by both
+// the simulation (SimConfig.Obs) and the live runtime
+// (LiveNodesConfig.Obs, LivePeerConfig.Obs, LiveLeafConfig.Obs). The
+// zero value attaches nothing.
+type Observability = engine.Observability
 
 // ---- metrics --------------------------------------------------------------
 
