@@ -9,17 +9,37 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
+	"sync"
 
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 )
 
-// Content is a multimedia content held by a contents peer.
+// Content is a multimedia content held by a contents peer. Its bytes are
+// immutable after New; what is derived from them (see Enhanced) is built
+// lazily and shared by every session that serves the content.
 type Content struct {
 	id         string
 	data       []byte
 	packetSize int
+
+	mu sync.Mutex
+	// enhanced caches Esq(content, h) per parity interval h, at most
+	// maxIntervals of them. The sequences are read-only once stored.
+	enhanced map[int]seq.Sequence
+	// parity maps the identity key of every parity packet in enhanced to
+	// its payload. A build replaces the map, so a reader never sees a
+	// write.
+	parity map[string][]byte
 }
+
+// maxIntervals bounds how many parity intervals one content caches its
+// enhanced sequence for. The interval is chosen by the requesting leaf,
+// so without a bound a remote party could grow a holder's memory by
+// size/h per distinct h it names; past the bound a request is served by
+// deriving the sequence afresh, as every request was before the cache.
+const maxIntervals = 4
 
 // New wraps data as a content with the given packet size. The ID defaults
 // to a digest of the data when empty.
@@ -51,17 +71,22 @@ func (c *Content) NumPackets() int64 {
 	return int64((len(c.data) + c.packetSize - 1) / c.packetSize)
 }
 
+// Payload returns the bytes of data packet t_k (1-based), aliasing the
+// content; nil when the content has no such packet.
+func (c *Content) Payload(k int64) []byte {
+	if k < 1 || k > c.NumPackets() {
+		return nil
+	}
+	lo := int(k-1) * c.packetSize
+	return c.data[lo:min(lo+c.packetSize, len(c.data))]
+}
+
 // Packet returns data packet t_k (1-based) with its payload slice.
 func (c *Content) Packet(k int64) seq.Packet {
 	if k < 1 || k > c.NumPackets() {
 		panic(fmt.Sprintf("content: packet %d outside 1..%d", k, c.NumPackets()))
 	}
-	lo := int(k-1) * c.packetSize
-	hi := lo + c.packetSize
-	if hi > len(c.data) {
-		hi = len(c.data)
-	}
-	return seq.NewDataPayload(k, c.data[lo:hi])
+	return seq.NewDataPayload(k, c.Payload(k))
 }
 
 // Sequence returns the full payload-backed packet sequence ⟨t_1 … t_l⟩.
@@ -72,6 +97,70 @@ func (c *Content) Sequence() seq.Sequence {
 		s = append(s, c.Packet(k))
 	}
 	return s
+}
+
+// Enhanced returns [pkt]^h = Esq(content, h) (§3.2), payload-backed: the
+// value parity.Enhance(c.Sequence(), h) returns, derived once per content
+// and interval and then shared. The result is read-only — its packets'
+// Payload and Covers alias the content bytes and the cache — so callers
+// take what they need by value (seq.Div, Clone) and never write through
+// it. Once maxIntervals intervals are cached, any other h is derived
+// afresh on every call and not kept.
+func (c *Content) Enhanced(h int) seq.Sequence {
+	if h <= 0 {
+		panic(fmt.Sprintf("content: Enhanced interval h=%d must be positive", h))
+	}
+	c.mu.Lock()
+	s, ok := c.enhanced[h]
+	if !ok && len(c.enhanced) < maxIntervals {
+		// Built under the lock: concurrent first requests wait for one
+		// build instead of each making their own.
+		s, ok = c.deriveLocked(h), true
+	}
+	c.mu.Unlock()
+	if !ok {
+		s = parity.Enhance(c.Sequence(), h)
+	}
+	return s
+}
+
+// deriveLocked builds and caches Esq(content, h) and files its parity
+// payloads in a fresh copy of the table. Callers hold c.mu.
+func (c *Content) deriveLocked(h int) seq.Sequence {
+	s := parity.Enhance(c.Sequence(), h)
+	table := make(map[string][]byte, len(c.parity)+len(s)/(h+1)+1)
+	maps.Copy(table, c.parity)
+	for _, p := range s {
+		if !p.IsData() {
+			table[p.Key()] = p.Payload
+		}
+	}
+	if c.enhanced == nil {
+		c.enhanced = make(map[int]seq.Sequence, maxIntervals)
+	}
+	c.enhanced[h], c.parity = s, table
+	return s
+}
+
+// ParityPayload returns the payload of the parity packet with the given
+// identity key if a cached enhanced sequence holds it. The bytes are
+// shared and read-only. A parity the cache does not hold — one nested by
+// a later coordination level, or of an interval past the bound — is the
+// caller's to XOR from its covers.
+func (c *Content) ParityPayload(key string) ([]byte, bool) {
+	c.mu.Lock()
+	table := c.parity
+	c.mu.Unlock()
+	pl, ok := table[key]
+	return pl, ok
+}
+
+// dropDerived releases everything Enhanced cached. Sequences already
+// handed out stay valid; they are simply no longer shared.
+func (c *Content) dropDerived() {
+	c.mu.Lock()
+	c.enhanced, c.parity = nil, nil
+	c.mu.Unlock()
 }
 
 // Assembler reconstructs content bytes at a leaf peer. Feed it every

@@ -48,11 +48,17 @@ func (s *Store) MustGet(id string) (*Content, error) {
 	return nil, fmt.Errorf("content: %q not in store", id)
 }
 
-// Remove deletes a content from the catalog.
+// Remove deletes a content from the catalog and drops what the content
+// cached of its enhanced sequences, so a holder that keeps the *Content
+// does not keep size/h parity bytes per interval it once served.
 func (s *Store) Remove(id string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	c := s.byID[id]
 	delete(s.byID, id)
+	s.mu.Unlock()
+	if c != nil {
+		c.dropDerived()
+	}
 }
 
 // IDs lists the held content IDs in sorted order.

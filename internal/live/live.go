@@ -32,7 +32,6 @@
 package live
 
 import (
-	"container/list"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -40,7 +39,6 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/metrics"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/span"
@@ -210,9 +208,6 @@ type PeerConfig struct {
 	// the peer resolves its own per-(session, roster index) ring from it
 	// at start.
 	Obs engine.Observability
-	// PayloadMemoCap bounds the derived-payload memo (entries); the memo
-	// is LRU-evicted past the cap. Zero means 4096.
-	PayloadMemoCap int
 }
 
 // normalize validates the config and resolves every defaulted knob in
@@ -246,9 +241,6 @@ func (cfg *PeerConfig) normalize() error {
 	}
 	if cfg.Obs.Spans != nil && cfg.Obs.SpanTrace == 0 {
 		cfg.Obs.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
-	}
-	if cfg.PayloadMemoCap <= 0 {
-		cfg.PayloadMemoCap = 4096
 	}
 	return nil
 }
@@ -285,14 +277,13 @@ type Peer struct {
 	names []string
 	ids   map[string]engine.PeerID
 
-	content  *content.Content // the content currently being served
-	payloads payloadMemo
-	leaf     string
-	active   bool
-	stream   seq.Sequence
-	pos      int
-	rate     float64
-	pending  *pendingHandoff
+	content *content.Content // the content currently being served
+	leaf    string
+	active  bool
+	stream  seq.Sequence
+	pos     int
+	rate    float64
+	pending *pendingHandoff
 
 	// repairTo is the reply address of the repair request currently
 	// being dispatched (the engine's ServeRepair effect has no driver
@@ -353,8 +344,6 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 		return nil, err
 	}
 	p.met = newPeerMetrics(cfg.Obs.Metrics, ep.Name(), cfg.Session)
-	p.payloads.cap = cfg.PayloadMemoCap
-	p.payloads.evictions = p.met.memoEvictions
 	p.mu.Lock()
 	for _, a := range cfg.Roster {
 		p.idOfLocked(a)
@@ -505,106 +494,55 @@ func stripPayloads(s seq.Sequence) seq.Sequence {
 	return out
 }
 
-// hydrateLocked fills in the payloads of a decoded sequence from the
-// peer's own content copy: data packets by index, parity packets by
-// XORing the payloads of the packets their key says they cover
-// (recursively, since re-enhancement nests parity over parity). Callers
-// hold p.mu.
-func (p *Peer) hydrateLocked(c *content.Content, s seq.Sequence) seq.Sequence {
+// hydrate fills in the payloads of a decoded sequence from the peer's
+// own content copy, which is shared and read-only: a data packet's bytes
+// are the content's by index, a parity packet's the ones the content
+// derived with its enhanced sequence (content.Enhanced). Only a parity
+// the content does not hold is XORed here from the packets it covers —
+// recursively, since re-enhancement at each coordination level nests
+// parity over parity, and what a nested parity covers depends on the
+// session's hand-off marks, not on the content alone.
+func hydrate(c *content.Content, s seq.Sequence) seq.Sequence {
 	if c == nil || s == nil {
 		return s
 	}
 	out := make(seq.Sequence, len(s))
 	for i, pkt := range s {
-		if pkt.Payload == nil {
-			pkt.Payload = p.payloadOfLocked(c, pkt.Key())
+		switch {
+		case pkt.Payload != nil:
+		case pkt.IsData():
+			pkt.Payload = c.Payload(pkt.Index)
+		default:
+			pkt.Payload = parityPayload(c, pkt.Key(), pkt.Covers)
 		}
 		out[i] = pkt
 	}
 	return out
 }
 
-// payloadOfLocked derives (and memoizes) the payload of the packet with
-// the given identity key.
-func (p *Peer) payloadOfLocked(c *content.Content, key string) []byte {
-	if pl, ok := p.payloads.get(key); ok {
+// parityPayload returns the payload of the parity packet with the given
+// identity key: the content's cached one, else the XOR of the packets
+// named by covers (parsed out of the key when the caller has none).
+func parityPayload(c *content.Content, key string, covers []string) []byte {
+	if pl, ok := c.ParityPayload(key); ok {
 		return pl
 	}
-	var pl []byte
-	if k, ok := parity.DataIndexOf(key); ok {
-		if k >= 1 && k <= c.NumPackets() {
-			pl = c.Packet(k).Payload
+	if covers == nil {
+		var ok bool
+		if covers, ok = parity.CoversOf(key); !ok {
+			return nil
 		}
-	} else if covers, ok := parity.CoversOf(key); ok {
-		bufs := make([][]byte, 0, len(covers))
-		for _, ck := range covers {
-			bufs = append(bufs, p.payloadOfLocked(c, ck))
+	}
+	var few [8][]byte // a recovery segment is h packets; h is small
+	bufs := few[:0]
+	for _, ck := range covers {
+		if k, ok := parity.DataIndexOf(ck); ok {
+			bufs = append(bufs, c.Payload(k))
+		} else {
+			bufs = append(bufs, parityPayload(c, ck, nil))
 		}
-		pl = parity.XOR(bufs)
 	}
-	p.payloads.put(key, pl)
-	return pl
-}
-
-// payloadMemo is the bounded LRU cache of derived payloads keyed by
-// packet identity. Hydration of long control sequences revisits the
-// same keys (data payloads feed the parity XORs), so the memo is hot;
-// bounding it keeps a long-lived multi-session peer's memory
-// proportional to the working set, not to every content it ever served.
-// The zero value (cap 0) stores nothing; callers are expected to set
-// cap before use (normalize defaults it).
-type payloadMemo struct {
-	cap       int
-	evictions *metrics.Counter
-	ll        *list.List // front = most recently used
-	idx       map[string]*list.Element
-}
-
-type memoEntry struct {
-	key     string
-	payload []byte
-}
-
-// get returns the memoized payload and marks it most recently used.
-func (m *payloadMemo) get(key string) ([]byte, bool) {
-	e, ok := m.idx[key]
-	if !ok {
-		return nil, false
-	}
-	m.ll.MoveToFront(e)
-	return e.Value.(*memoEntry).payload, true
-}
-
-// put inserts (or refreshes) a memo entry, evicting the least recently
-// used entries past the cap.
-func (m *payloadMemo) put(key string, pl []byte) {
-	if m.cap <= 0 {
-		return
-	}
-	if m.ll == nil {
-		m.ll = list.New()
-		m.idx = make(map[string]*list.Element, m.cap)
-	}
-	if e, ok := m.idx[key]; ok {
-		e.Value.(*memoEntry).payload = pl
-		m.ll.MoveToFront(e)
-		return
-	}
-	m.idx[key] = m.ll.PushFront(&memoEntry{key: key, payload: pl})
-	for m.ll.Len() > m.cap {
-		last := m.ll.Back()
-		delete(m.idx, last.Value.(*memoEntry).key)
-		m.ll.Remove(last)
-		m.evictions.Inc()
-	}
-}
-
-// len reports how many payloads are memoized (for tests).
-func (m *payloadMemo) len() int {
-	if m.ll == nil {
-		return 0
-	}
-	return m.ll.Len()
+	return parity.XOR(bufs)
 }
 
 // ---- engine driver ------------------------------------------------------
@@ -915,16 +853,40 @@ func (p *Peer) resolveContent(id string) (*content.Content, bool) {
 	return nil, false
 }
 
+// maxRate bounds every rate a remote party may name, in packets per
+// second. The pacer's 50 µs floor already caps what a peer transmits at
+// 20,000 packets/s; the bound keeps the engine's mark arithmetic
+// ⌊δ·rate⌋ an int, where an overflow becomes a negative slice index.
+const maxRate = 1e9
+
+// saneRate reports whether r is a number in [0, maxRate].
+func saneRate(r float64) bool { return r >= 0 && r <= maxRate }
+
+// servable reports whether a decoded request names a division that
+// exists: the Index-th of H parts of an h-enhanced content, at a
+// positive rate whose per-peer share τ(h+1)/(hH) is sane (h·H must not
+// have overflowed either). The fields are a remote leaf's, and seq.Div
+// panics on an index outside [0, H).
+func (b *requestBody) servable() bool {
+	return b.H > 0 && b.Interval > 0 && b.Index >= 0 && b.Index < b.H &&
+		b.Rate > 0 && saneRate(parity.PerPeerRate(b.Rate, b.Interval, b.H))
+}
+
 // onRequest is activation by the leaf (§3.4/§3.5 step 2). The driver
 // computes the initial assignment — Div(Esq(content, h), H, index) at
 // rate τ(h+1)/(hH), exactly the simulator's — because only the driver
-// holds the content; the engine does the rest.
+// holds the content; the engine does the rest. Esq(content, h) is the
+// content's shared derivation; Div copies this peer's share out of it.
 func (p *Peer) onRequest(b requestBody, parent span.Context) {
-	c, ok := p.resolveContent(b.ContentID)
-	if !ok || b.H <= 0 || b.Interval <= 0 {
+	if !b.servable() {
+		p.met.invalidBodies.Inc()
 		return
 	}
-	assigned := seq.Div(parity.Enhance(c.Sequence(), b.Interval), b.H, b.Index)
+	c, ok := p.resolveContent(b.ContentID)
+	if !ok {
+		return
+	}
+	assigned := seq.Div(c.Enhanced(b.Interval), b.H, b.Index)
 	rate := parity.PerPeerRate(b.Rate, b.Interval, b.H)
 	p.mu.Lock()
 	p.content = c
@@ -935,6 +897,10 @@ func (p *Peer) onRequest(b requestBody, parent span.Context) {
 }
 
 func (p *Peer) onControl(b controlBody, parent span.Context) {
+	if !saneRate(b.Rate) || !saneRate(b.ChildRate) {
+		p.met.invalidBodies.Inc()
+		return
+	}
 	p.mu.Lock()
 	if c, ok := p.resolveContent(b.ContentID); ok && p.content == nil {
 		p.content = c
@@ -946,7 +912,7 @@ func (p *Peer) onControl(b controlBody, parent span.Context) {
 		Parent: p.idOfLocked(b.Parent), View: p.idsOfLocked(b.View),
 		SeqOffset: b.SeqOffset, Rate: b.Rate, ChildRate: b.ChildRate,
 		Children: b.Children, ChildIdx: b.ChildIdx,
-		AssignedSeq: p.hydrateLocked(p.content, b.Assigned), Round: b.Round,
+		AssignedSeq: hydrate(p.content, b.Assigned), Round: b.Round,
 	}
 	p.mu.Unlock()
 	p.dispatchCtx(&engine.Control{Msg: msg}, parent)
@@ -960,6 +926,10 @@ func (p *Peer) onConfirm(b confirmBody, parent span.Context) {
 }
 
 func (p *Peer) onCommit(b commitBody, parent span.Context) {
+	if !saneRate(b.Rate) {
+		p.met.invalidBodies.Inc()
+		return
+	}
 	c, ok := p.resolveContent(b.ContentID)
 	if !ok {
 		return
@@ -972,7 +942,7 @@ func (p *Peer) onCommit(b commitBody, parent span.Context) {
 	msg := &engine.MsgCommit{
 		Parent: p.idOfLocked(b.Parent), Streams: b.Streams,
 		SeqOffset: b.SeqOffset, Rate: b.Rate, ChildIdx: b.ChildIdx,
-		AssignedSeq: p.hydrateLocked(c, b.Assigned), Round: b.Round,
+		AssignedSeq: hydrate(c, b.Assigned), Round: b.Round,
 	}
 	p.mu.Unlock()
 	p.dispatchCtx(&engine.Commit{Msg: msg}, parent)

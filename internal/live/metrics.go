@@ -29,11 +29,12 @@ type peerMetrics struct {
 	// counterpart could not be reached.
 	retries   *metrics.Counter
 	failovers *metrics.Counter
-	// memoEvictions counts payload-memo entries dropped by the LRU bound.
-	memoEvictions *metrics.Counter
 	// decodeErrors counts well-framed messages whose body failed
-	// DecodeWire and was dropped.
-	decodeErrors *metrics.Counter
+	// DecodeWire and was dropped; invalidBodies those whose body decoded
+	// but asks for something that does not exist (a request for part 5
+	// of 2). One series, told apart by reason.
+	decodeErrors  *metrics.Counter
+	invalidBodies *metrics.Counter
 	// Coordination-latency histograms (seconds), fed by the engine span
 	// tracker.
 	handshakeRTT   *metrics.Histogram
@@ -53,8 +54,8 @@ func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetri
 		repairServed:  reg.Counter("live_repair_packets_served_total", withSession(sid)...),
 		retries:       reg.Counter("live_session_retries_total", withSession(sid, "role", "peer")...),
 		failovers:     reg.Counter("live_session_failovers_total", withSession(sid, "role", "peer")...),
-		memoEvictions: reg.Counter("live_payload_memo_evictions_total", withSession(sid)...),
-		decodeErrors:  reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "peer")...),
+		decodeErrors:  reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "peer", "reason", "decode")...),
+		invalidBodies: reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "peer", "reason", "invalid")...),
 
 		handshakeRTT:   reg.Histogram("live_handshake_rtt_seconds", latencyBounds, withSession(sid)...),
 		commitLatency:  reg.Histogram("live_control_commit_latency_seconds", latencyBounds, withSession(sid)...),
@@ -94,7 +95,7 @@ func newLeafMetrics(reg *metrics.Registry, sid SessionID) leafMetrics {
 		recovered:      reg.Gauge("live_leaf_recovered_packets", withSession(sid)...),
 		retries:        reg.Counter("live_session_retries_total", withSession(sid, "role", "leaf")...),
 		failovers:      reg.Counter("live_session_failovers_total", withSession(sid, "role", "leaf")...),
-		decodeErrors:   reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "leaf")...),
+		decodeErrors:   reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "leaf", "reason", "decode")...),
 
 		timeToFirstPacket: reg.Histogram("live_time_to_first_packet_seconds", latencyBounds, withSession(sid)...),
 		stallDuration:     reg.Histogram("live_stall_duration_seconds", latencyBounds, withSession(sid)...),

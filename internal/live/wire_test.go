@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -158,21 +160,39 @@ func checkFrameRoundTrip(t testing.TB, frame []byte) {
 	}
 }
 
-// tapEndpoint records every message its owner sends.
+// tapEndpoint records every message its owner sends, and loses the ones
+// rec says to swallow.
 type tapEndpoint struct {
 	transport.Endpoint
-	rec func(transport.Msg)
+	rec func(to string, m transport.Msg) (swallow bool)
 }
 
 func (e tapEndpoint) Send(to string, m transport.Msg) error {
-	e.rec(m)
+	if e.rec(to, m) {
+		return nil
+	}
 	return e.Endpoint.Send(to, m)
 }
 
+// mentionsT1 reports whether a data message carries t1 or a parity packet
+// that (at any nesting depth) covers it — everything the leaf could learn
+// t1 from.
+func mentionsT1(m transport.Msg) bool {
+	var b dataBody
+	if b.DecodeWire(m.Payload) != nil {
+		return false
+	}
+	ids := strings.FieldsFunc(b.Pkt.Key(), func(r rune) bool { return r == '(' || r == ')' || r == ',' })
+	return slices.Contains(ids, "t1")
+}
+
 // captureSession streams a small content through a real session of the
-// given protocol — traced, roster-carrying, and lossy enough on the way
-// to the leaf that repair rounds run — and returns a few frames of each
-// kind of message its members sent.
+// given protocol — traced, roster-carrying, lossy on the way to the leaf
+// — and returns a few frames of each kind of message its members sent.
+// Whether that loss alone leaves a gap parity cannot close is up to the
+// schedule, so the taps also withhold t1 from the leaf, in every form,
+// until the leaf has asked for it three times: repair rounds always run,
+// and the fuzzers' seed corpus is the same size on every run.
 func captureSession(tb testing.TB, proto Protocol) [][]byte {
 	tb.Helper()
 	f := transport.NewFabric()
@@ -191,7 +211,7 @@ func captureSession(tb testing.TB, proto Protocol) [][]byte {
 	var frames [][]byte
 	tap := func(name string) Transport {
 		return WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
-			return tapEndpoint{f.Endpoint(name, h), func(m transport.Msg) {
+			return tapEndpoint{f.Endpoint(name, h), func(to string, m transport.Msg) bool {
 				kind := m.Type
 				if m.Type == typeData && len(m.Payload) > 0 && m.Payload[0] == byte(seq.Parity) {
 					kind = "parity"
@@ -202,6 +222,7 @@ func captureSession(tb testing.TB, proto Protocol) [][]byte {
 					kept[kind]++
 					frames = append(frames, transport.AppendFrame(nil, m))
 				}
+				return m.Type == typeData && to == "leaf" && kept[typeRepair] < 3 && mentionsT1(m)
 			}}, nil
 		})
 	}
@@ -294,6 +315,53 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			return
 		}
 		checkFrameRoundTrip(t, frame)
+	})
+}
+
+// FuzzPeerHandle goes one step past the decoders: every frame that
+// decodes is handed, as a transport would hand it, to contents peers of
+// both protocols that have seen nothing, to ones already streaming, and
+// to a leaf. A body
+// can be well formed and still ask for what does not exist — part 5 of a
+// division into 2, a hand-off at offset -1 — and no handler may panic on
+// one: it would take the node process down.
+func FuzzPeerHandle(f *testing.F) {
+	for _, frame := range seedFrames(f) {
+		f.Add(frame)
+	}
+	f.Add(transport.AppendFrame(nil, transport.Msg{Type: typeRequest, From: "leaf",
+		Payload: requestBody{ContentID: "movie", Rate: 400, H: 2, Interval: 2, Index: 5, Leaf: "leaf"}.AppendWire(nil)}))
+	c := content.New("movie", randomData(3000, 77), 64)
+	names := []string{"cp0", "cp1", "cp2", "cp3", "cp4", "cp5"}
+	start := requestBody{ContentID: "movie", Rate: 4000, H: 3, Interval: 2, Index: 0, Selected: names[:3], Leaf: "leaf"}.AppendWire(nil)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		m, err := transport.DecodeFrame(frame)
+		if err != nil {
+			return
+		}
+		fab := transport.NewFabric()
+		var peers []*Peer
+		for i, proto := range []Protocol{engine.TCoP, engine.TCoP, engine.DCoP, engine.DCoP} {
+			p, err := NewPeer(PeerConfig{Content: c, Roster: names, H: 3, Interval: 2, Protocol: proto,
+				Delta: time.Millisecond, Seed: 1}, WithFabric(fab, names[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers = append(peers, p)
+		}
+		defer closeAll(peers)
+		leaf, err := NewLeaf(LeafConfig{Roster: names, H: 3, Interval: 2, Rate: 4000,
+			ContentSize: c.Size(), PacketSize: c.PacketSize(), Seed: 1}, WithFabric(fab, "leaf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer leaf.Close()
+		peers[1].handle(transport.Msg{Type: typeRequest, From: "leaf", Payload: start})
+		peers[3].handle(transport.Msg{Type: typeRequest, From: "leaf", Payload: start})
+		for _, p := range peers {
+			p.handle(m)
+		}
+		leaf.handle(m)
 	})
 }
 
@@ -421,7 +489,7 @@ func TestBodyDecodeErrorsAreCounted(t *testing.T) {
 	}
 	f.Wait()
 	for role, want := range map[string]int64{"peer": 3, "leaf": 1} {
-		if got := reg.Counter("live_body_decode_errors_total", "role", role).Value(); got != want {
+		if got := reg.Counter("live_body_decode_errors_total", "role", role, "reason", "decode").Value(); got != want {
 			t.Errorf("live_body_decode_errors_total{role=%q} = %d, want %d", role, got, want)
 		}
 	}

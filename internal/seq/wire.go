@@ -40,18 +40,56 @@ func AppendPacket(b []byte, p Packet) []byte {
 
 // ReadPacket decodes one packet. Its Payload aliases the reader's input;
 // Covers are copies. A kind other than Data or Parity fails the reader.
+// A parity packet comes back with its identity key already built (see
+// readIdentity), so nothing downstream joins its covers again.
 func ReadPacket(r *wire.Reader) Packet {
 	kind := Kind(r.Byte())
 	if kind > Parity {
 		r.Invalid()
 	}
-	return Packet{
-		Kind:    kind,
-		Index:   int64(r.Uvarint()),
-		Pos:     r.Float(),
-		Covers:  r.Strings(),
-		Payload: r.Bytes(),
+	p := Packet{Kind: kind, Index: int64(r.Uvarint()), Pos: r.Float()}
+	if kind == Parity {
+		p.key, p.Covers = readIdentity(r)
+	} else {
+		p.Covers = r.Strings()
 	}
+	p.Payload = r.Bytes()
+	return p
+}
+
+// readIdentity reads a parity packet's cover list and builds the identity
+// "p(a,b)" that computeKey would, once: the key is assembled from the
+// cover bytes still in the reader's input (on the stack when it is
+// short), made a string, and Covers are substrings of it — two
+// allocations whatever the cover count (three for a key past 64 bytes),
+// and none later when Key is asked. An empty list yields no key (Key
+// computes "p()" on demand).
+func readIdentity(r *wire.Reader) (key string, covers []string) {
+	n := r.Count(1)
+	if n == 0 {
+		return "", nil
+	}
+	var short [64]byte
+	buf := append(short[:0], "p("...)
+	views := *r // walked again below for the cover boundaries
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, r.Bytes()...)
+	}
+	if r.Err() != nil {
+		return "", nil
+	}
+	key = string(append(buf, ')'))
+	covers = make([]string, n)
+	off := len("p(")
+	for i := range covers {
+		end := off + len(views.Bytes())
+		covers[i] = key[off:end]
+		off = end + 1
+	}
+	return key, covers
 }
 
 // AppendSequence appends the counted wire form of s to b.
