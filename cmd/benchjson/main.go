@@ -10,7 +10,8 @@
 // With -assert-max-allocs PREFIX=N[,PREFIX=N...] it fails (exit 1) if
 // any benchmark whose name starts with PREFIX reports more than N
 // allocs/op — the CI gate keeping the pooled coordination round
-// near-zero-alloc without demanding literal zero.
+// near-zero-alloc without demanding literal zero. A benchmark several
+// prefixes match answers to the longest of them.
 //
 //	go test -run='^$' -bench=. -benchmem ./internal/engine | benchjson -o BENCH_engine.json
 //	go test -run='^$' -bench=SpanDisabled -benchmem ./internal/engine | \
@@ -178,26 +179,35 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	for _, cap := range caps {
-		matched, failed := 0, 0
-		for _, b := range rep.Benchmarks {
-			if !strings.HasPrefix(b.Name, cap.prefix) {
-				continue
-			}
-			matched++
-			if b.AllocsPerOp > cap.max {
-				failed++
-				fmt.Fprintf(os.Stderr, "benchjson: %s allocates: %d allocs/op (max %d)\n",
-					b.Name, b.AllocsPerOp, cap.max)
+	// Each benchmark answers to the most specific cap naming it, so
+	// "BenchmarkDiv=1,BenchmarkDivide=17" holds Div to 1 and Divide to 17.
+	matched := make([]int, len(caps))
+	failed := false
+	for _, b := range rep.Benchmarks {
+		best := -1
+		for i, cap := range caps {
+			if strings.HasPrefix(b.Name, cap.prefix) && (best < 0 || len(cap.prefix) > len(caps[best].prefix)) {
+				best = i
 			}
 		}
-		if matched == 0 {
+		if best < 0 {
+			continue
+		}
+		matched[best]++
+		if b.AllocsPerOp > caps[best].max {
+			failed = true
+			fmt.Fprintf(os.Stderr, "benchjson: %s allocates: %d allocs/op (max %d)\n",
+				b.Name, b.AllocsPerOp, caps[best].max)
+		}
+	}
+	for i, cap := range caps {
+		if matched[i] == 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: no benchmark matches -assert-max-allocs prefix %q\n", cap.prefix)
-			os.Exit(1)
+			failed = true
 		}
-		if failed > 0 {
-			os.Exit(1)
-		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

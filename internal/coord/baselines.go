@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
@@ -106,7 +107,7 @@ func (u *unicast) onControl(p *peerNode, m ctlMsg) {
 }
 
 // forward hands half of p's remaining stream to the next peer in the
-// chain. shareOut is called with interval 0: plain division, no added
+// chain. ShareOut is called with interval 0: plain division, no added
 // parity (minimum redundancy).
 func (u *unicast) forward(p *peerNode, round int) {
 	r := u.r
@@ -115,8 +116,8 @@ func (u *unicast) forward(p *peerNode, round int) {
 		return
 	}
 	offset := p.tx.currentOffset()
-	mark := markOffset(offset, r.cfg.Delta, p.tx.rate)
-	parts, rate := shareOut(p.tx.s, mark, p.tx.rate, 0, 2)
+	mark := engine.MarkOffset(offset, r.cfg.Delta, p.tx.rate)
+	parts, rate := engine.ShareOut(p.tx.s, mark, p.tx.rate, 0, 2)
 	msg := ctlMsg{
 		Parent:    p.id,
 		SeqOffset: offset,
@@ -130,7 +131,7 @@ func (u *unicast) forward(p *peerNode, round int) {
 		msg.AssignedSeq = parts[1]
 	}
 	r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(next), msg, round)
-	keep, given := splitParts(parts)
+	keep, given := engine.SplitParts(parts)
 	p.tx.planShare(keep, given, p.tx.rate, rate, r.cfg.Delta)
 }
 

@@ -709,7 +709,6 @@ func (r *runner) scheduleMeasurement() {
 		r.measureOpen = false
 		r.measureDone = true
 		r.winEnd = r.eng.Now()
-		r.leaf.closeWindow()
 	})
 }
 
@@ -892,17 +891,6 @@ func (r *runner) perPeerRateAll() float64 {
 	return parity.PerPeerRate(r.cfg.Rate, r.cfg.Interval, r.cfg.N)
 }
 
-// shareOut and markOffset are the §3.3 hand-off algebra, now owned by
-// the shared engine; the wrappers remain for the baselines (unicast's
-// chain handover) and the algebra tests.
-func shareOut(ps seq.Sequence, mark int, parentRate float64, p, k int) ([]seq.Sequence, float64) {
-	return engine.ShareOut(ps, mark, parentRate, p, k)
-}
-
-func markOffset(sentOffset int, delta, rate float64) int {
-	return engine.MarkOffset(sentOffset, delta, rate)
-}
-
 // currentOffset estimates how many packets a transmitter has sent, for
 // filling c.SEQ when the data plane is off.
 func (tx *transmitter) currentOffset() int {
@@ -914,6 +902,3 @@ func (tx *transmitter) currentOffset() int {
 	// c.SEQ in outgoing controls; no protocol decision branches on it.
 	return int((tx.r.eng.Now() - tx.startedAt) * tx.rate)
 }
-
-// viewMembers converts a view to the member list carried in messages.
-func viewMembers(v overlay.View) []overlay.PeerID { return v.Members() }

@@ -3,6 +3,7 @@ package coord
 import (
 	"testing"
 
+	"p2pmss/internal/engine"
 	"p2pmss/internal/failure"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
@@ -415,14 +416,14 @@ func TestLeafSharesReducesControlTraffic(t *testing.T) {
 }
 
 func TestMarkOffset(t *testing.T) {
-	if got := markOffset(10, 1, 4); got != 14 {
-		t.Errorf("markOffset = %d, want 14", got)
+	if got := engine.MarkOffset(10, 1, 4); got != 14 {
+		t.Errorf("MarkOffset = %d, want 14", got)
 	}
-	if got := markOffset(0, 0.5, 3); got != 1 {
-		t.Errorf("markOffset = %d, want 1 (floor of 1.5)", got)
+	if got := engine.MarkOffset(0, 0.5, 3); got != 1 {
+		t.Errorf("MarkOffset = %d, want 1 (floor of 1.5)", got)
 	}
-	if got := markOffset(5, 0, 10); got != 5 {
-		t.Errorf("markOffset = %d, want 5", got)
+	if got := engine.MarkOffset(5, 0, 10); got != 5 {
+		t.Errorf("MarkOffset = %d, want 5", got)
 	}
 }
 
@@ -430,7 +431,7 @@ func TestShareOutPreservesPackets(t *testing.T) {
 	// Every data packet after the mark appears in exactly one part, and
 	// the parts are pairwise disjoint.
 	ps := seq.Range(1, 60)
-	parts, rate := shareOut(ps, 10, 2.0, 3, 4)
+	parts, rate := engine.ShareOut(ps, 10, 2.0, 3, 4)
 	if len(parts) != 4 {
 		t.Fatalf("parts = %d", len(parts))
 	}
@@ -457,7 +458,7 @@ func TestShareOutPreservesPackets(t *testing.T) {
 	}
 
 	// Interval 0: plain split, no parity, rate halves.
-	parts, rate = shareOut(ps, 0, 2.0, 0, 2)
+	parts, rate = engine.ShareOut(ps, 0, 2.0, 0, 2)
 	if rate != 1.0 {
 		t.Errorf("plain rate = %v, want 1", rate)
 	}
@@ -466,13 +467,13 @@ func TestShareOutPreservesPackets(t *testing.T) {
 	}
 
 	// Nil stream (control-plane-only mode).
-	parts, rate = shareOut(nil, 0, 3.0, 2, 3)
+	parts, rate = engine.ShareOut(nil, 0, 3.0, 2, 3)
 	if parts != nil || rate != 3.0*3/(2*3) {
 		t.Errorf("nil stream: parts=%v rate=%v", parts, rate)
 	}
 
 	// Mark beyond the end: empty parts.
-	parts, _ = shareOut(seq.Range(1, 5), 99, 1, 2, 2)
+	parts, _ = engine.ShareOut(seq.Range(1, 5), 99, 1, 2, 2)
 	if len(parts) != 2 || len(parts[0]) != 0 || len(parts[1]) != 0 {
 		t.Errorf("mark past end: %v", parts)
 	}

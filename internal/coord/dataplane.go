@@ -84,15 +84,15 @@ func (tx *transmitter) fluidAssign(rate float64) {
 }
 
 // merge unions an additional subsequence into the not-yet-sent remainder
-// (DCoP's pkt_i := pkt_i ∪ pkt_ji for redundantly selected peers) and adds
-// the new stream's rate.
+// and adds the new stream's rate: a share absorbed back from a child that
+// could not be reached, or a baseline's repeated activation. (DCoP's
+// pkt_i := pkt_i ∪ pkt_ji arrives already unioned, in the Merge effect.)
 func (tx *transmitter) merge(s seq.Sequence, rate float64) {
 	var remaining seq.Sequence
 	if tx.pos < len(tx.s) {
 		remaining = tx.s[tx.pos:]
 	}
-	merged := seq.Union(remaining.Clone(), s)
-	tx.assign(merged, tx.rate+rate)
+	tx.assign(seq.Union(remaining, s), tx.rate+rate)
 }
 
 // planShare schedules the parent's switch to its own share δ time units
@@ -334,17 +334,6 @@ func (l *leafNode) consume() {
 
 func (l *leafNode) resetWindow() {
 	l.winTotal, l.winData, l.winParity, l.winDup = 0, 0, 0, 0
-}
-
-func (l *leafNode) closeWindow() {}
-
-// splitParts separates a shareOut result into the parent's own share and
-// the children's shares; both are nil in control-plane-only mode.
-func splitParts(parts []seq.Sequence) (keep seq.Sequence, given []seq.Sequence) {
-	if len(parts) == 0 {
-		return nil, nil
-	}
-	return parts[0], parts[1:]
 }
 
 // repairCheck implements the leaf-driven repair loop (Config.Repair):

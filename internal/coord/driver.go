@@ -135,7 +135,14 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 			case *engine.Activate:
 				p.activate(e.Round, e.Seq, e.Rate)
 			case *engine.Merge:
-				p.activate(e.Round, e.Seq, e.Rate)
+				// The engine unioned against the snapshot stamped on this very
+				// Handle call, which is still the transmitter's state.
+				if e.Round > p.depth {
+					p.depth = e.Round
+				}
+				if r.cfg.DataPlane {
+					p.tx.assign(e.Stream, p.tx.rate+e.Rate)
+				}
 			case *engine.Handoff:
 				handoff = *e
 				haveHandoff = true

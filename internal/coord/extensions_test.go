@@ -1,10 +1,13 @@
 package coord
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
+	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
 )
 
@@ -446,5 +449,50 @@ func TestHeterogeneousLoadProportional(t *testing.T) {
 	}
 	if res.DeliveredData != cfg.ContentLen {
 		t.Errorf("delivered %d/%d", res.DeliveredData, cfg.ContentLen)
+	}
+}
+
+// One DCoP control delivered to an active peer whose view is already
+// full costs one union of the two streams, end to end: the engine unions
+// the unsent remainder with the new share, the Merge effect carries the
+// result and the transmitter installs it. (The engine and the driver
+// used to clone the remainder and union it once each — four
+// stream-sized allocations for a step that shares nothing out.)
+func TestDCoPMergeAllocatesOneUnion(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.N, cfg.H, cfg.Interval = 4, 4, 3
+	cfg.DataPlane = true
+	cfg.ContentLen = 30000
+	r, err := newRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &dcop{r: r}
+	r.impl = d
+	r.initEngine(true)
+
+	// The leaf's request names all four peers, so the view is full from
+	// the first event on and no selection round ever follows.
+	everyone := []overlay.PeerID{0, 1, 2, 3}
+	p := r.peers[1]
+	d.deliver(p, r.leafID(), reqMsg{Rate: cfg.Rate, Index: 1, Round: 1, Selected: everyone})
+	own := p.tx.s
+	if !p.active || len(own) == 0 {
+		t.Fatalf("request did not activate the peer (active=%v, %d packets)", p.active, len(own))
+	}
+
+	share := seq.Div(r.enhancedContent(), cfg.H, 2)
+	ctl := &ctlMsg{Parent: 0, View: everyone, Round: 2, ChildIdx: 1, Rate: 1, ChildRate: 0.25, Children: 1, AssignedSeq: share}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d.deliver(p, 0, ctl)
+	runtime.ReadMemStats(&after)
+
+	if want := seq.Union(own, share); !seq.Equal(p.tx.s, want) || p.tx.pos != 0 {
+		t.Fatalf("transmitter holds %d packets at offset %d, want the %d of own ∪ share at 0", len(p.tx.s), p.tx.pos, len(want))
+	}
+	union := uint64(len(own)+len(share)) * uint64(unsafe.Sizeof(seq.Packet{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got < union-union/8 || got > union+union/2 {
+		t.Errorf("the merge allocated %d B end to end, want one union of %d B", got, union)
 	}
 }

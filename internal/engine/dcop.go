@@ -61,8 +61,9 @@ func (p *Peer) dcopOnControl(m *MsgControl, snap Snapshot) []Effect {
 	var cur Snapshot
 	if p.active {
 		p.noteMerged(m.Round, m.AssignedSeq)
-		effs = append(effs, p.pl.merge(m.AssignedSeq, m.ChildRate, m.Round))
-		cur = afterMerge(snap, m.AssignedSeq, m.ChildRate)
+		var merged seq.Sequence
+		cur, merged = afterMerge(snap, m.AssignedSeq, m.ChildRate)
+		effs = append(effs, p.pl.merge(m.AssignedSeq, merged, m.ChildRate, m.Round))
 	} else {
 		p.noteActivated(m.Round, m.AssignedSeq)
 		effs = append(effs, p.pl.activate(m.AssignedSeq, m.ChildRate, m.Round))
@@ -87,7 +88,8 @@ func (p *Peer) dcopOnCommit(m *MsgCommit, snap Snapshot) []Effect {
 	effs := p.pl.slice()
 	if p.active {
 		p.noteMerged(m.Round, m.AssignedSeq)
-		return append(effs, p.pl.merge(m.AssignedSeq, m.Rate, m.Round))
+		_, merged := afterMerge(snap, m.AssignedSeq, m.Rate)
+		return append(effs, p.pl.merge(m.AssignedSeq, merged, m.Rate, m.Round))
 	}
 	p.noteActivated(m.Round, m.AssignedSeq)
 	effs = append(effs, p.pl.activate(m.AssignedSeq, m.Rate, m.Round))

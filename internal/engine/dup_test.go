@@ -99,6 +99,9 @@ func TestDCoPDuplicateControlIgnored(t *testing.T) {
 	if p.ChildrenTaken() != taken {
 		t.Fatalf("duplicated c1 took %d extra children", p.ChildrenTaken()-taken)
 	}
+	if a := p.Outcome().Assigned; !seq.Equal(a, m.AssignedSeq) {
+		t.Fatalf("after a duplicated c1 the peer reports %v assigned, want %v", a, m.AssignedSeq)
+	}
 
 	// A genuinely new assignment from another parent still merges.
 	m2 := *m
@@ -146,5 +149,9 @@ func TestDCoPDuplicateCommitIgnored(t *testing.T) {
 	later.AssignedSeq = seq.Range(11, 14)
 	if n := merges(p.Handle(&engine.Commit{Msg: &later}, snap)); n != 1 {
 		t.Fatalf("later grant at a new offset merged %d times, want 1", n)
+	}
+	want := seq.Union(seq.Union(act.AssignedSeq, grant.AssignedSeq), later.AssignedSeq)
+	if a := p.Outcome().Assigned; !seq.Equal(a, want) {
+		t.Fatalf("assigned %v, want each of the three shares once: %v", a, want)
 	}
 }

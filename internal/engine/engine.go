@@ -297,11 +297,15 @@ type Activate struct {
 
 // Merge unions an additional subsequence into the not-yet-sent remainder
 // (DCoP's pkt_i := pkt_i ∪ pkt_ji for redundantly selected peers) and
-// adds Rate to the current rate.
+// adds Rate to the current rate. The engine has already done the union,
+// once, against the Snapshot it was handed: Stream is that snapshot's
+// unsent remainder ∪ Seq, for the driver to install at offset zero
+// (empty in control-plane-only mode, where only the rate moves).
 type Merge struct {
-	Seq   seq.Sequence
-	Rate  float64
-	Round int
+	Seq    seq.Sequence
+	Stream seq.Sequence
+	Rate   float64
+	Round  int
 }
 
 // Handoff schedules the parent's own switch after delegating to
@@ -387,12 +391,11 @@ type Peer struct {
 	// A slice, not a map: a peer hands out at most H+joins shares.
 	shares []pendShare
 
-	// Outcome bookkeeping. assigned is the interned union of every
-	// subsequence ever assigned (pkt_i), so repeated DCoP merges are
-	// integer set unions instead of packet-slice copies.
+	// Outcome bookkeeping. assigned holds every subsequence ever assigned
+	// (the operands of pkt_i), in arrival order, as the slice headers the
+	// events carried; Outcome unions them when somebody asks.
 	children []PeerID
-	tbl      *seq.Table
-	assigned seq.Set
+	assigned []seq.Sequence
 	retried  int
 	absorbed int
 
@@ -442,8 +445,8 @@ func (p *Peer) Reset() {
 	p.confirmDelay = 0
 	p.shares = p.shares[:0]
 	p.children = p.children[:0]
-	p.tbl = nil
-	p.assigned.Clear()
+	clear(p.assigned) // drop the retained shares, keep the headers' array
+	p.assigned = p.assigned[:0]
 	p.retried = 0
 	p.absorbed = 0
 }
@@ -630,15 +633,11 @@ func (p *Peer) noteMerged(round int, s seq.Sequence) {
 	p.noteAssigned(s)
 }
 
-// noteAssigned interns s into the peer's assigned set (pkt_i ∪= s).
+// noteAssigned records s as one more operand of pkt_i.
 func (p *Peer) noteAssigned(s seq.Sequence) {
-	if len(s) == 0 {
-		return
+	if len(s) > 0 {
+		p.assigned = append(p.assigned, s)
 	}
-	if p.tbl == nil {
-		p.tbl = seq.NewTable()
-	}
-	p.assigned.AddSeq(p.tbl, s)
 }
 
 // noteShare records a handed-off share while its send may still fail.
@@ -689,19 +688,22 @@ func afterActivate(s seq.Sequence, rate float64) Snapshot {
 	return Snapshot{Offset: 0, Stream: s, Rate: rate}
 }
 
-// afterMerge is the data-plane snapshot right after a Merge effect: the
-// unsent remainder unioned with the new share, position reset. In
-// control-plane-only mode the transmitter is untouched, so the snapshot
-// passes through unchanged.
-func afterMerge(snap Snapshot, s seq.Sequence, rate float64) Snapshot {
-	if snap.Stream == nil && s == nil {
-		return snap
-	}
+// afterMerge does a Merge effect's union, once: merged is the unsent
+// remainder of the snapshot's stream unioned with the new share — what
+// the driver installs — and cur the data-plane snapshot with it in
+// place, position reset. In control-plane-only mode there is nothing to
+// union (merged is empty, at no cost) and the transmitter is untouched,
+// so the snapshot passes through unchanged.
+func afterMerge(snap Snapshot, s seq.Sequence, rate float64) (cur Snapshot, merged seq.Sequence) {
 	var remaining seq.Sequence
 	if snap.Offset < len(snap.Stream) {
 		remaining = snap.Stream[snap.Offset:]
 	}
-	return Snapshot{Offset: 0, Stream: seq.Union(remaining.Clone(), s), Rate: snap.Rate + rate}
+	merged = seq.Union(remaining, s)
+	if snap.Stream == nil && s == nil {
+		return snap, merged
+	}
+	return Snapshot{Offset: 0, Stream: merged, Rate: snap.Rate + rate}, merged
 }
 
 // ---- outcome ------------------------------------------------------------
@@ -737,11 +739,28 @@ func (p *Peer) Outcome() Outcome {
 		Parent:    p.parent,
 		Committed: p.committed,
 		Children:  append([]PeerID(nil), p.children...),
-		Assigned:  p.assigned.Materialize(p.tbl),
+		Assigned:  unionAll(p.assigned),
 		Round:     p.round,
 		Retried:   p.retried,
 		Absorbed:  p.absorbed,
 	}
+}
+
+// unionAll is the union of the shares in arrival order, by balanced
+// pairwise Union: O(total · log k) packet copies for k shares, paid by
+// the caller of Outcome and never by a protocol step. On a shared
+// identity Union keeps its left operand's packet, so the representative
+// is the first arrival's, as a left fold would pick. A single share is
+// returned as is — it is immutable (see the seq package doc).
+func unionAll(shares []seq.Sequence) seq.Sequence {
+	switch len(shares) {
+	case 0:
+		return nil
+	case 1:
+		return shares[0]
+	}
+	mid := len(shares) / 2
+	return seq.Union(unionAll(shares[:mid]), unionAll(shares[mid:]))
 }
 
 // Active reports whether the peer has activated.
@@ -806,8 +825,6 @@ func ShareOut(ps seq.Sequence, mark int, parentRate float64, p, k int) ([]seq.Se
 	}
 	if p > 0 {
 		tail = parity.Enhance(tail, p)
-	} else {
-		tail = tail.Clone()
 	}
 	return seq.Divide(tail, k), rate
 }

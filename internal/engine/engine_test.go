@@ -47,9 +47,17 @@ type harness struct {
 	dropWhen  func(to engine.PeerID, ev engine.Event) bool
 	crashWhen func(to engine.PeerID, ev engine.Event) engine.PeerID
 
+	// dupWhen, when non-nil, delivers a message a second time right after
+	// the first (a datagram network duplicating it).
+	dupWhen func(to engine.PeerID, ev engine.Event) bool
+
 	// afterHandle observes a peer right after it processed an event
 	// (used by the fuzzer to check per-step invariants).
 	afterHandle func(to engine.PeerID)
+
+	// onAssign observes every share the engine takes on for a peer, in
+	// arrival order: the Seq of each Activate and Merge effect.
+	onAssign func(to engine.PeerID, s seq.Sequence)
 }
 
 // delivery is one queued message (msg set) or direct event (ev set).
@@ -174,6 +182,9 @@ func (h *harness) dispatch(d delivery) {
 		ev = &h.evCommit
 	}
 	h.deliver(d.to, ev)
+	if h.dupWhen != nil && h.dupWhen(d.to, ev) {
+		h.deliver(d.to, ev)
+	}
 	engine.ReleaseMsg(d.msg)
 }
 
@@ -223,9 +234,15 @@ func (h *harness) apply(to engine.PeerID, effs []engine.Effect) {
 			case *engine.Activate:
 				h.streams[to] = e.Seq
 				h.rates[to] = e.Rate
+				if h.onAssign != nil {
+					h.onAssign(to, e.Seq)
+				}
 			case *engine.Merge:
-				h.streams[to] = seq.Union(h.streams[to], e.Seq)
+				h.streams[to] = e.Stream
 				h.rates[to] += e.Rate
+				if h.onAssign != nil {
+					h.onAssign(to, e.Seq)
+				}
 			case *engine.Handoff:
 				handoff = *e
 				haveHandoff = true

@@ -88,14 +88,14 @@ func (pl *pool) activate(s seq.Sequence, rate float64, round int) *Activate {
 	return &Activate{Seq: s, Rate: rate, Round: round}
 }
 
-func (pl *pool) merge(s seq.Sequence, rate float64, round int) *Merge {
+func (pl *pool) merge(s, stream seq.Sequence, rate float64, round int) *Merge {
 	if n := len(pl.merges); n > 0 {
 		e := pl.merges[n-1]
 		pl.merges = pl.merges[:n-1]
-		e.Seq, e.Rate, e.Round = s, rate, round
+		e.Seq, e.Stream, e.Rate, e.Round = s, stream, rate, round
 		return e
 	}
-	return &Merge{Seq: s, Rate: rate, Round: round}
+	return &Merge{Seq: s, Stream: stream, Rate: rate, Round: round}
 }
 
 func (pl *pool) handoff(keep seq.Sequence, given []seq.Sequence, oldRate, newRate float64, mark int) *Handoff {
@@ -182,7 +182,7 @@ func (p *Peer) Release(effs []Effect) {
 			v.Seq = nil
 			pl.activates = append(pl.activates, v)
 		case *Merge:
-			v.Seq = nil
+			v.Seq, v.Stream = nil, nil
 			pl.merges = append(pl.merges, v)
 		case *Handoff:
 			v.Keep, v.Given = nil, nil

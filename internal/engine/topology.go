@@ -36,7 +36,10 @@ func TopologySnapshot(outs []Outcome, info TopologyInfo) overlay.Snapshot {
 		Session:  info.Session,
 		Time:     info.Time,
 	}
-	var union seq.Sequence
+	var cover *dataCounter // nil: no content length to take a ratio of
+	if info.ContentLen > 0 {
+		cover = &dataCounter{bits: make([]uint64, info.ContentLen/64+1)}
+	}
 	for _, o := range outs {
 		n := overlay.Node{
 			ID:        int(o.ID),
@@ -61,15 +64,47 @@ func TopologySnapshot(outs []Outcome, info TopologyInfo) overlay.Snapshot {
 			}
 		}
 		s.Nodes = append(s.Nodes, n)
-		if o.Active && len(o.Assigned) > 0 {
-			union = seq.Union(union, o.Assigned)
+		if o.Active && cover != nil {
+			cover.add(o.Assigned)
 		}
 	}
 	s.ComputeHealth()
-	if info.ContentLen > 0 {
-		s.Health.Coverage = float64(union.CountData()) / float64(info.ContentLen)
+	if cover != nil {
+		s.Health.Coverage = float64(cover.n) / float64(info.ContentLen)
 	}
 	return s
+}
+
+// dataCounter counts the distinct content data packets of the sequences
+// added to it: a bitmap over the indices 0..64·len(bits)−1, and a map
+// for any index outside it (a share decoded from the wire can name one).
+type dataCounter struct {
+	bits  []uint64
+	extra map[int64]struct{}
+	n     int
+}
+
+func (c *dataCounter) add(s seq.Sequence) {
+	for i := range s {
+		if s[i].Kind != seq.Data {
+			continue
+		}
+		k := s[i].Index
+		if k >= 0 && k < int64(len(c.bits))*64 {
+			if w, b := k/64, uint64(1)<<(k%64); c.bits[w]&b == 0 {
+				c.bits[w] |= b
+				c.n++
+			}
+			continue
+		}
+		if _, seen := c.extra[k]; !seen {
+			if c.extra == nil {
+				c.extra = make(map[int64]struct{})
+			}
+			c.extra[k] = struct{}{}
+			c.n++
+		}
+	}
 }
 
 // PublishTopology writes a snapshot's tree-health gauges into the

@@ -64,6 +64,34 @@ func TestTopologySnapshotDerivesEdgesFromChildren(t *testing.T) {
 	}
 }
 
+// Coverage counts distinct data packets over the active peers' shares —
+// what CountData() of their union used to give — without building the
+// union: overlapping shares count once, parity packets and inactive
+// peers not at all, and an index beyond the content length (a share off
+// the wire can name one) still counts as the one packet it is.
+func TestTopologySnapshotCoverageCountsDistinctData(t *testing.T) {
+	d := func(k int64) seq.Packet { return seq.NewData(k) }
+	par := seq.NewParity([]seq.Packet{d(3), d(4)}, seq.MidPos(3, 4))
+	outs := []Outcome{
+		{ID: 0, Active: true, Assigned: seq.Sequence{d(1), d(2), d(3), par, d(4)}},
+		{ID: 1, Active: true, Assigned: seq.Sequence{d(3), par, d(4), d(5), d(64), d(500)}},
+		{ID: 2, Active: true, Assigned: seq.Sequence{d(500)}},
+		{ID: 3, Active: false, Assigned: seq.Range(6, 60)},
+	}
+	var union seq.Sequence
+	for _, o := range outs {
+		if o.Active {
+			union = seq.Union(union, o.Assigned)
+		}
+	}
+	for _, contentLen := range []int{5, 63, 64, 100} {
+		s := TopologySnapshot(outs, TopologyInfo{ContentLen: contentLen})
+		if want := float64(union.CountData()) / float64(contentLen); s.Health.Coverage != want {
+			t.Errorf("ContentLen %d: coverage = %v, want %v (7 distinct data packets)", contentLen, s.Health.Coverage, want)
+		}
+	}
+}
+
 func TestTopologySnapshotZeroContentLen(t *testing.T) {
 	outs := []Outcome{{ID: 0, Active: true, Assigned: seq.Range(1, 5), Round: 1}}
 	s := TopologySnapshot(outs, TopologyInfo{})

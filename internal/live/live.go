@@ -629,7 +629,9 @@ func (p *Peer) applyLocked(effs []engine.Effect) []outSend {
 		case *engine.Activate:
 			p.activateLocked(e.Seq, e.Rate)
 		case *engine.Merge:
-			p.mergeLocked(e.Seq, e.Rate)
+			// Already unioned by the engine, against the snapshot taken
+			// under this same hold of p.mu.
+			p.installLocked(e.Stream, p.rate+e.Rate)
 		case *engine.Handoff:
 			handoff = e
 		case *engine.Absorb:
@@ -707,27 +709,29 @@ func (p *Peer) armTimer(e *engine.SetTimer) {
 
 // activateLocked installs the peer's first stream.
 func (p *Peer) activateLocked(s seq.Sequence, rate float64) {
-	p.stream = s
-	p.pos = 0
-	p.rate = rate
 	if !p.active {
 		p.active = true
 		p.met.activations.Inc()
 	}
+	p.installLocked(s, rate)
+}
+
+// installLocked replaces the stream, from its first packet, at the
+// given rate.
+func (p *Peer) installLocked(s seq.Sequence, rate float64) {
+	p.stream, p.pos, p.rate = s, 0, rate
 	p.kick()
 }
 
-// mergeLocked unions an additional share into the unsent remainder and
-// adds its rate (DCoP's pkt_i := pkt_i ∪ pkt_ji).
+// mergeLocked unions a share absorbed back from an unreachable child
+// into the unsent remainder and adds its rate. (DCoP's pkt_i := pkt_i ∪
+// pkt_ji arrives already unioned, in the Merge effect.)
 func (p *Peer) mergeLocked(s seq.Sequence, rate float64) {
 	var remaining seq.Sequence
 	if p.pos < len(p.stream) {
-		remaining = p.stream[p.pos:].Clone()
+		remaining = p.stream[p.pos:]
 	}
-	p.stream = seq.Union(remaining, s)
-	p.pos = 0
-	p.rate += rate
-	p.kick()
+	p.installLocked(seq.Union(remaining, s), p.rate+rate)
 }
 
 // installHandoffLocked plans the parent's own switch, copying what it
@@ -766,14 +770,11 @@ func (p *Peer) applyPendingLocked() {
 			}
 		}
 	}
-	p.stream = seq.Union(rest, h.keep)
-	p.pos = 0
 	rate := p.rate - h.oldRate + h.newRate
 	if rate <= 0 {
 		rate = h.newRate
 	}
-	p.rate = rate
-	p.kick()
+	p.installLocked(seq.Union(rest, h.keep), rate)
 }
 
 // repairSendsLocked materializes a ServeRepair effect into data sends.

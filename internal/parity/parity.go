@@ -88,14 +88,26 @@ func makeParity(s seq.Sequence, segStart, segEnd, offset int) seq.Packet {
 		hi = segment[offset].Pos
 	}
 	p := seq.NewParity(segment, seq.MidPos(lo, hi))
-	p.Payload = XOR(payloads(segment))
+	p.Payload = xorPayloads(segment)
 	return p
 }
 
-func payloads(pkts []seq.Packet) [][]byte {
-	out := make([][]byte, len(pkts))
-	for i, p := range pkts {
-		out[i] = p.Payload
+// xorPayloads is XOR over the packets' payloads, read in place: the
+// simulator's sequences carry none, and then a segment costs one pass
+// and no allocation.
+func xorPayloads(pkts []seq.Packet) []byte {
+	maxLen := 0
+	for i := range pkts {
+		if n := len(pkts[i].Payload); n > maxLen {
+			maxLen = n
+		}
+	}
+	if maxLen == 0 {
+		return nil
+	}
+	out := make([]byte, maxLen)
+	for i := range pkts {
+		subtle.XORBytes(out, out, pkts[i].Payload)
 	}
 	return out
 }

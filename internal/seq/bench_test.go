@@ -24,6 +24,18 @@ func BenchmarkDivide(b *testing.B) {
 	}
 }
 
+// BenchmarkDiv takes one peer's share of the Figure-12 enhanced content
+// (l = 30,000, h = 9 → 33,334 packets; H = 10), the call every leaf
+// request makes.
+func BenchmarkDiv(b *testing.B) {
+	s := Range(1, 33334)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Div(s, 10, i%10)
+	}
+}
+
 func BenchmarkIntersect(b *testing.B) {
 	x := Range(1, 2000)
 	y := Range(1000, 3000)

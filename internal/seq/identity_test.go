@@ -3,8 +3,122 @@ package seq
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
+
+// dedupe removes adjacent duplicate identities from a sorted sequence,
+// in place. With mergeThenDedupe it is the two-pass reference that the
+// single-pass Union is checked against.
+func dedupe(s Sequence) Sequence {
+	if len(s) < 2 {
+		return s
+	}
+	out := s[:1]
+	for _, p := range s[1:] {
+		if !SameIdentity(p, out[len(out)-1]) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// mergeThenDedupe is Union as it was first written: merge by position,
+// collapsing only identities that meet at the two heads, then a second
+// pass over the result.
+func mergeThenDedupe(a, b Sequence) Sequence {
+	out := make(Sequence, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case SameIdentity(a[i], b[j]):
+			out = append(out, a[i])
+			i++
+			j++
+		case less(&a[i], &b[j]):
+			out = append(out, a[i])
+			i++
+		default:
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return dedupe(out)
+}
+
+// withAdjacentDuplicates repeats some packets of s in place, so the
+// result is still sorted but holds internal adjacent duplicates.
+func withAdjacentDuplicates(rng *rand.Rand, s Sequence) Sequence {
+	var out Sequence
+	for _, p := range s {
+		out = append(out, p)
+		for rng.Intn(4) == 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// The single-pass Union must return exactly what merge-then-dedupe
+// returned, packet for packet (not only identity for identity: the
+// representative kept for a shared identity is part of the contract),
+// on canonical inputs and on sorted inputs with internal adjacent
+// duplicates — and must leave both arguments byte-for-byte untouched,
+// backing array included. The second half is what lets the engine and
+// the drivers hand it live streams without a defensive Clone.
+func TestUnionSinglePassEqualsMergeThenDedupe(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 500; trial++ {
+		a, b := randomSequence(rng, 40), randomSequence(rng, 40)
+		if trial%2 == 1 {
+			a, b = withAdjacentDuplicates(rng, a), withAdjacentDuplicates(rng, b)
+		}
+		// Spare capacity behind both operands: a Union that appended to an
+		// argument would show up in the tail.
+		a = append(make(Sequence, 0, len(a)+4), a...)
+		b = append(make(Sequence, 0, len(b)+4), b...)
+		if trial%5 == 0 {
+			b = a[len(a)/3:] // aliased operands: a suffix of the same array
+		}
+		a0 := append(Sequence(nil), a[:cap(a)]...)
+		b0 := append(Sequence(nil), b[:cap(b)]...)
+
+		want := mergeThenDedupe(a, b)
+		got := Union(a, b)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Union(%v, %v)\n got %v\nwant %v", trial, a, b, got, want)
+		}
+		if !reflect.DeepEqual(a[:cap(a)], a0) || !reflect.DeepEqual(b[:cap(b)], b0) {
+			t.Fatalf("trial %d: Union wrote to an argument", trial)
+		}
+	}
+}
+
+// Div(s, H, i) is Divide(s, H)[i], and both allocate every part once at
+// its final size.
+func TestDivEqualsDivideExactSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		s := randomSequence(rng, int64(rng.Intn(60)))
+		H := 1 + rng.Intn(12)
+		parts := Divide(s, H)
+		for i := 0; i < H; i++ {
+			d := Div(s, H, i)
+			if !reflect.DeepEqual(d, parts[i]) {
+				t.Fatalf("Div(len %d, H=%d, %d) = %v, Divide part = %v", len(s), H, i, d, parts[i])
+			}
+			if want := (len(s) - i + H - 1) / H; len(s) > i && len(d) != want {
+				t.Fatalf("Div(len %d, H=%d, %d) has %d packets, want ⌈(len−i)/H⌉ = %d", len(s), H, i, len(d), want)
+			}
+			if cap(d) != len(d) || cap(parts[i]) != len(parts[i]) {
+				t.Fatalf("part %d of %d over len %d: cap %d/%d, len %d — not allocated at its final size",
+					i, H, len(s), cap(d), cap(parts[i]), len(d))
+			}
+		}
+	}
+}
 
 // randomSequence builds a canonical sequence of data packets (drawn from
 // 1..span) with parity packets nested up to two levels, mimicking the

@@ -14,6 +14,16 @@
 // inserted between two packets gets the midpoint of their positions, so
 // sequences derived from a common ancestor interleave consistently and
 // Union can merge them by position.
+//
+// Ownership. A Sequence is immutable once shared: after it has been
+// handed to the engine (in an event or a Snapshot), put in a message or
+// an effect, or installed in a transmitter, nobody writes it again —
+// neither its packets nor the spare capacity behind them. Every
+// operation here that returns a Sequence allocates its result once and
+// writes to no argument, so holders may alias freely (s[i:] of a live
+// stream is a valid operand) and nobody needs a defensive Clone. Sort is
+// the one in-place operation; it is for a sequence still private to its
+// builder.
 package seq
 
 import (
@@ -102,12 +112,7 @@ func NewParity(covered []Packet, pos float64) Packet {
 // "p(<keys>)" for a parity packet, matching the paper's t⟨…⟩ notation.
 // Two packets with equal keys carry the same bytes. Packets built with
 // NewData/NewParity return a cached string; others compute it.
-func (p Packet) Key() string {
-	if p.key != "" {
-		return p.key
-	}
-	return computeKey(p)
-}
+func (p Packet) Key() string { return idOf(&p) }
 
 // computeKey derives the identity string from the packet's fields.
 func computeKey(p Packet) string {
@@ -120,14 +125,26 @@ func computeKey(p Packet) string {
 // SameIdentity reports whether a and b are the same packet (equal
 // identity keys) without building key strings: data packets compare by
 // index, parity packets by their cached keys.
-func SameIdentity(a, b Packet) bool {
+func SameIdentity(a, b Packet) bool { return same(&a, &b) }
+
+// same is SameIdentity, and idOf is Key, on packets left where they are:
+// the merge loops compare elements of their operands in place instead of
+// copying two 88-byte structs per comparison.
+func same(a, b *Packet) bool {
 	if a.Kind != b.Kind {
 		return false
 	}
 	if a.Kind == Data {
 		return a.Index == b.Index
 	}
-	return a.Key() == b.Key()
+	return idOf(a) == idOf(b)
+}
+
+func idOf(p *Packet) string {
+	if p.key != "" {
+		return p.key
+	}
+	return computeKey(*p)
 }
 
 // IsData reports whether p is a content data packet.
@@ -162,21 +179,21 @@ func Range(lo, hi int64) Sequence {
 }
 
 // less orders packets by position, then identity key.
-func less(a, b Packet) bool {
+func less(a, b *Packet) bool {
 	if a.Pos != b.Pos {
 		return a.Pos < b.Pos
 	}
-	return a.Key() < b.Key()
+	return idOf(a) < idOf(b)
 }
 
 // Sort sorts the sequence in place into canonical order.
 func (s Sequence) Sort() {
-	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+	sort.Slice(s, func(i, j int) bool { return less(&s[i], &s[j]) })
 }
 
 // Sorted reports whether the sequence is in canonical order.
 func (s Sequence) Sorted() bool {
-	return sort.SliceIsSorted(s, func(i, j int) bool { return less(s[i], s[j]) })
+	return sort.SliceIsSorted(s, func(i, j int) bool { return less(&s[i], &s[j]) })
 }
 
 // Clone returns a copy of the sequence sharing packet payloads.
@@ -274,27 +291,38 @@ func (s Sequence) PostfixFromData(k int64) Sequence {
 
 // Union returns the sequence containing every packet of a and b exactly
 // once, in canonical order (paper: pkt_i ∪ pkt_j). Both inputs must be in
-// canonical order; the result is.
+// canonical order; the result is. It is one pass and one allocation:
+// equal identities meeting at the two heads collapse there, and a packet
+// equal to the one just emitted (an adjacent duplicate inside an input)
+// is skipped as it is merged. Neither argument is written.
 func Union(a, b Sequence) Sequence {
 	out := make(Sequence, 0, len(a)+len(b))
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	for i < len(a) || j < len(b) {
+		var p *Packet
 		switch {
-		case SameIdentity(a[i], b[j]):
-			out = append(out, a[i])
+		case j == len(b):
+			p = &a[i]
+			i++
+		case i == len(a):
+			p = &b[j]
+			j++
+		case same(&a[i], &b[j]):
+			p = &a[i]
 			i++
 			j++
-		case less(a[i], b[j]):
-			out = append(out, a[i])
+		case less(&a[i], &b[j]):
+			p = &a[i]
 			i++
 		default:
-			out = append(out, b[j])
+			p = &b[j]
 			j++
 		}
+		if n := len(out); n == 0 || !same(p, &out[n-1]) {
+			out = append(out, *p)
+		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return dedupe(out)
+	return out
 }
 
 // Intersect returns the sequence of packets present in both a and b
@@ -305,12 +333,13 @@ func Intersect(a, b Sequence) Sequence {
 	if a.Sorted() && b.Sorted() {
 		var out Sequence
 		j := 0
-		for _, p := range a {
-			for j < len(b) && less(b[j], p) {
+		for i := range a {
+			p := &a[i]
+			for j < len(b) && less(&b[j], p) {
 				j++
 			}
-			if j < len(b) && SameIdentity(b[j], p) {
-				out = append(out, p)
+			if j < len(b) && same(&b[j], p) {
+				out = append(out, *p)
 			}
 		}
 		return out
@@ -332,20 +361,6 @@ func Intersect(a, b Sequence) Sequence {
 // (pkt_i ∩ pkt_j = φ, the condition §3.2 imposes on subsequences).
 func Disjoint(a, b Sequence) bool { return len(Intersect(a, b)) == 0 }
 
-// dedupe removes adjacent duplicate identities from a sorted sequence.
-func dedupe(s Sequence) Sequence {
-	if len(s) < 2 {
-		return s
-	}
-	out := s[:1]
-	for _, p := range s[1:] {
-		if !SameIdentity(p, out[len(out)-1]) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Divide splits s into H subsequences by round-robin: the j-th packet
 // (0-based) of s goes to subsequence j mod H, matching §3.2's division
 // rule. It returns all H subsequences; Divide(s, H)[i] is Div(s, H, CP_i)
@@ -355,20 +370,23 @@ func Divide(s Sequence, H int) []Sequence {
 		panic(fmt.Sprintf("seq: Divide fanout H=%d must be positive", H))
 	}
 	out := make([]Sequence, H)
-	for j, p := range s {
-		i := j % H
-		out[i] = append(out[i], p)
+	for i := range out {
+		out[i] = Div(s, H, i)
 	}
 	return out
 }
 
 // Div returns the i-th (0-based) of the H round-robin subsequences of s
-// without materializing the others.
+// without materializing the others: ⌈(len(s)−i)/H⌉ packets, allocated
+// once at that size (nil when the part is empty).
 func Div(s Sequence, H, i int) Sequence {
 	if H <= 0 || i < 0 || i >= H {
 		panic(fmt.Sprintf("seq: Div(H=%d, i=%d) out of range", H, i))
 	}
-	var out Sequence
+	if i >= len(s) {
+		return nil
+	}
+	out := make(Sequence, 0, (len(s)-i+H-1)/H)
 	for j := i; j < len(s); j += H {
 		out = append(out, s[j])
 	}
@@ -381,7 +399,7 @@ func Equal(a, b Sequence) bool {
 		return false
 	}
 	for i := range a {
-		if !SameIdentity(a[i], b[i]) {
+		if !same(&a[i], &b[i]) {
 			return false
 		}
 	}
