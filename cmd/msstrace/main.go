@@ -225,8 +225,12 @@ func printTimeline(w io.Writer, events []p2pmss.FlightEvent, limit int) {
 		if e.Session != "" {
 			sessPrefix = e.Session + "/"
 		}
-		fmt.Fprintf(w, "%12.6f %speer%-3d %-4s %-20s other=%-3d round=%-2d n=%d\n",
-			e.T, sessPrefix, e.Peer, e.Dir, e.Type, e.Other, e.Round, e.N)
+		note := ""
+		if e.Note != "" {
+			note = " note=" + e.Note
+		}
+		fmt.Fprintf(w, "%12.6f %speer%-3d %-4s %-20s other=%-3d round=%-2d n=%d%s\n",
+			e.T, sessPrefix, e.Peer, e.Dir, e.Type, e.Other, e.Round, e.N, note)
 	}
 }
 

@@ -171,12 +171,10 @@ type Assembler struct {
 	packetSize int
 	numPackets int64
 	recov      *parity.Recoverer
-	// have counts the distinct in-range data packets present, maintained
-	// incrementally from the recoverer's data hook. The leaf consults
-	// Have around every arrival; a per-arrival scan of all l packets
-	// made delivery O(l²) and fell behind the τ(h+1)/h receipt rate on
-	// large contents.
-	have int64
+	// loss is the missing set, fed incrementally from the recoverer's
+	// data hook: the leaf consults Have around every arrival, and a
+	// per-arrival scan of all l packets made delivery O(l²).
+	loss *parity.LossDetector
 }
 
 // NewAssembler prepares reassembly of a content with the given byte size
@@ -189,14 +187,13 @@ func NewAssembler(size, packetSize int) *Assembler {
 	if size > 0 {
 		n = int64((size + packetSize - 1) / packetSize)
 	}
-	a := &Assembler{size: size, packetSize: packetSize, numPackets: n, recov: parity.NewSizedRecoverer(int(n))}
-	a.recov.OnData(func(k int64) {
-		// The hook fires once per index; out-of-range indices (a peer
-		// serving a different content) must not count toward completion.
-		if k >= 1 && k <= a.numPackets {
-			a.have++
-		}
-	})
+	a := &Assembler{
+		size: size, packetSize: packetSize, numPackets: n,
+		recov: parity.NewSizedRecoverer(int(n)), loss: parity.NewLossDetector(int(n)),
+	}
+	// Out-of-range indices (a peer serving a different content) do not
+	// count toward completion; the detector ignores them.
+	a.recov.OnData(a.loss.Present)
 	return a
 }
 
@@ -204,24 +201,20 @@ func NewAssembler(size, packetSize int) *Assembler {
 // receipt of that packet (false for a duplicate delivery).
 func (a *Assembler) Add(p seq.Packet) bool { return a.recov.Add(p) }
 
+// Detector returns the assembler's missing set, which a leaf arms as its
+// loss detector and feeds every arrival after Add.
+func (a *Assembler) Detector() *parity.LossDetector { return a.loss }
+
 // Have returns how many of the content's data packets are present
 // (received or recovered). O(1): maintained incrementally as packets
 // arrive or are derived.
-func (a *Assembler) Have() int64 { return a.have }
+func (a *Assembler) Have() int64 { return a.loss.Have() }
 
-// Missing lists the content indices still absent.
-func (a *Assembler) Missing() []int64 {
-	var out []int64
-	for k := int64(1); k <= a.numPackets; k++ {
-		if !a.recov.HasData(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
+// Missing lists the content indices still absent, in O(|missing|).
+func (a *Assembler) Missing() []int64 { return a.loss.Missing() }
 
 // Complete reports whether every data packet is present.
-func (a *Assembler) Complete() bool { return a.Have() == a.numPackets }
+func (a *Assembler) Complete() bool { return a.loss.Complete() }
 
 // Recovered returns how many packets parity recovery derived.
 func (a *Assembler) Recovered() int { return a.recov.Recovered() }

@@ -544,7 +544,7 @@ func newRunner(cfg Config) (*runner, error) {
 	nw := simnet.New(eng)
 	nw.SetDefaultLink(simnet.LinkParams{Latency: cfg.Delta, Jitter: cfg.Jitter, LossProb: cfg.LossProb})
 	nw.Instrument(cfg.Obs.Metrics)
-	r := &runner{cfg: cfg, eng: eng, nw: nw, met: newCoordMetrics(cfg.Obs.Metrics)}
+	r := &runner{cfg: cfg, eng: eng, nw: nw, met: newCoordMetrics(cfg.Obs.Metrics, cfg.Repair)}
 	r.res.Protocol = "?"
 	if cfg.fluid() {
 		// The fluid plane never materializes the content: assignments are

@@ -2,7 +2,6 @@ package coord
 
 import (
 	"fmt"
-	"slices"
 
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
@@ -205,17 +204,16 @@ type leafNode struct {
 	playbackScheduled bool
 	nextConsume       int64
 
-	// Repair loop state (Config.Repair).
+	// Repair state (Config.Repair).
 	lastProgress int64
 	repairRounds int
 	quietChecks  int
 	// lastArrivalAt is the virtual time of the most recent arrival, for
 	// stall-duration observability.
 	lastArrivalAt float64
-	// missing tracks the not-yet-present content indices incrementally
-	// off the recoverer, so a repair check costs O(|missing|) instead of
-	// rescanning all ContentLen indices every interval.
-	missing map[int64]struct{}
+	// loss is the missing set fed off the recoverer, armed as the gap
+	// detector the live leaf runs.
+	loss *parity.LossDetector
 }
 
 func newLeaf(r *runner) *leafNode {
@@ -231,11 +229,9 @@ func newLeaf(r *runner) *leafNode {
 		// records progress (-1 never equals Present()) instead of burning
 		// a repair round on a spurious request.
 		l.lastProgress = -1
-		l.missing = make(map[int64]struct{}, r.cfg.ContentLen)
-		for k := int64(1); k <= r.cfg.ContentLen; k++ {
-			l.missing[k] = struct{}{}
-		}
-		l.recov.OnData(func(k int64) { delete(l.missing, k) })
+		l.loss = parity.NewLossDetector(int(r.cfg.ContentLen))
+		l.loss.Arm(r.cfg.Interval, r.cfg.H, r.cfg.RepairInterval)
+		l.recov.OnData(l.loss.Present)
 	}
 	return l
 }
@@ -284,6 +280,13 @@ func (l *leafNode) Receive(from simnet.NodeID, m simnet.Message) {
 			l.r.met.recovered.Add(int64(d))
 		}
 		l.r.met.delivered.Set(float64(l.recov.DataPresent()))
+		if l.loss != nil {
+			// Parity can no longer recover these: ask at once, not on the
+			// next repair interval.
+			if lost := l.loss.Arrive(int(from), &dm.Pkt, now, nil); lost != nil {
+				l.requestRepair(lost, "gap")
+			}
+		}
 	} else {
 		key := dm.Pkt.Key()
 		l.seen[key]++
@@ -336,13 +339,15 @@ func (l *leafNode) resetWindow() {
 	l.winTotal, l.winData, l.winParity, l.winDup = 0, 0, 0, 0
 }
 
-// repairCheck implements the leaf-driven repair loop (Config.Repair):
-// when no new data packet has arrived for a full interval and the
-// content is incomplete, the leaf asks a random live peer to retransmit
-// the missing packets.
+// repairCheck is the backstop of the leaf-driven repair loop
+// (Config.Repair) for what the gap rule cannot see — a gap in the
+// stream's tail, every sender crashed, a repair reply lost: when no new
+// data packet has arrived for a full interval and the content is
+// incomplete, the leaf asks a random live peer to retransmit the missing
+// packets.
 func (l *leafNode) repairCheck() {
 	r := l.r
-	if len(l.missing) == 0 || l.repairRounds >= r.cfg.RepairMaxRounds {
+	if l.loss.Complete() || l.repairRounds >= r.cfg.RepairMaxRounds {
 		return // complete, or giving up
 	}
 	if l.recov.Present() == 0 && l.quietChecks < r.cfg.RepairMaxRounds {
@@ -361,11 +366,7 @@ func (l *leafNode) repairCheck() {
 		return // still flowing; check again later
 	}
 	l.repairRounds++
-	missing := l.missingData()
-	const batch = 64
-	if len(missing) > batch {
-		missing = missing[:batch]
-	}
+	missing := l.loss.Missing()
 	// Delivery stalled: record how long the leaf has been starved and
 	// open a repair wave in the trace.
 	now := r.eng.Now()
@@ -375,10 +376,24 @@ func (l *leafNode) repairCheck() {
 			Trace: r.cfg.Obs.SpanTrace, ID: r.cfg.Obs.Spans.NextID(),
 			Parent: r.sessionSpan, Name: "stall", Peer: -1,
 			Start: l.lastArrivalAt, End: now,
-			Detail: fmt.Sprintf("%d missing", len(l.missing)),
+			Detail: fmt.Sprintf("%d missing", len(missing)),
 		})
 	}
-	// Pick a random live peer to serve the repair.
+	missing = missing[:min(len(missing), repairBatch)]
+	l.loss.Requested(missing[len(missing)-1])
+	if l.requestRepair(missing, "stall") {
+		r.eng.After(r.cfg.RepairInterval, l.repairCheck)
+	}
+}
+
+// repairBatch bounds the indices one repair request names.
+const repairBatch = 64
+
+// requestRepair asks random live peers to retransmit the given content
+// indices, repairBatch per request, noting each request with its
+// trigger. It reports false when no peer is alive to ask.
+func (l *leafNode) requestRepair(indices []int64, trigger string) bool {
+	r := l.r
 	alive := make([]simnet.NodeID, 0, r.cfg.N)
 	for i := 0; i < r.cfg.N; i++ {
 		if !r.nw.Crashed(simnet.NodeID(i)) {
@@ -386,24 +401,15 @@ func (l *leafNode) repairCheck() {
 		}
 	}
 	if len(alive) == 0 {
-		return
+		return false
 	}
-	target := alive[r.eng.Rand().Intn(len(alive))]
-	r.res.RepairRequests++
-	r.met.repairRequests.Inc()
-	r.note(int(engine.LeafID), flight.Event{Dir: flight.DirDriver, Type: "repair_request", Other: int(target), N: len(missing)})
-	r.nw.Send(r.leafID(), target, repairMsg{Indices: missing})
-	r.eng.After(r.cfg.RepairInterval, l.repairCheck)
-}
-
-// missingData lists the content indices not yet present, in order. It
-// reads the incrementally maintained missing set rather than probing
-// every index of the content.
-func (l *leafNode) missingData() []int64 {
-	out := make([]int64, 0, len(l.missing))
-	for k := range l.missing {
-		out = append(out, k)
+	for off := 0; off < len(indices); off += repairBatch {
+		batch := indices[off:min(off+repairBatch, len(indices))]
+		target := alive[r.eng.Rand().Intn(len(alive))]
+		r.res.RepairRequests++
+		r.met.repairRequests[trigger].Inc()
+		r.note(int(engine.LeafID), flight.Event{Dir: flight.DirDriver, Type: "repair_request", Other: int(target), N: len(batch), Note: trigger})
+		r.nw.Send(r.leafID(), target, repairMsg{Indices: batch})
 	}
-	slices.Sort(out)
-	return out
+	return true
 }

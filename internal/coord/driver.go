@@ -65,6 +65,11 @@ func (r *runner) startRequests() {
 		root = span.Context{Trace: r.cfg.Obs.SpanTrace, Span: r.sessionSpan}
 	}
 	for u, cp := range sel {
+		if r.leaf.loss != nil {
+			// A selected peer that starts a little later than the others
+			// is not a gap.
+			r.leaf.loss.Expect(int(cp), r.eng.Now())
+		}
 		m := reqMsg{Rate: r.cfg.Rate, Index: u, Round: 1, Span: root}
 		if r.cfg.LeafShares {
 			m.Selected = sel

@@ -2,6 +2,8 @@ package coord
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -347,11 +349,12 @@ func TestRepairQuietStartNotAStall(t *testing.T) {
 	}
 }
 
-// The incrementally tracked missing set agrees with a full rescan of the
-// recoverer at the moment repair batches are built: delivery completes
-// and exactly the missing indices were requested (exercised end-to-end
-// by TestRepairRecoversAfterCrash); here we pin the leaf-level
-// bookkeeping directly.
+// The leaf's missing set — the loss detector the live leaf shares, fed
+// incrementally off the recoverer — agrees with a full rescan of the
+// recoverer: delivery completes and exactly the missing indices were
+// requested (exercised end-to-end by TestRepairRecoversAfterCrash); here
+// we pin the leaf-level bookkeeping directly, on a run cut short so
+// indices are still missing.
 func TestLeafMissingSetIncremental(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 6
@@ -360,22 +363,101 @@ func TestLeafMissingSetIncremental(t *testing.T) {
 	cfg.DataPlane = true
 	cfg.Loop = false
 	cfg.Repair = true
-	cfg.ContentLen = 50
+	cfg.LossProb = 0.1
+	cfg.ContentLen = 200
 	cfg.Rate = 10
 	r, err := newRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.impl = &dcop{r: r}
-	r.run()
-	for k := int64(1); k <= cfg.ContentLen; k++ {
-		_, inSet := r.leaf.missing[k]
-		if present := r.leaf.recov.HasData(k); present == inSet {
-			t.Fatalf("t%d: present=%v but missing-set membership=%v", k, present, inSet)
+	check := func(when string) {
+		t.Helper()
+		missing := r.leaf.loss.Missing()
+		var want []int64
+		for k := int64(1); k <= cfg.ContentLen; k++ {
+			if !r.leaf.recov.HasData(k) {
+				want = append(want, k)
+			}
+		}
+		if !slices.Equal(missing, want) {
+			t.Fatalf("%s: missing set %v, recoverer rescan %v", when, missing, want)
+		}
+		if got := r.leaf.loss.Have(); got != cfg.ContentLen-int64(len(want)) {
+			t.Fatalf("%s: Have %d with %d of %d missing", when, got, len(want), cfg.ContentLen)
 		}
 	}
-	if got := r.leaf.missingData(); len(got) != len(r.leaf.missing) {
-		t.Fatalf("missingData len %d != set size %d", len(got), len(r.leaf.missing))
+	r.eng.After(r.cfg.RepairInterval, r.leaf.repairCheck)
+	r.impl.start()
+	r.eng.RunUntil(10)
+	if r.leaf.loss.Complete() {
+		t.Fatal("content complete mid-stream: nothing to check")
+	}
+	check("mid-stream")
+	r.eng.Run()
+	check("end")
+}
+
+// runWithheld runs a TCoP session whose leaf does not see the named data
+// packets, in any form (parities covering them included), until it has
+// issued its first repair request. It returns the result and the leaf's
+// repair_request notes counted by trigger.
+func runWithheld(t *testing.T, keys ...string) (Result, map[string]int) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.N = 10
+	cfg.H = 3
+	cfg.Interval = 2
+	cfg.DataPlane = true
+	cfg.Loop = false
+	cfg.Repair = true
+	cfg.ContentLen = 120
+	cfg.Rate = 10
+	cfg.Obs.Flight = flight.NewSet(0)
+	r, err := newRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.impl = &tcop{r: r}
+	r.nw.AttachFunc(r.leafID(), func(from simnet.NodeID, m simnet.Message) {
+		if dm, ok := m.(dataMsg); ok && r.res.RepairRequests == 0 {
+			ids := strings.FieldsFunc(dm.Pkt.Key(), func(c rune) bool { return c == '(' || c == ')' || c == ',' })
+			for _, k := range keys {
+				if slices.Contains(ids, k) {
+					return
+				}
+			}
+		}
+		r.leaf.Receive(from, m)
+	})
+	res := r.run()
+	notes := map[string]int{}
+	for _, e := range cfg.Obs.Flight.Events() {
+		if e.Type == "repair_request" {
+			notes[e.Note]++
+		}
+	}
+	if res.DeliveredData != cfg.ContentLen {
+		t.Errorf("delivered %d/%d", res.DeliveredData, cfg.ContentLen)
+	}
+	return res, notes
+}
+
+// Two packets of one recovery segment withheld mid-stream are asked for
+// by the gap rule, not the stall round.
+func TestRepairGapMidStream(t *testing.T) {
+	_, notes := runWithheld(t, "t61", "t62")
+	if notes["gap"] == 0 || notes["stall"] != 0 {
+		t.Errorf("repair notes by trigger %v, want gap only", notes)
+	}
+}
+
+// A loss in the stream's tail is past every sender's last packet, where
+// the gap rule cannot prove it: the stall round repairs it.
+func TestRepairTailLossByBackstop(t *testing.T) {
+	_, notes := runWithheld(t, "t119", "t120")
+	if notes["stall"] == 0 || notes["gap"] != 0 {
+		t.Errorf("repair notes by trigger %v, want stall only", notes)
 	}
 }
 

@@ -19,8 +19,9 @@ type coordMetrics struct {
 	arrivalsDup, overruns           *metrics.Counter
 	recovered                       *metrics.Counter
 	delivered                       *metrics.Gauge
-	repairRequests                  *metrics.Counter
 	underruns                       *metrics.Counter
+	// repairRequests is keyed by trigger: "gap" or "stall".
+	repairRequests map[string]*metrics.Counter
 
 	// Coordination-latency histograms (virtual time units), fed by the
 	// engine span trackers and the leaf.
@@ -63,9 +64,11 @@ func ctlTypeName(m simnet.Message) string {
 }
 
 // newCoordMetrics builds the handle set on reg. On a nil registry every
-// handle is nil (the map too), so all recording paths collapse to
-// no-ops without further branching.
-func newCoordMetrics(reg *metrics.Registry) coordMetrics {
+// handle is nil (the maps too), so all recording paths collapse to
+// no-ops without further branching. The repair counters carry a trigger
+// label only in runs with the repair loop (Config.Repair); other runs
+// keep the family's one unlabeled series, which stays 0.
+func newCoordMetrics(reg *metrics.Registry, repair bool) coordMetrics {
 	if reg == nil {
 		return coordMetrics{}
 	}
@@ -83,7 +86,6 @@ func newCoordMetrics(reg *metrics.Registry) coordMetrics {
 		overruns:        reg.Counter("coord_leaf_overruns_total"),
 		recovered:       reg.Counter("coord_leaf_recovered_total"),
 		delivered:       reg.Gauge("coord_leaf_delivered_data"),
-		repairRequests:  reg.Counter("coord_repair_requests_total"),
 		underruns:       reg.Counter("coord_playback_underruns_total"),
 
 		handshakeRTT:      reg.Histogram("coord_handshake_rtt", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
@@ -91,6 +93,14 @@ func newCoordMetrics(reg *metrics.Registry) coordMetrics {
 		retryWaveDepth:    reg.Histogram("coord_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}),
 		timeToFirstPacket: reg.Histogram("coord_time_to_first_packet", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
 		stallDuration:     reg.Histogram("coord_stall_duration", []float64{1, 2, 4, 8, 16, 32, 64}),
+	}
+	if repair {
+		cm.repairRequests = map[string]*metrics.Counter{
+			"gap":   reg.Counter("coord_repair_requests_total", "trigger", "gap"),
+			"stall": reg.Counter("coord_repair_requests_total", "trigger", "stall"),
+		}
+	} else {
+		reg.Counter("coord_repair_requests_total")
 	}
 	for _, t := range ctlTypeNames {
 		cm.ctl[t] = reg.Counter("coord_control_packets_total", "type", t)

@@ -53,6 +53,9 @@ type Event struct {
 	// N is the record's magnitude: assigned-sequence length, repair
 	// index count, hand-off share count, or timer generation.
 	N int `json:"n,omitempty"`
+	// Note qualifies a driver note: the trigger of a repair request, "gap"
+	// (parity provably cannot recover it) or "stall" (the backstop).
+	Note string `json:"note,omitempty"`
 }
 
 // DirDriver marks a record the driver wrote about its own environment

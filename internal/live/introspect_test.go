@@ -99,6 +99,10 @@ func TestSessionOverlayEdgesMatchOutcomes(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// The settled scrape published the overlay gauges; later scrapes (the
+	// DOT rendering below) republish whatever coordination has reached by
+	// then, so read the registry now.
+	ms := reg.Snapshot()
 	if snap.Version != overlay.SnapshotVersion || snap.Session != string(ls.ID) || len(snap.Nodes) != len(outs) {
 		t.Fatalf("snapshot version=%d session=%q nodes=%d, want %d nodes", snap.Version, snap.Session, len(snap.Nodes), len(outs))
 	}
@@ -155,7 +159,6 @@ func TestSessionOverlayEdgesMatchOutcomes(t *testing.T) {
 
 	// The run went through 5% loss: the impairment verdict counters and
 	// the overlay gauges must both have landed in the registry.
-	ms := reg.Snapshot()
 	var drops int64
 	for _, c := range ms.Counters {
 		if c.Name == "transport_impaired_total" {

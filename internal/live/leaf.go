@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,6 +11,8 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
+	"p2pmss/internal/metrics"
+	"p2pmss/internal/parity"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
 )
@@ -36,9 +39,11 @@ type LeafConfig struct {
 	ContentID string
 	// ContentSize and PacketSize describe the expected content.
 	ContentSize, PacketSize int
-	// RepairAfter is how long the leaf waits without progress before
-	// asking surviving peers to retransmit missing packets. Zero
-	// disables repair.
+	// RepairAfter enables repair (zero disables it). A missing packet
+	// parity provably cannot recover is requested as soon as an arrival
+	// shows it; RepairAfter is how long a silent sender still holds that
+	// gap rule back, and how long the leaf waits without progress before
+	// its backstop round asks for everything still missing.
 	RepairAfter time.Duration
 	// RequestRetry, when positive, re-sends the initial content request
 	// to every selected peer the leaf has not yet heard a data packet
@@ -66,8 +71,9 @@ type LeafConfig struct {
 
 // Leaf is a live leaf peer LP_s: it requests a content from H contents
 // peers, reassembles arrivals (with parity recovery), and issues repair
-// requests for stalled subsequences to the session members it most
-// recently heard from (the likeliest survivors after churn).
+// requests — for gaps parity cannot close, and for stalled subsequences —
+// to the session members it most recently heard from (the likeliest
+// survivors after churn).
 type Leaf struct {
 	cfg LeafConfig
 	ep  transport.Endpoint
@@ -79,12 +85,14 @@ type Leaf struct {
 	total    int64
 	dup      int64
 	lastGain time.Time
-	// lastHeard and maxIdx record, per sender, when the leaf last
-	// received a data packet and the highest data index it carried —
-	// the basis for survivor-aware repair targeting and for naming the
-	// presumed-crashed peers in Wait's timeout error.
-	lastHeard map[string]time.Time
-	maxIdx    map[string]int64
+	// loss is the assembler's missing set, armed as the gap detector when
+	// repair is on. Its per-sender entries record when each sender was
+	// last heard and how far its stream has come — also the basis for
+	// survivor-aware repair targeting and for naming the presumed-crashed
+	// peers in Wait's timeout error. senders maps a sender's address to
+	// its detector slot.
+	loss    *parity.LossDetector
+	senders map[string]int
 	// repairFirst is the leading missing index of the previous repair
 	// round; seeing it again means the round went unanswered (a retry).
 	repairFirst int64
@@ -126,14 +134,19 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 		cfg.Obs.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
 	}
 	l := &Leaf{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(seed)),
-		asm:       content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
-		lastHeard: make(map[string]time.Time),
-		maxIdx:    make(map[string]int64),
-		lastGain:  time.Now(),
-		done:      make(chan struct{}),
-		stopCh:    make(chan struct{}),
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(seed)),
+		asm:      content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
+		senders:  make(map[string]int, len(cfg.Roster)),
+		lastGain: time.Now(),
+		done:     make(chan struct{}),
+		stopCh:   make(chan struct{}),
+	}
+	l.loss = l.asm.Detector()
+	if cfg.RepairAfter > 0 {
+		// One recovery segment per initially selected sender; a sender
+		// silent for a whole stall period no longer holds the rule back.
+		l.loss.Arm(cfg.Interval, cfg.H, cfg.RepairAfter.Seconds())
 	}
 	ep, err := tr.open(l.handle)
 	if err != nil {
@@ -181,11 +194,14 @@ func (l *Leaf) Start() error {
 		l.sessionSpan = l.cfg.Obs.Spans.NextID()
 		root = span.Context{Trace: l.cfg.Obs.SpanTrace, Span: l.sessionSpan}
 	}
-	l.mu.Unlock()
 	sel := make([]string, len(selIdx))
 	for i, id := range selIdx {
 		sel[i] = l.cfg.Roster[id]
+		// Expected before any request goes out: a selected peer that
+		// starts a little later than the others is not a gap.
+		l.loss.Expect(l.slotLocked(sel[i]), l.sessionStart)
 	}
+	l.mu.Unlock()
 	spare := make([]string, len(spareIdx))
 	for i, id := range spareIdx {
 		spare[i] = l.cfg.Roster[id]
@@ -214,6 +230,9 @@ func (l *Leaf) Start() error {
 			}
 			sel[idx] = spare[0]
 			spare = spare[1:]
+			l.mu.Lock()
+			l.loss.Expect(l.slotLocked(sel[idx]), liveNow())
+			l.mu.Unlock()
 		}
 	}
 	if l.cfg.RequestRetry > 0 {
@@ -249,7 +268,7 @@ func (l *Leaf) requestLoop(sel []string, root span.Context) {
 		quiet := 0
 		for idx, peer := range sel {
 			l.mu.Lock()
-			heard := !l.lastHeard[peer].IsZero()
+			_, heard := l.senderLocked(peer)
 			l.mu.Unlock()
 			if heard {
 				continue
@@ -287,30 +306,32 @@ func (l *Leaf) handle(m transport.Msg) {
 		return
 	}
 	now := time.Now()
+	at := now.Sub(liveEpoch).Seconds()
 	l.mu.Lock()
 	l.total++
 	l.met.arrivals.Inc()
 	if !l.gotFirst {
 		l.gotFirst = true
-		first := now.Sub(liveEpoch).Seconds()
-		l.met.timeToFirstPacket.Observe(first - l.sessionStart)
+		l.met.timeToFirstPacket.Observe(at - l.sessionStart)
 		if l.cfg.Obs.Spans != nil {
 			l.cfg.Obs.Spans.Add(span.Span{
 				Trace: l.cfg.Obs.SpanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
-				Name: "first_packet", Peer: -1, Start: first, End: first,
+				Name: "first_packet", Peer: -1, Start: at, End: at,
 			})
 		}
 	}
-	l.lastHeard[m.From] = now
-	if b.Pkt.IsData() && b.Pkt.Index > l.maxIdx[m.From] {
-		l.maxIdx[m.From] = b.Pkt.Index
-	}
 	have, recovered := l.asm.Have(), l.asm.Recovered()
-	if !l.asm.Add(b.Pkt) {
+	fresh := l.asm.Add(b.Pkt)
+	// Indices parity can no longer recover are asked for at once, not on
+	// the next stall round.
+	gap := l.loss.Arrive(l.slotLocked(m.From), &b.Pkt, at, nil)
+	var targets []string
+	if gap != nil {
+		targets = l.repairTargets()
+	}
+	if !fresh {
 		l.dup++
 		l.met.dups.Inc()
-		l.mu.Unlock()
-		return
 	}
 	// The gauges move only when their value does: a parity packet that
 	// completes no segment changes neither.
@@ -323,26 +344,84 @@ func (l *Leaf) handle(m transport.Msg) {
 	}
 	complete := l.asm.Complete()
 	l.mu.Unlock()
+	if gap != nil {
+		l.requestRepair(gap, targets, l.met.gapRepairs)
+	}
 	if complete {
 		l.doneOnce.Do(func() { close(l.done) })
 	}
 }
 
+// slotLocked returns the detector slot of a sender address, assigning
+// the next one on first sight. Callers hold l.mu.
+func (l *Leaf) slotLocked(addr string) int {
+	slot, ok := l.senders[addr]
+	if !ok {
+		slot = len(l.senders)
+		l.senders[addr] = slot
+	}
+	return slot
+}
+
+// senderLocked returns what the detector knows of a sender address; ok
+// is false for one it never heard. Callers hold l.mu.
+func (l *Leaf) senderLocked(addr string) (s parity.Sender, ok bool) {
+	slot, known := l.senders[addr]
+	if senders := l.loss.Senders(); known && slot < len(senders) && senders[slot].Heard() {
+		return senders[slot], true
+	}
+	return s, false
+}
+
 // repairTargets orders the roster by how recently each member was heard
-// from, most recent first — after churn, the peers still streaming are
-// the ones worth asking. Never-heard members sort last in random order.
+// streaming, most recent first — after churn, the peers still streaming
+// are the ones worth asking. Never-heard members sort last in random
+// order. Callers hold l.mu.
 func (l *Leaf) repairTargets() []string {
-	targets := append([]string{}, l.cfg.Roster...)
-	l.rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
-	sort.SliceStable(targets, func(i, j int) bool {
-		return l.lastHeard[targets[i]].After(l.lastHeard[targets[j]])
-	})
+	type target struct {
+		addr  string
+		heard float64
+	}
+	ts := make([]target, len(l.cfg.Roster))
+	for i, a := range l.cfg.Roster {
+		ts[i] = target{a, math.Inf(-1)}
+		if s, ok := l.senderLocked(a); ok {
+			ts[i].heard = s.LastHeard
+		}
+	}
+	l.rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	sort.SliceStable(ts, func(i, j int) bool { return ts[i].heard > ts[j].heard })
+	targets := make([]string, len(ts))
+	for i, t := range ts {
+		targets[i] = t.addr
+	}
 	return targets
 }
 
-// repairLoop watches for stalled progress and requests retransmission of
-// missing data packets from surviving session members, rotating to an
-// alternate when a target is unreachable.
+// requestRepair asks for the missing indices in batches of 64, trying
+// targets in survivor order and rotating to an alternate when one is
+// unreachable. count is the trigger's request counter.
+func (l *Leaf) requestRepair(missing []int64, targets []string, count *metrics.Counter) {
+	const batch = 64
+	t := 0
+	for off := 0; off < len(missing); off += batch {
+		body := repairBody{ContentID: l.cfg.ContentID, Indices: missing[off:min(off+batch, len(missing))], Leaf: l.Addr()}
+		for tries := 0; tries < len(targets); tries++ {
+			peer := targets[t%len(targets)]
+			t++
+			count.Inc()
+			if err := l.send(peer, typeRepair, body); err == nil {
+				break
+			}
+			l.met.failovers.Inc()
+		}
+	}
+}
+
+// repairLoop is the backstop for what the gap rule cannot see — a gap
+// in the stream's tail, every sender crashed, a repair reply lost: when
+// delivery has stalled for RepairAfter it requests every missing data
+// packet from surviving session members.
 func (l *Leaf) repairLoop() {
 	tick := time.NewTicker(l.cfg.RepairAfter / 2)
 	defer tick.Stop()
@@ -378,31 +457,13 @@ func (l *Leaf) repairLoop() {
 					l.met.retries.Inc()
 				}
 				l.repairFirst = missing[0]
+				l.loss.Requested(missing[len(missing)-1])
 				targets = l.repairTargets()
 			}
 		}
 		l.mu.Unlock()
-		if len(missing) == 0 {
-			continue
-		}
-		const batch = 64
-		t := 0
-		for off := 0; off < len(missing); off += batch {
-			end := off + batch
-			if end > len(missing) {
-				end = len(missing)
-			}
-			body := repairBody{ContentID: l.cfg.ContentID, Indices: missing[off:end], Leaf: l.Addr()}
-			// Try targets in survivor order until one accepts delivery.
-			for tries := 0; tries < len(targets); tries++ {
-				peer := targets[t%len(targets)]
-				t++
-				l.met.repairRequests.Inc()
-				if err := l.send(peer, typeRepair, body); err == nil {
-					break
-				}
-				l.met.failovers.Inc()
-			}
+		if len(missing) > 0 {
+			l.requestRepair(missing, targets, l.met.stallRepairs)
 		}
 	}
 }
@@ -453,13 +514,17 @@ func (l *Leaf) Wait(timeout time.Duration) error {
 		// Peers that served packets but have been silent longest are the
 		// presumed-crashed sources of the gaps.
 		type src struct {
-			addr  string
-			ago   time.Duration
-			maxIx int64
+			addr string
+			ago  time.Duration
+			pos  float64
 		}
 		var silent []src
-		for a, ts := range l.lastHeard {
-			silent = append(silent, src{a, time.Since(ts).Round(time.Millisecond), l.maxIdx[a]})
+		now := liveNow()
+		for a := range l.senders {
+			if s, ok := l.senderLocked(a); ok {
+				ago := time.Duration((now - s.LastHeard) * float64(time.Second)).Round(time.Millisecond)
+				silent = append(silent, src{a, ago, s.MaxPos})
+			}
 		}
 		sort.Slice(silent, func(i, j int) bool { return silent[i].ago > silent[j].ago })
 		if len(silent) > 4 {
@@ -467,7 +532,7 @@ func (l *Leaf) Wait(timeout time.Duration) error {
 		}
 		var who []string
 		for _, s := range silent {
-			who = append(who, fmt.Sprintf("%s (last heard %s ago, served up to #%d)", s.addr, s.ago, s.maxIx))
+			who = append(who, fmt.Sprintf("%s (last heard %s ago, served up to #%d)", s.addr, s.ago, int64(s.pos)))
 		}
 		served := "no data packets received"
 		if len(who) > 0 {

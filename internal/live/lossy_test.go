@@ -3,7 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,10 +57,23 @@ func buildLossySession(t *testing.T, f *transport.Fabric, n, H, interval int, pr
 func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 	data := randomData(4000, 8)
 	f := transport.NewFabric()
-	var swallowed int32
+	var mu sync.Mutex
+	var lostTo string // where the swallowed request was going
+	resent := 0
 	f.Drop = func(from, to string) bool {
-		// The leaf's first send is the request for slot 0.
-		return from == "leaf" && atomic.AddInt32(&swallowed, 1) == 1
+		if from != "leaf" {
+			return false
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if lostTo == "" {
+			lostTo = to // the leaf's first send is the request for slot 0
+			return true
+		}
+		if to == lostTo {
+			resent++
+		}
+		return false
 	}
 	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.DCoP, data, 64, 21, func(cfg *LeafConfig) {
 		cfg.RepairAfter = 0 // isolate: only the request deadline may save this
@@ -79,7 +92,9 @@ func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("reassembled bytes differ after request retry")
 	}
-	if atomic.LoadInt32(&swallowed) < 2 {
+	mu.Lock()
+	defer mu.Unlock()
+	if resent == 0 {
 		t.Fatal("the request was never re-sent")
 	}
 }

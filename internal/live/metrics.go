@@ -66,11 +66,14 @@ func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetri
 // leafMetrics holds the leaf's instrument handles; same nil-is-disabled
 // convention as peerMetrics.
 type leafMetrics struct {
-	arrivals       *metrics.Counter
-	dups           *metrics.Counter
-	repairRequests *metrics.Counter
-	delivered      *metrics.Gauge
-	recovered      *metrics.Gauge
+	arrivals *metrics.Counter
+	dups     *metrics.Counter
+	// gapRepairs and stallRepairs count repair requests by trigger: a gap
+	// parity provably cannot close, or the stall backstop.
+	gapRepairs   *metrics.Counter
+	stallRepairs *metrics.Counter
+	delivered    *metrics.Gauge
+	recovered    *metrics.Gauge
 	// retries counts stall rounds that re-requested an already-requested
 	// leading gap; failovers counts requests redirected to an alternate
 	// peer after a send error (crashed or unknown endpoint).
@@ -88,14 +91,15 @@ type leafMetrics struct {
 
 func newLeafMetrics(reg *metrics.Registry, sid SessionID) leafMetrics {
 	return leafMetrics{
-		arrivals:       reg.Counter("live_leaf_arrivals_total", withSession(sid)...),
-		dups:           reg.Counter("live_leaf_duplicates_total", withSession(sid)...),
-		repairRequests: reg.Counter("live_repair_requests_total", withSession(sid)...),
-		delivered:      reg.Gauge("live_leaf_delivered_packets", withSession(sid)...),
-		recovered:      reg.Gauge("live_leaf_recovered_packets", withSession(sid)...),
-		retries:        reg.Counter("live_session_retries_total", withSession(sid, "role", "leaf")...),
-		failovers:      reg.Counter("live_session_failovers_total", withSession(sid, "role", "leaf")...),
-		decodeErrors:   reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "leaf", "reason", "decode")...),
+		arrivals:     reg.Counter("live_leaf_arrivals_total", withSession(sid)...),
+		dups:         reg.Counter("live_leaf_duplicates_total", withSession(sid)...),
+		gapRepairs:   reg.Counter("live_repair_requests_total", withSession(sid, "trigger", "gap")...),
+		stallRepairs: reg.Counter("live_repair_requests_total", withSession(sid, "trigger", "stall")...),
+		delivered:    reg.Gauge("live_leaf_delivered_packets", withSession(sid)...),
+		recovered:    reg.Gauge("live_leaf_recovered_packets", withSession(sid)...),
+		retries:      reg.Counter("live_session_retries_total", withSession(sid, "role", "leaf")...),
+		failovers:    reg.Counter("live_session_failovers_total", withSession(sid, "role", "leaf")...),
+		decodeErrors: reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "leaf", "reason", "decode")...),
 
 		timeToFirstPacket: reg.Histogram("live_time_to_first_packet_seconds", latencyBounds, withSession(sid)...),
 		stallDuration:     reg.Histogram("live_stall_duration_seconds", latencyBounds, withSession(sid)...),

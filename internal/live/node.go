@@ -382,8 +382,11 @@ type SessionConfig struct {
 	Rate float64
 	// H and Interval override the node defaults when positive.
 	H, Interval int
-	// RepairAfter is the leaf's stall-detection period; zero disables
-	// repair.
+	// RepairAfter is the leaf's stall-detection period, and how long a
+	// silent sender still holds back its gap detector; zero disables
+	// repair. Open rejects a period not shorter than the node's
+	// ReapAfter: serving peers would be reaped before the stall round
+	// reached them.
 	RepairAfter time.Duration
 	// RequestRetry re-sends the session's content requests whose delivery
 	// was never confirmed by data, for datagram transports that lose a
@@ -406,6 +409,12 @@ type LeafSession struct {
 func (n *Node) Open(sc SessionConfig) (*LeafSession, error) {
 	if n.closed.Load() {
 		return nil, fmt.Errorf("live: node closed")
+	}
+	if sc.RepairAfter > 0 && n.cfg.ReapAfter > 0 && sc.RepairAfter >= n.cfg.ReapAfter {
+		// A serving peer reaped before the leaf's stall round drops the
+		// repair request for good: the session would end a few packets
+		// short with nothing to say why.
+		return nil, fmt.Errorf("live: RepairAfter %v must be shorter than the node's ReapAfter %v", sc.RepairAfter, n.cfg.ReapAfter)
 	}
 	rt := n.runtime()
 	sid := sc.ID

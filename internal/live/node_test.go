@@ -417,3 +417,34 @@ func TestTCPSendToCrashedEndpointErrors(t *testing.T) {
 		t.Fatal("sends to a crashed TCP endpoint kept succeeding")
 	}
 }
+
+// TestOpenRejectsRepairAfterPastReapAfter: the "ReapAfter trap". A serving
+// peer reaped before the leaf's stall round drops that round's repair
+// request, so a lossy session would end a few packets short without a
+// word. Open refuses such a session, naming both durations; a shorter
+// RepairAfter is accepted.
+func TestOpenRejectsRepairAfterPastReapAfter(t *testing.T) {
+	store, data := chaosStore(1, 4000, 64, 90)
+	nc, err := StartNodes(NodesConfig{Nodes: 3, Store: store, H: 2, Interval: 2, ReapAfter: 200 * time.Millisecond, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	sc := SessionConfig{ContentID: "c0", ContentSize: len(data["c0"]), PacketSize: 64, Rate: 400}
+	for _, repairAfter := range []time.Duration{200 * time.Millisecond, 300 * time.Millisecond} {
+		sc.RepairAfter = repairAfter
+		_, err := nc.Open(0, sc)
+		if err == nil {
+			t.Fatalf("RepairAfter %v accepted with ReapAfter 200ms", repairAfter)
+		}
+		if msg := err.Error(); !strings.Contains(msg, repairAfter.String()) || !strings.Contains(msg, "200ms") {
+			t.Errorf("error %q does not name both durations", msg)
+		}
+	}
+	sc.RepairAfter = 150 * time.Millisecond
+	ls, err := nc.Open(0, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitExact(t, ls, data["c0"], 20*time.Second)
+}

@@ -60,7 +60,7 @@ func TestSwarmDiscoveryAcceptance(t *testing.T) {
 		Interval:         2,
 		Delta:            5 * time.Millisecond,
 		HandshakeTimeout: 100 * time.Millisecond,
-		ReapAfter:        300 * time.Millisecond,
+		ReapAfter:        500 * time.Millisecond, // above the sessions' RepairAfter, as Open requires
 		Seed:             7001,
 		Obs:              engine.Observability{Metrics: reg},
 	})

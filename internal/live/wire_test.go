@@ -174,16 +174,21 @@ func (e tapEndpoint) Send(to string, m transport.Msg) error {
 	return e.Endpoint.Send(to, m)
 }
 
-// mentionsT1 reports whether a data message carries t1 or a parity packet
-// that (at any nesting depth) covers it — everything the leaf could learn
-// t1 from.
-func mentionsT1(m transport.Msg) bool {
+// mentions reports whether a data message carries one of the given
+// packet keys, or a parity packet that covers one at any nesting depth —
+// everything the leaf could learn those packets from.
+func mentions(m transport.Msg, keys ...string) bool {
 	var b dataBody
 	if b.DecodeWire(m.Payload) != nil {
 		return false
 	}
 	ids := strings.FieldsFunc(b.Pkt.Key(), func(r rune) bool { return r == '(' || r == ')' || r == ',' })
-	return slices.Contains(ids, "t1")
+	for _, k := range keys {
+		if slices.Contains(ids, k) {
+			return true
+		}
+	}
+	return false
 }
 
 // captureSession streams a small content through a real session of the
@@ -222,7 +227,7 @@ func captureSession(tb testing.TB, proto Protocol) [][]byte {
 					kept[kind]++
 					frames = append(frames, transport.AppendFrame(nil, m))
 				}
-				return m.Type == typeData && to == "leaf" && kept[typeRepair] < 3 && mentionsT1(m)
+				return m.Type == typeData && to == "leaf" && kept[typeRepair] < 3 && mentions(m, "t1")
 			}}, nil
 		})
 	}

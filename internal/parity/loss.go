@@ -1,0 +1,208 @@
+package parity
+
+import (
+	"math"
+
+	"p2pmss/internal/seq"
+)
+
+// LossDetector is a leaf's missing set for a content of l data packets,
+// and the rule that tells which missing packets §3.2's parity can no
+// longer recover. It is a pure function of what it is fed — arrivals
+// with their sender and receipt time, and the indices that became
+// present — and never reads a clock, so both drivers (virtual time and
+// wall clock) and tests on fabricated times share it.
+//
+// The rule. A missing data index k is lost once every sender heard
+// within the last window has delivered a packet positioned more than a
+// slack past the end of k's recovery segment. Each sender transmits its
+// subsequence in position order, and a recovery segment's parity sits
+// inside the range its segment covers (nested parities inside the range
+// of theirs), so past that point nothing that could deliver t_k, or the
+// parity and partners that would recover it, is still in flight. Judging
+// whole segments reports a segment's unrecoverable losses together. The
+// slack is one recovery segment per sender, H·(h+1) positions, widened to
+// the largest reorder displacement the detector has itself observed: a
+// packet arriving behind its own sender's furthest position by that much.
+//
+// A sender not yet heard is not in the set (its positions are judged by
+// the others), unless Expect registered it: an expected sender holds the
+// rule back until it is heard or its window runs out. A data packet
+// behind the cursor — a repair reply for an index already reported lost
+// or passed to Requested, or a packet parity recovered before it came —
+// fills its gap but says nothing about its sender's stream.
+//
+// The missing set is a union-find over 1..l+1 ("the smallest missing
+// index ≥ k"), so listing the missing indices costs O(|missing|), and the
+// rule advances a lowest-unresolved cursor, so an arrival costs O(1)
+// amortised plus one pass over the senders when the arriving one has
+// passed the cursor by more than the slack.
+type LossDetector struct {
+	l int64
+	// next[k] == k while t_k is missing; a present index points further
+	// right. next[l+1] is the sentinel.
+	next []int32
+	have int64
+	// cursor is the lowest unresolved index: every missing index below it
+	// has been reported lost or requested.
+	cursor int64
+	// h, slack and window arm the rule (window 0: the missing set only);
+	// reorder is the largest displacement observed.
+	h                      int64
+	slack, window, reorder float64
+	senders                []Sender
+}
+
+// Sender is what the detector knows of one source of data packets.
+type Sender struct {
+	// LastHeard is when the sender last delivered a packet (or, before its
+	// first, when it was expected); -Inf for a slot never used.
+	LastHeard float64
+	// MaxPos is the furthest position it has delivered; -Inf before its
+	// first packet.
+	MaxPos float64
+}
+
+// Heard reports whether the sender has delivered a packet.
+func (s Sender) Heard() bool { return s.MaxPos > math.Inf(-1) }
+
+var never = Sender{LastHeard: math.Inf(-1), MaxPos: math.Inf(-1)}
+
+// NewLossDetector returns the missing set of a content of l data
+// packets, every index missing and the loss rule unarmed.
+func NewLossDetector(l int) *LossDetector {
+	l = max(l, 0)
+	d := &LossDetector{l: int64(l), next: make([]int32, l+2), cursor: 1}
+	for k := range d.next {
+		d.next[k] = int32(k)
+	}
+	return d
+}
+
+// Arm enables the loss rule for a content enhanced with parity interval
+// h and divided among senders peers: window is how long a silent sender
+// still counts, in the caller's time unit.
+func (d *LossDetector) Arm(h, senders int, window float64) {
+	d.h, d.slack, d.window = int64(max(h, 1)), float64(senders*(h+1)), window
+}
+
+// Present records that data packet t_k is present (received or
+// recovered). Indices outside 1..l and repeats are ignored.
+func (d *LossDetector) Present(k int64) {
+	if k < 1 || k > d.l || int64(d.next[k]) != k {
+		return
+	}
+	d.next[k] = int32(k + 1)
+	d.have++
+}
+
+// Have returns how many of the l data packets are present.
+func (d *LossDetector) Have() int64 { return d.have }
+
+// Complete reports whether every data packet is present.
+func (d *LossDetector) Complete() bool { return d.have == d.l }
+
+// Missing lists the absent indices in ascending order.
+func (d *LossDetector) Missing() []int64 {
+	out := make([]int64, 0, d.l-d.have)
+	for k := d.find(1); k <= d.l; k = d.find(k + 1) {
+		out = append(out, k)
+	}
+	return out
+}
+
+// find returns the smallest missing index ≥ k (l+1 when there is none),
+// halving the path it walks.
+func (d *LossDetector) find(k int64) int64 {
+	for {
+		n := int64(d.next[k])
+		if n == k {
+			return k
+		}
+		nn := d.next[n]
+		d.next[k] = nn
+		k = int64(nn)
+	}
+}
+
+// Senders returns the per-sender state, indexed by sender id. The slice
+// is the detector's own: read it, do not keep it across calls.
+func (d *LossDetector) Senders() []Sender { return d.senders }
+
+// sender returns sender id's entry, growing the table to hold it.
+func (d *LossDetector) sender(id int) *Sender {
+	for id >= len(d.senders) {
+		d.senders = append(d.senders, never)
+	}
+	return &d.senders[id]
+}
+
+// Expect registers a sender the leaf has asked to stream before its
+// first packet: until heard it holds the rule back, for at most a window
+// from now. A sender already heard is unaffected.
+func (d *LossDetector) Expect(sender int, now float64) {
+	if s := d.sender(sender); !s.Heard() {
+		s.LastHeard = now
+	}
+}
+
+// Requested records that every missing index up to through has been
+// asked for outside the rule (a stall round): the rule does not report
+// them again, and their replies are recognised as such.
+func (d *LossDetector) Requested(through int64) {
+	d.cursor = min(max(d.cursor, through+1), d.l+1)
+}
+
+// Arrive records that sender delivered p at time now, after p was fed to
+// the recoverer, and appends to lost, in ascending order, the missing
+// indices this arrival proves lost. Each index is reported once.
+func (d *LossDetector) Arrive(sender int, p *seq.Packet, now float64, lost []int64) []int64 {
+	if p.Kind == seq.Data && p.Index < d.cursor {
+		// A repair reply, a straggler already given up on, or a packet
+		// parity recovered first: its position says nothing about the
+		// sender's stream, but a streaming sender is still alive.
+		if sender < len(d.senders) && d.senders[sender].Heard() {
+			d.senders[sender].LastHeard = now
+		}
+		return lost
+	}
+	s := d.sender(sender)
+	s.LastHeard = now
+	if p.Pos > s.MaxPos {
+		s.MaxPos = p.Pos
+	} else if disp := s.MaxPos - p.Pos; disp > d.reorder {
+		d.reorder = disp
+	}
+	if d.window <= 0 {
+		return lost
+	}
+	c := d.find(d.cursor)
+	d.cursor = c
+	slack := d.slack + d.reorder
+	if c > d.l || s.MaxPos <= d.segmentEnd(c)+slack {
+		return lost // the arriving sender itself has not passed the cursor
+	}
+	frontier := math.Inf(1)
+	for i := range d.senders {
+		if o := &d.senders[i]; now-o.LastHeard <= d.window {
+			frontier = min(frontier, o.MaxPos)
+		}
+	}
+	for c <= d.l {
+		end := d.segmentEnd(c)
+		if end >= frontier-slack {
+			break
+		}
+		for ; float64(c) <= end; c = d.find(c + 1) {
+			lost = append(lost, c)
+		}
+	}
+	d.cursor = c
+	return lost
+}
+
+// segmentEnd is the position of the last data packet of k's recovery
+// segment in Esq(content, h).
+func (d *LossDetector) segmentEnd(k int64) float64 {
+	return float64(min((k+d.h-1)/d.h*d.h, d.l))
+}

@@ -1,0 +1,367 @@
+package parity
+
+import (
+	"cmp"
+	"slices"
+	"testing"
+
+	"p2pmss/internal/seq"
+)
+
+// lossRig feeds a recoverer and its loss detector the way a leaf does:
+// each arrival goes to the recoverer first, then to the detector with its
+// sender and a fabricated receipt time. Nothing sleeps.
+type lossRig struct {
+	rec  *Recoverer
+	det  *LossDetector
+	lost []lostAt
+}
+
+// lostAt is one Arrive that reported losses: which, and at what time.
+type lostAt struct {
+	at   float64
+	idxs []int64
+}
+
+func newLossRig(l, h, senders int, window float64) *lossRig {
+	r := &lossRig{rec: NewSizedRecoverer(l), det: NewLossDetector(l)}
+	r.det.Arm(h, senders, window)
+	r.rec.OnData(r.det.Present)
+	return r
+}
+
+func (r *lossRig) arrive(sender int, p seq.Packet, now float64) {
+	r.rec.Add(p)
+	if lost := r.det.Arrive(sender, &p, now, nil); len(lost) > 0 {
+		r.lost = append(r.lost, lostAt{now, lost})
+	}
+}
+
+// reported is every index the detector reported lost, in report order.
+func (r *lossRig) reported() []int64 {
+	var out []int64
+	for _, l := range r.lost {
+		out = append(out, l.idxs...)
+	}
+	return out
+}
+
+// arrival is one packet on one sender's link.
+type arrival struct {
+	sender int
+	p      seq.Packet
+}
+
+// interleave is the order paced senders deliver Esq(1..l, h) divided
+// round-robin among H of them: enhanced-sequence order, packet j from
+// sender j mod H.
+func interleave(l int64, h, H int) []arrival {
+	var out []arrival
+	for j, p := range Enhance(seq.Range(1, l), h) {
+		out = append(out, arrival{j % H, p})
+	}
+	return out
+}
+
+// Per-link reordering inside the slack — each link holding a packet back
+// until up to h+1 of its later packets have overtaken it — is not a gap:
+// nothing is reported, and everything is present at the end.
+func TestLossDetectorReorderWithinWindow(t *testing.T) {
+	const l, h, H = 300, 2, 3
+	in := interleave(l, h, H)
+	// On every link, hold every fifth packet back behind the next h+1 of
+	// the same link.
+	var order []arrival
+	held := map[int][]arrival{}
+	seen := map[int]int{}
+	overtaken := map[int]int{}
+	for _, a := range in {
+		s := a.sender
+		seen[s]++
+		if seen[s]%5 == 0 {
+			held[s] = append(held[s], a)
+			overtaken[s] = 0
+			continue
+		}
+		order = append(order, a)
+		if len(held[s]) > 0 {
+			if overtaken[s]++; overtaken[s] == h+1 {
+				order = append(order, held[s]...)
+				held[s] = nil
+			}
+		}
+	}
+	for s := 0; s < H; s++ {
+		order = append(order, held[s]...)
+	}
+	if len(order) != len(in) {
+		t.Fatalf("rig lost packets: %d of %d", len(order), len(in))
+	}
+	r := newLossRig(l, h, H, 1)
+	for i, a := range order {
+		r.arrive(a.sender, a.p, float64(i)*1e-3)
+	}
+	if got := r.reported(); len(got) != 0 {
+		t.Errorf("reordering within the window reported %v lost", got)
+	}
+	if !r.det.Complete() {
+		t.Errorf("incomplete after reordered delivery: missing %v", r.det.Missing())
+	}
+}
+
+// hold moves the first arrival matching key behind the next n arrivals of
+// its own sender: a packet a link held back while n later ones overtook it.
+func hold(in []arrival, key string, n int) []arrival {
+	i := slices.IndexFunc(in, func(a arrival) bool { return a.p.Key() == key })
+	held := in[i]
+	out := append([]arrival{}, in[:i]...)
+	rest := in[i+1:]
+	for j, a := range rest {
+		out = append(out, a)
+		if a.sender == held.sender {
+			if n--; n == 0 {
+				out = append(out, held)
+				return append(out, rest[j+1:]...)
+			}
+		}
+	}
+	return append(out, held)
+}
+
+// A link's reordering beyond the base slack is learned: once a parity
+// packet has arrived that far behind its sender's stream, a data packet
+// held back as far later in the session is not taken for a loss. Without
+// the lesson it is (the control run).
+func TestLossDetectorLearnsReorder(t *testing.T) {
+	const l, h, H = 300, 2, 3
+	in := interleave(l, h, H)
+	// Two packets of one segment (parity cannot stand in) each about 14
+	// positions late: past the base slack of 9.
+	late := hold(hold(in, "t151", 7), "t152", 7)
+	for _, learn := range []bool{false, true} {
+		order := late
+		if learn {
+			order = hold(late, "p(t1,t2)", 10) // a parity about 20 positions late
+		}
+		r := newLossRig(l, h, H, 1)
+		for i, a := range order {
+			r.arrive(a.sender, a.p, float64(i)*1e-3)
+		}
+		got := r.reported()
+		if learn && len(got) != 0 {
+			t.Errorf("after a learned displacement, reported %v", got)
+		}
+		if !learn && !slices.Equal(got, []int64{151, 152}) {
+			t.Errorf("control run reported %v, want [151 152]: the late packets do not test the slack", got)
+		}
+		if !r.det.Complete() {
+			t.Errorf("learn=%v: incomplete, missing %v", learn, r.det.Missing())
+		}
+	}
+}
+
+// Two packets of one recovery segment dropped mid-stream: the detector
+// names exactly those two indices, and names them mid-stream, once every
+// sender has passed them by the slack. A single drop elsewhere is parity's
+// to recover and is never named.
+func TestLossDetectorNamesUnrecoverablePair(t *testing.T) {
+	const l, h, H = 120, 2, 3
+	r := newLossRig(l, h, H, 1)
+	drop := map[string]bool{"t61": true, "t62": true, "t91": true}
+	var at float64
+	var passedAt float64 // when every sender had passed t62 by the slack
+	frontier := make([]float64, H)
+	for i, a := range interleave(l, h, H) {
+		now := float64(i) * 1e-3
+		frontier[a.sender] = a.p.Pos
+		if passedAt == 0 && slices.Min(frontier) > 62+H*(h+1) {
+			passedAt = now
+		}
+		if drop[a.p.Key()] {
+			continue
+		}
+		r.arrive(a.sender, a.p, now)
+		at = now
+	}
+	if len(r.lost) != 1 || !slices.Equal(r.lost[0].idxs, []int64{61, 62}) {
+		t.Fatalf("reported %+v, want exactly [61 62] in one report", r.lost)
+	}
+	if r.lost[0].at != passedAt {
+		t.Errorf("reported at %v, want %v: the first arrival past the slack", r.lost[0].at, passedAt)
+	}
+	if r.lost[0].at >= at {
+		t.Error("the pair was only named at the end of the stream")
+	}
+	if got := r.det.Missing(); !slices.Equal(got, []int64{61, 62}) {
+		t.Errorf("missing %v, want [61 62] (t91 is parity's)", got)
+	}
+}
+
+// A sender first heard mid-stream behind the others — a hand-off child
+// whose share starts at the mark its parent reached a moment ago — and
+// which then falls further behind, holds the rule back: its own indices
+// are never reported, however far the others run ahead.
+func TestLossDetectorHandoffLag(t *testing.T) {
+	const l = 240
+	r := newLossRig(l, 1, 3, 1) // segments of one, a slack of 6
+	// Data only, positions = indices. Until the mark (k < 61) sender 0
+	// sends k ≡ 0, 2 (mod 3) and sender 1 k ≡ 1; from the mark on, sender
+	// 2 takes over k ≡ 2. Senders 0 and 1 run at one position per tick;
+	// sender 2 starts 4 positions late and runs at half speed.
+	owner := func(k int64) int {
+		switch {
+		case k%3 == 1:
+			return 1
+		case k%3 == 2 && k >= 61:
+			return 2
+		}
+		return 0
+	}
+	type ev struct {
+		t float64
+		a arrival
+	}
+	var evs []ev
+	var child int
+	for k := int64(1); k <= l; k++ {
+		s := owner(k)
+		tick := float64(k)
+		if s == 2 {
+			tick = 61 + 4 + 2*float64(child)
+			child++
+		}
+		evs = append(evs, ev{tick, arrival{s, seq.NewData(k)}})
+	}
+	slices.SortStableFunc(evs, func(a, b ev) int { return cmp.Compare(a.t, b.t) })
+	for _, e := range evs {
+		r.arrive(e.a.sender, e.a.p, e.t*1e-3)
+	}
+	if got := r.reported(); len(got) != 0 {
+		t.Errorf("a lagging hand-off child's indices were reported lost: %v", got)
+	}
+	if !r.det.Complete() {
+		t.Errorf("incomplete: missing %v", r.det.Missing())
+	}
+}
+
+// A sender that goes silent mid-stream holds the rule back for one
+// window; the first arrival after that names its missing indices.
+func TestLossDetectorSilentSenderAfterWindow(t *testing.T) {
+	const l, h, H = 400, 4, 3
+	const window = 0.05
+	r := newLossRig(l, h, H, window)
+	in := interleave(l, h, H)
+	const crashAt = 0.1 // sender 2 is silent from here on
+	var lastHeard float64
+	for i, a := range in {
+		now := float64(i) * 1e-3
+		if a.sender == 2 && now >= crashAt {
+			continue
+		}
+		if a.sender == 2 {
+			lastHeard = now
+		}
+		r.arrive(a.sender, a.p, now)
+	}
+	if len(r.lost) == 0 {
+		t.Fatal("a silent sender's share was never reported")
+	}
+	first := r.lost[0]
+	if first.at <= lastHeard+window {
+		t.Errorf("first report at %v, within the window of the last arrival from the silent sender (%v)", first.at, lastHeard)
+	}
+	if first.at > lastHeard+window+2e-3 {
+		t.Errorf("first report at %v, want the first arrival after %v", first.at, lastHeard+window)
+	}
+	// Everything reported was the silent sender's, and parity could not
+	// bring it back: h+1 = 5 > H, so a segment missing one sender's
+	// packets misses two of them.
+	sent2 := map[int64]bool{}
+	for _, a := range in {
+		if a.sender == 2 && a.p.IsData() {
+			sent2[a.p.Index] = true
+		}
+	}
+	for _, k := range r.reported() {
+		if !sent2[k] {
+			t.Errorf("t%d reported lost but was not the silent sender's", k)
+		}
+		if r.rec.HasData(k) {
+			t.Errorf("t%d reported lost but present", k)
+		}
+	}
+}
+
+// A loss in the stream's tail is past every sender's last position: the
+// rule can never prove it, so it stays missing for the stall round to ask
+// for; once asked (Requested), its reply fills the gap without being
+// taken for a sender's stream.
+func TestLossDetectorTailIsTheBackstops(t *testing.T) {
+	const l, h, H = 60, 2, 3
+	r := newLossRig(l, h, H, 1)
+	in := interleave(l, h, H)
+	for i, a := range in {
+		if a.p.IsData() && a.p.Index >= 59 {
+			continue // t59, t60: the last segment, both data packets
+		}
+		r.arrive(a.sender, a.p, float64(i)*1e-3)
+	}
+	if got := r.reported(); len(got) != 0 {
+		t.Fatalf("the rule reported %v; a tail loss is beyond it", got)
+	}
+	missing := r.det.Missing()
+	if !slices.Equal(missing, []int64{59, 60}) {
+		t.Fatalf("missing %v, want [59 60]", missing)
+	}
+	// The stall round asks for everything missing; a peer that never
+	// streamed answers.
+	r.det.Requested(missing[len(missing)-1])
+	for _, k := range missing {
+		r.arrive(7, seq.NewData(k), 1)
+	}
+	if !r.det.Complete() {
+		t.Fatalf("repair replies did not complete the content: missing %v", r.det.Missing())
+	}
+	if s := r.det.Senders(); len(s) > 7 && s[7].Heard() {
+		t.Error("a repair reply made its sender part of the stream")
+	}
+}
+
+// An expected sender not yet heard holds the rule back until its window
+// runs out.
+func TestLossDetectorExpectedSender(t *testing.T) {
+	const l = 100
+	r := newLossRig(l, 2, 1, 0.05) // a slack of 3
+	r.det.Expect(1, 0)
+	for k := int64(1); k <= 40; k += 2 { // sender 0 has the odd indices
+		r.arrive(0, seq.NewData(k), float64(k)*1e-3)
+	}
+	if len(r.lost) != 0 {
+		t.Fatalf("reported %v while sender 1 was expected", r.reported())
+	}
+	r.arrive(0, seq.NewData(41), 0.06)
+	if got := r.reported(); !slices.Equal(got, []int64{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36}) {
+		t.Errorf("after the window: reported %v", got)
+	}
+}
+
+// The missing set lists exactly the absent indices, in order, however
+// the present ones arrived.
+func TestLossDetectorMissingSet(t *testing.T) {
+	d := NewLossDetector(10)
+	for _, k := range []int64{3, 1, 10, 4, 4, 0, 11, 7} {
+		d.Present(k)
+	}
+	if got := d.Missing(); !slices.Equal(got, []int64{2, 5, 6, 8, 9}) {
+		t.Errorf("missing %v", got)
+	}
+	if d.Have() != 5 || d.Complete() {
+		t.Errorf("have %d complete %v", d.Have(), d.Complete())
+	}
+	for _, k := range []int64{2, 5, 6, 8, 9} {
+		d.Present(k)
+	}
+	if got := d.Missing(); len(got) != 0 || !d.Complete() {
+		t.Errorf("missing %v after all present", got)
+	}
+}
