@@ -141,7 +141,7 @@ func TestEnhancedConcurrent(t *testing.T) {
 				got := seq.Div(c.Enhanced(h), 3, g%3)
 				exp := seq.Div(want[h], 3, g%3)
 				for j := range exp {
-					if !seq.SameIdentity(got[j], exp[j]) || !bytes.Equal(got[j].Payload, exp[j].Payload) {
+					if !seq.SameIdentity(&got[j], &exp[j]) || !bytes.Equal(got[j].Payload, exp[j].Payload) {
 						t.Errorf("goroutine %d: share packet %d is %v, want %v", g, j, got[j], exp[j])
 						return
 					}

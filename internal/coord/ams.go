@@ -73,7 +73,7 @@ func (a *ams) onRequest(p *peerNode, m reqMsg) {
 func (a *ams) broadcastState(p *peerNode, period int) {
 	r := a.r
 	proc := a.procs[p.id]
-	gm := proc.Send(amsState{Offset: p.tx.currentOffset(), Rate: p.tx.rate})
+	gm := proc.Send(amsState{Offset: p.tx.currentOffset(), Rate: p.tx.st.Rate()})
 	round := 1 + period
 	for j := 0; j < r.cfg.N; j++ {
 		if j != int(p.id) {

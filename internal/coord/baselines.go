@@ -62,7 +62,7 @@ func (b *broadcast) onState(p *peerNode, m stateMsg) {
 	if r.cfg.DataPlane {
 		part = seq.Div(r.enhancedContent(), r.cfg.N, int(p.id))
 	}
-	p.tx.assign(part, r.perPeerRateAll())
+	p.tx.install(part, r.perPeerRateAll())
 }
 
 // unicast implements the second baseline of §3.1: the leaf peer sends the
@@ -115,13 +115,13 @@ func (u *unicast) forward(p *peerNode, round int) {
 	if next >= r.cfg.N {
 		return
 	}
-	offset := p.tx.currentOffset()
-	mark := engine.MarkOffset(offset, r.cfg.Delta, p.tx.rate)
-	parts, rate := engine.ShareOut(p.tx.s, mark, p.tx.rate, 0, 2)
+	offset, own := p.tx.currentOffset(), p.tx.st.Snapshot()
+	mark := engine.MarkOffset(offset, r.cfg.Delta, own.Rate)
+	parts, rate := engine.ShareOut(own.Stream, mark, own.Rate, 0, 2)
 	msg := ctlMsg{
 		Parent:    p.id,
 		SeqOffset: offset,
-		Rate:      p.tx.rate,
+		Rate:      own.Rate,
 		ChildRate: rate,
 		Children:  1,
 		ChildIdx:  1,
@@ -132,7 +132,7 @@ func (u *unicast) forward(p *peerNode, round int) {
 	}
 	r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(next), msg, round)
 	keep, given := engine.SplitParts(parts)
-	p.tx.planShare(keep, given, p.tx.rate, rate, r.cfg.Delta)
+	p.tx.plan(&engine.Handoff{Keep: keep, Given: given, OldRate: own.Rate, NewRate: rate, Mark: mark})
 }
 
 // centralized implements the 2PC-style controller protocol of reference

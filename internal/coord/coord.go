@@ -560,7 +560,7 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	for i := 0; i < cfg.N; i++ {
 		p := &peerNode{r: r, id: overlay.PeerID(i), view: overlay.NewView(cfg.N)}
-		p.tx = newTransmitter(r, simnet.NodeID(i))
+		p.tx = &transmitter{r: r, node: simnet.NodeID(i)}
 		r.peers = append(r.peers, p)
 		nw.AttachFunc(simnet.NodeID(i), func(from simnet.NodeID, m simnet.Message) {
 			if rm, ok := m.(repairMsg); ok {
@@ -651,41 +651,32 @@ func (r *runner) flightPeer(id simnet.NodeID) int {
 	return int(id)
 }
 
-// activate marks peer p active at the given round and (data plane)
-// installs its first stream.
+// activate marks peer p active at the given round and installs its
+// first stream. Every protocol activates a peer once; a repeat only
+// deepens the recorded round.
 func (p *peerNode) activate(round int, s seq.Sequence, rate float64) {
-	wasActive := p.active
-	p.active = true
 	if round > p.depth {
 		p.depth = round
 	}
-	if !wasActive {
-		p.r.activeCount++
-		if round > p.r.res.SyncRounds {
-			p.r.res.SyncRounds = round
-			p.r.met.syncRounds.Set(float64(round))
-		}
-		p.r.res.SyncTime = p.r.eng.Now()
-		p.r.res.ActivePeers = p.r.activeCount
-		p.r.met.activations.Inc()
-		p.r.met.activePeers.Set(float64(p.r.activeCount))
-		p.r.met.activationRound.Observe(float64(round))
-		if p.core == nil { // baseline: the engine records its own Activate effects
-			p.r.note(int(p.id), flight.Event{Dir: "eff", Type: "activate", Round: round, N: len(s)})
-		}
-		p.r.scheduleMeasurement()
+	if p.active {
+		return
 	}
-	if p.r.cfg.DataPlane {
-		if wasActive {
-			p.tx.merge(s, rate)
-		} else {
-			p.tx.assign(s, rate)
-		}
-	} else if !wasActive {
-		// Rate bookkeeping still matters for SEQ estimation.
-		p.tx.rate = rate
-		p.tx.startedAt = p.r.eng.Now()
+	p.active = true
+	p.r.activeCount++
+	if round > p.r.res.SyncRounds {
+		p.r.res.SyncRounds = round
+		p.r.met.syncRounds.Set(float64(round))
 	}
+	p.r.res.SyncTime = p.r.eng.Now()
+	p.r.res.ActivePeers = p.r.activeCount
+	p.r.met.activations.Inc()
+	p.r.met.activePeers.Set(float64(p.r.activeCount))
+	p.r.met.activationRound.Observe(float64(round))
+	if p.core == nil { // baseline: the engine records its own Activate effects
+		p.r.note(int(p.id), flight.Event{Dir: "eff", Type: "activate", Round: round, N: len(s)})
+	}
+	p.r.scheduleMeasurement()
+	p.tx.install(s, rate)
 }
 
 // scheduleMeasurement (re)schedules the receipt-rate window after the most
@@ -895,10 +886,10 @@ func (r *runner) perPeerRateAll() float64 {
 // filling c.SEQ when the data plane is off.
 func (tx *transmitter) currentOffset() int {
 	if tx.r.cfg.DataPlane && !tx.r.cfg.fluid() {
-		return tx.pos
+		return tx.st.Snapshot().Offset
 	}
 	// Control-plane-only and fluid runs estimate the offset from the rate
 	// — there is no per-packet position to read. The offset only fills
 	// c.SEQ in outgoing controls; no protocol decision branches on it.
-	return int((tx.r.eng.Now() - tx.startedAt) * tx.rate)
+	return int((tx.r.eng.Now() - tx.startedAt) * tx.st.Rate())
 }

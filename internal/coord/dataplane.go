@@ -12,32 +12,64 @@ import (
 	"p2pmss/internal/span"
 )
 
-// transmitter is a contents peer's data-plane sender: it transmits the
-// packets of its assigned subsequence to the leaf peer at its assigned
-// rate, one packet per time slot (§2's slot model: slot length = 1/rate).
+// transmitter is a contents peer's data-plane sender: it transmits its
+// schedule (an engine.Stream; the sequence is nil on the fluid plane and
+// in control-plane-only mode) to the leaf peer, one packet per time slot
+// of length 1/rate (§2's slot model), and switches δ after a plan.
 type transmitter struct {
-	r    *runner
-	node simnet.NodeID
-
-	s    seq.Sequence
-	rate float64
-	pos  int
-	gen  int
-	ev   *des.Event
-
+	r         *runner
+	node      simnet.NodeID
+	st        engine.Stream
+	gen       int // transmission generation: a restart orphans older slots
+	ev        *des.Event
+	plans     int     // switches planned; a δ timer switches only its own
 	startedAt float64 // activation time (control-plane-only bookkeeping)
 	sentTotal int64
 }
 
-func newTransmitter(r *runner, node simnet.NodeID) *transmitter {
-	return &transmitter{r: r, node: node}
+// install starts transmitting s at rate from its first packet.
+func (tx *transmitter) install(s seq.Sequence, rate float64) {
+	tx.st.Install(s, rate)
+	tx.restart()
 }
 
-// assign replaces the transmitter's stream and rate. On the fluid plane
-// the sequence is always nil and the assignment routes to the ledger.
-func (tx *transmitter) assign(s seq.Sequence, rate float64) {
+// plan plans a hand-off's switch and arms its trigger, δ time units
+// from now (§3.3: "the parent also changes the packet subsequence to
+// pkt_jj and the rate … on δ time units after CP_j sends the control
+// packet"). A switch still planned is applied first.
+func (tx *transmitter) plan(h *engine.Handoff) {
+	if tx.st.Apply(h) && tx.r.cfg.DataPlane {
+		tx.restart()
+	}
+	tx.plans++
+	plan := tx.plans
+	tx.r.eng.After(tx.r.cfg.Delta, func() {
+		if plan == tx.plans && tx.st.Switch() && tx.r.cfg.DataPlane {
+			tx.restart()
+		}
+	})
+}
+
+// restart begins transmitting the schedule as it now stands. On the
+// fluid plane that is a new slot grid in the flow ledger; its phase draw
+// mirrors the packet plane's, so a fluid run consumes eng.Rand() at the
+// same points and (at zero jitter and loss) replays the same control
+// trajectory. Control-plane-only runs only note the start time, which
+// anchors their rate-estimated offsets.
+func (tx *transmitter) restart() {
+	now := tx.r.eng.Now()
+	tx.startedAt = now
+	if !tx.r.cfg.DataPlane {
+		return
+	}
+	rate := tx.st.Rate()
 	if tx.r.cfg.fluid() {
-		tx.fluidAssign(rate)
+		if rate <= 0 {
+			tx.r.fl.Cut(int(tx.node), now)
+			return
+		}
+		phase := tx.r.eng.Rand().Float64() / rate
+		tx.r.fl.Start(int(tx.node), now, phase, 1/rate)
 		return
 	}
 	tx.gen++
@@ -45,132 +77,40 @@ func (tx *transmitter) assign(s seq.Sequence, rate float64) {
 		tx.ev.Cancel()
 		tx.ev = nil
 	}
-	tx.s, tx.rate, tx.pos = s, rate, 0
-	tx.startedAt = tx.r.eng.Now()
-	if rate <= 0 || len(s) == 0 {
+	if rate <= 0 || tx.st.Remaining() == 0 {
 		return
 	}
 	// Randomize the phase of the first slot so that steady-state rate
 	// measurements see each stream's average rate even when the window is
 	// shorter than the slot length (sending early is harmless — the
 	// packets are this peer's own share).
+	tx.slot(tx.r.eng.Rand().Float64() / rate)
+}
+
+// slot sends the next packet after delay and keeps the grid going while
+// there is something to send.
+func (tx *transmitter) slot(delay float64) {
 	gen := tx.gen
-	tx.ev = tx.r.eng.After(tx.r.eng.Rand().Float64()/tx.rate, func() {
+	tx.ev = tx.r.eng.After(delay, func() {
 		if gen != tx.gen {
 			return
 		}
 		tx.sendNext()
-		if tx.pos < len(tx.s) || tx.r.cfg.Loop {
-			tx.schedule()
-		}
-	})
-}
-
-// fluidAssign is assign on the fluid plane: no sequence, no per-packet
-// events — the flow ledger records a new slot grid. The first-slot
-// phase draw mirrors the packet plane's, so a fluid run consumes
-// eng.Rand() at exactly the same points and (at zero jitter and loss)
-// replays the identical control trajectory.
-func (tx *transmitter) fluidAssign(rate float64) {
-	now := tx.r.eng.Now()
-	tx.rate, tx.startedAt = rate, now
-	if rate <= 0 {
-		tx.r.fl.Cut(int(tx.node), now)
-		return
-	}
-	phase := tx.r.eng.Rand().Float64() / rate
-	tx.r.fl.Start(int(tx.node), now, phase, 1/rate)
-}
-
-// merge unions an additional subsequence into the not-yet-sent remainder
-// and adds the new stream's rate: a share absorbed back from a child that
-// could not be reached, or a baseline's repeated activation. (DCoP's
-// pkt_i := pkt_i ∪ pkt_ji arrives already unioned, in the Merge effect.)
-func (tx *transmitter) merge(s seq.Sequence, rate float64) {
-	var remaining seq.Sequence
-	if tx.pos < len(tx.s) {
-		remaining = tx.s[tx.pos:]
-	}
-	tx.assign(seq.Union(remaining, s), tx.rate+rate)
-}
-
-// planShare schedules the parent's switch to its own share δ time units
-// from now (§3.3: "the parent also changes the packet subsequence to
-// pkt_jj and the rate … on δ time units after CP_j sends the control
-// packet"). Rather than wholesale replacement, the switch subtracts the
-// packets given to children and unions in the parent's own share, so it
-// composes with assignments merged from other parents in the meantime —
-// otherwise the parent would keep retransmitting its entire delegated
-// subtree (massive duplication) or drop merged assignments (gaps).
-func (tx *transmitter) planShare(keep seq.Sequence, given []seq.Sequence, oldRate, newRate, delta float64) {
-	if tx.r.cfg.fluid() {
-		// Same δ-deferred switch, same rate algebra, and the reassignment
-		// draws its phase exactly where the packet plane's assign would.
-		tx.r.eng.After(delta, func() {
-			rate := tx.rate - oldRate + newRate
-			if rate <= 0 {
-				rate = newRate
-			}
-			tx.fluidAssign(rate)
-		})
-		return
-	}
-	if tx.s == nil {
-		// Control-plane-only mode: just record the rate change.
-		tx.r.eng.After(delta, func() {
-			r := tx.rate - oldRate + newRate
-			if r <= 0 {
-				r = newRate
-			}
-			tx.rate = r
-		})
-		return
-	}
-	givenKeys := make(map[string]bool)
-	for _, g := range given {
-		for _, p := range g {
-			givenKeys[p.Key()] = true
-		}
-	}
-	tx.r.eng.After(delta, func() {
-		var rest seq.Sequence
-		if tx.pos < len(tx.s) {
-			for _, p := range tx.s[tx.pos:] {
-				if !givenKeys[p.Key()] {
-					rest = append(rest, p)
-				}
-			}
-		}
-		rate := tx.rate - oldRate + newRate
-		if rate <= 0 {
-			rate = newRate
-		}
-		tx.assign(seq.Union(rest, keep), rate)
-	})
-}
-
-func (tx *transmitter) schedule() {
-	gen := tx.gen
-	tx.ev = tx.r.eng.After(1/tx.rate, func() {
-		if gen != tx.gen {
-			return
-		}
-		tx.sendNext()
-		if tx.pos < len(tx.s) || tx.r.cfg.Loop {
-			tx.schedule()
+		if tx.st.Remaining() > 0 || tx.r.cfg.Loop {
+			tx.slot(1 / tx.st.Rate())
 		}
 	})
 }
 
 func (tx *transmitter) sendNext() {
-	if tx.pos >= len(tx.s) {
-		if !tx.r.cfg.Loop || len(tx.s) == 0 {
-			return
-		}
-		tx.pos = 0
+	pkt, ok := tx.st.Next()
+	if !ok && tx.r.cfg.Loop {
+		tx.st.Rewind()
+		pkt, ok = tx.st.Next()
 	}
-	pkt := tx.s[tx.pos]
-	tx.pos++
+	if !ok {
+		return
+	}
 	tx.sentTotal++
 	tx.r.met.dataSent.Inc()
 	tx.r.nw.Send(tx.node, tx.r.leafID(), dataMsg{Pkt: pkt})

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"p2pmss/internal/engine"
-	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
 )
@@ -13,8 +12,8 @@ import (
 // (internal/engine): it stamps virtual-time snapshots onto events,
 // turns SetTimer effects into des events, Send effects into simnet
 // messages (feeding send failures back into the engine so the live
-// layer's churn tolerance is deterministically simulatable), and
-// Activate/Merge/Handoff effects into transmitter operations.
+// layer's churn tolerance is deterministically simulatable), and the
+// data-plane effects into transmitter operations.
 
 // initEngine builds the per-peer engine cores. Called from the
 // protocol's start() rather than newRunner because tests install
@@ -80,11 +79,9 @@ func (r *runner) startRequests() {
 
 // snapshot stamps the peer's current data-plane state.
 func (r *runner) snapshot(p *peerNode) engine.Snapshot {
-	return engine.Snapshot{
-		Offset: p.tx.currentOffset(),
-		Stream: p.tx.s,
-		Rate:   p.tx.rate,
-	}
+	snap := p.tx.st.Snapshot()
+	snap.Offset = p.tx.currentOffset()
+	return snap
 }
 
 // dispatch feeds one event into the peer's engine core and applies the
@@ -107,14 +104,11 @@ func (r *runner) dispatchCtx(p *peerNode, ev engine.Event, parent span.Context) 
 
 // applyEffects executes the engine's effects in order. Sends to crashed
 // peers feed SendFailed back into the engine (its feedback batch is
-// queued behind the remaining effects); the hand-off is buffered
-// (copied out — the node is recycled) so that Absorb effects produced
-// by those failures fold into it before it is planned. Every consumed
-// batch goes back to the peer's free lists via Release; the messages
-// themselves stay alive until simnet delivers (or discards) them.
+// queued behind the remaining effects, so an Absorb it produces folds
+// into the switch the hand-off planned). Every consumed batch goes back
+// to the peer's free lists via Release; the messages themselves stay
+// alive until simnet delivers (or discards) them.
 func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
-	var handoff engine.Handoff
-	haveHandoff := false
 	batches := append(r.batchBuf[:0], effs)
 	for bi := 0; bi < len(batches); bi++ {
 		for _, eff := range batches[bi] {
@@ -128,7 +122,7 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 					// fail over or re-absorb deterministically.
 					ev := &engine.SendFailed{To: e.To, Msg: e.Msg}
 					fb := p.core.Handle(ev, r.snapshot(p))
-					p.spans.Observe(p.core, r.eng.Now(), ev, msgSpanCtx(e.Msg), fb)
+					p.spans.Observe(p.core, r.eng.Now(), ev, engine.MsgSpan(e.Msg), fb)
 					p.flight.Observe(r.eng.Now(), ev, fb)
 					if fb != nil {
 						batches = append(batches, fb)
@@ -145,18 +139,14 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 				if e.Round > p.depth {
 					p.depth = e.Round
 				}
-				if r.cfg.DataPlane {
-					p.tx.assign(e.Stream, p.tx.rate+e.Rate)
+				if r.cfg.DataPlane && p.tx.st.Apply(e) {
+					p.tx.restart()
 				}
 			case *engine.Handoff:
-				handoff = *e
-				haveHandoff = true
+				p.tx.plan(e)
 			case *engine.Absorb:
-				if haveHandoff {
-					handoff.Keep = seq.Union(handoff.Keep, e.Seq)
-					handoff.NewRate += e.RateDelta
-				} else if p.active {
-					p.activate(p.depth, e.Seq, e.RateDelta)
+				if p.tx.st.Apply(e) {
+					p.tx.restart()
 				}
 			case *engine.ServeRepair:
 				r.serveRepair(p, e.Indices)
@@ -167,16 +157,11 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 		p.core.Release(b)
 	}
 	r.batchBuf = batches[:0]
-	if haveHandoff {
-		p.tx.planShare(handoff.Keep, handoff.Given, handoff.OldRate, handoff.NewRate, r.cfg.Delta)
-	}
 }
 
 // msgRound extracts the round number carried by an engine message.
 func msgRound(m any) int {
 	switch msg := m.(type) {
-	case reqMsg:
-		return msg.Round
 	case *ctlMsg:
 		return msg.Round
 	case *confirmMsg:
@@ -185,21 +170,6 @@ func msgRound(m any) int {
 		return msg.Round
 	}
 	return 0
-}
-
-// msgSpanCtx extracts the causal context stamped on an engine message.
-func msgSpanCtx(m any) span.Context {
-	switch msg := m.(type) {
-	case reqMsg:
-		return msg.Span
-	case *ctlMsg:
-		return msg.Span
-	case *confirmMsg:
-		return msg.Span
-	case *commitMsg:
-		return msg.Span
-	}
-	return span.Context{}
 }
 
 // mirrorOutcomes copies the engines' coordination outcomes onto the

@@ -558,7 +558,7 @@ func TestDCoPMergeAllocatesOneUnion(t *testing.T) {
 	everyone := []overlay.PeerID{0, 1, 2, 3}
 	p := r.peers[1]
 	d.deliver(p, r.leafID(), reqMsg{Rate: cfg.Rate, Index: 1, Round: 1, Selected: everyone})
-	own := p.tx.s
+	own := p.tx.st.Snapshot().Stream
 	if !p.active || len(own) == 0 {
 		t.Fatalf("request did not activate the peer (active=%v, %d packets)", p.active, len(own))
 	}
@@ -570,8 +570,8 @@ func TestDCoPMergeAllocatesOneUnion(t *testing.T) {
 	d.deliver(p, 0, ctl)
 	runtime.ReadMemStats(&after)
 
-	if want := seq.Union(own, share); !seq.Equal(p.tx.s, want) || p.tx.pos != 0 {
-		t.Fatalf("transmitter holds %d packets at offset %d, want the %d of own ∪ share at 0", len(p.tx.s), p.tx.pos, len(want))
+	if want, got := seq.Union(own, share), p.tx.st.Snapshot(); !seq.Equal(got.Stream, want) || got.Offset != 0 {
+		t.Fatalf("transmitter holds %d packets at offset %d, want the %d of own ∪ share at 0", len(got.Stream), got.Offset, len(want))
 	}
 	union := uint64(len(own)+len(share)) * uint64(unsafe.Sizeof(seq.Packet{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got < union-union/8 || got > union+union/2 {

@@ -22,9 +22,6 @@ type Event struct {
 	index int // position in the heap, -1 when popped/cancelled
 }
 
-// Time returns the virtual time the event fires at.
-func (ev *Event) Time() float64 { return ev.t }
-
 // Cancel prevents a pending event from firing. Cancelling an already
 // fired or cancelled event is a no-op.
 func (ev *Event) Cancel() { ev.done = true }

@@ -409,9 +409,6 @@ func (c *Catalog) Records() []Record {
 	return out
 }
 
-// Poke triggers an immediate announcement round.
-func (c *Catalog) Poke() { c.loop.Poke() }
-
 // WaitRoster blocks until the directory knows at least n serving
 // addresses, or errors at the timeout.
 func (c *Catalog) WaitRoster(n int, timeout time.Duration) error {

@@ -58,19 +58,18 @@ func (p *Peer) dcopOnControl(m *MsgControl, snap Snapshot) []Effect {
 	p.viewAdd(m.Parent)
 	p.viewAddAll(m.View)
 	effs := p.pl.slice()
-	var cur Snapshot
+	cur := Stream{seq: snap.Stream, pos: snap.Offset, rate: snap.Rate}
 	if p.active {
 		p.noteMerged(m.Round, m.AssignedSeq)
-		var merged seq.Sequence
-		cur, merged = afterMerge(snap, m.AssignedSeq, m.ChildRate)
+		merged := cur.Merge(m.AssignedSeq, m.ChildRate)
 		effs = append(effs, p.pl.merge(m.AssignedSeq, merged, m.ChildRate, m.Round))
 	} else {
 		p.noteActivated(m.Round, m.AssignedSeq)
 		effs = append(effs, p.pl.activate(m.AssignedSeq, m.ChildRate, m.Round))
-		cur = afterActivate(m.AssignedSeq, m.ChildRate)
+		cur.Install(m.AssignedSeq, m.ChildRate)
 	}
 	if !p.view.Full() {
-		effs = p.dcopSelect(effs, p.cfg.H, m.Round+1, cur)
+		effs = p.dcopSelect(effs, p.cfg.H, m.Round+1, cur.Snapshot())
 	}
 	return effs
 }
@@ -88,14 +87,15 @@ func (p *Peer) dcopOnCommit(m *MsgCommit, snap Snapshot) []Effect {
 	effs := p.pl.slice()
 	if p.active {
 		p.noteMerged(m.Round, m.AssignedSeq)
-		_, merged := afterMerge(snap, m.AssignedSeq, m.Rate)
+		cur := Stream{seq: snap.Stream, pos: snap.Offset, rate: snap.Rate}
+		merged := cur.Merge(m.AssignedSeq, m.Rate)
 		return append(effs, p.pl.merge(m.AssignedSeq, merged, m.Rate, m.Round))
 	}
 	p.noteActivated(m.Round, m.AssignedSeq)
 	effs = append(effs, p.pl.activate(m.AssignedSeq, m.Rate, m.Round))
-	cur := afterActivate(m.AssignedSeq, m.Rate)
 	if !p.view.Full() {
-		effs = p.dcopSelect(effs, p.cfg.H, m.Round+1, cur)
+		cur := Stream{seq: m.AssignedSeq, rate: m.Rate}
+		effs = p.dcopSelect(effs, p.cfg.H, m.Round+1, cur.Snapshot())
 	}
 	return effs
 }

@@ -4,12 +4,14 @@
 // machines as pure events-in / effects-out objects: a driver feeds a
 // Peer one Event at a time together with a Snapshot of its data-plane
 // state, and applies the returned Effects — sends, timers, stream
-// activations and hand-offs — onto its own notion of time and I/O.
+// activations and hand-offs — onto its own notion of time and I/O. The
+// data-plane effects have one implementation, Stream: a transmission
+// schedule each driver keeps per peer and paces on its own clock.
 //
 // The engine owns every protocol transition (control, confirmation and
 // commit handling, handshake deadlines, alternate-peer retry waves,
 // commit re-absorption, the §3.3 lifetime fanout cap); drivers own
-// encoding, transports, clocks and the data plane. No goroutines, no
+// encoding, transports, clocks and data-plane pacing. No goroutines, no
 // clocks, no I/O: all randomness comes from the injected *rand.Rand, so
 // a driver that replays the same events observes the same effects.
 //
@@ -114,7 +116,8 @@ func (c *Config) Normalize() error {
 
 // Snapshot is the driver-owned data-plane state stamped onto every
 // Handle call: the engine is pure and never watches a stream position
-// advance, so the driver reports where its transmitter stands right now.
+// advance, so the driver reports where its transmitter stands right now
+// — Stream.Snapshot of the schedule its effects were applied to.
 type Snapshot struct {
 	// Offset is how many packets of Stream have been sent (c.SEQ).
 	Offset int
@@ -298,9 +301,10 @@ type Activate struct {
 // Merge unions an additional subsequence into the not-yet-sent remainder
 // (DCoP's pkt_i := pkt_i ∪ pkt_ji for redundantly selected peers) and
 // adds Rate to the current rate. The engine has already done the union,
-// once, against the Snapshot it was handed: Stream is that snapshot's
-// unsent remainder ∪ Seq, for the driver to install at offset zero
-// (empty in control-plane-only mode, where only the rate moves).
+// once, with Stream.Merge on the Snapshot it was handed: Stream is that
+// snapshot's unsent remainder ∪ Seq, which Stream.Apply installs at
+// offset zero (nil in control-plane-only mode, where only the rate
+// moves).
 type Merge struct {
 	Seq    seq.Sequence
 	Stream seq.Sequence
@@ -308,16 +312,14 @@ type Merge struct {
 	Round  int
 }
 
-// Handoff schedules the parent's own switch after delegating to
-// children: at the mark (δ after the sends), the driver subtracts the
-// Given shares from the unsent remainder, unions in Keep, and adjusts
-// the rate by NewRate-OldRate. Keep/Given are nil in control-plane-only
-// mode (rate change only). Absorb effects arriving before the switch is
-// applied fold back into it.
-//
-// A driver that buffers the hand-off past the Handle batch (both
-// shipped drivers do) must copy the fields out: the node itself is
-// recycled by Release.
+// Handoff plans the parent's own switch after delegating to children:
+// at the mark, the unsent remainder loses the Given shares, gains Keep,
+// and the rate moves by NewRate−OldRate (see Stream.Switch). Mark
+// indexes the Snapshot's stream; Given are ShareOut's parts 1..k−1.
+// Keep/Given are nil in control-plane-only mode (rate change only).
+// Absorb effects arriving before the switch is applied fold back into
+// it. Stream.Apply copies the fields out: the node itself is recycled by
+// Release.
 type Handoff struct {
 	Keep             seq.Sequence
 	Given            []seq.Sequence
@@ -325,9 +327,10 @@ type Handoff struct {
 	Mark             int
 }
 
-// Absorb returns an undeliverable child's share to the parent: the
-// driver unions Seq back into the (possibly pending) stream and adds
-// RateDelta, so delivery does not depend on repair.
+// Absorb returns an undeliverable child's share to the parent, so
+// delivery does not depend on repair: Stream.Apply folds Seq and
+// RateDelta into the planned switch, or merges them into the unsent
+// remainder when none is planned.
 type Absorb struct {
 	Seq       seq.Sequence
 	RateDelta float64
@@ -497,12 +500,12 @@ func (p *Peer) handleRequest(ev *Request, snap Snapshot) []Effect {
 	p.noteActivated(ev.Round, ev.Assigned)
 	effs := p.pl.slice()
 	effs = append(effs, p.pl.activate(ev.Assigned, ev.Rate, ev.Round))
-	cur := afterActivate(ev.Assigned, ev.Rate)
+	cur := Stream{seq: ev.Assigned, rate: ev.Rate}
 	if p.cfg.DCoP {
-		return p.dcopSelect(effs, p.cfg.FirstFanout, ev.Round+1, cur)
+		return p.dcopSelect(effs, p.cfg.FirstFanout, ev.Round+1, cur.Snapshot())
 	}
 	p.parent = int(p.id) // leaf-rooted: no contents-peer parent to adopt
-	return p.tcopSelect(effs, ev.Round+1, cur)
+	return p.tcopSelect(effs, ev.Round+1, cur.Snapshot())
 }
 
 // handleJoin hands a mid-stream joiner a slice: the remaining stream is
@@ -680,30 +683,6 @@ func (p *Peer) restrictedView(children []PeerID) []PeerID {
 	p.rviewBuf = append(p.rviewBuf, children...)
 	slices.Sort(p.rviewBuf)
 	return p.rviewBuf
-}
-
-// afterActivate is the data-plane snapshot right after an Activate
-// effect is applied: position zero on the new stream.
-func afterActivate(s seq.Sequence, rate float64) Snapshot {
-	return Snapshot{Offset: 0, Stream: s, Rate: rate}
-}
-
-// afterMerge does a Merge effect's union, once: merged is the unsent
-// remainder of the snapshot's stream unioned with the new share — what
-// the driver installs — and cur the data-plane snapshot with it in
-// place, position reset. In control-plane-only mode there is nothing to
-// union (merged is empty, at no cost) and the transmitter is untouched,
-// so the snapshot passes through unchanged.
-func afterMerge(snap Snapshot, s seq.Sequence, rate float64) (cur Snapshot, merged seq.Sequence) {
-	var remaining seq.Sequence
-	if snap.Offset < len(snap.Stream) {
-		remaining = snap.Stream[snap.Offset:]
-	}
-	merged = seq.Union(remaining, s)
-	if snap.Stream == nil && s == nil {
-		return snap, merged
-	}
-	return Snapshot{Offset: 0, Stream: merged, Rate: snap.Rate + rate}, merged
 }
 
 // ---- outcome ------------------------------------------------------------

@@ -13,15 +13,16 @@ import (
 
 // harness is a minimal deterministic driver: unit-latency FIFO message
 // delivery, timers firing (earliest first) only once the message queue
-// drains, hand-offs applied immediately (key-based subtraction makes
-// early application lossless). It exists to exercise the engine without
-// either real driver, so invariants hold independent of transport.
+// drains, a planned switch applied as soon as the event that planned it
+// is handled (identity-based subtraction makes early application
+// lossless), and no packet ever sent. It exists to exercise the engine
+// without either real driver, so invariants hold independent of
+// transport.
 type harness struct {
 	cfg     engine.Config
 	peers   []*engine.Peer
 	sources []rand.Source
-	streams []seq.Sequence
-	rates   []float64
+	streams []engine.Stream
 	crashed map[engine.PeerID]bool
 
 	queue  []delivery
@@ -83,8 +84,7 @@ func newHarness(cfg engine.Config, seed int64) *harness {
 		src := rand.NewSource(engine.PeerSeed(seed, id))
 		h.sources = append(h.sources, src)
 		h.peers = append(h.peers, engine.NewPeer(cfg, id, rand.New(src)))
-		h.streams = append(h.streams, nil)
-		h.rates = append(h.rates, 0)
+		h.streams = append(h.streams, engine.Stream{})
 	}
 	return h
 }
@@ -101,13 +101,12 @@ func (h *harness) reset(seed int64) {
 	for i, p := range h.peers {
 		p.Reset()
 		h.sources[i].Seed(engine.PeerSeed(seed, engine.PeerID(i)))
-		h.streams[i] = nil
-		h.rates[i] = 0
+		h.streams[i] = engine.Stream{}
 	}
 }
 
 func (h *harness) snap(id engine.PeerID) engine.Snapshot {
-	return engine.Snapshot{Offset: 0, Stream: h.streams[id], Rate: h.rates[id]}
+	return h.streams[id].Snapshot()
 }
 
 // start performs the leaf's step 1 over the given content sequence
@@ -206,15 +205,15 @@ func (h *harness) deliver(to engine.PeerID, ev engine.Event) {
 	}
 }
 
-// apply executes effects exactly as the real drivers do: sends to
-// crashed peers feed SendFailed back behind the remaining effects, the
-// hand-off is buffered (copied out — the node is recycled) so Absorb
-// folds into it, then applied. Every consumed batch is given back to
-// the peer via Release.
+// apply executes effects as the real drivers do: sends to crashed
+// peers feed SendFailed back behind the remaining effects (an Absorb
+// they produce folds into the switch the batch planned), the data-plane
+// effects go to the peer's engine.Stream, and the planned switch is
+// applied once the batches are done. Every consumed batch is given back
+// to the peer via Release.
 func (h *harness) apply(to engine.PeerID, effs []engine.Effect) {
 	p := h.peers[to]
-	var handoff engine.Handoff
-	haveHandoff := false
+	st := &h.streams[to]
 	batches := append(h.batchBuf[:0], effs)
 	for bi := 0; bi < len(batches); bi++ {
 		for _, eff := range batches[bi] {
@@ -232,65 +231,22 @@ func (h *harness) apply(to engine.PeerID, effs []engine.Effect) {
 			case *engine.SetTimer:
 				h.timers = append(h.timers, timerEntry{at: h.now + e.Delay, to: to, id: e.ID})
 			case *engine.Activate:
-				h.streams[to] = e.Seq
-				h.rates[to] = e.Rate
 				if h.onAssign != nil {
 					h.onAssign(to, e.Seq)
 				}
 			case *engine.Merge:
-				h.streams[to] = e.Stream
-				h.rates[to] += e.Rate
 				if h.onAssign != nil {
 					h.onAssign(to, e.Seq)
 				}
-			case *engine.Handoff:
-				handoff = *e
-				haveHandoff = true
-			case *engine.Absorb:
-				if haveHandoff {
-					handoff.Keep = seq.Union(handoff.Keep, e.Seq)
-					handoff.NewRate += e.RateDelta
-				} else {
-					h.streams[to] = seq.Union(h.streams[to], e.Seq)
-					h.rates[to] += e.RateDelta
-				}
 			}
+			st.Apply(eff)
 		}
 	}
 	for _, b := range batches {
 		p.Release(b)
 	}
 	h.batchBuf = batches[:0]
-	if !haveHandoff {
-		return
-	}
-	if len(handoff.Given) == 0 && handoff.Keep == nil && h.streams[to] == nil {
-		// Control-plane-only: the hand-off is a rate change.
-		rate := h.rates[to] - handoff.OldRate + handoff.NewRate
-		if rate <= 0 {
-			rate = handoff.NewRate
-		}
-		h.rates[to] = rate
-		return
-	}
-	given := make(map[string]bool)
-	for _, g := range handoff.Given {
-		for _, pkt := range g {
-			given[pkt.Key()] = true
-		}
-	}
-	var rest seq.Sequence
-	for _, pkt := range h.streams[to] {
-		if !given[pkt.Key()] {
-			rest = append(rest, pkt)
-		}
-	}
-	h.streams[to] = seq.Union(rest, handoff.Keep)
-	rate := h.rates[to] - handoff.OldRate + handoff.NewRate
-	if rate <= 0 {
-		rate = handoff.NewRate
-	}
-	h.rates[to] = rate
+	st.Switch()
 }
 
 func (h *harness) outcomes() []engine.Outcome {
@@ -502,10 +458,9 @@ func TestEngineTCoPCommitAbsorb(t *testing.T) {
 	got := make(map[string]bool)
 	for i, o := range outs {
 		if o.Active && !h.crashed[o.ID] {
-			for _, pkt := range h.streams[i] {
+			for _, pkt := range h.streams[i].Snapshot().Stream {
 				got[pkt.Key()] = true
 			}
-			_ = o
 		}
 	}
 	// The harness applies hand-offs immediately, so each survivor's

@@ -216,5 +216,6 @@ func (p *Peer) tcopOnCommit(m *MsgCommit, snap Snapshot) []Effect {
 	p.noteActivated(m.Round, m.AssignedSeq)
 	effs := p.pl.slice()
 	effs = append(effs, p.pl.activate(m.AssignedSeq, m.Rate, m.Round))
-	return p.tcopSelect(effs, m.Round+1, afterActivate(m.AssignedSeq, m.Rate))
+	cur := Stream{seq: m.AssignedSeq, rate: m.Rate}
+	return p.tcopSelect(effs, m.Round+1, cur.Snapshot())
 }

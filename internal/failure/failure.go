@@ -67,9 +67,6 @@ func (g *GilbertElliott) Step() bool {
 	return false
 }
 
-// InBurst reports whether the channel is currently in the bad state.
-func (g *GilbertElliott) InBurst() bool { return g.bad }
-
 // LossRate returns the observed loss fraction so far.
 func (g *GilbertElliott) LossRate() float64 {
 	if g.Messages == 0 {

@@ -114,7 +114,7 @@ func TestServeRequestAllocs(t *testing.T) {
 		t.Error("requests re-derived the enhanced sequence")
 	}
 	p.mu.Lock()
-	stream := p.stream
+	stream := p.st.Snapshot().Stream
 	p.mu.Unlock()
 	want := seq.Div(parity.Enhance(c.Sequence(), 2), 3, 1)
 	if !seq.Equal(stream, want) {

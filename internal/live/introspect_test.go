@@ -419,6 +419,47 @@ func TestNodeClusterSnapshotCoverageAndGauges(t *testing.T) {
 	waitExact(t, ls, data, 30*time.Second)
 }
 
+// /debug/flight?session= and ?peer= narrow the dump to one session's
+// tracks, one roster index's, or both.
+func TestServeFlightFilters(t *testing.T) {
+	fl := flight.NewSet(0)
+	for _, sess := range []string{"s1", "s2"} {
+		for peer := -1; peer < 2; peer++ {
+			fl.Recorder(sess, peer).Record(flight.Event{Dir: "ev", Type: "control"})
+		}
+	}
+	cases := []struct {
+		query string
+		want  int
+	}{
+		{"", 6},
+		{"?session=s1", 3},
+		{"?peer=-1", 2},
+		{"?session=s2&peer=1", 1},
+		{"?session=s3", 0},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		serveFlight(rec, httptest.NewRequest("GET", "/debug/flight"+c.query, nil), fl)
+		events, err := flight.ReadJSONL(rec.Body)
+		if err != nil {
+			t.Fatalf("%q: %v", c.query, err)
+		}
+		if len(events) != c.want {
+			t.Errorf("%q: %d events, want %d", c.query, len(events), c.want)
+		}
+		q := httptest.NewRequest("GET", "/debug/flight"+c.query, nil).URL.Query()
+		for _, e := range events {
+			if s := q.Get("session"); s != "" && e.Session != s {
+				t.Errorf("%q returned session %q", c.query, e.Session)
+			}
+			if p := q.Get("peer"); p != "" && fmt.Sprint(e.Peer) != p {
+				t.Errorf("%q returned peer %d", c.query, e.Peer)
+			}
+		}
+	}
+}
+
 // TestServeFlightDisabled pins the 404 contract when recording is off.
 func TestServeFlightDisabled(t *testing.T) {
 	rec := httptest.NewRecorder()

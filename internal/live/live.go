@@ -23,8 +23,8 @@
 // decodes transport messages into engine events, translates roster
 // addresses to engine peer ids, hydrates payload-stripped sequences from
 // its content copy, and applies the engine's effects: Send becomes a
-// wire message, SetTimer a time.AfterFunc, Activate/Merge/Handoff
-// operations on the streaming goroutine's sequence.
+// wire message, SetTimer a time.AfterFunc, and the data-plane effects go
+// to the engine.Stream the streaming goroutine sends from.
 //
 // A Node hosts a content.Store on one endpoint and multiplexes many
 // concurrent sessions — serving some as a contents peer and consuming
@@ -245,17 +245,6 @@ func (cfg *PeerConfig) normalize() error {
 	return nil
 }
 
-// pendingHandoff is a planned stream switch: applied when the transmit
-// position reaches mark, it drops the keys handed to children from the
-// unsent remainder, unions in the kept share, and adjusts the rate.
-type pendingHandoff struct {
-	keep    seq.Sequence
-	given   map[string]bool
-	oldRate float64
-	newRate float64
-	mark    int
-}
-
 // Peer is a live contents peer: the shared coordination engine plus a
 // streaming goroutine and the address/payload codec between them.
 type Peer struct {
@@ -279,11 +268,9 @@ type Peer struct {
 
 	content *content.Content // the content currently being served
 	leaf    string
-	active  bool
-	stream  seq.Sequence
-	pos     int
-	rate    float64
-	pending *pendingHandoff
+	// st is the transmission schedule the streaming goroutine sends; a
+	// planned switch is applied when the next packet reaches its mark.
+	st engine.Stream
 
 	// repairTo is the reply address of the repair request currently
 	// being dispatched (the engine's ServeRepair effect has no driver
@@ -381,7 +368,7 @@ func (p *Peer) Sent() int64 {
 func (p *Peer) Active() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.active
+	return p.core.Active()
 }
 
 // Quiesced reports whether this peer's work is visibly over: it was
@@ -393,7 +380,7 @@ func (p *Peer) Active() bool {
 func (p *Peer) Quiesced(now time.Time, grace time.Duration) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.active || p.pending != nil || p.pos < len(p.stream) {
+	if !p.core.Active() || p.st.Snapshot().Pending || p.st.Remaining() > 0 {
 		return false
 	}
 	return now.Sub(p.lastTouch) >= grace
@@ -558,26 +545,19 @@ type outSend struct {
 	ctx  span.Context // causal context stamped on the frame
 }
 
-// dispatch feeds one event into the engine under the lock and applies
-// the effects; transmissions happen after the lock is released, and
-// their failures are fed back as SendFailed events. Events with no
-// carried causal context (timers, repair, join) enter with the zero
-// context.
-func (p *Peer) dispatch(ev engine.Event) {
-	p.dispatchCtx(ev, span.Context{})
-}
-
-// dispatchCtx is dispatch with the causal context the triggering
-// message carried; the span tracker derives spans from the event/effect
-// pair and stamps outgoing messages before they are encoded.
+// dispatchCtx feeds one event into the engine under the lock and
+// applies the effects; transmissions happen after the lock is released,
+// and their failures are fed back as SendFailed events. parent is the
+// causal context the triggering message carried (zero for timers); the
+// span tracker derives spans from the event/effect pair and stamps
+// outgoing messages before they are encoded.
 func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 	p.mu.Lock()
 	if p.core == nil {
 		p.mu.Unlock()
 		return
 	}
-	snap := engine.Snapshot{Offset: p.pos, Stream: p.stream, Rate: p.rate, Pending: p.pending != nil}
-	effs := p.core.Handle(ev, snap)
+	effs := p.core.Handle(ev, p.st.Snapshot())
 	p.spans.Observe(p.core, liveNow(), ev, parent, effs)
 	p.flight.Observe(liveNow(), ev, effs)
 	sends := p.applyLocked(effs)
@@ -614,44 +594,32 @@ func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 	}
 }
 
-// applyLocked executes the engine's effects in order, buffering the
-// hand-off so Absorb effects fold into it, and returns the sends to
-// perform once the lock is released. Callers hold p.mu.
+// applyLocked executes the engine's effects in order and returns the
+// sends to perform once the lock is released. The data-plane effects go
+// to the schedule, against the snapshot taken under this same hold of
+// p.mu, and wake the streaming goroutine. Callers hold p.mu.
 func (p *Peer) applyLocked(effs []engine.Effect) []outSend {
 	var sends []outSend
-	var handoff *engine.Handoff
 	for _, eff := range effs {
 		switch e := eff.(type) {
 		case *engine.Send:
 			sends = append(sends, p.encodeLocked(e))
+			continue
 		case *engine.SetTimer:
 			p.armTimer(e)
-		case *engine.Activate:
-			p.activateLocked(e.Seq, e.Rate)
-		case *engine.Merge:
-			// Already unioned by the engine, against the snapshot taken
-			// under this same hold of p.mu.
-			p.installLocked(e.Stream, p.rate+e.Rate)
-		case *engine.Handoff:
-			handoff = e
-		case *engine.Absorb:
-			p.met.failovers.Inc()
-			switch {
-			case handoff != nil:
-				handoff.Keep = seq.Union(handoff.Keep, e.Seq)
-				handoff.NewRate += e.RateDelta
-			case p.pending != nil:
-				p.pending.keep = seq.Union(p.pending.keep, e.Seq)
-				p.pending.newRate += e.RateDelta
-			default:
-				p.mergeLocked(e.Seq, e.RateDelta)
-			}
+			continue
 		case *engine.ServeRepair:
 			sends = append(sends, p.repairSendsLocked(e.Indices)...)
+			continue
+		case *engine.Activate:
+			p.met.activations.Inc()
+		case *engine.Handoff:
+			p.met.handoffs.Add(int64(len(e.Given)))
+		case *engine.Absorb:
+			p.met.failovers.Inc()
 		}
-	}
-	if handoff != nil {
-		p.installHandoffLocked(handoff)
+		p.st.Apply(eff)
+		p.kick()
 	}
 	if used := p.core.RetriesUsed(); used > p.lastRetried {
 		p.met.retries.Add(int64(used - p.lastRetried))
@@ -703,78 +671,8 @@ func (p *Peer) armTimer(e *engine.SetTimer) {
 			return
 		default:
 		}
-		p.dispatch(&engine.TimerFired{Timer: id})
+		p.dispatchCtx(&engine.TimerFired{Timer: id}, span.Context{})
 	})
-}
-
-// activateLocked installs the peer's first stream.
-func (p *Peer) activateLocked(s seq.Sequence, rate float64) {
-	if !p.active {
-		p.active = true
-		p.met.activations.Inc()
-	}
-	p.installLocked(s, rate)
-}
-
-// installLocked replaces the stream, from its first packet, at the
-// given rate.
-func (p *Peer) installLocked(s seq.Sequence, rate float64) {
-	p.stream, p.pos, p.rate = s, 0, rate
-	p.kick()
-}
-
-// mergeLocked unions a share absorbed back from an unreachable child
-// into the unsent remainder and adds its rate. (DCoP's pkt_i := pkt_i ∪
-// pkt_ji arrives already unioned, in the Merge effect.)
-func (p *Peer) mergeLocked(s seq.Sequence, rate float64) {
-	var remaining seq.Sequence
-	if p.pos < len(p.stream) {
-		remaining = p.stream[p.pos:]
-	}
-	p.installLocked(seq.Union(remaining, s), p.rate+rate)
-}
-
-// installHandoffLocked plans the parent's own switch, copying what it
-// needs out of the effect node (which is recycled right after the
-// batch is applied). If a hand-off is already pending (a redundant
-// DCoP parent re-selected before the first mark), the older one is
-// applied immediately — the subtraction is key-based, so early
-// application loses nothing — before the new one is installed.
-func (p *Peer) installHandoffLocked(h *engine.Handoff) {
-	if p.pending != nil {
-		p.applyPendingLocked()
-	}
-	given := make(map[string]bool)
-	for _, g := range h.Given {
-		for _, pkt := range g {
-			given[pkt.Key()] = true
-		}
-	}
-	p.pending = &pendingHandoff{
-		keep: h.Keep, given: given,
-		oldRate: h.OldRate, newRate: h.NewRate, mark: h.Mark,
-	}
-	p.met.handoffs.Add(int64(len(h.Given)))
-}
-
-// applyPendingLocked executes the planned switch: the unsent remainder
-// minus the keys handed to children, unioned with the kept share.
-func (p *Peer) applyPendingLocked() {
-	h := p.pending
-	p.pending = nil
-	var rest seq.Sequence
-	if p.pos < len(p.stream) {
-		for _, pkt := range p.stream[p.pos:] {
-			if !h.given[pkt.Key()] {
-				rest = append(rest, pkt)
-			}
-		}
-	}
-	rate := p.rate - h.oldRate + h.newRate
-	if rate <= 0 {
-		rate = h.newRate
-	}
-	p.installLocked(seq.Union(rest, h.keep), rate)
 }
 
 // repairSendsLocked materializes a ServeRepair effect into data sends.
@@ -999,8 +897,10 @@ func (p *Peer) streamLoop() {
 	defer timer.Stop()
 	for {
 		p.mu.Lock()
-		active := p.active && p.pos < len(p.stream)
-		rate := p.rate
+		// A stream that ran out with a switch planned goes round once
+		// more: sendOne applies the switch.
+		active := p.st.Remaining() > 0 || p.st.Due()
+		rate := p.st.Rate()
 		p.mu.Unlock()
 		if !active {
 			pace.reset()
@@ -1035,18 +935,19 @@ func (p *Peer) streamLoop() {
 	}
 }
 
+// sendOne transmits the next packet of the schedule, switching first
+// when the next packet has reached the planned switch's mark (or the
+// stream has run out).
 func (p *Peer) sendOne() {
 	p.mu.Lock()
-	// Apply a pending hand-off exactly at its mark.
-	if p.pending != nil && p.pos >= p.pending.mark {
-		p.applyPendingLocked()
+	if p.st.Due() {
+		p.st.Switch()
 	}
-	if p.pos >= len(p.stream) {
+	pkt, ok := p.st.Next()
+	if !ok {
 		p.mu.Unlock()
 		return
 	}
-	pkt := p.stream[p.pos]
-	p.pos++
 	p.sent++
 	p.lastTouch = time.Now()
 	leaf := p.leaf

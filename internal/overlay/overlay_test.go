@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +166,37 @@ func TestSelectUniformish(t *testing.T) {
 		if frac < 0.2 || frac > 0.4 { // expect 0.3
 			t.Errorf("peer %d selected fraction %v, want ≈0.3", p, frac)
 		}
+	}
+}
+
+// Above the sampling threshold, selection rejection-samples: m distinct
+// peers outside the view, m distinct spares besides them (not the whole
+// preference list the shuffle path returns), and the view it marked
+// peers in left as it was.
+func TestSelectSampledLargeOverlay(t *testing.T) {
+	const n, m = 10000, 5
+	v := NewView(n)
+	v.AddAll([]PeerID{0, 17, 4242, 9999})
+	before := v.Clone()
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		sel, spares := SelectWithSparesInto(rng, v, m, nil, true)
+		if len(sel) != m || len(spares) != m {
+			t.Fatalf("selected %d with %d spares, want %d and %d", len(sel), len(spares), m, m)
+		}
+		seen := make(map[PeerID]bool)
+		for _, p := range append(sel, spares...) {
+			if p < 0 || p >= n || v.Has(p) || seen[p] {
+				t.Fatalf("drew %d: outside the universe, in the view, or twice (%v + %v)", p, sel, spares)
+			}
+			seen[p] = true
+		}
+		if sel, spares := SelectWithSparesInto(rng, v, m, nil, false); len(sel) != m || spares != nil {
+			t.Fatalf("without spares: selected %d, spares %v", len(sel), spares)
+		}
+	}
+	if !reflect.DeepEqual(v, before) {
+		t.Error("sampling left marks in the view")
 	}
 }
 

@@ -15,9 +15,9 @@ func dedupe(s Sequence) Sequence {
 		return s
 	}
 	out := s[:1]
-	for _, p := range s[1:] {
-		if !SameIdentity(p, out[len(out)-1]) {
-			out = append(out, p)
+	for i := range s[1:] {
+		if p := &s[i+1]; !SameIdentity(p, &out[len(out)-1]) {
+			out = append(out, *p)
 		}
 	}
 	return out
@@ -31,11 +31,11 @@ func mergeThenDedupe(a, b Sequence) Sequence {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case SameIdentity(a[i], b[j]):
+		case SameIdentity(&a[i], &b[j]):
 			out = append(out, a[i])
 			i++
 			j++
-		case less(&a[i], &b[j]):
+		case Less(&a[i], &b[j]):
 			out = append(out, a[i])
 			i++
 		default:
@@ -155,7 +155,7 @@ func canonical(t *testing.T, label string, s Sequence) {
 		t.Fatalf("%s: not in canonical order: %v", label, s)
 	}
 	for i := 1; i < len(s); i++ {
-		if SameIdentity(s[i-1], s[i]) {
+		if SameIdentity(&s[i-1], &s[i]) {
 			t.Fatalf("%s: duplicate identity %v at %d", label, s[i], i)
 		}
 	}
@@ -180,10 +180,11 @@ func TestCachedIdentityEqualsComputedKey(t *testing.T) {
 	if plit.Key() != "p(t1,p(t2,t3))" {
 		t.Errorf("literal parity key = %q", plit.Key())
 	}
-	if !SameIdentity(lit, NewData(12)) {
+	t12, t13 := NewData(12), NewData(13)
+	if !SameIdentity(&lit, &t12) {
 		t.Error("literal and constructed t12 not identical")
 	}
-	if SameIdentity(lit, NewData(13)) || SameIdentity(lit, plit) {
+	if SameIdentity(&lit, &t13) || SameIdentity(&lit, &plit) {
 		t.Error("distinct packets reported identical")
 	}
 }

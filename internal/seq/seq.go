@@ -27,6 +27,7 @@
 package seq
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -124,13 +125,10 @@ func computeKey(p Packet) string {
 
 // SameIdentity reports whether a and b are the same packet (equal
 // identity keys) without building key strings: data packets compare by
-// index, parity packets by their cached keys.
-func SameIdentity(a, b Packet) bool { return same(&a, &b) }
-
-// same is SameIdentity, and idOf is Key, on packets left where they are:
-// the merge loops compare elements of their operands in place instead of
-// copying two 88-byte structs per comparison.
-func same(a, b *Packet) bool {
+// index, parity packets by their cached keys. It takes pointers so merge
+// loops compare elements of their operands in place instead of copying
+// two 88-byte structs per comparison.
+func SameIdentity(a, b *Packet) bool {
 	if a.Kind != b.Kind {
 		return false
 	}
@@ -140,6 +138,21 @@ func same(a, b *Packet) bool {
 	return idOf(a) == idOf(b)
 }
 
+// CompareIdentity orders packets by identity — data before parity, data
+// packets by index, parity packets by identity key — for sorting and
+// searching by identity. It is 0 exactly when SameIdentity holds, and
+// builds no key string for a packet that has one cached.
+func CompareIdentity(a, b *Packet) int {
+	switch {
+	case a.Kind != b.Kind:
+		return cmp.Compare(a.Kind, b.Kind)
+	case a.Kind == Data:
+		return cmp.Compare(a.Index, b.Index)
+	}
+	return strings.Compare(idOf(a), idOf(b))
+}
+
+// idOf is Key on a packet left where it is.
 func idOf(p *Packet) string {
 	if p.key != "" {
 		return p.key
@@ -178,8 +191,9 @@ func Range(lo, hi int64) Sequence {
 	return s
 }
 
-// less orders packets by position, then identity key.
-func less(a, b *Packet) bool {
+// Less reports whether a precedes b in canonical order: by position,
+// then identity key.
+func Less(a, b *Packet) bool {
 	if a.Pos != b.Pos {
 		return a.Pos < b.Pos
 	}
@@ -188,12 +202,12 @@ func less(a, b *Packet) bool {
 
 // Sort sorts the sequence in place into canonical order.
 func (s Sequence) Sort() {
-	sort.Slice(s, func(i, j int) bool { return less(&s[i], &s[j]) })
+	sort.Slice(s, func(i, j int) bool { return Less(&s[i], &s[j]) })
 }
 
 // Sorted reports whether the sequence is in canonical order.
 func (s Sequence) Sorted() bool {
-	return sort.SliceIsSorted(s, func(i, j int) bool { return less(&s[i], &s[j]) })
+	return sort.SliceIsSorted(s, func(i, j int) bool { return Less(&s[i], &s[j]) })
 }
 
 // Clone returns a copy of the sequence sharing packet payloads.
@@ -295,10 +309,21 @@ func (s Sequence) PostfixFromData(k int64) Sequence {
 // equal identities meeting at the two heads collapse there, and a packet
 // equal to the one just emitted (an adjacent duplicate inside an input)
 // is skipped as it is merged. Neither argument is written.
-func Union(a, b Sequence) Sequence {
+func Union(a, b Sequence) Sequence { return UnionExcept(a, b, nil) }
+
+// UnionExcept is Union with the packets of a that drop reports left out
+// as the merge reaches them — (a ∖ dropped) ∪ b in the same one pass
+// and one allocation. A nil drop leaves nothing out.
+func UnionExcept(a, b Sequence, drop func(*Packet) bool) Sequence {
 	out := make(Sequence, 0, len(a)+len(b))
 	i, j := 0, 0
-	for i < len(a) || j < len(b) {
+	for {
+		for drop != nil && i < len(a) && drop(&a[i]) {
+			i++
+		}
+		if i == len(a) && j == len(b) {
+			return out
+		}
 		var p *Packet
 		switch {
 		case j == len(b):
@@ -307,22 +332,21 @@ func Union(a, b Sequence) Sequence {
 		case i == len(a):
 			p = &b[j]
 			j++
-		case same(&a[i], &b[j]):
+		case SameIdentity(&a[i], &b[j]):
 			p = &a[i]
 			i++
 			j++
-		case less(&a[i], &b[j]):
+		case Less(&a[i], &b[j]):
 			p = &a[i]
 			i++
 		default:
 			p = &b[j]
 			j++
 		}
-		if n := len(out); n == 0 || !same(p, &out[n-1]) {
+		if n := len(out); n == 0 || !SameIdentity(p, &out[n-1]) {
 			out = append(out, *p)
 		}
 	}
-	return out
 }
 
 // Intersect returns the sequence of packets present in both a and b
@@ -335,10 +359,10 @@ func Intersect(a, b Sequence) Sequence {
 		j := 0
 		for i := range a {
 			p := &a[i]
-			for j < len(b) && less(&b[j], p) {
+			for j < len(b) && Less(&b[j], p) {
 				j++
 			}
-			if j < len(b) && same(&b[j], p) {
+			if j < len(b) && SameIdentity(&b[j], p) {
 				out = append(out, *p)
 			}
 		}
@@ -399,7 +423,7 @@ func Equal(a, b Sequence) bool {
 		return false
 	}
 	for i := range a {
-		if !same(&a[i], &b[i]) {
+		if !SameIdentity(&a[i], &b[i]) {
 			return false
 		}
 	}
