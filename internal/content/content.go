@@ -234,43 +234,3 @@ func (a *Assembler) Bytes() (data []byte, ok bool) {
 	}
 	return out[:a.size], true
 }
-
-// Materialize computes the packet subsequence a peer must transmit from
-// the root content sequence and a derivation path — the chain of
-// (mark, enhance, divide) steps applied by successive coordination levels
-// (§3.3/§3.4). Parent and child compute identical subsequences from the
-// same derivation, which is what the live runtime ships in control
-// packets instead of whole sequences.
-func Materialize(root seq.Sequence, steps []DivStep) seq.Sequence {
-	s := root
-	for _, st := range steps {
-		mark := st.Mark
-		if mark > len(s) {
-			mark = len(s)
-		}
-		if mark < 0 {
-			mark = 0
-		}
-		tail := s[mark:]
-		if st.Interval > 0 {
-			tail = parity.Enhance(tail, st.Interval)
-		} else {
-			tail = tail.Clone()
-		}
-		if st.Parts <= 0 || st.Index < 0 || st.Index >= st.Parts {
-			panic(fmt.Sprintf("content: bad derivation step %+v", st))
-		}
-		s = seq.Div(tail, st.Parts, st.Index)
-	}
-	return s
-}
-
-// DivStep is one level of a derivation: start at the Mark-th packet of
-// the parent subsequence, enhance with parity interval Interval (0 = no
-// enhancement), divide into Parts subsequences and take the Index-th.
-type DivStep struct {
-	Mark     int `json:"mark"`
-	Interval int `json:"interval"`
-	Parts    int `json:"parts"`
-	Index    int `json:"index"`
-}

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"p2pmss/internal/parity"
-	"p2pmss/internal/seq"
 )
 
 func TestContentPacketization(t *testing.T) {
@@ -133,82 +131,5 @@ func TestAssemblerIncomplete(t *testing.T) {
 	miss := a.Missing()
 	if len(miss) != 3 || miss[0] != 2 {
 		t.Errorf("Missing = %v", miss)
-	}
-}
-
-func TestMaterializeMatchesDirectComputation(t *testing.T) {
-	root := seq.Range(1, 120)
-	// Level 1: leaf division — Div(Esq(pkt, 3), 4, 1).
-	lvl1 := content1(root)
-	got := Materialize(root, []DivStep{{Mark: 0, Interval: 3, Parts: 4, Index: 1}})
-	if !seq.Equal(got, lvl1) {
-		t.Fatalf("level 1 mismatch:\n got %v\nwant %v", got, lvl1)
-	}
-	// Level 2: child of that peer — mark 5, interval 2, 3 parts, index 2.
-	tail := parity.Enhance(lvl1[5:].Clone(), 2)
-	want := seq.Div(tail, 3, 2)
-	got = Materialize(root, []DivStep{
-		{Mark: 0, Interval: 3, Parts: 4, Index: 1},
-		{Mark: 5, Interval: 2, Parts: 3, Index: 2},
-	})
-	if !seq.Equal(got, want) {
-		t.Fatalf("level 2 mismatch:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestMaterializeEdgeCases(t *testing.T) {
-	root := seq.Range(1, 10)
-	// Mark beyond the end yields an empty subsequence.
-	got := Materialize(root, []DivStep{{Mark: 99, Interval: 2, Parts: 2, Index: 0}})
-	if len(got) != 0 {
-		t.Errorf("mark past end: %v", got)
-	}
-	// Interval 0: plain division.
-	got = Materialize(root, []DivStep{{Mark: 0, Interval: 0, Parts: 2, Index: 0}})
-	if got.CountParity() != 0 || got.CountData() != 5 {
-		t.Errorf("plain division: %v", got)
-	}
-	// Negative mark clamps to 0.
-	got = Materialize(root, []DivStep{{Mark: -3, Interval: 0, Parts: 1, Index: 0}})
-	if !seq.Equal(got, root) {
-		t.Errorf("negative mark: %v", got)
-	}
-}
-
-func TestMaterializeBadStepPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad step did not panic")
-		}
-	}()
-	Materialize(seq.Range(1, 5), []DivStep{{Parts: 2, Index: 5}})
-}
-
-func content1(root seq.Sequence) seq.Sequence {
-	return seq.Div(parity.Enhance(root, 3), 4, 1)
-}
-
-// Property: sibling derivations partition the parent's enhanced tail —
-// materializing every index of a step covers each packet exactly once.
-func TestMaterializeSiblingPartitionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		root := seq.Range(1, int64(rng.Intn(80)+20))
-		mark := rng.Intn(10)
-		h := rng.Intn(4) + 1
-		parts := rng.Intn(4) + 2
-		var union seq.Sequence
-		for i := 0; i < parts; i++ {
-			s := Materialize(root, []DivStep{{Mark: mark, Interval: h, Parts: parts, Index: i}})
-			if len(seq.Intersect(union, s)) != 0 {
-				return false
-			}
-			union = seq.Union(union, s)
-		}
-		want := parity.Enhance(root[mark:].Clone(), h)
-		return len(union) == len(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }

@@ -159,16 +159,17 @@ type Config struct {
 	// TrackDelivery; use with Loop=false.
 	Playback      bool
 	PlaybackDelay float64
-	// Repair enables the leaf-driven retransmission protocol: when
-	// delivery stalls (no new data packet for RepairInterval), the leaf
-	// asks a random live peer to retransmit the missing packets — the
-	// recovery of last resort when parity cannot cover a crash. Requires
-	// TrackDelivery (enabled automatically).
+	// Repair enables the leaf-driven retransmission protocol, the
+	// recovery of last resort when parity cannot cover a loss: the leaf
+	// asks for a packet as soon as an arrival proves parity cannot
+	// recover it, and, when delivery stalls (no data packet became
+	// present for RepairInterval), for every missing packet — the
+	// parity.LossDetector policy the live leaf runs, asking the peers it
+	// most recently heard from first. Requires TrackDelivery (enabled
+	// automatically).
 	Repair bool
 	// RepairInterval is the stall-detection period (default 5δ).
 	RepairInterval float64
-	// RepairMaxRounds bounds repair attempts (default 20).
-	RepairMaxRounds int
 	// Obs bundles the run's observers (metrics, spans, flight rings) in
 	// the struct shared with the live runtime. None of them feeds back
 	// into the simulation: an instrumented run is event-for-event
@@ -334,9 +335,6 @@ func (c *Config) normalize() error {
 		}
 		if c.RepairInterval < 0 {
 			return fmt.Errorf("coord: RepairInterval %v must be positive", c.RepairInterval)
-		}
-		if c.RepairMaxRounds == 0 {
-			c.RepairMaxRounds = 20
 		}
 	}
 	return nil

@@ -144,16 +144,12 @@ type leafNode struct {
 	playbackScheduled bool
 	nextConsume       int64
 
-	// Repair state (Config.Repair).
-	lastProgress int64
-	repairRounds int
-	quietChecks  int
-	// lastArrivalAt is the virtual time of the most recent arrival, for
-	// stall-duration observability.
-	lastArrivalAt float64
-	// loss is the missing set fed off the recoverer, armed as the gap
-	// detector the live leaf runs.
+	// Repair state (Config.Repair): loss is the missing set fed off the
+	// recoverer and the repair policy the live leaf runs too; idle counts
+	// the repair checks since Have last grew past had.
 	loss *parity.LossDetector
+	had  int64
+	idle int
 }
 
 func newLeaf(r *runner) *leafNode {
@@ -164,11 +160,6 @@ func newLeaf(r *runner) *leafNode {
 		l.seen = make(map[string]int)
 	}
 	if r.cfg.Repair {
-		// Seed lastProgress so that even after the bounded quiet-period
-		// checks in repairCheck are exhausted, the first fall-through
-		// records progress (-1 never equals Present()) instead of burning
-		// a repair round on a spurious request.
-		l.lastProgress = -1
 		l.loss = parity.NewLossDetector(int(r.cfg.ContentLen))
 		l.loss.Arm(r.cfg.Interval, r.cfg.H, r.cfg.RepairInterval)
 		l.recov.OnData(l.loss.Present)
@@ -211,7 +202,6 @@ func (l *leafNode) Receive(from simnet.NodeID, m simnet.Message) {
 			})
 		}
 	}
-	l.lastArrivalAt = now
 	var isDup bool
 	if l.recov != nil {
 		before := l.recov.Recovered()
@@ -279,77 +269,54 @@ func (l *leafNode) resetWindow() {
 	l.winTotal, l.winData, l.winParity, l.winDup = 0, 0, 0, 0
 }
 
-// repairCheck is the backstop of the leaf-driven repair loop
-// (Config.Repair) for what the gap rule cannot see — a gap in the
-// stream's tail, every sender crashed, a repair reply lost: when no new
-// data packet has arrived for a full interval and the content is
-// incomplete, the leaf asks a random live peer to retransmit the missing
-// packets.
+// repairGiveUp is how many repair checks in a row without a data gain end
+// the leaf's repair timer, so that a run nobody can complete quiesces.
+const repairGiveUp = 20
+
+// repairCheck is the leaf's repair timer (Config.Repair): every
+// RepairInterval it asks the detector whether delivery has stalled, and
+// if so requests every missing packet, until the content is complete or
+// repairGiveUp checks have passed without a data gain.
 func (l *leafNode) repairCheck() {
 	r := l.r
-	if l.loss.Complete() || l.repairRounds >= r.cfg.RepairMaxRounds {
-		return // complete, or giving up
-	}
-	if l.recov.Present() == 0 && l.quietChecks < r.cfg.RepairMaxRounds {
-		// Nothing has arrived yet: coordination and the first transmission
-		// slot are still in flight, so a flat counter is a quiet period,
-		// not a stall. Bounded by RepairMaxRounds so a run where no packet
-		// ever arrives still falls through to the stall path below (and
-		// repair, then give-up) instead of rescheduling forever.
-		l.quietChecks++
-		r.eng.After(r.cfg.RepairInterval, l.repairCheck)
+	if l.loss.Complete() {
 		return
 	}
-	if cur := int64(l.recov.Present()); cur != l.lastProgress {
-		l.lastProgress = cur
-		r.eng.After(r.cfg.RepairInterval, l.repairCheck)
-		return // still flowing; check again later
+	if have := l.loss.Have(); have > l.had {
+		l.had, l.idle = have, 0
+	} else if l.idle++; l.idle >= repairGiveUp {
+		return
 	}
-	l.repairRounds++
-	missing := l.loss.Missing()
-	// Delivery stalled: record how long the leaf has been starved and
-	// open a repair wave in the trace.
 	now := r.eng.Now()
-	r.met.stallDuration.Observe(now - l.lastArrivalAt)
-	if r.cfg.Obs.Spans != nil {
-		r.cfg.Obs.Spans.Add(span.Span{
-			Trace: r.cfg.Obs.SpanTrace, ID: r.cfg.Obs.Spans.NextID(),
-			Parent: r.sessionSpan, Name: "stall", Peer: -1,
-			Start: l.lastArrivalAt, End: now,
-			Detail: fmt.Sprintf("%d missing", len(missing)),
-		})
+	if round, ok := l.loss.Stall(now); ok {
+		// Record how long the leaf has been starved and open a repair wave
+		// in the trace.
+		r.met.stallDuration.Observe(round.StalledFor)
+		if r.cfg.Obs.Spans != nil {
+			r.cfg.Obs.Spans.Add(span.Span{
+				Trace: r.cfg.Obs.SpanTrace, ID: r.cfg.Obs.Spans.NextID(),
+				Parent: r.sessionSpan, Name: "stall", Peer: -1,
+				Start: now - round.StalledFor, End: now,
+				Detail: fmt.Sprintf("%d missing", len(round.Missing)),
+			})
+		}
+		l.requestRepair(round.Missing, "stall")
 	}
-	missing = missing[:min(len(missing), repairBatch)]
-	l.loss.Requested(missing[len(missing)-1])
-	if l.requestRepair(missing, "stall") {
-		r.eng.After(r.cfg.RepairInterval, l.repairCheck)
-	}
+	r.eng.After(r.cfg.RepairInterval, l.repairCheck)
 }
 
-// repairBatch bounds the indices one repair request names.
-const repairBatch = 64
-
-// requestRepair asks random live peers to retransmit the given content
-// indices, repairBatch per request, noting each request with its
-// trigger. It reports false when no peer is alive to ask.
-func (l *leafNode) requestRepair(indices []int64, trigger string) bool {
+// requestRepair asks for the given content indices, parity.RepairBatch
+// per request, round-robin over the detector's target order, noting each
+// request with its trigger.
+func (l *leafNode) requestRepair(indices []int64, trigger string) {
 	r := l.r
-	alive := make([]simnet.NodeID, 0, r.cfg.N)
-	for i := 0; i < r.cfg.N; i++ {
-		if !r.nw.Crashed(simnet.NodeID(i)) {
-			alive = append(alive, simnet.NodeID(i))
-		}
-	}
-	if len(alive) == 0 {
-		return false
-	}
-	for off := 0; off < len(indices); off += repairBatch {
-		batch := indices[off:min(off+repairBatch, len(indices))]
-		target := alive[r.eng.Rand().Intn(len(alive))]
+	targets := l.loss.Targets(r.cfg.N, r.eng.Rand())
+	for i := 0; i*parity.RepairBatch < len(indices); i++ {
+		batch := indices[i*parity.RepairBatch : min((i+1)*parity.RepairBatch, len(indices))]
+		target := simnet.NodeID(targets[i%len(targets)])
 		r.res.RepairRequests++
 		r.met.repairRequests[trigger].Inc()
 		r.note(int(engine.LeafID), flight.Event{Dir: flight.DirDriver, Type: "repair_request", Other: int(target), N: len(batch), Note: trigger})
 		r.nw.Send(r.leafID(), target, repairMsg{Indices: batch})
 	}
-	return true
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/seq"
@@ -458,6 +459,33 @@ func TestRepairTailLossByBackstop(t *testing.T) {
 	_, notes := runWithheld(t, "t119", "t120")
 	if notes["stall"] == 0 || notes["gap"] != 0 {
 		t.Errorf("repair notes by trigger %v, want stall only", notes)
+	}
+}
+
+// A leaf whose selected peers crashed before the run hears nothing at
+// all — nobody else was asked to stream — and still completes: the quiet
+// start only delays the stall round, which then asks the other peers for
+// everything.
+func TestRepairFallsThroughQuietStart(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.N = 10
+	cfg.H = 3
+	cfg.Interval = 2
+	cfg.DataPlane = true
+	cfg.Loop = false
+	cfg.Repair = true
+	cfg.ContentLen = 120
+	cfg.Rate = 10
+	cfg.CrashPeers, _ = engine.SelectInitial((&runner{cfg: cfg}).leafRand(), cfg.N, cfg.H)
+	res, err := Run(TCoP, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ActivePeers != 0 {
+		t.Fatalf("%d peers streamed: the leaf's selected peers were not the ones crashed", res.ActivePeers)
+	}
+	if res.DeliveredData != cfg.ContentLen || res.RepairRequests == 0 {
+		t.Errorf("delivered %d/%d after %d repair requests", res.DeliveredData, cfg.ContentLen, res.RepairRequests)
 	}
 }
 

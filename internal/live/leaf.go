@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -43,7 +42,8 @@ type LeafConfig struct {
 	// parity provably cannot recover is requested as soon as an arrival
 	// shows it; RepairAfter is how long a silent sender still holds that
 	// gap rule back, and how long the leaf waits without progress before
-	// its backstop round asks for everything still missing.
+	// its backstop round asks for everything still missing (four times
+	// as long before the first packet).
 	RepairAfter time.Duration
 	// RequestRetry, when positive, re-sends the initial content request
 	// to every selected peer the leaf has not yet heard a data packet
@@ -79,23 +79,20 @@ type Leaf struct {
 	ep  transport.Endpoint
 	met leafMetrics
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	asm      *content.Assembler
-	total    int64
-	dup      int64
-	lastGain time.Time
-	// loss is the assembler's missing set, armed as the gap detector when
-	// repair is on. Its per-sender entries record when each sender was
-	// last heard and how far its stream has come — also the basis for
-	// survivor-aware repair targeting and for naming the presumed-crashed
-	// peers in Wait's timeout error. senders maps a sender's address to
-	// its detector slot.
+	mu    sync.Mutex
+	rng   *rand.Rand
+	asm   *content.Assembler
+	total int64
+	dup   int64
+	// loss is the assembler's missing set and, when repair is on, the
+	// repair policy: the gap rule, the stall backstop and the target
+	// order. Its per-sender entries record when each sender was last heard
+	// and how far its stream has come, which also names the
+	// presumed-crashed peers in Wait's timeout error. senders maps a
+	// sender's address to its detector slot: its roster index, or a slot
+	// past the roster for a sender outside it.
 	loss    *parity.LossDetector
 	senders map[string]int
-	// repairFirst is the leading missing index of the previous repair
-	// round; seeing it again means the round went unanswered (a retry).
-	repairFirst int64
 	// sessionSpan is the root span of the session's trace, opened at
 	// Start; sessionStart/firstAt feed the session span and the
 	// time-to-first-packet observation.
@@ -134,13 +131,15 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 		cfg.Obs.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
 	}
 	l := &Leaf{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(seed)),
-		asm:      content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
-		senders:  make(map[string]int, len(cfg.Roster)),
-		lastGain: time.Now(),
-		done:     make(chan struct{}),
-		stopCh:   make(chan struct{}),
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(seed)),
+		asm:     content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
+		senders: make(map[string]int, len(cfg.Roster)),
+		done:    make(chan struct{}),
+		stopCh:  make(chan struct{}),
+	}
+	for i, addr := range cfg.Roster {
+		l.senders[addr] = i
 	}
 	l.loss = l.asm.Detector()
 	if cfg.RepairAfter > 0 {
@@ -305,8 +304,7 @@ func (l *Leaf) handle(m transport.Msg) {
 		l.met.decodeErrors.Inc()
 		return
 	}
-	now := time.Now()
-	at := now.Sub(liveEpoch).Seconds()
+	at := liveNow()
 	l.mu.Lock()
 	l.total++
 	l.met.arrivals.Inc()
@@ -325,9 +323,9 @@ func (l *Leaf) handle(m transport.Msg) {
 	// Indices parity can no longer recover are asked for at once, not on
 	// the next stall round.
 	gap := l.loss.Arrive(l.slotLocked(m.From), &b.Pkt, at, nil)
-	var targets []string
+	var targets []int
 	if gap != nil {
-		targets = l.repairTargets()
+		targets = l.loss.Targets(len(l.cfg.Roster), l.rng)
 	}
 	if !fresh {
 		l.dup++
@@ -336,7 +334,6 @@ func (l *Leaf) handle(m transport.Msg) {
 	// The gauges move only when their value does: a parity packet that
 	// completes no segment changes neither.
 	if got := l.asm.Have(); got > have {
-		l.lastGain = now
 		l.met.delivered.Set(float64(got))
 	}
 	if got := l.asm.Recovered(); got > recovered {
@@ -352,8 +349,9 @@ func (l *Leaf) handle(m transport.Msg) {
 	}
 }
 
-// slotLocked returns the detector slot of a sender address, assigning
-// the next one on first sight. Callers hold l.mu.
+// slotLocked returns the detector slot of a sender address: its roster
+// index, or for a sender outside the roster the next slot past it,
+// assigned on first sight. Callers hold l.mu.
 func (l *Leaf) slotLocked(addr string) int {
 	slot, ok := l.senders[addr]
 	if !ok {
@@ -373,41 +371,16 @@ func (l *Leaf) senderLocked(addr string) (s parity.Sender, ok bool) {
 	return s, false
 }
 
-// repairTargets orders the roster by how recently each member was heard
-// streaming, most recent first — after churn, the peers still streaming
-// are the ones worth asking. Never-heard members sort last in random
-// order. Callers hold l.mu.
-func (l *Leaf) repairTargets() []string {
-	type target struct {
-		addr  string
-		heard float64
-	}
-	ts := make([]target, len(l.cfg.Roster))
-	for i, a := range l.cfg.Roster {
-		ts[i] = target{a, math.Inf(-1)}
-		if s, ok := l.senderLocked(a); ok {
-			ts[i].heard = s.LastHeard
-		}
-	}
-	l.rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].heard > ts[j].heard })
-	targets := make([]string, len(ts))
-	for i, t := range ts {
-		targets[i] = t.addr
-	}
-	return targets
-}
-
-// requestRepair asks for the missing indices in batches of 64, trying
-// targets in survivor order and rotating to an alternate when one is
-// unreachable. count is the trigger's request counter.
-func (l *Leaf) requestRepair(missing []int64, targets []string, count *metrics.Counter) {
-	const batch = 64
+// requestRepair asks for the missing indices, parity.RepairBatch per
+// request, trying targets (roster indices) in the detector's order and
+// rotating to an alternate when one is unreachable. count is the
+// trigger's request counter.
+func (l *Leaf) requestRepair(missing []int64, targets []int, count *metrics.Counter) {
 	t := 0
-	for off := 0; off < len(missing); off += batch {
-		body := repairBody{ContentID: l.cfg.ContentID, Indices: missing[off:min(off+batch, len(missing))], Leaf: l.Addr()}
+	for off := 0; off < len(missing); off += parity.RepairBatch {
+		body := repairBody{ContentID: l.cfg.ContentID, Indices: missing[off:min(off+parity.RepairBatch, len(missing))], Leaf: l.Addr()}
 		for tries := 0; tries < len(targets); tries++ {
-			peer := targets[t%len(targets)]
+			peer := l.cfg.Roster[targets[t%len(targets)]]
 			t++
 			count.Inc()
 			if err := l.send(peer, typeRepair, body); err == nil {
@@ -418,10 +391,9 @@ func (l *Leaf) requestRepair(missing []int64, targets []string, count *metrics.C
 	}
 }
 
-// repairLoop is the backstop for what the gap rule cannot see — a gap
-// in the stream's tail, every sender crashed, a repair reply lost: when
-// delivery has stalled for RepairAfter it requests every missing data
-// packet from surviving session members.
+// repairLoop is the leaf's repair timer: every RepairAfter/2 it asks the
+// detector whether delivery has stalled, and if so requests every
+// missing data packet.
 func (l *Leaf) repairLoop() {
 	tick := time.NewTicker(l.cfg.RepairAfter / 2)
 	defer tick.Stop()
@@ -434,36 +406,26 @@ func (l *Leaf) repairLoop() {
 		case <-tick.C:
 		}
 		l.mu.Lock()
-		stalled := time.Since(l.lastGain) >= l.cfg.RepairAfter
-		var missing []int64
-		var targets []string
+		now := liveNow()
+		round, stalled := l.loss.Stall(now)
+		var targets []int
 		if stalled {
-			missing = l.asm.Missing()
-			stalledFor := time.Since(l.lastGain).Seconds()
-			l.lastGain = time.Now() // back off until the next stall
-			if len(missing) > 0 {
-				l.met.stallDuration.Observe(stalledFor)
-				if l.cfg.Obs.Spans != nil {
-					now := liveNow()
-					l.cfg.Obs.Spans.Add(span.Span{
-						Trace: l.cfg.Obs.SpanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
-						Name: "stall", Peer: -1, Start: now - stalledFor, End: now,
-						Detail: fmt.Sprintf("%d missing", len(missing)),
-					})
-				}
-				if missing[0] == l.repairFirst {
-					// The previous round's leading gap is still open:
-					// this is a retry of an unanswered request.
-					l.met.retries.Inc()
-				}
-				l.repairFirst = missing[0]
-				l.loss.Requested(missing[len(missing)-1])
-				targets = l.repairTargets()
+			l.met.stallDuration.Observe(round.StalledFor)
+			if l.cfg.Obs.Spans != nil {
+				l.cfg.Obs.Spans.Add(span.Span{
+					Trace: l.cfg.Obs.SpanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
+					Name: "stall", Peer: -1, Start: now - round.StalledFor, End: now,
+					Detail: fmt.Sprintf("%d missing", len(round.Missing)),
+				})
 			}
+			if round.Retry {
+				l.met.retries.Inc()
+			}
+			targets = l.loss.Targets(len(l.cfg.Roster), l.rng)
 		}
 		l.mu.Unlock()
-		if len(missing) > 0 {
-			l.requestRepair(missing, targets, l.met.stallRepairs)
+		if stalled {
+			l.requestRepair(round.Missing, targets, l.met.stallRepairs)
 		}
 	}
 }

@@ -74,8 +74,8 @@ type leafMetrics struct {
 	stallRepairs *metrics.Counter
 	delivered    *metrics.Gauge
 	recovered    *metrics.Gauge
-	// retries counts stall rounds that re-requested an already-requested
-	// leading gap; failovers counts requests redirected to an alternate
+	// retries counts stall rounds whose leading missing index had been
+	// requested before; failovers counts requests redirected to an alternate
 	// peer after a send error (crashed or unknown endpoint).
 	retries   *metrics.Counter
 	failovers *metrics.Counter

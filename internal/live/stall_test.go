@@ -1,0 +1,68 @@
+package live
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"p2pmss/internal/engine"
+	"p2pmss/internal/metrics"
+	"p2pmss/internal/transport"
+)
+
+// TestLeafQuietStartNotAStall: the silence before the first data packet
+// is not a stall. Over 100 ms links the first packet reaches the leaf
+// about 200 ms after Start, more than three 60 ms stall windows later; a
+// lossless run still asks for nothing and receives no duplicate.
+func TestLeafQuietStartNotAStall(t *testing.T) {
+	data := randomData(200*64, 51)
+	f := transport.NewFabric()
+	f.Latency = 100 * time.Millisecond
+	reg := metrics.New()
+	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.TCoP, data, 64, 51, func(cfg *LeafConfig) {
+		cfg.RepairAfter = 60 * time.Millisecond
+		cfg.Obs.Metrics = reg
+	})
+	defer leaf.Close()
+	defer closeAll(peers)
+	if err := leaf.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaf.Wait(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := leaf.Bytes(); !ok || !bytes.Equal(got, data) {
+		t.Fatal("reassembled bytes differ")
+	}
+	if n, _ := counterTotal(reg, "live_repair_requests_total", "trigger", "stall"); n != 0 {
+		t.Errorf("lossless run sent %d stall repair requests", n)
+	}
+	if _, dup, _ := leaf.Stats(); dup != 0 {
+		t.Errorf("lossless run received %d duplicates", dup)
+	}
+}
+
+// TestLeafStallFallsThroughQuietStart: a leaf whose selected peers never
+// deliver — every data packet they send is lost until the leaf's first
+// stall round — hears nothing at all, and still completes: the quiet
+// start only delays the backstop, which then asks the roster for
+// everything. With n = H every roster member is selected, so no
+// hand-off child streams around the loss.
+func TestLeafStallFallsThroughQuietStart(t *testing.T) {
+	data := randomData(120*64, 52)
+	reg := metrics.New()
+	gs := startGapSession(t, engine.DCoP, 3, data, 5*time.Millisecond, 50*time.Millisecond, reg, func(gs *gapSession, _ transport.Msg) bool {
+		gs.mu.Lock()
+		defer gs.mu.Unlock()
+		return len(gs.repairs) == 0
+	})
+	if err := gs.leaf.Wait(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := gs.leaf.Bytes(); !ok || !bytes.Equal(got, data) {
+		t.Fatal("reassembled bytes differ")
+	}
+	if n, _ := counterTotal(reg, "live_repair_requests_total", "trigger", "stall"); n == 0 {
+		t.Error("completed without a stall round: the selected peers' data got through")
+	}
+}

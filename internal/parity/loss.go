@@ -1,17 +1,22 @@
 package parity
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 
 	"p2pmss/internal/seq"
 )
 
 // LossDetector is a leaf's missing set for a content of l data packets,
-// and the rule that tells which missing packets §3.2's parity can no
-// longer recover. It is a pure function of what it is fed — arrivals
-// with their sender and receipt time, and the indices that became
-// present — and never reads a clock, so both drivers (virtual time and
-// wall clock) and tests on fabricated times share it.
+// and its repair policy: the rule that tells which missing packets §3.2's
+// parity can no longer recover, the stall backstop (Stall) for what that
+// rule cannot see, and the order in which to ask senders (Targets). It is
+// a pure function of what it is fed — arrivals with their sender and
+// receipt time, and the indices that became present — and never reads a
+// clock, so both drivers (virtual time and wall clock) and tests on
+// fabricated times share it.
 //
 // The rule. A missing data index k is lost once every sender heard
 // within the last window has delivered a packet positioned more than a
@@ -29,7 +34,7 @@ import (
 // the others), unless Expect registered it: an expected sender holds the
 // rule back until it is heard or its window runs out. A data packet
 // behind the cursor — a repair reply for an index already reported lost
-// or passed to Requested, or a packet parity recovered before it came —
+// or asked for by a stall round, or a packet parity recovered before it came —
 // fills its gap but says nothing about its sender's stream.
 //
 // The missing set is a union-find over 1..l+1 ("the smallest missing
@@ -51,7 +56,24 @@ type LossDetector struct {
 	h                      int64
 	slack, window, reorder float64
 	senders                []Sender
+	// The stall clock starts (begun, at start) with the first Expect,
+	// Arrive or Stall; since is the last time Have grew (gained is Have
+	// then), the last round or the start; arrived is set by any Arrive.
+	begun, arrived bool
+	start, since   float64
+	gained         int64
 }
+
+// quietStart is how many windows a leaf that has received nothing waits,
+// from the start of its stall clock, before its silence counts as a
+// stall: coordination and the first transmission slot are still in
+// flight. It outlasts the live leaf's default request re-sends
+// (RepairAfter/2 × 5 waves, 2.5 windows), and is finite so that a leaf
+// whose selected peers never send still falls through to repair.
+const quietStart = 4
+
+// RepairBatch is how many indices one repair request names.
+const RepairBatch = 64
 
 // Sender is what the detector knows of one source of data packets.
 type Sender struct {
@@ -141,22 +163,82 @@ func (d *LossDetector) sender(id int) *Sender {
 // first packet: until heard it holds the rule back, for at most a window
 // from now. A sender already heard is unaffected.
 func (d *LossDetector) Expect(sender int, now float64) {
+	d.begin(now)
 	if s := d.sender(sender); !s.Heard() {
 		s.LastHeard = now
 	}
 }
 
-// Requested records that every missing index up to through has been
-// asked for outside the rule (a stall round): the rule does not report
-// them again, and their replies are recognised as such.
-func (d *LossDetector) Requested(through int64) {
-	d.cursor = min(max(d.cursor, through+1), d.l+1)
+// begin starts the stall clock if nothing has yet.
+func (d *LossDetector) begin(now float64) {
+	if !d.begun {
+		d.begun, d.start, d.since = true, now, now
+	}
+}
+
+// Round is one stall round: what to ask for, and what to record of it.
+type Round struct {
+	// Missing is every missing index, ascending.
+	Missing []int64
+	// StalledFor is how long no data index had become present (at most
+	// since the previous round).
+	StalledFor float64
+	// Retry reports that Missing[0] had been asked for before, by the gap
+	// rule or an earlier round, and is still missing.
+	Retry bool
+}
+
+// Stall is the backstop for what the gap rule cannot see — a loss in the
+// stream's tail, every sender crashed, a repair reply lost. The leaf is
+// stalled at now when the rule is armed, the content is incomplete, no
+// data index has become present for a window (a repair reply counts),
+// and, while no packet at all has arrived, quietStart windows have passed
+// since the stall clock started. A stalled leaf's round lists every
+// missing index and marks it requested, so the rule does not report it
+// again; the window restarts, so the next round is at least a window
+// later.
+func (d *LossDetector) Stall(now float64) (Round, bool) {
+	d.begin(now)
+	if d.window <= 0 || d.Complete() || now-d.since < d.window ||
+		!d.arrived && now-d.start < quietStart*d.window {
+		return Round{}, false
+	}
+	missing := d.Missing()
+	r := Round{Missing: missing, StalledFor: now - d.since, Retry: missing[0] < d.cursor}
+	d.cursor = max(d.cursor, missing[len(missing)-1]+1)
+	d.since = now
+	return r, true
+}
+
+// Targets orders sender ids 0..n-1 for repair requests: most recently
+// heard first — after churn, the senders still streaming are the
+// likeliest survivors — then, in random order, the ones never heard.
+// Senders with ids n and above are never targets.
+func (d *LossDetector) Targets(n int, rng *rand.Rand) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	rng.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	heard := func(id int) float64 {
+		if id < len(d.senders) && d.senders[id].Heard() {
+			return d.senders[id].LastHeard
+		}
+		return math.Inf(-1)
+	}
+	slices.SortStableFunc(ids, func(a, b int) int { return cmp.Compare(heard(b), heard(a)) })
+	return ids
 }
 
 // Arrive records that sender delivered p at time now, after p was fed to
 // the recoverer, and appends to lost, in ascending order, the missing
 // indices this arrival proves lost. Each index is reported once.
 func (d *LossDetector) Arrive(sender int, p *seq.Packet, now float64, lost []int64) []int64 {
+	d.begin(now)
+	d.arrived = true
+	if d.have > d.gained {
+		d.gained, d.since = d.have, now
+	}
 	if p.Kind == seq.Data && p.Index < d.cursor {
 		// A repair reply, a straggler already given up on, or a packet
 		// parity recovered first: its position says nothing about the

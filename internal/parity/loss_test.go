@@ -2,6 +2,8 @@ package parity
 
 import (
 	"cmp"
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -315,7 +317,9 @@ func TestLossDetectorTailIsTheBackstops(t *testing.T) {
 	}
 	// The stall round asks for everything missing; a peer that never
 	// streamed answers.
-	r.det.Requested(missing[len(missing)-1])
+	if round, ok := r.det.Stall(2); !ok || !slices.Equal(round.Missing, missing) {
+		t.Fatalf("stall round %+v (ok=%v), want one asking for %v", round, ok, missing)
+	}
 	for _, k := range missing {
 		r.arrive(7, seq.NewData(k), 1)
 	}
@@ -363,5 +367,108 @@ func TestLossDetectorMissingSet(t *testing.T) {
 	}
 	if got := d.Missing(); len(got) != 0 || !d.Complete() {
 		t.Errorf("missing %v after all present", got)
+	}
+}
+
+// Before its first packet a leaf is not stalled for quietStart windows
+// from its first Expect: coordination is still in flight. A leaf that
+// never hears anything still falls through to a round then, and backs
+// off a window between rounds. An unarmed detector never stalls.
+func TestLossDetectorStallQuietStart(t *testing.T) {
+	d := NewLossDetector(100)
+	d.Expect(0, 10)
+	if _, ok := d.Stall(50); ok {
+		t.Fatal("an unarmed detector stalled")
+	}
+	d = NewLossDetector(100)
+	d.Arm(2, 3, 1)
+	d.Expect(0, 10)
+	d.Expect(1, 10.5)
+	for _, now := range []float64{11, 12, 13, 13.99} {
+		if r, ok := d.Stall(now); ok {
+			t.Fatalf("stalled at %v, %v after the first Expect: %+v", now, now-10, r)
+		}
+	}
+	r, ok := d.Stall(14)
+	if !ok || len(r.Missing) != 100 || r.StalledFor != 4 || r.Retry {
+		t.Fatalf("at 4 windows: round %+v ok=%v, want all 100 missing, stalled for 4, no retry", r, ok)
+	}
+	if _, ok := d.Stall(14.99); ok {
+		t.Error("a second round inside the back-off window")
+	}
+	if r, ok := d.Stall(15); !ok || !r.Retry || r.StalledFor != 1 {
+		t.Errorf("one window after the round: %+v ok=%v, want a retry stalled for 1", r, ok)
+	}
+}
+
+// Once packets flow, the leaf is stalled after one window in which no
+// data index became present: a parity packet that recovers nothing is
+// not progress, a repair reply is. A round backs off a window and
+// reports whether its leading index was asked for before.
+func TestLossDetectorStallAfterWindow(t *testing.T) {
+	const l, h = 60, 2
+	r := newLossRig(l, h, 3, 1)
+	r.det.Expect(0, 0)
+	esq := Enhance(seq.Range(1, l), h)
+	r.arrive(0, esq[0], 0.5) // t1
+	r.arrive(0, esq[1], 0.6) // t2
+	if _, ok := r.det.Stall(1.59); ok {
+		t.Fatal("stalled within a window of the last data gain")
+	}
+	// p(t1,t2) completes no segment: not a gain.
+	r.arrive(0, esq[2], 1.2)
+	round, ok := r.det.Stall(1.6)
+	if !ok || round.StalledFor != 1 || round.Retry || round.Missing[0] != 3 || len(round.Missing) != l-2 {
+		t.Fatalf("round %+v ok=%v, want t3..t%d stalled for 1, no retry", round, ok, l)
+	}
+	// A repair reply is a gain: it restarts the window.
+	r.arrive(5, seq.NewData(3), 2.1)
+	if _, ok := r.det.Stall(3.09); ok {
+		t.Error("stalled within a window of a repair reply")
+	}
+	round, ok = r.det.Stall(3.1)
+	if !ok || round.Missing[0] != 4 || !round.Retry {
+		t.Errorf("round %+v ok=%v, want a retry starting at t4", round, ok)
+	}
+	if len(r.lost) != 0 {
+		t.Errorf("the gap rule reported %v", r.reported())
+	}
+}
+
+// Targets lists the ids below n most recently heard first and the
+// never-heard ones (an expected sender included) after them in seeded
+// random order; a sender at n or above is not listed. It draws from the
+// RNG exactly what one Shuffle of n does.
+func TestLossDetectorTargets(t *testing.T) {
+	d := NewLossDetector(100)
+	d.Expect(5, 0)
+	for i, s := range []int{2, 0, 7, 4} { // heard at 1, 2, 3, 4
+		p := seq.NewData(int64(10 + i))
+		d.Arrive(s, &p, float64(i+1), nil)
+	}
+	const n = 6
+	tails := map[string]bool{}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got := d.Targets(n, rng)
+		if len(got) != n || !slices.Equal(got[:3], []int{4, 0, 2}) {
+			t.Fatalf("seed %d: targets %v, want [4 0 2] first, then 1, 3, 5 in some order", seed, got)
+		}
+		tail := slices.Clone(got[3:])
+		tails[fmt.Sprint(tail)] = true
+		if slices.Sort(tail); !slices.Equal(tail, []int{1, 3, 5}) {
+			t.Fatalf("seed %d: targets %v, want 1, 3, 5 last", seed, got)
+		}
+		if again := d.Targets(n, rand.New(rand.NewSource(seed))); !slices.Equal(again, got) {
+			t.Fatalf("seed %d: %v then %v", seed, got, again)
+		}
+		ref := rand.New(rand.NewSource(seed))
+		ref.Shuffle(n, func(i, j int) {})
+		if rng.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: Targets drew other than one Shuffle of %d", seed, n)
+		}
+	}
+	if len(tails) < 2 {
+		t.Errorf("never-heard ids came in one order over 20 seeds: %v", tails)
 	}
 }
