@@ -27,7 +27,7 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run go test -update ./cmd/msstrace to create it)", err)
+		t.Fatalf("%v (run go test ./cmd/msstrace -update to create it)", err)
 	}
 	if got != string(want) {
 		t.Errorf("timeline differs from %s:\n%s", path, got)

@@ -2,12 +2,12 @@ package conformance_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/coord"
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/live"
 	"p2pmss/internal/overlay"
@@ -20,7 +20,7 @@ import (
 // members synchronously, which the simulated leaf does not model) and
 // isolates the mirrored path: member-level SendFailed failover.
 func crashVictims(seed int64, count int) []engine.PeerID {
-	rng := rand.New(rand.NewSource(engine.PeerSeed(seed, engine.LeafID)))
+	rng := des.NewRand(engine.PeerSeed(seed, engine.LeafID))
 	sel, _ := engine.SelectInitial(rng, confN, confH)
 	selected := make(map[engine.PeerID]bool, len(sel))
 	for _, id := range sel {

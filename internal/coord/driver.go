@@ -3,6 +3,7 @@ package coord
 import (
 	"math/rand"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
@@ -39,7 +40,7 @@ func (r *runner) initEngine(dcopMode bool) {
 		RetryWaveDepth: r.met.retryWaveDepth,
 	}
 	for _, p := range r.peers {
-		rng := rand.New(rand.NewSource(engine.PeerSeed(r.cfg.Seed, p.id)))
+		rng := des.NewRand(engine.PeerSeed(r.cfg.Seed, p.id))
 		p.core = engine.NewPeer(ecfg, p.id, rng)
 		p.spans = engine.NewSpanTracker(r.cfg.Obs.Spans, r.cfg.Obs.SpanTrace, int(p.id), sm)
 		p.flight = engine.NewFlightObserver(r.cfg.Obs.Flight.Recorder("", int(p.id)))
@@ -49,7 +50,7 @@ func (r *runner) initEngine(dcopMode bool) {
 // leafRand is the leaf peer's private random stream, seeded exactly as
 // the live layer seeds its leaf so the initial selection agrees.
 func (r *runner) leafRand() *rand.Rand {
-	return rand.New(rand.NewSource(engine.PeerSeed(r.cfg.Seed, engine.LeafID)))
+	return des.NewRand(engine.PeerSeed(r.cfg.Seed, engine.LeafID))
 }
 
 // startRequests performs the leaf peer's step 1 for DCoP and TCoP:

@@ -1,7 +1,10 @@
 // Package des provides a deterministic discrete-event simulation engine:
-// a virtual clock, an event queue, and a seeded random source. All
-// simulation-side randomness in this repository flows from Engine.Rand so
-// experiment runs are reproducible from a seed.
+// a virtual clock, an event queue, and a seeded random source. Every
+// seeded stream of the simulator and the live runtime — Engine.Rand,
+// each engine peer's and leaf's stream in both drivers, the failure
+// models, gossip and the transport impairer — draws from Source, a
+// splitmix64 generator with 8 bytes of state and an O(1) Seed, so runs
+// are reproducible from a seed and a stream costs nothing to create.
 //
 // Events scheduled for the same instant fire in scheduling order, which
 // keeps runs deterministic across platforms.
@@ -15,11 +18,10 @@ import (
 
 // Event is a handle to a scheduled callback; it can be cancelled.
 type Event struct {
-	t     float64
-	seq   int64
-	fn    func()
-	done  bool
-	index int // position in the heap, -1 when popped/cancelled
+	t    float64
+	seq  int64
+	fn   func()
+	done bool
 }
 
 // Cancel prevents a pending event from firing. Cancelling an already
@@ -35,22 +37,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*h = old[:n-1]
 	return ev
 }
@@ -67,7 +60,7 @@ type Engine struct {
 // New returns an engine with its clock at 0 and randomness seeded with
 // the given seed.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.

@@ -1,12 +1,12 @@
 package engine_test
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/seq"
 )
@@ -98,7 +98,7 @@ func TestOutcomeAssignedUnderCrashAndAbsorb(t *testing.T) {
 			if dcop {
 				// Two peers the leaf did not select are down from the start:
 				// controls to them fail at the sender.
-				lr := rand.New(rand.NewSource(engine.PeerSeed(seed, engine.LeafID)))
+				lr := des.NewRand(engine.PeerSeed(seed, engine.LeafID))
 				_, spares := engine.SelectInitial(lr, cfg.N, cfg.H)
 				h.crashed[spares[0]], h.crashed[spares[1]] = true, true
 			} else {

@@ -1,9 +1,9 @@
 package engine_test
 
 import (
-	"math/rand"
 	"testing"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/span"
 )
@@ -23,7 +23,7 @@ func BenchmarkSpanDisabledObserve(b *testing.B) {
 	if err := cfg.Normalize(); err != nil {
 		b.Fatal(err)
 	}
-	p := engine.NewPeer(cfg, 0, rand.New(rand.NewSource(1)))
+	p := engine.NewPeer(cfg, 0, des.NewRand(1))
 	tr := engine.NewSpanTracker(nil, 0, 0, engine.SpanMetrics{})
 	if tr != nil {
 		b.Fatal("tracker with nil collector and no metrics must be nil")

@@ -1,9 +1,9 @@
 package engine_test
 
 import (
-	"math/rand"
 	"testing"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/seq"
 )
@@ -17,7 +17,7 @@ func newTestPeer(t *testing.T, cfg engine.Config, id engine.PeerID) *engine.Peer
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	return engine.NewPeer(cfg, id, rand.New(rand.NewSource(engine.PeerSeed(1, id))))
+	return engine.NewPeer(cfg, id, des.NewRand(engine.PeerSeed(1, id)))
 }
 
 func confirmsOf(effs []engine.Effect) []engine.MsgConfirm {

@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
@@ -818,16 +819,12 @@ func SplitParts(parts []seq.Sequence) (keep seq.Sequence, given []seq.Sequence) 
 }
 
 // PeerSeed derives the deterministic RNG seed of peer id from the run's
-// base seed (SplitMix64-style mixing), so every peer owns an
-// independent random stream and both drivers seed identically.
+// base seed (the splitmix64 finaliser des.Mix), so every peer owns an
+// independent random stream and both drivers seed identically: each
+// seeds a des.NewRand with it.
 func PeerSeed(base int64, id PeerID) int64 {
 	x := uint64(base) + 0x9e3779b97f4a7c15*uint64(int64(id)+2)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x & 0x7fffffffffffffff)
+	return int64(des.Mix(x) & 0x7fffffffffffffff)
 }
 
 // SelectInitial is the leaf peer's step 1: it selects h of the n

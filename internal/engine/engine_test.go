@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
@@ -21,7 +22,7 @@ import (
 type harness struct {
 	cfg     engine.Config
 	peers   []*engine.Peer
-	sources []rand.Source
+	sources []*des.Source
 	streams []engine.Stream
 	crashed map[engine.PeerID]bool
 
@@ -81,7 +82,7 @@ func newHarness(cfg engine.Config, seed int64) *harness {
 	h := &harness{cfg: cfg, crashed: make(map[engine.PeerID]bool)}
 	for i := 0; i < cfg.N; i++ {
 		id := engine.PeerID(i)
-		src := rand.NewSource(engine.PeerSeed(seed, id))
+		src := des.NewSource(engine.PeerSeed(seed, id))
 		h.sources = append(h.sources, src)
 		h.peers = append(h.peers, engine.NewPeer(cfg, id, rand.New(src)))
 		h.streams = append(h.streams, engine.Stream{})
@@ -117,7 +118,7 @@ func (h *harness) start(content seq.Sequence, rate float64, leafSeed int64) {
 		enhanced = parity.Enhance(content, h.cfg.Interval)
 	}
 	perPeer := parity.PerPeerRate(rate, h.cfg.Interval, h.cfg.H)
-	lr := rand.New(rand.NewSource(engine.PeerSeed(leafSeed, engine.LeafID)))
+	lr := des.NewRand(engine.PeerSeed(leafSeed, engine.LeafID))
 	sel, _ := engine.SelectInitial(lr, h.cfg.N, h.cfg.H)
 	h.reqBuf = h.reqBuf[:0]
 	for u := range sel {
@@ -404,7 +405,7 @@ func TestEngineTCoPRetryOnCrashedChild(t *testing.T) {
 	for seed := int64(1); seed <= 8 && !retriedSome; seed++ {
 		h := newHarness(cfg, seed)
 		// Crash two peers the leaf did not select.
-		lr := rand.New(rand.NewSource(engine.PeerSeed(seed, engine.LeafID)))
+		lr := des.NewRand(engine.PeerSeed(seed, engine.LeafID))
 		sel, spares := engine.SelectInitial(lr, cfg.N, cfg.H)
 		_ = sel
 		h.crashed[spares[0]] = true
@@ -592,6 +593,29 @@ func TestPeerSeedIndependence(t *testing.T) {
 	}
 	if engine.PeerSeed(1, 0) == engine.PeerSeed(2, 0) {
 		t.Error("PeerSeed ignores the base seed")
+	}
+}
+
+// TestPeerSeedPinned pins a few PeerSeed values: both drivers seed every
+// peer's stream with them, so a change to the derivation or to des.Mix
+// would silently re-draw every run.
+func TestPeerSeedPinned(t *testing.T) {
+	for _, c := range []struct {
+		base int64
+		id   engine.PeerID
+		want int64
+	}{
+		{0, engine.LeafID, 7070836379803831727},
+		{1, engine.LeafID, 1227844342346046657},
+		{1, 0, 4533873174211652711},
+		{1, 99, 4355826640330431745},
+		{42, 7, 6270620877612482005},
+		{-5, 3, 3414711185053671722},
+		{1 << 40, 12345, 5247082479790166413},
+	} {
+		if got := engine.PeerSeed(c.base, c.id); got != c.want {
+			t.Errorf("PeerSeed(%d, %d) = %d, want %d", c.base, c.id, got, c.want)
+		}
 	}
 }
 

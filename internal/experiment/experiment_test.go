@@ -102,6 +102,43 @@ func TestFigure12Shape(t *testing.T) {
 	}
 }
 
+// TestPaperQuotedPoints pins the paper's quoted H = 60 points at its own
+// setting (n = 100, 5 seeds): the values EXPERIMENTS.md compares against
+// the paper, which no re-draw of the random streams may move.
+func TestPaperQuotedPoints(t *testing.T) {
+	o := DefaultOptions()
+	o.Hs = []int{60}
+	d, err := Figure10(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := d.Points[0]; p.Rounds != 2 || p.ControlPackets != 2460 {
+		t.Errorf("Figure 10 H=60: %v rounds, %v control packets; want 2 and 2460", p.Rounds, p.ControlPackets)
+	}
+	unshared := o
+	unshared.LeafShares = false
+	tc, err := Figure11(unshared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := tc.Points[0]; p.ControlPackets != 7300 {
+		t.Errorf("Figure 11 unshared H=60: %v control packets, want 7300", p.ControlPackets)
+	}
+	d, tc, err = Figure12(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr, tr := d.Points[0].ReceiptRate, tc.Points[0].ReceiptRate
+	if tr <= dr {
+		t.Errorf("Figure 12 H=60: TCoP rate %.3f not above DCoP %.3f", tr, dr)
+	}
+	for _, r := range []float64{dr, tr} {
+		if r < 1 || r > 1.15 {
+			t.Errorf("Figure 12 H=60: rate %.3f outside [1, 1.15]", r)
+		}
+	}
+}
+
 func TestBaselinesTable(t *testing.T) {
 	o := smallOpts()
 	o.Seeds = 1

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/simnet"
 )
 
@@ -40,7 +41,7 @@ func NewGilbertElliott(pGB, pBG, lossGood, lossBad float64, seed int64) *Gilbert
 	return &GilbertElliott{
 		PGoodToBad: pGB, PBadToGood: pBG,
 		LossGood: lossGood, LossBad: lossBad,
-		rng: rand.New(rand.NewSource(seed)),
+		rng: des.NewRand(seed),
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"p2pmss/internal/des"
 )
 
 // This file is the wall-clock driver: periodic push rounds over real
@@ -72,7 +74,7 @@ func StartLive(cfg LiveConfig) (*Live, error) {
 	}
 	l := &Live{
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    des.NewRand(seed),
 		pushed: make(map[string]bool),
 		poke:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/parity"
@@ -132,7 +133,7 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 	}
 	l := &Leaf{
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     des.NewRand(seed),
 		asm:     content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
 		senders: make(map[string]int, len(cfg.Roster)),
 		done:    make(chan struct{}),

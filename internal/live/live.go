@@ -33,11 +33,11 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
@@ -336,7 +336,7 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 		p.idOfLocked(a)
 	}
 	self := p.idOfLocked(ep.Name())
-	p.core = engine.NewPeer(ecfg, self, rand.New(rand.NewSource(cfg.Seed)))
+	p.core = engine.NewPeer(ecfg, self, des.NewRand(cfg.Seed))
 	p.spans = engine.NewSpanTracker(cfg.Obs.Spans, cfg.Obs.SpanTrace, int(self), engine.SpanMetrics{
 		HandshakeRTT:   p.met.handshakeRTT,
 		CommitLatency:  p.met.commitLatency,

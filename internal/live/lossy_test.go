@@ -53,7 +53,10 @@ func buildLossySession(t *testing.T, f *transport.Fabric, n, H, interval int, pr
 // never activates and its whole division goes missing, which is more
 // loss than parity covers. Here the fabric swallows the leaf's first
 // request (returning nil, as UDP would); with repair disabled, only the
-// RequestRetry deadline can revive the slot.
+// RequestRetry deadline can revive the slot. With H = 3 and interval 2
+// parity alone can rebuild one lost division, and it does so about when
+// the ~160 ms stream ends, so the deadline sits well before that: at
+// 150 ms the content sometimes completed first and nothing was re-sent.
 func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 	data := randomData(4000, 8)
 	f := transport.NewFabric()
@@ -77,7 +80,7 @@ func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 	}
 	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.DCoP, data, 64, 21, func(cfg *LeafConfig) {
 		cfg.RepairAfter = 0 // isolate: only the request deadline may save this
-		cfg.RequestRetry = 150 * time.Millisecond
+		cfg.RequestRetry = 50 * time.Millisecond
 	})
 	defer leaf.Close()
 	defer closeAll(peers)

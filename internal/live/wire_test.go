@@ -110,7 +110,7 @@ func TestWireGolden(t *testing.T) {
 		}
 		want, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%v (run go test -run TestWireGolden -update ./internal/live after an intended format change)", err)
+			t.Fatalf("%v (run go test ./internal/live -run TestWireGolden -update after an intended format change)", err)
 		}
 		if !bytes.Equal(frame, want) {
 			t.Errorf("%s frame changed:\n got %x\nwant %x\nan intended change bumps the version byte of the frame magic", typ, frame, want)

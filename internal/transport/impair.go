@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/metrics"
 )
 
@@ -155,7 +156,7 @@ func (im *Impairer) linkLocked(from, to string) *linkState {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	l := &linkState{rng: rand.New(rand.NewSource(im.cfg.Seed ^ int64(h.Sum64()&0x7fffffffffffffff)))}
+	l := &linkState{rng: des.NewRand(im.cfg.Seed ^ int64(h.Sum64()&0x7fffffffffffffff))}
 	im.links[key] = l
 	return l
 }
