@@ -25,7 +25,10 @@ import (
 	"strconv"
 	"strings"
 
-	"p2pmss"
+	"p2pmss/internal/coord"
+	"p2pmss/internal/experiment"
+	"p2pmss/internal/span"
+	"p2pmss/internal/svgplot"
 )
 
 func main() {
@@ -58,7 +61,7 @@ func main() {
 	)
 	flag.Parse()
 
-	o := p2pmss.DefaultExperimentOptions()
+	o := experiment.DefaultOptions()
 	o.N = *n
 	o.Seeds = *seeds
 	o.LeafShares = !*noshare
@@ -75,9 +78,9 @@ func main() {
 	}
 	switch *dataPlane {
 	case "", "packet":
-		o.PlaneMode = p2pmss.PlanePacket
+		o.PlaneMode = coord.PlanePacket
 	case "fluid":
-		o.PlaneMode = p2pmss.PlaneFluid
+		o.PlaneMode = coord.PlaneFluid
 	default:
 		fatal(fmt.Errorf("unknown -data-plane %q (want packet or fluid)", *dataPlane))
 	}
@@ -93,16 +96,29 @@ func main() {
 	}
 
 	run := func(name string) bool { return *fig == "all" || *fig == name }
+	if *jsonOut && !run("10") && !run("11") && !run("12") && !run("baselines") {
+		fatal(fmt.Errorf("-json supports -fig 10, 11, 12, baselines, all (got %q)", *fig))
+	}
 
-	// Span collection is a side channel: the trace goes to -trace-out,
-	// tables/records go to stdout unchanged (byte-identical to an
-	// untraced run).
+	// Every figure runs the records path. With -json the records are the
+	// output: one line per run, with a metrics snapshot (instrumentation
+	// never perturbs the simulation, and snapshots are sorted). Spans are
+	// collected only for -trace-out and go to that file, so stdout is
+	// byte-identical to an untraced run.
+	o.Instrument = *jsonOut
 	o.CollectSpans = *traceOut != ""
-	var spans []p2pmss.Span
-	collect := func(recs []p2pmss.RunRecord) {
-		if o.CollectSpans {
-			spans = append(spans, p2pmss.Spans(recs)...)
+	var spans []span.Span
+	records := func(recs []experiment.RunRecord, err error) []experiment.RunRecord {
+		if err != nil {
+			fatal(err)
 		}
+		spans = append(spans, experiment.Spans(recs)...)
+		if *jsonOut {
+			if err := experiment.WriteRecordsJSONL(os.Stdout, recs); err != nil {
+				fatal(err)
+			}
+		}
+		return recs
 	}
 	defer func() {
 		if *traceOut == "" {
@@ -112,161 +128,75 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := p2pmss.WriteSpansJSONL(f, spans); err != nil {
+		if err := span.WriteJSONL(f, spans); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 	}()
-
-	if *jsonOut {
-		// JSONL mode: per-run records with metrics snapshots instead of
-		// averaged tables. Deterministic: instrumentation never perturbs
-		// the simulation and snapshots are sorted.
-		o.Instrument = true
-		emit := func(recs []p2pmss.RunRecord, err error) {
-			if err != nil {
-				fatal(err)
-			}
-			collect(recs)
-			if err := p2pmss.WriteRunRecordsJSONL(os.Stdout, recs); err != nil {
-				fatal(err)
-			}
+	svg := func(name string, c *svgplot.Chart) {
+		if *svgDir == "" {
+			return
 		}
-		ran := false
-		if run("10") {
-			emit(p2pmss.SweepRecords(p2pmss.DCoP, o, false))
-			ran = true
+		if err := experiment.WriteSVG(*svgDir, name, c); err != nil {
+			fatal(err)
 		}
-		if run("11") {
-			emit(p2pmss.SweepRecords(p2pmss.TCoP, o, false))
-			ran = true
-		}
-		if run("12") {
-			emit(p2pmss.SweepRecords(p2pmss.DCoP, o, true))
-			emit(p2pmss.SweepRecords(p2pmss.TCoP, o, true))
-			ran = true
-		}
-		if run("baselines") {
-			emit(p2pmss.BaselineRecords(o, *hFixed))
-			ran = true
-		}
-		if !ran {
-			fatal(fmt.Errorf("-json supports -fig 10, 11, 12, baselines, all (got %q)", *fig))
-		}
-		return
 	}
-
-	// sweepSeries runs one protocol sweep via the records path, so one
-	// grid run yields both the averaged table and the spans. Used only
-	// when tracing; the untraced path keeps the historical Figure calls.
-	sweepSeries := func(proto p2pmss.Protocol, dataPlane bool) (p2pmss.Series, error) {
-		recs, err := p2pmss.SweepRecords(proto, o, dataPlane)
-		if err != nil {
-			return p2pmss.Series{}, err
+	rounds := func(proto, fig, title string) {
+		recs := records(experiment.SweepRecords(o, false, proto))
+		if *jsonOut {
+			return
 		}
-		collect(recs)
-		return p2pmss.SeriesFromRecords(proto, o, recs), nil
+		s := experiment.SeriesFromRecords(proto, o, recs)
+		if *csv {
+			fmt.Print(experiment.SeriesCSV(s))
+		} else {
+			experiment.FprintSeries(os.Stdout, "Figure "+fig+": rounds and control packets in "+title, s)
+			fmt.Println()
+		}
+		svg("figure"+fig, experiment.RoundsChart("Figure "+fig+": "+title, s))
 	}
 
 	if run("10") {
-		var s p2pmss.Series
-		var err error
-		if o.CollectSpans {
-			s, err = sweepSeries(p2pmss.DCoP, false)
-		} else {
-			s, err = p2pmss.Figure10(o)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(p2pmss.SeriesCSV(s))
-		} else {
-			p2pmss.PrintSeries(os.Stdout, "Figure 10: rounds and control packets in DCoP", s)
-			fmt.Println()
-		}
-		if *svgDir != "" {
-			if err := p2pmss.WriteRoundsSVG(*svgDir, "figure10", "Figure 10: DCoP", s); err != nil {
-				fatal(err)
-			}
-		}
+		rounds(coord.DCoP, "10", "DCoP")
 	}
 	if run("11") {
-		var s p2pmss.Series
-		var err error
-		if o.CollectSpans {
-			s, err = sweepSeries(p2pmss.TCoP, false)
-		} else {
-			s, err = p2pmss.Figure11(o)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(p2pmss.SeriesCSV(s))
-		} else {
-			p2pmss.PrintSeries(os.Stdout, "Figure 11: rounds and control packets in TCoP", s)
-			fmt.Println()
-		}
-		if *svgDir != "" {
-			if err := p2pmss.WriteRoundsSVG(*svgDir, "figure11", "Figure 11: TCoP", s); err != nil {
-				fatal(err)
-			}
-		}
+		rounds(coord.TCoP, "11", "TCoP")
 	}
 	if run("12") {
-		var d, t p2pmss.Series
-		var err error
-		if o.CollectSpans {
-			if d, err = sweepSeries(p2pmss.DCoP, true); err == nil {
-				t, err = sweepSeries(p2pmss.TCoP, true)
+		recs := records(experiment.SweepRecords(o, true, coord.DCoP, coord.TCoP))
+		if !*jsonOut {
+			d := experiment.SeriesFromRecords(coord.DCoP, o, recs)
+			t := experiment.SeriesFromRecords(coord.TCoP, o, recs)
+			if *csv {
+				fmt.Print(experiment.SeriesCSV(d))
+				fmt.Print(experiment.SeriesCSV(t))
+			} else {
+				experiment.FprintRateSeries(os.Stdout, "Figure 12: receipt rate of leaf peer", d, t)
+				fmt.Println()
 			}
-		} else {
-			d, t, err = p2pmss.Figure12(o)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *csv {
-			fmt.Print(p2pmss.SeriesCSV(d))
-			fmt.Print(p2pmss.SeriesCSV(t))
-		} else {
-			p2pmss.PrintRateSeries(os.Stdout, "Figure 12: receipt rate of leaf peer", d, t)
-			fmt.Println()
-		}
-		if *svgDir != "" {
-			if err := p2pmss.WriteRateSVG(*svgDir, "figure12", "Figure 12: receipt rate of leaf peer", d, t); err != nil {
-				fatal(err)
-			}
+			svg("figure12", experiment.RateChart("Figure 12: receipt rate of leaf peer", d, t))
 		}
 	}
 	if run("baselines") {
-		var rows []p2pmss.BaselineRow
-		var err error
-		if o.CollectSpans {
-			var recs []p2pmss.RunRecord
-			if recs, err = p2pmss.BaselineRecords(o, *hFixed); err == nil {
-				collect(recs)
-				rows = p2pmss.BaselinesFromRecords(o, recs)
-			}
-		} else {
-			rows, err = p2pmss.Baselines(o, *hFixed)
+		recs := records(experiment.BaselineRecords(o, *hFixed))
+		if !*jsonOut {
+			experiment.FprintBaselines(os.Stdout,
+				fmt.Sprintf("Baseline comparison (§3.1) at n=%d, H=%d", o.N, *hFixed),
+				experiment.BaselinesFromRecords(recs))
+			fmt.Println()
 		}
-		if err != nil {
-			fatal(err)
-		}
-		p2pmss.PrintBaselines(os.Stdout,
-			fmt.Sprintf("Baseline comparison (§3.1) at n=%d, H=%d", o.N, *hFixed), rows)
-		fmt.Println()
+	}
+	if *jsonOut {
+		return
 	}
 	if run("gossip") {
-		pts, err := p2pmss.GossipCoverage(o.N, nil, o.Seeds*2)
+		pts, err := experiment.GossipCoverage(o.N, nil, o.Seeds*2)
 		if err != nil {
 			fatal(err)
 		}
-		p2pmss.PrintGossipCoverage(os.Stdout, o.N, pts)
+		experiment.FprintGossipCoverage(os.Stdout, o.N, pts)
 		fmt.Println()
 	}
 	// The scale sweep is explicitly requested, never part of -fig all: at
@@ -278,15 +208,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		for _, proto := range []p2pmss.Protocol{p2pmss.DCoP, p2pmss.TCoP} {
-			pts, err := p2pmss.ScaleCurve(proto, o, *hFixed, sizes)
+		for _, proto := range []string{coord.DCoP, coord.TCoP} {
+			pts, err := experiment.ScaleCurve(proto, o, *hFixed, sizes)
 			if err != nil {
 				fatal(err)
 			}
 			if *csv {
-				fmt.Print(p2pmss.ScaleCurveCSV(proto, pts))
+				fmt.Print(experiment.ScaleCurveCSV(proto, pts))
 			} else {
-				p2pmss.PrintScaleCurve(os.Stdout,
+				experiment.FprintScaleCurve(os.Stdout,
 					fmt.Sprintf("Scale sweep (%s, H=%d, %s plane): coordination and receipt rate vs n",
 						proto, *hFixed, o.PlaneMode), pts)
 				fmt.Println()
@@ -314,7 +244,7 @@ func parseNs(s string) ([]int, error) {
 
 // parseBurst decodes the -burst flag's four comma-separated
 // Gilbert–Elliott parameters.
-func parseBurst(s string) (*p2pmss.BurstParams, error) {
+func parseBurst(s string) (*coord.BurstParams, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 4 {
 		return nil, fmt.Errorf("bad -burst %q: want pGoodToBad,pBadToGood,lossGood,lossBad", s)
@@ -327,7 +257,7 @@ func parseBurst(s string) (*p2pmss.BurstParams, error) {
 		}
 		vals[i] = v
 	}
-	return &p2pmss.BurstParams{
+	return &coord.BurstParams{
 		PGoodToBad: vals[0], PBadToGood: vals[1],
 		LossGood: vals[2], LossBad: vals[3],
 	}, nil

@@ -50,7 +50,14 @@ import (
 	"syscall"
 	"time"
 
-	"p2pmss"
+	"p2pmss/internal/content"
+	"p2pmss/internal/engine"
+	"p2pmss/internal/flight"
+	"p2pmss/internal/live"
+	"p2pmss/internal/metrics"
+	"p2pmss/internal/overlay"
+	"p2pmss/internal/span"
+	"p2pmss/internal/transport"
 )
 
 func main() {
@@ -62,7 +69,7 @@ func main() {
 		pktSize  = flag.Int("pkt", 256, "packet payload size in bytes")
 		rate     = flag.Float64("rate", 800, "content rate in packets/second")
 		kill     = flag.Int("kill", 0, "crash this many serving nodes mid-stream")
-		proto    = flag.String("proto", p2pmss.TCoP, "live coordination protocol: tcop or dcop")
+		proto    = flag.String("proto", engine.TCoP, "live coordination protocol: tcop or dcop")
 		timeout  = flag.Duration("timeout", 60*time.Second, "delivery deadline")
 		seed     = flag.Int64("seed", 1, "random seed")
 		sessions = flag.Int("sessions", 1, "stream this many concurrent sessions over one node population")
@@ -91,46 +98,46 @@ func main() {
 	if *useUDP && *useMem {
 		fatal(fmt.Errorf("-udp and -mem are mutually exclusive"))
 	}
-	impair := p2pmss.TransportImpairment{
+	impair := transport.Impairment{
 		Seed: *seed, Loss: *loss, BurstLen: *burst, Duplicate: *dup, Reorder: *reorder,
 	}
 	if impair.Enabled() && !*useUDP && !*useMem {
 		fatal(fmt.Errorf("impairment flags need -udp or -mem (a TCP stream cannot lose frames)"))
 	}
-	var policy p2pmss.TransportQueuePolicy
+	var policy transport.QueuePolicy
 	switch *queuePol {
 	case "block":
-		policy = p2pmss.QueueBlock
+		policy = transport.QueueBlock
 	case "drop":
-		policy = p2pmss.QueueDropNewest
+		policy = transport.QueueDropNewest
 	default:
 		fatal(fmt.Errorf("-queue-policy %q: want block or drop", *queuePol))
 	}
 
-	var spanCol *p2pmss.SpanCollector
+	var spanCol *span.Collector
 	if *traceOut != "" {
-		spanCol = p2pmss.NewSpanCollector()
+		spanCol = span.NewCollector()
 	}
 
 	// Flight recording is on whenever it has a consumer: an explicit
 	// -flight-out file, the /debug/flight endpoint, or the SIGUSR1 dump
 	// (always armed, so any run can be inspected mid-flight).
-	flightSet := p2pmss.NewFlightSet(0)
+	flightSet := flight.NewSet(0)
 
 	// Metrics are registered only when they will be served. The mux is
 	// late-bound: the server starts before the population exists and gains
 	// its /debug endpoints once it does.
-	var reg *p2pmss.MetricsRegistry
+	var reg *metrics.Registry
 	var mux *lateMux
 	if *listen != "" {
-		reg = p2pmss.NewMetricsRegistry()
+		reg = metrics.New()
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("observability on http://%s/metrics (also /healthz, /debug/vars, /debug/pprof/, /debug/overlay, /debug/flight, /debug/directory)\n", ln.Addr())
 		mux = &lateMux{}
-		mux.Set(p2pmss.MetricsDebugMux(reg))
+		mux.Set(metrics.DebugMux(reg))
 		srv := &http.Server{Handler: mux}
 		go srv.Serve(ln) //nolint:errcheck // shut down with the process
 	}
@@ -145,9 +152,9 @@ func main() {
 // wiring bundles the transport selection.
 type wiring struct {
 	useUDP, useMem bool
-	impair         p2pmss.TransportImpairment
+	impair         transport.Impairment
 	queueCap       int
-	policy         p2pmss.TransportQueuePolicy
+	policy         transport.QueuePolicy
 }
 
 // runSessions streams `sessions` distinct contents concurrently over one
@@ -155,22 +162,22 @@ type wiring struct {
 func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate float64,
 	kill int, proto string, timeout time.Duration, seed int64,
 	retries int, hsTimeout time.Duration, wire wiring, discover bool,
-	announceEvery time.Duration, reg *p2pmss.MetricsRegistry,
-	mux *lateMux, flightSet *p2pmss.FlightSet,
-	spanCol *p2pmss.SpanCollector, traceOut, flightOut string) {
+	announceEvery time.Duration, reg *metrics.Registry,
+	mux *lateMux, flightSet *flight.Set,
+	spanCol *span.Collector, traceOut, flightOut string) {
 	if sessions < 1 || sessions > nodes {
 		fatal(fmt.Errorf("-sessions %d: want 1..-peers (%d)", sessions, nodes))
 	}
-	store := p2pmss.NewContentStore()
+	store := content.NewStore()
 	contents := make(map[string][]byte, sessions)
 	for i := 0; i < sessions; i++ {
 		data := make([]byte, size)
 		rand.New(rand.NewSource(seed + int64(i))).Read(data)
 		id := fmt.Sprintf("demo%d", i)
-		store.Put(p2pmss.NewContent(id, data, pktSize))
+		store.Put(content.New(id, data, pktSize))
 		contents[id] = data
 	}
-	nc, err := p2pmss.StartLiveNodes(p2pmss.LiveNodesConfig{
+	nc, err := live.StartNodes(live.NodesConfig{
 		Nodes:            nodes,
 		Store:            store,
 		Discover:         discover,
@@ -186,7 +193,7 @@ func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate floa
 		HandshakeTimeout: hsTimeout,
 		Retries:          retries,
 		Seed:             seed,
-		Obs: p2pmss.Observability{
+		Obs: engine.Observability{
 			Metrics: reg,
 			Spans:   spanCol,
 			Flight:  flightSet,
@@ -197,11 +204,11 @@ func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate floa
 	}
 	defer nc.Close()
 	if mux != nil {
-		mux.Set(p2pmss.MetricsDebugMux(reg, nc.DebugHandlers()...))
+		mux.Set(metrics.DebugMux(reg, nc.DebugHandlers()...))
 	}
 	armFlightDump(func() string {
 		return dumpIntrospection(flightSet, func(enc *json.Encoder) error {
-			all := make(map[string]p2pmss.OverlaySnapshot)
+			all := make(map[string]overlay.Snapshot)
 			for _, sid := range nc.Sessions() {
 				all[string(sid)] = nc.Snapshot(sid)
 			}
@@ -220,10 +227,10 @@ func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate floa
 	}
 
 	start := time.Now()
-	leaves := make([]*p2pmss.LiveLeafSession, sessions)
+	leaves := make([]*live.LeafSession, sessions)
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("demo%d", i)
-		ls, err := nc.Open(i, p2pmss.LiveSessionConfig{
+		ls, err := nc.Open(i, live.SessionConfig{
 			ContentID:   id,
 			ContentSize: size,
 			PacketSize:  pktSize,
@@ -249,7 +256,7 @@ func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate floa
 	errs := make([]error, sessions)
 	for i, ls := range leaves {
 		wg.Add(1)
-		go func(i int, ls *p2pmss.LiveLeafSession) {
+		go func(i int, ls *live.LeafSession) {
 			defer wg.Done()
 			errs[i] = ls.Wait(timeout)
 		}(i, ls)
@@ -336,10 +343,10 @@ func armFlightDump(dump func() string) {
 // dumpIntrospection writes the flight log (JSONL) and a topology
 // snapshot (JSON, produced by writeOverlay) to temp files and names
 // them. Failures are reported, never fatal.
-func dumpIntrospection(flightSet *p2pmss.FlightSet, writeOverlay func(*json.Encoder) error) string {
+func dumpIntrospection(flightSet *flight.Set, writeOverlay func(*json.Encoder) error) string {
 	var parts []string
 	if f, err := os.CreateTemp("", "mssplay-flight-*.jsonl"); err == nil {
-		if werr := p2pmss.WriteFlightJSONL(f, flightSet.Events()); werr == nil {
+		if werr := flight.WriteJSONL(f, flightSet.Events()); werr == nil {
 			parts = append(parts, "flight "+f.Name())
 		}
 		f.Close()
@@ -360,7 +367,7 @@ func dumpIntrospection(flightSet *p2pmss.FlightSet, writeOverlay func(*json.Enco
 
 // writeFlight flushes the flight log as JSONL. No-op when -flight-out
 // is unset.
-func writeFlight(path string, flightSet *p2pmss.FlightSet) {
+func writeFlight(path string, flightSet *flight.Set) {
 	if path == "" {
 		return
 	}
@@ -369,7 +376,7 @@ func writeFlight(path string, flightSet *p2pmss.FlightSet) {
 		fatal(err)
 	}
 	events := flightSet.Events()
-	if err := p2pmss.WriteFlightJSONL(f, events); err != nil {
+	if err := flight.WriteJSONL(f, events); err != nil {
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -381,7 +388,7 @@ func writeFlight(path string, flightSet *p2pmss.FlightSet) {
 // writeTrace flushes the collected spans as JSONL. No-op when tracing is
 // off; the file is written only after the session closed, so dangling
 // spans are already finalized.
-func writeTrace(path string, col *p2pmss.SpanCollector) {
+func writeTrace(path string, col *span.Collector) {
 	if path == "" {
 		return
 	}
@@ -390,7 +397,7 @@ func writeTrace(path string, col *p2pmss.SpanCollector) {
 	if err != nil {
 		fatal(err)
 	}
-	if err := p2pmss.WriteSpansJSONL(f, spans); err != nil {
+	if err := span.WriteJSONL(f, spans); err != nil {
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -33,7 +33,9 @@ import (
 	"sort"
 	"strings"
 
-	"p2pmss"
+	"p2pmss/internal/coord"
+	"p2pmss/internal/flight"
+	"p2pmss/internal/span"
 )
 
 func main() {
@@ -76,10 +78,10 @@ func openInput(path string) io.ReadCloser {
 }
 
 // readSpans loads a span JSONL trace.
-func readSpans(path string) []p2pmss.Span {
+func readSpans(path string) []span.Span {
 	r := openInput(path)
 	defer r.Close()
-	spans, err := p2pmss.ReadSpansJSONL(r)
+	spans, err := span.ReadJSONL(r)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,7 +116,7 @@ func runPerfetto(args []string) {
 		}()
 		w = f
 	}
-	if err := p2pmss.WriteSpansPerfetto(w, spans); err != nil {
+	if err := span.WritePerfetto(w, spans); err != nil {
 		fatal(err)
 	}
 	if *out != "" {
@@ -135,7 +137,7 @@ func runSummary(args []string) {
 	if input == "" {
 		input = fs.Arg(0)
 	}
-	p2pmss.PrintSpanSummary(os.Stdout, p2pmss.SummarizeSpans(readSpans(input)))
+	span.FprintSummary(os.Stdout, span.Summarize(readSpans(input)))
 }
 
 // runFlight lists or summarizes a per-peer flight log (JSONL) written
@@ -159,7 +161,7 @@ func runFlight(args []string) {
 
 	r := openInput(input)
 	defer r.Close()
-	all, err := p2pmss.ReadFlightJSONL(r)
+	all, err := flight.ReadJSONL(r)
 	if err != nil {
 		fatal(err)
 	}
@@ -180,7 +182,7 @@ func runFlight(args []string) {
 	if *summary {
 		fmt.Printf("%-10s %5s %-4s %-20s %8s %12s %12s\n",
 			"session", "peer", "dir", "type", "count", "first", "last")
-		for _, s := range p2pmss.SummarizeFlight(events) {
+		for _, s := range flight.Summarize(events) {
 			fmt.Printf("%-10s %5d %-4s %-20s %8d %12.6f %12.6f\n",
 				s.Session, s.Peer, s.Dir, s.Type, s.Count, s.First, s.Last)
 		}
@@ -195,7 +197,7 @@ func runFlight(args []string) {
 // sortTimeline puts flight records in reading order: by time, ties
 // broken by (session, peer, seq) so each peer's records keep their
 // recorded order.
-func sortTimeline(events []p2pmss.FlightEvent) {
+func sortTimeline(events []flight.Event) {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := events[i], events[j]
 		if a.T != b.T {
@@ -214,7 +216,7 @@ func sortTimeline(events []p2pmss.FlightEvent) {
 // printTimeline writes flight records one per line in sortTimeline
 // order. It is the only event formatter: a simulated run and a live
 // flight dump read identically. A positive limit cuts the listing short.
-func printTimeline(w io.Writer, events []p2pmss.FlightEvent, limit int) {
+func printTimeline(w io.Writer, events []flight.Event, limit int) {
 	sortTimeline(events)
 	for i, e := range events {
 		if limit > 0 && i >= limit {
@@ -241,20 +243,20 @@ func fatal(err error) {
 
 // simulate runs one coordination simulation with a flight set of the
 // given per-peer ring size attached and returns the set.
-func simulate(proto string, n, h int, seed int64, ringCap int) (*p2pmss.FlightSet, p2pmss.SimResult, error) {
-	cfg := p2pmss.DefaultSimConfig()
+func simulate(proto string, n, h int, seed int64, ringCap int) (*flight.Set, coord.Result, error) {
+	cfg := coord.DefaultConfig()
 	cfg.N = n
 	cfg.H = h
 	cfg.Seed = seed
-	cfg.Obs.Flight = p2pmss.NewFlightSet(ringCap)
-	res, err := p2pmss.Simulate(proto, cfg)
+	cfg.Obs.Flight = flight.NewSet(ringCap)
+	res, err := coord.Run(proto, cfg)
 	return cfg.Obs.Flight, res, err
 }
 
 // runTimeline simulates one coordination run and prints its flight log.
 func runTimeline() {
 	var (
-		proto   = flag.String("proto", p2pmss.DCoP, "protocol: dcop, tcop, broadcast, unicast, centralized, ams")
+		proto   = flag.String("proto", coord.DCoP, "protocol: dcop, tcop, broadcast, unicast, centralized, ams")
 		n       = flag.Int("n", 20, "contents peers")
 		fanout  = flag.Int("h", 4, "fanout H")
 		seed    = flag.Int64("seed", 1, "random seed")
@@ -297,7 +299,7 @@ func runTimeline() {
 	if *jsonOut {
 		summary = os.Stderr
 		sortTimeline(events)
-		if err := p2pmss.WriteFlightJSONL(os.Stdout, events); err != nil {
+		if err := flight.WriteJSONL(os.Stdout, events); err != nil {
 			fatal(err)
 		}
 	} else {

@@ -9,7 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"p2pmss"
+	"p2pmss/internal/coord"
+	"p2pmss/internal/flight"
 )
 
 var update = flag.Bool("update", false, "rewrite the timeline golden files")
@@ -38,7 +39,7 @@ func checkGolden(t *testing.T, name, got string) {
 // simulator is deterministic, so any change here is a change to what the
 // engine records or to the one formatter.
 func TestTimelineGoldenSimTCoP(t *testing.T) {
-	set, _, err := simulate(p2pmss.TCoP, 12, 3, 1, 512)
+	set, _, err := simulate(coord.TCoP, 12, 3, 1, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestTimelineGoldenSimTCoP(t *testing.T) {
 // keeps per-peer order on ties, prints driver notes and the leaf's -1
 // id, and honours -limit.
 func TestTimelineGoldenLiveStyle(t *testing.T) {
-	log := []p2pmss.FlightEvent{
+	log := []flight.Event{
 		{Seq: 0, T: 0.000120, Session: "s1", Peer: 0, Dir: "ev", Type: "request", Other: -1, Round: 1, N: 40},
 		{Seq: 1, T: 0.000120, Session: "s1", Peer: 0, Dir: "eff", Type: "activate", Round: 1, N: 40},
 		{Seq: 2, T: 0.000120, Session: "s1", Peer: 0, Dir: "eff", Type: "send_control", Other: 2, Round: 2, N: 13},
@@ -79,7 +80,7 @@ func TestTimelineGoldenLiveStyle(t *testing.T) {
 // Every protocol — engine-backed or baseline — yields a non-empty,
 // time-ordered timeline that shows its activations.
 func TestTimelineAllProtocols(t *testing.T) {
-	for _, proto := range p2pmss.Protocols {
+	for _, proto := range coord.Protocols {
 		set, res, err := simulate(proto, 6, 3, 1, 512)
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)

@@ -1,8 +1,8 @@
 // Video-on-demand example: the workload the paper's introduction
 // motivates. A 256 KiB "movie" is streamed by eight contents peers to a
-// leaf peer over the in-memory fabric; two peers crash mid-stream and the
-// leaf still reassembles the movie byte-for-byte via parity recovery and
-// a repair round.
+// leaf peer over the in-memory fabric; two serving peers crash
+// mid-stream and the leaf still reassembles the movie byte-for-byte via
+// parity recovery, the churn-tolerant hand-off and repair.
 package main
 
 import (
@@ -22,54 +22,38 @@ func main() {
 	c := p2pmss.NewContent("big-buck-gopher", movie, 512)
 	fmt.Printf("movie %q: %d KiB in %d packets\n", c.ID(), c.Size()>>10, c.NumPackets())
 
-	// Eight contents peers on an in-memory fabric.
-	fabric := p2pmss.NewFabric()
-	roster := []string{"cp1", "cp2", "cp3", "cp4", "cp5", "cp6", "cp7", "cp8"}
-	var peers []*p2pmss.LivePeer
-	for i, name := range roster {
-		p, err := p2pmss.StartLivePeer(p2pmss.LivePeerConfig{
-			Content:  c,
-			Roster:   roster,
-			H:        4,
-			Interval: 2, // one parity packet per two data packets
-			Delta:    5 * time.Millisecond,
-			Seed:     int64(i) + 1,
-		}, p2pmss.WithFabric(fabric, name))
-		if err != nil {
-			log.Fatal(err)
-		}
-		peers = append(peers, p)
+	// Eight contents peers and the leaf's node, all holding the movie,
+	// on an in-memory fabric.
+	store := p2pmss.NewContentStore()
+	store.Put(c)
+	nodes, err := p2pmss.StartLiveNodes(p2pmss.LiveNodesConfig{
+		Nodes:    9,
+		Store:    store,
+		H:        4,
+		Interval: 2, // one parity packet per two data packets
+		Delta:    5 * time.Millisecond,
+		Seed:     7,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer nodes.Close()
 
-	leaf, err := p2pmss.StartLiveLeaf(p2pmss.LiveLeafConfig{
-		Roster:      roster,
-		H:           4,
-		Interval:    2,
-		Rate:        3000,
+	start := time.Now()
+	leaf, err := nodes.Open(8, p2pmss.LiveSessionConfig{
+		ContentID:   c.ID(),
 		ContentSize: len(movie),
 		PacketSize:  512,
+		Rate:        3000,
 		RepairAfter: 400 * time.Millisecond,
-		Seed:        7,
-	}, p2pmss.WithFabric(fabric, "leaf"))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	start := time.Now()
-	if err := leaf.Start(); err != nil {
-		log.Fatal(err)
-	}
-
-	// Two peers die mid-movie.
-	time.Sleep(200 * time.Millisecond)
-	killed := 0
-	for _, p := range peers {
-		if p.Active() && killed < 2 {
-			fmt.Printf("peer %s crashed after sending %d packets\n", p.Addr(), p.Sent())
-			p.Close()
-			killed++
-		}
-	}
+	// Two serving peers die mid-movie.
+	time.Sleep(50 * time.Millisecond)
+	fmt.Printf("%d serving peers crashed mid-stream\n", nodes.CrashServing(2))
 
 	if err := leaf.Wait(60 * time.Second); err != nil {
 		log.Fatal(err)
@@ -81,9 +65,4 @@ func main() {
 	total, dup, recovered := leaf.Stats()
 	fmt.Printf("movie delivered intact in %v (%d arrivals, %d duplicates, %d parity-recovered)\n",
 		time.Since(start).Round(time.Millisecond), total, dup, recovered)
-
-	for _, p := range peers {
-		p.Close()
-	}
-	leaf.Close()
 }

@@ -1,9 +1,10 @@
 // Package experiment regenerates the paper's evaluation (§4): Figure 10
 // (DCoP rounds and control packets vs H), Figure 11 (the same for TCoP),
 // Figure 12 (leaf receipt rate vs H for both protocols), and a baseline
-// comparison table for the §3.1 coordination schemes. Each point is
-// averaged over several seeds; results are returned as printable tables
-// and as raw series for the benchmark harness.
+// comparison table for the §3.1 coordination schemes. Every figure runs
+// one records runner (SweepRecords, BaselineRecords) and averages its
+// per-run records over seeds (SeriesFromRecords, BaselinesFromRecords);
+// results are returned as printable tables, CSV and JSON Lines.
 package experiment
 
 import (
@@ -15,7 +16,6 @@ import (
 	"p2pmss/internal/coord"
 	"p2pmss/internal/failure"
 	"p2pmss/internal/gossip"
-	"p2pmss/internal/stats"
 )
 
 // Options parameterizes an experiment sweep.
@@ -24,7 +24,8 @@ type Options struct {
 	N int
 	// Hs lists the fanout values to sweep.
 	Hs []int
-	// Seeds is how many independent runs are averaged per point.
+	// Seeds is how many independent runs are averaged per point; zero or
+	// less picks the default.
 	Seeds int
 	// LeafShares mirrors coord.Config.LeafShares.
 	LeafShares bool
@@ -90,7 +91,7 @@ func (o *Options) normalize() {
 			}
 		}
 	}
-	if o.Seeds == 0 {
+	if o.Seeds <= 0 {
 		o.Seeds = d.Seeds
 	}
 	if o.Rate == 0 {
@@ -164,7 +165,7 @@ func (o Options) checkHs() error {
 }
 
 // sweepJobs lays out the (H, seed) grid of one protocol's sweep in the
-// aggregation order of aggregateSweep.
+// order SeriesFromRecords reads it.
 func sweepJobs(protocol string, o Options, dataPlane bool) []runJob {
 	jobs := make([]runJob, 0, len(o.Hs)*o.Seeds)
 	for _, H := range o.Hs {
@@ -175,81 +176,85 @@ func sweepJobs(protocol string, o Options, dataPlane bool) []runJob {
 	return jobs
 }
 
-// sweep runs the protocol for every H and seed, fanning the grid out
-// over Options.Parallel workers.
-func sweep(protocol string, o Options, dataPlane bool) (Series, error) {
-	o.normalize()
-	if err := o.checkHs(); err != nil {
-		return Series{}, err
+// point averages one grid point's runs (one per seed).
+func point(H int, recs []RunRecord) Point {
+	var rounds, syncRounds, packets, active, syncTime, rate, dup sample
+	for _, r := range recs {
+		res := r.Result
+		rounds.Add(float64(res.Rounds))
+		syncRounds.Add(float64(res.SyncRounds))
+		packets.Add(float64(res.ControlPackets))
+		active.Add(float64(res.ActivePeers))
+		syncTime.Add(res.SyncTime)
+		rate.Add(res.ReceiptRate)
+		if tot := res.DataPackets + res.ParityPackets + res.DupPackets; tot > 0 {
+			dup.Add(float64(res.DupPackets) / float64(tot))
+		} else {
+			dup.Add(0)
+		}
 	}
-	results, err := runGrid(sweepJobs(protocol, o, dataPlane), o.Parallel)
-	if err != nil {
-		return Series{}, err
+	return Point{
+		H:                H,
+		Rounds:           rounds.Mean(),
+		SyncRounds:       syncRounds.Mean(),
+		ControlPackets:   packets.Mean(),
+		ActivePeers:      active.Mean(),
+		SyncTime:         syncTime.Mean(),
+		ReceiptRate:      rate.Mean(),
+		DupRate:          dup.Mean(),
+		RoundsCI:         rounds.CI95(),
+		ControlPacketsCI: packets.CI95(),
+		ReceiptRateCI:    rate.CI95(),
 	}
-	return aggregateSweep(protocol, o, results), nil
 }
 
-// aggregateSweep averages per-(H, seed) results, laid out in sweepJobs
-// order, into one series.
-func aggregateSweep(protocol string, o Options, results []coord.Result) Series {
-	s := Series{Protocol: protocol}
-	idx := 0
-	for _, H := range o.Hs {
-		p := Point{H: H}
-		var rounds, syncRounds, packets, active, syncTime, rate, dup stats.Sample
-		for seed := 0; seed < o.Seeds; seed++ {
-			res := results[idx]
-			idx++
-			rounds.Add(float64(res.Rounds))
-			syncRounds.Add(float64(res.SyncRounds))
-			packets.Add(float64(res.ControlPackets))
-			active.Add(float64(res.ActivePeers))
-			syncTime.Add(res.SyncTime)
-			rate.Add(res.ReceiptRate)
-			if tot := res.DataPackets + res.ParityPackets + res.DupPackets; tot > 0 {
-				dup.Add(float64(res.DupPackets) / float64(tot))
-			} else {
-				dup.Add(0)
-			}
+// protocolRecords returns the records of one protocol, in record order.
+func protocolRecords(protocol string, recs []RunRecord) []RunRecord {
+	var out []RunRecord
+	for _, r := range recs {
+		if r.Protocol == protocol {
+			out = append(out, r)
 		}
-		p.Rounds = rounds.Mean()
-		p.SyncRounds = syncRounds.Mean()
-		p.ControlPackets = packets.Mean()
-		p.ActivePeers = active.Mean()
-		p.SyncTime = syncTime.Mean()
-		p.ReceiptRate = rate.Mean()
-		p.DupRate = dup.Mean()
-		p.RoundsCI = rounds.CI95()
-		p.ControlPacketsCI = packets.CI95()
-		p.ReceiptRateCI = rate.CI95()
-		s.Points = append(s.Points, p)
+	}
+	return out
+}
+
+// SeriesFromRecords averages the protocol's records (SweepRecords grid
+// order, Options.Seeds per H) into one point per Options.Hs entry.
+func SeriesFromRecords(protocol string, o Options, recs []RunRecord) Series {
+	o.normalize()
+	recs = protocolRecords(protocol, recs)
+	s := Series{Protocol: protocol}
+	for i, H := range o.Hs {
+		s.Points = append(s.Points, point(H, recs[i*o.Seeds:(i+1)*o.Seeds]))
 	}
 	return s
 }
 
+// figure runs one protocol's sweep and averages it.
+func figure(protocol string, o Options, dataPlane bool) (Series, error) {
+	recs, err := SweepRecords(o, dataPlane, protocol)
+	if err != nil {
+		return Series{}, err
+	}
+	return SeriesFromRecords(protocol, o, recs), nil
+}
+
 // Figure10 reproduces "Rounds and number of control packets in DCoP".
-func Figure10(o Options) (Series, error) { return sweep(coord.DCoP, o, false) }
+func Figure10(o Options) (Series, error) { return figure(coord.DCoP, o, false) }
 
 // Figure11 reproduces "Rounds and number of control packets in TCoP".
-func Figure11(o Options) (Series, error) { return sweep(coord.TCoP, o, false) }
+func Figure11(o Options) (Series, error) { return figure(coord.TCoP, o, false) }
 
 // Figure12 reproduces "Receipt rate of leaf peer" for DCoP and TCoP.
 // Both protocols' grids run on one worker pool so the sweep has a single
 // fan-out barrier instead of two.
 func Figure12(o Options) (dcop, tcop Series, err error) {
-	o.normalize()
-	if err := o.checkHs(); err != nil {
-		return Series{}, Series{}, err
-	}
-	dj := sweepJobs(coord.DCoP, o, true)
-	jobs := append(dj, sweepJobs(coord.TCoP, o, true)...)
-	results, err := runGrid(jobs, o.Parallel)
+	recs, err := SweepRecords(o, true, coord.DCoP, coord.TCoP)
 	if err != nil {
 		return Series{}, Series{}, err
 	}
-	dcop = aggregateSweep(coord.DCoP, o, results[:len(dj)])
-	tcop = aggregateSweep(coord.TCoP, o, results[len(dj):])
-	return dcop, tcop, nil
+	return SeriesFromRecords(coord.DCoP, o, recs), SeriesFromRecords(coord.TCoP, o, recs), nil
 }
 
 // BaselineRow is one protocol's entry in the baseline comparison.
@@ -267,47 +272,29 @@ type BaselineRow struct {
 // unicast: n packets but n rounds; centralized: 3+ rounds; DCoP/TCoP in
 // between).
 func Baselines(o Options, H int) ([]BaselineRow, error) {
-	o.normalize()
-	if H < 1 || H > o.N {
-		return nil, errOutOfRange(H, o.N)
-	}
-	jobs := make([]runJob, 0, len(coord.Protocols)*o.Seeds)
-	for _, proto := range coord.Protocols {
-		for seed := 0; seed < o.Seeds; seed++ {
-			jobs = append(jobs, runJob{proto, o.pointConfig(H, seed, true)})
-		}
-	}
-	results, err := runGrid(jobs, o.Parallel)
+	recs, err := BaselineRecords(o, H)
 	if err != nil {
 		return nil, err
 	}
-	var rows []BaselineRow
-	idx := 0
-	for _, proto := range coord.Protocols {
-		var row BaselineRow
-		row.Protocol = proto
-		for seed := 0; seed < o.Seeds; seed++ {
-			res := results[idx]
-			idx++
-			row.Rounds += float64(res.Rounds)
-			row.SyncRounds += float64(res.SyncRounds)
-			row.ControlPackets += float64(res.ControlPackets)
-			row.SyncTime += res.SyncTime
-			row.ReceiptRate += res.ReceiptRate
-		}
-		n := float64(o.Seeds)
-		row.Rounds /= n
-		row.SyncRounds /= n
-		row.ControlPackets /= n
-		row.SyncTime /= n
-		row.ReceiptRate /= n
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return BaselinesFromRecords(recs), nil
 }
 
-func errOutOfRange(H, N int) error {
-	return fmt.Errorf("experiment: baseline H=%d out of range 1..N=%d", H, N)
+// BaselinesFromRecords averages BaselineRecords' runs into one row per
+// protocol, in coord.Protocols order.
+func BaselinesFromRecords(recs []RunRecord) []BaselineRow {
+	rows := make([]BaselineRow, 0, len(coord.Protocols))
+	for _, proto := range coord.Protocols {
+		p := point(0, protocolRecords(proto, recs))
+		rows = append(rows, BaselineRow{
+			Protocol:       proto,
+			Rounds:         p.Rounds,
+			SyncRounds:     p.SyncRounds,
+			ControlPackets: p.ControlPackets,
+			SyncTime:       p.SyncTime,
+			ReceiptRate:    p.ReceiptRate,
+		})
+	}
+	return rows
 }
 
 // GossipCoveragePoint is one fanout's mean coverage.

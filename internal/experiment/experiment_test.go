@@ -177,6 +177,13 @@ func TestOptionsNormalize(t *testing.T) {
 	if o.N != 100 || o.Seeds != 5 || len(o.Hs) == 0 {
 		t.Errorf("defaults not applied: %+v", o)
 	}
+	// A negative seed count picks the default too: the per-H record
+	// slices of SeriesFromRecords need a positive count.
+	o = Options{Seeds: -1}
+	o.normalize()
+	if o.Seeds != 5 {
+		t.Errorf("Seeds -1 normalized to %d", o.Seeds)
+	}
 	// Hs beyond N are filtered.
 	o = Options{N: 30}
 	o.normalize()

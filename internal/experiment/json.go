@@ -126,72 +126,29 @@ func Spans(recs []RunRecord) []span.Span {
 	return out
 }
 
-// SeriesFromRecords aggregates per-run records (in SweepRecords grid
-// order) into the same averaged series the figure functions return, so
-// a caller that needs both the table and the raw traces runs the grid
-// once.
-func SeriesFromRecords(protocol string, o Options, recs []RunRecord) Series {
-	o.normalize()
-	results := make([]coord.Result, len(recs))
-	for i, r := range recs {
-		results[i] = r.Result
-	}
-	return aggregateSweep(protocol, o, results)
-}
-
-// SweepRecords runs the protocol's (H, seed) grid and returns every
-// per-run record, in grid order.
-func SweepRecords(protocol string, o Options, dataPlane bool) ([]RunRecord, error) {
+// SweepRecords runs every listed protocol's (H, seed) grid on one worker
+// pool and returns the per-run records in protocol, H, seed order.
+func SweepRecords(o Options, dataPlane bool, protocols ...string) ([]RunRecord, error) {
 	o.normalize()
 	if err := o.checkHs(); err != nil {
 		return nil, err
 	}
-	return runRecords(sweepJobs(protocol, o, dataPlane), o.Parallel, o.Instrument, o.CollectSpans)
-}
-
-// BaselineRecords runs every protocol at fixed H and returns the per-run
-// records, in protocol-then-seed order.
-func BaselineRecords(o Options, H int) ([]RunRecord, error) {
-	o.normalize()
-	if H < 1 || H > o.N {
-		return nil, errOutOfRange(H, o.N)
-	}
-	jobs := make([]runJob, 0, len(coord.Protocols)*o.Seeds)
-	for _, proto := range coord.Protocols {
-		for seed := 0; seed < o.Seeds; seed++ {
-			jobs = append(jobs, runJob{proto, o.pointConfig(H, seed, true)})
-		}
+	var jobs []runJob
+	for _, proto := range protocols {
+		jobs = append(jobs, sweepJobs(proto, o, dataPlane)...)
 	}
 	return runRecords(jobs, o.Parallel, o.Instrument, o.CollectSpans)
 }
 
-// BaselinesFromRecords aggregates per-run baseline records (in
-// BaselineRecords order) into the comparison table rows.
-func BaselinesFromRecords(o Options, recs []RunRecord) []BaselineRow {
+// BaselineRecords runs every protocol at fixed H with the data plane on
+// and returns the per-run records, in protocol-then-seed order.
+func BaselineRecords(o Options, H int) ([]RunRecord, error) {
 	o.normalize()
-	var rows []BaselineRow
-	idx := 0
-	for _, proto := range coord.Protocols {
-		var row BaselineRow
-		row.Protocol = proto
-		for seed := 0; seed < o.Seeds && idx < len(recs); seed++ {
-			res := recs[idx].Result
-			idx++
-			row.Rounds += float64(res.Rounds)
-			row.SyncRounds += float64(res.SyncRounds)
-			row.ControlPackets += float64(res.ControlPackets)
-			row.SyncTime += res.SyncTime
-			row.ReceiptRate += res.ReceiptRate
-		}
-		n := float64(o.Seeds)
-		row.Rounds /= n
-		row.SyncRounds /= n
-		row.ControlPackets /= n
-		row.SyncTime /= n
-		row.ReceiptRate /= n
-		rows = append(rows, row)
+	if H < 1 || H > o.N {
+		return nil, fmt.Errorf("experiment: baseline H=%d out of range 1..N=%d", H, o.N)
 	}
-	return rows
+	o.Hs = []int{H}
+	return SweepRecords(o, true, coord.Protocols...)
 }
 
 // WriteRecordsJSONL writes the records to w as JSON Lines, one compact

@@ -15,7 +15,7 @@ import (
 func TestScenarioStamping(t *testing.T) {
 	base := Options{N: 12, Hs: []int{4}, Seeds: 1}
 
-	plain, err := SweepRecords(coord.TCoP, base, false)
+	plain, err := SweepRecords(base, false, coord.TCoP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestScenarioStamping(t *testing.T) {
 	lossy.Burst = &coord.BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, LossBad: 0.5}
 	lossy.Churn = &failure.ChurnSchedule{Events: []failure.ChurnEvent{{}, {}}}
 	lossy.Retries = 3
-	recs, err := SweepRecords(coord.TCoP, lossy, false)
+	recs, err := SweepRecords(lossy, false, coord.TCoP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func TestParallelInstrumentedRecordsByteIdentical(t *testing.T) {
 	par.Parallel = 8
 
 	render := func(o Options) string {
-		recs, err := SweepRecords(coord.DCoP, o, true)
+		recs, err := SweepRecords(o, true, coord.DCoP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +140,11 @@ func TestParallelInstrumentedRecordsByteIdentical(t *testing.T) {
 	// The instrumented runs' results equal the bare runs' results.
 	bare := serial
 	bare.Instrument = false
-	bareRecs, err := SweepRecords(coord.DCoP, bare, true)
+	bareRecs, err := SweepRecords(bare, true, coord.DCoP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrRecs, err := SweepRecords(coord.DCoP, serial, true)
+	instrRecs, err := SweepRecords(serial, true, coord.DCoP)
 	if err != nil {
 		t.Fatal(err)
 	}

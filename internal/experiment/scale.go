@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"p2pmss/internal/stats"
 )
 
 // The scale sweep extends the paper's evaluation past its n = 100
@@ -17,17 +15,10 @@ import (
 // ceiling reachable, so that is the intended configuration.
 
 // ScalePoint is one overlay size of the scale sweep, averaged over
-// seeds.
+// seeds; Point.H is the sweep's fixed fanout.
 type ScalePoint struct {
-	N              int
-	Rounds         float64
-	SyncRounds     float64
-	ControlPackets float64
-	ActivePeers    float64
-	SyncTime       float64
-	ReceiptRate    float64
-
-	RoundsCI, ControlPacketsCI, ReceiptRateCI float64
+	N int
+	Point
 }
 
 // ScaleCurve runs the protocol at fanout H for every overlay size in
@@ -50,35 +41,13 @@ func ScaleCurve(protocol string, o Options, H int, ns []int) ([]ScalePoint, erro
 			jobs = append(jobs, runJob{protocol, p.pointConfig(H, seed, true)})
 		}
 	}
-	results, err := runGrid(jobs, o.Parallel)
+	recs, err := runRecords(jobs, o.Parallel, false, false)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]ScalePoint, 0, len(ns))
-	idx := 0
-	for _, n := range ns {
-		p := ScalePoint{N: n}
-		var rounds, syncRounds, packets, active, syncTime, rate stats.Sample
-		for seed := 0; seed < o.Seeds; seed++ {
-			res := results[idx]
-			idx++
-			rounds.Add(float64(res.Rounds))
-			syncRounds.Add(float64(res.SyncRounds))
-			packets.Add(float64(res.ControlPackets))
-			active.Add(float64(res.ActivePeers))
-			syncTime.Add(res.SyncTime)
-			rate.Add(res.ReceiptRate)
-		}
-		p.Rounds = rounds.Mean()
-		p.SyncRounds = syncRounds.Mean()
-		p.ControlPackets = packets.Mean()
-		p.ActivePeers = active.Mean()
-		p.SyncTime = syncTime.Mean()
-		p.ReceiptRate = rate.Mean()
-		p.RoundsCI = rounds.CI95()
-		p.ControlPacketsCI = packets.CI95()
-		p.ReceiptRateCI = rate.CI95()
-		out = append(out, p)
+	for i, n := range ns {
+		out = append(out, ScalePoint{N: n, Point: point(H, recs[i*o.Seeds:(i+1)*o.Seeds])})
 	}
 	return out, nil
 }

@@ -23,7 +23,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) (string, []RunRecord) {
 		oo := o
 		oo.Parallel = workers
-		recs, err := SweepRecords(coord.TCoP, oo, false)
+		recs, err := SweepRecords(oo, false, coord.TCoP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	// the same results.
 	bare := o
 	bare.CollectSpans = false
-	bareRecs, err := SweepRecords(coord.TCoP, bare, false)
+	bareRecs, err := SweepRecords(bare, false, coord.TCoP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTraceGridPointsGetDistinctTraces(t *testing.T) {
 	o.Hs = []int{5, 10}
 	o.Seeds = 2
 	o.CollectSpans = true
-	recs, err := SweepRecords(coord.TCoP, o, false)
+	recs, err := SweepRecords(o, false, coord.TCoP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTCoPCommitSpansParentedUnderConfirmWave(t *testing.T) {
 	o.Hs = []int{10}
 	o.Seeds = 1
 	o.CollectSpans = true
-	recs, err := SweepRecords(coord.TCoP, o, false)
+	recs, err := SweepRecords(o, false, coord.TCoP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,13 +52,6 @@ func NewProcess(id, n int, deliver func(Message)) *Process {
 // ID returns the process id.
 func (p *Process) ID() int { return p.id }
 
-// Vector returns a copy of the current delivered-vector.
-func (p *Process) Vector() []int {
-	v := make([]int, p.n)
-	copy(v, p.vector)
-	return v
-}
-
 // Delivered returns how many messages have been delivered (excluding own
 // sends).
 func (p *Process) Delivered() int64 { return p.delivered }

@@ -12,6 +12,9 @@ func TestCausalDeliveryInOrder(t *testing.T) {
 
 	m1 := p0.Send(10)
 	m2 := p0.Send(20)
+	if m1.From != p0.ID() || p1.ID() != 1 {
+		t.Fatalf("message from %d, process ids %d/%d", m1.From, p0.ID(), p1.ID())
+	}
 	// Deliver out of order: m2 must wait for m1.
 	if err := p1.Receive(m2); err != nil {
 		t.Fatal(err)

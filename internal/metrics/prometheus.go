@@ -13,15 +13,7 @@ import (
 // per metric family, instruments in sorted (name, labels) order. A nil
 // registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return writePrometheus(w, r.Snapshot())
-}
-
-// WritePrometheus renders a snapshot in the Prometheus text format.
-func (s Snapshot) WritePrometheus(w io.Writer) error {
-	return writePrometheus(w, s)
-}
-
-func writePrometheus(w io.Writer, s Snapshot) error {
+	s := r.Snapshot()
 	var b strings.Builder
 	lastType := ""
 	typeLine := func(name, typ string) {

@@ -115,8 +115,7 @@ const (
 // metrics registry, span collector + trace ID, and flight recorder set
 // (the event log cmd/msstrace renders) — in one struct accepted by both
 // the simulation (SimConfig.Obs) and the live runtime
-// (LiveNodesConfig.Obs, LivePeerConfig.Obs, LiveLeafConfig.Obs). The
-// zero value attaches nothing.
+// (LiveNodesConfig.Obs). The zero value attaches nothing.
 type Observability = engine.Observability
 
 // ---- metrics --------------------------------------------------------------
@@ -176,28 +175,8 @@ func Figure11(o ExperimentOptions) (Series, error) { return experiment.Figure11(
 // Figure12 regenerates "Receipt rate of leaf peer" for DCoP and TCoP.
 func Figure12(o ExperimentOptions) (dcop, tcop Series, err error) { return experiment.Figure12(o) }
 
-// Baselines compares all five protocols at fanout H.
+// Baselines compares every coordination protocol at fanout H.
 func Baselines(o ExperimentOptions, H int) ([]BaselineRow, error) { return experiment.Baselines(o, H) }
-
-// ScalePoint is one overlay size of a scale sweep.
-type ScalePoint = experiment.ScalePoint
-
-// ScaleCurve sweeps the overlay size at a fixed fanout with the data
-// plane on — combine with ExperimentOptions.PlaneMode = PlaneFluid to
-// reach n = 10⁵ peers.
-func ScaleCurve(proto Protocol, o ExperimentOptions, H int, ns []int) ([]ScalePoint, error) {
-	return experiment.ScaleCurve(proto, o, H, ns)
-}
-
-// PrintScaleCurve writes a scale sweep as an aligned table.
-func PrintScaleCurve(w io.Writer, title string, pts []ScalePoint) {
-	experiment.FprintScaleCurve(w, title, pts)
-}
-
-// ScaleCurveCSV renders a scale sweep as CSV.
-func ScaleCurveCSV(proto Protocol, pts []ScalePoint) string {
-	return experiment.ScaleCurveCSV(proto, pts)
-}
 
 // PrintSeries writes a sweep as an aligned table.
 func PrintSeries(w io.Writer, title string, s Series) { experiment.FprintSeries(w, title, s) }
@@ -215,93 +194,16 @@ func PrintBaselines(w io.Writer, title string, rows []BaselineRow) {
 // SeriesCSV renders a sweep as CSV.
 func SeriesCSV(s Series) string { return experiment.SeriesCSV(s) }
 
-// RunRecord is one (protocol, H, seed) sweep run in machine-readable
-// form, including the metrics snapshot when ExperimentOptions.Instrument
-// is set.
-type RunRecord = experiment.RunRecord
-
-// SweepRecords runs the protocol's (H, seed) grid and returns every
-// per-run record in grid order; dataPlane enables the streaming plane
-// (as Figure 12 does).
-func SweepRecords(proto Protocol, o ExperimentOptions, dataPlane bool) ([]RunRecord, error) {
-	return experiment.SweepRecords(proto, o, dataPlane)
-}
-
-// BaselineRecords runs every protocol at fixed H and returns the per-run
-// records.
-func BaselineRecords(o ExperimentOptions, H int) ([]RunRecord, error) {
-	return experiment.BaselineRecords(o, H)
-}
-
-// WriteRunRecordsJSONL writes run records to w as JSON Lines.
-func WriteRunRecordsJSONL(w io.Writer, recs []RunRecord) error {
-	return experiment.WriteRecordsJSONL(w, recs)
-}
-
-// Spans concatenates the records' causal spans in grid order (set
-// ExperimentOptions.CollectSpans to collect them).
-func Spans(recs []RunRecord) []Span { return experiment.Spans(recs) }
-
-// SeriesFromRecords aggregates per-run sweep records into the averaged
-// series the figure functions return.
-func SeriesFromRecords(proto Protocol, o ExperimentOptions, recs []RunRecord) Series {
-	return experiment.SeriesFromRecords(proto, o, recs)
-}
-
-// BaselinesFromRecords aggregates per-run baseline records into the
-// comparison table rows.
-func BaselinesFromRecords(o ExperimentOptions, recs []RunRecord) []BaselineRow {
-	return experiment.BaselinesFromRecords(o, recs)
-}
-
-// GossipCoveragePoint is one fanout's mean dissemination coverage.
-type GossipCoveragePoint = experiment.GossipCoveragePoint
-
-// GossipCoverage sweeps gossip fanout vs coverage — the reference-[6]
-// phase transition behind DCoP's H ≳ ln n requirement.
-func GossipCoverage(n int, fanouts []int, seeds int) ([]GossipCoveragePoint, error) {
-	return experiment.GossipCoverage(n, fanouts, seeds)
-}
-
-// PrintGossipCoverage writes the coverage sweep as a table.
-func PrintGossipCoverage(w io.Writer, n int, pts []GossipCoveragePoint) {
-	experiment.FprintGossipCoverage(w, n, pts)
-}
-
 // ---- causal span tracing --------------------------------------------------
 
-// Span is one causal coordination span (a handshake round, confirmation
-// wave, commit, hand-off, streaming interval, stall, ...) recorded by a
-// simulated or live run.
-type Span = span.Span
-
-// SpanCollector accumulates spans concurrently; a nil collector is the
-// disabled state, costing nothing on the engine's hot path.
+// SpanCollector accumulates causal coordination spans (handshake rounds,
+// confirmation waves, commits, hand-offs, streaming intervals, stalls)
+// concurrently, attachable as Observability.Spans; a nil collector is
+// the disabled state, costing nothing on the engine's hot path.
 type SpanCollector = span.Collector
-
-// SpanSummaryRow is one (trace, name) group's latency quantiles.
-type SpanSummaryRow = span.SummaryRow
 
 // NewSpanCollector returns an empty span collector.
 func NewSpanCollector() *SpanCollector { return span.NewCollector() }
-
-// WriteSpansJSONL writes spans to w as JSON Lines, one span per line.
-func WriteSpansJSONL(w io.Writer, spans []Span) error { return span.WriteJSONL(w, spans) }
-
-// ReadSpansJSONL reads a JSONL span stream written by WriteSpansJSONL.
-func ReadSpansJSONL(r io.Reader) ([]Span, error) { return span.ReadJSONL(r) }
-
-// WriteSpansPerfetto writes spans as Chrome trace-event JSON, loadable
-// in Perfetto (ui.perfetto.dev) with one process per trace and one
-// track per peer.
-func WriteSpansPerfetto(w io.Writer, spans []Span) error { return span.WritePerfetto(w, spans) }
-
-// SummarizeSpans groups spans by (trace, name) and computes duration
-// quantiles per group.
-func SummarizeSpans(spans []Span) []SpanSummaryRow { return span.Summarize(spans) }
-
-// PrintSpanSummary writes the per-session latency quantile table.
-func PrintSpanSummary(w io.Writer, rows []SpanSummaryRow) { span.FprintSummary(w, rows) }
 
 // ---- heterogeneous scheduling (§2) ----------------------------------------
 
@@ -345,24 +247,6 @@ type Assembler = content.Assembler
 // packetSize-byte packets.
 func NewAssembler(size, packetSize int) *Assembler { return content.NewAssembler(size, packetSize) }
 
-// LivePeer is a contents peer running on goroutines and a real transport.
-type LivePeer = live.Peer
-
-// LivePeerConfig configures a live contents peer.
-type LivePeerConfig = live.PeerConfig
-
-// LiveLeaf is a leaf peer receiving a live stream.
-type LiveLeaf = live.Leaf
-
-// LiveLeafConfig configures a live leaf peer.
-type LiveLeafConfig = live.LeafConfig
-
-// Fabric is the in-memory transport for single-process demos and tests.
-type Fabric = transport.Fabric
-
-// NewFabric returns an empty in-memory transport fabric.
-func NewFabric() *Fabric { return transport.NewFabric() }
-
 // TransportQueuePolicy selects what the population's bounded in-memory
 // fabric does with a send arriving while its queue is full.
 type TransportQueuePolicy = transport.QueuePolicy
@@ -376,39 +260,9 @@ const (
 )
 
 // TransportImpairment is a seeded loss/duplication/reordering policy for
-// the in-memory fabric (Fabric.SetImpairment) and UDP endpoints; the
-// zero value disables everything.
+// a population's in-memory fabric or UDP sockets (LiveNodesConfig.Impair);
+// the zero value disables everything.
 type TransportImpairment = transport.Impairment
-
-// LiveTransport selects how a live participant attaches to the network;
-// construct one with WithFabric.
-type LiveTransport = live.Transport
-
-// WithFabric attaches a live participant to the in-memory fabric under
-// the given endpoint name.
-func WithFabric(f *Fabric, name string) LiveTransport { return live.WithFabric(f, name) }
-
-// StartLivePeer starts a live contents peer on the given transport.
-func StartLivePeer(cfg LivePeerConfig, tr LiveTransport) (*LivePeer, error) {
-	return live.NewPeer(cfg, tr)
-}
-
-// StartLiveLeaf starts a live leaf peer on the given transport.
-func StartLiveLeaf(cfg LiveLeafConfig, tr LiveTransport) (*LiveLeaf, error) {
-	return live.NewLeaf(cfg, tr)
-}
-
-// WriteRoundsSVG renders a Figure 10/11-style chart (rounds + control
-// packets vs H) into dir/name.svg.
-func WriteRoundsSVG(dir, name, title string, s Series) error {
-	return experiment.WriteSVG(dir, name, experiment.RoundsChart(title, s))
-}
-
-// WriteRateSVG renders a Figure 12-style chart (receipt rate vs H) into
-// dir/name.svg.
-func WriteRateSVG(dir, name, title string, dcop, tcop Series) error {
-	return experiment.WriteSVG(dir, name, experiment.RateChart(title, dcop, tcop))
-}
 
 // ContentStore is a peer's catalog of contents, keyed by ID.
 type ContentStore = content.Store
@@ -435,38 +289,10 @@ func StartLiveNodes(cfg LiveNodesConfig) (*LiveNodeCluster, error) {
 	return live.StartNodes(cfg)
 }
 
-// ---- overlay introspection & flight recording -----------------------------
-
-// OverlaySnapshot is a versioned point-in-time view of an overlay:
-// per-peer slot assignments, parent/child streaming edges, division
-// coverage, and tree-health gauges. Produced by
-// LiveNodeCluster.Snapshot, served on /debug/overlay, rendered to
-// Graphviz with its DOT method.
-type OverlaySnapshot = overlay.Snapshot
-
 // FlightSet is a population of per-peer flight recorders sharing one
 // capacity, attachable as Observability.Flight.
 type FlightSet = flight.Set
 
-// FlightEvent is one recorded engine event or effect.
-type FlightEvent = flight.Event
-
 // NewFlightSet returns a recorder population holding up to perPeerCap
 // events per peer (0 picks the 512-event default).
 func NewFlightSet(perPeerCap int) *FlightSet { return flight.NewSet(perPeerCap) }
-
-// WriteFlightJSONL writes flight events to w as JSON Lines.
-func WriteFlightJSONL(w io.Writer, events []FlightEvent) error {
-	return flight.WriteJSONL(w, events)
-}
-
-// ReadFlightJSONL reads a JSONL flight log written by WriteFlightJSONL
-// or FlightSet.DumpJSONL.
-func ReadFlightJSONL(r io.Reader) ([]FlightEvent, error) { return flight.ReadJSONL(r) }
-
-// SummarizeFlight groups flight events by (session, peer, direction,
-// type) with counts and first/last timestamps.
-func SummarizeFlight(events []FlightEvent) []flight.Summary { return flight.Summarize(events) }
-
-// FlightSummary is one SummarizeFlight group.
-type FlightSummary = flight.Summary

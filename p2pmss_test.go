@@ -2,10 +2,10 @@ package p2pmss
 
 import (
 	"bytes"
-	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSimulatePublicAPI(t *testing.T) {
@@ -43,7 +43,20 @@ func TestExperimentPublicAPI(t *testing.T) {
 	if !strings.Contains(SeriesCSV(s), "dcop") {
 		t.Error("CSV missing protocol")
 	}
-	rows, err := Baselines(ExperimentOptions{N: 10, Hs: []int{4}, Seeds: 1, Rate: 2, ContentLen: 2000, Window: 40}, 4)
+	if s11, err := Figure11(o); err != nil || s11.Protocol != TCoP || len(s11.Points) != 2 {
+		t.Errorf("Figure11 = %+v, %v", s11, err)
+	}
+	small := ExperimentOptions{N: 10, Hs: []int{4}, Seeds: 1, Rate: 2, ContentLen: 2000, Window: 40}
+	d, tc, err := Figure12(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rb strings.Builder
+	PrintRateSeries(&rb, "fig12", d, tc)
+	if !strings.Contains(rb.String(), "TCoP rate") || d.Points[0].ReceiptRate <= 0 || tc.Points[0].ReceiptRate <= 0 {
+		t.Errorf("Figure12 table:\n%s", rb.String())
+	}
+	rows, err := Baselines(small, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,55 +94,25 @@ func TestContentAndAssemblerPublicAPI(t *testing.T) {
 	}
 }
 
-// End-to-end public-API live session over the in-memory fabric.
-func TestLiveSessionPublicAPI(t *testing.T) {
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(5)).Read(data)
-	c := NewContent("api", data, 64)
-	f := NewFabric()
-	roster := []string{"p0", "p1", "p2", "p3", "p4"}
-	var peers []*LivePeer
-	for i, name := range roster {
-		p, err := StartLivePeer(LivePeerConfig{
-			Content:  c,
-			Roster:   roster,
-			H:        3,
-			Interval: 2,
-			Delta:    5 * time.Millisecond,
-			Seed:     int64(i) + 1,
-		}, WithFabric(f, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers = append(peers, p)
-	}
-	defer func() {
-		for _, p := range peers {
-			p.Close()
-		}
-	}()
-	leaf, err := StartLiveLeaf(LiveLeafConfig{
-		Roster:      roster,
-		H:           3,
-		Interval:    2,
-		Rate:        500,
-		ContentSize: len(data),
-		PacketSize:  64,
-		RepairAfter: 300 * time.Millisecond,
-		Seed:        9,
-	}, WithFabric(f, "leaf"))
-	if err != nil {
+// Every observer a user can attach through Observability records a
+// simulated run, and the debug mux serves the registry.
+func TestObservabilityPublicAPI(t *testing.T) {
+	reg := NewMetricsRegistry()
+	spans := NewSpanCollector()
+	flights := NewFlightSet(0)
+	cfg := DefaultSimConfig()
+	cfg.N = 12
+	cfg.H = 3
+	cfg.Obs = Observability{Metrics: reg, Spans: spans, Flight: flights}
+	if _, err := Simulate(TCoP, cfg); err != nil {
 		t.Fatal(err)
 	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
+	if len(spans.Spans()) == 0 || len(flights.Events()) == 0 {
+		t.Errorf("run recorded %d spans, %d flight events", len(spans.Spans()), len(flights.Events()))
 	}
-	if err := leaf.Wait(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := leaf.Bytes()
-	if !ok || !bytes.Equal(got, data) {
-		t.Fatal("live session content mismatch")
+	rec := httptest.NewRecorder()
+	MetricsDebugMux(reg).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "coord_control_packets_total") {
+		t.Errorf("/metrics = %d:\n%.300s", rec.Code, rec.Body.String())
 	}
 }
