@@ -16,9 +16,8 @@ import (
 
 // crashVictims picks `count` peers outside the leaf's initial selection
 // for the seed. Crashing non-selected peers keeps the leaf's slot
-// failover out of play (the live leaf replaces unreachable selected
-// members synchronously, which the simulated leaf does not model) and
-// isolates the mirrored path: member-level SendFailed failover.
+// failover out of play and isolates member-level SendFailed failover;
+// TestSimLiveConformanceSelectedPeerCrash covers the leaf's.
 func crashVictims(seed int64, count int) []engine.PeerID {
 	rng := des.NewRand(engine.PeerSeed(seed, engine.LeafID))
 	sel, _ := engine.SelectInitial(rng, confN, confH)
@@ -33,6 +32,15 @@ func crashVictims(seed int64, count int) []engine.PeerID {
 		}
 	}
 	return victims
+}
+
+// mixedVictims picks one peer of the leaf's initial selection and one
+// outside it, and returns the spare the leaf fails the selected one over
+// to. The outside victim is not that spare, so the first failover lands.
+func mixedVictims(seed int64) (victims []engine.PeerID, spare engine.PeerID) {
+	rng := des.NewRand(engine.PeerSeed(seed, engine.LeafID))
+	sel, spares := engine.SelectInitial(rng, confN, confH)
+	return []engine.PeerID{sel[0], spares[len(spares)-1]}, spares[0]
 }
 
 // simChurnOutcomes runs the simulator with the victims crash-stopped
@@ -165,5 +173,29 @@ func TestChurnConformanceIsNotVacuous(t *testing.T) {
 	}
 	if active < confN-len(victims)-1 {
 		t.Fatalf("only %d/%d survivors active", active, confN-len(victims))
+	}
+}
+
+// TestSimLiveConformanceSelectedPeerCrash crashes one peer the leaf
+// selected and one it did not. Both leaves fail the selected slot over
+// to the same spare — the sim on its crashed-peer check, the live leaf
+// on the send error — so the drivers still agree, and the spare streams.
+func TestSimLiveConformanceSelectedPeerCrash(t *testing.T) {
+	for _, proto := range []engine.Protocol{engine.TCoP, engine.DCoP} {
+		for seed := int64(1); seed <= 5; seed++ {
+			victims, spare := mixedVictims(seed)
+			simOuts := simChurnOutcomes(t, proto, seed, victims)
+			sim := outcomeLines(simOuts)
+			lv := outcomeLines(liveChurnOutcomes(t, proto, seed, victims))
+			if sim != lv {
+				t.Errorf("%s seed %d crash=%v: drivers diverged\n--- sim ---\n%s\n--- live ---\n%s",
+					proto, seed, victims, sim, lv)
+			}
+			for _, o := range simOuts {
+				if o.ID == spare && !o.Active {
+					t.Errorf("%s seed %d: spare %d never became active", proto, seed, spare)
+				}
+			}
+		}
 	}
 }

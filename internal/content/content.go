@@ -216,6 +216,9 @@ func (a *Assembler) Missing() []int64 { return a.loss.Missing() }
 // Complete reports whether every data packet is present.
 func (a *Assembler) Complete() bool { return a.loss.Complete() }
 
+// HasData reports whether data packet t_k is present.
+func (a *Assembler) HasData(k int64) bool { return a.recov.HasData(k) }
+
 // Recovered returns how many packets parity recovery derived.
 func (a *Assembler) Recovered() int { return a.recov.Recovered() }
 

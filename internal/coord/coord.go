@@ -164,11 +164,12 @@ type Config struct {
 	// asks for a packet as soon as an arrival proves parity cannot
 	// recover it, and, when delivery stalls (no data packet became
 	// present for RepairInterval), for every missing packet — the
-	// parity.LossDetector policy the live leaf runs, asking the peers it
-	// most recently heard from first. Requires TrackDelivery (enabled
+	// engine.Leaf policy the live leaf runs, asking the peers it most
+	// recently heard from first. Requires TrackDelivery (enabled
 	// automatically).
 	Repair bool
-	// RepairInterval is the stall-detection period (default 5δ).
+	// RepairInterval is the stall window (default 5δ), checked every half
+	// window.
 	RepairInterval float64
 	// Obs bundles the run's observers (metrics, spans, flight rings) in
 	// the struct shared with the live runtime. None of them feeds back
@@ -486,10 +487,6 @@ type runner struct {
 
 	// batchBuf is applyEffects' reusable worklist of effect batches.
 	batchBuf [][]engine.Effect
-
-	// Root "session" span (engine-backed protocols with Config.Spans).
-	sessionSpan  span.SpanID
-	sessionStart float64
 }
 
 // leafID returns the simnet node ID of the leaf peer.
@@ -723,9 +720,7 @@ func (r *runner) serveRepair(p *peerNode, indices []int64) {
 
 // run executes the protocol to completion and returns the metrics.
 func (r *runner) run() Result {
-	if r.cfg.Repair {
-		r.eng.After(r.cfg.RepairInterval, r.leaf.repairCheck)
-	}
+	r.leaf.arm()
 	r.impl.start()
 	if !r.cfg.DataPlane || !r.cfg.Loop {
 		// Finite run: execute to quiescence (transmitters exhaust their
@@ -756,12 +751,9 @@ func (r *runner) run() Result {
 			r.res.PeerSent[i] = p.tx.sentTotal
 		}
 	}
-	if r.cfg.TrackDelivery && r.leaf.recov != nil {
-		// Every data key the recoverer holds is a content index in
-		// 1..ContentLen (transmitters and repair only emit those), so the
-		// counter equals the per-index scan it replaces.
-		r.res.DeliveredData = int64(r.leaf.recov.DataPresent())
-		r.res.RecoveredData = int64(r.leaf.recov.Recovered())
+	if r.leaf.asm != nil {
+		r.res.DeliveredData = r.leaf.asm.Have()
+		r.res.RecoveredData = int64(r.leaf.asm.Recovered())
 	}
 	if r.fl != nil {
 		if r.measureDone && r.cfg.Window > 0 {
@@ -789,12 +781,7 @@ func (r *runner) closeSpans() {
 	for _, p := range r.peers {
 		p.spans.Finish(now)
 	}
-	if r.cfg.Obs.Spans != nil && r.sessionSpan != 0 {
-		r.cfg.Obs.Spans.Add(span.Span{
-			Trace: r.cfg.Obs.SpanTrace, ID: r.sessionSpan,
-			Name: "session", Peer: -1, Start: r.sessionStart, End: now,
-		})
-	}
+	r.leaf.core.Close(now)
 }
 
 // Run executes the named protocol under cfg and returns its metrics.
@@ -804,10 +791,8 @@ func Run(proto Protocol, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	switch proto {
-	case DCoP:
-		r.impl = &dcop{r: r}
-	case TCoP:
-		r.impl = &tcop{r: r}
+	case DCoP, TCoP:
+		r.impl = &coordinated{r: r, dcop: proto == DCoP}
 	case Broadcast:
 		r.impl = &broadcast{r: r}
 	case Unicast:

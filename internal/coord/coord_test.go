@@ -112,7 +112,7 @@ func TestTCoPSingleParentInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.impl = &tcop{r: r}
+		r.impl = &coordinated{r: r}
 		r.run()
 		for _, p := range r.peers {
 			if !p.active && p.tcopCommitted {
@@ -489,7 +489,7 @@ func TestTCoPTreeEdgeCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.impl = &tcop{r: r}
+		r.impl = &coordinated{r: r}
 		r.run()
 		active, edges := 0, 0
 		for _, p := range r.peers {

@@ -1,15 +1,11 @@
 package coord
 
 import (
-	"fmt"
-
+	"p2pmss/internal/content"
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/flight"
-	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
-	"p2pmss/internal/span"
 )
 
 // transmitter is a contents peer's data-plane sender: it transmits its
@@ -116,20 +112,22 @@ func (tx *transmitter) sendNext() {
 	tx.r.nw.Send(tx.node, tx.r.leafID(), dataMsg{Pkt: pkt})
 }
 
-// leafNode is the leaf peer LP_s: it receives data packets, enforces its
-// maximum receipt rate ρ_s with a drain-at-ρ buffer (§3.1's buffer
-// overrun), deduplicates, and measures arrival rate inside the
-// experiment's window.
+// leafNode is the leaf peer LP_s's simulated side: core (the engine's
+// leaf) selects, requests, assembles and repairs; the node enforces the
+// leaf's maximum receipt rate ρ_s with a drain-at-ρ buffer (§3.1's buffer
+// overrun), deduplicates untracked runs, and measures arrival rate inside
+// the experiment's window.
 type leafNode struct {
-	r *runner
-	// recov, non-nil when Config.TrackDelivery, also tells first receipts
+	r    *runner
+	core *engine.Leaf
+	// asm, non-nil when Config.TrackDelivery, also tells first receipts
 	// from duplicates; without it seen counts the receipts per identity.
-	recov *parity.Recoverer
-	seen  map[string]int
+	asm  *content.Assembler
+	seen map[string]int
+	// timer is the pending leaf timer event.
+	timer *des.Event
 
-	// Totals over the whole run.
-	total, dup int64
-	overruns   int64
+	overruns int64
 
 	// Buffer model (active when cfg.LeafMaxRate > 0).
 	bufLevel  float64
@@ -143,28 +141,6 @@ type leafNode struct {
 	// the first arrival.
 	playbackScheduled bool
 	nextConsume       int64
-
-	// Repair state (Config.Repair): loss is the missing set fed off the
-	// recoverer and the repair policy the live leaf runs too; idle counts
-	// the repair checks since Have last grew past had.
-	loss *parity.LossDetector
-	had  int64
-	idle int
-}
-
-func newLeaf(r *runner) *leafNode {
-	l := &leafNode{r: r}
-	if r.cfg.TrackDelivery {
-		l.recov = parity.NewSizedRecoverer(int(r.cfg.ContentLen))
-	} else {
-		l.seen = make(map[string]int)
-	}
-	if r.cfg.Repair {
-		l.loss = parity.NewLossDetector(int(r.cfg.ContentLen))
-		l.loss.Arm(r.cfg.Interval, r.cfg.H, r.cfg.RepairInterval)
-		l.recov.OnData(l.loss.Present)
-	}
-	return l
 }
 
 // Receive implements simnet.Handler for data packets; coordination
@@ -189,41 +165,23 @@ func (l *leafNode) Receive(from simnet.NodeID, m simnet.Message) {
 		}
 		l.bufLevel++
 	}
-	l.total++
-	if l.total == 1 {
-		// Time-to-first-packet: coordination starts at virtual time 0,
-		// so the first arrival's timestamp is the startup delay.
-		l.r.met.timeToFirstPacket.Observe(now)
-		if l.r.cfg.Obs.Spans != nil {
-			l.r.cfg.Obs.Spans.Add(span.Span{
-				Trace: l.r.cfg.Obs.SpanTrace, ID: l.r.cfg.Obs.Spans.NextID(),
-				Parent: l.r.sessionSpan, Name: "first_packet",
-				Peer: -1, Start: now, End: now,
-			})
-		}
-	}
 	var isDup bool
-	if l.recov != nil {
-		before := l.recov.Recovered()
-		isDup = !l.recov.Add(dm.Pkt)
-		if d := l.recov.Recovered() - before; d > 0 {
-			l.r.met.recovered.Add(int64(d))
+	if l.asm != nil {
+		before := l.asm.Recovered()
+		fresh, d := l.core.Arrive(now, engine.PeerID(from), &dm.Pkt)
+		isDup = !fresh
+		if n := l.asm.Recovered() - before; n > 0 {
+			l.r.met.recovered.Add(int64(n))
 		}
-		l.r.met.delivered.Set(float64(l.recov.DataPresent()))
-		if l.loss != nil {
-			// Parity can no longer recover these: ask at once, not on the
-			// next repair interval.
-			if lost := l.loss.Arrive(int(from), &dm.Pkt, now, nil); lost != nil {
-				l.requestRepair(lost, "gap")
-			}
-		}
+		l.r.met.delivered.Set(float64(l.asm.Have()))
+		d.Send(l)
 	} else {
+		l.core.Arrive(now, engine.PeerID(from), &dm.Pkt)
 		key := dm.Pkt.Key()
 		l.seen[key]++
 		isDup = l.seen[key] > 1
 	}
 	if isDup {
-		l.dup++
 		l.r.met.arrivalsDup.Inc()
 	} else if dm.Pkt.IsData() {
 		l.r.met.arrivalsData.Inc()
@@ -257,7 +215,7 @@ func (l *leafNode) consume() {
 	if k > l.r.cfg.ContentLen {
 		return // playout finished
 	}
-	if !l.recov.HasData(k) {
+	if !l.asm.HasData(k) {
 		l.r.res.Underruns++
 		l.r.met.underruns.Inc()
 	}
@@ -269,54 +227,19 @@ func (l *leafNode) resetWindow() {
 	l.winTotal, l.winData, l.winParity, l.winDup = 0, 0, 0, 0
 }
 
-// repairGiveUp is how many repair checks in a row without a data gain end
-// the leaf's repair timer, so that a run nobody can complete quiesces.
-const repairGiveUp = 20
-
-// repairCheck is the leaf's repair timer (Config.Repair): every
-// RepairInterval it asks the detector whether delivery has stalled, and
-// if so requests every missing packet, until the content is complete or
-// repairGiveUp checks have passed without a data gain.
-func (l *leafNode) repairCheck() {
-	r := l.r
-	if l.loss.Complete() {
-		return
-	}
-	if have := l.loss.Have(); have > l.had {
-		l.had, l.idle = have, 0
-	} else if l.idle++; l.idle >= repairGiveUp {
-		return
-	}
-	now := r.eng.Now()
-	if round, ok := l.loss.Stall(now); ok {
-		// Record how long the leaf has been starved and open a repair wave
-		// in the trace.
-		r.met.stallDuration.Observe(round.StalledFor)
-		if r.cfg.Obs.Spans != nil {
-			r.cfg.Obs.Spans.Add(span.Span{
-				Trace: r.cfg.Obs.SpanTrace, ID: r.cfg.Obs.Spans.NextID(),
-				Parent: r.sessionSpan, Name: "stall", Peer: -1,
-				Start: now - round.StalledFor, End: now,
-				Detail: fmt.Sprintf("%d missing", len(round.Missing)),
-			})
-		}
-		l.requestRepair(round.Missing, "stall")
-	}
-	r.eng.After(r.cfg.RepairInterval, l.repairCheck)
+// tick is the leaf's timer: it runs what the leaf has due and re-arms
+// at its next deadline.
+func (l *leafNode) tick() {
+	l.timer = nil
+	l.core.Tick(l.r.eng.Now()).Send(l)
+	l.arm()
 }
 
-// requestRepair asks for the given content indices, parity.RepairBatch
-// per request, round-robin over the detector's target order, noting each
-// request with its trigger.
-func (l *leafNode) requestRepair(indices []int64, trigger string) {
-	r := l.r
-	targets := l.loss.Targets(r.cfg.N, r.eng.Rand())
-	for i := 0; i*parity.RepairBatch < len(indices); i++ {
-		batch := indices[i*parity.RepairBatch : min((i+1)*parity.RepairBatch, len(indices))]
-		target := simnet.NodeID(targets[i%len(targets)])
-		r.res.RepairRequests++
-		r.met.repairRequests[trigger].Inc()
-		r.note(int(engine.LeafID), flight.Event{Dir: flight.DirDriver, Type: "repair_request", Other: int(target), N: len(batch), Note: trigger})
-		r.nw.Send(r.leafID(), target, repairMsg{Indices: batch})
+// arm schedules the leaf's timer for its next deadline unless one is
+// pending. A pending timer is never late: the simulated leaf re-sends no
+// request, so only its stall checks set deadlines, each after the last.
+func (l *leafNode) arm() {
+	if at, ok := l.core.Deadline(); ok && l.timer == nil {
+		l.timer = l.r.eng.At(at, l.tick)
 	}
 }

@@ -1,10 +1,12 @@
 package coord
 
 import (
-	"math/rand"
+	"errors"
 
+	"p2pmss/internal/content"
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
+	"p2pmss/internal/flight"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
 )
@@ -15,6 +17,42 @@ import (
 // messages (feeding send failures back into the engine so the live
 // layer's churn tolerance is deterministically simulatable), and the
 // data-plane effects into transmitter operations.
+
+// coordinated drives DCoP (§3.4) or TCoP (§3.5), whose transitions all
+// live in internal/engine: it starts the leaf and converts simnet
+// messages to engine events, computing a request's initial assignment
+// (which needs the runner's content and bandwidth model).
+type coordinated struct {
+	r    *runner
+	dcop bool
+}
+
+// start builds the engine cores and performs the leaf peer's step 1:
+// select H contents peers and send each a content request.
+func (c *coordinated) start() {
+	r := c.r
+	r.initEngine(c.dcop)
+	now := r.eng.Now()
+	d := r.leaf.core.Start(now)
+	d.Send(r.leaf) // an exhausted roster leaves its slot unstreamed
+	r.leaf.core.Started(d, now)
+	r.leaf.arm()
+}
+
+func (c *coordinated) deliver(p *peerNode, from simnet.NodeID, m simnet.Message) {
+	r := c.r
+	switch msg := m.(type) {
+	case reqMsg:
+		s, rate := r.initialAssignment(msg.Index, msg.Selected)
+		r.dispatchCtx(p, &engine.Request{Assigned: s, Rate: rate, Selected: msg.Selected, Round: msg.Round}, msg.Span)
+	case *ctlMsg:
+		r.dispatchCtx(p, &engine.Control{Msg: msg}, msg.Span)
+	case *confirmMsg:
+		r.dispatchCtx(p, &engine.Confirm{Msg: msg}, msg.Span)
+	case *commitMsg:
+		r.dispatchCtx(p, &engine.Commit{Msg: msg}, msg.Span)
+	}
+}
 
 // initEngine builds the per-peer engine cores. Called from the
 // protocol's start() rather than newRunner because tests install
@@ -47,35 +85,58 @@ func (r *runner) initEngine(dcopMode bool) {
 	}
 }
 
-// leafRand is the leaf peer's private random stream, seeded exactly as
-// the live layer seeds its leaf so the initial selection agrees.
-func (r *runner) leafRand() *rand.Rand {
-	return des.NewRand(engine.PeerSeed(r.cfg.Seed, engine.LeafID))
+// newLeaf builds the leaf peer around the engine's leaf, on the random
+// stream the live layer seeds its leaf with, so the initial selection
+// agrees. A run that tracks delivery assembles ContentLen 1-byte packets.
+func newLeaf(r *runner) *leafNode {
+	l := &leafNode{r: r}
+	if r.cfg.TrackDelivery {
+		l.asm = content.NewAssembler(int(r.cfg.ContentLen), 1)
+	} else {
+		l.seen = make(map[string]int)
+	}
+	var window float64
+	if r.cfg.Repair {
+		window = r.cfg.RepairInterval
+	}
+	l.core = engine.NewLeaf(engine.LeafConfig{
+		N: r.cfg.N, H: r.cfg.H, Interval: r.cfg.Interval,
+		Window:  window,
+		Metrics: r.met.leaf,
+		Spans:   r.cfg.Obs.Spans, Trace: r.cfg.Obs.SpanTrace,
+	}, des.NewRand(engine.PeerSeed(r.cfg.Seed, engine.LeafID)), l.asm, r.eng.Now())
+	return l
 }
 
-// startRequests performs the leaf peer's step 1 for DCoP and TCoP:
-// select H contents peers and send each a content request.
-func (r *runner) startRequests() {
-	sel, _ := engine.SelectInitial(r.leafRand(), r.cfg.N, r.cfg.H)
-	var root span.Context
-	if r.cfg.Obs.Spans != nil {
-		// Root "session" span on the leaf track; closed in closeSpans.
-		r.sessionSpan = r.cfg.Obs.Spans.NextID()
-		r.sessionStart = r.eng.Now()
-		root = span.Context{Trace: r.cfg.Obs.SpanTrace, Span: r.sessionSpan}
+// errCrashed is the simulated carrier's failed send: a message to a
+// crashed peer is counted but discarded at delivery, and the sender
+// learns now, as applyEffects tells peers with SendFailed.
+var errCrashed = errors.New("coord: peer crashed")
+
+// Request implements engine.LeafCarrier: the leaf's content request c
+// (§3.4 step 1), carrying the selection when Config.LeafShares.
+func (l *leafNode) Request(to engine.PeerID, slot int, selected []engine.PeerID, ctx span.Context) error {
+	r := l.r
+	m := reqMsg{Rate: r.cfg.Rate, Index: slot, Round: 1, Span: ctx}
+	if r.cfg.LeafShares {
+		m.Selected = selected
 	}
-	for u, cp := range sel {
-		if r.leaf.loss != nil {
-			// A selected peer that starts a little later than the others
-			// is not a gap.
-			r.leaf.loss.Expect(int(cp), r.eng.Now())
-		}
-		m := reqMsg{Rate: r.cfg.Rate, Index: u, Round: 1, Span: root}
-		if r.cfg.LeafShares {
-			m.Selected = sel
-		}
-		r.sendCtl(r.leafID(), simnet.NodeID(cp), m, 1)
+	r.sendCtl(r.leafID(), simnet.NodeID(to), m, 1)
+	if r.nw.Crashed(simnet.NodeID(to)) {
+		return errCrashed
 	}
+	return nil
+}
+
+// Repair implements engine.LeafCarrier: one repair request, noted with
+// its trigger on the leaf's flight track. One to a crashed peer is lost
+// without a word, like a reply the peer never sends.
+func (l *leafNode) Repair(to engine.PeerID, indices []int64, trigger string) error {
+	r := l.r
+	r.res.RepairRequests++
+	r.note(int(engine.LeafID), flight.Event{Dir: flight.DirDriver, Type: "repair_request", Other: int(to), N: len(indices), Note: trigger})
+	r.nw.Send(r.leafID(), simnet.NodeID(to), repairMsg{Indices: indices})
+	return nil
 }
 
 // snapshot stamps the peer's current data-plane state.

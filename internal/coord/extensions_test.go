@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
@@ -371,27 +372,27 @@ func TestLeafMissingSetIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.impl = &dcop{r: r}
+	r.impl = &coordinated{r: r, dcop: true}
 	check := func(when string) {
 		t.Helper()
-		missing := r.leaf.loss.Missing()
+		missing := r.leaf.asm.Missing()
 		var want []int64
 		for k := int64(1); k <= cfg.ContentLen; k++ {
-			if !r.leaf.recov.HasData(k) {
+			if !r.leaf.asm.HasData(k) {
 				want = append(want, k)
 			}
 		}
 		if !slices.Equal(missing, want) {
 			t.Fatalf("%s: missing set %v, recoverer rescan %v", when, missing, want)
 		}
-		if got := r.leaf.loss.Have(); got != cfg.ContentLen-int64(len(want)) {
+		if got := r.leaf.asm.Have(); got != cfg.ContentLen-int64(len(want)) {
 			t.Fatalf("%s: Have %d with %d of %d missing", when, got, len(want), cfg.ContentLen)
 		}
 	}
-	r.eng.After(r.cfg.RepairInterval, r.leaf.repairCheck)
+	r.leaf.arm()
 	r.impl.start()
 	r.eng.RunUntil(10)
-	if r.leaf.loss.Complete() {
+	if r.leaf.asm.Complete() {
 		t.Fatal("content complete mid-stream: nothing to check")
 	}
 	check("mid-stream")
@@ -419,7 +420,7 @@ func runWithheld(t *testing.T, keys ...string) (Result, map[string]int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.impl = &tcop{r: r}
+	r.impl = &coordinated{r: r}
 	r.nw.AttachFunc(r.leafID(), func(from simnet.NodeID, m simnet.Message) {
 		if dm, ok := m.(dataMsg); ok && r.res.RepairRequests == 0 {
 			ids := strings.FieldsFunc(dm.Pkt.Key(), func(c rune) bool { return c == '(' || c == ')' || c == ',' })
@@ -462,10 +463,11 @@ func TestRepairTailLossByBackstop(t *testing.T) {
 	}
 }
 
-// A leaf whose selected peers crashed before the run hears nothing at
-// all — nobody else was asked to stream — and still completes: the quiet
-// start only delays the stall round, which then asks the other peers for
-// everything.
+// A leaf whose selected peers crash while its requests are in flight
+// hears nothing at all — the requests are lost without a send error, so
+// no slot fails over, and nobody else was asked to stream — and still
+// completes: the quiet start only delays the stall round, which then
+// asks the other peers for everything.
 func TestRepairFallsThroughQuietStart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 10
@@ -476,7 +478,8 @@ func TestRepairFallsThroughQuietStart(t *testing.T) {
 	cfg.Repair = true
 	cfg.ContentLen = 120
 	cfg.Rate = 10
-	cfg.CrashPeers, _ = engine.SelectInitial((&runner{cfg: cfg}).leafRand(), cfg.N, cfg.H)
+	cfg.CrashPeers, _ = engine.SelectInitial(des.NewRand(engine.PeerSeed(cfg.Seed, engine.LeafID)), cfg.N, cfg.H)
+	cfg.CrashAt = cfg.Delta / 2
 	res, err := Run(TCoP, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -515,7 +518,7 @@ func TestDataPlaneWithLinkBandwidth(t *testing.T) {
 	}
 	// Throttle every link to 2 messages per time unit.
 	r.nw.SetDefaultLink(simnetLink(cfg, 2))
-	r.impl = &dcop{r: r}
+	r.impl = &coordinated{r: r, dcop: true}
 	res := r.run()
 	if res.DeliveredData != cfg.ContentLen {
 		t.Errorf("delivered %d/%d under bandwidth limit", res.DeliveredData, cfg.ContentLen)
@@ -577,7 +580,7 @@ func TestDCoPMergeAllocatesOneUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &dcop{r: r}
+	d := &coordinated{r: r, dcop: true}
 	r.impl = d
 	r.initEngine(true)
 

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/simnet"
 )
@@ -20,16 +21,15 @@ type coordMetrics struct {
 	recovered                       *metrics.Counter
 	delivered                       *metrics.Gauge
 	underruns                       *metrics.Counter
-	// repairRequests is keyed by trigger: "gap" or "stall".
-	repairRequests map[string]*metrics.Counter
+	// leaf holds the engine leaf's repair counters (by trigger) and its
+	// time-to-first-packet and stall histograms.
+	leaf engine.LeafMetrics
 
 	// Coordination-latency histograms (virtual time units), fed by the
-	// engine span trackers and the leaf.
-	handshakeRTT      *metrics.Histogram
-	commitLatency     *metrics.Histogram
-	retryWaveDepth    *metrics.Histogram
-	timeToFirstPacket *metrics.Histogram
-	stallDuration     *metrics.Histogram
+	// engine span trackers.
+	handshakeRTT   *metrics.Histogram
+	commitLatency  *metrics.Histogram
+	retryWaveDepth *metrics.Histogram
 }
 
 // ctlTypeNames maps every coordination message to its label value.
@@ -88,17 +88,17 @@ func newCoordMetrics(reg *metrics.Registry, repair bool) coordMetrics {
 		delivered:       reg.Gauge("coord_leaf_delivered_data"),
 		underruns:       reg.Counter("coord_playback_underruns_total"),
 
-		handshakeRTT:      reg.Histogram("coord_handshake_rtt", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
-		commitLatency:     reg.Histogram("coord_control_commit_latency", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
-		retryWaveDepth:    reg.Histogram("coord_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}),
-		timeToFirstPacket: reg.Histogram("coord_time_to_first_packet", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
-		stallDuration:     reg.Histogram("coord_stall_duration", []float64{1, 2, 4, 8, 16, 32, 64}),
+		handshakeRTT:   reg.Histogram("coord_handshake_rtt", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
+		commitLatency:  reg.Histogram("coord_control_commit_latency", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
+		retryWaveDepth: reg.Histogram("coord_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}),
+		leaf: engine.LeafMetrics{
+			TimeToFirstPacket: reg.Histogram("coord_time_to_first_packet", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
+			StallDuration:     reg.Histogram("coord_stall_duration", []float64{1, 2, 4, 8, 16, 32, 64}),
+		},
 	}
 	if repair {
-		cm.repairRequests = map[string]*metrics.Counter{
-			"gap":   reg.Counter("coord_repair_requests_total", "trigger", "gap"),
-			"stall": reg.Counter("coord_repair_requests_total", "trigger", "stall"),
-		}
+		cm.leaf.GapRepairs = reg.Counter("coord_repair_requests_total", "trigger", "gap")
+		cm.leaf.StallRepairs = reg.Counter("coord_repair_requests_total", "trigger", "stall")
 	} else {
 		reg.Counter("coord_repair_requests_total")
 	}

@@ -6,7 +6,8 @@
 // state, and applies the returned Effects — sends, timers, stream
 // activations and hand-offs — onto its own notion of time and I/O. The
 // data-plane effects have one implementation, Stream: a transmission
-// schedule each driver keeps per peer and paces on its own clock.
+// schedule each driver keeps per peer and paces on its own clock. The
+// leaf peer is Leaf, likewise clock-free, one per driver session.
 //
 // The engine owns every protocol transition (control, confirmation and
 // commit handling, handshake deadlines, alternate-peer retry waves,

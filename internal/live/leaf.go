@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"p2pmss/internal/content"
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/metrics"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
@@ -44,17 +42,13 @@ type LeafConfig struct {
 	// shows it; RepairAfter is how long a silent sender still holds that
 	// gap rule back, and how long the leaf waits without progress before
 	// its backstop round asks for everything still missing (four times
-	// as long before the first packet).
+	// as long before the first packet). Stalls are checked for every
+	// RepairAfter/2, until 20 RepairAfter periods pass without progress.
 	RepairAfter time.Duration
-	// RequestRetry, when positive, re-sends the initial content request
-	// to every selected peer the leaf has not yet heard a data packet
-	// from, once per interval. Start's send-error failover only covers
-	// connection-oriented transports: a datagram transport loses a
-	// request silently (Send returns nil), leaving the slot's whole
-	// division untransmitted — more loss than parity can absorb.
-	// Re-sent requests are idempotent at the peers (an already-active
-	// peer ignores them). Zero disables the deadline; the loop gives up
-	// after requestRetryWaves re-sends.
+	// RequestRetry, when positive, re-sends the content request to every
+	// selected peer not yet heard from, once per interval, at most five
+	// times: Start fails a slot over on a send error, but a datagram
+	// transport loses a request silently. Zero disables re-sends.
 	RequestRetry time.Duration
 	// Session scopes the leaf to one streaming session (see
 	// PeerConfig.Session).
@@ -70,36 +64,27 @@ type LeafConfig struct {
 	Obs engine.Observability
 }
 
-// Leaf is a live leaf peer LP_s: it requests a content from H contents
-// peers, reassembles arrivals (with parity recovery), and issues repair
-// requests — for gaps parity cannot close, and for stalled subsequences —
-// to the session members it most recently heard from (the likeliest
-// survivors after churn).
+// Leaf is a live leaf peer LP_s: the engine's leaf (selection, slot
+// failover, request re-sends, reassembly with parity recovery and repair
+// requests) on the wall clock, with the roster's addresses as its
+// carrier. Its one timer is re-armed to the engine leaf's next deadline,
+// so an open session parks no goroutine.
 type Leaf struct {
 	cfg LeafConfig
 	ep  transport.Endpoint
 	met leafMetrics
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	asm   *content.Assembler
-	total int64
-	dup   int64
-	// loss is the assembler's missing set and, when repair is on, the
-	// repair policy: the gap rule, the stall backstop and the target
-	// order. Its per-sender entries record when each sender was last heard
-	// and how far its stream has come, which also names the
-	// presumed-crashed peers in Wait's timeout error. senders maps a
-	// sender's address to its detector slot: its roster index, or a slot
-	// past the roster for a sender outside it.
-	loss    *parity.LossDetector
-	senders map[string]int
-	// sessionSpan is the root span of the session's trace, opened at
-	// Start; sessionStart/firstAt feed the session span and the
-	// time-to-first-packet observation.
-	sessionSpan  span.SpanID
-	sessionStart float64
-	gotFirst     bool
+	mu         sync.Mutex
+	core       *engine.Leaf
+	asm        *content.Assembler
+	total, dup int64
+	// ids maps a sender's address to its peer id: its roster index, or
+	// for a sender outside the roster the next id past it, assigned on
+	// first sight.
+	ids map[string]engine.PeerID
+	// timer fires at core's next deadline; once closed it is not re-armed.
+	timer  *time.Timer
+	closed bool
 	// introspect, when non-nil, is invoked on a Wait timeout and its
 	// result appended to the error; NodeCluster.Open wires it to an
 	// automatic flight+topology dump so a stalled session self-diagnoses.
@@ -107,9 +92,6 @@ type Leaf struct {
 
 	done     chan struct{}
 	doneOnce sync.Once
-
-	stopCh  chan struct{}
-	stopped sync.Once
 }
 
 // NewLeaf creates a leaf on the given transport (WithFabric, or
@@ -132,167 +114,103 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 		cfg.Obs.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
 	}
 	l := &Leaf{
-		cfg:     cfg,
-		rng:     des.NewRand(seed),
-		asm:     content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
-		senders: make(map[string]int, len(cfg.Roster)),
-		done:    make(chan struct{}),
-		stopCh:  make(chan struct{}),
+		cfg:  cfg,
+		met:  newLeafMetrics(cfg.Obs.Metrics, cfg.Session),
+		asm:  content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
+		ids:  make(map[string]engine.PeerID, len(cfg.Roster)),
+		done: make(chan struct{}),
 	}
 	for i, addr := range cfg.Roster {
-		l.senders[addr] = i
+		l.ids[addr] = engine.PeerID(i)
 	}
-	l.loss = l.asm.Detector()
-	if cfg.RepairAfter > 0 {
-		// One recovery segment per initially selected sender; a sender
-		// silent for a whole stall period no longer holds the rule back.
-		l.loss.Arm(cfg.Interval, cfg.H, cfg.RepairAfter.Seconds())
-	}
+	l.core = engine.NewLeaf(engine.LeafConfig{
+		N: len(cfg.Roster), H: cfg.H, Interval: cfg.Interval,
+		Window: cfg.RepairAfter.Seconds(), Retry: cfg.RequestRetry.Seconds(),
+		Metrics: l.met.LeafMetrics,
+		Spans:   cfg.Obs.Spans, Trace: cfg.Obs.SpanTrace, Session: string(cfg.Session),
+	}, des.NewRand(seed), l.asm, liveNow())
 	ep, err := tr.open(l.handle)
 	if err != nil {
 		return nil, err
 	}
 	l.ep = ep
-	l.met = newLeafMetrics(cfg.Obs.Metrics, cfg.Session)
 	return l, nil
 }
 
 // Addr returns the leaf's transport address.
 func (l *Leaf) Addr() string { return l.ep.Name() }
 
-// Session returns the session this leaf consumes (empty when standalone).
-func (l *Leaf) Session() SessionID { return l.cfg.Session }
+// carrier is the leaf's engine.LeafCarrier: roster ids to addresses,
+// requests and repairs to wire bodies.
+type carrier struct{ l *Leaf }
 
-// send encodes body, stamps the leaf's session, and transmits.
-func (l *Leaf) send(to, typ string, body transport.WireAppender) error {
-	return l.sendCtx(to, typ, body, span.Context{})
+func (c carrier) Request(to engine.PeerID, slot int, selected []engine.PeerID, ctx span.Context) error {
+	l := c.l
+	sel := make([]string, len(selected))
+	for i, id := range selected {
+		sel[i] = l.cfg.Roster[id]
+	}
+	return sendBody(l.ep, l.cfg.Session, l.cfg.Roster[to], typeRequest, requestBody{
+		ContentID: l.cfg.ContentID, Rate: l.cfg.Rate, H: l.cfg.H, Interval: l.cfg.Interval,
+		Index: slot, Selected: sel, Leaf: l.Addr(), Roster: l.cfg.SessionRoster,
+	}, ctx)
 }
 
-// sendCtx is send with a causal span context stamped on the frame.
-func (l *Leaf) sendCtx(to, typ string, body transport.WireAppender, ctx span.Context) error {
-	return l.ep.Send(to, transport.Msg{
-		Type: typ, From: l.Addr(), Session: string(l.cfg.Session),
-		Trace: uint64(ctx.Trace), Span: uint64(ctx.Span),
-		Payload: body.AppendWire(nil),
-	})
+func (c carrier) Repair(to engine.PeerID, indices []int64, _ string) error {
+	l := c.l
+	return sendBody(l.ep, l.cfg.Session, l.cfg.Roster[to], typeRepair, repairBody{ContentID: l.cfg.ContentID, Indices: indices, Leaf: l.Addr()}, span.Context{})
 }
 
 // Start sends the content request to H selected contents peers (DCoP/TCoP
-// step 1) and begins the repair monitor. A peer whose request cannot be
+// step 1) and arms the leaf's timer. A peer whose request cannot be
 // delivered (already crashed) is failed over to an alternate from the
 // roster; Start errors only when the roster is exhausted before H peers
 // accept delivery.
 func (l *Leaf) Start() error {
 	l.mu.Lock()
-	selIdx, spareIdx := engine.SelectInitial(l.rng, len(l.cfg.Roster), l.cfg.H)
-	l.sessionStart = liveNow()
-	var root span.Context
-	if l.cfg.Obs.Spans != nil {
-		// Root "session" span on the leaf track (-1); closed in Close.
-		// Requests carry its context so every member's handshake nests
-		// under it.
-		l.sessionSpan = l.cfg.Obs.Spans.NextID()
-		root = span.Context{Trace: l.cfg.Obs.SpanTrace, Span: l.sessionSpan}
-	}
-	sel := make([]string, len(selIdx))
-	for i, id := range selIdx {
-		sel[i] = l.cfg.Roster[id]
-		// Expected before any request goes out: a selected peer that
-		// starts a little later than the others is not a gap.
-		l.loss.Expect(l.slotLocked(sel[i]), l.sessionStart)
-	}
+	d := l.core.Start(liveNow())
 	l.mu.Unlock()
-	spare := make([]string, len(spareIdx))
-	for i, id := range spareIdx {
-		spare[i] = l.cfg.Roster[id]
-	}
-	var lastErr error
-	for idx := 0; idx < len(sel); idx++ {
-		for {
-			body := requestBody{
-				ContentID: l.cfg.ContentID,
-				Rate:      l.cfg.Rate,
-				H:         l.cfg.H,
-				Interval:  l.cfg.Interval,
-				Index:     idx,
-				Selected:  sel,
-				Leaf:      l.Addr(),
-				Roster:    l.cfg.SessionRoster,
-			}
-			err := l.sendCtx(sel[idx], typeRequest, body, root)
-			if err == nil {
-				break
-			}
-			lastErr = err
-			l.met.failovers.Inc()
-			if len(spare) == 0 {
-				return fmt.Errorf("live: request slot %d: roster exhausted: %w", idx, lastErr)
-			}
-			sel[idx] = spare[0]
-			spare = spare[1:]
-			l.mu.Lock()
-			l.loss.Expect(l.slotLocked(sel[idx]), liveNow())
-			l.mu.Unlock()
-		}
-	}
-	if l.cfg.RequestRetry > 0 {
-		go l.requestLoop(sel, root)
-	}
-	if l.cfg.RepairAfter > 0 {
-		go l.repairLoop()
-	}
-	return nil
+	// Sent without the lock: a send may wait for a transport queue that
+	// this leaf's own arrivals are draining.
+	err := d.Send(carrier{l})
+	l.mu.Lock()
+	l.core.Started(d, liveNow())
+	l.armLocked()
+	l.mu.Unlock()
+	return err
 }
 
-// requestRetryWaves caps requestLoop's re-send waves.
-const requestRetryWaves = 5
-
-// requestLoop is the datagram-side counterpart of Start's send-error
-// failover: every RequestRetry it re-sends the content request to each
-// selected peer that has not yet delivered a single data packet, until
-// all have or the retry budget is spent. Without it a lost request
-// datagram silently killed the slot for the whole session (the
-// engine's own deadlines guard the later handshake rounds, but nothing
-// guarded round 1's request).
-func (l *Leaf) requestLoop(sel []string, root span.Context) {
-	tick := time.NewTicker(l.cfg.RequestRetry)
-	defer tick.Stop()
-	for wave := 0; wave < requestRetryWaves; wave++ {
-		select {
-		case <-l.done:
-			return
-		case <-l.stopCh:
-			return
-		case <-tick.C:
-		}
-		quiet := 0
-		for idx, peer := range sel {
-			l.mu.Lock()
-			_, heard := l.senderLocked(peer)
-			l.mu.Unlock()
-			if heard {
-				continue
-			}
-			quiet++
-			l.met.retries.Inc()
-			body := requestBody{
-				ContentID: l.cfg.ContentID,
-				Rate:      l.cfg.Rate,
-				H:         l.cfg.H,
-				Interval:  l.cfg.Interval,
-				Index:     idx,
-				Selected:  sel,
-				Leaf:      l.Addr(),
-				Roster:    l.cfg.SessionRoster,
-			}
-			// Errors are ignored: on a connected transport Start already
-			// failed over, and on datagrams there is nothing to hear.
-			_ = l.sendCtx(peer, typeRequest, body, root)
-		}
-		if quiet == 0 {
-			return // every slot is streaming
-		}
+// armLocked sets the timer to the engine leaf's next deadline. Callers
+// hold l.mu.
+func (l *Leaf) armLocked() {
+	at, ok := l.core.Deadline()
+	if !ok || l.closed {
+		return
 	}
+	wait := time.Duration((at - liveNow()) * float64(time.Second))
+	if l.timer == nil {
+		l.timer = time.AfterFunc(wait, l.tick)
+	} else {
+		l.timer.Reset(wait)
+	}
+}
+
+// tick runs what the engine leaf has due — a request re-send wave, a
+// stall round — and re-arms the timer once its sends are done, so a
+// leaf whose sends wait on a full transport queue has at most one tick
+// in flight.
+func (l *Leaf) tick() {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return
+	}
+	d := l.core.Tick(liveNow())
+	l.mu.Unlock()
+	d.Send(carrier{l})
+	l.mu.Lock()
+	l.armLocked()
+	l.mu.Unlock()
 }
 
 // handle processes data packets.
@@ -309,25 +227,13 @@ func (l *Leaf) handle(m transport.Msg) {
 	l.mu.Lock()
 	l.total++
 	l.met.arrivals.Inc()
-	if !l.gotFirst {
-		l.gotFirst = true
-		l.met.timeToFirstPacket.Observe(at - l.sessionStart)
-		if l.cfg.Obs.Spans != nil {
-			l.cfg.Obs.Spans.Add(span.Span{
-				Trace: l.cfg.Obs.SpanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
-				Name: "first_packet", Peer: -1, Start: at, End: at,
-			})
-		}
+	from, ok := l.ids[m.From]
+	if !ok {
+		from = engine.PeerID(len(l.ids))
+		l.ids[m.From] = from
 	}
 	have, recovered := l.asm.Have(), l.asm.Recovered()
-	fresh := l.asm.Add(b.Pkt)
-	// Indices parity can no longer recover are asked for at once, not on
-	// the next stall round.
-	gap := l.loss.Arrive(l.slotLocked(m.From), &b.Pkt, at, nil)
-	var targets []int
-	if gap != nil {
-		targets = l.loss.Targets(len(l.cfg.Roster), l.rng)
-	}
+	fresh, d := l.core.Arrive(at, from, &b.Pkt)
 	if !fresh {
 		l.dup++
 		l.met.dups.Inc()
@@ -342,119 +248,30 @@ func (l *Leaf) handle(m transport.Msg) {
 	}
 	complete := l.asm.Complete()
 	l.mu.Unlock()
-	if gap != nil {
-		l.requestRepair(gap, targets, l.met.gapRepairs)
-	}
+	d.Send(carrier{l})
 	if complete {
 		l.doneOnce.Do(func() { close(l.done) })
-	}
-}
-
-// slotLocked returns the detector slot of a sender address: its roster
-// index, or for a sender outside the roster the next slot past it,
-// assigned on first sight. Callers hold l.mu.
-func (l *Leaf) slotLocked(addr string) int {
-	slot, ok := l.senders[addr]
-	if !ok {
-		slot = len(l.senders)
-		l.senders[addr] = slot
-	}
-	return slot
-}
-
-// senderLocked returns what the detector knows of a sender address; ok
-// is false for one it never heard. Callers hold l.mu.
-func (l *Leaf) senderLocked(addr string) (s parity.Sender, ok bool) {
-	slot, known := l.senders[addr]
-	if senders := l.loss.Senders(); known && slot < len(senders) && senders[slot].Heard() {
-		return senders[slot], true
-	}
-	return s, false
-}
-
-// requestRepair asks for the missing indices, parity.RepairBatch per
-// request, trying targets (roster indices) in the detector's order and
-// rotating to an alternate when one is unreachable. count is the
-// trigger's request counter.
-func (l *Leaf) requestRepair(missing []int64, targets []int, count *metrics.Counter) {
-	t := 0
-	for off := 0; off < len(missing); off += parity.RepairBatch {
-		body := repairBody{ContentID: l.cfg.ContentID, Indices: missing[off:min(off+parity.RepairBatch, len(missing))], Leaf: l.Addr()}
-		for tries := 0; tries < len(targets); tries++ {
-			peer := l.cfg.Roster[targets[t%len(targets)]]
-			t++
-			count.Inc()
-			if err := l.send(peer, typeRepair, body); err == nil {
-				break
-			}
-			l.met.failovers.Inc()
-		}
-	}
-}
-
-// repairLoop is the leaf's repair timer: every RepairAfter/2 it asks the
-// detector whether delivery has stalled, and if so requests every
-// missing data packet.
-func (l *Leaf) repairLoop() {
-	tick := time.NewTicker(l.cfg.RepairAfter / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-l.stopCh:
-			return
-		case <-tick.C:
-		}
-		l.mu.Lock()
-		now := liveNow()
-		round, stalled := l.loss.Stall(now)
-		var targets []int
-		if stalled {
-			l.met.stallDuration.Observe(round.StalledFor)
-			if l.cfg.Obs.Spans != nil {
-				l.cfg.Obs.Spans.Add(span.Span{
-					Trace: l.cfg.Obs.SpanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
-					Name: "stall", Peer: -1, Start: now - round.StalledFor, End: now,
-					Detail: fmt.Sprintf("%d missing", len(round.Missing)),
-				})
-			}
-			if round.Retry {
-				l.met.retries.Inc()
-			}
-			targets = l.loss.Targets(len(l.cfg.Roster), l.rng)
-		}
-		l.mu.Unlock()
-		if stalled {
-			l.requestRepair(round.Missing, targets, l.met.stallRepairs)
-		}
 	}
 }
 
 // formatRanges compresses sorted packet indices into "a-b" spans,
 // capping the output at a few spans.
 func formatRanges(idx []int64, maxSpans int) string {
-	if len(idx) == 0 {
+	var spans []string
+	for i := 0; i < len(idx); i++ {
+		j := i
+		for i+1 < len(idx) && idx[i+1] == idx[i]+1 {
+			i++
+		}
+		if span := fmt.Sprint(idx[j]); i > j {
+			spans = append(spans, fmt.Sprintf("%s-%d", span, idx[i]))
+		} else {
+			spans = append(spans, span)
+		}
+	}
+	if len(spans) == 0 {
 		return "none"
 	}
-	var spans []string
-	start, prev := idx[0], idx[0]
-	flush := func() {
-		if start == prev {
-			spans = append(spans, fmt.Sprintf("%d", start))
-		} else {
-			spans = append(spans, fmt.Sprintf("%d-%d", start, prev))
-		}
-	}
-	for _, k := range idx[1:] {
-		if k == prev+1 {
-			prev = k
-			continue
-		}
-		flush()
-		start, prev = k, k
-	}
-	flush()
 	if len(spans) > maxSpans {
 		spans = append(spans[:maxSpans], fmt.Sprintf("+%d more spans", len(spans)-maxSpans))
 	}
@@ -466,50 +283,45 @@ func formatRanges(idx []int64, maxSpans int) string {
 // last seen serving them (with how long ago they went silent), so a test
 // or operator can tell churn from congestion.
 func (l *Leaf) Wait(timeout time.Duration) error {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case <-l.done:
 		return nil
-	case <-time.After(timeout):
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		want := (int64(l.cfg.ContentSize) + int64(l.cfg.PacketSize) - 1) / int64(l.cfg.PacketSize)
-		missing := l.asm.Missing()
-		// Peers that served packets but have been silent longest are the
-		// presumed-crashed sources of the gaps.
-		type src struct {
-			addr string
-			ago  time.Duration
-			pos  float64
-		}
-		var silent []src
-		now := liveNow()
-		for a := range l.senders {
-			if s, ok := l.senderLocked(a); ok {
-				ago := time.Duration((now - s.LastHeard) * float64(time.Second)).Round(time.Millisecond)
-				silent = append(silent, src{a, ago, s.MaxPos})
-			}
-		}
-		sort.Slice(silent, func(i, j int) bool { return silent[i].ago > silent[j].ago })
-		if len(silent) > 4 {
-			silent = silent[:4]
-		}
-		var who []string
-		for _, s := range silent {
-			who = append(who, fmt.Sprintf("%s (last heard %s ago, served up to #%d)", s.addr, s.ago, int64(s.pos)))
-		}
-		served := "no data packets received"
-		if len(who) > 0 {
-			served = strings.Join(who, "; ")
-		}
-		err := fmt.Errorf("live: timeout with %d/%d packets (%d arrivals, %d dup); missing %s; sources: %s",
-			l.asm.Have(), want, l.total, l.dup, formatRanges(missing, 6), served)
-		if l.introspect != nil {
-			if extra := l.introspect(); extra != "" {
-				err = fmt.Errorf("%w; %s", err, extra)
-			}
-		}
-		return err
+	case <-t.C:
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	want := (int64(l.cfg.ContentSize) + int64(l.cfg.PacketSize) - 1) / int64(l.cfg.PacketSize)
+	missing := l.asm.Missing()
+	// Peers that served packets but have been silent longest are the
+	// presumed-crashed sources of the gaps.
+	senders := l.asm.Detector().Senders()
+	var silent []string
+	for a, id := range l.ids {
+		if int(id) < len(senders) && senders[id].Heard() {
+			silent = append(silent, a)
+		}
+	}
+	last := func(a string) parity.Sender { return senders[l.ids[a]] }
+	sort.Slice(silent, func(i, j int) bool { return last(silent[i]).LastHeard < last(silent[j]).LastHeard })
+	var who []string
+	for _, a := range silent[:min(len(silent), 4)] {
+		ago := time.Duration((liveNow() - last(a).LastHeard) * float64(time.Second)).Round(time.Millisecond)
+		who = append(who, fmt.Sprintf("%s (last heard %s ago, served up to #%d)", a, ago, int64(last(a).MaxPos)))
+	}
+	served := "no data packets received"
+	if len(who) > 0 {
+		served = strings.Join(who, "; ")
+	}
+	err := fmt.Errorf("live: timeout with %d/%d packets (%d arrivals, %d dup); missing %s; sources: %s",
+		l.asm.Have(), want, l.total, l.dup, formatRanges(missing, 6), served)
+	if l.introspect != nil {
+		if extra := l.introspect(); extra != "" {
+			err = fmt.Errorf("%w; %s", err, extra)
+		}
+	}
+	return err
 }
 
 // Done returns a channel closed when reassembly completes. The leaf's
@@ -540,17 +352,14 @@ func (l *Leaf) Progress() int64 {
 
 // Close stops the leaf, ending the session's root span.
 func (l *Leaf) Close() error {
-	l.stopped.Do(func() {
-		close(l.stopCh)
-		l.mu.Lock()
-		if l.sessionSpan != 0 {
-			l.cfg.Obs.Spans.Add(span.Span{
-				Trace: l.cfg.Obs.SpanTrace, ID: l.sessionSpan,
-				Name: "session", Peer: -1, Start: l.sessionStart, End: liveNow(),
-				Detail: string(l.cfg.Session),
-			})
+	l.mu.Lock()
+	if !l.closed {
+		l.closed = true
+		if l.timer != nil {
+			l.timer.Stop()
 		}
-		l.mu.Unlock()
-	})
+		l.core.Close(liveNow())
+	}
+	l.mu.Unlock()
 	return l.ep.Close()
 }

@@ -406,18 +406,13 @@ func (p *Peer) Close() error {
 	return p.ep.Close()
 }
 
-// send encodes body, stamps the peer's session, and transmits. The error
-// is surfaced so callers can fail over to an alternate peer.
-func (p *Peer) send(to, typ string, body transport.WireAppender) error {
-	return p.sendCtx(to, typ, body, span.Context{})
-}
-
-// sendCtx is send with a causal span context stamped on the frame (the
-// zero context leaves the frame untouched, byte-identical to an
-// untraced send).
-func (p *Peer) sendCtx(to, typ string, body transport.WireAppender, ctx span.Context) error {
-	return p.ep.Send(to, transport.Msg{
-		Type: typ, From: p.Addr(), Session: string(p.cfg.Session),
+// sendBody encodes body and transmits it from ep, stamped with the
+// session and a causal span context (the zero context leaves the frame
+// byte-identical to an untraced send). The error is surfaced so callers
+// can fail over to an alternate peer.
+func sendBody(ep transport.Endpoint, sid SessionID, to, typ string, body transport.WireAppender, ctx span.Context) error {
+	return ep.Send(to, transport.Msg{
+		Type: typ, From: ep.Name(), Session: string(sid),
 		Trace: uint64(ctx.Trace), Span: uint64(ctx.Span),
 		Payload: body.AppendWire(nil),
 	})
@@ -567,7 +562,7 @@ func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 	p.core.Release(effs)
 	p.mu.Unlock()
 	for _, s := range sends {
-		err := p.sendCtx(s.to, s.typ, s.body, s.ctx)
+		err := sendBody(p.ep, p.cfg.Session, s.to, s.typ, s.body, s.ctx)
 		if err != nil {
 			if s.msg != nil {
 				p.dispatchCtx(&engine.SendFailed{To: s.toID, Msg: s.msg}, engine.MsgSpan(s.msg))
@@ -953,7 +948,7 @@ func (p *Peer) sendOne() {
 	leaf := p.leaf
 	p.mu.Unlock()
 	p.met.sent.Inc()
-	// The per-packet path builds the message itself: going through send
+	// The per-packet path builds the message itself: going through sendBody
 	// would box a dataBody in an interface for every packet.
 	p.ep.Send(leaf, transport.Msg{ //nolint:errcheck // a vanished leaf ends the session; repair handles the rest
 		Type: typeData, From: p.Addr(), Session: string(p.cfg.Session),

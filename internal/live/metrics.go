@@ -1,6 +1,9 @@
 package live
 
-import "p2pmss/internal/metrics"
+import (
+	"p2pmss/internal/engine"
+	"p2pmss/internal/metrics"
+)
 
 // withSession appends the session label when the participant is bound to
 // one. Standalone (single-session) peers and leaves keep the historical
@@ -63,46 +66,30 @@ func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetri
 	}
 }
 
-// leafMetrics holds the leaf's instrument handles; same nil-is-disabled
-// convention as peerMetrics.
+// leafMetrics holds the leaf's instrument handles, the engine leaf's
+// among them; same nil-is-disabled convention as peerMetrics.
+// decodeErrors counts data messages whose body failed DecodeWire.
 type leafMetrics struct {
-	arrivals *metrics.Counter
-	dups     *metrics.Counter
-	// gapRepairs and stallRepairs count repair requests by trigger: a gap
-	// parity provably cannot close, or the stall backstop.
-	gapRepairs   *metrics.Counter
-	stallRepairs *metrics.Counter
-	delivered    *metrics.Gauge
-	recovered    *metrics.Gauge
-	// retries counts stall rounds whose leading missing index had been
-	// requested before; failovers counts requests redirected to an alternate
-	// peer after a send error (crashed or unknown endpoint).
-	retries   *metrics.Counter
-	failovers *metrics.Counter
-	// decodeErrors counts data messages whose body failed DecodeWire and
-	// was dropped.
-	decodeErrors *metrics.Counter
-	// timeToFirstPacket observes request→first-data latency;
-	// stallDuration observes how long each detected stall lasted before
-	// the repair round fired (both in seconds).
-	timeToFirstPacket *metrics.Histogram
-	stallDuration     *metrics.Histogram
+	engine.LeafMetrics
+	arrivals, dups, decodeErrors *metrics.Counter
+	delivered, recovered         *metrics.Gauge
 }
 
 func newLeafMetrics(reg *metrics.Registry, sid SessionID) leafMetrics {
 	return leafMetrics{
+		LeafMetrics: engine.LeafMetrics{
+			GapRepairs:        reg.Counter("live_repair_requests_total", withSession(sid, "trigger", "gap")...),
+			StallRepairs:      reg.Counter("live_repair_requests_total", withSession(sid, "trigger", "stall")...),
+			Retries:           reg.Counter("live_session_retries_total", withSession(sid, "role", "leaf")...),
+			Failovers:         reg.Counter("live_session_failovers_total", withSession(sid, "role", "leaf")...),
+			TimeToFirstPacket: reg.Histogram("live_time_to_first_packet_seconds", latencyBounds, withSession(sid)...),
+			StallDuration:     reg.Histogram("live_stall_duration_seconds", latencyBounds, withSession(sid)...),
+		},
 		arrivals:     reg.Counter("live_leaf_arrivals_total", withSession(sid)...),
 		dups:         reg.Counter("live_leaf_duplicates_total", withSession(sid)...),
-		gapRepairs:   reg.Counter("live_repair_requests_total", withSession(sid, "trigger", "gap")...),
-		stallRepairs: reg.Counter("live_repair_requests_total", withSession(sid, "trigger", "stall")...),
+		decodeErrors: reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "leaf", "reason", "decode")...),
 		delivered:    reg.Gauge("live_leaf_delivered_packets", withSession(sid)...),
 		recovered:    reg.Gauge("live_leaf_recovered_packets", withSession(sid)...),
-		retries:      reg.Counter("live_session_retries_total", withSession(sid, "role", "leaf")...),
-		failovers:    reg.Counter("live_session_failovers_total", withSession(sid, "role", "leaf")...),
-		decodeErrors: reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "leaf", "reason", "decode")...),
-
-		timeToFirstPacket: reg.Histogram("live_time_to_first_packet_seconds", latencyBounds, withSession(sid)...),
-		stallDuration:     reg.Histogram("live_stall_duration_seconds", latencyBounds, withSession(sid)...),
 	}
 }
 

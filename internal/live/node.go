@@ -10,6 +10,7 @@ import (
 	"p2pmss/internal/content"
 	"p2pmss/internal/disco"
 	"p2pmss/internal/engine"
+	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
 )
 
@@ -390,7 +391,7 @@ type SessionConfig struct {
 	RepairAfter time.Duration
 	// RequestRetry re-sends the session's content requests whose delivery
 	// was never confirmed by data, for datagram transports that lose a
-	// request without a send error; zero disables the retry loop.
+	// request without a send error; zero disables re-sends.
 	RequestRetry time.Duration
 	// Seed overrides the node-derived per-session seed when non-zero.
 	Seed int64
@@ -554,7 +555,7 @@ func (n *Node) Join(sid SessionID, contentID string, timeout time.Duration) (*Pe
 			return nil, fmt.Errorf("live: join %q: no member handed a slice within %s", sid, timeout)
 		}
 		target := targets[i%len(targets)]
-		p.send(target, typeJoin, joinBody{ContentID: contentID, Joiner: n.Addr()}) //nolint:errcheck // crashed members are skipped; the next roster entry is tried
+		sendBody(p.ep, p.cfg.Session, target, typeJoin, joinBody{ContentID: contentID, Joiner: n.Addr()}, span.Context{}) //nolint:errcheck // crashed members are skipped; the next roster entry is tried
 		// Give the member a handshake period to commit a slice.
 		round := time.Now().Add(4*n.cfg.Delta + 20*time.Millisecond)
 		for time.Now().Before(round) {
