@@ -28,10 +28,10 @@ type Content struct {
 	// enhanced caches Esq(content, h) per parity interval h, at most
 	// maxIntervals of them. The sequences are read-only once stored.
 	enhanced map[int]seq.Sequence
-	// parity maps the identity key of every parity packet in enhanced to
-	// its payload. A build replaces the map, so a reader never sees a
-	// write.
-	parity map[string][]byte
+	// parity maps the identity hash of every parity packet in enhanced
+	// to the packet; of two identities with one hash, the second is left
+	// out. A build replaces the map, so a reader never sees a write.
+	parity map[uint64]*seq.Packet
 }
 
 // maxIntervals bounds how many parity intervals one content caches its
@@ -102,7 +102,7 @@ func (c *Content) Sequence() seq.Sequence {
 // Enhanced returns [pkt]^h = Esq(content, h) (§3.2), payload-backed: the
 // value parity.Enhance(c.Sequence(), h) returns, derived once per content
 // and interval and then shared. The result is read-only — its packets'
-// Payload and Covers alias the content bytes and the cache — so callers
+// payloads alias the content bytes and the cache — so callers
 // take what they need by value (seq.Div, Clone) and never write through
 // it. Once maxIntervals intervals are cached, any other h is derived
 // afresh on every call and not kept.
@@ -128,11 +128,11 @@ func (c *Content) Enhanced(h int) seq.Sequence {
 // payloads in a fresh copy of the table. Callers hold c.mu.
 func (c *Content) deriveLocked(h int) seq.Sequence {
 	s := parity.Enhance(c.Sequence(), h)
-	table := make(map[string][]byte, len(c.parity)+len(s)/(h+1)+1)
+	table := make(map[uint64]*seq.Packet, len(c.parity)+len(s)/(h+1)+1)
 	maps.Copy(table, c.parity)
-	for _, p := range s {
-		if !p.IsData() {
-			table[p.Key()] = p.Payload
+	for i := range s {
+		if id := s[i].Hash(); !s[i].IsData() && table[id] == nil {
+			table[id] = &s[i]
 		}
 	}
 	if c.enhanced == nil {
@@ -142,17 +142,19 @@ func (c *Content) deriveLocked(h int) seq.Sequence {
 	return s
 }
 
-// ParityPayload returns the payload of the parity packet with the given
-// identity key if a cached enhanced sequence holds it. The bytes are
-// shared and read-only. A parity the cache does not hold — one nested by
-// a later coordination level, or of an interval past the bound — is the
+// ParityPayload returns the payload of the parity packet with p's
+// identity if a cached enhanced sequence holds it. The bytes are shared
+// and read-only. A parity the cache does not hold — one nested by a
+// later coordination level, or of an interval past the bound — is the
 // caller's to XOR from its covers.
-func (c *Content) ParityPayload(key string) ([]byte, bool) {
+func (c *Content) ParityPayload(p seq.Packet) ([]byte, bool) {
 	c.mu.Lock()
 	table := c.parity
 	c.mu.Unlock()
-	pl, ok := table[key]
-	return pl, ok
+	if q := table[p.Hash()]; q != nil && seq.SameIdentity(q, &p) {
+		return q.Payload, true
+	}
+	return nil, false
 }
 
 // dropDerived releases everything Enhanced cached. Sequences already

@@ -3,7 +3,6 @@ package content
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -19,8 +18,9 @@ func shortTail(seed int64) *Content {
 	return New("movie", data, 64)
 }
 
-// samePackets requires got to be want packet for packet: identity,
-// position, covers and payload bytes.
+// samePackets requires got to be want packet for packet: identity
+// (kind, index and covers, as the identity node spells them), position
+// and payload bytes.
 func samePackets(t *testing.T, got, want seq.Sequence) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -28,8 +28,8 @@ func samePackets(t *testing.T, got, want seq.Sequence) {
 	}
 	for i, w := range want {
 		g := got[i]
-		if g.Kind != w.Kind || g.Index != w.Index || g.Key() != w.Key() || g.Pos != w.Pos ||
-			!reflect.DeepEqual(g.Covers, w.Covers) || !bytes.Equal(g.Payload, w.Payload) {
+		if g.Kind() != w.Kind() || g.Index != w.Index || g.Key() != w.Key() || g.Pos != w.Pos ||
+			!seq.SameIdentity(&g, &w) || !bytes.Equal(g.Payload, w.Payload) {
 			t.Fatalf("packet %d is %+v, want %+v", i, g, w)
 		}
 	}
@@ -47,13 +47,15 @@ func TestEnhancedEqualsEnhance(t *testing.T) {
 			t.Errorf("h=%d: a second call derived the sequence again", h)
 		}
 		for _, p := range want {
-			pl, ok := c.ParityPayload(p.Key())
+			pl, ok := c.ParityPayload(p)
 			if p.IsData() == ok || ok && !bytes.Equal(pl, p.Payload) {
 				t.Errorf("h=%d: ParityPayload(%s) = %x, %v; the packet carries %x", h, p.Key(), pl, ok, p.Payload)
 			}
 		}
 	}
-	if _, ok := c.ParityPayload("p(t5,p(t7,t8))"); ok {
+	inner := seq.NewParity([]seq.Packet{seq.NewData(7), seq.NewData(8)}, 7.5)
+	nested := seq.NewParity([]seq.Packet{seq.NewData(5), inner}, 7.25)
+	if _, ok := c.ParityPayload(nested); ok {
 		t.Error("the table holds a nested parity no enhanced content sequence contains")
 	}
 }
@@ -92,7 +94,7 @@ func TestEnhancedIntervalBound(t *testing.T) {
 	if &a[0] == &b[0] {
 		t.Errorf("h=%d is past the bound but was cached", h)
 	}
-	if _, ok := c.ParityPayload(a[0].Key()); ok {
+	if _, ok := c.ParityPayload(a[0]); ok {
 		t.Errorf("h=%d is past the bound but its parity %s is in the table", h, a[0].Key())
 	}
 	if first := c.Enhanced(1); &first[0] != &c.Enhanced(1)[0] {
@@ -146,7 +148,7 @@ func TestEnhancedConcurrent(t *testing.T) {
 						return
 					}
 					if !exp[j].IsData() {
-						if pl, ok := c.ParityPayload(exp[j].Key()); ok && !bytes.Equal(pl, exp[j].Payload) {
+						if pl, ok := c.ParityPayload(exp[j]); ok && !bytes.Equal(pl, exp[j].Payload) {
 							t.Errorf("goroutine %d: table payload of %v differs", g, exp[j])
 							return
 						}

@@ -4,6 +4,7 @@ import (
 	"p2pmss/internal/content"
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
+	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
 )
@@ -121,9 +122,9 @@ type leafNode struct {
 	r    *runner
 	core *engine.Leaf
 	// asm, non-nil when Config.TrackDelivery, also tells first receipts
-	// from duplicates; without it seen counts the receipts per identity.
+	// from duplicates; without it seen does.
 	asm  *content.Assembler
-	seen map[string]int
+	seen *parity.Recoverer
 	// timer is the pending leaf timer event.
 	timer *des.Event
 
@@ -177,9 +178,7 @@ func (l *leafNode) Receive(from simnet.NodeID, m simnet.Message) {
 		d.Send(l)
 	} else {
 		l.core.Arrive(now, engine.PeerID(from), &dm.Pkt)
-		key := dm.Pkt.Key()
-		l.seen[key]++
-		isDup = l.seen[key] > 1
+		isDup = !l.seen.Add(dm.Pkt)
 	}
 	if isDup {
 		l.r.met.arrivalsDup.Inc()

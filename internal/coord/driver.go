@@ -7,6 +7,7 @@ import (
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
+	"p2pmss/internal/parity"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
 )
@@ -92,8 +93,8 @@ func newLeaf(r *runner) *leafNode {
 	l := &leafNode{r: r}
 	if r.cfg.TrackDelivery {
 		l.asm = content.NewAssembler(int(r.cfg.ContentLen), 1)
-	} else {
-		l.seen = make(map[string]int)
+	} else if r.content != nil {
+		l.seen = parity.NewSizedRecoverer(len(r.content))
 	}
 	var window float64
 	if r.cfg.Repair {

@@ -86,7 +86,7 @@ type dataCounter struct {
 
 func (c *dataCounter) add(s seq.Sequence) {
 	for i := range s {
-		if s[i].Kind != seq.Data {
+		if !s[i].IsData() {
 			continue
 		}
 		k := s[i].Index

@@ -143,7 +143,7 @@ func TestHydrateCommitAllocs(t *testing.T) {
 	reenhanced := parity.Enhance(share[:60], 2)
 	nested := 0
 	for _, pkt := range reenhanced {
-		if _, held := c.ParityPayload(pkt.Key()); !pkt.IsData() && !held {
+		if _, held := c.ParityPayload(pkt); !pkt.IsData() && !held {
 			nested++
 		}
 	}
@@ -167,13 +167,32 @@ func TestHydrateCommitAllocs(t *testing.T) {
 	checkHydrated(t, hydrate(c, offTheWire(t, seq.Sequence{outer})), seq.Sequence{outer})
 
 	// What the content cannot back hydrates to nothing, not to a panic.
-	odd := seq.Sequence{{Kind: seq.Data, Index: 1 << 40, Pos: 1}, {Kind: seq.Data, Index: -1, Pos: 2},
-		{Kind: seq.Parity, Covers: []string{"x", "p(t1"}, Pos: 3}, {Kind: seq.Parity, Pos: 4}}
+	odd := seq.Sequence{{Index: 1 << 40, Pos: 1}, {Index: -1, Pos: 2}, seq.NewParity(nil, 4)}
 	for _, pkt := range hydrate(c, offTheWire(t, odd)) {
 		if pkt.Payload != nil {
 			t.Errorf("%v hydrated to %d bytes", pkt, len(pkt.Payload))
 		}
 	}
+	// What no packet spells — a parity covering a key that is not one, a
+	// data packet naming covers — does not decode at all.
+	for _, in := range [][]byte{oddPacket(seq.Parity, "x", "p(t1"), oddPacket(seq.Data, "t1")} {
+		r := wire.NewReader(append(wire.AppendUvarint(nil, 1), in...))
+		if got := seq.ReadSequence(&r); got != nil || r.Done() == nil {
+			t.Errorf("%q decoded to %v", in, got)
+		}
+		var body dataBody
+		if err := body.DecodeWire(in); err == nil {
+			t.Errorf("data body %q decoded to %v", in, body.Pkt)
+		}
+	}
+}
+
+// oddPacket is the wire form of a packet of the given kind at position
+// 3 naming the given covers, which no constructor builds unless they
+// are cover keys of a parity.
+func oddPacket(kind seq.Kind, covers ...string) []byte {
+	b := wire.AppendFloat(wire.AppendUvarint([]byte{byte(kind)}, 0), 3)
+	return wire.AppendBytes(wire.AppendStrings(b, covers), nil)
 }
 
 func checkHydrated(t *testing.T, got, want seq.Sequence) {

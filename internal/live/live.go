@@ -495,33 +495,26 @@ func hydrate(c *content.Content, s seq.Sequence) seq.Sequence {
 		case pkt.IsData():
 			pkt.Payload = c.Payload(pkt.Index)
 		default:
-			pkt.Payload = parityPayload(c, pkt.Key(), pkt.Covers)
+			pkt.Payload = parityPayload(c, pkt)
 		}
 		out[i] = pkt
 	}
 	return out
 }
 
-// parityPayload returns the payload of the parity packet with the given
-// identity key: the content's cached one, else the XOR of the packets
-// named by covers (parsed out of the key when the caller has none).
-func parityPayload(c *content.Content, key string, covers []string) []byte {
-	if pl, ok := c.ParityPayload(key); ok {
+// parityPayload returns the payload of parity packet p: the content's
+// cached one, else the XOR of the packets p covers.
+func parityPayload(c *content.Content, p seq.Packet) []byte {
+	if pl, ok := c.ParityPayload(p); ok {
 		return pl
-	}
-	if covers == nil {
-		var ok bool
-		if covers, ok = parity.CoversOf(key); !ok {
-			return nil
-		}
 	}
 	var few [8][]byte // a recovery segment is h packets; h is small
 	bufs := few[:0]
-	for _, ck := range covers {
-		if k, ok := parity.DataIndexOf(ck); ok {
-			bufs = append(bufs, c.Payload(k))
+	for i := 0; i < p.NumCovers(); i++ {
+		if cv := p.Cover(i); cv.IsData() {
+			bufs = append(bufs, c.Payload(cv.Index))
 		} else {
-			bufs = append(bufs, parityPayload(c, ck, nil))
+			bufs = append(bufs, parityPayload(c, cv))
 		}
 	}
 	return parity.XOR(bufs)

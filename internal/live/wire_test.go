@@ -434,8 +434,9 @@ func FuzzCodecDecodeGarbage(f *testing.F) {
 
 // The data path's allocation gates: encoding a packet into a buffer that
 // is large enough allocates nothing, decoding one allocates only its
-// Covers (the payload aliases the message), and the leaf's whole handler
-// stays within that.
+// identity — nothing for data, two blocks for a parity however nested
+// (the payload aliases the message) — and the leaf's whole handler stays
+// within that.
 func TestDataBodyAllocs(t *testing.T) {
 	data := dataBody{Pkt: seq.NewDataPayload(1234, make([]byte, 1024))}
 	par := dataBody{Pkt: sampleParity()}
@@ -445,7 +446,7 @@ func TestDataBodyAllocs(t *testing.T) {
 			t.Errorf("%s: AppendWire into a supplied buffer: %.0f allocs, want 0", name, got)
 		}
 		enc := b.AppendWire(nil)
-		limit := float64(1 + len(b.Pkt.Covers))
+		limit := float64(2 * min(b.Pkt.NumCovers(), 1))
 		var out dataBody
 		if got := testing.AllocsPerRun(100, func() {
 			if err := out.DecodeWire(enc); err != nil {
@@ -489,11 +490,13 @@ func TestBodyDecodeErrorsAreCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := src.Send("leaf", transport.Msg{Type: typeData, Payload: []byte{0, 1}}); err != nil {
-		t.Fatal(err)
+	for _, body := range [][]byte{{0, 1}, oddPacket(seq.Parity, "t1", "x")} {
+		if err := src.Send("leaf", transport.Msg{Type: typeData, Payload: body}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f.Wait()
-	for role, want := range map[string]int64{"peer": 3, "leaf": 1} {
+	for role, want := range map[string]int64{"peer": 3, "leaf": 2} {
 		if got := reg.Counter("live_body_decode_errors_total", "role", role, "reason", "decode").Value(); got != want {
 			t.Errorf("live_body_decode_errors_total{role=%q} = %d, want %d", role, got, want)
 		}
@@ -552,9 +555,26 @@ func benchParity() dataBody {
 	panic("no parity packet in an enhanced segment")
 }
 
-func BenchmarkCodecEncodeData(b *testing.B)    { benchEncode(b, benchData()) }
-func BenchmarkCodecEncodeParity(b *testing.B)  { benchEncode(b, benchParity()) }
-func BenchmarkCodecEncodeRequest(b *testing.B) { benchEncode(b, benchRequest()) }
+// benchParityNested is a parity of the second coordination level: the
+// re-enhanced share of a peer covers a first-level parity among its
+// data packets.
+func benchParityNested() dataBody {
+	share := seq.Div(parity.Enhance(seq.Range(1, 16), 4), 2, 0)
+	for _, p := range parity.Enhance(share, 4) {
+		for i := 0; i < p.NumCovers(); i++ {
+			if !p.Cover(i).IsData() {
+				p.Payload = make([]byte, 1024)
+				return dataBody{Pkt: p}
+			}
+		}
+	}
+	panic("no nested parity packet in a re-enhanced share")
+}
+
+func BenchmarkCodecEncodeData(b *testing.B)         { benchEncode(b, benchData()) }
+func BenchmarkCodecEncodeParity(b *testing.B)       { benchEncode(b, benchParity()) }
+func BenchmarkCodecEncodeRequest(b *testing.B)      { benchEncode(b, benchRequest()) }
+func BenchmarkCodecEncodeParityNested(b *testing.B) { benchEncode(b, benchParityNested()) }
 func BenchmarkCodecEncodeControl2048(b *testing.B) {
 	benchEncode(b, control2048())
 }
@@ -562,6 +582,9 @@ func BenchmarkCodecEncodeControl2048(b *testing.B) {
 func BenchmarkCodecDecodeData(b *testing.B)    { benchDecode(b, benchData(), new(dataBody)) }
 func BenchmarkCodecDecodeParity(b *testing.B)  { benchDecode(b, benchParity(), new(dataBody)) }
 func BenchmarkCodecDecodeRequest(b *testing.B) { benchDecode(b, benchRequest(), new(requestBody)) }
+func BenchmarkCodecDecodeParityNested(b *testing.B) {
+	benchDecode(b, benchParityNested(), new(dataBody))
+}
 func BenchmarkCodecDecodeControl2048(b *testing.B) {
 	benchDecode(b, control2048(), new(controlBody))
 }

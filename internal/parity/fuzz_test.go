@@ -9,7 +9,8 @@ import (
 )
 
 // Randomly nested parity packets round-trip through their identity keys:
-// CoversOf(p.Key()) returns exactly p.Covers at every nesting level.
+// CoversOf(p.Key()) returns exactly the keys of p's covers at every
+// nesting level.
 func TestCoversOfNestedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -25,12 +26,12 @@ func TestCoversOfNestedRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("CoversOf rejected constructed key %q", p.Key())
 			}
-			if len(covers) != len(p.Covers) {
-				t.Fatalf("CoversOf(%q) = %v, want %v", p.Key(), covers, p.Covers)
+			if len(covers) != p.NumCovers() {
+				t.Fatalf("CoversOf(%q) = %v, want %d covers", p.Key(), covers, p.NumCovers())
 			}
 			for i := range covers {
-				if covers[i] != p.Covers[i] {
-					t.Fatalf("cover %d = %q, want %q", i, covers[i], p.Covers[i])
+				if want := p.Cover(i).Key(); covers[i] != want {
+					t.Fatalf("cover %d = %q, want %q", i, covers[i], want)
 				}
 			}
 			pool = append(pool, p)

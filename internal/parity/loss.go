@@ -239,7 +239,7 @@ func (d *LossDetector) Arrive(sender int, p *seq.Packet, now float64, lost []int
 	if d.have > d.gained {
 		d.gained, d.since = d.have, now
 	}
-	if p.Kind == seq.Data && p.Index < d.cursor {
+	if p.IsData() && p.Index < d.cursor {
 		// A repair reply, a straggler already given up on, or a packet
 		// parity recovered first: its position says nothing about the
 		// sender's stream, but a streaming sender is still alive.

@@ -22,8 +22,6 @@ package parity
 import (
 	"crypto/subtle"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"p2pmss/internal/seq"
 )
@@ -42,6 +40,10 @@ func Enhance(s seq.Sequence, h int) seq.Sequence {
 		return nil
 	}
 	out := make(seq.Sequence, 0, len(s)+len(s)/h+1)
+	// Every packet is covered once: the parities' identities take one
+	// block of nodes and one of covers.
+	var a seq.Arena
+	a.Reserve((len(s)+h-1)/h, len(s))
 	for d := 0; d*h < len(s); d++ {
 		segStart := d * h
 		segEnd := segStart + h
@@ -53,7 +55,7 @@ func Enhance(s seq.Sequence, h int) seq.Sequence {
 		if offset > len(segment) {
 			offset = len(segment)
 		}
-		p := makeParity(s, segStart, segEnd, offset)
+		p := makeParity(&a, s, segStart, segEnd, offset)
 		out = append(out, segment[:offset]...)
 		out = append(out, p)
 		out = append(out, segment[offset:]...)
@@ -62,8 +64,8 @@ func Enhance(s seq.Sequence, h int) seq.Sequence {
 }
 
 // makeParity builds the parity packet for s[segStart:segEnd], positioned
-// for insertion at the given offset within the segment.
-func makeParity(s seq.Sequence, segStart, segEnd, offset int) seq.Packet {
+// for insertion at the given offset within the segment, its identity in a.
+func makeParity(a *seq.Arena, s seq.Sequence, segStart, segEnd, offset int) seq.Packet {
 	segment := s[segStart:segEnd]
 	var lo, hi float64
 	switch {
@@ -87,7 +89,7 @@ func makeParity(s seq.Sequence, segStart, segEnd, offset int) seq.Packet {
 		lo = segment[offset-1].Pos
 		hi = segment[offset].Pos
 	}
-	p := seq.NewParity(segment, seq.MidPos(lo, hi))
+	p := a.NewParity(segment, seq.MidPos(lo, hi))
 	p.Payload = xorPayloads(segment)
 	return p
 }
@@ -130,74 +132,6 @@ func XOR(bufs [][]byte) []byte {
 		subtle.XORBytes(out, out, b)
 	}
 	return out
-}
-
-// CoversOf parses a parity identity key "p(a,b,…)" into the keys of the
-// covered packets, honoring nesting. ok is false when key is not a parity
-// key.
-func CoversOf(key string) (covers []string, ok bool) {
-	covers, ok = appendCovers(nil, key)
-	if !ok {
-		return nil, false
-	}
-	return covers, true
-}
-
-// appendCovers is CoversOf appending to dst, so the Recoverer can parse
-// into a reused buffer. The covers are substrings of key. When ok is
-// false the returned slice may hold a partial parse past len(dst).
-func appendCovers(dst []string, key string) (covers []string, ok bool) {
-	if !strings.HasPrefix(key, "p(") || !strings.HasSuffix(key, ")") {
-		return dst, false
-	}
-	inner := key[2 : len(key)-1]
-	if inner == "" {
-		return dst, false
-	}
-	depth := 0
-	start := 0
-	for i := 0; i < len(inner); i++ {
-		switch inner[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				dst = append(dst, inner[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if depth != 0 {
-		return dst, false
-	}
-	return append(dst, inner[start:]), true
-}
-
-// DataKey returns the identity key "t<k>" of content data packet t_k.
-func DataKey(k int64) string {
-	return "t" + strconv.FormatInt(k, 10)
-}
-
-// DataIndexOf parses a data identity key "t<k>" back into its content
-// index. ok is false when key is not a data key. Only the canonical
-// spelling DataKey produces is accepted ("t07" and "t+7" are not t7):
-// identity is string equality, and the Recoverer files data packets by
-// index.
-func DataIndexOf(key string) (k int64, ok bool) {
-	if len(key) < 2 || key[0] != 't' {
-		return 0, false
-	}
-	k, err := strconv.ParseInt(key[1:], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	var buf [20]byte
-	if string(strconv.AppendInt(buf[:0], k, 10)) != key[1:] {
-		return 0, false
-	}
-	return k, true
 }
 
 // PerPeerRate returns the transmission rate τ(h+1)/(hH) each of H peers

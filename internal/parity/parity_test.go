@@ -108,6 +108,15 @@ func TestEnhanceSortedPositions(t *testing.T) {
 	}
 }
 
+// Esq builds the identities of all its parities in two blocks: the
+// enhanced Figure-12 content costs three allocations, not two per parity.
+func TestEnhanceAllocsConstant(t *testing.T) {
+	s := seq.Range(1, 30000)
+	if n := testing.AllocsPerRun(50, func() { Enhance(s, 9) }); n != 3 {
+		t.Errorf("Enhance(Range(1, 30000), 9): %.0f allocs, want 3", n)
+	}
+}
+
 func TestXOR(t *testing.T) {
 	a := []byte{0xF0, 0x0F}
 	b := []byte{0x0F, 0xF0, 0xAA}

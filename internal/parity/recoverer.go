@@ -33,15 +33,14 @@ type Recoverer struct {
 	links []link
 	// dense maps content index k to its node for 0 <= k < len(dense)
 	// (sized once, from the constructor's hint); sparse holds the data
-	// packets outside that range, ids every non-data identity.
+	// packets outside that range. ids maps a parity identity's hash to
+	// its node, which chains other identities with that hash (next).
 	dense  []int32
 	sparse map[int64]int32
-	ids    map[string]int32
+	ids    map[uint64]int32
 	// work is the stack of parity nodes whose counter or own presence
 	// changed and that drain has yet to check.
 	work []int32
-	// covers is the parse stack of internKey.
-	covers []string
 
 	present     int
 	recovered   int
@@ -54,14 +53,15 @@ type Recoverer struct {
 
 // node is one packet identity.
 type node struct {
-	payload []byte
-	index   int64 // content index, for data nodes
+	// pkt is the identity — the content index of a data node, the
+	// identity node of a parity node — and, once present, the payload.
+	pkt     seq.Packet
 	covered int32 // first link whose cover is this node
 	// A parity node's covers are links[first:first+n]; missing counts
 	// those whose cover is not present. n is 0 for every other node.
 	first, n, missing int32
-	data              bool
-	present           bool // received or derived
+	next              int32 // next parity node whose identity has pkt's hash
+	present           bool  // received or derived
 	received          bool
 }
 
@@ -84,7 +84,7 @@ func NewSizedRecoverer(dataPackets int) *Recoverer {
 		// n cover links; deeper or denser enhancement grows the slices.
 		nodes:  make([]node, 1, 1+n+n/2),
 		links:  make([]link, 1, 1+n),
-		ids:    make(map[string]int32, n/2),
+		ids:    make(map[uint64]int32, n/2),
 		sparse: make(map[int64]int32),
 	}
 	if n > 0 {
@@ -97,25 +97,14 @@ func NewSizedRecoverer(dataPackets int) *Recoverer {
 // reports whether this is the first receipt of the packet's identity; a
 // packet derived before its own arrival is still new when it arrives.
 func (r *Recoverer) Add(p seq.Packet) bool {
-	if p.Kind == seq.Data {
-		return r.receive(r.internData(p.Index), p.Payload)
-	}
-	return r.AddKey(p.Key(), p.Payload)
-}
-
-// AddKey is Add for a packet given by identity key and payload.
-func (r *Recoverer) AddKey(key string, payload []byte) bool {
-	return r.receive(r.internKey(key), payload)
-}
-
-func (r *Recoverer) receive(id int32, payload []byte) bool {
+	id := r.intern(p)
 	nd := &r.nodes[id]
 	if nd.received {
 		return false
 	}
 	nd.received = true
 	if !nd.present {
-		r.markPresent(id, payload)
+		r.markPresent(id, p.Payload)
 	}
 	r.drain()
 	return true
@@ -126,14 +115,9 @@ func (r *Recoverer) receive(id int32, payload []byte) bool {
 // per index. Pass nil to clear. fn must not call back into the Recoverer.
 func (r *Recoverer) OnData(fn func(k int64)) { r.onData = fn }
 
-// Has reports whether the packet with the given key is present (received
+// Has reports whether a packet with p's identity is present (received
 // or recovered).
-func (r *Recoverer) Has(key string) bool {
-	if k, ok := DataIndexOf(key); ok {
-		return r.HasData(k)
-	}
-	return r.nodes[r.ids[key]].present
-}
+func (r *Recoverer) Has(p seq.Packet) bool { return r.nodes[r.lookup(&p)].present }
 
 // HasData reports whether content data packet t_k is present.
 func (r *Recoverer) HasData(k int64) bool {
@@ -143,7 +127,7 @@ func (r *Recoverer) HasData(k int64) bool {
 // DataPayload returns the payload of data packet t_k if present.
 func (r *Recoverer) DataPayload(k int64) ([]byte, bool) {
 	nd := &r.nodes[r.lookupData(k)]
-	return nd.payload, nd.present
+	return nd.pkt.Payload, nd.present
 }
 
 // Recovered returns how many packets have been derived (not directly
@@ -172,7 +156,7 @@ func (r *Recoverer) internData(k int64) int32 {
 	}
 	id = r.newNode()
 	nd := &r.nodes[id]
-	nd.data, nd.index = true, k
+	nd.pkt.Index = k
 	if uint64(k) < uint64(len(r.dense)) {
 		r.dense[k] = id
 	} else {
@@ -181,46 +165,55 @@ func (r *Recoverer) internData(k int64) int32 {
 	return id
 }
 
-// internKey returns the node of the packet with the given identity key.
-// A new parity key registers its recovery rule and, recursively, those of
-// its nested parity covers.
-func (r *Recoverer) internKey(key string) int32 {
-	if k, ok := DataIndexOf(key); ok {
-		return r.internData(k)
+// lookup returns the node of p's identity, or 0.
+func (r *Recoverer) lookup(p *seq.Packet) int32 {
+	if p.IsData() {
+		return r.lookupData(p.Index)
 	}
-	if id, ok := r.ids[key]; ok {
+	id := r.ids[p.Hash()]
+	for id != 0 && !seq.SameIdentity(&r.nodes[id].pkt, p) {
+		id = r.nodes[id].next
+	}
+	return id
+}
+
+// intern returns the node of p's identity, creating it if new. A new
+// parity registers its recovery rule and, recursively, those of its
+// nested parity covers.
+func (r *Recoverer) intern(p seq.Packet) int32 {
+	if p.IsData() {
+		return r.internData(p.Index)
+	}
+	if id := r.lookup(&p); id != 0 {
 		return id
 	}
-	id := r.newNode()
-	r.ids[key] = id
-	// The covers are parsed onto a stack shared with the recursive
-	// calls, and the rule's links reserved before them, so the links of
-	// one rule stay contiguous. Nothing below holds a pointer across a
-	// recursive call: each may grow nodes, links and covers.
-	base := len(r.covers)
-	var ok bool
-	r.covers, ok = appendCovers(r.covers, key)
-	if ok {
-		n := len(r.covers) - base
-		first := len(r.links)
-		r.links = append(r.links, make([]link, n)...)
-		missing := int32(0)
-		for i := 0; i < n; i++ {
-			c := r.internKey(r.covers[base+i])
-			l := int32(first + i)
-			r.links[l] = link{cover: c, rule: id, next: r.nodes[c].covered}
-			r.nodes[c].covered = l
-			if !r.nodes[c].present {
-				missing++
-			}
-		}
-		nd := &r.nodes[id]
-		nd.first, nd.n, nd.missing = int32(first), int32(n), missing
-		// A nested parity first seen with every cover already present
-		// can be rebuilt at once.
-		r.work = append(r.work, id)
+	id, h := r.newNode(), p.Hash()
+	nd := &r.nodes[id]
+	nd.pkt, nd.next = p, r.ids[h]
+	r.ids[h] = id
+	n := p.NumCovers()
+	if n == 0 {
+		return id
 	}
-	r.covers = r.covers[:base]
+	// The rule's links are reserved before its covers are interned, so
+	// they stay contiguous; nothing holds a pointer across a recursive
+	// call, which may grow nodes and links.
+	first := len(r.links)
+	r.links = append(r.links, make([]link, n)...)
+	missing := int32(0)
+	for i := 0; i < n; i++ {
+		c, l := r.intern(p.Cover(i)), int32(first+i)
+		r.links[l] = link{cover: c, rule: id, next: r.nodes[c].covered}
+		r.nodes[c].covered = l
+		if !r.nodes[c].present {
+			missing++
+		}
+	}
+	nd = &r.nodes[id]
+	nd.first, nd.n, nd.missing = int32(first), int32(n), missing
+	// A nested parity first seen with every cover already present can be
+	// rebuilt at once.
+	r.work = append(r.work, id)
 	return id
 }
 
@@ -234,12 +227,12 @@ func (r *Recoverer) newNode() int32 {
 // state the change touched.
 func (r *Recoverer) markPresent(id int32, payload []byte) {
 	nd := &r.nodes[id]
-	nd.present, nd.payload = true, payload
+	nd.present, nd.pkt.Payload = true, payload
 	r.present++
-	if nd.data {
+	if nd.pkt.IsData() {
 		r.dataPresent++
 		if r.onData != nil {
-			r.onData(nd.index)
+			r.onData(nd.pkt.Index)
 		}
 	}
 	for l := nd.covered; l != 0; l = r.links[l].next {
@@ -282,11 +275,11 @@ func (r *Recoverer) drain() {
 func (r *Recoverer) xor(rule *node, skip int32) []byte {
 	maxLen := 0
 	if skip != 0 {
-		maxLen = len(rule.payload)
+		maxLen = len(rule.pkt.Payload)
 	}
 	for l := rule.first; l < rule.first+rule.n; l++ {
 		if l != skip {
-			maxLen = max(maxLen, len(r.nodes[r.links[l].cover].payload))
+			maxLen = max(maxLen, len(r.nodes[r.links[l].cover].pkt.Payload))
 		}
 	}
 	if maxLen == 0 {
@@ -294,11 +287,11 @@ func (r *Recoverer) xor(rule *node, skip int32) []byte {
 	}
 	out := make([]byte, maxLen)
 	if skip != 0 {
-		subtle.XORBytes(out, out, rule.payload)
+		subtle.XORBytes(out, out, rule.pkt.Payload)
 	}
 	for l := rule.first; l < rule.first+rule.n; l++ {
 		if l != skip {
-			subtle.XORBytes(out, out, r.nodes[r.links[l].cover].payload)
+			subtle.XORBytes(out, out, r.nodes[r.links[l].cover].pkt.Payload)
 		}
 	}
 	return out

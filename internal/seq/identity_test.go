@@ -5,7 +5,22 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"p2pmss/internal/wire"
 )
+
+// parseKey returns a packet with the identity key, and no position or
+// payload; ok is false unless key is one Key returns. It decodes the key
+// as the one cover of a parity packet on the wire.
+func parseKey(key string) (p Packet, ok bool) {
+	b := wire.AppendFloat([]byte{byte(Parity), 0}, 0)
+	b = wire.AppendBytes(wire.AppendString(wire.AppendUvarint(b, 1), key), nil)
+	r := wire.NewReader(b)
+	if q := ReadPacket(&r); r.Done() == nil {
+		return q.Cover(0), true
+	}
+	return Packet{}, false
+}
 
 // dedupe removes adjacent duplicate identities from a sorted sequence,
 // in place. With mergeThenDedupe it is the two-pass reference that the
@@ -161,24 +176,31 @@ func canonical(t *testing.T, label string, s Sequence) {
 	}
 }
 
-// The cached identity must always agree with the computed key, for both
-// constructors and for struct literals that bypass them.
+// The identity a packet carries must always agree with its key: parsing
+// the key back gives the same identity and the same key, for
+// constructed packets, for a struct literal of a data packet, and for a
+// parity spelled only by its key.
 func TestCachedIdentityEqualsComputedKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
 		for _, p := range randomSequence(rng, 40) {
-			if p.Key() != computeKey(p) {
-				t.Fatalf("cached key %q != computed %q", p.Key(), computeKey(p))
+			q, ok := parseKey(p.Key())
+			if !ok || !SameIdentity(&q, &p) || q.Key() != p.Key() {
+				t.Fatalf("key %q parses back to %q (%v)", p.Key(), q.Key(), ok)
 			}
 		}
 	}
-	lit := Packet{Kind: Data, Index: 12}
+	lit := Packet{Index: 12}
 	if lit.Key() != "t12" {
 		t.Errorf("literal data key = %q", lit.Key())
 	}
-	plit := Packet{Kind: Parity, Covers: []string{"t1", "p(t2,t3)"}}
-	if plit.Key() != "p(t1,p(t2,t3))" {
-		t.Errorf("literal parity key = %q", plit.Key())
+	plit, ok := parseKey("p(t1,p(t2,t3))")
+	if !ok || plit.Key() != "p(t1,p(t2,t3))" || plit.String() != plit.Key() {
+		t.Errorf("parsed parity key = %q (%v)", plit.Key(), ok)
+	}
+	built := NewParity([]Packet{NewData(1), NewParity([]Packet{NewData(2), NewData(3)}, 2.5)}, 1.5)
+	if !SameIdentity(&plit, &built) || CompareIdentity(&plit, &built) != 0 {
+		t.Error("parsed and constructed p(t1,p(t2,t3)) not identical")
 	}
 	t12, t13 := NewData(12), NewData(13)
 	if !SameIdentity(&lit, &t12) {

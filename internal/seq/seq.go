@@ -9,6 +9,11 @@
 // packets (possibly parity packets themselves, since subsequences are
 // re-enhanced at each coordination level, cf. §3.6's t⟨5,⟨7,8⟩⟩).
 //
+// Identity. A Packet is 48 bytes with no string: a data packet's identity
+// is its index, a parity packet's an immutable shared node (ident.go),
+// compared structurally. Key spells it for people, the wire, Less at one
+// position and unsorted Intersect; a decoded packet is a constructed one.
+//
 // Ordering. Every packet carries a Pos value fixing its place in the
 // stream a peer transmits. Data packet t_k has Pos k; a parity packet
 // inserted between two packets gets the midpoint of their positions, so
@@ -27,11 +32,9 @@
 package seq
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -57,114 +60,109 @@ func (k Kind) String() string {
 	}
 }
 
-// Packet is the unit of transmission in the MSS model.
-//
-// The zero value is not a valid packet; construct packets with NewData and
-// NewParity so identity and position are consistent.
+// Packet is the unit of transmission in the MSS model. A data packet is
+// {Index, Pos, Payload}; a parity packet also points at its identity.
+// Construct packets with NewData and NewParity (or Arena.NewParity, or
+// decode them) so identity and position are consistent.
 type Packet struct {
-	// Kind is Data or Parity.
-	Kind Kind
 	// Index is the 1-based content index of a data packet (t_Index).
 	// Zero for parity packets.
 	Index int64
-	// Covers holds the identity keys of the packets a parity packet
-	// protects, in stream order. Nil for data packets.
-	Covers []string
 	// Pos is the packet's position in the transmission stream. Data
 	// packet t_k has Pos k; parity packets carry fractional positions.
 	Pos float64
 	// Payload is the packet body. Experiments that only count packets
 	// leave it nil; the content and live layers fill it in.
 	Payload []byte
-	// key caches the identity string so the §2 set algebra never
-	// re-derives it on the hot path. Unexported (and so absent from
-	// serialized packets); Key() falls back to computing it for packets
-	// decoded from the wire or built as struct literals.
-	key string
+	// id is a parity packet's identity, nil for a data packet.
+	id *ident
 }
 
 // NewData returns the content data packet t_index (1-based).
 func NewData(index int64) Packet {
-	p := Packet{Kind: Data, Index: index, Pos: float64(index)}
-	p.key = computeKey(p)
-	return p
+	return Packet{Index: index, Pos: float64(index)}
 }
 
 // NewDataPayload returns t_index carrying the given payload.
 func NewDataPayload(index int64, payload []byte) Packet {
-	p := NewData(index)
-	p.Payload = payload
-	return p
+	return Packet{Index: index, Pos: float64(index), Payload: payload}
 }
 
 // NewParity returns a parity packet covering the given packets, positioned
-// at pos. The covered packets' keys are recorded in stream order.
+// at pos. The covered packets' identities are recorded in stream order.
 func NewParity(covered []Packet, pos float64) Packet {
-	keys := make([]string, len(covered))
-	for i, c := range covered {
-		keys[i] = c.Key()
+	var a Arena
+	return a.NewParity(covered, pos)
+}
+
+// Kind returns Data or Parity.
+func (p Packet) Kind() Kind {
+	if p.id == nil {
+		return Data
 	}
-	p := Packet{Kind: Parity, Covers: keys, Pos: pos}
-	p.key = computeKey(p)
-	return p
+	return Parity
+}
+
+// IsData reports whether p is a content data packet.
+func (p Packet) IsData() bool { return p.id == nil }
+
+// NumCovers returns how many packets a parity packet covers (0 for data).
+func (p Packet) NumCovers() int { return len(p.covers()) }
+
+func (p Packet) covers() []ref {
+	if p.id == nil {
+		return nil
+	}
+	return p.id.covers
+}
+
+// Cover returns the i-th packet p covers, with no position or payload.
+func (p Packet) Cover(i int) Packet {
+	c := p.id.covers[i]
+	return Packet{Index: c.index, id: c.node}
+}
+
+// Hash hashes p's identity: it rules a match out, SameIdentity decides.
+func (p Packet) Hash() uint64 { return p.ref().hash() }
+
+func (p Packet) ref() ref {
+	if p.id != nil {
+		return ref{node: p.id}
+	}
+	return ref{index: p.Index}
 }
 
 // Key returns the packet's identity: "t<k>" for data packet t_k and
 // "p(<keys>)" for a parity packet, matching the paper's t⟨…⟩ notation.
-// Two packets with equal keys carry the same bytes. Packets built with
-// NewData/NewParity return a cached string; others compute it.
-func (p Packet) Key() string { return idOf(&p) }
-
-// computeKey derives the identity string from the packet's fields.
-func computeKey(p Packet) string {
-	if p.Kind == Data {
-		return "t" + strconv.FormatInt(p.Index, 10)
-	}
-	return "p(" + strings.Join(p.Covers, ",") + ")"
+// Two packets with equal keys carry the same bytes.
+func (p Packet) Key() string {
+	var buf [64]byte
+	return string(appendKey(buf[:0], p.ref()))
 }
 
 // SameIdentity reports whether a and b are the same packet (equal
-// identity keys) without building key strings: data packets compare by
-// index, parity packets by their cached keys. It takes pointers so merge
-// loops compare elements of their operands in place instead of copying
-// two 88-byte structs per comparison.
+// identity keys): data packets compare by index, parity packets by their
+// identity nodes, structurally. No key string is built.
 func SameIdentity(a, b *Packet) bool {
-	if a.Kind != b.Kind {
-		return false
+	if a.id == nil || b.id == nil {
+		return a.id == b.id && a.Index == b.Index
 	}
-	if a.Kind == Data {
-		return a.Index == b.Index
-	}
-	return idOf(a) == idOf(b)
+	return sameNode(a.id, b.id)
 }
 
 // CompareIdentity orders packets by identity — data before parity, data
-// packets by index, parity packets by identity key — for sorting and
-// searching by identity. It is 0 exactly when SameIdentity holds, and
-// builds no key string for a packet that has one cached.
-func CompareIdentity(a, b *Packet) int {
-	switch {
-	case a.Kind != b.Kind:
-		return cmp.Compare(a.Kind, b.Kind)
-	case a.Kind == Data:
-		return cmp.Compare(a.Index, b.Index)
-	}
-	return strings.Compare(idOf(a), idOf(b))
-}
-
-// idOf is Key on a packet left where it is.
-func idOf(p *Packet) string {
-	if p.key != "" {
-		return p.key
-	}
-	return computeKey(*p)
-}
-
-// IsData reports whether p is a content data packet.
-func (p Packet) IsData() bool { return p.Kind == Data }
+// packets by index, parity packets by identity hash and then
+// structurally — for sorting and searching by identity. It is 0 exactly
+// when SameIdentity holds, and builds no key string.
+func CompareIdentity(a, b *Packet) int { return compareRef(a.ref(), b.ref()) }
 
 // String renders the packet in the paper's notation.
 func (p Packet) String() string { return p.Key() }
+
+// GoString is %#v of the packet, its identity spelled as its key.
+func (p Packet) GoString() string {
+	return fmt.Sprintf("seq.Packet{Index:%d, Pos:%#v, Payload:%#v, Key:%q}", p.Index, p.Pos, p.Payload, p.Key())
+}
 
 // Sequence is an ordered sequence of packets, sorted by Pos (ties broken
 // by identity key so ordering is total and deterministic).
@@ -197,7 +195,8 @@ func Less(a, b *Packet) bool {
 	if a.Pos != b.Pos {
 		return a.Pos < b.Pos
 	}
-	return idOf(a) < idOf(b)
+	var ka, kb [64]byte
+	return string(appendKey(ka[:0], a.ref())) < string(appendKey(kb[:0], b.ref()))
 }
 
 // Sort sorts the sequence in place into canonical order.

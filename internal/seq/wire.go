@@ -2,6 +2,8 @@ package seq
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"slices"
 
 	"p2pmss/internal/wire"
@@ -18,7 +20,9 @@ import (
 //
 // and a sequence is a uvarint count followed by that many packets. The
 // live data message carries one packet; control and commit carry their
-// payload-stripped Assigned sequences in the same form.
+// payload-stripped Assigned sequences in the same form. A data packet has
+// no covers; a cover key is "t<k>", k spelled as strconv.FormatInt spells
+// it, or "p(" comma-separated cover keys ")". Anything else is malformed.
 
 // minWirePacket is the size of the smallest encoded packet (no covers,
 // no payload): the bound ReadSequence checks a count against.
@@ -26,70 +30,54 @@ const minWirePacket = 1 + 1 + 8 + 1 + 1
 
 // AppendPacket appends p's wire form to b, growing b at most once.
 func AppendPacket(b []byte, p Packet) []byte {
+	covers := p.covers()
 	size := minWirePacket + 3*(binary.MaxVarintLen64-1) + len(p.Payload)
-	for _, c := range p.Covers {
-		size += binary.MaxVarintLen64 + len(c)
+	for _, c := range covers {
+		size += binary.MaxVarintLen64 + keyLen(c)
 	}
 	b = slices.Grow(b, size)
-	b = append(b, byte(p.Kind))
+	b = append(b, byte(p.Kind()))
 	b = wire.AppendUvarint(b, uint64(p.Index))
 	b = wire.AppendFloat(b, p.Pos)
-	b = wire.AppendStrings(b, p.Covers)
+	b = wire.AppendUvarint(b, uint64(len(covers)))
+	for _, c := range covers {
+		b = wire.AppendUvarint(b, uint64(keyLen(c)))
+		b = appendKey(b, c)
+	}
 	return wire.AppendBytes(b, p.Payload)
 }
 
 // ReadPacket decodes one packet. Its Payload aliases the reader's input;
-// Covers are copies. A kind other than Data or Parity fails the reader.
-// A parity packet comes back with its identity key already built (see
-// readIdentity), so nothing downstream joins its covers again.
+// a parity's identity is the node its constructor builds, made in two
+// allocations whatever its cover count or nesting. An unknown kind, a
+// data packet naming covers, or a malformed cover key fails the reader.
 func ReadPacket(r *wire.Reader) Packet {
 	kind := Kind(r.Byte())
-	if kind > Parity {
+	p := Packet{Index: int64(r.Uvarint()), Pos: r.Float()}
+	n := r.Count(1)
+	if kind > Parity || kind == Data && n > 0 {
 		r.Invalid()
 	}
-	p := Packet{Kind: kind, Index: int64(r.Uvarint()), Pos: r.Float()}
-	if kind == Parity {
-		p.key, p.Covers = readIdentity(r)
-	} else {
-		p.Covers = r.Strings()
+	covers := *r // read again below to build the identity
+	var d keyReader
+	for i := 0; i < n; i++ {
+		if c := r.Bytes(); len(c) == 0 || d.cover(c, 0) != len(c) {
+			r.Invalid()
+		}
 	}
 	p.Payload = r.Bytes()
-	return p
-}
-
-// readIdentity reads a parity packet's cover list and builds the identity
-// "p(a,b)" that computeKey would, once: the key is assembled from the
-// cover bytes still in the reader's input (on the stack when it is
-// short), made a string, and Covers are substrings of it — two
-// allocations whatever the cover count (three for a key past 64 bytes),
-// and none later when Key is asked. An empty list yields no key (Key
-// computes "p()" on demand).
-func readIdentity(r *wire.Reader) (key string, covers []string) {
-	n := r.Count(1)
-	if n == 0 {
-		return "", nil
-	}
-	var short [64]byte
-	buf := append(short[:0], "p("...)
-	views := *r // walked again below for the cover boundaries
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, r.Bytes()...)
-	}
 	if r.Err() != nil {
-		return "", nil
+		return Packet{}
 	}
-	key = string(append(buf, ')'))
-	covers = make([]string, n)
-	off := len("p(")
-	for i := range covers {
-		end := off + len(views.Bytes())
-		covers[i] = key[off:end]
-		off = end + 1
+	if kind == Parity {
+		d.a.Reserve(d.nodes+1, d.refs)
+		d.build, d.top = true, d.refs
+		for i := 0; i < n; i++ {
+			d.cover(covers.Bytes(), 0)
+		}
+		p.id = d.close(d.refs)
 	}
-	return key, covers
+	return p
 }
 
 // AppendSequence appends the counted wire form of s to b.
@@ -116,4 +104,60 @@ func ReadSequence(r *wire.Reader) Sequence {
 		return nil
 	}
 	return s
+}
+
+// jsonPacket is a packet's JSON form: the struct encoding/json wrote
+// when a packet spelled its identity out, kept for mssim -json and its
+// readers.
+type jsonPacket struct {
+	Kind    Kind
+	Index   int64
+	Covers  []string
+	Pos     float64
+	Payload []byte
+}
+
+func (p Packet) json() jsonPacket {
+	v := jsonPacket{Kind: p.Kind(), Index: p.Index, Pos: p.Pos, Payload: p.Payload}
+	if p.id != nil {
+		v.Covers = make([]string, len(p.id.covers))
+	}
+	for i := range v.Covers {
+		v.Covers[i] = p.Cover(i).Key()
+	}
+	return v
+}
+
+// MarshalJSON writes the packet's JSON form.
+func (p Packet) MarshalJSON() ([]byte, error) { return json.Marshal(p.json()) }
+
+// MarshalJSON writes the JSON form of every packet in one call.
+func (s Sequence) MarshalJSON() ([]byte, error) {
+	if s == nil {
+		return []byte("null"), nil
+	}
+	v := make([]jsonPacket, len(s))
+	for i := range s {
+		v[i] = s[i].json()
+	}
+	return json.Marshal(v)
+}
+
+// UnmarshalJSON reads a packet's JSON form, accepting exactly the
+// packets ReadPacket accepts.
+func (p *Packet) UnmarshalJSON(b []byte) error {
+	var v jsonPacket
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	enc := wire.AppendFloat(wire.AppendUvarint([]byte{byte(v.Kind)}, uint64(v.Index)), v.Pos)
+	enc = wire.AppendBytes(wire.AppendStrings(enc, v.Covers), nil)
+	r := wire.NewReader(enc)
+	q := ReadPacket(&r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("seq: packet %s: %w", b, err)
+	}
+	q.Payload = v.Payload
+	*p = q
+	return nil
 }
