@@ -169,10 +169,10 @@ func (c *Content) dropDerived() {
 // received packet (data or parity, any order, duplicates fine); parity
 // recovery runs automatically.
 type Assembler struct {
-	size       int // total bytes
-	packetSize int
-	numPackets int64
-	recov      *parity.Recoverer
+	// recov keeps the content: each data payload is copied once, into its
+	// slot of one buffer allocated on the first non-empty payload, so an
+	// assembler fed payload-free packets (the simulator's) allocates none.
+	recov *parity.Recoverer
 	// loss is the missing set, fed incrementally from the recoverer's
 	// data hook: the leaf consults Have around every arrival, and a
 	// per-arrival scan of all l packets made delivery O(l²).
@@ -190,8 +190,7 @@ func NewAssembler(size, packetSize int) *Assembler {
 		n = int64((size + packetSize - 1) / packetSize)
 	}
 	a := &Assembler{
-		size: size, packetSize: packetSize, numPackets: n,
-		recov: parity.NewSizedRecoverer(int(n)), loss: parity.NewLossDetector(int(n)),
+		recov: parity.NewContentRecoverer(size, packetSize), loss: parity.NewLossDetector(int(n)),
 	}
 	// Out-of-range indices (a peer serving a different content) do not
 	// count toward completion; the detector ignores them.
@@ -200,7 +199,9 @@ func NewAssembler(size, packetSize int) *Assembler {
 }
 
 // Add feeds one received packet and reports whether it is the first
-// receipt of that packet (false for a duplicate delivery).
+// receipt of that packet (false for a duplicate delivery). It keeps no
+// reference to p.Payload: a data payload is copied into its place in the
+// content, a parity's only while a recovery may still read it.
 func (a *Assembler) Add(p seq.Packet) bool { return a.recov.Add(p) }
 
 // Detector returns the assembler's missing set, which a leaf arms as its
@@ -224,18 +225,13 @@ func (a *Assembler) HasData(k int64) bool { return a.recov.HasData(k) }
 // Recovered returns how many packets parity recovery derived.
 func (a *Assembler) Recovered() int { return a.recov.Recovered() }
 
-// Bytes reconstructs the content. ok is false while packets are missing.
+// Bytes returns the content. ok is false while packets are missing, or
+// when payloads fell short of filling it (a corrupt or payload-free
+// stream). The result is the assembler's own buffer, not a copy: it is
+// read-only, and nothing writes to it once the content is complete.
 func (a *Assembler) Bytes() (data []byte, ok bool) {
 	if !a.Complete() {
 		return nil, false
 	}
-	out := make([]byte, 0, a.size)
-	for k := int64(1); k <= a.numPackets; k++ {
-		b, _ := a.recov.DataPayload(k)
-		out = append(out, b...)
-	}
-	if len(out) < a.size {
-		return nil, false // truncated payloads (corrupt stream)
-	}
-	return out[:a.size], true
+	return a.recov.Content()
 }

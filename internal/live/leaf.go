@@ -329,7 +329,9 @@ func (l *Leaf) Wait(timeout time.Duration) error {
 // state is reaped from its node.
 func (l *Leaf) Done() <-chan struct{} { return l.done }
 
-// Bytes returns the reassembled content once complete.
+// Bytes returns the reassembled content once complete. The result is
+// the leaf's assembler buffer, not a copy: read-only, and written by
+// nothing once the content is complete.
 func (l *Leaf) Bytes() ([]byte, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

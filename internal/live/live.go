@@ -483,15 +483,19 @@ func stripPayloads(s seq.Sequence) seq.Sequence {
 // the content does not hold is XORed here from the packets it covers —
 // recursively, since re-enhancement at each coordination level nests
 // parity over parity, and what a nested parity covers depends on the
-// session's hand-off marks, not on the content alone.
+// session's hand-off marks, not on the content alone. Bytes the message
+// itself carried are dropped: they are borrowed from the transport
+// (senders strip them anyway), and without a content the packets stay
+// payload-free.
 func hydrate(c *content.Content, s seq.Sequence) seq.Sequence {
-	if c == nil || s == nil {
-		return s
+	if s == nil {
+		return nil
 	}
 	out := make(seq.Sequence, len(s))
 	for i, pkt := range s {
 		switch {
-		case pkt.Payload != nil:
+		case c == nil:
+			pkt.Payload = nil
 		case pkt.IsData():
 			pkt.Payload = c.Payload(pkt.Index)
 		default:
@@ -880,6 +884,7 @@ func (p *Peer) kick() {
 // is due and sends without sleeping while it is behind.
 func (p *Peer) streamLoop() {
 	var pace pacer
+	var buf []byte // every packet is encoded into it: Send keeps no reference
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	defer timer.Stop()
@@ -919,14 +924,15 @@ func (p *Peer) streamLoop() {
 			default:
 			}
 		}
-		p.sendOne()
+		buf = p.sendOne(buf)
 	}
 }
 
 // sendOne transmits the next packet of the schedule, switching first
 // when the next packet has reached the planned switch's mark (or the
-// stream has run out).
-func (p *Peer) sendOne() {
+// stream has run out). The packet is encoded into buf, which it returns
+// for the next call.
+func (p *Peer) sendOne(buf []byte) []byte {
 	p.mu.Lock()
 	if p.st.Due() {
 		p.st.Switch()
@@ -934,7 +940,7 @@ func (p *Peer) sendOne() {
 	pkt, ok := p.st.Next()
 	if !ok {
 		p.mu.Unlock()
-		return
+		return buf
 	}
 	p.sent++
 	p.lastTouch = time.Now()
@@ -942,9 +948,12 @@ func (p *Peer) sendOne() {
 	p.mu.Unlock()
 	p.met.sent.Inc()
 	// The per-packet path builds the message itself: going through sendBody
-	// would box a dataBody in an interface for every packet.
+	// would box a dataBody in an interface and allocate a buffer for every
+	// packet.
+	buf = seq.AppendPacket(buf[:0], pkt)
 	p.ep.Send(leaf, transport.Msg{ //nolint:errcheck // a vanished leaf ends the session; repair handles the rest
 		Type: typeData, From: p.Addr(), Session: string(p.cfg.Session),
-		Payload: seq.AppendPacket(nil, pkt),
+		Payload: buf,
 	})
+	return buf
 }

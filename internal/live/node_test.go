@@ -127,20 +127,30 @@ func TestNodeSessionsChaos(t *testing.T) {
 	// The node gauges saw the sessions. Completed leaves are reaped, so
 	// every session is either still active or counted by the reaper:
 	// active + reaped must account for exactly the sessions opened, and
-	// the gauge must never go negative (no double decrement).
+	// the gauge must never go negative (no double decrement). A snapshot
+	// reads the counters before the gauges, so one taken while the reaper
+	// moves a leaf from one to the other can miss it in both: the sum is
+	// judged once the reaper has settled.
 	var leafGauge, leafReaped float64
-	for _, g := range snap.Gauges {
-		if g.Name == "live_node_sessions_active" && label(g.Labels, "role") == "leaf" {
-			if g.Value < 0 {
-				t.Errorf("live_node_sessions_active{role=leaf,%v} went negative: %v", g.Labels, g.Value)
+	for deadline := time.Now().Add(5 * time.Second); ; snap = reg.Snapshot() {
+		leafGauge, leafReaped = 0, 0
+		for _, g := range snap.Gauges {
+			if g.Name == "live_node_sessions_active" && label(g.Labels, "role") == "leaf" {
+				if g.Value < 0 {
+					t.Errorf("live_node_sessions_active{role=leaf,%v} went negative: %v", g.Labels, g.Value)
+				}
+				leafGauge += g.Value
 			}
-			leafGauge += g.Value
 		}
-	}
-	for _, c := range snap.Counters {
-		if c.Name == "live_node_sessions_reaped_total" && label(c.Labels, "role") == "leaf" {
-			leafReaped += float64(c.Value)
+		for _, c := range snap.Counters {
+			if c.Name == "live_node_sessions_reaped_total" && label(c.Labels, "role") == "leaf" {
+				leafReaped += float64(c.Value)
+			}
 		}
+		if leafGauge+leafReaped == sessions || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if leafGauge+leafReaped != sessions {
 		t.Errorf("leaf sessions active(%v) + reaped(%v) = %v, want %d",

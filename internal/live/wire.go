@@ -11,7 +11,8 @@ import (
 // (DESIGN.md §9 has the byte layouts). AppendWire never fails; DecodeWire
 // replaces the receiver, rejects trailing bytes, and checks every count
 // against the input that remains before allocating for it. Decoded
-// packet payloads alias the input (see transport.Msg.Payload).
+// packet payloads alias the input, a borrowed transport.Msg.Payload:
+// a handler copies what it keeps.
 
 func (b requestBody) AppendWire(buf []byte) []byte {
 	buf = wire.AppendStrings(buf, b.Roster)

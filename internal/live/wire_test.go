@@ -389,9 +389,9 @@ func allocatedBy(fn func()) uint64 {
 // a socket would) and to every body decoder (as a well-framed message
 // with a hostile body would). None may panic, none may allocate more
 // than a small multiple of its input however large the lengths inside
-// claim to be, the frame decoder must not keep a reference into the
-// read buffer, and a body that does decode is the one spelling of its
-// value.
+// claim to be, the frame decoder's names must not keep a reference into
+// the read buffer (its payload borrows the buffer's tail), and a body
+// that does decode is the one spelling of its value.
 func FuzzCodecDecodeGarbage(f *testing.F) {
 	for _, frame := range seedFrames(f) {
 		f.Add(frame)
@@ -411,12 +411,16 @@ func FuzzCodecDecodeGarbage(f *testing.F) {
 			t.Fatalf("DecodeFrame allocated %d bytes for %d bytes of input", got, len(in))
 		}
 		if err == nil {
+			if len(m.Payload) > 0 && &m.Payload[len(m.Payload)-1] != &sockbuf[len(sockbuf)-1] {
+				t.Fatal("DecodeFrame copied the payload instead of borrowing the frame's tail")
+			}
+			m.Payload = nil
 			before := transport.AppendFrame(nil, m)
 			for i := range sockbuf {
 				sockbuf[i] = 0x5a // the socket reads its next datagram into the same buffer
 			}
 			if !bytes.Equal(transport.AppendFrame(nil, m), before) {
-				t.Fatal("DecodeFrame's result aliases its input")
+				t.Fatal("DecodeFrame's names alias its input")
 			}
 		}
 

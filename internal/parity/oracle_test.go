@@ -90,6 +90,11 @@ func (o *fixpointOracle) xorOf(keys []string, skip string) []byte {
 // per part (the nested parities of §3.6), shuffled, with roughly 15 % of
 // the packets lost and some delivered twice.
 func randomStream(rng *rand.Rand) (arrivals seq.Sequence, l int64) {
+	return randomStreamLoss(rng, 0.15)
+}
+
+// randomStreamLoss is randomStream with the given share of packets lost.
+func randomStreamLoss(rng *rand.Rand, loss float64) (arrivals seq.Sequence, l int64) {
 	l = int64(1 + rng.Intn(80))
 	h := 1 + rng.Intn(6)
 	var s seq.Sequence
@@ -107,7 +112,7 @@ func randomStream(rng *rand.Rand) (arrivals seq.Sequence, l int64) {
 		e = nested
 	}
 	for _, p := range e {
-		if rng.Float64() < 0.15 {
+		if rng.Float64() < loss {
 			continue
 		}
 		arrivals = append(arrivals, p)

@@ -1,10 +1,6 @@
 package parity
 
-import (
-	"crypto/subtle"
-
-	"p2pmss/internal/seq"
-)
+import "p2pmss/internal/seq"
 
 // Recoverer reconstructs lost packets at the leaf peer from received data
 // and parity packets. Add every received packet; recovery is incremental.
@@ -25,6 +21,11 @@ import (
 // new packet and derives only where a counter reaches 1 (parity present)
 // or 0 (parity absent), so the work per arrival is constant, and the
 // derivation order is a function of the arrival order alone.
+//
+// The Recoverer copies every payload it keeps, so a caller may reuse a
+// packet's bytes once Add returns; presence and the counters never wait
+// for bytes. payload.go has the storage: each data payload is copied
+// once, into its place, and a recovered one is XORed into its place.
 type Recoverer struct {
 	// nodes[0] and links[0] are unused: id 0 means "none", so the zero
 	// value of every index field is valid and lookups of unknown
@@ -42,6 +43,13 @@ type Recoverer struct {
 	// changed and that drain has yet to check.
 	work []int32
 
+	// size and slot are the content layout NewContentRecoverer gives;
+	// slot is 0 without one. store holds the payloads (payload.go), nil
+	// until the first non-empty one: a payload-free recoverer (the
+	// simulator's) carries none.
+	size, slot int
+	store      *payloads
+
 	present     int
 	recovered   int
 	dataPresent int
@@ -54,7 +62,8 @@ type Recoverer struct {
 // node is one packet identity.
 type node struct {
 	// pkt is the identity — the content index of a data node, the
-	// identity node of a parity node — and, once present, the payload.
+	// identity node of a parity node — and, once present, the bytes the
+	// Recoverer holds for it (payload.go says when it holds none).
 	pkt     seq.Packet
 	covered int32 // first link whose cover is this node
 	// A parity node's covers are links[first:first+n]; missing counts
@@ -73,6 +82,19 @@ type link struct {
 
 // NewRecoverer returns an empty Recoverer.
 func NewRecoverer() *Recoverer { return NewSizedRecoverer(0) }
+
+// NewContentRecoverer returns an empty Recoverer for a content of size
+// bytes in packets of packetSize: sized as NewSizedRecoverer, and with
+// data payloads copied into their slots of one content buffer (Content).
+func NewContentRecoverer(size, packetSize int) *Recoverer {
+	n := 0
+	if size > 0 && packetSize > 0 {
+		n = (size + packetSize - 1) / packetSize
+	}
+	r := NewSizedRecoverer(n)
+	r.size, r.slot = max(size, 0), max(packetSize, 0)
+	return r
+}
 
 // NewSizedRecoverer returns an empty Recoverer with storage sized for a
 // content of the given number of data packets: indices 1..dataPackets
@@ -96,6 +118,7 @@ func NewSizedRecoverer(dataPackets int) *Recoverer {
 // Add records a received packet and performs any recovery it enables. It
 // reports whether this is the first receipt of the packet's identity; a
 // packet derived before its own arrival is still new when it arrives.
+// Add keeps no reference to p.Payload.
 func (r *Recoverer) Add(p seq.Packet) bool {
 	id := r.intern(p)
 	nd := &r.nodes[id]
@@ -104,7 +127,8 @@ func (r *Recoverer) Add(p seq.Packet) bool {
 	}
 	nd.received = true
 	if !nd.present {
-		r.markPresent(id, p.Payload)
+		r.markPresent(id)
+		r.keep(id, p.Payload)
 	}
 	r.drain()
 	return true
@@ -124,7 +148,8 @@ func (r *Recoverer) HasData(k int64) bool {
 	return r.nodes[r.lookupData(k)].present
 }
 
-// DataPayload returns the payload of data packet t_k if present.
+// DataPayload returns the payload of data packet t_k if present. The
+// bytes are the Recoverer's and read-only.
 func (r *Recoverer) DataPayload(k int64) ([]byte, bool) {
 	nd := &r.nodes[r.lookupData(k)]
 	return nd.pkt.Payload, nd.present
@@ -190,6 +215,7 @@ func (r *Recoverer) intern(p seq.Packet) int32 {
 	id, h := r.newNode(), p.Hash()
 	nd := &r.nodes[id]
 	nd.pkt, nd.next = p, r.ids[h]
+	nd.pkt.Payload = nil // stored, as a copy, once present
 	r.ids[h] = id
 	n := p.NumCovers()
 	if n == 0 {
@@ -224,10 +250,10 @@ func (r *Recoverer) newNode() int32 {
 
 // markPresent is the single point where a node becomes present: it keeps
 // the counters, fires the OnData hook, and queues every parity whose
-// state the change touched.
-func (r *Recoverer) markPresent(id int32, payload []byte) {
+// state the change touched. The node's bytes are stored by the caller.
+func (r *Recoverer) markPresent(id int32) {
 	nd := &r.nodes[id]
-	nd.present, nd.pkt.Payload = true, payload
+	nd.present = true
 	r.present++
 	if nd.pkt.IsData() {
 		r.dataPresent++
@@ -246,7 +272,9 @@ func (r *Recoverer) markPresent(id int32, payload []byte) {
 }
 
 // drain checks the queued parities until no further packet can be
-// derived.
+// derived. A recovered packet's bytes are computed at once (recover); a
+// rule with no missing cover gives back the buffers no rule can read any
+// more.
 func (r *Recoverer) drain() {
 	for len(r.work) > 0 {
 		id := r.work[len(r.work)-1]
@@ -257,42 +285,19 @@ func (r *Recoverer) drain() {
 			for l := rule.first; l < rule.first+rule.n; l++ {
 				if c := r.links[l].cover; !r.nodes[c].present {
 					r.recovered++
-					r.markPresent(c, r.xor(rule, l))
+					r.markPresent(c)
+					r.recover(c, id, l)
 					break
 				}
 			}
-		case !rule.present && rule.missing == 0:
-			r.recovered++
-			r.markPresent(id, r.xor(rule, 0))
+		case rule.missing == 0:
+			if !rule.present {
+				// Its bytes are its covers' XOR, computed if a recovery
+				// ever reads them.
+				r.recovered++
+				r.markPresent(id)
+			}
+			r.resolved(id)
 		}
 	}
-}
-
-// xor returns the XOR of the payloads of rule's covers, padded to the
-// longest. With skip non-zero the cover at link skip is left out and the
-// parity's own payload included (missing = p ⊕ others). It returns nil
-// when every input is empty (the simulator's accounting-only mode).
-func (r *Recoverer) xor(rule *node, skip int32) []byte {
-	maxLen := 0
-	if skip != 0 {
-		maxLen = len(rule.pkt.Payload)
-	}
-	for l := rule.first; l < rule.first+rule.n; l++ {
-		if l != skip {
-			maxLen = max(maxLen, len(r.nodes[r.links[l].cover].pkt.Payload))
-		}
-	}
-	if maxLen == 0 {
-		return nil
-	}
-	out := make([]byte, maxLen)
-	if skip != 0 {
-		subtle.XORBytes(out, out, rule.pkt.Payload)
-	}
-	for l := rule.first; l < rule.first+rule.n; l++ {
-		if l != skip {
-			subtle.XORBytes(out, out, r.nodes[r.links[l].cover].pkt.Payload)
-		}
-	}
-	return out
 }

@@ -92,6 +92,6 @@ func BenchmarkTransportImpairerAdmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		im.Admit("tx", "rx", m)
+		im.Admit("tx", "rx", m, func(Msg) {})
 	}
 }

@@ -213,3 +213,36 @@ func TestQueuedFabricPumpSurvivesIdleGaps(t *testing.T) {
 	src.Close()
 	sink.Close()
 }
+
+// The queued fabric's ring delivers in FIFO order across wrap-around and
+// growth, and reuses its storage once it has grown to the window.
+func TestFabricRingKeepsFIFOOrder(t *testing.T) {
+	var q ring
+	var model []int
+	next, grown := 0, 0
+	for step := 0; step < 5000; step++ {
+		if step%7 < 4 || len(model) == 0 { // net growth, then drains
+			if q.n == len(q.buf) {
+				grown++
+			}
+			q.push(queuedMsg{to: fmt.Sprint(next)})
+			model = append(model, next)
+			next++
+			continue
+		}
+		got := q.pop().to
+		if want := fmt.Sprint(model[0]); got != want {
+			t.Fatalf("step %d: popped %s, want %s", step, got, want)
+		}
+		model = model[1:]
+	}
+	for len(model) > 0 {
+		if got, want := q.pop().to, fmt.Sprint(model[0]); got != want {
+			t.Fatalf("drain: popped %s, want %s", got, want)
+		}
+		model = model[1:]
+	}
+	if q.n != 0 || grown > 8 {
+		t.Fatalf("n = %d after draining, grew %d times", q.n, grown)
+	}
+}

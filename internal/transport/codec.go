@@ -90,10 +90,11 @@ var frameErrorNames = [numFrameErrors]string{"magic", "truncated", "length", "ty
 
 func (e frameError) Error() string { return "transport: malformed frame: " + frameErrorNames[e] }
 
-// DecodeFrame parses one frame. The returned message shares no memory
-// with frame (socket read buffers are reused): its strings and Payload
-// are copies. On failure the error names the reason the frame is counted
-// under in transport_decode_errors_total.
+// DecodeFrame parses one frame. The returned message's strings are
+// copies, but its Payload aliases frame: a socket transport hands it to
+// the handler as is and reuses the read buffer once the handler returns
+// (see Msg.Payload). On failure the error names the reason the frame is
+// counted under in transport_decode_errors_total.
 func DecodeFrame(frame []byte) (Msg, error) {
 	if len(frame) < len(frameMagic) || [4]byte(frame[:4]) != frameMagic {
 		return Msg{}, badMagic
@@ -122,8 +123,8 @@ func DecodeFrame(frame []byte) (Msg, error) {
 			return Msg{}, badType // an untraced message has one spelling: flag clear
 		}
 	}
-	// From and Session are cut from one string: with the body copy, a
-	// received message costs two allocations however it is addressed.
+	// From and Session are cut from one string: a received message costs
+	// one allocation however it is addressed.
 	from, session := r.Bytes(), r.Bytes()
 	var names strings.Builder
 	names.Grow(len(from) + len(session))
@@ -137,20 +138,37 @@ func DecodeFrame(frame []byte) (Msg, error) {
 		return Msg{}, badLength
 	}
 	if body := r.Rest(); len(body) > 0 {
-		m.Payload = append([]byte(nil), body...)
+		m.Payload = body
 	}
 	return m, nil
 }
 
-// framePool recycles the buffers socket sends build their frames in: one
-// buffer holds the whole frame and goes back once the write returns.
+// framePool recycles the buffers a transport builds frames in (socket
+// sends) and copies payloads into (the fabric and the impairer): each
+// goes back once nothing reads it any more.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledFrame keeps a rare large frame (a long control sequence) from
 // pinning its buffer in the pool.
 const maxPooledFrame = 64 << 10
 
+// borrow copies p into a pooled buffer, returned with putFrame once the
+// copy is no longer read. An empty p is not copied; bp is then nil.
+func borrow(p []byte) (bp *[]byte, b []byte) {
+	if len(p) == 0 {
+		return nil, p[:0:0]
+	}
+	bp = framePool.Get().(*[]byte)
+	return bp, append((*bp)[:0], p...)
+}
+
+// putFrame returns a buffer to the pool, poisoned first under the race
+// detector (poison_race.go) so a reader that kept it fails loudly.
 func putFrame(bp *[]byte, b []byte) {
+	if bp == nil {
+		return
+	}
+	poison(b)
 	if cap(b) <= maxPooledFrame {
 		*bp = b[:0]
 		framePool.Put(bp)
@@ -164,8 +182,9 @@ type WireAppender interface {
 }
 
 // WireDecoder is the receiving half: DecodeWire replaces the receiver
-// with the value encoded in b, which it may alias (see Msg.Payload) but
-// must not modify.
+// with the value encoded in b, which it may alias but must not modify; a
+// handler that keeps the decoded value past its return copies what
+// aliases b (see Msg.Payload).
 type WireDecoder interface {
 	DecodeWire(b []byte) error
 }

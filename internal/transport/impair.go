@@ -86,7 +86,7 @@ type Impairer struct {
 	release func(to string, m Msg)
 
 	mu    sync.Mutex
-	links map[string]*linkState
+	links map[linkKey]*linkState
 	stats ImpairStats
 	met   impairMetrics
 }
@@ -121,24 +121,39 @@ func (im *Impairer) Instrument(reg *metrics.Registry, kind string) {
 	im.mu.Unlock()
 }
 
+// linkKey names one directed link.
+type linkKey struct{ from, to string }
+
 type linkState struct {
 	rng       *rand.Rand
 	burstLeft int
 	held      []*heldMsg
 }
 
+// heldMsg is a message held back for reordering. Its payload is a
+// pooled copy the impairer owns (bp), recycled once it is delivered.
 type heldMsg struct {
 	remaining int // messages that still get to overtake
 	to        string
 	m         Msg
+	bp        *[]byte
 	released  bool
+}
+
+// deliverHeld hands a released message to deliver and recycles its copy.
+func (h *heldMsg) deliverHeld(deliver func(to string, m Msg)) {
+	if deliver != nil {
+		deliver(h.to, h.m)
+	}
+	putFrame(h.bp, h.m.Payload)
 }
 
 // NewImpairer compiles an Impairment policy. release, which may be nil,
 // is invoked (without internal locks held) for messages whose reorder
-// hold expires via MaxHold rather than via later traffic.
+// hold expires via MaxHold rather than via later traffic. Like a
+// handler's, the payload release gets is valid only until it returns.
 func NewImpairer(cfg Impairment, release func(to string, m Msg)) *Impairer {
-	return &Impairer{cfg: cfg, release: release, links: make(map[string]*linkState)}
+	return &Impairer{cfg: cfg, release: release, links: make(map[linkKey]*linkState)}
 }
 
 // Stats returns a snapshot of the impairer's counters.
@@ -150,26 +165,29 @@ func (im *Impairer) Stats() ImpairStats {
 
 // linkLocked returns (creating if needed) the state of link from→to.
 func (im *Impairer) linkLocked(from, to string) *linkState {
-	key := from + "\x00" + to
-	if l, ok := im.links[key]; ok {
+	if l, ok := im.links[linkKey{from, to}]; ok {
 		return l
 	}
 	h := fnv.New64a()
-	h.Write([]byte(key))
+	h.Write([]byte(from + "\x00" + to))
 	l := &linkState{rng: des.NewRand(im.cfg.Seed ^ int64(h.Sum64()&0x7fffffffffffffff))}
-	im.links[key] = l
+	im.links[linkKey{from, to}] = l
 	return l
 }
 
-// Admit runs the policy for one message on link from→to. deliver lists
-// the messages now due on the link, in order: the current message (twice
-// when duplicated), followed by any formerly-held messages whose reorder
-// window just expired. A dropped or held current message yields deliver
-// without it; dropped reports a loss verdict (held messages are not
-// drops — they surface later).
-func (im *Impairer) Admit(from, to string, m Msg) (deliver []Msg, dropped bool) {
+// Admit runs the policy for one message on link from→to and calls
+// deliver, outside the impairer's lock, with every message now due on
+// the link, in order: the current message (twice when duplicated),
+// followed by any formerly-held messages whose reorder window just
+// expired. A dropped or held current message is not delivered; dropped
+// reports a loss verdict (held messages are not drops — they surface
+// later). Admit keeps no reference to m.Payload after it returns: a held
+// message is a pooled copy. Each payload deliver gets is valid only
+// until it returns.
+func (im *Impairer) Admit(from, to string, m Msg, deliver func(Msg)) (dropped bool) {
 	im.mu.Lock()
 	l := im.linkLocked(from, to)
+	copies := 0
 	// This message overtakes every held one; release the expired.
 	var expired []*heldMsg
 	if len(l.held) > 0 {
@@ -196,6 +214,7 @@ func (im *Impairer) Admit(from, to string, m Msg) (deliver []Msg, dropped bool) 
 		im.met.drop.Inc()
 	case im.cfg.Reorder > 0 && l.rng.Float64() < im.cfg.Reorder:
 		h := &heldMsg{remaining: 1 + l.rng.Intn(im.cfg.window()), to: to, m: m}
+		h.bp, h.m.Payload = borrow(m.Payload)
 		l.held = append(l.held, h)
 		im.stats.Held++
 		im.met.reorder.Inc()
@@ -203,9 +222,9 @@ func (im *Impairer) Admit(from, to string, m Msg) (deliver []Msg, dropped bool) 
 			time.AfterFunc(im.cfg.MaxHold, func() { im.expire(h) })
 		}
 	default:
-		deliver = append(deliver, m)
+		copies = 1
 		if im.cfg.Duplicate > 0 && l.rng.Float64() < im.cfg.Duplicate {
-			deliver = append(deliver, m)
+			copies = 2
 			im.stats.Duplicated++
 			im.met.dup.Inc()
 		}
@@ -213,12 +232,17 @@ func (im *Impairer) Admit(from, to string, m Msg) (deliver []Msg, dropped bool) 
 	if dropped {
 		im.stats.Dropped++
 	}
-	for _, h := range expired {
-		deliver = append(deliver, h.m)
-		im.stats.Released++
-	}
+	im.stats.Released += int64(len(expired))
 	im.mu.Unlock()
-	return deliver, dropped
+	// Every delivery reads the sender's bytes or the held copy; the
+	// transport behind deliver copies what it queues.
+	for ; copies > 0; copies-- {
+		deliver(m)
+	}
+	for _, h := range expired {
+		h.deliverHeld(func(_ string, m Msg) { deliver(m) })
+	}
+	return dropped
 }
 
 // expire force-releases a held message whose MaxHold elapsed before
@@ -241,9 +265,7 @@ func (im *Impairer) expire(h *heldMsg) {
 	im.stats.Released++
 	release := im.release
 	im.mu.Unlock()
-	if release != nil {
-		release(h.to, h.m)
-	}
+	h.deliverHeld(release)
 }
 
 // Flush releases every held message immediately (delivered via the
@@ -261,10 +283,7 @@ func (im *Impairer) Flush() {
 	im.stats.Released += int64(len(pending))
 	release := im.release
 	im.mu.Unlock()
-	if release == nil {
-		return
-	}
 	for _, h := range pending {
-		release(h.to, h.m)
+		h.deliverHeld(release)
 	}
 }

@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// admit runs m through im and returns what came out, in order.
+func admit(im *Impairer, from, to string, m Msg) (due []Msg, dropped bool) {
+	dropped = im.Admit(from, to, m, func(d Msg) { due = append(due, d) })
+	return due, dropped
+}
+
 // script runs n messages through a fresh impairer on link a→b and
 // returns the verdict trace: for each admitted message, which messages
 // came out (by their Type tag) and whether it was dropped.
@@ -14,7 +20,7 @@ func script(cfg Impairment, link string, n int) []string {
 	im := NewImpairer(cfg, nil)
 	var trace []string
 	for i := 0; i < n; i++ {
-		due, dropped := im.Admit("a"+link, "b"+link, Msg{Type: fmt.Sprintf("m%d", i)})
+		due, dropped := admit(im, "a"+link, "b"+link, Msg{Type: fmt.Sprintf("m%d", i)})
 		ev := ""
 		if dropped {
 			ev = "X"
@@ -61,8 +67,8 @@ func TestImpairerPerLinkIsolation(t *testing.T) {
 	var interleaved []string
 	for i := 0; i < 200; i++ {
 		// Noise on an unrelated link before every admit.
-		im.Admit("noiseFrom", "noiseTo", Msg{Type: "noise"})
-		due, dropped := im.Admit("a1", "b1", Msg{Type: fmt.Sprintf("m%d", i)})
+		admit(im, "noiseFrom", "noiseTo", Msg{Type: "noise"})
+		due, dropped := admit(im, "a1", "b1", Msg{Type: fmt.Sprintf("m%d", i)})
 		ev := ""
 		if dropped {
 			ev = "X"
@@ -86,7 +92,7 @@ func TestImpairerLossRateAndBursts(t *testing.T) {
 	im := NewImpairer(Impairment{Seed: 1, Loss: 0.05, BurstLen: 3}, nil)
 	drops, runLen, maxRun := 0, 0, 0
 	for i := 0; i < n; i++ {
-		_, dropped := im.Admit("a", "b", Msg{})
+		_, dropped := admit(im, "a", "b", Msg{})
 		if dropped {
 			drops++
 			runLen++
@@ -118,7 +124,7 @@ func TestImpairerReorderWindowRelease(t *testing.T) {
 	var order []string
 	for i := 0; i < 2000; i++ {
 		typ := fmt.Sprintf("m%d", i)
-		due, _ := im.Admit("a", "b", Msg{Type: typ})
+		due, _ := admit(im, "a", "b", Msg{Type: typ})
 		for k := range pending {
 			pending[k]++
 		}
@@ -159,7 +165,7 @@ func TestImpairerDuplicate(t *testing.T) {
 	im := NewImpairer(Impairment{Seed: 5, Duplicate: 0.3}, nil)
 	dups := 0
 	for i := 0; i < 1000; i++ {
-		due, _ := im.Admit("a", "b", Msg{Type: fmt.Sprintf("m%d", i)})
+		due, _ := admit(im, "a", "b", Msg{Type: fmt.Sprintf("m%d", i)})
 		if len(due) == 2 {
 			if due[0].Type != due[1].Type {
 				t.Fatalf("duplicate pair differs: %q vs %q", due[0].Type, due[1].Type)
@@ -190,7 +196,7 @@ func TestImpairerMaxHoldReleases(t *testing.T) {
 		})
 	trafficReleased := 0
 	for i := 0; i < 5; i++ {
-		due, dropped := im.Admit("a", "b", Msg{Type: fmt.Sprintf("m%d", i)})
+		due, dropped := admit(im, "a", "b", Msg{Type: fmt.Sprintf("m%d", i)})
 		// Reorder=1.0: the current message is always held; an earlier hold
 		// may ride out here if its window counter ran down.
 		if dropped {
@@ -229,7 +235,7 @@ func TestImpairerFlushIdempotentWithMaxHold(t *testing.T) {
 			mu.Unlock()
 		})
 	for i := 0; i < 8; i++ {
-		im.Admit("a", "b", Msg{Type: fmt.Sprintf("m%d", i)})
+		admit(im, "a", "b", Msg{Type: fmt.Sprintf("m%d", i)})
 	}
 	im.Flush()
 	time.Sleep(50 * time.Millisecond) // let stale MaxHold timers fire

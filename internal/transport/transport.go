@@ -1,11 +1,12 @@
 // Package transport provides the live runtime's message fabric: named
 // endpoints exchanging Msg values. Three implementations are provided —
 // an in-process memory fabric for tests and single-binary demos, which
-// hands messages over as they are, and TCP and UDP endpoints, which frame
-// each message in the binary envelope of codec.go (a UDP datagram is one
-// envelope, a TCP frame one envelope behind a 4-byte length). A message
-// body is opaque bytes to every transport; bodies that know their wire
-// form (WireAppender, WireDecoder) go through Encode and Msg.Decode.
+// hands over a pooled copy of each message's body, and TCP and UDP
+// endpoints, which frame each message in the binary envelope of codec.go
+// (a UDP datagram is one envelope, a TCP frame one envelope behind a
+// 4-byte length). A message body is opaque bytes to every transport;
+// bodies that know their wire form (WireAppender, WireDecoder) go
+// through Encode and Msg.Decode.
 //
 // The simulator (internal/simnet) models the same role under virtual
 // time; this package is the real-time counterpart used by internal/live.
@@ -83,13 +84,14 @@ type Msg struct {
 	// to an untraced run.
 	Trace uint64
 	Span  uint64
-	// Payload is the encoded body. Ownership passes with the message: a
-	// sender must not modify or reuse the slice after Send, every
-	// transport delivers a slice it will never touch again (the fabric
-	// hands over the sender's, socket transports a private copy), and a
-	// handler may therefore keep it — or sub-slices of it, as the packet
-	// decoder does — for as long as it likes, but must not write to it:
-	// a duplicated fabric delivery shares one slice between handlers.
+	// Payload is the encoded body. It is borrowed in both directions, as
+	// with net.PacketConn: Send keeps no reference to it after it
+	// returns, so a sender may reuse its buffer at once, and a handler's
+	// Payload is valid only until the handler returns — the transport
+	// then recycles the buffer (the fabric's pooled copy, a socket's read
+	// buffer) — so a handler copies whatever it keeps, sub-slices and
+	// decoded values that alias it included. A handler must not write to
+	// it.
 	Payload []byte
 }
 
@@ -135,7 +137,7 @@ type Fabric struct {
 	// simulator with uniform latency produces. Latency is ignored; Drop
 	// is still honored at enqueue time.
 	queued bool
-	queue  []queuedMsg
+	queue  ring
 	// pumping is true while a pump goroutine exists; it parks on work
 	// between bursts and exits once the queue is empty and every endpoint
 	// is closed.
@@ -174,9 +176,38 @@ const (
 	QueueDropNewest
 )
 
+// queuedMsg is one pending delivery; bp is the pooled buffer holding
+// m.Payload, recycled once the handler returns.
 type queuedMsg struct {
 	to string
 	m  Msg
+	bp *[]byte
+}
+
+// ring is the queued fabric's FIFO: a circular buffer whose storage is
+// reused as the window slides and doubles only when full.
+type ring struct {
+	buf     []queuedMsg // len is zero or a power of two
+	head, n int
+}
+
+func (q *ring) push(qm queuedMsg) {
+	if q.n == len(q.buf) {
+		grown := make([]queuedMsg, max(16, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = qm
+	q.n++
+}
+
+func (q *ring) pop() queuedMsg {
+	qm := q.buf[q.head]
+	q.buf[q.head] = queuedMsg{} // drop the references for the collector
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return qm
 }
 
 // Instrument registers the fabric's traffic counters (messages/bytes
@@ -291,12 +322,8 @@ func (e *memEndpoint) Send(to string, m Msg) error {
 		return nil // silently lost, like the network would
 	}
 	if imp != nil {
-		due, dropped := imp.Admit(e.name, to, m)
-		if dropped {
+		if imp.Admit(e.name, to, m, func(dm Msg) { f.deliverOne(to, dm) }) {
 			met.dropped.Inc()
-		}
-		for _, dm := range due {
-			f.deliverOne(to, dm)
 		}
 		return nil
 	}
@@ -307,7 +334,9 @@ func (e *memEndpoint) Send(to string, m Msg) error {
 // deliverOne dispatches one message past the loss/impairment stage:
 // enqueued on a queued fabric, or delivered from a fresh goroutine
 // (after Latency) otherwise. Also the release path for impairment-held
-// messages whose reorder window expires.
+// messages whose reorder window expires. The handler gets a pooled copy
+// of the payload, recycled when it returns, so the caller's buffer is
+// free again as soon as deliverOne returns.
 func (f *Fabric) deliverOne(to string, m Msg) {
 	f.mu.Lock()
 	h, ok := f.handlers[to]
@@ -323,11 +352,14 @@ func (f *Fabric) deliverOne(to string, m Msg) {
 		f.enqueue(to, m)
 		return
 	}
+	var bp *[]byte
+	bp, m.Payload = borrow(m.Payload)
 	f.wg.Add(1)
 	met.inflight.Add(1)
 	go func() {
 		defer f.wg.Done()
 		defer met.inflight.Add(-1)
+		defer putFrame(bp, m.Payload)
 		if lat > 0 {
 			time.Sleep(lat)
 		}
@@ -349,12 +381,16 @@ func (f *Fabric) deliverOne(to string, m Msg) {
 // (QueueBlock) — except when the sender IS the pump (a handler sending
 // mid-delivery), which may exceed the cap rather than deadlock the drain.
 func (f *Fabric) enqueue(to string, m Msg) {
+	// Copied before taking the lock the pump contends for.
+	bp, payload := borrow(m.Payload)
+	m.Payload = payload
 	f.mu.Lock()
-	if f.queueCap > 0 && len(f.queue) >= f.queueCap {
+	if f.queueCap > 0 && f.queue.n >= f.queueCap {
 		if f.policy == QueueDropNewest {
 			f.queueDrops++
 			f.met.queueDropped.Inc()
 			f.mu.Unlock()
+			putFrame(bp, m.Payload)
 			return
 		}
 		// goid walks the stack: not under the lock every sender needs.
@@ -362,12 +398,12 @@ func (f *Fabric) enqueue(to string, m Msg) {
 		self := goid()
 		f.mu.Lock()
 		if f.pumpID != self {
-			for len(f.queue) >= f.queueCap {
+			for f.queue.n >= f.queueCap {
 				f.space.Wait()
 			}
 		}
 	}
-	f.queue = append(f.queue, queuedMsg{to, m})
+	f.queue.push(queuedMsg{to: to, m: m, bp: bp})
 	f.wg.Add(1)
 	f.met.inflight.Add(1)
 	start := !f.pumping
@@ -393,7 +429,7 @@ func (f *Fabric) pump() {
 	f.mu.Lock()
 	f.pumpID = id
 	for {
-		for len(f.queue) == 0 {
+		for f.queue.n == 0 {
 			if len(f.handlers) == len(f.closed) {
 				f.pumping = false
 				f.pumpID = 0
@@ -402,8 +438,7 @@ func (f *Fabric) pump() {
 			}
 			f.work.Wait()
 		}
-		qm := f.queue[0]
-		f.queue = f.queue[1:]
+		qm := f.queue.pop()
 		h := f.handlers[qm.to]
 		closed := f.closed[qm.to]
 		met := f.met
@@ -417,6 +452,7 @@ func (f *Fabric) pump() {
 		} else {
 			met.dropped.Inc()
 		}
+		putFrame(qm.bp, qm.m.Payload)
 		met.inflight.Add(-1)
 		f.wg.Done()
 		f.mu.Lock()
@@ -554,6 +590,7 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		}
 		met.received.Inc()
 		e.h(m)
+		poison(buf) // the next frame is read into buf
 	}
 }
 
@@ -648,7 +685,8 @@ func writeFrame(w io.Writer, m Msg) (int, error) {
 const readStep = 32 << 10
 
 // readFrame reads one frame into buf (the connection's reusable read
-// buffer, returned for the next call) and decodes it. The length header
+// buffer, returned for the next call) and decodes it; the message's
+// payload aliases the buffer until the next call. The length header
 // is a claim by the peer: the buffer grows by at most readStep per read,
 // so a connection that announces 16 MiB and then idles pins one step,
 // not the announcement. A malformed frame is reported as a frameError;

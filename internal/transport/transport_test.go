@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ type inbox struct {
 
 func (b *inbox) handler() Handler {
 	return func(m Msg) {
+		m.Payload = bytes.Clone(m.Payload) // borrowed until the handler returns
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		b.msgs = append(b.msgs, m)

@@ -146,15 +146,13 @@ func (e *UDPEndpoint) Send(to string, m Msg) error {
 		e.mu.Unlock()
 	}
 	if imp != nil {
-		due, dropped := imp.Admit(e.name, to, m)
-		if dropped {
-			met.dropped.Inc()
-		}
 		var firstErr error
-		for _, dm := range due {
+		if imp.Admit(e.name, to, m, func(dm Msg) {
 			if err := e.write(ua, dm, met); err != nil && firstErr == nil {
 				firstErr = err
 			}
+		}) {
+			met.dropped.Inc()
 		}
 		return firstErr
 	}
@@ -179,7 +177,8 @@ func (e *UDPEndpoint) write(ua netip.AddrPort, m Msg, met fabricMetrics) error {
 	return nil
 }
 
-// readLoop decodes datagrams and hands them to the handler. Anything
+// readLoop decodes datagrams and hands them to the handler, whose
+// payload aliases the one read buffer until it returns. Anything
 // that is not a well-formed frame of this format version — foreign
 // traffic, truncation, corruption, an older peer — is counted by reason
 // and discarded, as a lossy network would have discarded it.
@@ -205,6 +204,7 @@ func (e *UDPEndpoint) readLoop() {
 		}
 		met.received.Inc()
 		e.h(m)
+		poison(buf[:n]) // the next datagram is read into buf
 	}
 }
 

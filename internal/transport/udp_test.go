@@ -49,6 +49,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 	defer a.Close()
 	b, err := ListenUDP("127.0.0.1:0", func(m Msg) {
+		m.Payload = bytes.Clone(m.Payload) // borrowed until the handler returns
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
