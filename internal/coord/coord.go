@@ -473,7 +473,7 @@ type runner struct {
 	met          coordMetrics
 	enhanced     seq.Sequence // memoized Enhance(content, Interval)
 	activeCount  int
-	measureEv    [2]*des.Event
+	measureEv    [2]*des.Timer // the window's opening and closing edges
 	measureDone  bool
 	measureOpen  bool
 	quiesceRound int
@@ -680,22 +680,21 @@ func (r *runner) scheduleMeasurement() {
 	if !r.cfg.DataPlane || r.measureDone {
 		return
 	}
-	for _, ev := range r.measureEv {
-		if ev != nil {
-			ev.Cancel()
-		}
+	if r.measureEv[0] == nil {
+		r.measureEv[0] = r.eng.NewTimer(func() {
+			r.measureOpen = true
+			r.winStart = r.eng.Now()
+			r.leaf.resetWindow()
+		})
+		r.measureEv[1] = r.eng.NewTimer(func() {
+			r.measureOpen = false
+			r.measureDone = true
+			r.winEnd = r.eng.Now()
+		})
 	}
 	r.measureOpen = false
-	r.measureEv[0] = r.eng.After(r.cfg.Settle, func() {
-		r.measureOpen = true
-		r.winStart = r.eng.Now()
-		r.leaf.resetWindow()
-	})
-	r.measureEv[1] = r.eng.After(r.cfg.Settle+r.cfg.Window, func() {
-		r.measureOpen = false
-		r.measureDone = true
-		r.winEnd = r.eng.Now()
-	})
+	r.measureEv[0].After(r.cfg.Settle)
+	r.measureEv[1].After(r.cfg.Settle + r.cfg.Window)
 }
 
 // onRepair retransmits the requested content packets to the leaf. For

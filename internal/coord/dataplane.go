@@ -14,11 +14,12 @@ import (
 // in control-plane-only mode) to the leaf peer, one packet per time slot
 // of length 1/rate (§2's slot model), and switches δ after a plan.
 type transmitter struct {
-	r         *runner
-	node      simnet.NodeID
-	st        engine.Stream
-	gen       int // transmission generation: a restart orphans older slots
-	ev        *des.Event
+	r    *runner
+	node simnet.NodeID
+	st   engine.Stream
+	// slotTimer sends the next packet; one timer, re-armed every slot
+	// and cancelled by a restart (nil until the first packet-plane one).
+	slotTimer *des.Timer
 	plans     int     // switches planned; a δ timer switches only its own
 	startedAt float64 // activation time (control-plane-only bookkeeping)
 	sentTotal int64
@@ -69,11 +70,10 @@ func (tx *transmitter) restart() {
 		tx.r.fl.Start(int(tx.node), now, phase, 1/rate)
 		return
 	}
-	tx.gen++
-	if tx.ev != nil {
-		tx.ev.Cancel()
-		tx.ev = nil
+	if tx.slotTimer == nil {
+		tx.slotTimer = tx.r.eng.NewTimer(tx.slot)
 	}
+	tx.slotTimer.Cancel()
 	if rate <= 0 || tx.st.Remaining() == 0 {
 		return
 	}
@@ -81,22 +81,16 @@ func (tx *transmitter) restart() {
 	// measurements see each stream's average rate even when the window is
 	// shorter than the slot length (sending early is harmless — the
 	// packets are this peer's own share).
-	tx.slot(tx.r.eng.Rand().Float64() / rate)
+	tx.slotTimer.After(tx.r.eng.Rand().Float64() / rate)
 }
 
-// slot sends the next packet after delay and keeps the grid going while
-// there is something to send.
-func (tx *transmitter) slot(delay float64) {
-	gen := tx.gen
-	tx.ev = tx.r.eng.After(delay, func() {
-		if gen != tx.gen {
-			return
-		}
-		tx.sendNext()
-		if tx.st.Remaining() > 0 || tx.r.cfg.Loop {
-			tx.slot(1 / tx.st.Rate())
-		}
-	})
+// slot sends the next packet and keeps the grid going while there is
+// something to send.
+func (tx *transmitter) slot() {
+	tx.sendNext()
+	if tx.st.Remaining() > 0 || tx.r.cfg.Loop {
+		tx.slotTimer.After(1 / tx.st.Rate())
+	}
 }
 
 func (tx *transmitter) sendNext() {
@@ -125,8 +119,8 @@ type leafNode struct {
 	// from duplicates; without it seen does.
 	asm  *content.Assembler
 	seen *parity.Recoverer
-	// timer is the pending leaf timer event.
-	timer *des.Event
+	// timer fires at the leaf's next deadline.
+	timer *des.Timer
 
 	overruns int64
 
@@ -229,7 +223,6 @@ func (l *leafNode) resetWindow() {
 // tick is the leaf's timer: it runs what the leaf has due and re-arms
 // at its next deadline.
 func (l *leafNode) tick() {
-	l.timer = nil
 	l.core.Tick(l.r.eng.Now()).Send(l)
 	l.arm()
 }
@@ -238,7 +231,7 @@ func (l *leafNode) tick() {
 // pending. A pending timer is never late: the simulated leaf re-sends no
 // request, so only its stall checks set deadlines, each after the last.
 func (l *leafNode) arm() {
-	if at, ok := l.core.Deadline(); ok && l.timer == nil {
-		l.timer = l.r.eng.At(at, l.tick)
+	if at, ok := l.core.Deadline(); ok && !l.timer.Pending() {
+		l.timer.At(at)
 	}
 }

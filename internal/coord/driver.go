@@ -91,6 +91,7 @@ func (r *runner) initEngine(dcopMode bool) {
 // agrees. A run that tracks delivery assembles ContentLen 1-byte packets.
 func newLeaf(r *runner) *leafNode {
 	l := &leafNode{r: r}
+	l.timer = r.eng.NewTimer(l.tick)
 	if r.cfg.TrackDelivery {
 		l.asm = content.NewAssembler(int(r.cfg.ContentLen), 1)
 	} else if r.content != nil {

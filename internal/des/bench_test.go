@@ -29,3 +29,27 @@ func BenchmarkNestedEvents(b *testing.B) {
 		e.Run()
 	}
 }
+
+// BenchmarkRandomEvents schedules 200,000 events at uniform random times
+// in [0, 1000) on a fresh engine and runs them: a large queue with no
+// locality, the shape of a big fluid run. One op is the whole batch.
+func BenchmarkRandomEvents(b *testing.B) {
+	const events = 200000
+	rng := NewRand(1)
+	times := make([]float64, events)
+	for i := range times {
+		times[i] = rng.Float64() * 1000
+	}
+	fired := 0
+	fn := func() { fired++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := New(1)
+		for _, t := range times {
+			e.At(t, fn)
+		}
+		e.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}

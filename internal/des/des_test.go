@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"testing"
 )
 
@@ -52,17 +53,22 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	e := New(1)
-	fired := false
-	ev := e.At(1, func() { fired = true })
-	ev.Cancel()
+	fired := 0
+	tm := e.NewTimer(func() { fired++ })
+	tm.At(1)
+	tm.Cancel()
 	e.Run()
-	if fired {
-		t.Error("cancelled event fired")
+	if fired != 0 {
+		t.Error("cancelled timer fired")
 	}
-	// Cancel after fire is a no-op.
-	ev2 := e.At(2, func() {})
+	// Cancel after fire is a no-op, and so is a second one.
+	tm.At(2)
 	e.Run()
-	ev2.Cancel()
+	tm.Cancel()
+	tm.Cancel()
+	if fired != 1 || e.Pending() != 0 {
+		t.Errorf("fired = %d, Pending = %d; want 1, 0", fired, e.Pending())
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -87,12 +93,13 @@ func TestRunUntil(t *testing.T) {
 
 func TestPending(t *testing.T) {
 	e := New(1)
-	ev := e.At(1, func() {})
+	tm := e.NewTimer(func() {})
+	tm.At(1)
 	e.At(2, func() {})
 	if e.Pending() != 2 {
 		t.Errorf("Pending = %d", e.Pending())
 	}
-	ev.Cancel()
+	tm.Cancel()
 	if e.Pending() != 1 {
 		t.Errorf("Pending after cancel = %d", e.Pending())
 	}
@@ -137,4 +144,77 @@ func TestNegativeAfterPanics(t *testing.T) {
 		}
 	}()
 	e.After(-1, func() {})
+}
+
+// TestScheduleTimeChecks pins which times and delays scheduling
+// accepts: never one before now and never NaN (a NaN key would misorder
+// the queue, and a NaN clock would disable every later check).
+func TestScheduleTimeChecks(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		sched func(e *Engine)
+		panic bool
+	}{
+		{"At(past)", func(e *Engine) { e.At(1, func() {}) }, true},
+		{"At(NaN)", func(e *Engine) { e.At(nan, func() {}) }, true},
+		{"At(now)", func(e *Engine) { e.At(5, func() {}) }, false},
+		{"At(+Inf)", func(e *Engine) { e.At(inf, func() {}) }, false},
+		{"After(-1)", func(e *Engine) { e.After(-1, func() {}) }, true},
+		{"After(NaN)", func(e *Engine) { e.After(nan, func() {}) }, true},
+		{"After(0)", func(e *Engine) { e.After(0, func() {}) }, false},
+		{"After(+Inf)", func(e *Engine) { e.After(inf, func() {}) }, false},
+		{"Timer.At(past)", func(e *Engine) { e.NewTimer(func() {}).At(1) }, true},
+		{"Timer.At(NaN)", func(e *Engine) { e.NewTimer(func() {}).At(nan) }, true},
+		{"Timer.After(-1)", func(e *Engine) { e.NewTimer(func() {}).After(-1) }, true},
+		{"Timer.After(NaN)", func(e *Engine) { e.NewTimer(func() {}).After(nan) }, true},
+		{"Timer.At(+Inf)", func(e *Engine) { e.NewTimer(func() {}).At(inf) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			e.At(5, func() {})
+			e.Run()
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				tc.sched(e)
+				return false
+			}()
+			if panicked != tc.panic {
+				t.Fatalf("panicked = %v, want %v", panicked, tc.panic)
+			}
+			if !tc.panic && e.Pending() != 1 {
+				t.Errorf("Pending = %d after an accepted schedule", e.Pending())
+			}
+		})
+	}
+}
+
+// TestScheduleAllocs pins the allocation contract: once the queue has
+// grown, a fire-and-forget event costs nothing beyond its callback and
+// re-arming or cancelling a timer costs nothing at all.
+func TestScheduleAllocs(t *testing.T) {
+	e := New(1)
+	fn := func() {}
+	for i := 0; i < 100; i++ {
+		e.After(float64(i%7), fn)
+	}
+	e.Run()
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 50; i++ {
+			e.After(float64(i%7), fn)
+		}
+		e.Run()
+	}); n != 0 {
+		t.Errorf("At/After + Run: %v allocs, want 0", n)
+	}
+	tm := e.NewTimer(fn)
+	if n := testing.AllocsPerRun(100, func() {
+		tm.After(2)
+		tm.After(1)
+		tm.Cancel()
+		tm.After(3)
+		e.Run()
+	}); n != 0 {
+		t.Errorf("Timer arm/cancel/fire: %v allocs, want 0", n)
+	}
 }

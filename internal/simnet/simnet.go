@@ -58,20 +58,33 @@ type Stats struct {
 
 // Network simulates message exchange between nodes.
 type Network struct {
-	eng     *des.Engine
-	nodes   map[NodeID]Handler
-	crashed map[NodeID]bool
+	eng *des.Engine
+	// nodes and crashed are indexed by the dense NodeID.
+	nodes   []Handler
+	crashed []bool
 	def     LinkParams
-	links   map[[2]NodeID]LinkParams
+	// links holds SetLink overrides; nil until the first one.
+	links map[[2]NodeID]LinkParams
 	// busyUntil tracks per-directed-link FIFO serialization when the
 	// link has finite bandwidth.
 	busyUntil map[[2]NodeID]float64
-	stats     Stats
+	// free holds delivery records whose message has been handed over.
+	free  []*delivery
+	stats Stats
 	// BurstLoss, when non-nil, is consulted per message in addition to
 	// LossProb; it enables correlated (bursty) loss models from the
 	// failure package.
 	BurstLoss func(from, to NodeID) bool
 	met       netMetrics
+}
+
+// delivery is one in-flight message: a pooled record whose callback is
+// bound once, so a send schedules it without allocating.
+type delivery struct {
+	n        *Network
+	from, to NodeID
+	m        Message
+	fire     func()
 }
 
 // netMetrics holds the network's instrument handles. The zero value
@@ -101,20 +114,29 @@ func (n *Network) Instrument(reg *metrics.Registry) {
 // New returns a network over the given engine with zero-latency,
 // loss-free default links.
 func New(eng *des.Engine) *Network {
-	return &Network{
-		eng:       eng,
-		nodes:     make(map[NodeID]Handler),
-		crashed:   make(map[NodeID]bool),
-		links:     make(map[[2]NodeID]LinkParams),
-		busyUntil: make(map[[2]NodeID]float64),
-	}
+	return &Network{eng: eng}
 }
 
 // Engine returns the underlying discrete-event engine.
 func (n *Network) Engine() *des.Engine { return n.eng }
 
 // Attach registers the handler for a node ID, replacing any previous one.
-func (n *Network) Attach(id NodeID, h Handler) { n.nodes[id] = h }
+// IDs index a slice: keep them dense and non-negative.
+func (n *Network) Attach(id NodeID, h Handler) {
+	n.nodes = grow(n.nodes, id)
+	n.nodes[id] = h
+}
+
+// grow extends s so that id indexes it.
+func grow[T any](s []T, id NodeID) []T {
+	if id < 0 {
+		panic(fmt.Sprintf("simnet: negative node ID %d", id))
+	}
+	if int(id) >= len(s) {
+		s = append(s, make([]T, int(id)+1-len(s))...)
+	}
+	return s
+}
 
 // AttachFunc registers a function handler for a node ID.
 func (n *Network) AttachFunc(id NodeID, f func(from NodeID, m Message)) {
@@ -127,25 +149,39 @@ func (n *Network) SetDefaultLink(p LinkParams) { n.def = p }
 
 // SetLink overrides the parameters of the directed link from → to.
 func (n *Network) SetLink(from, to NodeID, p LinkParams) {
+	if n.links == nil {
+		n.links = make(map[[2]NodeID]LinkParams)
+	}
 	n.links[[2]NodeID{from, to}] = p
 }
 
 // Link returns the effective parameters of the directed link from → to.
 func (n *Network) Link(from, to NodeID) LinkParams {
-	if p, ok := n.links[[2]NodeID{from, to}]; ok {
-		return p
+	if len(n.links) > 0 {
+		if p, ok := n.links[[2]NodeID{from, to}]; ok {
+			return p
+		}
 	}
 	return n.def
 }
 
 // Crash marks a node as crash-stopped: it no longer sends or receives.
-func (n *Network) Crash(id NodeID) { n.crashed[id] = true }
+func (n *Network) Crash(id NodeID) {
+	n.crashed = grow(n.crashed, id)
+	n.crashed[id] = true
+}
 
 // Recover clears a node's crashed state.
-func (n *Network) Recover(id NodeID) { delete(n.crashed, id) }
+func (n *Network) Recover(id NodeID) {
+	if n.Crashed(id) {
+		n.crashed[id] = false
+	}
+}
 
 // Crashed reports whether a node is crash-stopped.
-func (n *Network) Crashed(id NodeID) bool { return n.crashed[id] }
+func (n *Network) Crashed(id NodeID) bool {
+	return uint(id) < uint(len(n.crashed)) && n.crashed[id]
+}
 
 // Stats returns a snapshot of the delivery counters.
 func (n *Network) Stats() Stats { return n.stats }
@@ -154,7 +190,7 @@ func (n *Network) Stats() Stats { return n.stats }
 // nodes are ignored; messages to crashed or unknown nodes are discarded at
 // delivery time (matching a real network, where the sender cannot tell).
 func (n *Network) Send(from, to NodeID, m Message) {
-	if n.crashed[from] {
+	if n.Crashed(from) {
 		return
 	}
 	n.stats.Sent++
@@ -177,6 +213,9 @@ func (n *Network) Send(from, to NodeID, m Message) {
 	if p.Bandwidth > 0 {
 		// FIFO serialization: the message occupies the link for
 		// 1/Bandwidth starting when the link frees up.
+		if n.busyUntil == nil {
+			n.busyUntil = make(map[[2]NodeID]float64)
+		}
 		key := [2]NodeID{from, to}
 		start := n.eng.Now()
 		if busy := n.busyUntil[key]; busy > start {
@@ -188,28 +227,49 @@ func (n *Network) Send(from, to NodeID, m Message) {
 	}
 	n.met.latency.Observe(d)
 	n.met.inflight.Add(1)
-	n.eng.After(d, func() {
-		n.met.inflight.Add(-1)
-		if n.crashed[to] {
-			n.stats.ToCrashed++
-			n.met.toCrashed.Inc()
-			return
-		}
-		h, ok := n.nodes[to]
-		if !ok {
-			panic(fmt.Sprintf("simnet: message %T delivered to unattached node %d", m, to))
-		}
-		n.stats.Delivered++
-		n.met.delivered.Inc()
-		h.Receive(from, m)
-	})
+	var dl *delivery
+	if k := len(n.free) - 1; k >= 0 {
+		dl = n.free[k]
+		n.free = n.free[:k]
+	} else {
+		dl = &delivery{n: n}
+		dl.fire = dl.deliver
+	}
+	dl.from, dl.to, dl.m = from, to, m
+	n.eng.After(d, dl.fire)
 }
 
-// Broadcast sends m from the given node to every other attached node.
+// deliver hands the message to its destination. The record goes back
+// to the pool first, so the handler's own sends can reuse it.
+func (dl *delivery) deliver() {
+	n, from, to, m := dl.n, dl.from, dl.to, dl.m
+	dl.m = nil
+	n.free = append(n.free, dl)
+	n.met.inflight.Add(-1)
+	if n.Crashed(to) {
+		n.stats.ToCrashed++
+		n.met.toCrashed.Inc()
+		return
+	}
+	var h Handler
+	if uint(to) < uint(len(n.nodes)) {
+		h = n.nodes[to]
+	}
+	if h == nil {
+		panic(fmt.Sprintf("simnet: message %T delivered to unattached node %d", m, to))
+	}
+	n.stats.Delivered++
+	n.met.delivered.Inc()
+	h.Receive(from, m)
+}
+
+// Broadcast sends m from the given node to every other attached node,
+// in ascending NodeID order, so the jitter and loss draws follow a
+// fixed order.
 func (n *Network) Broadcast(from NodeID, m Message) {
-	for id := range n.nodes {
-		if id != from {
-			n.Send(from, id, m)
+	for id, h := range n.nodes {
+		if h != nil && NodeID(id) != from {
+			n.Send(from, NodeID(id), m)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"p2pmss/internal/des"
@@ -228,5 +229,56 @@ func TestBandwidthPerLink(t *testing.T) {
 	eng.Run()
 	if got := b.at[1]; got != 11 {
 		t.Errorf("post-idle delivery at %v, want 11", got)
+	}
+}
+
+// TestBroadcastDeterministic broadcasts over lossy, jittery links on two
+// engines with one seed: the loss and jitter draws follow the send
+// order, so the delivery logs agree only if Broadcast's order is fixed.
+func TestBroadcastDeterministic(t *testing.T) {
+	run := func() []string {
+		eng := des.New(3)
+		nw := New(eng)
+		nw.SetDefaultLink(LinkParams{Latency: 1, Jitter: 0.5, LossProb: 0.3})
+		var log []string
+		for i := 0; i < 16; i++ {
+			id := NodeID(i)
+			nw.AttachFunc(id, func(from NodeID, m Message) {
+				log = append(log, fmt.Sprintf("%d<-%d %v at %.9f", id, from, m, eng.Now()))
+			})
+		}
+		nw.Broadcast(0, "a")
+		nw.Broadcast(7, "b")
+		eng.Run()
+		return log
+	}
+	a, b := run(), run()
+	if len(a) == 0 || fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("same seed, different deliveries:\n%v\n%v", a, b)
+	}
+}
+
+// TestSendAllocs pins the pooled delivery: once warmed, a send and its
+// delivery allocate nothing.
+func TestSendAllocs(t *testing.T) {
+	eng := des.New(1)
+	nw := New(eng)
+	nw.SetDefaultLink(LinkParams{Latency: 1, Jitter: 0.5})
+	got := 0
+	nw.AttachFunc(0, func(NodeID, Message) {})
+	nw.AttachFunc(1, func(NodeID, Message) { got++ })
+	var msg Message = "x"
+	send := func() {
+		for i := 0; i < 8; i++ {
+			nw.Send(0, 1, msg)
+		}
+		eng.Run()
+	}
+	send()
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Errorf("warm send + delivery: %v allocs, want 0", n)
+	}
+	if got != 8*102 {
+		t.Errorf("delivered %d, want %d", got, 8*102)
 	}
 }
