@@ -13,6 +13,16 @@
 // near-zero-alloc without demanding literal zero. A benchmark several
 // prefixes match answers to the longest of them.
 //
+// With -compare FILE it fails (exit 1) if any benchmark also in FILE, an
+// earlier benchjson document, reports more B/op or allocs/op than FILE
+// does by more than -tolerance (a fraction, default 0.10), or if a row
+// of FILE has no benchmark in this run, so a gated benchmark that is
+// renamed or drops out of the run cannot switch its gate off. ns/op is
+// only reported, since it depends on the host. Names match without their
+// -GOMAXPROCS suffix; FILE's BenchmarkParent* rows (a parent commit's
+// run, kept for reference) match nothing and are not required. FILE is
+// read before -o writes, so the two may name one file.
+//
 //	go test -run='^$' -bench=. -benchmem ./internal/engine | benchjson -o BENCH_engine.json
 //	go test -run='^$' -bench=SpanDisabled -benchmem ./internal/engine | \
 //	    benchjson -assert-zero-allocs BenchmarkSpanDisabled -o BENCH_span.json
@@ -25,7 +35,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -60,10 +72,12 @@ func parse(lines []string) Report {
 		switch {
 		case strings.HasPrefix(line, "pkg:"):
 			pkg := strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			if rep.Package != "" {
-				pkg = rep.Package + "," + pkg // one run over several packages
+			switch {
+			case rep.Package == "":
+				rep.Package = pkg
+			case !slices.Contains(strings.Split(rep.Package, ","), pkg):
+				rep.Package += "," + pkg // one run over several packages
 			}
-			rep.Package = pkg
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -132,11 +146,19 @@ func main() {
 		"fail if any benchmark with this name prefix reports allocs/op > 0")
 	maxAllocs := flag.String("assert-max-allocs", "",
 		"PREFIX=N[,PREFIX=N...]: fail if any benchmark with a listed name prefix reports allocs/op > N")
+	compare := flag.String("compare", "",
+		"baseline benchjson document: fail if a benchmark's B/op or allocs/op exceeds its row there by more than -tolerance")
+	tolerance := flag.Float64("tolerance", 0.10,
+		"growth of B/op or allocs/op over the -compare baseline allowed, as a fraction")
 	flag.Parse()
 
 	caps, err := parseMaxAllocs(*maxAllocs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+	if *tolerance < 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: -tolerance %v is negative\n", *tolerance)
 		os.Exit(1)
 	}
 
@@ -206,6 +228,16 @@ func main() {
 			failed = true
 		}
 	}
+	if *compare != "" {
+		base, err := readReport(*compare)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		if compareReports(os.Stderr, base, rep, *tolerance) {
+			failed = true
+		}
+	}
 	if failed {
 		os.Exit(1)
 	}
@@ -223,4 +255,62 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: write %s: %v\n", *out, err)
 		os.Exit(1)
 	}
+}
+
+// readReport reads a benchjson document.
+func readReport(path string) (Report, error) {
+	var rep Report
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return rep, fmt.Errorf("compare: %w", err)
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return rep, fmt.Errorf("compare: %s: %w", path, err)
+	}
+	return rep, nil
+}
+
+// baseName is a benchmark's name without its -GOMAXPROCS suffix.
+func baseName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 || strings.Trim(name[i+1:], "0123456789") != "" {
+		return name
+	}
+	return name[:i]
+}
+
+// compareReports writes one line per benchmark of cur that base also
+// holds — ns/op, B/op and allocs/op, base → cur — and reports whether
+// any B/op or allocs/op grew past base·(1+tol), or a row of base other
+// than a BenchmarkParent* one has no benchmark in cur.
+func compareReports(w io.Writer, base, cur Report, tol float64) (failed bool) {
+	old := make(map[string]Benchmark, len(base.Benchmarks))
+	for _, b := range base.Benchmarks {
+		old[baseName(b.Name)] = b
+	}
+	grew := func(was, is int64) bool { return float64(is) > float64(was)*(1+tol) }
+	for _, b := range cur.Benchmarks {
+		name := baseName(b.Name)
+		o, ok := old[name]
+		if !ok {
+			fmt.Fprintf(w, "benchjson: compare %s: not in the baseline\n", b.Name)
+			continue
+		}
+		delete(old, name)
+		verdict := "ok"
+		if grew(o.BytesPerOp, b.BytesPerOp) || grew(o.AllocsPerOp, b.AllocsPerOp) {
+			verdict, failed = fmt.Sprintf("FAIL: grew more than %.0f%%", 100*tol), true
+		}
+		fmt.Fprintf(w, "benchjson: compare %s: %.0f → %.0f ns/op, %d → %d B/op, %d → %d allocs/op: %s\n",
+			name, o.NsPerOp, b.NsPerOp, o.BytesPerOp, b.BytesPerOp, o.AllocsPerOp, b.AllocsPerOp, verdict)
+	}
+	for _, b := range base.Benchmarks {
+		if name := baseName(b.Name); !strings.HasPrefix(name, "BenchmarkParent") {
+			if _, missed := old[name]; missed {
+				fmt.Fprintf(w, "benchjson: compare %s: in the baseline but not in this run: FAIL\n", name)
+				failed = true
+			}
+		}
+	}
+	return failed
 }

@@ -49,7 +49,7 @@ func outcomeLines(outs []engine.Outcome) string {
 	for _, o := range outs {
 		kids := append([]engine.PeerID(nil), o.Children...)
 		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		keys := o.Assigned.Keys()
+		keys := o.Assigned().Keys()
 		sort.Strings(keys)
 		lines = append(lines, fmt.Sprintf("peer=%d active=%v parent=%d children=%v assigned=%v",
 			o.ID, o.Active, o.Parent, kids, keys))
@@ -198,10 +198,10 @@ func TestSimLiveConformanceCoversContent(t *testing.T) {
 		if !o.Active {
 			t.Fatalf("peer %d inactive under zero churn", o.ID)
 		}
-		for _, k := range o.Assigned.Keys() {
+		for _, k := range o.Assigned().Keys() {
 			covered[k] = true
 		}
-		total += len(o.Assigned)
+		total += len(o.Assigned())
 	}
 	if total == 0 {
 		t.Fatal("no assignments at all — conformance would be vacuous")

@@ -471,7 +471,8 @@ type runner struct {
 
 	res          Result
 	met          coordMetrics
-	enhanced     seq.Sequence // memoized Enhance(content, Interval)
+	enhanced     seq.Sequence   // memoized Enhance(content, Interval)
+	initialParts []seq.Sequence // memoized EnhanceDivide(content, Interval, H)
 	activeCount  int
 	measureEv    [2]*des.Timer // the window's opening and closing edges
 	measureDone  bool
@@ -822,7 +823,10 @@ func (r *runner) initialAssignment(idx int, selected []overlay.PeerID) (seq.Sequ
 	if !r.cfg.DataPlane || r.cfg.fluid() {
 		return nil, rate
 	}
-	return seq.Div(r.enhancedContent(), r.cfg.H, idx), rate
+	if r.initialParts == nil {
+		r.initialParts = parity.EnhanceDivide(r.content, r.cfg.Interval, r.cfg.H)
+	}
+	return r.initialParts[idx], rate
 }
 
 // heterogeneousAssignment allocates the enhanced sequence across the

@@ -38,7 +38,7 @@ func checkAssigned(t *testing.T, label string, h *harness, log [][]seq.Sequence)
 		if len(log[i]) > 1 {
 			merges++
 		}
-		got := p.Outcome().Assigned
+		got := p.Outcome().Assigned()
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}
@@ -61,7 +61,7 @@ func TestOutcomeAssignedEqualsLeftFoldOfShares(t *testing.T) {
 
 			h.reset(seed)
 			for i, p := range h.peers {
-				if a := p.Outcome().Assigned; a != nil {
+				if a := p.Outcome().Assigned(); a != nil {
 					t.Fatalf("%s seed %d: peer %d still reports %d assigned packets after Reset", protoName(dcop), seed, i, len(a))
 				}
 			}

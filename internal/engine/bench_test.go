@@ -3,6 +3,8 @@ package engine_test
 import (
 	"testing"
 
+	"p2pmss/internal/engine"
+	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 )
 
@@ -39,3 +41,38 @@ func BenchmarkEngineDCoP(b *testing.B) { benchEngine(b, true, nil) }
 
 func BenchmarkEngineTCoPData(b *testing.B) { benchEngine(b, false, seq.Range(1, 30000)) }
 func BenchmarkEngineDCoPData(b *testing.B) { benchEngine(b, true, seq.Range(1, 30000)) }
+
+// fig12Share is a hand-off as Figure 12 runs one at H = 30 (interval
+// 29): a peer's initial share of the content, about 400 packets, handed
+// to two children and the peer itself 20 packets on.
+func fig12Share() (stream seq.Sequence, mark, interval, k int) {
+	return seq.Div(parity.Enhance(seq.Range(1, 12000), 29), 30, 0), 20, 29, 3
+}
+
+// BenchmarkShareOut is the division a hand-off computes: Esq of the
+// stream past the mark, divided three ways.
+func BenchmarkShareOut(b *testing.B) {
+	stream, mark, interval, k := fig12Share()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engine.ShareOut(stream, mark, 2, interval, k)
+	}
+}
+
+// BenchmarkStreamSwitch is the switch that hand-off plans: the unsent
+// remainder minus what the children were given, unioned with the
+// peer's own share.
+func BenchmarkStreamSwitch(b *testing.B) {
+	stream, mark, interval, k := fig12Share()
+	parts, rate := engine.ShareOut(stream, mark, 2, interval, k)
+	keep, given := engine.SplitParts(parts)
+	var st engine.Stream
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Install(stream, 2)
+		st.Apply(&engine.Handoff{Keep: keep, Given: given, OldRate: 2, NewRate: rate, Mark: mark})
+		st.Switch()
+	}
+}

@@ -99,7 +99,7 @@ func TestDCoPDuplicateControlIgnored(t *testing.T) {
 	if p.ChildrenTaken() != taken {
 		t.Fatalf("duplicated c1 took %d extra children", p.ChildrenTaken()-taken)
 	}
-	if a := p.Outcome().Assigned; !seq.Equal(a, m.AssignedSeq) {
+	if a := p.Outcome().Assigned(); !seq.Equal(a, m.AssignedSeq) {
 		t.Fatalf("after a duplicated c1 the peer reports %v assigned, want %v", a, m.AssignedSeq)
 	}
 
@@ -151,7 +151,7 @@ func TestDCoPDuplicateCommitIgnored(t *testing.T) {
 		t.Fatalf("later grant at a new offset merged %d times, want 1", n)
 	}
 	want := seq.Union(seq.Union(act.AssignedSeq, grant.AssignedSeq), later.AssignedSeq)
-	if a := p.Outcome().Assigned; !seq.Equal(a, want) {
+	if a := p.Outcome().Assigned(); !seq.Equal(a, want) {
 		t.Fatalf("assigned %v, want each of the three shares once: %v", a, want)
 	}
 }

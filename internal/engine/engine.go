@@ -24,6 +24,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -701,10 +702,9 @@ type Outcome struct {
 	// Children lists the peers this peer handed shares to, in hand-off
 	// order (absorbed-back children removed).
 	Children []PeerID
-	// Assigned is the union of every subsequence ever assigned to this
-	// peer (§3.4's pkt_i after all merges), independent of what was
-	// later handed off.
-	Assigned seq.Sequence
+	// shares are the subsequences assigned to this peer, in arrival
+	// order, as the events carried them (see Assigned).
+	shares []seq.Sequence
 	// Round is the peer's activation round (tree depth).
 	Round int
 	// Retried and Absorbed count alternate-peer retries and re-absorbed
@@ -720,19 +720,42 @@ func (p *Peer) Outcome() Outcome {
 		Parent:    p.parent,
 		Committed: p.committed,
 		Children:  append([]PeerID(nil), p.children...),
-		Assigned:  unionAll(p.assigned),
+		shares:    slices.Clone(p.assigned),
 		Round:     p.round,
 		Retried:   p.retried,
 		Absorbed:  p.absorbed,
 	}
 }
 
+// Assigned is the union of every subsequence ever assigned to this peer
+// (§3.4's pkt_i after all merges), independent of what was later handed
+// off. It is derived on each call, so an outcome nobody reads costs no
+// union.
+func (o Outcome) Assigned() seq.Sequence { return unionAll(o.shares) }
+
+// MarshalJSON encodes the outcome with Assigned() written out as a field
+// between Children and Round, byte for byte what encoding/json wrote when
+// Assigned was a field.
+func (o Outcome) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		ID                PeerID
+		Active            bool
+		Parent            int
+		Committed         bool
+		Children          []PeerID
+		Assigned          seq.Sequence
+		Round             int
+		Retried, Absorbed int
+	}{o.ID, o.Active, o.Parent, o.Committed, o.Children, o.Assigned(), o.Round, o.Retried, o.Absorbed})
+}
+
 // unionAll is the union of the shares in arrival order, by balanced
 // pairwise Union: O(total · log k) packet copies for k shares, paid by
-// the caller of Outcome and never by a protocol step. On a shared
-// identity Union keeps its left operand's packet, so the representative
-// is the first arrival's, as a left fold would pick. A single share is
-// returned as is — it is immutable (see the seq package doc).
+// the reader of Outcome.Assigned and never by a protocol step. On a
+// shared identity Union keeps its left operand's packet, so the
+// representative is the first arrival's, as a left fold would pick. A
+// single share is returned as is — it is immutable (see the seq package
+// doc).
 func unionAll(shares []seq.Sequence) seq.Sequence {
 	switch len(shares) {
 	case 0:
@@ -777,7 +800,8 @@ func MarkOffset(sentOffset int, delta, rate float64) int {
 }
 
 // ShareOut computes the division of parent stream ps (from mark offset)
-// into k parts using parity interval p: Esq then round-robin Div. It
+// into k parts using parity interval p: Esq then round-robin Div, in one
+// pass (parity.EnhanceDivide; the parts share one block). It
 // returns the k parts (part 0 is the parent's own share) and the
 // per-stream rate that preserves aggregate content throughput,
 // parentRate·(p+1)/(p·k). (The TCoP pseudocode sets τ_i := τ_j/c2.n,
@@ -805,7 +829,7 @@ func ShareOut(ps seq.Sequence, mark int, parentRate float64, p, k int) ([]seq.Se
 		return make([]seq.Sequence, k), rate
 	}
 	if p > 0 {
-		tail = parity.Enhance(tail, p)
+		return parity.EnhanceDivide(tail, p, k), rate
 	}
 	return seq.Divide(tail, k), rate
 }

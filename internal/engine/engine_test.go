@@ -301,7 +301,7 @@ func coverageKeys(outs []engine.Outcome) map[string]bool {
 		if !o.Active {
 			continue
 		}
-		for _, k := range o.Assigned.Keys() {
+		for _, k := range o.Assigned().Keys() {
 			keys[k] = true
 		}
 	}
@@ -552,7 +552,7 @@ func formatOutcomes(outs []engine.Outcome) string {
 	for _, o := range outs {
 		kids := append([]engine.PeerID(nil), o.Children...)
 		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		keys := o.Assigned.Keys()
+		keys := o.Assigned().Keys()
 		sort.Strings(keys)
 		s += fmt.Sprintf("%d active=%v parent=%d kids=%v assigned=%v\n", o.ID, o.Active, o.Parent, kids, keys)
 	}

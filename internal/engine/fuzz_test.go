@@ -53,8 +53,8 @@ func FuzzEngine(f *testing.F) {
 			o := p.Outcome()
 			// Assigned union is monotone under both protocols.
 			seen := prevAssigned[to]
-			cur := make(map[string]bool, len(o.Assigned))
-			for _, k := range o.Assigned.Keys() {
+			cur := make(map[string]bool, len(o.Assigned()))
+			for _, k := range o.Assigned().Keys() {
 				cur[k] = true
 			}
 			for k := range seen {

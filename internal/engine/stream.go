@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"slices"
 
 	"p2pmss/internal/seq"
 )
@@ -159,12 +158,12 @@ func (st *Stream) remainder() seq.Sequence {
 // and no identity string built: data packets (identity = content index)
 // as a bitset over the given index range, and parities — and data too
 // sparse for a word per packet, which only a malformed remote share has
-// — sorted by identity for search. Searching all data too is simpler but
-// cost the Figure-12 packet plane 5–12 % CPU (2-vCPU host, ten pairs).
+// — in a seq.Set. Looking all data up in the set too is simpler but
+// costs the Figure-12 packet plane a hash per packet.
 type givenSet struct {
 	lo   int64
 	data []uint64 // bit k−lo: data packet t_k was given
-	ids  []*seq.Packet
+	ids  seq.Set
 }
 
 func newGivenSet(parts []seq.Sequence) givenSet {
@@ -182,17 +181,16 @@ func newGivenSet(parts []seq.Sequence) givenSet {
 		g.data = make([]uint64, (hi-lo)/64+1)
 		n -= ndata
 	}
-	g.ids = make([]*seq.Packet, 0, n)
+	g.ids = seq.NewSet(n)
 	for _, part := range parts {
 		for i := range part {
 			if p := &part[i]; p.IsData() && g.data != nil {
 				g.data[(p.Index-lo)/64] |= 1 << ((p.Index - lo) % 64)
 			} else {
-				g.ids = append(g.ids, p)
+				g.ids.Add(p)
 			}
 		}
 	}
-	slices.SortFunc(g.ids, seq.CompareIdentity)
 	return g
 }
 
@@ -202,6 +200,5 @@ func (g *givenSet) has(p *seq.Packet) bool {
 		k := p.Index - g.lo
 		return k >= 0 && k/64 < int64(len(g.data)) && g.data[k/64]&(1<<(k%64)) != 0
 	}
-	_, found := slices.BinarySearchFunc(g.ids, p, seq.CompareIdentity)
-	return found
+	return g.ids.Has(p)
 }

@@ -41,14 +41,15 @@ func TopologySnapshot(outs []Outcome, info TopologyInfo) overlay.Snapshot {
 		cover = &dataCounter{bits: make([]uint64, info.ContentLen/64+1)}
 	}
 	for _, o := range outs {
+		assigned := o.Assigned()
 		n := overlay.Node{
 			ID:        int(o.ID),
 			Active:    o.Active,
 			Committed: o.Committed,
 			Parent:    o.Parent,
 			Depth:     o.Round,
-			Assigned:  len(o.Assigned),
-			Covered:   o.Assigned.CountData(),
+			Assigned:  len(assigned),
+			Covered:   assigned.CountData(),
 			Retried:   o.Retried,
 			Absorbed:  o.Absorbed,
 		}
@@ -65,7 +66,7 @@ func TopologySnapshot(outs []Outcome, info TopologyInfo) overlay.Snapshot {
 		}
 		s.Nodes = append(s.Nodes, n)
 		if o.Active && cover != nil {
-			cover.add(o.Assigned)
+			cover.add(assigned)
 		}
 	}
 	s.ComputeHealth()

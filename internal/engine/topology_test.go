@@ -16,10 +16,10 @@ import (
 func TestTopologySnapshotDerivesEdgesFromChildren(t *testing.T) {
 	outs := []Outcome{
 		{ID: 0, Active: true, Parent: 0, Children: []PeerID{1, 2, 2}, // dup child must not dup the edge
-			Assigned: seq.Range(1, 10), Round: 1},
+			shares: []seq.Sequence{seq.Range(1, 10)}, Round: 1},
 		{ID: 1, Active: true, Parent: -1, Children: []PeerID{3}, // DCoP-style: no recorded parent
-			Assigned: seq.Range(11, 15), Round: 2},
-		{ID: 2, Active: true, Parent: 0, Assigned: seq.Range(16, 18), Round: 2},
+			shares: []seq.Sequence{seq.Range(11, 15)}, Round: 2},
+		{ID: 2, Active: true, Parent: 0, shares: []seq.Sequence{seq.Range(16, 18)}, Round: 2},
 		{ID: 3, Active: false, Parent: -1, Round: 0},
 	}
 	s := TopologySnapshot(outs, TopologyInfo{
@@ -73,15 +73,15 @@ func TestTopologySnapshotCoverageCountsDistinctData(t *testing.T) {
 	d := func(k int64) seq.Packet { return seq.NewData(k) }
 	par := seq.NewParity([]seq.Packet{d(3), d(4)}, seq.MidPos(3, 4))
 	outs := []Outcome{
-		{ID: 0, Active: true, Assigned: seq.Sequence{d(1), d(2), d(3), par, d(4)}},
-		{ID: 1, Active: true, Assigned: seq.Sequence{d(3), par, d(4), d(5), d(64), d(500)}},
-		{ID: 2, Active: true, Assigned: seq.Sequence{d(500)}},
-		{ID: 3, Active: false, Assigned: seq.Range(6, 60)},
+		{ID: 0, Active: true, shares: []seq.Sequence{{d(1), d(2), d(3), par, d(4)}}},
+		{ID: 1, Active: true, shares: []seq.Sequence{{d(3), par, d(4), d(5), d(64), d(500)}}},
+		{ID: 2, Active: true, shares: []seq.Sequence{{d(500)}}},
+		{ID: 3, Active: false, shares: []seq.Sequence{seq.Range(6, 60)}},
 	}
 	var union seq.Sequence
 	for _, o := range outs {
 		if o.Active {
-			union = seq.Union(union, o.Assigned)
+			union = seq.Union(union, o.Assigned())
 		}
 	}
 	for _, contentLen := range []int{5, 63, 64, 100} {
@@ -93,7 +93,7 @@ func TestTopologySnapshotCoverageCountsDistinctData(t *testing.T) {
 }
 
 func TestTopologySnapshotZeroContentLen(t *testing.T) {
-	outs := []Outcome{{ID: 0, Active: true, Assigned: seq.Range(1, 5), Round: 1}}
+	outs := []Outcome{{ID: 0, Active: true, shares: []seq.Sequence{seq.Range(1, 5)}, Round: 1}}
 	s := TopologySnapshot(outs, TopologyInfo{})
 	if s.Health.Coverage != 0 {
 		t.Errorf("coverage = %v without a content length, want 0", s.Health.Coverage)

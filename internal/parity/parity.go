@@ -36,31 +36,83 @@ func Enhance(s seq.Sequence, h int) seq.Sequence {
 	if h <= 0 {
 		panic(fmt.Sprintf("parity: Enhance interval h=%d must be positive", h))
 	}
-	if len(s) == 0 {
-		return nil
+	var one [1]seq.Sequence
+	enhanceDivide(s, h, one[:])
+	return one[0]
+}
+
+// EnhanceDivide returns the k round-robin parts of Esq(s, h) — part i is
+// seq.Div(Enhance(s, h), k, i) — in one pass, without building the
+// enhanced sequence: the parts are cut from one block of packets and
+// the parities' identities from one seq.Arena. A part with no packet is
+// nil. h and k must be positive.
+func EnhanceDivide(s seq.Sequence, h, k int) []seq.Sequence {
+	if h <= 0 || k <= 0 {
+		panic(fmt.Sprintf("parity: EnhanceDivide(h=%d, k=%d) must be positive", h, k))
 	}
-	out := make(seq.Sequence, 0, len(s)+len(s)/h+1)
+	parts := make([]seq.Sequence, k)
+	enhanceDivide(s, h, parts)
+	return parts
+}
+
+// enhanceDivide fills the len(parts) parts of Esq(s, h).
+func enhanceDivide(s seq.Sequence, h int, parts []seq.Sequence) {
+	k, n := len(parts), enhancedLen(len(s), h)
+	block := make(seq.Sequence, n)
+	for i := range min(k, n) {
+		size := (n - i + k - 1) / k
+		parts[i], block = block[:size:size], block[size:]
+	}
 	// Every packet is covered once: the parities' identities take one
 	// block of nodes and one of covers.
 	var a seq.Arena
 	a.Reserve((len(s)+h-1)/h, len(s))
+	c := cursor{parts: parts}
 	for d := 0; d*h < len(s); d++ {
-		segStart := d * h
-		segEnd := segStart + h
-		if segEnd > len(s) {
-			segEnd = len(s)
-		}
-		segment := s[segStart:segEnd]
-		offset := d % (h + 1)
-		if offset > len(segment) {
-			offset = len(segment)
-		}
-		p := makeParity(&a, s, segStart, segEnd, offset)
-		out = append(out, segment[:offset]...)
-		out = append(out, p)
-		out = append(out, segment[offset:]...)
+		start, end, offset := segment(len(s), h, d)
+		c.putAll(s[start : start+offset])
+		p := makeParity(&a, s, start, end, offset)
+		c.put(&p)
+		c.putAll(s[start+offset : end])
 	}
-	return out
+}
+
+// cursor deals packets round robin into parts: the j-th put lands in
+// parts[j%len(parts)][j/len(parts)].
+type cursor struct {
+	parts []seq.Sequence
+	i, at int
+}
+
+func (c *cursor) put(p *seq.Packet) {
+	c.parts[c.i][c.at] = *p
+	if c.i++; c.i == len(c.parts) {
+		c.i, c.at = 0, c.at+1
+	}
+}
+
+// putAll puts the packets of run in order, in one copy when there is
+// one part (Enhance).
+func (c *cursor) putAll(run seq.Sequence) {
+	if len(c.parts) == 1 {
+		c.at += copy(c.parts[0][c.at:], run)
+		return
+	}
+	for j := range run {
+		c.put(&run[j])
+	}
+}
+
+// enhancedLen is |Esq(s, h)| for |s| = l: one parity per segment.
+func enhancedLen(l, h int) int { return l + (l+h-1)/h }
+
+// segment returns recovery segment d of a sequence of l packets,
+// s[start:end], and the offset its parity is inserted at: d mod (h+1),
+// or the segment's end if it is shorter.
+func segment(l, h, d int) (start, end, offset int) {
+	start = d * h
+	end = min(start+h, l)
+	return start, end, min(d%(h+1), end-start)
 }
 
 // makeParity builds the parity packet for s[segStart:segEnd], positioned

@@ -86,3 +86,27 @@ func BenchmarkEqual(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUnionSmallIntoLarge is §3.4's merge as Figure 12 runs it at
+// H = 30: a share of 11 packets into the 365 unsent packets of a stream
+// (both with parities), the mean operands over a run's 2,930 merges.
+func BenchmarkUnionSmallIntoLarge(b *testing.B) {
+	var remainder, share Sequence
+	for k := int64(1); len(remainder) < 365; k++ {
+		d := NewData(k)
+		switch {
+		case k%34 == 0:
+			share = append(share, d)
+		case k%10 == 0:
+			prev := remainder[len(remainder)-1]
+			remainder = append(remainder, NewParity([]Packet{prev, d}, MidPos(prev.Pos, d.Pos)), d)
+		default:
+			remainder = append(remainder, d)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Union(remainder, share)
+	}
+}

@@ -1,7 +1,6 @@
 package seq
 
 import (
-	"cmp"
 	"slices"
 	"strconv"
 
@@ -52,25 +51,6 @@ func sameRef(a, b ref) bool {
 
 func sameNode(a, b *ident) bool {
 	return a == b || a.hash == b.hash && slices.EqualFunc(a.covers, b.covers, sameRef)
-}
-
-// compareRef orders data before parity, data by index, and parity by
-// hash, then cover count, then cover by cover: 0 exactly when sameRef.
-func compareRef(a, b ref) int {
-	switch {
-	case a.node == nil && b.node == nil:
-		return cmp.Compare(a.index, b.index)
-	case a.node == nil:
-		return -1
-	case b.node == nil:
-		return 1
-	case a.node == b.node:
-		return 0
-	}
-	if c := cmp.Compare(a.node.hash, b.node.hash); c != 0 {
-		return c
-	}
-	return slices.CompareFunc(a.node.covers, b.node.covers, compareRef)
 }
 
 // appendKey appends the identity key of r: "t<k>" or "p(<keys>)".

@@ -137,8 +137,9 @@ func TestDivEqualsDivideExactSize(t *testing.T) {
 
 // randomSequence builds a canonical sequence of data packets (drawn from
 // 1..span) with parity packets nested up to two levels, mimicking the
-// §3.6 re-enhancement shapes.
-func randomSequence(rng *rand.Rand, span int64) Sequence {
+// §3.6 re-enhancement shapes. A parity of each of recur also appears, at
+// another position: two enhancements of one segment.
+func randomSequence(rng *rand.Rand, span int64, recur ...Sequence) Sequence {
 	var s Sequence
 	for k := int64(1); k <= span; k++ {
 		if rng.Intn(2) == 0 {
@@ -158,6 +159,15 @@ func randomSequence(rng *rand.Rand, span int64) Sequence {
 		}
 	}
 	s = append(s, parities...)
+	for _, r := range recur {
+		for _, i := range rng.Perm(len(r)) {
+			if p := r[i]; !p.IsData() {
+				p.Pos = float64(rng.Int63n(span+1)) + 0.75
+				s = append(s, p)
+				break
+			}
+		}
+	}
 	s.Sort()
 	return dedupe(s)
 }
@@ -199,7 +209,7 @@ func TestCachedIdentityEqualsComputedKey(t *testing.T) {
 		t.Errorf("parsed parity key = %q (%v)", plit.Key(), ok)
 	}
 	built := NewParity([]Packet{NewData(1), NewParity([]Packet{NewData(2), NewData(3)}, 2.5)}, 1.5)
-	if !SameIdentity(&plit, &built) || CompareIdentity(&plit, &built) != 0 {
+	if !SameIdentity(&plit, &built) {
 		t.Error("parsed and constructed p(t1,p(t2,t3)) not identical")
 	}
 	t12, t13 := NewData(12), NewData(13)
@@ -238,21 +248,38 @@ func TestSetAlgebraInvariants(t *testing.T) {
 	}
 }
 
-// Sorted and unsorted inputs must agree on Intersect (the sorted path is
-// a merge, the unsorted path a membership map).
+// Sorted and unsorted inputs must agree on Intersect, by identity: b
+// holds one of a's parities at another position, which Intersect finds
+// whether b is sorted or shuffled. (A sorted path that merged by
+// position once missed it.)
 func TestIntersectSortedUnsortedAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	recurring := 0
 	for trial := 0; trial < 100; trial++ {
 		a := randomSequence(rng, 25)
-		b := randomSequence(rng, 25)
+		b := randomSequence(rng, 25, a)
 		want := Intersect(a, b)
 		shuffled := b.Clone()
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		if got := Intersect(a, shuffled); !Equal(got, want) {
-			t.Fatalf("Intersect with shuffled b = %v, want %v", got, want)
+			t.Fatalf("Intersect(%v, %v) = %v, with b shuffled %v", a, b, want, got)
 		}
+		for _, p := range want {
+			if !p.IsData() {
+				recurring++
+			}
+		}
+	}
+	if recurring == 0 {
+		t.Fatal("no trial intersected a recurring parity")
+	}
+	a := Sequence{NewData(1), NewParity(FromIndices(1, 2), 1.5), NewData(2)}
+	b := Sequence{NewData(7), a[1], NewData(8)}
+	b[1].Pos = 7.5
+	if x := Intersect(a, b); len(x) != 1 || x[0].Key() != "p(t1,t2)" || Disjoint(a, b) {
+		t.Fatalf("Intersect(%v, %v) = %v, want ⟨p(t1,t2)⟩", a, b, x)
 	}
 }
 

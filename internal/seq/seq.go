@@ -11,14 +11,23 @@
 //
 // Identity. A Packet is 48 bytes with no string: a data packet's identity
 // is its index, a parity packet's an immutable shared node (ident.go),
-// compared structurally. Key spells it for people, the wire, Less at one
-// position and unsorted Intersect; a decoded packet is a constructed one.
+// compared structurally. Key spells it for people, the wire and Less at
+// one position; a decoded packet is a constructed one.
 //
 // Ordering. Every packet carries a Pos value fixing its place in the
 // stream a peer transmits. Data packet t_k has Pos k; a parity packet
 // inserted between two packets gets the midpoint of their positions, so
 // sequences derived from a common ancestor interleave consistently and
 // Union can merge them by position.
+//
+// Cost. Union walks its shorter operand and copies the longer one's runs
+// between those packets in bulk; each copied packet costs a position
+// compare and, for a data packet, an index compare inline, and only the
+// shorter operand's packets take a full comparison. A parity can recur
+// at another position (two enhancements of one segment): Union collapses
+// two copies only where they meet at the merge heads, and keeps a's copy
+// at a's position, but Intersect and Set match by identity wherever the
+// copies sit.
 //
 // Ownership. A Sequence is immutable once shared: after it has been
 // handed to the engine (in an event or a Snapshot), put in a message or
@@ -150,12 +159,6 @@ func SameIdentity(a, b *Packet) bool {
 	return sameNode(a.id, b.id)
 }
 
-// CompareIdentity orders packets by identity — data before parity, data
-// packets by index, parity packets by identity hash and then
-// structurally — for sorting and searching by identity. It is 0 exactly
-// when SameIdentity holds, and builds no key string.
-func CompareIdentity(a, b *Packet) int { return compareRef(a.ref(), b.ref()) }
-
 // String renders the packet in the paper's notation.
 func (p Packet) String() string { return p.Key() }
 
@@ -194,6 +197,15 @@ func Range(lo, hi int64) Sequence {
 func Less(a, b *Packet) bool {
 	if a.Pos != b.Pos {
 		return a.Pos < b.Pos
+	}
+	return keyLess(a, b)
+}
+
+// keyLess orders packets at one position by identity key, building no
+// key for two of one identity.
+func keyLess(a, b *Packet) bool {
+	if SameIdentity(a, b) {
+		return false
 	}
 	var ka, kb [64]byte
 	return string(appendKey(ka[:0], a.ref())) < string(appendKey(kb[:0], b.ref()))
@@ -304,77 +316,105 @@ func (s Sequence) PostfixFromData(k int64) Sequence {
 
 // Union returns the sequence containing every packet of a and b exactly
 // once, in canonical order (paper: pkt_i ∪ pkt_j). Both inputs must be in
-// canonical order; the result is. It is one pass and one allocation:
-// equal identities meeting at the two heads collapse there, and a packet
-// equal to the one just emitted (an adjacent duplicate inside an input)
-// is skipped as it is merged. Neither argument is written.
+// canonical order; the result is. It allocates once and writes to
+// neither argument: equal identities meeting at the two heads collapse
+// there, keeping a's packet, and a packet equal to the one just emitted
+// (an adjacent duplicate inside an input) is skipped.
+//
+// Union walks the shorter operand, and the longer one's runs between its
+// packets are copied in bulk, each packet checked only against the next
+// packet of the shorter operand (its position and identity) and the one
+// before it (an adjacent duplicate), data packets inline. The walk takes
+// the decisions of a merge that moves one packet per step, so its result
+// is that merge's for any input, canonical or not.
 func Union(a, b Sequence) Sequence { return UnionExcept(a, b, nil) }
 
 // UnionExcept is Union with the packets of a that drop reports left out
 // as the merge reaches them — (a ∖ dropped) ∪ b in the same one pass
-// and one allocation. A nil drop leaves nothing out.
+// and one allocation. drop sees every packet of a, maybe more than once;
+// a nil drop leaves nothing out.
 func UnionExcept(a, b Sequence, drop func(*Packet) bool) Sequence {
 	out := make(Sequence, 0, len(a)+len(b))
-	i, j := 0, 0
-	for {
-		for drop != nil && i < len(a) && drop(&a[i]) {
+	aShort := len(a) <= len(b)
+	short, long, shortDrop, longDrop := a, b, drop, (func(*Packet) bool)(nil)
+	if !aShort {
+		short, long, shortDrop, longDrop = b, a, nil, drop
+	}
+	var prev *Packet // the packet last emitted
+	i := 0           // the head of long
+	for j := range short {
+		x := &short[j]
+		if shortDrop != nil && shortDrop(x) {
+			continue
+		}
+		// Copy the run of long that goes before x, up to a packet with
+		// x's identity (the heads meet) or one x goes before.
+		meets, from := false, i
+		for ; i < len(long); i++ {
+			p := &long[i]
+			if longDrop == nil || !longDrop(p) {
+				if meets = !distinct(p, x) && SameIdentity(p, x); meets {
+					break
+				}
+				// The step-by-step merge's comparison, operands in its
+				// order: does p go before x?
+				if aShort && Less(x, p) || !aShort && !Less(p, x) {
+					break
+				}
+				if prev == nil || distinct(p, prev) || !SameIdentity(p, prev) {
+					prev = p
+					continue
+				}
+			}
+			out = append(out, long[from:i]...)
+			from = i + 1
+		}
+		if from < i {
+			out = append(out, long[from:i]...)
+		}
+		if meets {
+			if !aShort {
+				x = &long[i] // the heads collapse to a's packet
+			}
 			i++
 		}
-		if i == len(a) && j == len(b) {
-			return out
-		}
-		var p *Packet
-		switch {
-		case j == len(b):
-			p = &a[i]
-			i++
-		case i == len(a):
-			p = &b[j]
-			j++
-		case SameIdentity(&a[i], &b[j]):
-			p = &a[i]
-			i++
-			j++
-		case Less(&a[i], &b[j]):
-			p = &a[i]
-			i++
-		default:
-			p = &b[j]
-			j++
-		}
-		if n := len(out); n == 0 || !SameIdentity(p, &out[n-1]) {
-			out = append(out, *p)
+		if prev == nil || distinct(x, prev) || !SameIdentity(x, prev) {
+			out = append(out, *x)
+			prev = x
 		}
 	}
+	from := i
+	for ; i < len(long); i++ {
+		if p := &long[i]; longDrop != nil && longDrop(p) || prev != nil && !distinct(p, prev) && SameIdentity(p, prev) {
+			out = append(out, long[from:i]...)
+			from = i + 1
+		} else {
+			prev = p
+		}
+	}
+	return append(out, long[from:]...)
 }
 
-// Intersect returns the sequence of packets present in both a and b
-// (paper: pkt_i ∩ pkt_j), in canonical order. Canonically ordered inputs
-// intersect by a linear merge with no allocation beyond the result;
-// unsorted inputs fall back to a membership map.
+// distinct settles the common answers of SameIdentity inline: a data
+// packet and a parity, or data packets of two indices, are distinct.
+// False leaves SameIdentity to decide.
+func distinct(p, q *Packet) bool {
+	return (p.id == nil) != (q.id == nil) || p.id == nil && p.Index != q.Index
+}
+
+// Intersect returns the packets of a present in b (paper: pkt_i ∩ pkt_j),
+// in a's order, matched by identity through a Set of b: a parity that
+// recurs at another position in b is present in b, and neither input
+// need be sorted.
 func Intersect(a, b Sequence) Sequence {
-	if a.Sorted() && b.Sorted() {
-		var out Sequence
-		j := 0
-		for i := range a {
-			p := &a[i]
-			for j < len(b) && Less(&b[j], p) {
-				j++
-			}
-			if j < len(b) && SameIdentity(&b[j], p) {
-				out = append(out, *p)
-			}
-		}
-		return out
-	}
-	inB := make(map[string]struct{}, len(b))
-	for _, p := range b {
-		inB[p.Key()] = struct{}{}
-	}
 	var out Sequence
-	for _, p := range a {
-		if _, ok := inB[p.Key()]; ok {
-			out = append(out, p)
+	in := NewSet(len(b))
+	for i := range b {
+		in.Add(&b[i])
+	}
+	for i := range a {
+		if in.Has(&a[i]) {
+			out = append(out, a[i])
 		}
 	}
 	return out

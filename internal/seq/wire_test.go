@@ -198,8 +198,7 @@ func TestPacketRepresentation(t *testing.T) {
 // FuzzPacketIdentity decodes packets one after another from arbitrary
 // bytes. Nothing panics; every packet accepted re-encodes to the bytes
 // it came from; and over every pair decoded, SameIdentity holds exactly
-// when the keys are equal, CompareIdentity is 0 exactly then and
-// antisymmetric, and equal identities hash equal.
+// when the keys are equal, and equal identities hash equal.
 func FuzzPacketIdentity(f *testing.F) {
 	inner := NewParity([]Packet{NewData(7), NewData(8)}, 8.5)
 	nested := NewParity([]Packet{NewData(5), inner}, 8.75)
@@ -239,9 +238,9 @@ func FuzzPacketIdentity(f *testing.F) {
 		for i := range pkts {
 			for j := range pkts {
 				a, b := &pkts[i], &pkts[j]
-				same, c := SameIdentity(a, b), CompareIdentity(a, b)
-				if same != (a.Key() == b.Key()) || same != (c == 0) || c != -CompareIdentity(b, a) {
-					t.Fatalf("%s vs %s: SameIdentity %v, CompareIdentity %d", a.Key(), b.Key(), same, c)
+				same := SameIdentity(a, b)
+				if same != (a.Key() == b.Key()) || same != SameIdentity(b, a) {
+					t.Fatalf("%s vs %s: SameIdentity %v", a.Key(), b.Key(), same)
 				}
 				if same && a.Hash() != b.Hash() {
 					t.Fatalf("%s hashes %x and %x", a.Key(), a.Hash(), b.Hash())
