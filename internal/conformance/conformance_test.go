@@ -91,7 +91,7 @@ func liveOutcomes(t *testing.T, proto engine.Protocol, seed int64, fl *flight.Se
 	}
 	c := content.New("conf", data, 16)
 
-	fab := transport.NewQueuedFabric()
+	fab := transport.NewFabric()
 	roster := make([]string, confN)
 	for i := range roster {
 		roster[i] = fmt.Sprintf("p%d", i)

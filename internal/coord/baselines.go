@@ -35,7 +35,6 @@ func (b *broadcast) deliver(p *peerNode, from simnet.NodeID, m simnet.Message) {
 
 func (b *broadcast) onRequest(p *peerNode, m reqMsg) {
 	r := b.r
-	p.view.Add(p.id)
 	var full seq.Sequence
 	rate := parity.ReceiptRate(r.cfg.Rate, r.cfg.Interval)
 	if r.cfg.DataPlane {
@@ -52,7 +51,6 @@ func (b *broadcast) onRequest(p *peerNode, m reqMsg) {
 
 func (b *broadcast) onState(p *peerNode, m stateMsg) {
 	r := b.r
-	p.view.Add(m.Peer)
 	p.statesSeen++
 	if p.statesSeen != r.cfg.N-1 {
 		return
@@ -90,7 +88,6 @@ func (u *unicast) deliver(p *peerNode, from simnet.NodeID, m simnet.Message) {
 
 func (u *unicast) onRequest(p *peerNode, m reqMsg) {
 	r := u.r
-	p.view.Add(p.id)
 	var full seq.Sequence
 	if r.cfg.DataPlane {
 		full = r.enhancedContent()
@@ -100,8 +97,6 @@ func (u *unicast) onRequest(p *peerNode, m reqMsg) {
 }
 
 func (u *unicast) onControl(p *peerNode, m ctlMsg) {
-	p.view.Add(p.id)
-	p.view.Add(m.Parent)
 	p.activate(m.Round, m.AssignedSeq, m.ChildRate)
 	u.forward(p, m.Round+1)
 }
@@ -164,7 +159,6 @@ func (c *centralized) deliver(p *peerNode, from simnet.NodeID, m simnet.Message)
 
 func (c *centralized) onRequest(p *peerNode, m reqMsg) {
 	r := c.r
-	p.view.Add(p.id)
 	for j := 1; j < r.cfg.N; j++ {
 		r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(j), prepMsg{Index: j, Round: m.Round + 1}, m.Round+1)
 	}
@@ -172,17 +166,12 @@ func (c *centralized) onRequest(p *peerNode, m reqMsg) {
 		c.activateDivision(p, 0, m.Round)
 		return
 	}
-	// Loss guard: commit with whoever acked after a round-trip budget.
-	gen := p.tcopGen
-	r.eng.After(2*(r.cfg.Delta+r.cfg.Jitter)+0.001, func() {
-		if p.tcopGen == gen {
-			c.commit(p, m.Round+3)
-		}
-	})
+	// Loss guard: commit with whoever acked after a round-trip budget
+	// (a no-op once every ack has arrived).
+	r.eng.After(2*(r.cfg.Delta+r.cfg.Jitter)+0.001, func() { c.commit(p, m.Round+3) })
 }
 
 func (c *centralized) onPrep(p *peerNode, m prepMsg) {
-	p.prepIdx = m.Index
 	c.r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(0), ackMsg{Peer: p.id, Round: m.Round + 1}, m.Round+1)
 }
 
@@ -193,14 +182,13 @@ func (c *centralized) onAck(p *peerNode, m ackMsg) {
 	}
 }
 
-// commit is the controller's final round: tell every peer to start, then
-// start itself.
+// commit is the controller's final round, run once: tell every peer to
+// start, then start itself.
 func (c *centralized) commit(p *peerNode, round int) {
-	if p.tcopFinal {
+	if p.committed {
 		return
 	}
-	p.tcopFinal = true
-	p.tcopGen++
+	p.committed = true
 	r := c.r
 	for j := 1; j < r.cfg.N; j++ {
 		r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(j), startMsg{Index: j, Round: round}, round)

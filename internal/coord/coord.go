@@ -477,7 +477,6 @@ type runner struct {
 	measureEv    [2]*des.Timer // the window's opening and closing edges
 	measureDone  bool
 	measureOpen  bool
-	quiesceRound int
 
 	// fl is the flow ledger of a fluid run (Config.PlaneMode); nil on
 	// the packet plane. winStart/winEnd record when the measurement
@@ -495,13 +494,11 @@ func (r *runner) leafID() simnet.NodeID { return simnet.NodeID(r.cfg.N) }
 
 // peerNode is the per-contents-peer state shared by all protocols. The
 // DCoP/TCoP transition state lives in core (the shared engine); the
-// node keeps only driver state — the transmitter, the view-independent
-// bookkeeping the baselines use, and mirrors of the engine's outcome
-// filled in after the run for the tests.
+// node keeps only driver state — the transmitter and the bookkeeping the
+// baselines use.
 type peerNode struct {
 	r      *runner
 	id     overlay.PeerID
-	view   overlay.View
 	active bool
 	depth  int // activation round
 	tx     *transmitter
@@ -515,18 +512,9 @@ type peerNode struct {
 	// off.
 	flight *engine.FlightObserver
 
-	// tcopCommitted/tcopConfirmed mirror the engine's outcome after the
-	// run (tree well-formedness assertions in tests).
-	tcopCommitted bool
-	tcopConfirmed []overlay.PeerID
-
-	// tcopFinal/tcopGen are a generic finalize-once/generation pair the
-	// centralized baseline reuses for its commit-timeout guard.
-	tcopFinal bool
-	tcopGen   int
-
-	// Centralized baseline state.
-	prepIdx int
+	// Centralized baseline state: the controller has sent its start
+	// round.
+	committed bool
 
 	// Broadcast baseline state.
 	statesSeen int
@@ -555,7 +543,7 @@ func newRunner(cfg Config) (*runner, error) {
 		nw.BurstLoss = cs.Hook
 	}
 	for i := 0; i < cfg.N; i++ {
-		p := &peerNode{r: r, id: overlay.PeerID(i), view: overlay.NewView(cfg.N)}
+		p := &peerNode{r: r, id: overlay.PeerID(i)}
 		p.tx = &transmitter{r: r, node: simnet.NodeID(i)}
 		r.peers = append(r.peers, p)
 		nw.AttachFunc(simnet.NodeID(i), func(from simnet.NodeID, m simnet.Message) {

@@ -115,14 +115,14 @@ func TestTCoPSingleParentInvariant(t *testing.T) {
 		r.impl = &coordinated{r: r}
 		r.run()
 		for _, p := range r.peers {
-			if !p.active && p.tcopCommitted {
+			if !p.active && p.core.Committed() {
 				t.Errorf("seed %d: peer %d committed but inactive", seed, p.id)
 			}
 		}
 		// Count adopted children: each adopted exactly once across parents.
 		children := map[int]int{}
 		for _, p := range r.peers {
-			for _, c := range p.tcopConfirmed {
+			for _, c := range p.core.Confirmed() {
 				children[int(c)]++
 			}
 		}
@@ -496,7 +496,7 @@ func TestTCoPTreeEdgeCount(t *testing.T) {
 			if p.active {
 				active++
 			}
-			edges += len(p.tcopConfirmed)
+			edges += len(p.core.Confirmed())
 		}
 		if edges != active-cfg.H {
 			t.Errorf("seed %d: %d edges for %d active peers (H=%d)", seed, edges, active, cfg.H)

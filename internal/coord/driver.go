@@ -236,15 +236,13 @@ func msgRound(m any) int {
 	return 0
 }
 
-// mirrorOutcomes copies the engines' coordination outcomes onto the
-// peer nodes (for the tree assertions in tests) and into the Result.
+// mirrorOutcomes copies the engines' coordination outcomes into the
+// Result.
 func (r *runner) mirrorOutcomes() {
 	for _, p := range r.peers {
 		if p.core == nil {
 			return // baseline run: no engine cores
 		}
-		p.tcopCommitted = p.core.Committed()
-		p.tcopConfirmed = p.core.Confirmed()
 		r.res.Outcomes = append(r.res.Outcomes, p.core.Outcome())
 	}
 }

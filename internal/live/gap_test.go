@@ -14,8 +14,8 @@ import (
 	"p2pmss/internal/transport"
 )
 
-// gapSession streams data from n peers to a leaf over one queued fabric
-// (FIFO from a single pump, so nothing is reordered). Every message a
+// gapSession streams data from n peers to a leaf over one fabric (FIFO
+// from a single pump, so nothing is reordered). Every message a
 // peer sends passes through swallow first (true loses it); every repair
 // the leaf sends is recorded. The leaf's metrics go to reg.
 //
@@ -34,7 +34,7 @@ type gapSession struct {
 
 func startGapSession(t *testing.T, proto Protocol, n int, data []byte, delta, repairAfter time.Duration, reg *metrics.Registry, swallow func(gs *gapSession, m transport.Msg) bool) *gapSession {
 	t.Helper()
-	f := transport.NewQueuedFabric()
+	f := transport.NewFabric()
 	gs := &gapSession{}
 	requested := make(chan struct{})
 	tap := func(name string, rec func(to string, m transport.Msg) bool) Transport {

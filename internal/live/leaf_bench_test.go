@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkLeafStream streams one session's data through a bounded
-// queued fabric into a leaf per op — the live data plane's per-packet
+// fabric into a leaf per op — the live data plane's per-packet
 // path: three senders encoding each packet of an h = 2 enhanced 1 MiB
 // content into one reused buffer, the fabric's pooled copy, and the
 // leaf's decode, assembly and parity bookkeeping. allocs/op counts a

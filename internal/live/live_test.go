@@ -3,7 +3,6 @@ package live
 import (
 	"bytes"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -124,15 +123,8 @@ func TestLiveStreamingWithLoss(t *testing.T) {
 	defer leaf.Close()
 	defer closeAll(peers)
 
-	// 5% message loss on the fabric (control and data alike). Drop is
-	// called from many sender goroutines, so the RNG needs a lock.
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(99))
-	f.Drop = func(from, to string) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Float64() < 0.05
-	}
+	// 5% message loss on the fabric (control and data alike).
+	f.SetImpairment(transport.Impairment{Seed: 99, Loss: 0.05})
 
 	if err := leaf.Start(); err != nil {
 		t.Fatal(err)

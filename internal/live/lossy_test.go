@@ -13,8 +13,10 @@ import (
 )
 
 // buildLossySession builds an n-peer session plus a leaf on fabric f,
-// letting the caller adjust the leaf's knobs before it binds.
-func buildLossySession(t *testing.T, f *transport.Fabric, n, H, interval int, proto Protocol, data []byte, packetSize int, seed int64, adjust func(*LeafConfig)) ([]*Peer, *Leaf) {
+// letting the caller adjust the leaf's knobs before it binds. A non-nil
+// leafTap sees every message the leaf sends, with the leaf's endpoint,
+// and loses the ones it returns true for.
+func buildLossySession(t *testing.T, f *transport.Fabric, n, H, interval int, proto Protocol, data []byte, packetSize int, seed int64, adjust func(*LeafConfig), leafTap func(ep transport.Endpoint, to string, m transport.Msg) bool) ([]*Peer, *Leaf) {
 	t.Helper()
 	c := content.New("movie", data, packetSize)
 	names := make([]string, n)
@@ -40,7 +42,14 @@ func buildLossySession(t *testing.T, f *transport.Fabric, n, H, interval int, pr
 	if adjust != nil {
 		adjust(&cfg)
 	}
-	leaf, err := NewLeaf(cfg, WithFabric(f, "leaf"))
+	via := WithFabric(f, "leaf")
+	if leafTap != nil {
+		via = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
+			ep := f.Endpoint("leaf", h)
+			return tapEndpoint{ep, func(to string, m transport.Msg) bool { return leafTap(ep, to, m) }}, nil
+		})
+	}
+	leaf, err := NewLeaf(cfg, via)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +60,7 @@ func buildLossySession(t *testing.T, f *transport.Fabric, n, H, interval int, pr
 // request-loss bug. Start's failover only reacts to Send errors, but a
 // datagram transport loses a request without one — the selected peer
 // never activates and its whole division goes missing, which is more
-// loss than parity covers. Here the fabric swallows the leaf's first
+// loss than parity covers. Here a tap swallows the leaf's first
 // request (returning nil, as UDP would); with repair disabled, only the
 // RequestRetry deadline can revive the slot. With H = 3 and interval 2
 // parity alone can rebuild one lost division, and it does so about when
@@ -63,10 +72,10 @@ func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 	var mu sync.Mutex
 	var lostTo string // where the swallowed request was going
 	resent := 0
-	f.Drop = func(from, to string) bool {
-		if from != "leaf" {
-			return false
-		}
+	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.DCoP, data, 64, 21, func(cfg *LeafConfig) {
+		cfg.RepairAfter = 0 // isolate: only the request deadline may save this
+		cfg.RequestRetry = 50 * time.Millisecond
+	}, func(_ transport.Endpoint, to string, _ transport.Msg) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if lostTo == "" {
@@ -77,10 +86,6 @@ func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 			resent++
 		}
 		return false
-	}
-	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.DCoP, data, 64, 21, func(cfg *LeafConfig) {
-		cfg.RepairAfter = 0 // isolate: only the request deadline may save this
-		cfg.RequestRetry = 50 * time.Millisecond
 	})
 	defer leaf.Close()
 	defer closeAll(peers)
@@ -115,7 +120,7 @@ func TestLeafDuplicateRepairDelivery(t *testing.T) {
 	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.TCoP, data, 64, 33, func(cfg *LeafConfig) {
 		cfg.RepairAfter = 250 * time.Millisecond
 		cfg.RequestRetry = 250 * time.Millisecond
-	})
+	}, nil)
 	defer leaf.Close()
 	defer closeAll(peers)
 
@@ -164,7 +169,7 @@ func TestLiveLossAcceptance(t *testing.T) {
 				peers, leaf := buildLossySession(t, f, 8, 3, 3, proto, data, 64, tc.imp.Seed, func(cfg *LeafConfig) {
 					cfg.RepairAfter = 250 * time.Millisecond
 					cfg.RequestRetry = 250 * time.Millisecond
-				})
+				}, nil)
 				defer leaf.Close()
 				defer closeAll(peers)
 				if err := leaf.Start(); err != nil {

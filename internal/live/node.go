@@ -899,8 +899,8 @@ func (nc *NodeCluster) listen(cfg NodesConfig) (roster []string, trs []Transport
 		if queueCap == 0 {
 			queueCap = 4096
 		}
-		// A bounded FIFO queue rather than a goroutine per message: a
-		// runaway sender saturates a queue, not the scheduler.
+		// A bounded queue: a runaway sender waits (or, with
+		// QueueDropNewest, loses its sends) instead of growing it.
 		fabric := transport.NewBoundedQueuedFabric(queueCap, cfg.QueuePolicy)
 		fabric.Instrument(cfg.Obs.Metrics)
 		fabric.SetImpairment(cfg.Impair)

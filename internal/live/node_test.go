@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -205,27 +206,48 @@ func TestNodeJoinMidStream(t *testing.T) {
 	}
 }
 
-// TestMidHandshakeDisconnect closes two candidate children right as the
-// TCoP handshake starts: parents must fail over to alternates (or absorb
-// the share) and the stream still completes.
+// TestMidHandshakeDisconnect closes two candidate children mid-handshake,
+// after their parents have sent them controls: parents must fail over to
+// alternates (or absorb the share) and the stream still completes. The
+// victims are chosen at one protocol point on every run: the peers'
+// sends are held until the leaf's requests have been handled, the
+// victims are the first two inactive peers a held control is addressed
+// to, and the held messages go out once they are closed.
 func TestMidHandshakeDisconnect(t *testing.T) {
 	data := randomData(8000, 5)
 	reg := metrics.New()
 	f := transport.NewFabric()
 	c := content.New("movie", data, 64)
 	names := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7", "h8", "h9"}
+	const H = 3
+	hold := holdTap{holding: true}
+	var reqMu sync.Mutex
+	handled := 0
+	requested := make(chan struct{})
 	var peers []*Peer
 	for i, name := range names {
 		p, err := NewPeer(PeerConfig{
 			Content:          c,
 			Roster:           names,
-			H:                3,
+			H:                H,
 			Interval:         2,
 			Delta:            5 * time.Millisecond,
 			HandshakeTimeout: 60 * time.Millisecond,
 			Seed:             int64(i) + 1,
 			Obs:              engine.Observability{Metrics: reg},
-		}, WithFabric(f, name))
+		}, WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
+			ep := f.Endpoint(name, func(m transport.Msg) {
+				h(m)
+				if m.Type == typeRequest {
+					reqMu.Lock()
+					if handled++; handled == H {
+						close(requested)
+					}
+					reqMu.Unlock()
+				}
+			})
+			return tapEndpoint{ep, func(to string, m transport.Msg) bool { return hold.hold(ep, to, m) }}, nil
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +256,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 	defer closeAll(peers)
 	leaf, err := NewLeaf(LeafConfig{
 		Roster:      names,
-		H:           3,
+		H:           H,
 		Interval:    2,
 		Rate:        400,
 		ContentSize: len(data),
@@ -250,22 +272,28 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 	if err := leaf.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Immediately disconnect two peers that have not activated: they are
-	// handshake candidates, so controls or commits addressed to them
-	// fail mid-round.
-	closed := 0
-	for _, p := range peers {
-		if closed >= 2 {
+	select {
+	case <-requested:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the selected peers never handled the leaf's requests")
+	}
+	closed := map[string]bool{}
+	for _, s := range hold.pending() {
+		if len(closed) == 2 {
 			break
 		}
-		if !p.Active() {
+		if s.m.Type != typeControl || closed[s.to] {
+			continue
+		}
+		if p := peers[slices.Index(names, s.to)]; !p.Active() {
 			p.Close()
-			closed++
+			closed[s.to] = true
 		}
 	}
-	if closed != 2 {
-		t.Fatalf("closed %d peers, want 2", closed)
+	if len(closed) != 2 {
+		t.Fatalf("controls went to %d inactive peers, want 2", len(closed))
 	}
+	hold.release()
 	if err := leaf.Wait(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -274,14 +302,14 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 		t.Fatal("reassembly differs after mid-handshake disconnects")
 	}
 	snap := reg.Snapshot()
-	var handled int64
+	var recovered int64
 	for _, c := range snap.Counters {
 		switch c.Name {
 		case "live_session_retries_total", "live_session_failovers_total":
-			handled += c.Value
+			recovered += c.Value
 		}
 	}
-	if handled == 0 {
+	if recovered == 0 {
 		t.Error("no retries/failovers recorded despite mid-handshake disconnects")
 	}
 }

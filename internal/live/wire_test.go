@@ -174,6 +174,50 @@ func (e tapEndpoint) Send(to string, m transport.Msg) error {
 	return e.Endpoint.Send(to, m)
 }
 
+// holdTap holds the messages its endpoints send while holding is set;
+// release sends them in order and lets later sends straight through.
+// A held message's payload is a copy: Send's is borrowed.
+type holdTap struct {
+	mu      sync.Mutex
+	holding bool
+	held    []heldSend
+}
+
+type heldSend struct {
+	ep transport.Endpoint
+	to string
+	m  transport.Msg
+}
+
+// hold reports whether it kept m, to be sent later from ep.
+func (h *holdTap) hold(ep transport.Endpoint, to string, m transport.Msg) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.holding {
+		m.Payload = bytes.Clone(m.Payload)
+		h.held = append(h.held, heldSend{ep, to, m})
+	}
+	return h.holding
+}
+
+func (h *holdTap) pending() []heldSend {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Clone(h.held)
+}
+
+// release sends every held message, under the lock so that no later send
+// overtakes them. A message for an endpoint closed meanwhile is lost, as
+// on a datagram network: its sender learns of it from a deadline.
+func (h *holdTap) release() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, s := range h.held {
+		s.ep.Send(s.to, s.m)
+	}
+	h.held, h.holding = nil, false
+}
+
 // mentions reports whether a data message carries one of the given
 // packet keys, or a parity packet that covers one at any nesting depth —
 // everything the leaf could learn those packets from.
@@ -203,15 +247,6 @@ func captureSession(tb testing.TB, proto Protocol) [][]byte {
 	f := transport.NewFabric()
 	var mu sync.Mutex
 	var toLeaf int
-	f.Drop = func(_, to string) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if to != "leaf" {
-			return false
-		}
-		toLeaf++
-		return toLeaf%3 == 0
-	}
 	kept := map[string]int{}
 	var frames [][]byte
 	tap := func(name string) Transport {
@@ -227,7 +262,14 @@ func captureSession(tb testing.TB, proto Protocol) [][]byte {
 					kept[kind]++
 					frames = append(frames, transport.AppendFrame(nil, m))
 				}
-				return m.Type == typeData && to == "leaf" && kept[typeRepair] < 3 && mentions(m, "t1")
+				if to != "leaf" {
+					return false
+				}
+				if m.Type == typeData && kept[typeRepair] < 3 && mentions(m, "t1") {
+					return true
+				}
+				toLeaf++
+				return toLeaf%3 == 0 // every third message that reaches the link is lost
 			}}, nil
 		})
 	}

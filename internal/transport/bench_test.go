@@ -32,10 +32,6 @@ func benchFabric(b *testing.B, f *Fabric) {
 	}
 }
 
-func BenchmarkTransportFabricSend(b *testing.B) {
-	benchFabric(b, NewFabric())
-}
-
 func BenchmarkTransportBoundedQueuedFabricSend(b *testing.B) {
 	benchFabric(b, NewBoundedQueuedFabric(4096, QueueBlock))
 }

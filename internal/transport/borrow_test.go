@@ -64,7 +64,7 @@ func TestSendKeepsNoReference(t *testing.T) {
 			return pair{f.Endpoint("tx", func(Msg) {}), "rx", f.Wait, func() {}}
 		}},
 		{"impaired fabric", false, func(t *testing.T, h Handler) pair {
-			f := NewQueuedFabric()
+			f := NewFabric()
 			imp := f.SetImpairment(impair)
 			f.Endpoint("rx", h)
 			return pair{f.Endpoint("tx", func(Msg) {}), "rx", func() { imp.Flush(); f.Wait() }, func() {}}

@@ -65,6 +65,68 @@ func TestBoundedQueueDropNewest(t *testing.T) {
 	}
 }
 
+// TestFabricCountersBalance: every message the fabric accepts, and every
+// copy impairment adds, is delivered or counted as lost, whatever loses
+// it — an impairment verdict, a full QueueDropNewest queue, or an
+// endpoint that closed while its messages were queued or held back for
+// reordering. After Flush and Wait nothing is in flight, so
+// sent + duplicated == received + dropped + queue_dropped.
+func TestFabricCountersBalance(t *testing.T) {
+	reg := metrics.New()
+	f := NewBoundedQueuedFabric(8, QueueDropNewest)
+	f.Instrument(reg)
+	imp := f.SetImpairment(Impairment{Seed: 7, Loss: 0.1, Duplicate: 0.2, Reorder: 0.2, ReorderWindow: 3})
+	// Every delivery waits on gate, so the pump wedges in the first one
+	// and the queue overflows behind it.
+	gate := make(chan struct{})
+	f.Endpoint("a", func(Msg) { <-gate })
+	f.Endpoint("b", func(Msg) { <-gate })
+	c := f.Endpoint("c", func(Msg) { <-gate })
+	src := f.Endpoint("src", func(Msg) {})
+	dsts := []string{"a", "b", "c"}
+	for i := 0; i < 300; i++ {
+		if i == 150 {
+			c.Close() // its queued and held messages are lost in flight
+		}
+		to := dsts[i%len(dsts)]
+		err := src.Send(to, Msg{Type: "x", Payload: []byte{byte(i)}})
+		if (err != nil) != (i >= 150 && to == "c") {
+			t.Fatalf("send %d to %s: %v", i, to, err)
+		}
+	}
+	close(gate)
+	imp.Flush()
+	f.Wait()
+
+	// Every series here is labelled transport="mem"; the impairment's
+	// are told apart by verdict.
+	n := map[string]int64{}
+	for _, cv := range reg.Snapshot().Counters {
+		key := cv.Name
+		for _, l := range cv.Labels {
+			if l.Key == "verdict" {
+				key += "/" + l.Value
+			}
+		}
+		n[key] += cv.Value
+	}
+	sent, dup := n["transport_messages_sent_total"], n["transport_impaired_total/dup"]
+	received, dropped := n["transport_messages_received_total"], n["transport_messages_dropped_total"]
+	queueDropped := n["transport_queue_dropped_total"]
+	if sent+dup != received+dropped+queueDropped {
+		t.Errorf("sent %d + duplicated %d != received %d + dropped %d + queue_dropped %d",
+			sent, dup, received, dropped, queueDropped)
+	}
+	lost := n["transport_impaired_total/drop"] + n["transport_impaired_total/burst"]
+	if sent != 250 || dup == 0 || lost == 0 || queueDropped == 0 || received == 0 {
+		t.Errorf("a term went unexercised: sent %d, duplicated %d, impairment losses %d, queue_dropped %d, received %d",
+			sent, dup, lost, queueDropped, received)
+	}
+	if dropped <= lost {
+		t.Errorf("dropped %d counts no in-flight loss beyond impairment's %d", dropped, lost)
+	}
+}
+
 // TestBoundedQueueBlockBackpressure checks that a sender hitting a full
 // queue blocks until the pump frees a slot, and that nothing is lost.
 func TestBoundedQueueBlockBackpressure(t *testing.T) {
@@ -140,7 +202,7 @@ func TestBoundedQueuePumpExempt(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("bounded queued fabric deadlocked on handler fan-out")
+		t.Fatal("bounded fabric deadlocked on handler fan-out")
 	}
 	if got := received.Load(); got != 3 {
 		t.Errorf("received = %d, want 3", got)
@@ -214,7 +276,7 @@ func TestQueuedFabricPumpSurvivesIdleGaps(t *testing.T) {
 	sink.Close()
 }
 
-// The queued fabric's ring delivers in FIFO order across wrap-around and
+// The fabric's ring delivers in FIFO order across wrap-around and
 // growth, and reuses its storage once it has grown to the window.
 func TestFabricRingKeepsFIFOOrder(t *testing.T) {
 	var q ring

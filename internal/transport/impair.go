@@ -11,11 +11,11 @@ import (
 )
 
 // Impairment configures deterministic network-impairment injection:
-// per-link loss (optionally bursty), duplication, and reordering. It
-// generalizes the Fabric's legacy Drop hook and is honored by both the
-// in-process fabric (Fabric.SetImpairment) and the UDP endpoint
-// (UDPEndpoint.SetImpairment), so a test can rehearse a loss scenario
-// deterministically in memory and then replay it over real sockets.
+// per-link loss (optionally bursty), duplication, and reordering. It is
+// the one loss hook of both the in-process fabric (Fabric.SetImpairment)
+// and the UDP endpoint (UDPEndpoint.SetImpairment), so a test can
+// rehearse a loss scenario deterministically in memory and then replay
+// it over real sockets.
 //
 // Every (from, to) link owns an independent RNG stream derived from Seed
 // and the link's names, so the verdict sequence on a link depends only

@@ -251,12 +251,12 @@ func TestImpairerFlushIdempotentWithMaxHold(t *testing.T) {
 	}
 }
 
-// On a queued fabric with a fixed impairment seed, the delivered message
+// On the fabric with a fixed impairment seed, the delivered message
 // sequence is byte-for-byte reproducible — the acceptance criterion for
 // deterministic in-process injection.
 func TestFabricImpairmentDeterministic(t *testing.T) {
 	run := func() []string {
-		f := NewQueuedFabric()
+		f := NewFabric()
 		var mu sync.Mutex
 		var got []string
 		f.Endpoint("dst", func(m Msg) {

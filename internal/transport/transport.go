@@ -1,12 +1,14 @@
 // Package transport provides the live runtime's message fabric: named
-// endpoints exchanging Msg values. Three implementations are provided —
-// an in-process memory fabric for tests and single-binary demos, which
-// hands over a pooled copy of each message's body, and TCP and UDP
-// endpoints, which frame each message in the binary envelope of codec.go
-// (a UDP datagram is one envelope, a TCP frame one envelope behind a
-// 4-byte length). A message body is opaque bytes to every transport;
-// bodies that know their wire form (WireAppender, WireDecoder) go
-// through Encode and Msg.Decode.
+// endpoints exchanging Msg values. Three implementations are provided:
+// the in-process Fabric, one FIFO queue drained by one pump goroutine,
+// which hands each handler a pooled copy of the message's body, and TCP
+// and UDP endpoints, which frame each message in the binary envelope of
+// codec.go (a UDP datagram is one envelope, a TCP frame one envelope
+// behind a 4-byte length). A message body is opaque bytes to every
+// transport; bodies that know their wire form (WireAppender,
+// WireDecoder) go through Encode and Msg.Decode. Loss, duplication and
+// reordering are one hook, a seeded Impairment, on the fabric and on
+// UDP alike.
 //
 // The simulator (internal/simnet) models the same role under virtual
 // time; this package is the real-time counterpart used by internal/live.
@@ -112,31 +114,19 @@ type Endpoint interface {
 // ---- in-memory fabric ----------------------------------------------------
 
 // Fabric is an in-process message fabric connecting named endpoints.
-// Optional latency and loss emulate a WAN inside tests.
+// One pump goroutine delivers every message in global enqueue order,
+// running each handler to completion before the next delivery, so a
+// handler's own sends queue behind everything already in flight — the
+// breadth-first order of a discrete-event simulator whose messages all
+// take the same time. Loss, duplication and reordering come from a
+// seeded Impairment (SetImpairment).
 type Fabric struct {
 	mu       sync.Mutex
 	handlers map[string]Handler
 	closed   map[string]bool
-	// Latency delays every delivery (applied in the sender goroutine's
-	// timer, preserving per-pair ordering is NOT guaranteed under jitter).
-	Latency time.Duration
-	// Drop, when non-nil, decides per message whether to lose it. It may
-	// be invoked concurrently from many sender goroutines and must be
-	// safe for concurrent use. For seeded deterministic loss, bursts,
-	// duplication, and reordering prefer SetImpairment, which generalizes
-	// this hook.
-	Drop func(from, to string) bool
 	// impair, when set (SetImpairment), applies a seeded Impairment
-	// policy to every send after the Drop hook.
+	// policy to every send.
 	impair *Impairer
-	// queued, when set (NewQueuedFabric), delivers messages one at a
-	// time from a single pump goroutine in global enqueue order instead
-	// of spawning a goroutine per message. Handlers run synchronously on
-	// the pump, so a handler's own sends enqueue behind everything
-	// already in flight — the breadth-first order a discrete-event
-	// simulator with uniform latency produces. Latency is ignored; Drop
-	// is still honored at enqueue time.
-	queued bool
 	queue  ring
 	// pumping is true while a pump goroutine exists; it parks on work
 	// between bursts and exits once the queue is empty and every endpoint
@@ -161,8 +151,8 @@ type Fabric struct {
 	reg *metrics.Registry
 }
 
-// QueuePolicy selects what a bounded queued fabric does with a send
-// arriving while the queue is at capacity.
+// QueuePolicy selects what a bounded fabric does with a send arriving
+// while the queue is at capacity.
 type QueuePolicy int
 
 const (
@@ -184,8 +174,8 @@ type queuedMsg struct {
 	bp *[]byte
 }
 
-// ring is the queued fabric's FIFO: a circular buffer whose storage is
-// reused as the window slides and doubles only when full.
+// ring is the fabric's FIFO: a circular buffer whose storage is reused
+// as the window slides and doubles only when full.
 type ring struct {
 	buf     []queuedMsg // len is zero or a power of two
 	head, n int
@@ -224,30 +214,20 @@ func (f *Fabric) Instrument(reg *metrics.Registry) {
 	imp.Instrument(reg, "mem")
 }
 
-// NewFabric returns an empty in-memory fabric.
+// NewFabric returns an empty in-memory fabric with an unbounded queue.
 func NewFabric() *Fabric {
-	return &Fabric{handlers: make(map[string]Handler), closed: make(map[string]bool)}
-}
-
-// NewQueuedFabric returns a fabric with deterministic FIFO delivery: one
-// pump goroutine delivers messages in global enqueue order, running each
-// handler to completion before the next delivery. Used by conformance
-// tests that compare a live run against the discrete-event simulator.
-// The queue is unbounded; see NewBoundedQueuedFabric for a capped one.
-func NewQueuedFabric() *Fabric {
-	f := NewFabric()
-	f.queued = true
+	f := &Fabric{handlers: make(map[string]Handler), closed: make(map[string]bool)}
 	f.work = sync.NewCond(&f.mu)
 	return f
 }
 
-// NewBoundedQueuedFabric is NewQueuedFabric with the pending queue
-// capped at capacity messages. policy selects backpressure (QueueBlock)
-// or loss (QueueDropNewest) when the queue is full; drops are counted
-// in QueueDrops and the transport_queue_dropped_total metric. A
-// capacity <= 0 leaves the queue unbounded.
+// NewBoundedQueuedFabric is NewFabric with the pending queue capped at
+// capacity messages. policy selects backpressure (QueueBlock) or loss
+// (QueueDropNewest) when the queue is full; drops are counted in
+// QueueDrops and the transport_queue_dropped_total metric. A capacity
+// <= 0 leaves the queue unbounded.
 func NewBoundedQueuedFabric(capacity int, policy QueuePolicy) *Fabric {
-	f := NewQueuedFabric()
+	f := NewFabric()
 	f.queueCap = capacity
 	f.policy = policy
 	f.space = sync.NewCond(&f.mu)
@@ -255,12 +235,11 @@ func NewBoundedQueuedFabric(capacity int, policy QueuePolicy) *Fabric {
 }
 
 // SetImpairment installs a seeded Impairment policy applied to every
-// send after the legacy Drop hook. Call before traffic starts; a policy
-// with nothing enabled clears it. On a queued fabric, impairment
-// verdicts and deliveries stay deterministic for a fixed seed because
-// each link consumes its own RNG stream in its own send order. The
-// returned Impairer exposes Stats and Flush; it is nil when the policy
-// was cleared.
+// send. Call before traffic starts; a policy with nothing enabled clears
+// it. Impairment verdicts and deliveries stay deterministic for a fixed
+// seed because each link consumes its own RNG stream in its own send
+// order. The returned Impairer exposes Stats and Flush; it is nil when
+// the policy was cleared.
 func (f *Fabric) SetImpairment(cfg Impairment) *Impairer {
 	f.mu.Lock()
 	if !cfg.Enabled() {
@@ -268,7 +247,7 @@ func (f *Fabric) SetImpairment(cfg Impairment) *Impairer {
 		f.mu.Unlock()
 		return nil
 	}
-	imp := NewImpairer(cfg, f.deliverOne)
+	imp := NewImpairer(cfg, f.enqueue)
 	f.impair = imp
 	reg := f.reg
 	f.mu.Unlock()
@@ -276,8 +255,8 @@ func (f *Fabric) SetImpairment(cfg Impairment) *Impairer {
 	return imp
 }
 
-// QueueDrops reports how many messages a bounded queued fabric dropped
-// because the queue was at capacity.
+// QueueDrops reports how many messages a bounded fabric dropped because
+// the queue was at capacity.
 func (f *Fabric) QueueDrops() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -308,7 +287,6 @@ func (e *memEndpoint) Send(to string, m Msg) error {
 	f.mu.Lock()
 	_, ok := f.handlers[to]
 	closed := f.closed[to]
-	drop := f.Drop
 	imp := f.impair
 	met := f.met
 	f.mu.Unlock()
@@ -317,66 +295,21 @@ func (e *memEndpoint) Send(to string, m Msg) error {
 	}
 	met.msgs.Inc()
 	met.bytes.Add(int64(len(m.Payload)))
-	if drop != nil && drop(e.name, to) {
-		met.dropped.Inc()
-		return nil // silently lost, like the network would
-	}
 	if imp != nil {
-		if imp.Admit(e.name, to, m, func(dm Msg) { f.deliverOne(to, dm) }) {
+		if imp.Admit(e.name, to, m, func(dm Msg) { f.enqueue(to, dm) }) {
 			met.dropped.Inc()
 		}
 		return nil
 	}
-	f.deliverOne(to, m)
+	f.enqueue(to, m)
 	return nil
 }
 
-// deliverOne dispatches one message past the loss/impairment stage:
-// enqueued on a queued fabric, or delivered from a fresh goroutine
-// (after Latency) otherwise. Also the release path for impairment-held
-// messages whose reorder window expires. The handler gets a pooled copy
-// of the payload, recycled when it returns, so the caller's buffer is
-// free again as soon as deliverOne returns.
-func (f *Fabric) deliverOne(to string, m Msg) {
-	f.mu.Lock()
-	h, ok := f.handlers[to]
-	closed := f.closed[to]
-	lat := f.Latency
-	met := f.met
-	f.mu.Unlock()
-	if !ok || closed {
-		met.dropped.Inc()
-		return
-	}
-	if f.queued {
-		f.enqueue(to, m)
-		return
-	}
-	var bp *[]byte
-	bp, m.Payload = borrow(m.Payload)
-	f.wg.Add(1)
-	met.inflight.Add(1)
-	go func() {
-		defer f.wg.Done()
-		defer met.inflight.Add(-1)
-		defer putFrame(bp, m.Payload)
-		if lat > 0 {
-			time.Sleep(lat)
-		}
-		f.mu.Lock()
-		stillClosed := f.closed[to]
-		f.mu.Unlock()
-		if stillClosed {
-			met.dropped.Inc()
-			return
-		}
-		met.received.Inc()
-		h(m)
-	}()
-}
-
-// enqueue appends to the FIFO queue and wakes the pump, starting one if
-// none exists. On a bounded fabric a full queue either drops the message
+// enqueue appends a pooled copy of m to the FIFO queue and wakes the
+// pump, starting one if none exists; a send and an impairment release
+// both end here, so the caller's buffer is free again once it returns.
+// A message for an endpoint closed since the send is counted dropped.
+// On a bounded fabric a full queue either drops the message
 // (QueueDropNewest) or blocks the sender until the pump frees a slot
 // (QueueBlock) — except when the sender IS the pump (a handler sending
 // mid-delivery), which may exceed the cap rather than deadlock the drain.
@@ -385,6 +318,12 @@ func (f *Fabric) enqueue(to string, m Msg) {
 	bp, payload := borrow(m.Payload)
 	m.Payload = payload
 	f.mu.Lock()
+	if _, ok := f.handlers[to]; !ok || f.closed[to] {
+		f.met.dropped.Inc()
+		f.mu.Unlock()
+		putFrame(bp, m.Payload)
+		return
+	}
 	if f.queueCap > 0 && f.queue.n >= f.queueCap {
 		if f.policy == QueueDropNewest {
 			f.queueDrops++
@@ -482,9 +421,7 @@ func (e *memEndpoint) Close() error {
 	e.f.mu.Lock()
 	defer e.f.mu.Unlock()
 	e.f.closed[e.name] = true
-	if e.f.work != nil {
-		e.f.work.Signal() // a parked pump exits with the last endpoint
-	}
+	e.f.work.Signal() // a parked pump exits with the last endpoint
 	return nil
 }
 

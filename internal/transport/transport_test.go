@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,41 +114,6 @@ func TestFabricClose(t *testing.T) {
 	f.Wait()
 	if b.len() != 0 {
 		t.Error("closed endpoint received")
-	}
-}
-
-func TestFabricDrop(t *testing.T) {
-	f := NewFabric()
-	var n atomic.Int32
-	f.Drop = func(from, to string) bool { n.Add(1); return n.Load()%2 == 1 }
-	var b inbox
-	f.Endpoint("b", b.handler())
-	a := f.Endpoint("a", func(Msg) {})
-	for i := 0; i < 10; i++ {
-		if err := a.Send("b", Msg{Type: "x"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Wait()
-	if b.len() != 5 {
-		t.Errorf("delivered %d of 10 with 50%% drop", b.len())
-	}
-}
-
-func TestFabricLatency(t *testing.T) {
-	f := NewFabric()
-	f.Latency = 30 * time.Millisecond
-	var b inbox
-	f.Endpoint("b", b.handler())
-	a := f.Endpoint("a", func(Msg) {})
-	start := time.Now()
-	a.Send("b", Msg{Type: "x"})
-	f.Wait()
-	if d := time.Since(start); d < 25*time.Millisecond {
-		t.Errorf("delivered after %v, want >= latency", d)
-	}
-	if b.len() != 1 {
-		t.Error("not delivered")
 	}
 }
 
