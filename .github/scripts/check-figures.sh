@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Regenerates the mssim outputs pinned under testdata/figures and compares
+# them with the checked-in copies: two tables verbatim (fig_all.txt,
+# fig_scale_fluid.txt) and the SHA-256 digests of two outputs too large to
+# keep (SHA256SUMS: `-fig all -csv`, and a lossy, bursty `-fig 12 -json`
+# that also carries NetStats and the metrics snapshot). Any change to what
+# a figure prints fails with a diff.
+#
+#   .github/scripts/check-figures.sh           # compare (from the repo root)
+#   .github/scripts/check-figures.sh -update   # rewrite the checked-in files
+#
+# The outputs are deterministic at any -parallel; they assume IEEE float
+# arithmetic without fused multiply-add, as on amd64.
+set -euo pipefail
+want=testdata/figures
+update=false
+case "${1:-}" in
+-update) update=true ;;
+"") ;;
+*)
+	echo "usage: $0 [-update]" >&2
+	exit 2
+	;;
+esac
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/mssim" ./cmd/mssim
+got=$tmp/figures
+mkdir "$got"
+mssim=$tmp/mssim
+
+"$mssim" -fig all >"$got/fig_all.txt"
+"$mssim" -fig scale -data-plane fluid -ns 1000,5000 -seeds 2 >"$got/fig_scale_fluid.txt"
+{
+	"$mssim" -fig all -csv | sha256sum | sed 's/-$/fig_all.csv/'
+	"$mssim" -fig 12 -loss 0.05 -burst 0.01,0.2,0,0.5 -seeds 2 -json | sha256sum | sed 's/-$/fig_12_lossy.jsonl/'
+} >"$got/SHA256SUMS"
+
+if $update; then
+	mkdir -p "$want"
+	cp "$got"/* "$want"/
+	echo "rewrote $want"
+	exit 0
+fi
+if ! diff -ru "$want" "$got"; then
+	echo "mssim output differs from $want (a SHA256SUMS line names the output whose bytes moved);" >&2
+	echo "after an intended change, run $0 -update" >&2
+	exit 1
+fi
+echo "every figure matches $want"

@@ -3,7 +3,6 @@ package coord
 import (
 	"p2pmss/internal/groupcomm"
 	"p2pmss/internal/seq"
-	"p2pmss/internal/simnet"
 )
 
 // ams implements the asynchronous multi-source streaming model of the
@@ -42,11 +41,11 @@ func (a *ams) start() {
 		a.procs[i] = groupcomm.NewProcess(i, r.cfg.N, nil)
 	}
 	for i := 0; i < r.cfg.N; i++ {
-		r.sendCtl(r.leafID(), simnet.NodeID(i), reqMsg{Rate: r.cfg.Rate, Index: i, Round: 1}, 1)
+		r.sendCtl(r.leafID(), i, reqMsg{Rate: r.cfg.Rate, Index: i, Round: 1}, 1)
 	}
 }
 
-func (a *ams) deliver(p *peerNode, from simnet.NodeID, m simnet.Message) {
+func (a *ams) deliver(p *peerNode, from int, m any) {
 	switch msg := m.(type) {
 	case reqMsg:
 		a.onRequest(p, msg)
@@ -75,13 +74,13 @@ func (a *ams) broadcastState(p *peerNode, period int) {
 	round := 1 + period
 	for j := 0; j < r.cfg.N; j++ {
 		if j != int(p.id) {
-			r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(j), amsMsg{M: gm, Round: round}, round)
+			r.sendCtl(int(p.id), j, amsMsg{M: gm, Round: round}, round)
 		}
 	}
 	r.res.StateMessages += int64(r.cfg.N - 1)
 	if period < r.cfg.StatePeriods {
 		r.eng.After(r.cfg.StatePeriod, func() {
-			if !r.nw.Crashed(simnet.NodeID(p.id)) {
+			if !r.nw.crashed[p.id] {
 				a.broadcastState(p, period+1)
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
-	"p2pmss/internal/simnet"
 )
 
 // broadcast implements the first baseline of §3.1: the leaf peer
@@ -20,11 +19,11 @@ type broadcast struct {
 func (b *broadcast) start() {
 	r := b.r
 	for i := 0; i < r.cfg.N; i++ {
-		r.sendCtl(r.leafID(), simnet.NodeID(i), reqMsg{Rate: r.cfg.Rate, Index: i, Round: 1}, 1)
+		r.sendCtl(r.leafID(), i, reqMsg{Rate: r.cfg.Rate, Index: i, Round: 1}, 1)
 	}
 }
 
-func (b *broadcast) deliver(p *peerNode, from simnet.NodeID, m simnet.Message) {
+func (b *broadcast) deliver(p *peerNode, from int, m any) {
 	switch msg := m.(type) {
 	case reqMsg:
 		b.onRequest(p, msg)
@@ -44,7 +43,7 @@ func (b *broadcast) onRequest(p *peerNode, m reqMsg) {
 	// Group communication: one state control packet to every other peer.
 	for j := 0; j < r.cfg.N; j++ {
 		if j != int(p.id) {
-			r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(j), stateMsg{Peer: p.id, Round: m.Round + 1}, m.Round+1)
+			r.sendCtl(int(p.id), j, stateMsg{Peer: p.id, Round: m.Round + 1}, m.Round+1)
 		}
 	}
 }
@@ -74,10 +73,10 @@ type unicast struct {
 
 func (u *unicast) start() {
 	r := u.r
-	r.sendCtl(r.leafID(), simnet.NodeID(0), reqMsg{Rate: r.cfg.Rate, Index: 0, Round: 1}, 1)
+	r.sendCtl(r.leafID(), 0, reqMsg{Rate: r.cfg.Rate, Index: 0, Round: 1}, 1)
 }
 
-func (u *unicast) deliver(p *peerNode, from simnet.NodeID, m simnet.Message) {
+func (u *unicast) deliver(p *peerNode, from int, m any) {
 	switch msg := m.(type) {
 	case reqMsg:
 		u.onRequest(p, msg)
@@ -125,7 +124,7 @@ func (u *unicast) forward(p *peerNode, round int) {
 	if parts != nil {
 		msg.AssignedSeq = parts[1]
 	}
-	r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(next), msg, round)
+	r.sendCtl(int(p.id), next, msg, round)
 	keep, given := engine.SplitParts(parts)
 	p.tx.plan(&engine.Handoff{Keep: keep, Given: given, OldRate: own.Rate, NewRate: rate, Mark: mark})
 }
@@ -141,10 +140,10 @@ type centralized struct {
 
 func (c *centralized) start() {
 	r := c.r
-	r.sendCtl(r.leafID(), simnet.NodeID(0), reqMsg{Rate: r.cfg.Rate, Index: 0, Round: 1}, 1)
+	r.sendCtl(r.leafID(), 0, reqMsg{Rate: r.cfg.Rate, Index: 0, Round: 1}, 1)
 }
 
-func (c *centralized) deliver(p *peerNode, from simnet.NodeID, m simnet.Message) {
+func (c *centralized) deliver(p *peerNode, from int, m any) {
 	switch msg := m.(type) {
 	case reqMsg:
 		c.onRequest(p, msg)
@@ -160,7 +159,7 @@ func (c *centralized) deliver(p *peerNode, from simnet.NodeID, m simnet.Message)
 func (c *centralized) onRequest(p *peerNode, m reqMsg) {
 	r := c.r
 	for j := 1; j < r.cfg.N; j++ {
-		r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(j), prepMsg{Index: j, Round: m.Round + 1}, m.Round+1)
+		r.sendCtl(int(p.id), j, prepMsg{Index: j, Round: m.Round + 1}, m.Round+1)
 	}
 	if r.cfg.N == 1 {
 		c.activateDivision(p, 0, m.Round)
@@ -172,7 +171,7 @@ func (c *centralized) onRequest(p *peerNode, m reqMsg) {
 }
 
 func (c *centralized) onPrep(p *peerNode, m prepMsg) {
-	c.r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(0), ackMsg{Peer: p.id, Round: m.Round + 1}, m.Round+1)
+	c.r.sendCtl(int(p.id), 0, ackMsg{Peer: p.id, Round: m.Round + 1}, m.Round+1)
 }
 
 func (c *centralized) onAck(p *peerNode, m ackMsg) {
@@ -191,7 +190,7 @@ func (c *centralized) commit(p *peerNode, round int) {
 	p.committed = true
 	r := c.r
 	for j := 1; j < r.cfg.N; j++ {
-		r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(j), startMsg{Index: j, Round: round}, round)
+		r.sendCtl(int(p.id), j, startMsg{Index: j, Round: round}, round)
 	}
 	c.activateDivision(p, 0, round)
 }

@@ -4,13 +4,13 @@
 // of §3.1 — broadcast, unicast chain, and the centralized 2PC-style
 // controller protocol of reference [5].
 //
-// Each protocol runs over the discrete-event simulator (internal/des +
-// internal/simnet). Contents peers are simnet nodes 0..N-1 and the leaf
-// peer is node N. A Runner wires a protocol onto the network, executes it,
-// optionally simulates the data plane (per-packet transmission at the
-// §3.2 rates with parity enhancement), and collects the metrics the
-// paper's evaluation reports: rounds, control packets, synchronization
-// time, and leaf receipt rate.
+// Each protocol runs over the discrete-event simulator (internal/des) and
+// the package's link model (net.go). Contents peers are network nodes
+// 0..N-1 and the leaf peer is node N. A runner wires a protocol onto the
+// network, executes it, optionally simulates the data plane (per-packet
+// transmission at the §3.2 rates with parity enhancement), and collects
+// the metrics the paper's evaluation reports: rounds, control packets,
+// synchronization time, and leaf receipt rate.
 package coord
 
 import (
@@ -18,14 +18,12 @@ import (
 
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/failure"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/fluid"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/schedule"
 	"p2pmss/internal/seq"
-	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
 )
 
@@ -139,7 +137,7 @@ type Config struct {
 	// Churn, when non-nil, installs a deterministic crash/rejoin
 	// schedule on top of (or instead of) CrashPeers — the sim-side
 	// counterpart of the live layer's churn injection.
-	Churn *failure.ChurnSchedule
+	Churn *ChurnSchedule
 	// Burst enables Gilbert–Elliott bursty loss on every directed
 	// channel (§3.2's "lost … in a bursty manner").
 	Burst *BurstParams
@@ -231,6 +229,9 @@ func (c *Config) normalize() error {
 	}
 	if c.Rate <= 0 {
 		return fmt.Errorf("coord: rate %v must be positive", c.Rate)
+	}
+	if err := c.checkImpairments(); err != nil {
+		return err
 	}
 	if c.Interval == 0 {
 		c.Interval = c.H - 1
@@ -341,6 +342,38 @@ func (c *Config) normalize() error {
 	return nil
 }
 
+// checkImpairments rejects link and crash settings the network cannot
+// run: a probability outside [0, 1], a negative delay, or a crash that
+// names no contents peer. NaN fails every check.
+func (c *Config) checkImpairments() error {
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{{"Delta", c.Delta}, {"Jitter", c.Jitter}, {"Settle", c.Settle}} {
+		if !(d.v >= 0) {
+			return fmt.Errorf("coord: %s %v must not be negative", d.name, d.v)
+		}
+	}
+	probs := []float64{c.LossProb}
+	if b := c.Burst; b != nil {
+		probs = append(probs, b.PGoodToBad, b.PBadToGood, b.LossGood, b.LossBad)
+	}
+	for _, p := range probs {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("coord: loss or burst probability %v outside [0, 1]", p)
+		}
+	}
+	for _, p := range c.CrashPeers {
+		if p < 0 || int(p) >= c.N {
+			return fmt.Errorf("coord: crashed peer %d outside [0, %d)", p, c.N)
+		}
+	}
+	if c.Churn != nil {
+		return c.Churn.validate(c.N)
+	}
+	return nil
+}
+
 // Result carries the metrics of one run.
 type Result struct {
 	// Protocol is the protocol name.
@@ -394,7 +427,7 @@ type Result struct {
 	// for DCoP and TCoP runs (nil for the baselines). Indexed by peer.
 	Outcomes []engine.Outcome
 	// NetStats is the raw network counterset.
-	NetStats simnet.Stats
+	NetStats NetStats
 }
 
 // ---- messages ----------------------------------------------------------
@@ -457,13 +490,13 @@ type protocolImpl interface {
 	// start performs the leaf peer's step 1.
 	start()
 	// deliver handles a coordination message at contents peer p.
-	deliver(p *peerNode, from simnet.NodeID, m simnet.Message)
+	deliver(p *peerNode, from int, m any)
 }
 
 type runner struct {
 	cfg     Config
 	eng     *des.Engine
-	nw      *simnet.Network
+	nw      *network
 	peers   []*peerNode
 	leaf    *leafNode
 	impl    protocolImpl
@@ -489,8 +522,8 @@ type runner struct {
 	batchBuf [][]engine.Effect
 }
 
-// leafID returns the simnet node ID of the leaf peer.
-func (r *runner) leafID() simnet.NodeID { return simnet.NodeID(r.cfg.N) }
+// leafID returns the network node of the leaf peer.
+func (r *runner) leafID() int { return r.cfg.N }
 
 // peerNode is the per-contents-peer state shared by all protocols. The
 // DCoP/TCoP transition state lives in core (the shared engine); the
@@ -525,10 +558,9 @@ func newRunner(cfg Config) (*runner, error) {
 		return nil, err
 	}
 	eng := des.New(cfg.Seed)
-	nw := simnet.New(eng)
-	nw.SetDefaultLink(simnet.LinkParams{Latency: cfg.Delta, Jitter: cfg.Jitter, LossProb: cfg.LossProb})
-	nw.Instrument(cfg.Obs.Metrics)
-	r := &runner{cfg: cfg, eng: eng, nw: nw, met: newCoordMetrics(cfg.Obs.Metrics, cfg.Repair)}
+	r := &runner{cfg: cfg, eng: eng}
+	r.nw = newNetwork(eng, &r.cfg, r.receive)
+	r.met = newCoordMetrics(cfg.Obs.Metrics, cfg.Repair)
 	r.res.Protocol = "?"
 	if cfg.fluid() {
 		// The fluid plane never materializes the content: assignments are
@@ -537,69 +569,50 @@ func newRunner(cfg Config) (*runner, error) {
 	} else if cfg.DataPlane {
 		r.content = seq.Range(1, cfg.ContentLen)
 	}
-	if cfg.Burst != nil {
-		cs := failure.NewChannelSet(cfg.Burst.PGoodToBad, cfg.Burst.PBadToGood,
-			cfg.Burst.LossGood, cfg.Burst.LossBad, cfg.Seed+7919)
-		nw.BurstLoss = cs.Hook
-	}
 	for i := 0; i < cfg.N; i++ {
 		p := &peerNode{r: r, id: overlay.PeerID(i)}
-		p.tx = &transmitter{r: r, node: simnet.NodeID(i)}
+		p.tx = &transmitter{r: r, node: i}
 		r.peers = append(r.peers, p)
-		nw.AttachFunc(simnet.NodeID(i), func(from simnet.NodeID, m simnet.Message) {
-			if rm, ok := m.(repairMsg); ok {
-				r.onRepair(p, rm)
-				return
-			}
-			r.impl.deliver(p, from, m)
-			// The message is fully consumed (the engine copies what it
-			// keeps); pooled engine messages go back to their sender,
-			// baseline value messages and reqMsg are no-ops.
-			engine.ReleaseMsg(m)
-		})
 	}
 	r.leaf = newLeaf(r)
-	nw.Attach(r.leafID(), r.leaf)
+	// Crashes before the run go unnoted; timed ones, CrashAt's first and
+	// then the churn events in order, are des events through setDown.
 	for _, cp := range cfg.CrashPeers {
 		if cfg.CrashAt > 0 {
-			cp := cp
-			eng.At(cfg.CrashAt, func() {
-				nw.Crash(simnet.NodeID(cp))
-				if r.fl != nil {
-					// The transmitter's slot grid keeps ticking, but the
-					// network drops sends from a crashed node.
-					r.fl.Mask(int(cp), eng.Now())
-				}
-				r.note(int(cp), flight.Event{Dir: flight.DirDriver, Type: "crash"})
-			})
+			eng.At(cfg.CrashAt, func() { r.setDown(cp, true) })
 		} else {
-			nw.Crash(simnet.NodeID(cp))
+			r.nw.crashed[cp] = true
 		}
 	}
 	if cfg.Churn != nil {
-		err := cfg.Churn.Install(nw, func(e failure.ChurnEvent) {
-			what := "crash"
-			if e.Join {
-				what = "rejoin"
-			}
-			if r.fl != nil {
-				if e.Join {
-					r.fl.Unmask(int(e.Peer), eng.Now())
-				} else {
-					r.fl.Mask(int(e.Peer), eng.Now())
-				}
-			}
-			r.note(int(e.Peer), flight.Event{Dir: flight.DirDriver, Type: what})
-		})
-		if err != nil {
-			return nil, err
+		for _, e := range cfg.Churn.Events {
+			eng.At(e.At, func() { r.setDown(e.Peer, !e.Join) })
 		}
 	}
 	return r, nil
 }
 
+// receive takes a delivery from the network to the leaf or a contents
+// peer.
+func (r *runner) receive(from, to int, m any) {
+	if to == r.leafID() {
+		r.leaf.receive(from, m)
+		return
+	}
+	p := r.peers[to]
+	if rm, ok := m.(repairMsg); ok {
+		r.onRepair(p, rm)
+		return
+	}
+	r.impl.deliver(p, from, m)
+	// The message is fully consumed (the engine copies what it keeps);
+	// pooled engine messages go back to their sender, baseline value
+	// messages and reqMsg are no-ops.
+	engine.ReleaseMsg(m)
+}
+
 // sendCtl transmits a coordination message and accounts for it.
-func (r *runner) sendCtl(from, to simnet.NodeID, m simnet.Message, round int) {
+func (r *runner) sendCtl(from, to int, m any, round int) {
 	typ := ctlTypeName(m)
 	r.res.ControlPackets++
 	r.met.ctl[typ].Inc()
@@ -612,7 +625,7 @@ func (r *runner) sendCtl(from, to simnet.NodeID, m simnet.Message, round int) {
 		// in the engine's vocabulary.
 		r.note(r.flightPeer(from), flight.Event{Dir: "eff", Type: "send_" + typ, Other: r.flightPeer(to), Round: round})
 	}
-	r.nw.Send(from, to, m)
+	r.nw.send(from, to, m)
 }
 
 // note records onto a peer's flight track what the engine cannot see:
@@ -626,13 +639,13 @@ func (r *runner) note(peer int, e flight.Event) {
 	r.cfg.Obs.Flight.Recorder("", peer).Record(e)
 }
 
-// flightPeer maps a simnet node to its flight track: the leaf (node N)
+// flightPeer maps a network node to its flight track: the leaf (node N)
 // records as engine.LeafID, the id the engine's own records name it by.
-func (r *runner) flightPeer(id simnet.NodeID) int {
+func (r *runner) flightPeer(id int) int {
 	if id == r.leafID() {
 		return int(engine.LeafID)
 	}
-	return int(id)
+	return id
 }
 
 // activate marks peer p active at the given round and installs its
@@ -701,7 +714,7 @@ func (r *runner) onRepair(p *peerNode, m repairMsg) {
 func (r *runner) serveRepair(p *peerNode, indices []int64) {
 	for _, k := range indices {
 		if k >= 1 && k <= r.cfg.ContentLen {
-			r.nw.Send(simnet.NodeID(p.id), r.leafID(), dataMsg{Pkt: seq.NewData(k)})
+			r.nw.send(int(p.id), r.leafID(), dataMsg{Pkt: seq.NewData(k)})
 		}
 	}
 }
@@ -720,7 +733,7 @@ func (r *runner) run() Result {
 		for !r.measureDone && r.eng.Step() {
 		}
 	}
-	r.res.NetStats = r.nw.Stats()
+	r.res.NetStats = r.nw.stats
 	r.closeSpans()
 	r.mirrorOutcomes()
 	if r.fl != nil {

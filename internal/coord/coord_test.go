@@ -1,10 +1,11 @@
 package coord
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"p2pmss/internal/engine"
-	"p2pmss/internal/failure"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/seq"
@@ -32,6 +33,19 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Interval = -1 },
 		func(c *Config) { c.DataPlane, c.ContentLen = true, 0 },
 		func(c *Config) { c.DataPlane, c.Window = true, 0 },
+		// Out-of-range link and crash settings: each used to panic inside
+		// the run or run silently wrong.
+		func(c *Config) { c.LossProb = 1.5 },
+		func(c *Config) { c.LossProb = -0.1 },
+		func(c *Config) { c.LossProb = math.NaN() },
+		func(c *Config) { c.Delta = -1 },
+		func(c *Config) { c.Delta = math.NaN() },
+		func(c *Config) { c.Jitter = -0.5 },
+		func(c *Config) { c.DataPlane, c.Settle = true, -50 },
+		func(c *Config) { c.CrashPeers = []overlay.PeerID{-1} },
+		func(c *Config) { c.CrashPeers = []overlay.PeerID{overlay.PeerID(c.N)} }, // the leaf
+		func(c *Config) { c.Churn = &ChurnSchedule{Events: []ChurnEvent{{At: 1, Peer: overlay.PeerID(c.N)}}} },
+		func(c *Config) { c.Churn = &ChurnSchedule{Events: []ChurnEvent{{At: 1, Peer: -3}}} },
 	}
 	for i, mutate := range bad {
 		cfg := baseCfg()
@@ -39,6 +53,11 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(DCoP, cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	cfg := baseCfg()
+	cfg.Delta = -1
+	if _, err := Run(DCoP, cfg); err == nil || !strings.Contains(err.Error(), "Delta") {
+		t.Errorf("negative Delta: error %v does not name Delta", err)
 	}
 }
 
@@ -518,7 +537,7 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 	cfg.ContentLen = 300
 	cfg.Rate = 10
 	cfg.Obs.Flight = flight.NewSet(4096)
-	cfg.Churn = &failure.ChurnSchedule{Events: []failure.ChurnEvent{
+	cfg.Churn = &ChurnSchedule{Events: []ChurnEvent{
 		{At: 30, Peer: 3},
 		{At: 60, Peer: 3, Join: true},
 		{At: 35, Peer: 4},
@@ -539,7 +558,7 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 
 func TestChurnScheduleRejectsBadTimes(t *testing.T) {
 	cfg := baseCfg()
-	cfg.Churn = &failure.ChurnSchedule{Events: []failure.ChurnEvent{{At: -2, Peer: 1}}}
+	cfg.Churn = &ChurnSchedule{Events: []ChurnEvent{{At: -2, Peer: 1}}}
 	if _, err := Run(TCoP, cfg); err == nil {
 		t.Error("negative churn time accepted")
 	}

@@ -6,7 +6,6 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
-	"p2pmss/internal/simnet"
 )
 
 // transmitter is a contents peer's data-plane sender: it transmits its
@@ -15,7 +14,7 @@ import (
 // of length 1/rate (§2's slot model), and switches δ after a plan.
 type transmitter struct {
 	r    *runner
-	node simnet.NodeID
+	node int
 	st   engine.Stream
 	// slotTimer sends the next packet; one timer, re-armed every slot
 	// and cancelled by a restart (nil until the first packet-plane one).
@@ -104,7 +103,7 @@ func (tx *transmitter) sendNext() {
 	}
 	tx.sentTotal++
 	tx.r.met.dataSent.Inc()
-	tx.r.nw.Send(tx.node, tx.r.leafID(), dataMsg{Pkt: pkt})
+	tx.r.nw.send(tx.node, tx.r.leafID(), dataMsg{Pkt: pkt})
 }
 
 // leafNode is the leaf peer LP_s's simulated side: core (the engine's
@@ -138,10 +137,10 @@ type leafNode struct {
 	nextConsume       int64
 }
 
-// Receive implements simnet.Handler for data packets; coordination
+// receive takes a data packet from the network; coordination
 // messages addressed to the leaf (TCoP confirmations are peer→peer, so
 // none today) are ignored.
-func (l *leafNode) Receive(from simnet.NodeID, m simnet.Message) {
+func (l *leafNode) receive(from int, m any) {
 	dm, ok := m.(dataMsg)
 	if !ok {
 		return

@@ -8,19 +8,18 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/parity"
-	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
 )
 
-// This file is the des/simnet driver for the shared coordination engine
+// This file is the des driver for the shared coordination engine
 // (internal/engine): it stamps virtual-time snapshots onto events,
-// turns SetTimer effects into des events, Send effects into simnet
+// turns SetTimer effects into des events, Send effects into network
 // messages (feeding send failures back into the engine so the live
 // layer's churn tolerance is deterministically simulatable), and the
 // data-plane effects into transmitter operations.
 
 // coordinated drives DCoP (§3.4) or TCoP (§3.5), whose transitions all
-// live in internal/engine: it starts the leaf and converts simnet
+// live in internal/engine: it starts the leaf and converts network
 // messages to engine events, computing a request's initial assignment
 // (which needs the runner's content and bandwidth model).
 type coordinated struct {
@@ -40,7 +39,7 @@ func (c *coordinated) start() {
 	r.leaf.arm()
 }
 
-func (c *coordinated) deliver(p *peerNode, from simnet.NodeID, m simnet.Message) {
+func (c *coordinated) deliver(p *peerNode, from int, m any) {
 	r := c.r
 	switch msg := m.(type) {
 	case reqMsg:
@@ -123,8 +122,8 @@ func (l *leafNode) Request(to engine.PeerID, slot int, selected []engine.PeerID,
 	if r.cfg.LeafShares {
 		m.Selected = selected
 	}
-	r.sendCtl(r.leafID(), simnet.NodeID(to), m, 1)
-	if r.nw.Crashed(simnet.NodeID(to)) {
+	r.sendCtl(r.leafID(), int(to), m, 1)
+	if r.nw.crashed[to] {
 		return errCrashed
 	}
 	return nil
@@ -137,7 +136,7 @@ func (l *leafNode) Repair(to engine.PeerID, indices []int64, trigger string) err
 	r := l.r
 	r.res.RepairRequests++
 	r.note(int(engine.LeafID), flight.Event{Dir: flight.DirDriver, Type: "repair_request", Other: int(to), N: len(indices), Note: trigger})
-	r.nw.Send(r.leafID(), simnet.NodeID(to), repairMsg{Indices: indices})
+	r.nw.send(r.leafID(), int(to), repairMsg{Indices: indices})
 	return nil
 }
 
@@ -171,16 +170,16 @@ func (r *runner) dispatchCtx(p *peerNode, ev engine.Event, parent span.Context) 
 // queued behind the remaining effects, so an Absorb it produces folds
 // into the switch the hand-off planned). Every consumed batch goes back
 // to the peer's free lists via Release; the messages themselves stay
-// alive until simnet delivers (or discards) them.
+// alive until the network delivers (or discards) them.
 func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 	batches := append(r.batchBuf[:0], effs)
 	for bi := 0; bi < len(batches); bi++ {
 		for _, eff := range batches[bi] {
 			switch e := eff.(type) {
 			case *engine.Send:
-				to := simnet.NodeID(e.To)
-				r.sendCtl(simnet.NodeID(p.id), to, e.Msg, msgRound(e.Msg))
-				if r.nw.Crashed(to) {
+				to := int(e.To)
+				r.sendCtl(int(p.id), to, e.Msg, msgRound(e.Msg))
+				if r.nw.crashed[to] {
 					// The message is counted (it was transmitted) but will be
 					// discarded at delivery; tell the engine now so it can
 					// fail over or re-absorb deterministically.

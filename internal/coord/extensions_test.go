@@ -12,13 +12,7 @@ import (
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/seq"
-	"p2pmss/internal/simnet"
 )
-
-// simnetLink builds link params matching cfg plus a bandwidth cap.
-func simnetLink(cfg Config, bw float64) simnet.LinkParams {
-	return simnet.LinkParams{Latency: cfg.Delta, Jitter: cfg.Jitter, LossProb: cfg.LossProb, Bandwidth: bw}
-}
 
 func TestAMSBaseline(t *testing.T) {
 	cfg := baseCfg()
@@ -421,7 +415,7 @@ func runWithheld(t *testing.T, keys ...string) (Result, map[string]int) {
 		t.Fatal(err)
 	}
 	r.impl = &coordinated{r: r}
-	r.nw.AttachFunc(r.leafID(), func(from simnet.NodeID, m simnet.Message) {
+	r.nw.receive = func(from, to int, m any) {
 		if dm, ok := m.(dataMsg); ok && r.res.RepairRequests == 0 {
 			ids := strings.FieldsFunc(dm.Pkt.Key(), func(c rune) bool { return c == '(' || c == ')' || c == ',' })
 			for _, k := range keys {
@@ -430,8 +424,8 @@ func runWithheld(t *testing.T, keys ...string) (Result, map[string]int) {
 				}
 			}
 		}
-		r.leaf.Receive(from, m)
-	})
+		r.receive(from, to, m)
+	}
 	res := r.run()
 	notes := map[string]int{}
 	for _, e := range cfg.Obs.Flight.Events() {
@@ -497,31 +491,6 @@ func TestRepairRequiresDataPlane(t *testing.T) {
 	cfg.Repair = true
 	if _, err := Run(DCoP, cfg); err == nil {
 		t.Error("repair without data plane accepted")
-	}
-}
-
-// Data-plane runs under link bandwidth limits: the §2 slot model at the
-// network layer. Delivery still completes, just later.
-func TestDataPlaneWithLinkBandwidth(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.N = 8
-	cfg.H = 4
-	cfg.Interval = 3
-	cfg.DataPlane = true
-	cfg.Loop = false
-	cfg.TrackDelivery = true
-	cfg.ContentLen = 200
-	cfg.Rate = 5
-	r, err := newRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Throttle every link to 2 messages per time unit.
-	r.nw.SetDefaultLink(simnetLink(cfg, 2))
-	r.impl = &coordinated{r: r, dcop: true}
-	res := r.run()
-	if res.DeliveredData != cfg.ContentLen {
-		t.Errorf("delivered %d/%d under bandwidth limit", res.DeliveredData, cfg.ContentLen)
 	}
 }
 

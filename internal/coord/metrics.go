@@ -3,7 +3,6 @@ package coord
 import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/simnet"
 )
 
 // coordMetrics holds the runner's instrument handles, looked up once at
@@ -38,7 +37,7 @@ var ctlTypeNames = []string{
 }
 
 // ctlTypeName classifies a coordination message for the by-type counter.
-func ctlTypeName(m simnet.Message) string {
+func ctlTypeName(m any) string {
 	switch m.(type) {
 	case reqMsg:
 		return "request"

@@ -38,7 +38,7 @@ import (
 )
 
 // PeerID identifies a contents peer (the overlay numbering 0..n-1). The
-// simulator uses simnet node ids directly; the live layer maps roster
+// simulator uses them as its network's node ids directly; the live layer maps roster
 // addresses onto indices (out-of-roster joiners get ephemeral ids ≥ n,
 // which the engine tracks but never adds to bounded views).
 type PeerID = overlay.PeerID

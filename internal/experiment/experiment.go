@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"p2pmss/internal/coord"
-	"p2pmss/internal/failure"
 	"p2pmss/internal/gossip"
 )
 
@@ -43,7 +42,7 @@ type Options struct {
 	// — a record read months later says what loss/churn it ran under.
 	LossProb float64
 	Burst    *coord.BurstParams
-	Churn    *failure.ChurnSchedule
+	Churn    *coord.ChurnSchedule
 	// Parallel is the number of worker goroutines sweep points fan out
 	// over: 0 or 1 runs serially, a negative value selects
 	// runtime.NumCPU(). Every run is an isolated deterministic DES

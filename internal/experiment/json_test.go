@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"p2pmss/internal/coord"
-	"p2pmss/internal/failure"
 )
 
 // TestScenarioStamping pins the archive contract: unimpaired records
@@ -33,7 +32,7 @@ func TestScenarioStamping(t *testing.T) {
 	lossy := base
 	lossy.LossProb = 0.05
 	lossy.Burst = &coord.BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, LossBad: 0.5}
-	lossy.Churn = &failure.ChurnSchedule{Events: []failure.ChurnEvent{{}, {}}}
+	lossy.Churn = &coord.ChurnSchedule{Events: []coord.ChurnEvent{{}, {}}}
 	lossy.Retries = 3
 	recs, err := SweepRecords(lossy, false, coord.TCoP)
 	if err != nil {

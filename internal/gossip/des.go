@@ -1,31 +1,25 @@
 package gossip
 
-import (
-	"p2pmss/internal/des"
-	"p2pmss/internal/simnet"
-)
+import "p2pmss/internal/des"
 
-// This file is the discrete-event driver: the round engine wired to the
-// simulated network, preserving the original Run semantics (and, per
-// seed, the exact results) of the pre-split package.
+// This file is the discrete-event driver: the round engine on des,
+// preserving the original Run semantics (and, per seed, the exact
+// results) of the pre-split package.
 
-// Run disseminates one rumor from node 0 and reports coverage.
+// Run disseminates one rumor from node 0 and reports coverage. A push is
+// lost with probability LossProb, drawn at send time on the engine's
+// stream, and otherwise arrives Latency later.
 func Run(cfg Config) (Result, error) {
 	eng := des.New(cfg.Seed)
-	nw := simnet.New(eng)
-	nw.SetDefaultLink(simnet.LinkParams{Latency: cfg.Latency, LossProb: cfg.LossProb})
-
+	var g *Engine
 	g, err := NewEngine(cfg, eng.Rand(), func(from, to int, p Push) {
-		nw.Send(simnet.NodeID(from), simnet.NodeID(to), p)
+		if cfg.LossProb > 0 && eng.Rand().Float64() < cfg.LossProb {
+			return
+		}
+		eng.After(cfg.Latency, func() { g.Deliver(to, p) })
 	}, eng.Now)
 	if err != nil {
 		return Result{}, err
-	}
-	for i := 0; i < cfg.N; i++ {
-		to := i
-		nw.AttachFunc(simnet.NodeID(i), func(from simnet.NodeID, m simnet.Message) {
-			g.Deliver(to, m.(Push))
-		})
 	}
 
 	eng.At(0, func() { g.Start(0) })

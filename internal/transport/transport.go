@@ -10,7 +10,7 @@
 // reordering are one hook, a seeded Impairment, on the fabric and on
 // UDP alike.
 //
-// The simulator (internal/simnet) models the same role under virtual
+// The simulator's link model (internal/coord) plays the same role in virtual
 // time; this package is the real-time counterpart used by internal/live.
 package transport
 
