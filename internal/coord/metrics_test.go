@@ -4,8 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"p2pmss/internal/engine"
+	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/overlay"
+	"p2pmss/internal/span"
 )
 
 // metricsTestConfig is a small data-plane run exercising most counters.
@@ -21,23 +24,33 @@ func metricsTestConfig() Config {
 	return cfg
 }
 
-// Instrumentation must never perturb the simulation: a run with a
-// registry attached produces the identical Result to a bare run.
+// Instrumentation must never perturb the simulation: a run with any
+// observer bundle attached — metrics, spans or flight rings alone, or
+// all three — produces the identical Result to a bare run.
 func TestMetricsDoNotPerturbResult(t *testing.T) {
+	bundles := map[string]func() engine.Observability{
+		"metrics": func() engine.Observability { return engine.Observability{Metrics: metrics.New()} },
+		"spans":   func() engine.Observability { return engine.Observability{Spans: span.NewCollector()} },
+		"flight":  func() engine.Observability { return engine.Observability{Flight: flight.NewSet(64)} },
+		"all": func() engine.Observability {
+			return engine.Observability{Metrics: metrics.New(), Spans: span.NewCollector(), Flight: flight.NewSet(64)}
+		},
+	}
 	for _, proto := range Protocols {
-		bare := metricsTestConfig()
-		instr := metricsTestConfig()
-		instr.Obs.Metrics = metrics.New()
-		r1, err := Run(proto, bare)
+		r1, err := Run(proto, metricsTestConfig())
 		if err != nil {
 			t.Fatalf("%s bare: %v", proto, err)
 		}
-		r2, err := Run(proto, instr)
-		if err != nil {
-			t.Fatalf("%s instrumented: %v", proto, err)
-		}
-		if !reflect.DeepEqual(r1, r2) {
-			t.Errorf("%s: instrumented result differs from bare:\n%+v\n%+v", proto, r1, r2)
+		for name, obs := range bundles {
+			instr := metricsTestConfig()
+			instr.Obs = obs()
+			r2, err := Run(proto, instr)
+			if err != nil {
+				t.Fatalf("%s %s: %v", proto, name, err)
+			}
+			if !reflect.DeepEqual(r1, r2) {
+				t.Errorf("%s: result with %s attached differs from bare:\n%+v\n%+v", proto, name, r1, r2)
+			}
 		}
 	}
 }
