@@ -538,12 +538,9 @@ type peerNode struct {
 
 	// core is the peer's coordination state machine (DCoP/TCoP runs).
 	core *engine.Peer
-	// spans derives causal spans and latency observations from core's
-	// event/effect stream; nil when both spans and metrics are off.
-	spans *engine.SpanTracker
-	// flight records core's event/effect stream; nil when recording is
-	// off.
-	flight *engine.FlightObserver
+	// obs folds core's event/effect stream into spans, the latency
+	// histograms and the flight ring; nil when all of them are off.
+	obs *engine.Observer
 
 	// Centralized baseline state: the controller has sent its start
 	// round.
@@ -780,7 +777,7 @@ func (r *runner) run() Result {
 func (r *runner) closeSpans() {
 	now := r.eng.Now()
 	for _, p := range r.peers {
-		p.spans.Finish(now)
+		p.obs.Finish(now)
 	}
 	r.leaf.core.Close(now)
 }

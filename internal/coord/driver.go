@@ -72,16 +72,10 @@ func (r *runner) initEngine(dcopMode bool) {
 	if err := ecfg.Normalize(); err != nil {
 		panic(err) // unreachable: Config.normalize validated the same fields
 	}
-	sm := engine.SpanMetrics{
-		HandshakeRTT:   r.met.handshakeRTT,
-		CommitLatency:  r.met.commitLatency,
-		RetryWaveDepth: r.met.retryWaveDepth,
-	}
 	for _, p := range r.peers {
 		rng := des.NewRand(engine.PeerSeed(r.cfg.Seed, p.id))
 		p.core = engine.NewPeer(ecfg, p.id, rng)
-		p.spans = engine.NewSpanTracker(r.cfg.Obs.Spans, r.cfg.Obs.SpanTrace, int(p.id), sm)
-		p.flight = engine.NewFlightObserver(r.cfg.Obs.Flight.Recorder("", int(p.id)))
+		p.obs = r.cfg.Obs.Observer("", p.id, r.met.peer)
 	}
 }
 
@@ -149,19 +143,18 @@ func (r *runner) snapshot(p *peerNode) engine.Snapshot {
 
 // dispatch feeds one event into the peer's engine core and applies the
 // resulting effects. Events with no carried causal context (timers,
-// repair) enter with the zero context; the span tracker's own state
+// repair) enter with the zero context; the observer's own state
 // supplies the nesting.
 func (r *runner) dispatch(p *peerNode, ev engine.Event) {
 	r.dispatchCtx(p, ev, span.Context{})
 }
 
 // dispatchCtx is dispatch with the causal context the triggering
-// message carried; the tracker derives spans from the event/effect
-// pair and stamps outgoing messages before they are sent.
+// message carried; the observer folds the event/effect pair and stamps
+// outgoing messages before they are sent.
 func (r *runner) dispatchCtx(p *peerNode, ev engine.Event, parent span.Context) {
 	effs := p.core.Handle(ev, r.snapshot(p))
-	p.spans.Observe(p.core, r.eng.Now(), ev, parent, effs)
-	p.flight.Observe(r.eng.Now(), ev, effs)
+	p.obs.Observe(p.core, r.eng.Now(), ev, parent, effs)
 	r.applyEffects(p, effs)
 }
 
@@ -185,8 +178,7 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 					// fail over or re-absorb deterministically.
 					ev := &engine.SendFailed{To: e.To, Msg: e.Msg}
 					fb := p.core.Handle(ev, r.snapshot(p))
-					p.spans.Observe(p.core, r.eng.Now(), ev, engine.MsgSpan(e.Msg), fb)
-					p.flight.Observe(r.eng.Now(), ev, fb)
+					p.obs.Observe(p.core, r.eng.Now(), ev, span.Context{}, fb)
 					if fb != nil {
 						batches = append(batches, fb)
 					}

@@ -23,12 +23,11 @@ type coordMetrics struct {
 	// leaf holds the engine leaf's repair counters (by trigger) and its
 	// time-to-first-packet and stall histograms.
 	leaf engine.LeafMetrics
-
-	// Coordination-latency histograms (virtual time units), fed by the
-	// engine span trackers.
-	handshakeRTT   *metrics.Histogram
-	commitLatency  *metrics.Histogram
-	retryWaveDepth *metrics.Histogram
+	// peer holds the coordination-latency histograms (virtual time
+	// units) every peer's observer feeds. Its counters stay nil:
+	// activations are counted in peerNode.activate, the path the four
+	// engine-less baselines share.
+	peer engine.PeerMetrics
 }
 
 // ctlTypeNames maps every coordination message to its label value.
@@ -87,9 +86,11 @@ func newCoordMetrics(reg *metrics.Registry, repair bool) coordMetrics {
 		delivered:       reg.Gauge("coord_leaf_delivered_data"),
 		underruns:       reg.Counter("coord_playback_underruns_total"),
 
-		handshakeRTT:   reg.Histogram("coord_handshake_rtt", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
-		commitLatency:  reg.Histogram("coord_control_commit_latency", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
-		retryWaveDepth: reg.Histogram("coord_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}),
+		peer: engine.PeerMetrics{
+			HandshakeRTT:   reg.Histogram("coord_handshake_rtt", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
+			CommitLatency:  reg.Histogram("coord_control_commit_latency", []float64{0.5, 1, 2, 4, 8, 16, 32, 64}),
+			RetryWaveDepth: reg.Histogram("coord_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}),
+		},
 		leaf: engine.LeafMetrics{
 			TimeToFirstPacket: reg.Histogram("coord_time_to_first_packet", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
 			StallDuration:     reg.Histogram("coord_stall_duration", []float64{1, 2, 4, 8, 16, 32, 64}),

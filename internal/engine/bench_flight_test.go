@@ -5,21 +5,22 @@ import (
 
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
+	"p2pmss/internal/span"
 )
 
 // The BenchmarkFlightDisabled* family pins the disabled flight-recorder
-// contract: with no recorder the observer is nil and the per-dispatch
-// Observe call costs zero allocations, exactly like the disabled span
-// tracker. CI runs these through `benchjson -assert-zero-allocs
+// contract: with no flight set (and nothing else attached) the peer's
+// Observer is nil and the per-dispatch Observe call costs zero
+// allocations. CI runs these through `benchjson -assert-zero-allocs
 // BenchmarkFlightDisabled` and fails the build on any alloc/op.
 
 // BenchmarkFlightDisabledObserve measures the per-dispatch overhead the
 // sim and live drivers add when flight recording is off: one Observe
 // call on the nil observer over a realistic control+timer effect batch.
 func BenchmarkFlightDisabledObserve(b *testing.B) {
-	o := engine.NewFlightObserver(nil)
+	o := engine.Observability{}.Observer("", 0, engine.PeerMetrics{})
 	if o != nil {
-		b.Fatal("observer with nil recorder must be nil")
+		b.Fatal("observer with a nil flight set and nothing else must be nil")
 	}
 	effs := []engine.Effect{
 		&engine.Send{To: 1, Msg: &engine.MsgControl{Children: 3, ChildIdx: 1}},
@@ -31,7 +32,7 @@ func BenchmarkFlightDisabledObserve(b *testing.B) {
 	var ev engine.Event = &engine.TimerFired{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o.Observe(0, ev, effs)
+		o.Observe(nil, 0, ev, span.Context{}, effs)
 	}
 }
 

@@ -217,7 +217,7 @@ type MsgControl struct {
 	AssignedSeq seq.Sequence     // the child's division pkt_ji
 	Round       int
 	// Span is the causal context the message carries (zero when tracing
-	// is disabled). Stamped by the driver-side SpanTracker, never by the
+	// is disabled). Stamped by the driver-side Observer, never by the
 	// protocol logic.
 	Span span.Context
 
@@ -784,9 +784,6 @@ func (p *Peer) Confirmed() []PeerID { return p.confirmed }
 // ChildrenTaken returns how many children the peer has taken over its
 // lifetime (the §3.3 cap counter).
 func (p *Peer) ChildrenTaken() int { return p.childrenTaken }
-
-// RetriesUsed returns how many alternate peers have been contacted.
-func (p *Peer) RetriesUsed() int { return p.retried }
 
 // ---- shared math --------------------------------------------------------
 

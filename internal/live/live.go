@@ -254,11 +254,9 @@ type Peer struct {
 
 	mu   sync.Mutex
 	core *engine.Peer
-	// spans derives causal spans from the engine's event/effect stream;
-	// nil (tracing and latency metrics both off) is the no-op tracker.
-	spans *engine.SpanTracker
-	// flight records the engine's event/effect stream; nil when off.
-	flight *engine.FlightObserver
+	// obs folds the engine's event/effect stream into spans, the flight
+	// ring and the peer metrics; nil when all of them are off.
+	obs *engine.Observer
 	// names/ids map engine peer ids to transport addresses and back.
 	// Roster order defines ids 0..N-1; out-of-roster senders (mid-stream
 	// joiners) get ephemeral ids >= N, which the engine tracks but never
@@ -277,8 +275,6 @@ type Peer struct {
 	// addressing).
 	repairTo      string
 	repairContent *content.Content
-
-	lastRetried int
 
 	// lastTouch is when the peer last received a message or transmitted
 	// a data packet — the idle clock Quiesced reads for session reaping.
@@ -337,14 +333,9 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 	}
 	self := p.idOfLocked(ep.Name())
 	p.core = engine.NewPeer(ecfg, self, des.NewRand(cfg.Seed))
-	p.spans = engine.NewSpanTracker(cfg.Obs.Spans, cfg.Obs.SpanTrace, int(self), engine.SpanMetrics{
-		HandshakeRTT:   p.met.handshakeRTT,
-		CommitLatency:  p.met.commitLatency,
-		RetryWaveDepth: p.met.retryWaveDepth,
-	})
 	// Obs carries the whole flight set; the per-peer ring can only be
 	// resolved here, once the roster index is known.
-	p.flight = engine.NewFlightObserver(cfg.Obs.Flight.Recorder(string(cfg.Session), int(self)))
+	p.obs = cfg.Obs.Observer(string(cfg.Session), self, p.met.PeerMetrics)
 	p.mu.Unlock()
 	go p.streamLoop()
 	return p, nil
@@ -400,7 +391,7 @@ func (p *Peer) Close() error {
 	p.stopped.Do(func() {
 		close(p.stopCh)
 		p.mu.Lock()
-		p.spans.Finish(liveNow())
+		p.obs.Finish(liveNow())
 		p.mu.Unlock()
 	})
 	return p.ep.Close()
@@ -540,8 +531,8 @@ type outSend struct {
 // dispatchCtx feeds one event into the engine under the lock and
 // applies the effects; transmissions happen after the lock is released,
 // and their failures are fed back as SendFailed events. parent is the
-// causal context the triggering message carried (zero for timers); the
-// span tracker derives spans from the event/effect pair and stamps
+// causal context the triggering message carried (zero for timers and
+// send failures); the observer folds the event/effect pair and stamps
 // outgoing messages before they are encoded.
 func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 	p.mu.Lock()
@@ -550,8 +541,7 @@ func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 		return
 	}
 	effs := p.core.Handle(ev, p.st.Snapshot())
-	p.spans.Observe(p.core, liveNow(), ev, parent, effs)
-	p.flight.Observe(liveNow(), ev, effs)
+	p.obs.Observe(p.core, liveNow(), ev, parent, effs)
 	sends := p.applyLocked(effs)
 	// The batch is consumed: applyLocked copied out everything a send
 	// needs (addresses, stripped payload copies), so the effect nodes
@@ -562,7 +552,7 @@ func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 		err := sendBody(p.ep, p.cfg.Session, s.to, s.typ, s.body, s.ctx)
 		if err != nil {
 			if s.msg != nil {
-				p.dispatchCtx(&engine.SendFailed{To: s.toID, Msg: s.msg}, engine.MsgSpan(s.msg))
+				p.dispatchCtx(&engine.SendFailed{To: s.toID, Msg: s.msg}, span.Context{})
 			}
 			continue
 		}
@@ -603,19 +593,9 @@ func (p *Peer) applyLocked(effs []engine.Effect) []outSend {
 		case *engine.ServeRepair:
 			sends = append(sends, p.repairSendsLocked(e.Indices)...)
 			continue
-		case *engine.Activate:
-			p.met.activations.Inc()
-		case *engine.Handoff:
-			p.met.handoffs.Add(int64(len(e.Given)))
-		case *engine.Absorb:
-			p.met.failovers.Inc()
 		}
 		p.st.Apply(eff)
 		p.kick()
-	}
-	if used := p.core.RetriesUsed(); used > p.lastRetried {
-		p.met.retries.Add(int64(used - p.lastRetried))
-		p.lastRetried = used
 	}
 	return sends
 }

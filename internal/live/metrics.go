@@ -15,34 +15,24 @@ func withSession(sid SessionID, labels ...string) []string {
 	return append(labels, "session", string(sid))
 }
 
-// peerMetrics holds a contents peer's instrument handles, looked up once
+// peerMetrics holds a contents peer's instrument handles, the engine
+// observer's among them (activations, hand-offs, retries, fail-overs
+// and the coordination-latency histograms, in seconds), looked up once
 // at construction. The zero value (all nil) records nothing, which is
 // what a peer without PeerConfig.Metrics uses.
 type peerMetrics struct {
+	engine.PeerMetrics
 	// sent is labeled by peer address so per-peer transmit load is
 	// visible on /metrics; the rest aggregate across the cluster (and,
 	// for session-bound peers, per session).
 	sent         *metrics.Counter
-	handoffs     *metrics.Counter
-	activations  *metrics.Counter
 	repairServed *metrics.Counter
-	// retries counts alternate children contacted after a refusal,
-	// unreachable peer, or confirmation-round timeout; failovers counts
-	// hand-offs re-absorbed (or join grants abandoned) because the
-	// counterpart could not be reached.
-	retries   *metrics.Counter
-	failovers *metrics.Counter
 	// decodeErrors counts well-framed messages whose body failed
 	// DecodeWire and was dropped; invalidBodies those whose body decoded
 	// but asks for something that does not exist (a request for part 5
 	// of 2). One series, told apart by reason.
 	decodeErrors  *metrics.Counter
 	invalidBodies *metrics.Counter
-	// Coordination-latency histograms (seconds), fed by the engine span
-	// tracker.
-	handshakeRTT   *metrics.Histogram
-	commitLatency  *metrics.Histogram
-	retryWaveDepth *metrics.Histogram
 }
 
 // latencyBounds are the wall-clock histogram buckets (seconds) shared
@@ -51,18 +41,19 @@ var latencyBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25
 
 func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetrics {
 	return peerMetrics{
+		PeerMetrics: engine.PeerMetrics{
+			Activations:    reg.Counter("live_activations_total", withSession(sid)...),
+			Handoffs:       reg.Counter("live_handoffs_total", withSession(sid)...),
+			Failovers:      reg.Counter("live_session_failovers_total", withSession(sid, "role", "peer")...),
+			Retries:        reg.Counter("live_session_retries_total", withSession(sid, "role", "peer")...),
+			HandshakeRTT:   reg.Histogram("live_handshake_rtt_seconds", latencyBounds, withSession(sid)...),
+			CommitLatency:  reg.Histogram("live_control_commit_latency_seconds", latencyBounds, withSession(sid)...),
+			RetryWaveDepth: reg.Histogram("live_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}, withSession(sid)...),
+		},
 		sent:          reg.Counter("live_data_packets_sent_total", withSession(sid, "peer", addr)...),
-		handoffs:      reg.Counter("live_handoffs_total", withSession(sid)...),
-		activations:   reg.Counter("live_activations_total", withSession(sid)...),
 		repairServed:  reg.Counter("live_repair_packets_served_total", withSession(sid)...),
-		retries:       reg.Counter("live_session_retries_total", withSession(sid, "role", "peer")...),
-		failovers:     reg.Counter("live_session_failovers_total", withSession(sid, "role", "peer")...),
 		decodeErrors:  reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "peer", "reason", "decode")...),
 		invalidBodies: reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "peer", "reason", "invalid")...),
-
-		handshakeRTT:   reg.Histogram("live_handshake_rtt_seconds", latencyBounds, withSession(sid)...),
-		commitLatency:  reg.Histogram("live_control_commit_latency_seconds", latencyBounds, withSession(sid)...),
-		retryWaveDepth: reg.Histogram("live_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}, withSession(sid)...),
 	}
 }
 
