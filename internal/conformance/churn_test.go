@@ -1,25 +1,22 @@
 package conformance_test
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
-	"p2pmss/internal/content"
 	"p2pmss/internal/coord"
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/live"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/transport"
 )
 
 // crashVictims picks `count` peers outside the leaf's initial selection
-// for the seed. Crashing non-selected peers keeps the leaf's slot
-// failover out of play and isolates member-level SendFailed failover;
+// for the seed (the session seed's leaf draw). Crashing non-selected
+// peers keeps the leaf's slot failover out of play and isolates
+// member-level SendFailed failover;
 // TestSimLiveConformanceSelectedPeerCrash covers the leaf's.
 func crashVictims(seed int64, count int) []engine.PeerID {
-	rng := des.NewRand(engine.PeerSeed(seed, engine.LeafID))
+	rng := des.NewRand(engine.PeerSeed(sessionSeed(seed), engine.LeafID))
 	sel, _ := engine.SelectInitial(rng, confN, confH)
 	selected := make(map[engine.PeerID]bool, len(sel))
 	for _, id := range sel {
@@ -38,14 +35,15 @@ func crashVictims(seed int64, count int) []engine.PeerID {
 // outside it, and returns the spare the leaf fails the selected one over
 // to. The outside victim is not that spare, so the first failover lands.
 func mixedVictims(seed int64) (victims []engine.PeerID, spare engine.PeerID) {
-	rng := des.NewRand(engine.PeerSeed(seed, engine.LeafID))
+	rng := des.NewRand(engine.PeerSeed(sessionSeed(seed), engine.LeafID))
 	sel, spares := engine.SelectInitial(rng, confN, confH)
 	return []engine.PeerID{sel[0], spares[len(spares)-1]}, spares[0]
 }
 
-// simChurnOutcomes runs the simulator with the victims crash-stopped
-// before the run (coord.Config.CrashPeers with CrashAt zero) and
-// member-level retries enabled, mirroring the live driver's defaults.
+// simChurnOutcomes runs the simulator at the session seed of node seed
+// seed with the victims crash-stopped before the run
+// (coord.Config.CrashPeers with CrashAt zero) and member-level retries
+// enabled, mirroring the live driver's defaults.
 func simChurnOutcomes(t *testing.T, proto engine.Protocol, seed int64, victims []engine.PeerID) []engine.Outcome {
 	t.Helper()
 	crash := make([]overlay.PeerID, len(victims))
@@ -58,7 +56,7 @@ func simChurnOutcomes(t *testing.T, proto engine.Protocol, seed int64, victims [
 		LeafShares: true,
 		DataPlane:  true, ContentLen: confPackets,
 		Settle: 1, Window: 1,
-		Seed:       seed,
+		Seed:       sessionSeed(seed),
 		CrashPeers: crash,
 		Retries:    confH,
 	})
@@ -69,63 +67,14 @@ func simChurnOutcomes(t *testing.T, proto engine.Protocol, seed int64, victims [
 }
 
 // liveChurnOutcomes mirrors the scripted crash on the live runtime: the
-// victims' endpoints are closed before the leaf starts, so sends to
-// them fail synchronously and feed SendFailed into the surviving
+// victims' nodes are closed before the leaf opens the session, so sends
+// to them fail synchronously and feed SendFailed into the surviving
 // engines — the same failover the simulator derives from
 // coord.Config.CrashPeers. The fabric is the bounded queued variant, so
 // the churn run also exercises the capped FIFO path end to end.
 func liveChurnOutcomes(t *testing.T, proto engine.Protocol, seed int64, victims []engine.PeerID) []engine.Outcome {
 	t.Helper()
-	data := make([]byte, confPackets*16)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	c := content.New("conf", data, 16)
-
-	fab := transport.NewBoundedQueuedFabric(64, transport.QueueBlock)
-	roster := make([]string, confN)
-	for i := range roster {
-		roster[i] = fmt.Sprintf("p%d", i)
-	}
-	peers := make([]*live.Peer, confN)
-	for i := range roster {
-		p, err := live.NewPeer(live.PeerConfig{
-			Content:  c,
-			Roster:   roster,
-			H:        confH,
-			Interval: confInterval,
-			Delta:    time.Millisecond,
-			Protocol: proto,
-			Retries:  confH,
-			Seed:     engine.PeerSeed(seed, engine.PeerID(i)),
-		}, live.WithFabric(fab, roster[i]))
-		if err != nil {
-			t.Fatalf("live peer %d: %v", i, err)
-		}
-		peers[i] = p
-		defer p.Close()
-	}
-	for _, v := range victims {
-		peers[v].Close() // scripted crash: fail before participating
-	}
-	leaf, err := live.NewLeaf(live.LeafConfig{
-		Roster: roster, H: confH, Interval: confInterval,
-		Rate: confRate, ContentID: c.ID(),
-		ContentSize: len(data), PacketSize: 16,
-		Seed: engine.PeerSeed(seed, engine.LeafID),
-	}, live.WithFabric(fab, "leaf"))
-	if err != nil {
-		t.Fatalf("live leaf: %v", err)
-	}
-	defer leaf.Close()
-
-	startAndSettle(t, fab, leaf)
-
-	outs := make([]engine.Outcome, confN)
-	for i, p := range peers {
-		outs[i] = p.Outcome()
-	}
-	return outs
+	return liveRun(t, transport.NewBoundedQueuedFabric(64, transport.QueueBlock), proto, seed, nil, victims)
 }
 
 // TestSimLiveConformanceUnderChurn byte-compares the two drivers with

@@ -5,15 +5,18 @@
 // (DCoP), byte-compared as sorted (peer, parent, children, subsequence)
 // lines over several seeds.
 //
-// The drivers are conformant because (a) every peer's engine RNG is
-// seeded PeerSeed(seed, id) and the leaf's PeerSeed(seed, LeafID) on
-// both sides, (b) both compute the initial assignment as
-// Div(Enhance(content, h), H, index) at rate τ(h+1)/(hH), and (c) the
-// live fabric's queued mode delivers messages in global FIFO order —
-// the same breadth-first order the simulator's uniform latency yields.
-// The content rate is set so low that no data-plane packet is sent and
-// every mark stays at offset 0, removing wall-clock position from the
-// comparison.
+// The live side runs the path users run: one live.Node per roster
+// address and the leaf on one more node outside the roster, all on one
+// transport.Fabric. The drivers are conformant because (a) every node
+// of a session seeds its members from SessionSeed(node seed, session
+// id) — peer id at PeerSeed(·, id), the leaf at PeerSeed(·, LeafID) —
+// and the simulator runs at that session seed, (b) both compute the
+// initial assignment as Div(Enhance(content, h), H, index) at rate
+// τ(h+1)/(hH), and (c) the live fabric delivers messages in global FIFO
+// order — the same breadth-first order the simulator's uniform latency
+// yields. The content rate is set so low that no data-plane packet is
+// sent and every mark stays at offset 0, removing wall-clock position
+// from the comparison.
 package conformance_test
 
 import (
@@ -37,7 +40,13 @@ const (
 	confInterval = 2
 	confPackets  = 40
 	confRate     = 1e-6 // so slow that no data packet moves during coordination
+	// confSession is the session every live run opens.
+	confSession = "conf"
 )
+
+// sessionSeed is the seed the conformance session's members draw from
+// on nodes seeded seed: the simulator runs at it.
+func sessionSeed(seed int64) int64 { return engine.SessionSeed(seed, confSession) }
 
 // outcomeLines formats per-peer outcomes into canonical comparison
 // lines. Rates are excluded: the sim plans hand-offs δ after the mark
@@ -58,8 +67,9 @@ func outcomeLines(outs []engine.Outcome) string {
 	return strings.Join(lines, "\n")
 }
 
-// simOutcomes runs the simulator and returns its per-peer outcomes,
-// recording the engine event/effect stream into fl when non-nil.
+// simOutcomes runs the simulator at the session seed of node seed seed
+// and returns its per-peer outcomes, recording the engine event/effect
+// stream into fl when non-nil.
 func simOutcomes(t *testing.T, proto engine.Protocol, seed int64, fl *flight.Set) []engine.Outcome {
 	t.Helper()
 	res, err := coord.Run(proto, coord.Config{
@@ -68,7 +78,7 @@ func simOutcomes(t *testing.T, proto engine.Protocol, seed int64, fl *flight.Set
 		LeafShares: true,
 		DataPlane:  true, ContentLen: confPackets,
 		Settle: 1, Window: 1,
-		Seed: seed,
+		Seed: sessionSeed(seed),
 		Obs:  engine.Observability{Flight: fl},
 	})
 	if err != nil {
@@ -80,83 +90,102 @@ func simOutcomes(t *testing.T, proto engine.Protocol, seed int64, fl *flight.Set
 	return res.Outcomes
 }
 
-// liveOutcomes runs the live runtime on a queued (deterministic FIFO)
-// fabric and returns its per-peer outcomes in roster order, recording
-// the engine event/effect stream into fl when non-nil.
+// liveOutcomes runs the live session on a fabric and returns its
+// per-peer outcomes in roster order, recording the engine event/effect
+// stream into fl when non-nil.
 func liveOutcomes(t *testing.T, proto engine.Protocol, seed int64, fl *flight.Set) []engine.Outcome {
+	t.Helper()
+	return liveRun(t, transport.NewFabric(), proto, seed, fl, nil)
+}
+
+// liveRun hosts the conformance session on fab: one node per roster
+// address p0…, each holding the content and seeded seed, and a leaf
+// node outside the roster. The victims' nodes close before the session
+// opens (a scripted crash: sends to them fail synchronously and feed
+// SendFailed into the surviving engines). It returns the roster's
+// outcomes in roster order; a node that never served the session
+// reports a peer that heard nothing.
+func liveRun(t *testing.T, fab *transport.Fabric, proto engine.Protocol, seed int64, fl *flight.Set, victims []engine.PeerID) []engine.Outcome {
 	t.Helper()
 	data := make([]byte, confPackets*16)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	c := content.New("conf", data, 16)
-
-	fab := transport.NewFabric()
+	store := content.NewStore()
+	store.Put(content.New("conf", data, 16))
 	roster := make([]string, confN)
 	for i := range roster {
 		roster[i] = fmt.Sprintf("p%d", i)
 	}
-	peers := make([]*live.Peer, confN)
-	for i := range roster {
-		p, err := live.NewPeer(live.PeerConfig{
-			Content:  c,
-			Roster:   roster,
-			H:        confH,
-			Interval: confInterval,
-			Delta:    time.Millisecond,
-			Protocol: proto,
-			Seed:     engine.PeerSeed(seed, engine.PeerID(i)),
-			Obs:      engine.Observability{Flight: fl},
-		}, live.WithFabric(fab, roster[i]))
+	node := func(name string, store *content.Store) *live.Node {
+		nd, err := live.NewNode(live.NodeConfig{
+			Store: store, Roster: roster, H: confH, Interval: confInterval,
+			Delta: time.Millisecond, Protocol: proto, Seed: seed,
+			Obs: engine.Observability{Flight: fl},
+		}, live.WithFabric(fab, name))
 		if err != nil {
-			t.Fatalf("live peer %d: %v", i, err)
+			t.Fatalf("live node %s: %v", name, err)
 		}
-		peers[i] = p
-		defer p.Close()
+		t.Cleanup(func() { nd.Close() })
+		return nd
 	}
-	leaf, err := live.NewLeaf(live.LeafConfig{
-		Roster: roster, H: confH, Interval: confInterval,
-		Rate: confRate, ContentID: c.ID(),
-		ContentSize: len(data), PacketSize: 16,
-		Seed: engine.PeerSeed(seed, engine.LeafID),
-	}, live.WithFabric(fab, "leaf"))
-	if err != nil {
-		t.Fatalf("live leaf: %v", err)
+	nodes := make([]*live.Node, confN)
+	for i, name := range roster {
+		nodes[i] = node(name, store)
 	}
-	defer leaf.Close()
+	for _, v := range victims {
+		nodes[v].Close() // scripted crash: fail before participating
+	}
+	leaf := node("leaf", content.NewStore())
 
 	// The queued pump runs every handler to completion before the next
 	// delivery; when the fabric quiesces, coordination has finished
 	// (timers only fire later, and are stale by then).
-	startAndSettle(t, fab, leaf)
+	openAndSettle(t, fab, leaf, live.SessionConfig{
+		ID: confSession, ContentID: "conf", Rate: confRate,
+		ContentSize: len(data), PacketSize: 16,
+	})
 
 	outs := make([]engine.Outcome, confN)
-	for i, p := range peers {
-		outs[i] = p.Outcome()
+	for i, nd := range nodes {
+		outs[i] = engine.Outcome{ID: engine.PeerID(i), Parent: -1}
+		if p, ok := nd.Serving()[confSession]; ok {
+			outs[i] = p.Outcome()
+		}
 	}
 	return outs
 }
 
-// startAndSettle starts the leaf from a handler, i.e. on the fabric's
-// pump goroutine, and waits for the fabric to quiesce. The simulator
-// issues the leaf's H requests at one instant; Start sends them one by
-// one, and from any other goroutine the pump may deliver the first
-// request — and enqueue the control packets it triggers — before the
-// last request is queued, which is a different (legitimate, but not the
-// simulator's) delivery order. On the pump nothing is delivered until
-// Start returns.
-func startAndSettle(t *testing.T, fab *transport.Fabric, leaf *live.Leaf) {
+// openAndSettle opens the session on the leaf node from a handler, i.e.
+// on the fabric's pump goroutine, and waits for the fabric to quiesce.
+// The simulator issues the leaf's H requests at one instant; Open sends
+// them one by one, and from any other goroutine the pump may deliver the
+// first request — and enqueue the control packets it triggers — before
+// the last request is queued, which is a different (legitimate, but not
+// the simulator's) delivery order. On the pump nothing is delivered
+// until Open returns.
+func openAndSettle(t *testing.T, fab *transport.Fabric, leaf *live.Node, sc live.SessionConfig) {
 	t.Helper()
 	var err error
-	starter := fab.Endpoint("starter", func(transport.Msg) { err = leaf.Start() })
+	starter := fab.Endpoint("starter", func(transport.Msg) { _, err = leaf.Open(sc) })
 	defer starter.Close()
 	if serr := starter.Send("starter", transport.Msg{Type: "start"}); serr != nil {
-		t.Fatalf("live start: %v", serr)
+		t.Fatalf("live open: %v", serr)
 	}
 	fab.Wait()
 	if err != nil {
-		t.Fatalf("live start: %v", err)
+		t.Fatalf("live open: %v", err)
 	}
+}
+
+// liveLog is the live side's flight log for a comparison, its session
+// label dropped: the simulator records its one run unlabeled.
+func liveLog(fl *flight.Set) flight.Log {
+	events := fl.Events()
+	for i := range events {
+		events[i].Session = ""
+	}
+	return flight.Log{Label: "live", Events: events}
 }
 
 // TestSimLiveConformance runs both drivers from the same seed and
@@ -174,7 +203,7 @@ func TestSimLiveConformance(t *testing.T) {
 				report := "flight logs agree (divergence is in post-coordination state)"
 				if d := flight.FirstDivergence(
 					flight.Log{Label: "sim", Events: simFl.Events()},
-					flight.Log{Label: "live", Events: liveFl.Events()},
+					liveLog(liveFl),
 					flight.DiffOptions{},
 				); d != nil {
 					report = d.String()

@@ -23,7 +23,7 @@ func TestFirstDivergenceOnAgreeingRuns(t *testing.T) {
 		}
 		d := flight.FirstDivergence(
 			flight.Log{Label: "sim", Events: simFl.Events()},
-			flight.Log{Label: "live", Events: liveFl.Events()},
+			liveLog(liveFl),
 			flight.DiffOptions{},
 		)
 		if d != nil {
@@ -45,7 +45,7 @@ func TestFirstDivergenceNamesOffendingPeer(t *testing.T) {
 
 	d := flight.FirstDivergence(
 		flight.Log{Label: "sim", Events: simFl.Events()},
-		flight.Log{Label: "live", Events: liveFl.Events()},
+		liveLog(liveFl),
 		flight.DiffOptions{},
 	)
 	if d == nil {

@@ -849,6 +849,19 @@ func PeerSeed(base int64, id PeerID) int64 {
 	return int64(des.Mix(x) & 0x7fffffffffffffff)
 }
 
+// SessionSeed derives the base seed of one session from a population
+// seed and the session's id (FNV-1a, then des.Mix), so every member of
+// a live session derives the same run seed without exchanging it, and
+// a simulator run at that seed draws what the session draws.
+func SessionSeed(base int64, session string) int64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(session); i++ {
+		h ^= uint64(session[i])
+		h *= 1099511628211
+	}
+	return int64(des.Mix(uint64(base)^h) & 0x7fffffffffffffff)
+}
+
 // SelectInitial is the leaf peer's step 1: it selects h of the n
 // contents peers uniformly at random and returns the rest as failover
 // spares, in preference order.

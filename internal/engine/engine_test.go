@@ -596,6 +596,33 @@ func TestPeerSeedIndependence(t *testing.T) {
 	}
 }
 
+// Every member of a session derives one seed from the population seed
+// and the session id alone; distinct sessions and populations draw
+// apart.
+func TestSessionSeed(t *testing.T) {
+	seen := make(map[int64]string)
+	for i := 0; i < 1000; i++ {
+		sid := fmt.Sprintf("node%d/movie#%d", i%7, i)
+		s := engine.SessionSeed(42, sid)
+		if s < 0 {
+			t.Fatalf("SessionSeed(42, %q) = %d is negative", sid, s)
+		}
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("SessionSeed collision between %q and %q", prev, sid)
+		}
+		seen[s] = sid
+		if again := engine.SessionSeed(42, sid); again != s {
+			t.Fatalf("SessionSeed(42, %q) is %d, then %d", sid, s, again)
+		}
+	}
+	if engine.SessionSeed(1, "s") == engine.SessionSeed(2, "s") {
+		t.Error("SessionSeed ignores the base seed")
+	}
+	if engine.SessionSeed(1, "") == engine.SessionSeed(1, "s") {
+		t.Error("SessionSeed ignores the session id")
+	}
+}
+
 // TestPeerSeedPinned pins a few PeerSeed values: both drivers seed every
 // peer's stream with them, so a change to the derivation or to des.Mix
 // would silently re-draw every run.

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -18,53 +17,19 @@ import (
 func TestLiveDCoPChildrenCapSmallH(t *testing.T) {
 	data := randomData(3000, 17)
 	const capH = 2
-	f := transport.NewFabric()
-	c := content.New("capped", data, 64)
-	names := []string{"a", "b", "c", "d", "e", "f", "g"}
-	var peers []*Peer
-	for i, name := range names {
-		p, err := NewPeer(PeerConfig{
-			Content:  c,
-			Roster:   names,
-			H:        capH,
-			Interval: 2,
-			Delta:    5 * time.Millisecond,
-			Protocol: engine.DCoP,
-			Seed:     int64(i) + 1,
-		}, WithFabric(f, name))
-		if err != nil {
-			t.Fatal(err)
+	nodes, leafNode := hostNodes(t, 7, storeOf(content.New("capped", data, 64)),
+		NodeConfig{H: capH, Interval: 2, Delta: 5 * time.Millisecond, Protocol: engine.DCoP, Seed: 1},
+		onFabric(transport.NewFabric()))
+	sc := movieSession(data, 64, 99)
+	sc.ContentID = "capped"
+	leaf := open(t, leafNode, sc)
+	waitExact(t, leaf, data, 20*time.Second)
+	for i, p := range servingPeers(nodes, leaf.ID) {
+		if p == nil {
+			continue
 		}
-		peers = append(peers, p)
-	}
-	defer closeAll(peers)
-	leaf, err := NewLeaf(LeafConfig{
-		Roster:      names,
-		H:           capH,
-		Interval:    2,
-		Rate:        400,
-		ContentSize: len(data),
-		PacketSize:  64,
-		RepairAfter: 300 * time.Millisecond,
-		Seed:        99,
-	}, WithFabric(f, "leaf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := leaf.Wait(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := leaf.Bytes()
-	if !ok || !bytes.Equal(got, data) {
-		t.Fatal("capped DCoP live reassembly differs")
-	}
-	for i, p := range peers {
 		if n := len(p.Outcome().Children); n > capH {
-			t.Errorf("peer %s took %d children over its lifetime, cap is %d", names[i], n, capH)
+			t.Errorf("peer %s took %d children over its lifetime, cap is %d", nodes[i].Addr(), n, capH)
 		}
 	}
 }

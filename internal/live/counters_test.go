@@ -28,50 +28,29 @@ func TestPeerCountersMatchOutcomes(t *testing.T) {
 func testPeerCounters(t *testing.T, proto Protocol) {
 	data := randomData(12000, 9)
 	reg := metrics.New()
-	f := transport.NewFabric()
-	c := content.New("movie", data, 64)
-	names := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9", "k10", "k11"}
 	const H = 3
-	peers := make([]*Peer, len(names))
-	for i, name := range names {
-		p, err := NewPeer(PeerConfig{
-			Content: c, Roster: names, H: H, Interval: 2, Protocol: proto,
-			Delta:            5 * time.Millisecond,
-			HandshakeTimeout: 60 * time.Millisecond,
-			Seed:             int64(i) + 1,
-			Obs:              engine.Observability{Metrics: reg},
-		}, WithFabric(f, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = p
-	}
-	defer closeAll(peers)
-	leaf, err := NewLeaf(LeafConfig{
-		Roster: names, H: H, Interval: 2, Rate: 400,
-		ContentSize: len(data), PacketSize: 64,
-		RepairAfter: 200 * time.Millisecond,
-		Seed:        77,
-	}, WithFabric(f, "leaf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
-	peers[4].Close()
-	peers[9].Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
+	nodes, leafNode := hostNodes(t, 12, storeOf(content.New("movie", data, 64)), NodeConfig{
+		H: H, Interval: 2, Protocol: proto,
+		Delta:            5 * time.Millisecond,
+		HandshakeTimeout: 60 * time.Millisecond,
+		Seed:             1,
+		Obs:              engine.Observability{Metrics: reg},
+	}, onFabric(transport.NewFabric()))
+	nodes[4].Close()
+	nodes[9].Close()
+	sc := movieSession(data, 64, 77)
+	sc.RepairAfter = 200 * time.Millisecond
+	leaf := open(t, leafNode, sc)
 	time.Sleep(150 * time.Millisecond)
-	crashed := false
-	for _, p := range peers {
-		if p.Active() {
-			p.Close()
-			crashed = true
+	var crashed *Peer
+	for i, p := range servingPeers(nodes, leaf.ID) {
+		if p != nil && p.Active() {
+			nodes[i].Close()
+			crashed = p
 			break
 		}
 	}
-	if !crashed {
+	if crashed == nil {
 		t.Fatal("no active peer to crash mid-session")
 	}
 	if err := leaf.Wait(30 * time.Second); err != nil {
@@ -80,7 +59,12 @@ func testPeerCounters(t *testing.T, proto Protocol) {
 	if got, ok := leaf.Bytes(); !ok || !bytes.Equal(got, data) {
 		t.Fatal("reassembled bytes differ after churn")
 	}
-	closeAll(peers)
+	// Serving peers leave the session table when their node closes: take
+	// them (and the crashed one) first.
+	peers := append(servingPeers(nodes, leaf.ID), crashed)
+	for _, nd := range nodes {
+		nd.Close()
+	}
 
 	// Every peer is stopped; read the outcomes and the counters until two
 	// readings agree, so a handler that was mid-dispatch at Close is done.
@@ -89,6 +73,9 @@ func testPeerCounters(t *testing.T, proto Protocol) {
 	read := func() reading {
 		var r reading
 		for _, p := range peers {
+			if p == nil {
+				continue
+			}
 			o := p.Outcome()
 			if o.Active {
 				r.active++

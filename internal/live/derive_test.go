@@ -24,16 +24,17 @@ func bulkContent() *content.Content {
 	return content.New("bulk", randomData(2<<20, 19), 1024)
 }
 
-// servingPeer is a standalone one-peer universe holding c.
-func servingPeer(tb testing.TB, c *content.Content, reg *metrics.Registry) *Peer {
+// hostedPeer is the serving peer of session "s" on a node that holds c
+// alone under a one-node roster.
+func hostedPeer(tb testing.TB, c *content.Content, reg *metrics.Registry) *Peer {
 	tb.Helper()
-	p, err := NewPeer(PeerConfig{Content: c, Roster: []string{"cp"}, H: 3, Interval: 2, Seed: 1,
+	nd, err := NewNode(NodeConfig{Store: storeOf(c), Roster: []string{"cp"}, H: 3, Interval: 2, Seed: 1,
 		Obs: engine.Observability{Metrics: reg}}, WithFabric(transport.NewFabric(), "cp"))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { p.Close() })
-	return p
+	tb.Cleanup(func() { nd.Close() })
+	return serve(tb, nd, "s")
 }
 
 // offTheWire is s as a commit's receiver sees it: payload-stripped,
@@ -53,7 +54,7 @@ func offTheWire(tb testing.TB, s seq.Sequence) seq.Sequence {
 // down. It is dropped and counted; a valid one still activates the peer.
 func TestRequestOutsideDivisionIsRejected(t *testing.T) {
 	reg := metrics.New()
-	p := servingPeer(t, content.New("movie", randomData(640, 5), 64), reg)
+	p := hostedPeer(t, content.New("movie", randomData(640, 5), 64), reg)
 	good := requestBody{ContentID: "movie", Rate: 100, H: 2, Interval: 2, Index: 1, Leaf: "leaf"}
 	bad := map[string]func(*requestBody){
 		"index past H":   func(b *requestBody) { b.Index = 5 },
@@ -88,7 +89,7 @@ func TestRequestOutsideDivisionIsRejected(t *testing.T) {
 		}
 	}
 	rejected := int64(len(bad) + 2*4)
-	invalid := reg.Counter("live_body_decode_errors_total", "role", "peer", "reason", "invalid")
+	invalid := reg.Counter("live_body_decode_errors_total", "role", "peer", "reason", "invalid", "session", "s")
 	if got := invalid.Value(); got != rejected {
 		t.Errorf(`live_body_decode_errors_total{reason="invalid"} = %d, want %d`, got, rejected)
 	}
@@ -103,7 +104,7 @@ func TestRequestOutsideDivisionIsRejected(t *testing.T) {
 // cache a 2048-packet request made about 7,200 allocations.
 func TestServeRequestAllocs(t *testing.T) {
 	c := bulkContent()
-	p := servingPeer(t, c, nil)
+	p := hostedPeer(t, c, nil)
 	b := requestBody{ContentID: "bulk", Rate: 8000, H: 3, Interval: 2, Index: 1, Leaf: "leaf"}
 	p.onRequest(b, span.Context{})
 	derived := c.Enhanced(2)
@@ -315,29 +316,28 @@ func TestSessionsPastTheIntervalBound(t *testing.T) {
 func TestHeapDoesNotGrowWithSessionsServed(t *testing.T) {
 	data := randomData(256<<10, 63)
 	c := content.New("m", data, 1024)
-	names := []string{"a", "b", "c", "d"}
+	store := storeOf(c)
+	roster := []string{"cp0", "cp1", "cp2", "cp3"}
+	// Each session's nodes close when it ends: a node the test still held
+	// would be heap the sessions leave behind.
 	serve := func(i int) {
 		f := transport.NewFabric()
-		var peers []*Peer
-		for j, name := range names {
-			p, err := NewPeer(PeerConfig{Content: c, Roster: names, H: 3, Interval: 2,
-				Delta: time.Millisecond, Seed: int64(100*i + j + 1)}, WithFabric(f, name))
+		var nodes []*Node
+		defer func() {
+			for _, nd := range nodes {
+				nd.Close()
+			}
+		}()
+		for _, name := range append(roster, "leaf") {
+			nd, err := NewNode(NodeConfig{Store: store, Roster: roster, H: 3, Interval: 2, Delta: time.Millisecond,
+				Seed: int64(100*i + 1)}, WithFabric(f, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			peers = append(peers, p)
+			nodes = append(nodes, nd)
 		}
-		defer closeAll(peers)
-		leaf, err := NewLeaf(LeafConfig{Roster: names, H: 3, Interval: 2, Rate: 20000, ContentID: "m",
-			ContentSize: len(data), PacketSize: 1024, RepairAfter: 200 * time.Millisecond, Seed: int64(i + 1)},
-			WithFabric(f, "leaf"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer leaf.Close()
-		if err := leaf.Start(); err != nil {
-			t.Fatal(err)
-		}
+		leaf := open(t, nodes[len(roster)], SessionConfig{ContentID: "m", ContentSize: len(data), PacketSize: 1024,
+			Rate: 20000, RepairAfter: 200 * time.Millisecond, Seed: int64(i + 1)})
 		if err := leaf.Wait(20 * time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -384,16 +384,16 @@ func BenchmarkServeRequest(b *testing.B) {
 	req := requestBody{ContentID: "bulk", Rate: 8000, H: 3, Interval: 2, Index: 1, Leaf: "leaf"}
 	data := randomData(2<<20, 19)
 	b.Run("cold", func(b *testing.B) {
-		p := servingPeer(b, content.New("bulk", data, 1024), nil)
+		p := hostedPeer(b, content.New("bulk", data, 1024), nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.cfg.Content = content.New("bulk", data, 1024)
+			p.n.cfg.Store.Put(content.New("bulk", data, 1024))
 			p.onRequest(req, span.Context{})
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		p := servingPeer(b, content.New("bulk", data, 1024), nil)
+		p := hostedPeer(b, content.New("bulk", data, 1024), nil)
 		p.onRequest(req, span.Context{})
 		b.ReportAllocs()
 		b.ResetTimer()

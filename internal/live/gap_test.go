@@ -24,8 +24,7 @@ import (
 // arrives ignores the request, and its slot is never streamed — a race
 // of a preempted Start these tests are not about.
 type gapSession struct {
-	leaf  *Leaf
-	peers []*Peer
+	leaf *LeafSession
 
 	mu       sync.Mutex
 	lastData time.Time // when a peer last sent the leaf a data packet
@@ -37,57 +36,34 @@ func startGapSession(t *testing.T, proto Protocol, n int, data []byte, delta, re
 	f := transport.NewFabric()
 	gs := &gapSession{}
 	requested := make(chan struct{})
-	tap := func(name string, rec func(to string, m transport.Msg) bool) Transport {
-		return WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
-			return tapEndpoint{f.Endpoint(name, h), rec}, nil
-		})
-	}
-	c := content.New("movie", data, 64)
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("cp%d", i)
-	}
-	for i, name := range names {
-		p, err := NewPeer(PeerConfig{
-			Content: c, Roster: names, H: 3, Interval: 2, Protocol: proto,
-			Delta: delta, Seed: int64(i) + 1, Obs: engine.Observability{Metrics: reg},
-		}, tap(name, func(to string, m transport.Msg) bool {
-			<-requested
-			if m.Type != typeData || to != "leaf" {
-				return false
+	_, leaf := hostNodes(t, n, storeOf(content.New("movie", data, 64)), NodeConfig{
+		H: 3, Interval: 2, Protocol: proto, Delta: delta, Seed: 1, ReapAfter: -1, Obs: engine.Observability{Metrics: reg},
+	}, tapped(f, func(name string, _ transport.Endpoint, to string, m transport.Msg) bool {
+		if name == "leaf" {
+			var b repairBody
+			if m.Type == typeRepair && b.DecodeWire(m.Payload) == nil {
+				gs.mu.Lock()
+				gs.repairs = append(gs.repairs, b.Indices)
+				gs.mu.Unlock()
 			}
-			if swallow != nil && swallow(gs, m) {
-				return true
-			}
-			gs.mu.Lock()
-			gs.lastData = time.Now()
-			gs.mu.Unlock()
 			return false
-		}))
-		if err != nil {
-			t.Fatal(err)
 		}
-		gs.peers = append(gs.peers, p)
-	}
-	t.Cleanup(func() { closeAll(gs.peers) })
-	leaf, err := NewLeaf(LeafConfig{
-		Roster: names, H: 3, Interval: 2, Rate: 400, ContentSize: len(data), PacketSize: 64,
-		RepairAfter: repairAfter, Seed: 9, Obs: engine.Observability{Metrics: reg},
-	}, tap("leaf", func(_ string, m transport.Msg) bool {
-		var b repairBody
-		if m.Type == typeRepair && b.DecodeWire(m.Payload) == nil {
-			gs.mu.Lock()
-			gs.repairs = append(gs.repairs, b.Indices)
-			gs.mu.Unlock()
+		<-requested
+		if m.Type != typeData || to != "leaf" {
+			return false
 		}
+		if swallow != nil && swallow(gs, m) {
+			return true
+		}
+		gs.mu.Lock()
+		gs.lastData = time.Now()
+		gs.mu.Unlock()
 		return false
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { leaf.Close() })
-	gs.leaf = leaf
-	err = leaf.Start()
+	sc := movieSession(data, 64, 9)
+	sc.RepairAfter = repairAfter
+	var err error
+	gs.leaf, err = leaf.Open(sc)
 	close(requested)
 	if err != nil {
 		t.Fatal(err)

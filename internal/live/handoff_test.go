@@ -89,14 +89,15 @@ func TestMergeBeforeMarkKeepsSwitchPoint(t *testing.T) {
 		}
 	})
 	defer childEP.Close()
-	p, err := NewPeer(PeerConfig{
-		Content: c, Roster: []string{"parent", "child"}, H: 1, Interval: 2,
+	nd, err := NewNode(NodeConfig{
+		Store: storeOf(c), Roster: []string{"parent", "child"}, H: 1, Interval: 2,
 		Delta: 500 * time.Millisecond, Protocol: engine.DCoP, Seed: 1,
 	}, WithFabric(f, "parent"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	defer nd.Close()
+	p := serve(t, nd, "s")
 
 	// The whole enhanced content at 150 packets/s; the one child takes a
 	// share from the mark ⌊2δ·150⌋ = 150 packets in.

@@ -144,7 +144,7 @@ func (nc *NodeCluster) Snapshot(sid SessionID) overlay.Snapshot {
 		// Engine peer ids are positions in the session's roster — which,
 		// under discovery, is the resolved serving subset, not the
 		// node-population order.
-		roster = p.cfg.Roster
+		roster = p.roster
 		p.mu.Lock()
 		if p.content != nil {
 			contentLen = int(p.content.NumPackets())

@@ -15,64 +15,21 @@ import (
 	"p2pmss/internal/transport"
 )
 
-// LeafConfig configures a live leaf peer.
-type LeafConfig struct {
-	// Roster lists the contents peers' addresses.
-	Roster []string
-	// SessionRoster, when non-nil, is the session's full membership
-	// (typically Roster plus the leaf's own node) stamped into every
-	// content request, so nodes that resolved nothing statically can
-	// reconstruct the session's peer numbering from the request itself.
-	// Leave nil for statically configured sessions — the requests stay
-	// byte-identical to the pre-discovery wire format.
-	SessionRoster []string
-	// H is how many peers the leaf initially selects.
-	H int
-	// Interval is the parity interval h.
-	Interval int
-	// Rate is the content rate in packets per second.
-	Rate float64
-	// ContentID names the content to request (peers with a Store serve
-	// by ID; empty matches a peer's single content).
-	ContentID string
-	// ContentSize and PacketSize describe the expected content.
-	ContentSize, PacketSize int
-	// RepairAfter enables repair (zero disables it). A missing packet
-	// parity provably cannot recover is requested as soon as an arrival
-	// shows it; RepairAfter is how long a silent sender still holds that
-	// gap rule back, and how long the leaf waits without progress before
-	// its backstop round asks for everything still missing (four times
-	// as long before the first packet). Stalls are checked for every
-	// RepairAfter/2, until 20 RepairAfter periods pass without progress.
-	RepairAfter time.Duration
-	// RequestRetry, when positive, re-sends the content request to every
-	// selected peer not yet heard from, once per interval, at most five
-	// times: Start fails a slot over on a send error, but a datagram
-	// transport loses a request silently. Zero disables re-sends.
-	RequestRetry time.Duration
-	// Session scopes the leaf to one streaming session (see
-	// PeerConfig.Session).
-	Session SessionID
-	// Seed seeds peer selection; 0 uses the clock.
-	Seed int64
-	// Obs bundles the leaf's observers in the struct shared with the
-	// simulation: Metrics receives the leaf's counters and
-	// delivery-progress gauges, and Spans the root "session" span every
-	// member's spans nest under (a zero SpanTrace derives the trace ID
-	// from the Session id, matching the peers' derivation). Obs.Flight is
-	// ignored — the leaf runs no coordination engine to record.
-	Obs engine.Observability
-}
-
 // Leaf is a live leaf peer LP_s: the engine's leaf (selection, slot
 // failover, request re-sends, reassembly with parity recovery and repair
 // requests) on the wall clock, with the roster's addresses as its
 // carrier. Its one timer is re-armed to the engine leaf's next deadline,
-// so an open session parks no goroutine.
+// so an open session parks no goroutine. Only Node.Open builds one.
 type Leaf struct {
-	cfg LeafConfig
-	ep  transport.Endpoint
-	met leafMetrics
+	n  *Node
+	ep transport.Endpoint // the node's endpoint
+	// sc is the session as Open resolved it: ID, H, Interval and Seed set.
+	sc SessionConfig
+	// roster lists the serving peers' addresses in engine peer id order;
+	// carried is the session membership stamped into every request when
+	// the node resolves rosters dynamically (nil on static sessions).
+	roster, carried []string
+	met             leafMetrics
 
 	mu         sync.Mutex
 	core       *engine.Leaf
@@ -94,47 +51,28 @@ type Leaf struct {
 	doneOnce sync.Once
 }
 
-// NewLeaf creates a leaf on the given transport (WithFabric, or
-// WithAttach for pre-bound endpoints).
-func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("live: leaf needs a transport")
-	}
-	if cfg.H <= 0 || cfg.H > len(cfg.Roster) {
-		return nil, fmt.Errorf("live: H=%d must be in 1..len(roster)=%d", cfg.H, len(cfg.Roster))
-	}
-	if cfg.Interval <= 0 || cfg.Rate <= 0 {
-		return nil, fmt.Errorf("live: interval and rate must be positive")
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	if cfg.Obs.Spans != nil && cfg.Obs.SpanTrace == 0 {
-		cfg.Obs.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
-	}
+// newLeaf builds node n's leaf of session sc.ID, sending from the node's
+// endpoint ep. Its engine leaf draws from PeerSeed(sc.Seed, LeafID), the
+// simulator's seeding of the leaf.
+func newLeaf(n *Node, ep transport.Endpoint, sc SessionConfig, roster, carried []string) *Leaf {
 	l := &Leaf{
-		cfg:  cfg,
-		met:  newLeafMetrics(cfg.Obs.Metrics, cfg.Session),
-		asm:  content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
-		ids:  make(map[string]engine.PeerID, len(cfg.Roster)),
+		n: n, ep: ep, sc: sc, roster: roster, carried: carried,
+		met:  newLeafMetrics(n.cfg.Obs.Metrics, sc.ID),
+		asm:  content.NewAssembler(sc.ContentSize, sc.PacketSize),
+		ids:  make(map[string]engine.PeerID, len(roster)),
 		done: make(chan struct{}),
 	}
-	for i, addr := range cfg.Roster {
+	for i, addr := range roster {
 		l.ids[addr] = engine.PeerID(i)
 	}
+	o := n.sessionObs(sc.ID)
 	l.core = engine.NewLeaf(engine.LeafConfig{
-		N: len(cfg.Roster), H: cfg.H, Interval: cfg.Interval,
-		Window: cfg.RepairAfter.Seconds(), Retry: cfg.RequestRetry.Seconds(),
+		N: len(roster), H: sc.H, Interval: sc.Interval,
+		Window: sc.RepairAfter.Seconds(), Retry: sc.RequestRetry.Seconds(),
 		Metrics: l.met.LeafMetrics,
-		Spans:   cfg.Obs.Spans, Trace: cfg.Obs.SpanTrace, Session: string(cfg.Session),
-	}, des.NewRand(seed), l.asm, liveNow())
-	ep, err := tr.open(l.handle)
-	if err != nil {
-		return nil, err
-	}
-	l.ep = ep
-	return l, nil
+		Spans:   o.Spans, Trace: o.SpanTrace, Session: string(sc.ID),
+	}, des.NewRand(engine.PeerSeed(sc.Seed, engine.LeafID)), l.asm, liveNow())
+	return l
 }
 
 // Addr returns the leaf's transport address.
@@ -148,25 +86,25 @@ func (c carrier) Request(to engine.PeerID, slot int, selected []engine.PeerID, c
 	l := c.l
 	sel := make([]string, len(selected))
 	for i, id := range selected {
-		sel[i] = l.cfg.Roster[id]
+		sel[i] = l.roster[id]
 	}
-	return sendBody(l.ep, l.cfg.Session, l.cfg.Roster[to], typeRequest, requestBody{
-		ContentID: l.cfg.ContentID, Rate: l.cfg.Rate, H: l.cfg.H, Interval: l.cfg.Interval,
-		Index: slot, Selected: sel, Leaf: l.Addr(), Roster: l.cfg.SessionRoster,
+	return sendBody(l.ep, l.sc.ID, l.roster[to], typeRequest, requestBody{
+		ContentID: l.sc.ContentID, Rate: l.sc.Rate, H: l.sc.H, Interval: l.sc.Interval,
+		Index: slot, Selected: sel, Leaf: l.Addr(), Roster: l.carried,
 	}, ctx)
 }
 
 func (c carrier) Repair(to engine.PeerID, indices []int64, _ string) error {
 	l := c.l
-	return sendBody(l.ep, l.cfg.Session, l.cfg.Roster[to], typeRepair, repairBody{ContentID: l.cfg.ContentID, Indices: indices, Leaf: l.Addr()}, span.Context{})
+	return sendBody(l.ep, l.sc.ID, l.roster[to], typeRepair, repairBody{ContentID: l.sc.ContentID, Indices: indices, Leaf: l.Addr()}, span.Context{})
 }
 
-// Start sends the content request to H selected contents peers (DCoP/TCoP
-// step 1) and arms the leaf's timer. A peer whose request cannot be
-// delivered (already crashed) is failed over to an alternate from the
-// roster; Start errors only when the roster is exhausted before H peers
-// accept delivery.
-func (l *Leaf) Start() error {
+// start sends the content request to H selected contents peers
+// (DCoP/TCoP step 1) and arms the leaf's timer. A peer whose request
+// cannot be delivered (already crashed) is failed over to an alternate
+// from the roster; start errors only when the roster is exhausted
+// before H peers accept delivery.
+func (l *Leaf) start() error {
 	l.mu.Lock()
 	d := l.core.Start(liveNow())
 	l.mu.Unlock()
@@ -292,7 +230,7 @@ func (l *Leaf) Wait(timeout time.Duration) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	want := (int64(l.cfg.ContentSize) + int64(l.cfg.PacketSize) - 1) / int64(l.cfg.PacketSize)
+	want := (int64(l.sc.ContentSize) + int64(l.sc.PacketSize) - 1) / int64(l.sc.PacketSize)
 	missing := l.asm.Missing()
 	// Peers that served packets but have been silent longest are the
 	// presumed-crashed sources of the gaps.
@@ -352,7 +290,8 @@ func (l *Leaf) Progress() int64 {
 	return l.asm.Have()
 }
 
-// Close stops the leaf, ending the session's root span.
+// Close stops the leaf, ending the session's root span, and detaches
+// its session from the node.
 func (l *Leaf) Close() error {
 	l.mu.Lock()
 	if !l.closed {
@@ -363,5 +302,6 @@ func (l *Leaf) Close() error {
 		l.core.Close(liveNow())
 	}
 	l.mu.Unlock()
-	return l.ep.Close()
+	l.n.detach(l.sc.ID, nil, l)
+	return nil
 }

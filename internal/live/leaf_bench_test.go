@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkLeafStream streams one session's data through a bounded
-// fabric into a leaf per op — the live data plane's per-packet
+// fabric into a node-hosted leaf per op — the live data plane's per-packet
 // path: three senders encoding each packet of an h = 2 enhanced 1 MiB
 // content into one reused buffer, the fabric's pooled copy, and the
 // leaf's decode, assembly and parity bookkeeping. allocs/op counts a
@@ -28,6 +28,11 @@ func BenchmarkLeafStream(b *testing.B) {
 		defer ep.Close()
 		senders = append(senders, ep)
 	}
+	leafNode, err := NewNode(NodeConfig{Store: content.NewStore(), Roster: roster, H: 3, Interval: h}, WithFabric(f, "leaf"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer leafNode.Close()
 	var buf []byte
 	var before, after runtime.MemStats
 	b.ReportAllocs()
@@ -35,14 +40,9 @@ func BenchmarkLeafStream(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		sid := SessionID(fmt.Sprintf("s%d", i))
-		leaf, err := NewLeaf(LeafConfig{
-			Roster: roster, H: 3, Interval: h, Rate: 1e6, ContentSize: size, PacketSize: packetSize,
-			Session: sid, Seed: 1,
-		}, WithFabric(f, "leaf"))
+		leaf, err := leafNode.Open(SessionConfig{ID: sid, ContentID: "bench", Rate: 1e6,
+			ContentSize: size, PacketSize: packetSize, Seed: 1})
 		if err != nil {
-			b.Fatal(err)
-		}
-		if err := leaf.Start(); err != nil {
 			b.Fatal(err)
 		}
 		for j, p := range enhanced {

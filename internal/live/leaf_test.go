@@ -43,20 +43,16 @@ func TestRepairCountedPerBatch(t *testing.T) {
 		}
 	}()
 	reg := metrics.New()
-	leaf, err := NewLeaf(LeafConfig{
-		Roster: names, H: 3, Interval: 2, Rate: 100,
-		ContentSize: packets * 16, PacketSize: 16,
-		RepairAfter: time.Second, Seed: 1, Obs: engine.Observability{Metrics: reg},
-	}, WithFabric(f, "leaf"))
+	leafNode, err := NewNode(NodeConfig{Store: content.NewStore(), Roster: names, H: 3, Interval: 2,
+		Obs: engine.Observability{Metrics: reg}}, WithFabric(f, "leaf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
+	defer leafNode.Close()
+	leaf := open(t, leafNode, SessionConfig{ID: "s", ContentID: "c", Rate: 100,
+		ContentSize: packets * 16, PacketSize: 16, RepairAfter: time.Second, Seed: 1})
 	c := content.New("c", make([]byte, packets*16), 16)
-	if err := eps[0].Send("leaf", transport.Msg{Type: typeData, From: "cp0", Payload: dataBody{Pkt: c.Packet(1)}.AppendWire(nil)}); err != nil {
+	if err := eps[0].Send("leaf", transport.Msg{Type: typeData, From: "cp0", Session: string(leaf.ID), Payload: dataBody{Pkt: c.Packet(1)}.AppendWire(nil)}); err != nil {
 		t.Fatal(err)
 	}
 	eps[0].Close()
@@ -96,26 +92,23 @@ func TestLeafTickWaitsForItsSends(t *testing.T) {
 	}
 	release := make(chan struct{})
 	var blocked atomic.Int32
-	leaf, err := NewLeaf(LeafConfig{
-		Roster: names, H: 3, Interval: 2, Rate: 100, ContentSize: 64, PacketSize: 16,
-		RepairAfter: 20 * time.Millisecond, Seed: 1,
-	}, WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
-		return tapEndpoint{f.Endpoint("leaf", h), func(_ string, m transport.Msg) bool {
-			if m.Type == typeRepair {
-				blocked.Add(1)
-				<-release
-			}
-			return false
-		}}, nil
-	}))
+	leafNode, err := NewNode(NodeConfig{Store: content.NewStore(), Roster: names, H: 3, Interval: 2},
+		WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
+			return tapEndpoint{f.Endpoint("leaf", h), func(_ string, m transport.Msg) bool {
+				if m.Type == typeRepair {
+					blocked.Add(1)
+					<-release
+				}
+				return false
+			}}, nil
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer leaf.Close()
+	defer leafNode.Close()
 	defer close(release)
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
+	open(t, leafNode, SessionConfig{ContentID: "c", Rate: 100, ContentSize: 64, PacketSize: 16,
+		RepairAfter: 20 * time.Millisecond, Seed: 1})
 	// Nothing arrives: the first stall round comes after the quiet start
 	// (4 windows), then twenty more checks are due.
 	time.Sleep(300 * time.Millisecond)

@@ -32,7 +32,6 @@
 package live
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -156,101 +155,18 @@ type joinBody struct {
 // engine's, shared with the simulation layer.
 type Protocol = engine.Protocol
 
-// PeerConfig configures a live contents peer.
-type PeerConfig struct {
-	// Content is the peer's copy of the content (every contents peer
-	// holds it, per the MSS model). Alternatively (or additionally) set
-	// Store to serve a whole catalog of contents by ID.
-	Content *content.Content
-	// Store is an optional catalog; requests name a ContentID and the
-	// peer serves whichever content it holds under that ID.
-	Store *content.Store
-	// Roster lists the addresses of all contents peers (including this
-	// one). Its order defines the engine's peer numbering, so every
-	// session member must use the same roster order.
-	Roster []string
-	// CarryRoster stamps Roster into outgoing control and commit bodies,
-	// so a node that has never seen this session can reconstruct the
-	// membership (and hence the peer numbering) from the first message
-	// that reaches it. Set for sessions whose roster was resolved from a
-	// dynamic directory; static sessions leave it off, keeping the wire
-	// byte-identical to the pre-discovery protocol.
-	CarryRoster bool
-	// H is the selection fanout (§3.3): the per-round handshake width
-	// and the lifetime cap on children per parent.
-	H int
-	// Interval is the parity interval h for the initial enhancement.
-	Interval int
-	// Delta is the assumed one-way latency used for marking.
-	Delta time.Duration
-	// Protocol selects the coordination protocol: TCoP (default) or
-	// DCoP.
-	Protocol Protocol
-	// Session scopes the peer to one streaming session: outgoing
-	// messages are stamped with it and per-session metrics are labeled
-	// by it. Empty for standalone single-session peers.
-	Session SessionID
-	// HandshakeTimeout bounds each TCoP confirmation round; children
-	// silent past the deadline are presumed crashed and replaced.
-	// Zero means 4·Delta + 50 ms (normalize resolves it).
-	HandshakeTimeout time.Duration
-	// Retries bounds how many alternate peers this peer contacts when a
-	// selected child refuses, is unreachable, or times out. Zero means
-	// H; negative disables retries (normalize resolves it).
-	Retries int
-	// Seed seeds the peer's random selection; 0 uses the clock.
-	Seed int64
-	// Obs bundles the peer's observers in the struct shared with the
-	// simulation. Several peers may share one registry, and all members
-	// of a session should share one span collector; a zero Obs.SpanTrace
-	// derives the trace ID from the Session id, so every member agrees
-	// without coordination. Obs.Flight is the population's recorder set —
-	// the peer resolves its own per-(session, roster index) ring from it
-	// at start.
-	Obs engine.Observability
-}
-
-// normalize validates the config and resolves every defaulted knob in
-// place (mirroring coord.Config.normalize), so the engine and the
-// driver read already-resolved values.
-func (cfg *PeerConfig) normalize() error {
-	if cfg.Content == nil && cfg.Store == nil {
-		return fmt.Errorf("live: peer needs a content or a store")
-	}
-	if cfg.H <= 0 || cfg.Interval <= 0 {
-		return fmt.Errorf("live: H=%d and Interval=%d must be positive", cfg.H, cfg.Interval)
-	}
-	switch cfg.Protocol {
-	case "":
-		cfg.Protocol = engine.TCoP
-	case engine.TCoP, engine.DCoP:
-	default:
-		return fmt.Errorf("live: unknown protocol %q", cfg.Protocol)
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 4*cfg.Delta + 50*time.Millisecond
-	}
-	switch {
-	case cfg.Retries < 0:
-		cfg.Retries = 0
-	case cfg.Retries == 0:
-		cfg.Retries = cfg.H
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = time.Now().UnixNano()
-	}
-	if cfg.Obs.Spans != nil && cfg.Obs.SpanTrace == 0 {
-		cfg.Obs.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
-	}
-	return nil
-}
-
-// Peer is a live contents peer: the shared coordination engine plus a
-// streaming goroutine and the address/payload codec between them.
+// Peer is a live contents peer serving one session of its Node: the
+// shared coordination engine plus a streaming goroutine and the
+// address/payload codec between them. Only a Node builds one (a
+// session-opening message, or Join), from its own resolved config.
 type Peer struct {
-	cfg PeerConfig
-	ep  transport.Endpoint
-	met peerMetrics
+	n   *Node
+	ep  transport.Endpoint // the node's endpoint
+	sid SessionID
+	// roster is the session's membership; its order is the engine's peer
+	// numbering, so every member runs under the same one.
+	roster []string
+	met    peerMetrics
 
 	mu   sync.Mutex
 	core *engine.Peer
@@ -269,6 +185,9 @@ type Peer struct {
 	// st is the transmission schedule the streaming goroutine sends; a
 	// planned switch is applied when the next packet reaches its mark.
 	st engine.Stream
+	// activated is closed when the peer applies its Activate (Join
+	// waits on it).
+	activated chan struct{}
 
 	// repairTo is the reply address of the repair request currently
 	// being dispatched (the engine's ServeRepair effect has no driver
@@ -288,65 +207,39 @@ type Peer struct {
 	sent int64
 }
 
-// NewPeer creates a live peer on the given transport (WithFabric, or
-// WithAttach for pre-bound endpoints).
-func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("live: peer needs a transport")
-	}
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
+// newPeer builds node n's serving peer of session sid under the session
+// roster, sending from the node's endpoint ep. Its engine draws from
+// PeerSeed(SessionSeed(node seed, sid), roster index), the simulator's
+// seeding of the same peer.
+func newPeer(n *Node, ep transport.Endpoint, sid SessionID, roster []string) *Peer {
 	p := &Peer{
-		cfg:       cfg,
-		ids:       make(map[string]engine.PeerID, len(cfg.Roster)),
+		n: n, ep: ep, sid: sid, roster: roster,
+		met:       newPeerMetrics(n.cfg.Obs.Metrics, ep.Name(), sid),
+		ids:       make(map[string]engine.PeerID, len(roster)),
+		activated: make(chan struct{}),
 		stopCh:    make(chan struct{}),
 		wake:      make(chan struct{}, 1),
 		lastTouch: time.Now(),
 	}
-	ep, err := tr.open(p.handle)
-	if err != nil {
-		return nil, err
-	}
-	p.ep = ep
-	n := len(cfg.Roster)
-	if n == 0 {
-		n = 1 // a standalone peer is its own one-peer universe
-	}
-	ecfg := engine.Config{
-		N:                n,
-		H:                cfg.H,
-		Interval:         cfg.Interval,
-		MarkDelta:        (2 * cfg.Delta).Seconds(),
-		HandshakeTimeout: cfg.HandshakeTimeout.Seconds(),
-		CommitRelease:    (4 * cfg.HandshakeTimeout).Seconds(),
-		Retries:          cfg.Retries,
-		DCoP:             cfg.Protocol == engine.DCoP,
-	}
-	if err := ecfg.Normalize(); err != nil {
-		return nil, err
-	}
-	p.met = newPeerMetrics(cfg.Obs.Metrics, ep.Name(), cfg.Session)
 	p.mu.Lock()
-	for _, a := range cfg.Roster {
+	for _, a := range roster {
 		p.idOfLocked(a)
 	}
 	self := p.idOfLocked(ep.Name())
-	p.core = engine.NewPeer(ecfg, self, des.NewRand(cfg.Seed))
-	// Obs carries the whole flight set; the per-peer ring can only be
-	// resolved here, once the roster index is known.
-	p.obs = cfg.Obs.Observer(string(cfg.Session), self, p.met.PeerMetrics)
+	ecfg := n.engine
+	ecfg.N = len(roster)
+	p.core = engine.NewPeer(ecfg, self, des.NewRand(engine.PeerSeed(n.sessionSeed(sid), self)))
+	p.obs = n.sessionObs(sid).Observer(string(sid), self, p.met.PeerMetrics)
 	p.mu.Unlock()
 	go p.streamLoop()
-	return p, nil
+	return p
 }
 
 // Addr returns the peer's transport address.
 func (p *Peer) Addr() string { return p.ep.Name() }
 
-// Session returns the session this peer serves (empty for standalone
-// single-session peers).
-func (p *Peer) Session() SessionID { return p.cfg.Session }
+// Session returns the session this peer serves.
+func (p *Peer) Session() SessionID { return p.sid }
 
 // Sent returns the number of data packets transmitted so far.
 func (p *Peer) Sent() int64 {
@@ -386,7 +279,8 @@ func (p *Peer) Outcome() engine.Outcome {
 	return p.core.Outcome()
 }
 
-// Close stops the peer (crash-stop: no goodbye messages).
+// Close stops the peer (crash-stop: no goodbye messages) and detaches
+// its session from the node.
 func (p *Peer) Close() error {
 	p.stopped.Do(func() {
 		close(p.stopCh)
@@ -394,7 +288,8 @@ func (p *Peer) Close() error {
 		p.obs.Finish(liveNow())
 		p.mu.Unlock()
 	})
-	return p.ep.Close()
+	p.n.detach(p.sid, p, nil)
+	return nil
 }
 
 // sendBody encodes body and transmits it from ep, stamped with the
@@ -549,7 +444,7 @@ func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 	p.core.Release(effs)
 	p.mu.Unlock()
 	for _, s := range sends {
-		err := sendBody(p.ep, p.cfg.Session, s.to, s.typ, s.body, s.ctx)
+		err := sendBody(p.ep, p.sid, s.to, s.typ, s.body, s.ctx)
 		if err != nil {
 			if s.msg != nil {
 				p.dispatchCtx(&engine.SendFailed{To: s.toID, Msg: s.msg}, span.Context{})
@@ -593,6 +488,12 @@ func (p *Peer) applyLocked(effs []engine.Effect) []outSend {
 		case *engine.ServeRepair:
 			sends = append(sends, p.repairSendsLocked(e.Indices)...)
 			continue
+		case *engine.Activate:
+			select {
+			case <-p.activated:
+			default:
+				close(p.activated)
+			}
 		}
 		p.st.Apply(eff)
 		p.kick()
@@ -608,8 +509,8 @@ func (p *Peer) encodeLocked(e *engine.Send) outSend {
 		cid = p.content.ID()
 	}
 	var carried []string
-	if p.cfg.CarryRoster {
-		carried = p.cfg.Roster
+	if p.n.carry {
+		carried = p.roster
 	}
 	switch m := e.Msg.(type) {
 	case *engine.MsgControl:
@@ -711,19 +612,6 @@ func (p *Peer) handle(m transport.Msg) {
 	}
 }
 
-// resolveContent finds the content to serve for a request's ID.
-func (p *Peer) resolveContent(id string) (*content.Content, bool) {
-	if p.cfg.Store != nil {
-		if c, ok := p.cfg.Store.Get(id); ok {
-			return c, true
-		}
-	}
-	if c := p.cfg.Content; c != nil && (id == "" || id == c.ID()) {
-		return c, true
-	}
-	return nil, false
-}
-
 // maxRate bounds every rate a remote party may name, in packets per
 // second. The pacer's 50 µs floor already caps what a peer transmits at
 // 20,000 packets/s; the bound keeps the engine's mark arithmetic
@@ -753,7 +641,7 @@ func (p *Peer) onRequest(b requestBody, parent span.Context) {
 		p.met.invalidBodies.Inc()
 		return
 	}
-	c, ok := p.resolveContent(b.ContentID)
+	c, ok := p.n.cfg.Store.Get(b.ContentID)
 	if !ok {
 		return
 	}
@@ -773,7 +661,7 @@ func (p *Peer) onControl(b controlBody, parent span.Context) {
 		return
 	}
 	p.mu.Lock()
-	if c, ok := p.resolveContent(b.ContentID); ok && p.content == nil {
+	if c, ok := p.n.cfg.Store.Get(b.ContentID); ok && p.content == nil {
 		p.content = c
 	}
 	if p.leaf == "" {
@@ -801,7 +689,7 @@ func (p *Peer) onCommit(b commitBody, parent span.Context) {
 		p.met.invalidBodies.Inc()
 		return
 	}
-	c, ok := p.resolveContent(b.ContentID)
+	c, ok := p.n.cfg.Store.Get(b.ContentID)
 	if !ok {
 		return
 	}
@@ -821,7 +709,7 @@ func (p *Peer) onCommit(b commitBody, parent span.Context) {
 
 // onRepair retransmits the requested data packets immediately.
 func (p *Peer) onRepair(b repairBody, parent span.Context) {
-	c, ok := p.resolveContent(b.ContentID)
+	c, ok := p.n.cfg.Store.Get(b.ContentID)
 	if !ok {
 		return
 	}
@@ -836,8 +724,7 @@ func (p *Peer) onRepair(b repairBody, parent span.Context) {
 // engine declines when inactive or when a hand-off is already pending).
 func (p *Peer) onJoin(b joinBody, parent span.Context) {
 	p.mu.Lock()
-	ok := b.Joiner != "" && b.Joiner != p.Addr() && p.content != nil &&
-		(b.ContentID == "" || b.ContentID == p.content.ID())
+	ok := b.Joiner != "" && b.Joiner != p.Addr() && p.content != nil && b.ContentID == p.content.ID()
 	var joiner engine.PeerID
 	if ok {
 		joiner = p.idOfLocked(b.Joiner)
@@ -932,7 +819,7 @@ func (p *Peer) sendOne(buf []byte) []byte {
 	// packet.
 	buf = seq.AppendPacket(buf[:0], pkt)
 	p.ep.Send(leaf, transport.Msg{ //nolint:errcheck // a vanished leaf ends the session; repair handles the rest
-		Type: typeData, From: p.Addr(), Session: string(p.cfg.Session),
+		Type: typeData, From: p.Addr(), Session: string(p.sid),
 		Payload: buf,
 	})
 	return buf

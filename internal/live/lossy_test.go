@@ -12,52 +12,26 @@ import (
 	"p2pmss/internal/transport"
 )
 
-// buildLossySession builds an n-peer session plus a leaf on fabric f,
-// letting the caller adjust the leaf's knobs before it binds. A non-nil
-// leafTap sees every message the leaf sends, with the leaf's endpoint,
-// and loses the ones it returns true for.
-func buildLossySession(t *testing.T, f *transport.Fabric, n, H, interval int, proto Protocol, data []byte, packetSize int, seed int64, adjust func(*LeafConfig), leafTap func(ep transport.Endpoint, to string, m transport.Msg) bool) ([]*Peer, *Leaf) {
+// buildLossySession hosts an n-node session on fabric f and opens it
+// on the leaf node, letting the caller adjust the nodes' and the
+// session's knobs first. A non-nil leafTap sees every message the leaf
+// node sends, with its endpoint, and loses the ones it returns true for.
+func buildLossySession(t *testing.T, f *transport.Fabric, n, H, interval int, proto Protocol, data []byte, packetSize int, seed int64, adjust func(*NodeConfig, *SessionConfig), leafTap func(ep transport.Endpoint, to string, m transport.Msg) bool) *LeafSession {
 	t.Helper()
-	c := content.New("movie", data, packetSize)
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("cp%d", i)
-	}
-	peers := make([]*Peer, n)
-	for i, name := range names {
-		p, err := NewPeer(PeerConfig{
-			Content: c, Roster: names, H: H, Interval: interval,
-			Protocol: proto, Delta: 5 * time.Millisecond, Seed: seed + int64(i) + 1,
-		}, WithFabric(f, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = p
-	}
-	cfg := LeafConfig{
-		Roster: names, H: H, Interval: interval, Rate: 400,
-		ContentSize: len(data), PacketSize: packetSize,
-		RepairAfter: 300 * time.Millisecond, Seed: seed + 1000,
-	}
+	cfg := NodeConfig{H: H, Interval: interval, Protocol: proto, Delta: 5 * time.Millisecond, Seed: seed}
+	sc := movieSession(data, packetSize, seed+1000)
 	if adjust != nil {
-		adjust(&cfg)
+		adjust(&cfg, &sc)
 	}
-	via := WithFabric(f, "leaf")
-	if leafTap != nil {
-		via = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
-			ep := f.Endpoint("leaf", h)
-			return tapEndpoint{ep, func(to string, m transport.Msg) bool { return leafTap(ep, to, m) }}, nil
-		})
-	}
-	leaf, err := NewLeaf(cfg, via)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return peers, leaf
+	_, leaf := hostNodes(t, n, storeOf(content.New("movie", data, packetSize)), cfg,
+		tapped(f, func(name string, ep transport.Endpoint, to string, m transport.Msg) bool {
+			return name == "leaf" && leafTap != nil && leafTap(ep, to, m)
+		}))
+	return open(t, leaf, sc)
 }
 
 // TestLeafRequestRetryAfterLostRequest: regression for the silent-
-// request-loss bug. Start's failover only reacts to Send errors, but a
+// request-loss bug. Open's failover only reacts to Send errors, but a
 // datagram transport loses a request without one — the selected peer
 // never activates and its whole division goes missing, which is more
 // loss than parity covers. Here a tap swallows the leaf's first
@@ -72,9 +46,9 @@ func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 	var mu sync.Mutex
 	var lostTo string // where the swallowed request was going
 	resent := 0
-	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.DCoP, data, 64, 21, func(cfg *LeafConfig) {
-		cfg.RepairAfter = 0 // isolate: only the request deadline may save this
-		cfg.RequestRetry = 50 * time.Millisecond
+	leaf := buildLossySession(t, f, 6, 3, 2, engine.DCoP, data, 64, 21, func(_ *NodeConfig, sc *SessionConfig) {
+		sc.RepairAfter = 0 // isolate: only the request deadline may save this
+		sc.RequestRetry = 50 * time.Millisecond
 	}, func(_ transport.Endpoint, to string, _ transport.Msg) bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -87,12 +61,6 @@ func TestLeafRequestRetryAfterLostRequest(t *testing.T) {
 		}
 		return false
 	})
-	defer leaf.Close()
-	defer closeAll(peers)
-
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
 	if err := leaf.Wait(20 * time.Second); err != nil {
 		t.Fatalf("leaf never completed after a silently lost request: %v", err)
 	}
@@ -117,16 +85,10 @@ func TestLeafDuplicateRepairDelivery(t *testing.T) {
 	data := randomData(4000, 9)
 	f := transport.NewFabric()
 	f.SetImpairment(transport.Impairment{Seed: 31, Loss: 0.10, Duplicate: 0.5})
-	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.TCoP, data, 64, 33, func(cfg *LeafConfig) {
-		cfg.RepairAfter = 250 * time.Millisecond
-		cfg.RequestRetry = 250 * time.Millisecond
+	leaf := buildLossySession(t, f, 6, 3, 2, engine.TCoP, data, 64, 33, func(_ *NodeConfig, sc *SessionConfig) {
+		sc.RepairAfter = 250 * time.Millisecond
+		sc.RequestRetry = 250 * time.Millisecond
 	}, nil)
-	defer leaf.Close()
-	defer closeAll(peers)
-
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
 	if err := leaf.Wait(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +128,10 @@ func TestLiveLossAcceptance(t *testing.T) {
 				t.Parallel()
 				f := transport.NewFabric()
 				f.SetImpairment(tc.imp)
-				peers, leaf := buildLossySession(t, f, 8, 3, 3, proto, data, 64, tc.imp.Seed, func(cfg *LeafConfig) {
-					cfg.RepairAfter = 250 * time.Millisecond
-					cfg.RequestRetry = 250 * time.Millisecond
+				leaf := buildLossySession(t, f, 8, 3, 3, proto, data, 64, tc.imp.Seed, func(_ *NodeConfig, sc *SessionConfig) {
+					sc.RepairAfter = 250 * time.Millisecond
+					sc.RequestRetry = 250 * time.Millisecond
 				}, nil)
-				defer leaf.Close()
-				defer closeAll(peers)
-				if err := leaf.Start(); err != nil {
-					t.Fatal(err)
-				}
 				if err := leaf.Wait(60 * time.Second); err != nil {
 					t.Fatal(err)
 				}

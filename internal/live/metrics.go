@@ -5,26 +5,15 @@ import (
 	"p2pmss/internal/metrics"
 )
 
-// withSession appends the session label when the participant is bound to
-// one. Standalone (single-session) peers and leaves keep the historical
-// unlabeled series, so pre-session dashboards and tests are unaffected.
-func withSession(sid SessionID, labels ...string) []string {
-	if sid == "" {
-		return labels
-	}
-	return append(labels, "session", string(sid))
-}
-
 // peerMetrics holds a contents peer's instrument handles, the engine
 // observer's among them (activations, hand-offs, retries, fail-overs
 // and the coordination-latency histograms, in seconds), looked up once
 // at construction. The zero value (all nil) records nothing, which is
-// what a peer without PeerConfig.Metrics uses.
+// what a peer of a node without Obs.Metrics uses.
 type peerMetrics struct {
 	engine.PeerMetrics
 	// sent is labeled by peer address so per-peer transmit load is
-	// visible on /metrics; the rest aggregate across the cluster (and,
-	// for session-bound peers, per session).
+	// visible on /metrics; the rest aggregate per session.
 	sent         *metrics.Counter
 	repairServed *metrics.Counter
 	// decodeErrors counts well-framed messages whose body failed
@@ -39,21 +28,24 @@ type peerMetrics struct {
 // by the live coordination-latency series.
 var latencyBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
+// newPeerMetrics looks up a serving peer's series; each is labeled with
+// its session, after its own labels.
 func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetrics {
+	s := string(sid)
 	return peerMetrics{
 		PeerMetrics: engine.PeerMetrics{
-			Activations:    reg.Counter("live_activations_total", withSession(sid)...),
-			Handoffs:       reg.Counter("live_handoffs_total", withSession(sid)...),
-			Failovers:      reg.Counter("live_session_failovers_total", withSession(sid, "role", "peer")...),
-			Retries:        reg.Counter("live_session_retries_total", withSession(sid, "role", "peer")...),
-			HandshakeRTT:   reg.Histogram("live_handshake_rtt_seconds", latencyBounds, withSession(sid)...),
-			CommitLatency:  reg.Histogram("live_control_commit_latency_seconds", latencyBounds, withSession(sid)...),
-			RetryWaveDepth: reg.Histogram("live_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}, withSession(sid)...),
+			Activations:    reg.Counter("live_activations_total", "session", s),
+			Handoffs:       reg.Counter("live_handoffs_total", "session", s),
+			Failovers:      reg.Counter("live_session_failovers_total", "role", "peer", "session", s),
+			Retries:        reg.Counter("live_session_retries_total", "role", "peer", "session", s),
+			HandshakeRTT:   reg.Histogram("live_handshake_rtt_seconds", latencyBounds, "session", s),
+			CommitLatency:  reg.Histogram("live_control_commit_latency_seconds", latencyBounds, "session", s),
+			RetryWaveDepth: reg.Histogram("live_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}, "session", s),
 		},
-		sent:          reg.Counter("live_data_packets_sent_total", withSession(sid, "peer", addr)...),
-		repairServed:  reg.Counter("live_repair_packets_served_total", withSession(sid)...),
-		decodeErrors:  reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "peer", "reason", "decode")...),
-		invalidBodies: reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "peer", "reason", "invalid")...),
+		sent:          reg.Counter("live_data_packets_sent_total", "peer", addr, "session", s),
+		repairServed:  reg.Counter("live_repair_packets_served_total", "session", s),
+		decodeErrors:  reg.Counter("live_body_decode_errors_total", "role", "peer", "reason", "decode", "session", s),
+		invalidBodies: reg.Counter("live_body_decode_errors_total", "role", "peer", "reason", "invalid", "session", s),
 	}
 }
 
@@ -67,20 +59,21 @@ type leafMetrics struct {
 }
 
 func newLeafMetrics(reg *metrics.Registry, sid SessionID) leafMetrics {
+	s := string(sid)
 	return leafMetrics{
 		LeafMetrics: engine.LeafMetrics{
-			GapRepairs:        reg.Counter("live_repair_requests_total", withSession(sid, "trigger", "gap")...),
-			StallRepairs:      reg.Counter("live_repair_requests_total", withSession(sid, "trigger", "stall")...),
-			Retries:           reg.Counter("live_session_retries_total", withSession(sid, "role", "leaf")...),
-			Failovers:         reg.Counter("live_session_failovers_total", withSession(sid, "role", "leaf")...),
-			TimeToFirstPacket: reg.Histogram("live_time_to_first_packet_seconds", latencyBounds, withSession(sid)...),
-			StallDuration:     reg.Histogram("live_stall_duration_seconds", latencyBounds, withSession(sid)...),
+			GapRepairs:        reg.Counter("live_repair_requests_total", "trigger", "gap", "session", s),
+			StallRepairs:      reg.Counter("live_repair_requests_total", "trigger", "stall", "session", s),
+			Retries:           reg.Counter("live_session_retries_total", "role", "leaf", "session", s),
+			Failovers:         reg.Counter("live_session_failovers_total", "role", "leaf", "session", s),
+			TimeToFirstPacket: reg.Histogram("live_time_to_first_packet_seconds", latencyBounds, "session", s),
+			StallDuration:     reg.Histogram("live_stall_duration_seconds", latencyBounds, "session", s),
 		},
-		arrivals:     reg.Counter("live_leaf_arrivals_total", withSession(sid)...),
-		dups:         reg.Counter("live_leaf_duplicates_total", withSession(sid)...),
-		decodeErrors: reg.Counter("live_body_decode_errors_total", withSession(sid, "role", "leaf", "reason", "decode")...),
-		delivered:    reg.Gauge("live_leaf_delivered_packets", withSession(sid)...),
-		recovered:    reg.Gauge("live_leaf_recovered_packets", withSession(sid)...),
+		arrivals:     reg.Counter("live_leaf_arrivals_total", "session", s),
+		dups:         reg.Counter("live_leaf_duplicates_total", "session", s),
+		decodeErrors: reg.Counter("live_body_decode_errors_total", "role", "leaf", "reason", "decode", "session", s),
+		delivered:    reg.Gauge("live_leaf_delivered_packets", "session", s),
+		recovered:    reg.Gauge("live_leaf_recovered_packets", "session", s),
 	}
 }
 

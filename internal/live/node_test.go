@@ -217,25 +217,23 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 	data := randomData(8000, 5)
 	reg := metrics.New()
 	f := transport.NewFabric()
-	c := content.New("movie", data, 64)
-	names := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7", "h8", "h9"}
 	const H = 3
 	hold := holdTap{holding: true}
 	var reqMu sync.Mutex
 	handled := 0
 	requested := make(chan struct{})
-	var peers []*Peer
-	for i, name := range names {
-		p, err := NewPeer(PeerConfig{
-			Content:          c,
-			Roster:           names,
-			H:                H,
-			Interval:         2,
-			Delta:            5 * time.Millisecond,
-			HandshakeTimeout: 60 * time.Millisecond,
-			Seed:             int64(i) + 1,
-			Obs:              engine.Observability{Metrics: reg},
-		}, WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
+	nodes, leafNode := hostNodes(t, 10, storeOf(content.New("movie", data, 64)), NodeConfig{
+		H:                H,
+		Interval:         2,
+		Delta:            5 * time.Millisecond,
+		HandshakeTimeout: 60 * time.Millisecond,
+		Seed:             1,
+		Obs:              engine.Observability{Metrics: reg},
+	}, func(name string) Transport {
+		if name == "leaf" {
+			return WithFabric(f, name)
+		}
+		return WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
 			ep := f.Endpoint(name, func(m transport.Msg) {
 				h(m)
 				if m.Type == typeRequest {
@@ -247,31 +245,11 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 				}
 			})
 			return tapEndpoint{ep, func(to string, m transport.Msg) bool { return hold.hold(ep, to, m) }}, nil
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers = append(peers, p)
-	}
-	defer closeAll(peers)
-	leaf, err := NewLeaf(LeafConfig{
-		Roster:      names,
-		H:           H,
-		Interval:    2,
-		Rate:        400,
-		ContentSize: len(data),
-		PacketSize:  64,
-		RepairAfter: 200 * time.Millisecond,
-		Seed:        52,
-		Obs:         engine.Observability{Metrics: reg},
-	}, WithFabric(f, "leaf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
+		})
+	})
+	sc := movieSession(data, 64, 52)
+	sc.RepairAfter = 200 * time.Millisecond
+	leaf := open(t, leafNode, sc)
 	select {
 	case <-requested:
 	case <-time.After(10 * time.Second):
@@ -285,8 +263,9 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 		if s.m.Type != typeControl || closed[s.to] {
 			continue
 		}
-		if p := peers[slices.Index(names, s.to)]; !p.Active() {
-			p.Close()
+		nd := nodes[slices.IndexFunc(nodes, func(nd *Node) bool { return nd.Addr() == s.to })]
+		if p := nd.Serving()[leaf.ID]; p == nil || !p.Active() {
+			nd.Close()
 			closed[s.to] = true
 		}
 	}
@@ -319,34 +298,11 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 // them.
 func TestWaitTimeoutNamesMissing(t *testing.T) {
 	data := randomData(16<<10, 6)
-	f := transport.NewFabric()
-	c := content.New("movie", data, 64)
-	names := []string{"w0", "w1", "w2", "w3"}
-	var peers []*Peer
-	for i, name := range names {
-		p, err := NewPeer(PeerConfig{
-			Content: c, Roster: names, H: 2, Interval: 2,
-			Delta: 5 * time.Millisecond, Seed: int64(i) + 1,
-		}, WithFabric(f, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers = append(peers, p)
-	}
-	defer closeAll(peers)
-	leaf, err := NewLeaf(LeafConfig{
-		Roster: names, H: 2, Interval: 2, Rate: 400,
-		ContentSize: len(data), PacketSize: 64,
-		// Repair disabled: a mid-stream wipeout must surface in Wait.
-		Seed: 61,
-	}, WithFabric(f, "leaf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
+	nodes, leafNode := hostNodes(t, 4, storeOf(content.New("movie", data, 64)),
+		NodeConfig{H: 2, Interval: 2, Delta: 5 * time.Millisecond, Seed: 1}, onFabric(transport.NewFabric()))
+	sc := movieSession(data, 64, 61)
+	sc.RepairAfter = 0 // repair disabled: a mid-stream wipeout must surface in Wait
+	leaf := open(t, leafNode, sc)
 	deadline := time.Now().Add(10 * time.Second)
 	for leaf.Progress() == 0 {
 		if time.Now().After(deadline) {
@@ -354,10 +310,10 @@ func TestWaitTimeoutNamesMissing(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	for _, p := range peers {
-		p.Close()
+	for _, nd := range nodes {
+		nd.Close()
 	}
-	err = leaf.Wait(400 * time.Millisecond)
+	err := leaf.Wait(400 * time.Millisecond)
 	if err == nil {
 		t.Fatal("Wait succeeded with every peer crashed")
 	}
@@ -369,8 +325,8 @@ func TestWaitTimeoutNamesMissing(t *testing.T) {
 		t.Errorf("timeout error lacks per-peer last-heard info: %q", msg)
 	}
 	named := false
-	for _, name := range names {
-		if strings.Contains(msg, name) {
+	for _, nd := range nodes {
+		if strings.Contains(msg, nd.Addr()) {
 			named = true
 			break
 		}

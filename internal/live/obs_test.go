@@ -36,53 +36,16 @@ func TestSessionObsBundle(t *testing.T) {
 	}
 }
 
-// A standalone peer given Obs.Flight (a whole set) resolves its own
+// Nodes given Obs.Flight (a whole set) resolve each serving peer's own
 // per-(session, roster-index) recorder at start — the set ends up with
 // events from every peer without any caller-side Recorder plumbing.
 func TestPeerObsFlightResolution(t *testing.T) {
 	data := randomData(2000, 48)
-	f := transport.NewFabric()
-	c := content.New("movie", data, 64)
-	names := []string{"a", "b", "c", "d", "e"}
 	set := flight.NewSet(256)
-	var peers []*Peer
-	for i, name := range names {
-		p, err := NewPeer(PeerConfig{
-			Content:  c,
-			Roster:   names,
-			H:        3,
-			Interval: 2,
-			Delta:    5 * time.Millisecond,
-			Seed:     int64(i) + 1,
-			Obs:      engine.Observability{Flight: set},
-		}, WithFabric(f, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers = append(peers, p)
-	}
-	defer func() {
-		for _, p := range peers {
-			p.Close()
-		}
-	}()
-	leaf, err := NewLeaf(LeafConfig{
-		Roster:      names,
-		H:           3,
-		Interval:    2,
-		Rate:        400,
-		ContentSize: len(data),
-		PacketSize:  64,
-		RepairAfter: 300 * time.Millisecond,
-		Seed:        99,
-	}, WithFabric(f, "leaf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
+	_, leafNode := hostNodes(t, 5, storeOf(content.New("movie", data, 64)), NodeConfig{
+		H: 3, Interval: 2, Delta: 5 * time.Millisecond, Seed: 1, Obs: engine.Observability{Flight: set},
+	}, onFabric(transport.NewFabric()))
+	leaf := open(t, leafNode, movieSession(data, 64, 99))
 	if err := leaf.Wait(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +55,9 @@ func TestPeerObsFlightResolution(t *testing.T) {
 	}
 	recorded := make(map[int]bool)
 	for _, e := range events {
+		if e.Session != string(leaf.ID) {
+			t.Fatalf("event of session %q recorded, want %q", e.Session, leaf.ID)
+		}
 		recorded[e.Peer] = true
 	}
 	// The leaf selects H=3 of 5 peers; at minimum those participated and

@@ -7,6 +7,7 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
+	"p2pmss/internal/metrics"
 	"p2pmss/internal/transport"
 )
 
@@ -85,7 +86,7 @@ func TestNodeClusterOpenRequestRetryDefault(t *testing.T) {
 	} {
 		_, ls := startSession(t, NodesConfig{H: 2, Interval: 2, Seed: 44, Impair: tc.impair}, 4, data,
 			SessionConfig{PacketSize: 64, Rate: 400, RepairAfter: 300 * time.Millisecond, RequestRetry: tc.set})
-		if got := ls.cfg.RequestRetry; got != tc.want {
+		if got := ls.sc.RequestRetry; got != tc.want {
 			t.Errorf("%s: RequestRetry = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -116,83 +117,19 @@ func TestStoreBackedPeers(t *testing.T) {
 	store := content.NewStore()
 	store.Put(content.New("alpha", movieA, 64))
 	store.Put(content.New("beta", movieB, 64))
-
-	f := newFabricFor(t)
-	roster := []string{"s0", "s1", "s2", "s3", "s4"}
-	var peers []*Peer
-	for i, name := range roster {
-		p, err := NewPeer(PeerConfig{
-			Store:    store,
-			Roster:   roster,
-			H:        3,
-			Interval: 2,
-			Delta:    5 * time.Millisecond,
-			Seed:     int64(i) + 1,
-		}, WithFabric(f, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers = append(peers, p)
-	}
-	defer closeAll(peers)
-
-	leaf, err := NewLeaf(LeafConfig{
-		Roster:      roster,
-		H:           3,
-		Interval:    2,
-		Rate:        400,
-		ContentID:   "beta",
-		ContentSize: len(movieB),
-		PacketSize:  64,
-		RepairAfter: 300 * time.Millisecond,
-		Seed:        9,
-	}, WithFabric(f, "leaf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := leaf.Wait(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := leaf.Bytes()
-	if !ok || !bytes.Equal(got, movieB) {
-		t.Fatal("store-backed session delivered wrong bytes")
-	}
+	_, leafNode := hostNodes(t, 5, store, NodeConfig{H: 3, Interval: 2, Delta: 5 * time.Millisecond, Seed: 1},
+		onFabric(transport.NewFabric()))
+	sc := movieSession(movieB, 64, 9)
+	sc.ContentID = "beta"
+	waitExact(t, open(t, leafNode, sc), movieB, 20*time.Second)
 }
 
 // Requesting a content nobody holds: peers ignore the request and the
 // leaf times out rather than receiving garbage.
 func TestUnknownContentIgnored(t *testing.T) {
-	store := content.NewStore()
-	store.Put(content.New("alpha", randomData(500, 53), 64))
-	f := newFabricFor(t)
-	roster := []string{"u0", "u1"}
-	var peers []*Peer
-	for i, name := range roster {
-		p, err := NewPeer(PeerConfig{
-			Store: store, Roster: roster, H: 2, Interval: 2,
-			Delta: 5 * time.Millisecond, Seed: int64(i) + 1,
-		}, WithFabric(f, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers = append(peers, p)
-	}
-	defer closeAll(peers)
-	leaf, err := NewLeaf(LeafConfig{
-		Roster: roster, H: 2, Interval: 2, Rate: 100,
-		ContentID: "missing", ContentSize: 500, PacketSize: 64, Seed: 3,
-	}, WithFabric(f, "leaf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
+	_, leafNode := hostNodes(t, 2, storeOf(content.New("alpha", randomData(500, 53), 64)),
+		NodeConfig{H: 2, Interval: 2, Delta: 5 * time.Millisecond, Seed: 1}, onFabric(transport.NewFabric()))
+	leaf := open(t, leafNode, SessionConfig{ContentID: "missing", Rate: 100, ContentSize: 500, PacketSize: 64, Seed: 3})
 	if err := leaf.Wait(400 * time.Millisecond); err == nil {
 		t.Fatal("delivery of a content nobody holds")
 	}
@@ -201,7 +138,47 @@ func TestUnknownContentIgnored(t *testing.T) {
 	}
 }
 
-func newFabricFor(t *testing.T) *transport.Fabric {
-	t.Helper()
-	return transport.NewFabric()
+// Closing a session's participant detaches it from its node, once: the
+// table entry, the live_node_sessions_active gauge and the admission
+// slot all go with it, whether the leaf or the serving peer closes.
+func TestSessionCloseDetaches(t *testing.T) {
+	reg := metrics.New()
+	cfg := NodeConfig{H: 1, Interval: 2, Seed: 1, MaxSessions: 1, Obs: engine.Observability{Metrics: reg}}
+	f := transport.NewFabric()
+	nodes, leafNode := hostNodes(t, 1, storeOf(content.New("movie", randomData(640, 55), 64)), cfg, onFabric(f))
+	detached := func(nd *Node, role string) {
+		t.Helper()
+		if n := nd.SessionCount(); n != 0 {
+			t.Errorf("%s: %d sessions admitted after close", nd.Addr(), n)
+		}
+		if g := reg.Gauge("live_node_sessions_active", "node", nd.Addr(), "role", role).Value(); g != 0 {
+			t.Errorf("%s: %s gauge %v after close", nd.Addr(), role, g)
+		}
+	}
+	// So slow that the session is still open when it closes.
+	sc := SessionConfig{ContentID: "movie", Rate: 1, ContentSize: 640, PacketSize: 64}
+	ls := open(t, leafNode, sc)
+	if _, err := leafNode.Open(sc); err == nil {
+		t.Fatal("a second session passed a budget of one")
+	}
+	ls.Close()
+	ls.Close()
+	if n := leafNode.LeafCount(); n != 0 {
+		t.Errorf("%d leaves in the table after close", n)
+	}
+	detached(leafNode, "leaf")
+	open(t, leafNode, sc).Close() // the slot is free again
+
+	f.Wait() // the leaf's request has opened the session on cp0
+	p := serve(t, nodes[0], ls.ID)
+	if p != nodes[0].Serving()[ls.ID] {
+		t.Fatal("the session's serving peer is not the node's")
+	}
+	p.Close()
+	p.Close()
+	if n := len(nodes[0].Serving()); n != 0 {
+		t.Errorf("%d serving peers in the table after close", n)
+	}
+	detached(nodes[0], "peer")
+	serve(t, nodes[0], "another").Close() // the slot is free again
 }

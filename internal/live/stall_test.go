@@ -11,11 +11,11 @@ import (
 )
 
 // TestLeafQuietStartNotAStall: the silence before the first data packet
-// is not a stall. The leaf's requests are held for 200 ms after Start and
+// is not a stall. The leaf's requests are held for 200 ms after Open and
 // then sent in order, so the first packet reaches it about 200 ms after
-// Start, more than two 90 ms stall windows later; a lossless run still
+// Open, more than two 90 ms stall windows later; a lossless run still
 // asks for nothing and receives no duplicate. (With 60 ms windows the
-// quiet start ended 240 ms after Start, only 40 ms after the first
+// quiet start ended 240 ms after Open, only 40 ms after the first
 // packet is due, and a loaded -race run sometimes asked for repairs.)
 // The requests go out together: a selected peer adopted as another's
 // child before its own request arrives ignores the request, and its slot
@@ -25,17 +25,12 @@ func TestLeafQuietStartNotAStall(t *testing.T) {
 	f := transport.NewFabric()
 	reg := metrics.New()
 	hold := holdTap{holding: true}
-	peers, leaf := buildLossySession(t, f, 6, 3, 2, engine.TCoP, data, 64, 51, func(cfg *LeafConfig) {
-		cfg.RepairAfter = 90 * time.Millisecond
+	leaf := buildLossySession(t, f, 6, 3, 2, engine.TCoP, data, 64, 51, func(cfg *NodeConfig, sc *SessionConfig) {
+		sc.RepairAfter = 90 * time.Millisecond
 		cfg.Obs.Metrics = reg
 	}, func(ep transport.Endpoint, to string, m transport.Msg) bool {
 		return m.Type == typeRequest && hold.hold(ep, to, m)
 	})
-	defer leaf.Close()
-	defer closeAll(peers)
-	if err := leaf.Start(); err != nil {
-		t.Fatal(err)
-	}
 	time.Sleep(200 * time.Millisecond)
 	hold.release()
 	if err := leaf.Wait(20 * time.Second); err != nil {

@@ -6,11 +6,11 @@ import (
 	"p2pmss/internal/transport"
 )
 
-// Transport selects how a live peer, leaf or node attaches to the
-// network. Construct one with WithFabric or WithAttach and pass it to
-// NewPeer, NewLeaf or NewNode.
+// Transport selects how a live node attaches to the network. Construct
+// one with WithFabric or WithAttach and pass it to NewNode; every
+// session the node hosts sends through the one endpoint it opens.
 type Transport interface {
-	// open registers the participant's inbound handler and returns its
+	// open registers the node's inbound handler and returns its
 	// endpoint. The method is unexported so the option set stays closed.
 	open(h transport.Handler) (transport.Endpoint, error)
 }
@@ -20,8 +20,8 @@ type transportFunc func(transport.Handler) (transport.Endpoint, error)
 
 func (f transportFunc) open(h transport.Handler) (transport.Endpoint, error) { return f(h) }
 
-// WithFabric attaches the participant to the in-memory fabric under the
-// given endpoint name.
+// WithFabric attaches the node to the in-memory fabric under the given
+// endpoint name.
 func WithFabric(f *transport.Fabric, name string) Transport {
 	return transportFunc(func(h transport.Handler) (transport.Endpoint, error) {
 		if f == nil {
@@ -31,10 +31,10 @@ func WithFabric(f *transport.Fabric, name string) Transport {
 	})
 }
 
-// WithAttach attaches the participant through a callback that receives
-// its inbound handler and returns its endpoint — for endpoints the
-// caller binds itself (a session's view of a node endpoint, a
-// benchmark's instrumented socket).
+// WithAttach attaches the node through a callback that receives its
+// inbound handler and returns its endpoint — for endpoints the caller
+// binds itself (a listener started before the node, a benchmark's
+// instrumented socket).
 func WithAttach(attach func(transport.Handler) (transport.Endpoint, error)) Transport {
 	if attach == nil {
 		return transportFunc(func(transport.Handler) (transport.Endpoint, error) {

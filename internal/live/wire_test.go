@@ -236,73 +236,69 @@ func mentions(m transport.Msg, keys ...string) bool {
 }
 
 // captureSession streams a small content through a real session of the
-// given protocol — traced, roster-carrying, lossy on the way to the leaf
-// — and returns a few frames of each kind of message its members sent.
+// given protocol — traced, discovered (so every member stamps the
+// session roster on the wire), lossy on the way to the leaf — and
+// returns a few frames of each kind of message its members sent.
 // Whether that loss alone leaves a gap parity cannot close is up to the
 // schedule, so the taps also withhold t1 from the leaf, in every form,
 // until the leaf has asked for it three times: repair rounds always run,
 // and the fuzzers' seed corpus is the same size on every run.
 func captureSession(tb testing.TB, proto Protocol) [][]byte {
 	tb.Helper()
-	f := transport.NewFabric()
 	var mu sync.Mutex
 	var toLeaf int
 	kept := map[string]int{}
 	var frames [][]byte
-	tap := func(name string) Transport {
-		return WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
-			return tapEndpoint{f.Endpoint(name, h), func(to string, m transport.Msg) bool {
-				kind := m.Type
-				if m.Type == typeData && len(m.Payload) > 0 && m.Payload[0] == byte(seq.Parity) {
-					kind = "parity"
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if kept[kind] < 3 {
-					kept[kind]++
-					frames = append(frames, transport.AppendFrame(nil, m))
-				}
-				if to != "leaf" {
-					return false
-				}
-				if m.Type == typeData && kept[typeRepair] < 3 && mentions(m, "t1") {
-					return true
-				}
-				toLeaf++
-				return toLeaf%3 == 0 // every third message that reaches the link is lost
-			}}, nil
-		})
-	}
 	data := randomData(3000, 77)
-	c := content.New("movie", data, 64)
-	names := []string{"cp0", "cp1", "cp2", "cp3", "cp4", "cp5"}
-	o := engine.Observability{Spans: span.NewCollector()}
-	for i, name := range names {
-		p, err := NewPeer(PeerConfig{
-			Content: c, Roster: names, CarryRoster: true, H: 3, Interval: 2, Protocol: proto,
-			Session: "cap", Delta: 2 * time.Millisecond, Seed: int64(i) + 1, Obs: o,
-		}, tap(name))
-		if err != nil {
-			tb.Fatal(err)
+	// Announcements share the fabric's one pump with the session: every
+	// 10 ms they slowed a loaded -race run's handshakes past the ~12 ms a
+	// peer streams its share, and then no TCoP hand-off (no commit) came.
+	nodes, leaf := hostNodes(tb, 6, storeOf(content.New("movie", data, 64)), NodeConfig{
+		H: 3, Interval: 2, Protocol: proto, Delta: 2 * time.Millisecond, Seed: 1,
+		Discover: true, Bootstrap: []string{"cp0"}, AnnounceInterval: 50 * time.Millisecond, DirectoryTTL: time.Minute,
+		Obs: engine.Observability{Spans: span.NewCollector()},
+	}, tapped(transport.NewFabric(), func(_ string, _ transport.Endpoint, to string, m transport.Msg) bool {
+		if m.Type == typeAnnounce {
+			return false // the discovery gossip is no session's traffic
 		}
-		defer p.Close()
-	}
-	leaf, err := NewLeaf(LeafConfig{
-		Roster: names, SessionRoster: append(names[:len(names):len(names)], "leaf"), H: 3, Interval: 2, Rate: 4000,
-		ContentSize: len(data), PacketSize: 64, RepairAfter: 40 * time.Millisecond,
-		Session: "cap", Seed: 9, Obs: o,
-	}, tap("leaf"))
-	if err != nil {
+		kind := m.Type
+		if m.Type == typeData && len(m.Payload) > 0 && m.Payload[0] == byte(seq.Parity) {
+			kind = "parity"
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if kept[kind] < 3 {
+			kept[kind]++
+			frames = append(frames, transport.AppendFrame(nil, m))
+		}
+		if to != "leaf" {
+			return false
+		}
+		if m.Type == typeData && kept[typeRepair] < 3 && mentions(m, "t1") {
+			return true
+		}
+		toLeaf++
+		return toLeaf%3 == 0 // every third message that reaches the link is lost
+	}))
+	// The fuzz targets measure allocations after this returns: nothing of
+	// the session may still be running then.
+	defer func() {
+		for _, nd := range append(nodes, leaf) {
+			nd.Close()
+		}
+	}()
+	// A node announces itself only with something to serve: until then
+	// no member pushes it the directory.
+	leaf.cfg.Store.Put(content.New("leaf's own", []byte{0}, 1))
+	if err := leaf.runtime().catalog.WaitContent("movie", 6, 10*time.Second); err != nil {
 		tb.Fatal(err)
 	}
-	defer leaf.Close()
-	if err := leaf.Start(); err != nil {
+	ls := open(tb, leaf, SessionConfig{ID: "cap", ContentID: "movie", Rate: 4000, ContentSize: len(data), PacketSize: 64,
+		RepairAfter: 40 * time.Millisecond, Seed: 9})
+	if err := ls.Wait(20 * time.Second); err != nil {
 		tb.Fatal(err)
 	}
-	if err := leaf.Wait(20 * time.Second); err != nil {
-		tb.Fatal(err)
-	}
-	if got, ok := leaf.Bytes(); !ok || !bytes.Equal(got, data) {
+	if got, ok := ls.Bytes(); !ok || !bytes.Equal(got, data) {
 		tb.Fatal("captured session did not deliver its content")
 	}
 	mu.Lock()
@@ -379,6 +375,7 @@ func FuzzPeerHandle(f *testing.F) {
 	f.Add(transport.AppendFrame(nil, transport.Msg{Type: typeRequest, From: "leaf",
 		Payload: requestBody{ContentID: "movie", Rate: 400, H: 2, Interval: 2, Index: 5, Leaf: "leaf"}.AppendWire(nil)}))
 	c := content.New("movie", randomData(3000, 77), 64)
+	store := storeOf(c)
 	names := []string{"cp0", "cp1", "cp2", "cp3", "cp4", "cp5"}
 	start := requestBody{ContentID: "movie", Rate: 4000, H: 3, Interval: 2, Index: 0, Selected: names[:3], Leaf: "leaf"}.AppendWire(nil)
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -387,21 +384,23 @@ func FuzzPeerHandle(f *testing.F) {
 			return
 		}
 		fab := transport.NewFabric()
-		var peers []*Peer
-		for i, proto := range []Protocol{engine.TCoP, engine.TCoP, engine.DCoP, engine.DCoP} {
-			p, err := NewPeer(PeerConfig{Content: c, Roster: names, H: 3, Interval: 2, Protocol: proto,
-				Delta: time.Millisecond, Seed: 1}, WithFabric(fab, names[i]))
+		node := func(name string, proto Protocol) *Node {
+			nd, err := NewNode(NodeConfig{Store: store, Roster: names, H: 3, Interval: 2, Protocol: proto,
+				Delta: time.Millisecond, Seed: 1}, WithFabric(fab, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			peers = append(peers, p)
+			t.Cleanup(func() { nd.Close() })
+			return nd
 		}
-		defer closeAll(peers)
-		leaf, err := NewLeaf(LeafConfig{Roster: names, H: 3, Interval: 2, Rate: 4000,
-			ContentSize: c.Size(), PacketSize: c.PacketSize(), Seed: 1}, WithFabric(fab, "leaf"))
-		if err != nil {
-			t.Fatal(err)
+		var peers []*Peer
+		for i, proto := range []Protocol{engine.TCoP, engine.TCoP, engine.DCoP, engine.DCoP} {
+			peers = append(peers, serve(t, node(names[i], proto), "fz"))
 		}
+		// A leaf that has sent nothing: built as Open builds it, not started.
+		ln := node("leaf", engine.TCoP)
+		leaf := newLeaf(ln, ln.runtime().ep, SessionConfig{ID: "fz", ContentID: "movie", H: 3, Interval: 2, Rate: 4000,
+			ContentSize: c.Size(), PacketSize: c.PacketSize(), Seed: 1}, names, nil)
 		defer leaf.Close()
 		peers[1].handle(transport.Msg{Type: typeRequest, From: "leaf", Payload: start})
 		peers[3].handle(transport.Msg{Type: typeRequest, From: "leaf", Payload: start})
@@ -512,43 +511,37 @@ func TestDataBodyAllocs(t *testing.T) {
 func TestBodyDecodeErrorsAreCounted(t *testing.T) {
 	reg := metrics.New()
 	f := transport.NewFabric()
-	c := content.New("movie", randomData(640, 5), 64)
-	p, err := NewPeer(PeerConfig{Content: c, Roster: []string{"cp"}, H: 1, Interval: 2, Seed: 1,
-		Obs: engine.Observability{Metrics: reg}}, WithFabric(f, "cp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	leaf, err := NewLeaf(LeafConfig{Roster: []string{"cp"}, H: 1, Interval: 2, Rate: 100,
-		ContentSize: 640, PacketSize: 64, Obs: engine.Observability{Metrics: reg}}, WithFabric(f, "leaf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
+	nodes, leafNode := hostNodes(t, 1, storeOf(content.New("movie", randomData(640, 5), 64)),
+		NodeConfig{H: 1, Interval: 2, Seed: 1, Obs: engine.Observability{Metrics: reg}}, onFabric(f))
+	// So slow a session that it is still open when the garbage arrives.
+	leaf := open(t, leafNode, SessionConfig{ID: "l", ContentID: "movie", Rate: 1, ContentSize: 640, PacketSize: 64})
 	src := f.Endpoint("src", func(transport.Msg) {})
-	good := requestBody{ContentID: "movie", Rate: 100, H: 1, Interval: 2, Selected: []string{"cp"}, Leaf: "leaf"}.AppendWire(nil)
+	good := requestBody{ContentID: "movie", Rate: 100, H: 1, Interval: 2, Selected: []string{"cp0"}, Leaf: "leaf"}.AppendWire(nil)
 	for _, m := range []transport.Msg{
-		{Type: typeRequest, Payload: good[:len(good)-2]},
-		{Type: typeConfirm, Payload: []byte{1, 'x', 7, 1}}, // Accept is neither 0 nor 1
-		{Type: typeRepair, Payload: []byte(`{"content_id":"movie","indices":[1]}`)},
+		{Type: typeRequest, Session: "s", Payload: good[:len(good)-2]},
+		{Type: typeConfirm, Session: "s", Payload: []byte{1, 'x', 7, 1}}, // Accept is neither 0 nor 1
+		{Type: typeRepair, Session: "s", Payload: []byte(`{"content_id":"movie","indices":[1]}`)},
 	} {
-		if err := src.Send("cp", m); err != nil {
+		if err := src.Send("cp0", m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, body := range [][]byte{{0, 1}, oddPacket(seq.Parity, "t1", "x")} {
-		if err := src.Send("leaf", transport.Msg{Type: typeData, Payload: body}); err != nil {
+		if err := src.Send("leaf", transport.Msg{Type: typeData, Session: string(leaf.ID), Payload: body}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.Wait()
-	for role, want := range map[string]int64{"peer": 3, "leaf": 2} {
-		if got := reg.Counter("live_body_decode_errors_total", "role", role, "reason", "decode").Value(); got != want {
-			t.Errorf("live_body_decode_errors_total{role=%q} = %d, want %d", role, got, want)
+	for _, c := range []struct {
+		role, session string
+		want          int64
+	}{{"peer", "s", 3}, {"leaf", "l", 2}} {
+		if got := reg.Counter("live_body_decode_errors_total", "role", c.role, "reason", "decode", "session", c.session).Value(); got != c.want {
+			t.Errorf("live_body_decode_errors_total{role=%q} = %d, want %d", c.role, got, c.want)
 		}
 	}
-	if p.Active() {
-		t.Error("a malformed request activated the peer")
+	if p := nodes[0].Serving()["s"]; p == nil || p.Active() {
+		t.Error("a malformed request opened no session, or activated its peer")
 	}
 }
 

@@ -75,9 +75,9 @@ type Msg struct {
 	Type string
 	// From names the sending endpoint.
 	From string
-	// Session scopes the message to one streaming session when an
-	// endpoint participates in several concurrently (live.Node); empty
-	// on single-session traffic.
+	// Session scopes the message to one streaming session of the
+	// live.Node that sent it; empty on session-less node traffic
+	// (discovery announcements).
 	Session string
 	// Trace and Span carry the sender's causal span context
 	// (internal/span) so the receiver can parent its own spans under the
