@@ -118,8 +118,9 @@ type leafNode struct {
 	// from duplicates; without it seen does.
 	asm  *content.Assembler
 	seen *parity.Recoverer
-	// timer fires at the leaf's next deadline.
+	// timer fires at the leaf's next deadline, armed (when pending).
 	timer *des.Timer
+	armed float64
 
 	overruns int64
 
@@ -169,6 +170,7 @@ func (l *leafNode) receive(from int, m any) {
 		}
 		l.r.met.delivered.Set(float64(l.asm.Have()))
 		d.Send(l)
+		l.arm()
 	} else {
 		l.core.Arrive(now, engine.PeerID(from), &dm.Pkt)
 		isDup = !l.seen.Add(dm.Pkt)
@@ -227,10 +229,11 @@ func (l *leafNode) tick() {
 }
 
 // arm schedules the leaf's timer for its next deadline unless one is
-// pending. A pending timer is never late: the simulated leaf re-sends no
-// request, so only its stall checks set deadlines, each after the last.
+// pending at or before it (an arrival moves the deadline earlier only
+// around the end of the stream; see engine.Leaf.Deadline).
 func (l *leafNode) arm() {
-	if at, ok := l.core.Deadline(); ok && !l.timer.Pending() {
+	if at, ok := l.core.Deadline(); ok && (!l.timer.Pending() || at < l.armed) {
 		l.timer.At(at)
+		l.armed = at
 	}
 }

@@ -449,11 +449,12 @@ func TestRepairGapMidStream(t *testing.T) {
 }
 
 // A loss in the stream's tail is past every sender's last packet, where
-// the gap rule cannot prove it: the stall round repairs it.
-func TestRepairTailLossByBackstop(t *testing.T) {
+// the gap rule cannot prove it: once every sender has reached the end,
+// the end-of-stream round repairs it, before any stall round.
+func TestRepairTailLossByTailRound(t *testing.T) {
 	_, notes := runWithheld(t, "t119", "t120")
-	if notes["stall"] == 0 || notes["gap"] != 0 {
-		t.Errorf("repair notes by trigger %v, want stall only", notes)
+	if notes["tail"] == 0 || notes["gap"] != 0 || notes["stall"] != 0 {
+		t.Errorf("repair notes by trigger %v, want tail only", notes)
 	}
 }
 

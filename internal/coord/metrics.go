@@ -98,6 +98,7 @@ func newCoordMetrics(reg *metrics.Registry, repair bool) coordMetrics {
 	}
 	if repair {
 		cm.leaf.GapRepairs = reg.Counter("coord_repair_requests_total", "trigger", "gap")
+		cm.leaf.TailRepairs = reg.Counter("coord_repair_requests_total", "trigger", "tail")
 		cm.leaf.StallRepairs = reg.Counter("coord_repair_requests_total", "trigger", "stall")
 	} else {
 		reg.Counter("coord_repair_requests_total")

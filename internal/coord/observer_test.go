@@ -44,8 +44,8 @@ func observerGoldenConfig() Config {
 // engine.Observer derives, or to the driver notes beside it, moves them.
 func TestObserverGolden(t *testing.T) {
 	want := map[Protocol]struct{ spans, flight, metrics string }{
-		DCoP: {"138f2790bfa83333", "b88715a68af0fe1b", "316bb3f475cbceed"},
-		TCoP: {"fa87065b73944b24", "bd14bd3861c63dde", "e19410f6254463dc"},
+		DCoP: {"138f2790bfa83333", "b88715a68af0fe1b", "d83e7774bba8d20a"},
+		TCoP: {"fa87065b73944b24", "bd14bd3861c63dde", "5395e818452f8b53"},
 	}
 	for _, proto := range []Protocol{DCoP, TCoP} {
 		cfg := observerGoldenConfig()

@@ -60,12 +60,12 @@ type LeafConfig struct {
 }
 
 // LeafMetrics are a Leaf's instrument handles. Repairs count batches by
-// trigger; Retries counts re-sent requests and stall rounds asking again
-// for an index; Failovers counts request slots replaced and repair
-// batches redirected after a failed send.
+// trigger; Retries counts re-sent requests and tail and stall rounds
+// asking again for an index; Failovers counts request slots replaced and
+// repair batches redirected after a failed send.
 type LeafMetrics struct {
-	GapRepairs, StallRepairs, Retries, Failovers *metrics.Counter
-	TimeToFirstPacket, StallDuration             *metrics.Histogram
+	GapRepairs, TailRepairs, StallRepairs, Retries, Failovers *metrics.Counter
+	TimeToFirstPacket, StallDuration                          *metrics.Histogram
 }
 
 // LeafCarrier delivers a Leaf's messages: §3.4's content request c for
@@ -155,7 +155,10 @@ func (l *Leaf) Arrive(now float64, from PeerID, p *seq.Packet) (fresh bool, d *D
 }
 
 // Deadline is when Tick next has something to do; ok is false once
-// nothing is left to time.
+// nothing is left to time. Only the end of the stream lets an arrival
+// move it earlier (the detector's TailDue): the arrival that ends the
+// stream, and a repair reply after a tail round, which shortens the next
+// wait — a few times a session at most.
 func (l *Leaf) Deadline() (at float64, ok bool) {
 	at = math.Inf(1)
 	if l.waves > 0 {
@@ -164,13 +167,16 @@ func (l *Leaf) Deadline() (at float64, ok bool) {
 	if l.checking {
 		at = min(at, l.nextCheck)
 	}
+	if l.loss != nil {
+		at = min(at, l.loss.TailDue())
+	}
 	return at, !math.IsInf(at, 1) && !l.asm.Complete()
 }
 
 // Tick runs what is due at now: a wave of re-sent requests to the
 // selected peers not yet heard from — a datagram carrier loses a request
 // without an error, and peers ignore one for a session they serve — and
-// a stall check.
+// an end-of-stream round or a stall check.
 func (l *Leaf) Tick(now float64) *Dispatch {
 	var d *Dispatch
 	if l.waves > 0 && now >= l.nextRetry {
@@ -190,6 +196,9 @@ func (l *Leaf) Tick(now float64) *Dispatch {
 			d = &Dispatch{l: l, sel: l.sel, slots: quiet, resend: true}
 		}
 	}
+	if round, ok := l.loss.Tail(now); ok {
+		return l.round(d, round, now, "tail", l.cfg.Metrics.TailRepairs)
+	}
 	if !l.checking || now < l.nextCheck {
 		return d
 	}
@@ -205,11 +214,17 @@ func (l *Leaf) Tick(now float64) *Dispatch {
 		return d
 	}
 	l.cfg.Metrics.StallDuration.Observe(round.StalledFor)
-	l.span("stall", now-round.StalledFor, now, fmt.Sprintf("%d missing", len(round.Missing)))
+	return l.round(d, round, now, "stall", l.cfg.Metrics.StallRepairs)
+}
+
+// round records a tail or stall round's span, from the last data gain,
+// and adds its repair batches to d.
+func (l *Leaf) round(d *Dispatch, round parity.Round, now float64, trigger string, count *metrics.Counter) *Dispatch {
+	l.span(trigger, now-round.StalledFor, now, fmt.Sprintf("%d missing", len(round.Missing)))
 	if round.Retry {
 		l.cfg.Metrics.Retries.Inc()
 	}
-	return l.repair(d, round.Missing, "stall", l.cfg.Metrics.StallRepairs)
+	return l.repair(d, round.Missing, trigger, count)
 }
 
 // repair adds to d (a new Dispatch when nil) the repair batches asking

@@ -55,7 +55,8 @@ type Event struct {
 	// index count, hand-off share count, or timer generation.
 	N int `json:"n,omitempty"`
 	// Note qualifies a driver note: the trigger of a repair request, "gap"
-	// (parity provably cannot recover it) or "stall" (the backstop).
+	// (parity provably cannot recover it), "tail" (past the end of every
+	// sender's stream) or "stall" (the backstop).
 	Note string `json:"note,omitempty"`
 }
 

@@ -178,3 +178,74 @@ func TestLosslessHandoffsRequestNoRepair(t *testing.T) {
 		})
 	}
 }
+
+// TestTailRepairBeforeWindow: the last recovery segment's two data
+// packets dropped in every form — past every sender's last packet, where
+// no arrival proves them lost — are asked for by the end-of-stream round
+// once the stream has ended and gone quiet. The leaf re-arms its timer
+// for that round when the stream ends, so the session completes well
+// before the first half-window check, let alone a stall round.
+func TestTailRepairBeforeWindow(t *testing.T) {
+	for _, proto := range []Protocol{engine.TCoP, engine.DCoP} {
+		t.Run(fmt.Sprint(proto), func(t *testing.T) {
+			data := randomData(64*120, 44)
+			const repairAfter = 4 * time.Second
+			reg := metrics.New()
+			var streamEnd time.Time // the last data packet sent before the leaf asked
+			gs := startGapSession(t, proto, 6, data, 10*time.Millisecond, repairAfter, reg, func(gs *gapSession, m transport.Msg) bool {
+				gs.mu.Lock()
+				defer gs.mu.Unlock()
+				if gs.asked(119) {
+					return false
+				}
+				streamEnd = time.Now()
+				return mentions(m, "t119", "t120")
+			})
+			if err := gs.leaf.Wait(20 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			done := time.Now()
+			if got, ok := gs.leaf.Bytes(); !ok || !bytes.Equal(got, data) {
+				t.Fatal("reassembled bytes differ")
+			}
+			gs.mu.Lock()
+			defer gs.mu.Unlock()
+			if !gs.asked(119) || !gs.asked(120) {
+				t.Fatalf("repairs %v do not name the dropped pair", gs.repairs)
+			}
+			if late := done.Sub(streamEnd); late > repairAfter/8 {
+				t.Errorf("completed %v after the stream's last data packet, want <= %v", late, repairAfter/8)
+			}
+			if n, _ := counterTotal(reg, "live_repair_requests_total", "trigger", "tail"); n == 0 {
+				t.Error("no repair counted with trigger=tail")
+			}
+			if n, _ := counterTotal(reg, "live_repair_requests_total", "trigger", "stall"); n != 0 {
+				t.Errorf("%d stall repairs: the tail waited for the backstop", n)
+			}
+		})
+	}
+}
+
+// TestLosslessRunNoTailOrStall: on a lossless run with a realistic
+// RepairAfter the end-of-stream round and the stall round ask for
+// nothing, and both trigger series are registered and read zero.
+func TestLosslessRunNoTailOrStall(t *testing.T) {
+	for _, proto := range []Protocol{engine.TCoP, engine.DCoP} {
+		t.Run(fmt.Sprint(proto), func(t *testing.T) {
+			data := randomData(64*200, 45)
+			reg := metrics.New()
+			gs := startGapSession(t, proto, 6, data, 10*time.Millisecond, 300*time.Millisecond, reg, nil)
+			if err := gs.leaf.Wait(20 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := gs.leaf.Bytes(); !ok || !bytes.Equal(got, data) {
+				t.Fatal("reassembled bytes differ")
+			}
+			for _, trigger := range []string{"tail", "stall"} {
+				if n, series := counterTotal(reg, "live_repair_requests_total", "trigger", trigger); series != 1 || n != 0 {
+					t.Errorf("live_repair_requests_total{trigger=%s} = %d over %d series, want 0 over 1", trigger, n, series)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -39,8 +40,10 @@ type Leaf struct {
 	// for a sender outside the roster the next id past it, assigned on
 	// first sight.
 	ids map[string]engine.PeerID
-	// timer fires at core's next deadline; once closed it is not re-armed.
+	// timer fires at core's next deadline, armed (+Inf when the timer is
+	// not set); once closed it is not re-armed.
 	timer  *time.Timer
+	armed  float64
 	closed bool
 	// introspect, when non-nil, is invoked on a Wait timeout and its
 	// result appended to the error; NodeCluster.Open wires it to an
@@ -123,8 +126,10 @@ func (l *Leaf) start() error {
 func (l *Leaf) armLocked() {
 	at, ok := l.core.Deadline()
 	if !ok || l.closed {
+		l.armed = math.Inf(1)
 		return
 	}
+	l.armed = at
 	wait := time.Duration((at - liveNow()) * float64(time.Second))
 	if l.timer == nil {
 		l.timer = time.AfterFunc(wait, l.tick)
@@ -172,6 +177,9 @@ func (l *Leaf) handle(m transport.Msg) {
 	}
 	have, recovered := l.asm.Have(), l.asm.Recovered()
 	fresh, d := l.core.Arrive(at, from, &b.Pkt)
+	if due, ok := l.core.Deadline(); ok && due < l.armed {
+		l.armLocked() // the end of the stream moved the deadline earlier
+	}
 	if !fresh {
 		l.dup++
 		l.met.dups.Inc()

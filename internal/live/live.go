@@ -196,8 +196,9 @@ type Peer struct {
 	repairContent *content.Content
 
 	// lastTouch is when the peer last received a message or transmitted
-	// a data packet — the idle clock Quiesced reads for session reaping.
-	lastTouch time.Time
+	// a data packet — the idle clock Quiesced reads for session reaping;
+	// deadline is when the last engine timer it armed expires.
+	lastTouch, deadline time.Time
 
 	stopCh  chan struct{}
 	stopped sync.Once
@@ -255,19 +256,22 @@ func (p *Peer) Active() bool {
 	return p.core.Active()
 }
 
-// Quiesced reports whether this peer's work is visibly over: it was
-// activated, transmitted its whole stream (no hand-off pending), and
-// neither received a message nor sent a packet for at least grace.
-// Never-activated peers do not quiesce — they may be mid-handshake, and
-// coordination deadlines already bound how long that can take. Node
-// session reaping polls this.
+// Quiesced reports whether this peer's work is visibly over: it neither
+// received a message nor sent a packet for at least grace, and either it
+// transmitted its whole stream (no hand-off pending) or it never
+// activated — a request for a content the node does not hold, a TCoP
+// child whose commit was lost — and every handshake deadline it armed
+// has passed. Node session reaping polls this.
 func (p *Peer) Quiesced(now time.Time, grace time.Duration) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.core.Active() || p.st.Snapshot().Pending || p.st.Remaining() > 0 {
+	if now.Sub(p.lastTouch) < grace {
 		return false
 	}
-	return now.Sub(p.lastTouch) >= grace
+	if !p.core.Active() {
+		return !now.Before(p.deadline)
+	}
+	return !p.st.Snapshot().Pending && p.st.Remaining() == 0
 }
 
 // Outcome returns the peer's coordination outcome (parent, children,
@@ -535,10 +539,16 @@ func (p *Peer) encodeLocked(e *engine.Send) outSend {
 	return outSend{to: to}
 }
 
-// armTimer schedules TimerFired delivery on the wall clock.
+// armTimer schedules TimerFired delivery on the wall clock and records
+// its expiry as the peer's deadline when it is the latest. Callers hold
+// p.mu.
 func (p *Peer) armTimer(e *engine.SetTimer) {
 	id := e.ID
-	time.AfterFunc(time.Duration(e.Delay*float64(time.Second)), func() {
+	delay := time.Duration(e.Delay * float64(time.Second))
+	if at := time.Now().Add(delay); at.After(p.deadline) {
+		p.deadline = at
+	}
+	time.AfterFunc(delay, func() {
 		select {
 		case <-p.stopCh:
 			return

@@ -63,6 +63,7 @@ func newLeafMetrics(reg *metrics.Registry, sid SessionID) leafMetrics {
 	return leafMetrics{
 		LeafMetrics: engine.LeafMetrics{
 			GapRepairs:        reg.Counter("live_repair_requests_total", "trigger", "gap", "session", s),
+			TailRepairs:       reg.Counter("live_repair_requests_total", "trigger", "tail", "session", s),
 			StallRepairs:      reg.Counter("live_repair_requests_total", "trigger", "stall", "session", s),
 			Retries:           reg.Counter("live_session_retries_total", "role", "leaf", "session", s),
 			Failovers:         reg.Counter("live_session_failovers_total", "role", "leaf", "session", s),

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -181,4 +182,42 @@ func TestSessionCloseDetaches(t *testing.T) {
 	}
 	detached(nodes[0], "peer")
 	serve(t, nodes[0], "another").Close() // the slot is free again
+}
+
+// TestNeverActivatedPeersAreReaped: a request for a content the node
+// does not hold opens a serving peer that never activates. Once it has
+// been quiet for ReapAfter the reaper frees it, its streaming goroutine
+// and its admission slot, so such requests cannot pin the node's
+// MaxSessions budget.
+func TestNeverActivatedPeersAreReaped(t *testing.T) {
+	const grace = time.Hour // the node's own reaper never frees them
+	f := transport.NewFabric()
+	nodes, _ := hostNodes(t, 1, storeOf(content.New("movie", randomData(640, 56), 64)),
+		NodeConfig{H: 1, Interval: 2, Seed: 1, MaxSessions: 4, ReapAfter: grace}, onFabric(f))
+	nd := nodes[0]
+	src := f.Endpoint("src", func(transport.Msg) {})
+	req := requestBody{ContentID: "elsewhere", Rate: 100, H: 1, Interval: 2, Selected: []string{"cp0"}, Leaf: "src"}.AppendWire(nil)
+	for i := 0; i < 4; i++ {
+		if err := src.Send("cp0", transport.Msg{Type: typeRequest, Session: fmt.Sprintf("s%d", i), Payload: req}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Wait()
+	if n, used := len(nd.Serving()), nd.SessionCount(); n != 4 || used != 4 {
+		t.Fatalf("%d serving peers holding %d slots, want 4 and 4", n, used)
+	}
+	for _, p := range nd.Serving() {
+		if p.Active() {
+			t.Fatal("a request for a content the node does not hold activated its peer")
+		}
+	}
+	nd.reap(time.Now().Add(grace / 2))
+	if n := len(nd.Serving()); n != 4 {
+		t.Fatalf("%d serving peers left after reaping inside the grace, want 4", n)
+	}
+	nd.reap(time.Now().Add(grace))
+	if n, used := len(nd.Serving()), nd.SessionCount(); n != 0 || used != 0 {
+		t.Fatalf("%d serving peers holding %d slots after the reap, want none", n, used)
+	}
+	serve(t, nd, "another").Close() // the budget is free again
 }

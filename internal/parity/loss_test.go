@@ -3,6 +3,7 @@ package parity
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -294,40 +295,195 @@ func TestLossDetectorSilentSenderAfterWindow(t *testing.T) {
 	}
 }
 
-// A loss in the stream's tail is past every sender's last position: the
-// rule can never prove it, so it stays missing for the stall round to ask
-// for; once asked (Requested), its reply fills the gap without being
-// taken for a sender's stream.
-func TestLossDetectorTailIsTheBackstops(t *testing.T) {
-	const l, h, H = 60, 2, 3
-	r := newLossRig(l, h, H, 1)
-	in := interleave(l, h, H)
-	for i, a := range in {
-		if a.p.IsData() && a.p.Index >= 59 {
-			continue // t59, t60: the last segment, both data packets
+// feedTail streams Esq(1..l, h) round-robin from H senders, one packet
+// a millisecond, leaving out the packets drop selects; it returns the
+// time of the last arrival.
+func (r *lossRig) feedTail(l int64, h, H int, drop func(arrival) bool) float64 {
+	var last float64
+	for i, a := range interleave(l, h, H) {
+		if drop(a) {
+			continue
 		}
-		r.arrive(a.sender, a.p, float64(i)*1e-3)
+		last = float64(i) * 1e-3
+		r.arrive(a.sender, a.p, last)
 	}
+	return last
+}
+
+// A loss in the stream's tail is past every sender's last position: the
+// gap rule can never prove it. Once every sender has reached the end, a
+// Tail round asks for it as soon as nothing has arrived for the grace —
+// a few packet times, not a window — and its reply, from a peer that
+// never streamed, fills the gap without being taken for a sender's
+// stream.
+func TestLossDetectorTailRound(t *testing.T) {
+	const l, h, H = 60, 2, 3
+	const window = 1.0
+	r := newLossRig(l, h, H, window)
+	last := r.feedTail(l, h, H, func(a arrival) bool { return a.p.IsData() && a.p.Index >= 59 })
 	if got := r.reported(); len(got) != 0 {
-		t.Fatalf("the rule reported %v; a tail loss is beyond it", got)
+		t.Fatalf("the gap rule reported %v; a tail loss is beyond it", got)
 	}
 	missing := r.det.Missing()
 	if !slices.Equal(missing, []int64{59, 60}) {
 		t.Fatalf("missing %v, want [59 60]", missing)
 	}
-	// The stall round asks for everything missing; a peer that never
-	// streamed answers.
-	if round, ok := r.det.Stall(2); !ok || !slices.Equal(round.Missing, missing) {
-		t.Fatalf("stall round %+v (ok=%v), want one asking for %v", round, ok, missing)
+	due := r.det.TailDue()
+	if due <= last || due > last+0.02 {
+		t.Fatalf("tail round due %v after the last arrival, want within a few packet times (0, 0.02]", due-last)
+	}
+	if _, ok := r.det.Tail(due - 1e-6); ok {
+		t.Fatal("a tail round before the grace ran out")
+	}
+	round, ok := r.det.Tail(due)
+	if !ok || !slices.Equal(round.Missing, missing) || round.Retry {
+		t.Fatalf("tail round %+v (ok=%v), want one asking for %v, no retry", round, ok, missing)
+	}
+	if _, ok := r.det.Stall(due); ok {
+		t.Error("a stall round right after the tail round")
 	}
 	for _, k := range missing {
-		r.arrive(7, seq.NewData(k), 1)
+		r.arrive(7, seq.NewData(k), due+1e-3)
 	}
 	if !r.det.Complete() {
 		t.Fatalf("repair replies did not complete the content: missing %v", r.det.Missing())
 	}
 	if s := r.det.Senders(); len(s) > 7 && s[7].Heard() {
 		t.Error("a repair reply made its sender part of the stream")
+	}
+	if due := r.det.TailDue(); !math.IsInf(due, 1) {
+		t.Errorf("a complete content has a tail round due at %v", due)
+	}
+}
+
+// Senders that finish at different times — two of them streaming their
+// shares ten times faster than the third, so they are done long before
+// it, with silences between its packets longer than the grace — report
+// nothing on a clean run: the stream has not ended while a sender heard
+// within the window is still short of the end, and no Tail round is due
+// before the next packet arrives. (Ending the stream when the first
+// sender reaches the end would ask for the slow sender's share.)
+func TestLossDetectorStaggeredFinishNoTail(t *testing.T) {
+	const l, h, H = 120, 4, 3 // h+1 > H: parity cannot stand in for the slow sender
+	r := newLossRig(l, h, H, 1)
+	type ev struct {
+		t float64
+		a arrival
+	}
+	var evs []ev
+	n := make([]int, H)
+	for _, a := range interleave(l, h, H) {
+		step := 1e-3
+		if a.sender == 2 {
+			step = 10e-3
+		}
+		evs = append(evs, ev{float64(n[a.sender]) * step, a})
+		n[a.sender]++
+	}
+	slices.SortStableFunc(evs, func(a, b ev) int { return cmp.Compare(a.t, b.t) })
+	for _, e := range evs {
+		if round, ok := r.det.Tail(e.t); ok {
+			t.Fatalf("tail round at %v, before an arrival of the stream: %+v", e.t, round)
+		}
+		r.arrive(e.a.sender, e.a.p, e.t)
+	}
+	if len(r.lost) != 0 || !r.det.Complete() {
+		t.Fatalf("clean run: reported %v, missing %v", r.reported(), r.det.Missing())
+	}
+	if _, ok := r.det.Tail(evs[len(evs)-1].t + 1); ok {
+		t.Error("tail round on a complete content")
+	}
+}
+
+// A repair reply lost at the tail is asked for again well before a
+// window: the leaf is only waiting for replies once the stream has
+// ended. Each round without a data gain doubles the wait, and once it
+// would reach a window the stall round takes over.
+func TestLossDetectorTailReask(t *testing.T) {
+	const l, h, H = 60, 2, 3
+	const window = 1.0
+	r := newLossRig(l, h, H, window)
+	for s := 0; s < H; s++ {
+		r.det.Expect(s, -0.005) // the requests went out 5 ms before the first packet
+	}
+	// Two whole segments' data: a reply for t57 recovers t58 and leaves
+	// t59 and t60 missing.
+	r.feedTail(l, h, H, func(a arrival) bool { return a.p.IsData() && a.p.Index >= 57 })
+	first := r.det.TailDue()
+	if _, ok := r.det.Tail(first); !ok {
+		t.Fatal("no tail round")
+	}
+	at, prev, waits := first, 0.0, 0
+	for {
+		due := r.det.TailDue()
+		if math.IsInf(due, 1) {
+			break
+		}
+		wait := due - at
+		if waits == 0 && wait > window/8 {
+			t.Fatalf("first re-ask %v after the round, want well before a window (%v)", wait, window)
+		}
+		if waits > 0 && math.Abs(wait-2*prev) > 1e-9 {
+			t.Fatalf("re-ask wait %v after %v, want it doubled", wait, prev)
+		}
+		round, ok := r.det.Tail(due)
+		if !ok || !round.Retry || !slices.Equal(round.Missing, []int64{57, 58, 59, 60}) {
+			t.Fatalf("re-ask at %v: %+v ok=%v, want a retry of t57..t60", due, round, ok)
+		}
+		at, prev = due, wait
+		waits++
+	}
+	if waits < 2 || 2*prev < window {
+		t.Fatalf("%d re-asks, the last wait %v: want them to back off until a window", waits, prev)
+	}
+	if _, ok := r.det.Stall(at + window - 1e-6); ok {
+		t.Error("a stall round within a window of the last re-ask")
+	}
+	if round, ok := r.det.Stall(at + window); !ok || !round.Retry {
+		t.Errorf("stall round a window after the last re-ask: %+v ok=%v", round, ok)
+	}
+	// A reply is a gain: the next wait starts from the grace again.
+	r.arrive(7, seq.NewData(57), at+window+1e-3)
+	if got := r.det.Missing(); !slices.Equal(got, []int64{59, 60}) {
+		t.Fatalf("after the reply: missing %v, want [59 60]", got)
+	}
+	if wait := r.det.TailDue() - (at + window + 1e-3); wait > window/8 {
+		t.Errorf("after a gain the next round waits %v, want the grace", wait)
+	}
+}
+
+// A sender whose last packets were lost has not reached the end, and
+// while it is heard within the window the stream has not ended: no Tail
+// round is due, and its losses fall back to the stall round a window
+// after the last data gain.
+func TestLossDetectorTailLostLastPackets(t *testing.T) {
+	const l, h, H = 60, 4, 3 // h+1 > H: a segment holds two of a sender's packets
+	const window = 0.2
+	r := newLossRig(l, h, H, window)
+	var lastGain float64
+	for i, a := range interleave(l, h, H) {
+		if a.sender == 2 && a.p.Pos > l/2 {
+			continue // sender 2's last dozen packets, past any end slack
+		}
+		now := float64(i) * 1e-3
+		have := r.det.Have()
+		r.arrive(a.sender, a.p, now)
+		if r.det.Have() > have {
+			lastGain = now
+		}
+	}
+	if r.det.Complete() {
+		t.Fatal("the dropped packets were recovered: the run tests nothing")
+	}
+	if due := r.det.TailDue(); !math.IsInf(due, 1) {
+		t.Fatalf("tail round due at %v with sender 2 short of the end", due)
+	}
+	if _, ok := r.det.Stall(lastGain + window - 1e-6); ok {
+		t.Fatal("stall round within a window of the last gain")
+	}
+	round, ok := r.det.Stall(lastGain + window)
+	if !ok || !slices.Equal(round.Missing, r.det.Missing()) {
+		t.Errorf("stall round %+v ok=%v, want every missing index", round, ok)
 	}
 }
 
