@@ -111,7 +111,7 @@ func (u *unicast) forward(p *peerNode, round int) {
 	}
 	offset, own := p.tx.currentOffset(), p.tx.st.Snapshot()
 	mark := engine.MarkOffset(offset, r.cfg.Delta, own.Rate)
-	parts, rate := engine.ShareOut(own.Stream, mark, own.Rate, 0, 2)
+	parts, rate := engine.ShareOut(own.Seq(), mark, own.Rate, 0, 2)
 	msg := ctlMsg{
 		Parent:    p.id,
 		SeqOffset: offset,

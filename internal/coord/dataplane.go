@@ -73,7 +73,7 @@ func (tx *transmitter) restart() {
 		tx.slotTimer = tx.r.eng.NewTimer(tx.slot)
 	}
 	tx.slotTimer.Cancel()
-	if rate <= 0 || tx.st.Remaining() == 0 {
+	if rate <= 0 || !tx.st.More() {
 		return
 	}
 	// Randomize the phase of the first slot so that steady-state rate
@@ -87,7 +87,7 @@ func (tx *transmitter) restart() {
 // something to send.
 func (tx *transmitter) slot() {
 	tx.sendNext()
-	if tx.st.Remaining() > 0 || tx.r.cfg.Loop {
+	if tx.st.More() || tx.r.cfg.Loop {
 		tx.slotTimer.After(1 / tx.st.Rate())
 	}
 }

@@ -189,8 +189,8 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 			case *engine.Activate:
 				p.activate(e.Round, e.Seq, e.Rate)
 			case *engine.Merge:
-				// The engine unioned against the snapshot stamped on this very
-				// Handle call, which is still the transmitter's state.
+				// A union the engine built is against the snapshot stamped on
+				// this very Handle call, which is still the transmitter's state.
 				if e.Round > p.depth {
 					p.depth = e.Round
 				}

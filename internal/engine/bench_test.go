@@ -23,7 +23,11 @@ import (
 // run. B/op is the figure to watch there (BENCH_seq.json).
 
 func benchEngine(b *testing.B, dcop bool, content seq.Sequence) {
-	h := newHarness(baseConfig(100, 10, dcop), 1)
+	benchEngineConfig(b, baseConfig(100, 10, dcop), content)
+}
+
+func benchEngineConfig(b *testing.B, cfg engine.Config, content seq.Sequence) {
+	h := newHarness(cfg, 1)
 	h.start(content, 25, 1)
 	h.run() // warm-up: populate free lists, scratch buffers, map buckets
 	b.ReportAllocs()
@@ -41,6 +45,14 @@ func BenchmarkEngineDCoP(b *testing.B) { benchEngine(b, true, nil) }
 
 func BenchmarkEngineTCoPData(b *testing.B) { benchEngine(b, false, seq.Range(1, 30000)) }
 func BenchmarkEngineDCoPData(b *testing.B) { benchEngine(b, true, seq.Range(1, 30000)) }
+
+// BenchmarkEngineDCoPDataH30 is the DCoP round at H = 30, where views
+// fill after the first flood: most merges are followed by no selection,
+// so the schedule only ever takes them in (at H = 10 every merge is
+// followed by one, and the engine needs the union itself).
+func BenchmarkEngineDCoPDataH30(b *testing.B) {
+	benchEngineConfig(b, baseConfig(100, 30, true), seq.Range(1, 30000))
+}
 
 // fig12Share is a hand-off as Figure 12 runs one at H = 30 (interval
 // 29): a peer's initial share of the content, about 400 packets, handed
@@ -74,5 +86,40 @@ func BenchmarkStreamSwitch(b *testing.B) {
 		st.Install(stream, 2)
 		st.Apply(&engine.Handoff{Keep: keep, Given: given, OldRate: 2, NewRate: rate, Mark: mark})
 		st.Switch()
+	}
+}
+
+// mergeShape is a Figure-12 peer picked by many DCoP parents: a
+// 370-packet unsent remainder of its own share (interval 29) and 30
+// shares of 12 packets from its other parents, spread over the whole
+// remaining content like the remainder itself and overlapping it here
+// and there.
+func mergeShape() (remainder seq.Sequence, shares []seq.Sequence) {
+	enhanced := parity.Enhance(seq.Range(1, 12000), 29)
+	own := seq.Div(enhanced, 30, 0)
+	remainder = own[len(own)-370:]
+	for i := 0; i < 30; i++ {
+		shares = append(shares, seq.Div(enhanced[len(enhanced)-12000:], 1000, 1+29*i))
+	}
+	return remainder, shares
+}
+
+// BenchmarkStreamMergeSmall is that peer's schedule over one op: the
+// remainder installed, the 30 shares merged in with two packets sent
+// between merges, then every packet sent.
+func BenchmarkStreamMergeSmall(b *testing.B) {
+	remainder, shares := mergeShape()
+	var st engine.Stream
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Install(remainder, 1)
+		for _, s := range shares {
+			st.Merge(s, 0.1)
+			st.Next()
+			st.Next()
+		}
+		for _, ok := st.Next(); ok; _, ok = st.Next() {
+		}
 	}
 }

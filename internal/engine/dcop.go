@@ -50,6 +50,8 @@ func (p *Peer) firstDelivery(k assignKey) bool {
 // dcopOnControl handles a parent's c1: merge when already transmitting,
 // activate otherwise, then keep flooding while the view has holes.
 // Duplicated deliveries of the same control are dropped (see assignKey).
+// The union a merge makes is built here only when a selection follows
+// and divides it; otherwise the schedule merges the share in lazily.
 func (p *Peer) dcopOnControl(m *MsgControl, snap Snapshot) []Effect {
 	if !p.firstDelivery(assignKey{parent: m.Parent, round: m.Round, childIdx: m.ChildIdx, seqOffset: m.SeqOffset}) {
 		return nil
@@ -58,18 +60,23 @@ func (p *Peer) dcopOnControl(m *MsgControl, snap Snapshot) []Effect {
 	p.viewAdd(m.Parent)
 	p.viewAddAll(m.View)
 	effs := p.pl.slice()
-	cur := Stream{seq: snap.Stream, pos: snap.Offset, rate: snap.Rate}
+	selects := !p.view.Full() && p.childrenTaken < p.cfg.H
+	var cur Snapshot
 	if p.active {
 		p.noteMerged(m.Round, m.AssignedSeq)
-		merged := cur.Merge(m.AssignedSeq, m.ChildRate)
+		var merged seq.Sequence
+		if selects {
+			cur = snap.mergedWith(m.AssignedSeq, m.ChildRate)
+			merged = cur.Stream
+		}
 		effs = append(effs, p.pl.merge(m.AssignedSeq, merged, m.ChildRate, m.Round))
 	} else {
 		p.noteActivated(m.Round, m.AssignedSeq)
 		effs = append(effs, p.pl.activate(m.AssignedSeq, m.ChildRate, m.Round))
-		cur.Install(m.AssignedSeq, m.ChildRate)
+		cur = Snapshot{Stream: m.AssignedSeq, Rate: m.ChildRate}
 	}
-	if !p.view.Full() {
-		effs = p.dcopSelect(effs, p.cfg.H, m.Round+1, cur.Snapshot())
+	if selects {
+		effs = p.dcopSelect(effs, p.cfg.H, m.Round+1, cur)
 	}
 	return effs
 }
@@ -87,15 +94,12 @@ func (p *Peer) dcopOnCommit(m *MsgCommit, snap Snapshot) []Effect {
 	effs := p.pl.slice()
 	if p.active {
 		p.noteMerged(m.Round, m.AssignedSeq)
-		cur := Stream{seq: snap.Stream, pos: snap.Offset, rate: snap.Rate}
-		merged := cur.Merge(m.AssignedSeq, m.Rate)
-		return append(effs, p.pl.merge(m.AssignedSeq, merged, m.Rate, m.Round))
+		return append(effs, p.pl.merge(m.AssignedSeq, nil, m.Rate, m.Round))
 	}
 	p.noteActivated(m.Round, m.AssignedSeq)
 	effs = append(effs, p.pl.activate(m.AssignedSeq, m.Rate, m.Round))
 	if !p.view.Full() {
-		cur := Stream{seq: m.AssignedSeq, rate: m.Rate}
-		effs = p.dcopSelect(effs, p.cfg.H, m.Round+1, cur.Snapshot())
+		effs = p.dcopSelect(effs, p.cfg.H, m.Round+1, Snapshot{Stream: m.AssignedSeq, Rate: m.Rate})
 	}
 	return effs
 }
@@ -122,7 +126,7 @@ func (p *Peer) dcopSelect(effs []Effect, fanout, round int, cur Snapshot) []Effe
 	p.view.AddAll(children)
 
 	mark := MarkOffset(cur.Offset, p.cfg.MarkDelta, cur.Rate)
-	parts, childRate := ShareOut(cur.Stream, mark, cur.Rate, p.cfg.Interval, len(children)+1)
+	parts, childRate := ShareOut(cur.Seq(), mark, cur.Rate, p.cfg.Interval, len(children)+1)
 	p.membersBuf = p.view.MembersInto(p.membersBuf[:0])
 	for i, c := range children {
 		assigned := seqAt(parts, i+1)

@@ -122,17 +122,49 @@ func (c *Config) Normalize() error {
 // advance, so the driver reports where its transmitter stands right now
 // — Stream.Snapshot of the schedule its effects were applied to.
 type Snapshot struct {
-	// Offset is how many packets of Stream have been sent (c.SEQ).
+	// Offset is how many packets of the stream have been sent (c.SEQ).
 	Offset int
-	// Stream is the full current transmission sequence. Nil in the
-	// simulator's control-plane-only mode, where divisions are not
-	// materialized and effects carry rates only.
+	// Stream is the full current transmission sequence of a snapshot
+	// built by hand; read it with Seq, which also covers a
+	// Stream.Snapshot. Nil in the simulator's control-plane-only mode,
+	// where divisions are not materialized and effects carry rates only.
 	Stream seq.Sequence
 	// Rate is the current transmission rate.
 	Rate float64
 	// Pending reports whether a hand-off is already planned but not yet
 	// applied (guards mid-stream Join grants).
 	Pending bool
+	// src is the schedule a Stream.Snapshot reads, folded into one
+	// sequence only when Seq is called.
+	src *Stream
+}
+
+// Seq is the full current transmission sequence. A Stream's snapshot
+// folds the shares merged into it here, so only the paths that divide
+// the stream — a selection, a join, a TCoP commit — pay for that.
+func (s Snapshot) Seq() seq.Sequence {
+	if s.src == nil {
+		return s.Stream
+	}
+	s.src.fold()
+	return s.src.seq
+}
+
+// mergedWith is the snapshot a selection following §3.4's merge of
+// share at rate divides: the unsent remainder ∪ share from its first
+// packet, at the summed rate. In control-plane-only mode (a nil stream
+// merging a nil share) it is the snapshot's offset and rate as they
+// were.
+func (s Snapshot) mergedWith(share seq.Sequence, rate float64) Snapshot {
+	stream := s.Seq()
+	if stream == nil && share == nil {
+		return Snapshot{Offset: s.Offset, Rate: s.Rate}
+	}
+	var rem seq.Sequence
+	if s.Offset < len(stream) {
+		rem = stream[s.Offset:]
+	}
+	return Snapshot{Stream: seq.Union(rem, share), Rate: s.Rate + rate}
 }
 
 // ---- events -------------------------------------------------------------
@@ -303,11 +335,12 @@ type Activate struct {
 
 // Merge unions an additional subsequence into the not-yet-sent remainder
 // (DCoP's pkt_i := pkt_i ∪ pkt_ji for redundantly selected peers) and
-// adds Rate to the current rate. The engine has already done the union,
-// once, with Stream.Merge on the Snapshot it was handed: Stream is that
-// snapshot's unsent remainder ∪ Seq, which Stream.Apply installs at
-// offset zero (nil in control-plane-only mode, where only the rate
-// moves).
+// adds Rate to the current rate. Stream.Apply merges Seq in as a run,
+// at the cost of the share. Only when a selection follows, and the
+// engine divided the union itself, does Stream carry it: the unsent
+// remainder of the Snapshot it was handed ∪ Seq, which Stream.Apply
+// installs at offset zero. Nil otherwise (and in control-plane-only
+// mode, where only the rate moves).
 type Merge struct {
 	Seq    seq.Sequence
 	Stream seq.Sequence
@@ -503,12 +536,12 @@ func (p *Peer) handleRequest(ev *Request, snap Snapshot) []Effect {
 	p.noteActivated(ev.Round, ev.Assigned)
 	effs := p.pl.slice()
 	effs = append(effs, p.pl.activate(ev.Assigned, ev.Rate, ev.Round))
-	cur := Stream{seq: ev.Assigned, rate: ev.Rate}
+	cur := Snapshot{Stream: ev.Assigned, Rate: ev.Rate}
 	if p.cfg.DCoP {
-		return p.dcopSelect(effs, p.cfg.FirstFanout, ev.Round+1, cur.Snapshot())
+		return p.dcopSelect(effs, p.cfg.FirstFanout, ev.Round+1, cur)
 	}
 	p.parent = int(p.id) // leaf-rooted: no contents-peer parent to adopt
-	return p.tcopSelect(effs, ev.Round+1, cur.Snapshot())
+	return p.tcopSelect(effs, ev.Round+1, cur)
 }
 
 // handleJoin hands a mid-stream joiner a slice: the remaining stream is
@@ -516,14 +549,15 @@ func (p *Peer) handleRequest(ev *Request, snap Snapshot) []Effect {
 // committed the second half, and this peer keeps the first. Declined
 // when inactive or when a hand-off is already pending.
 func (p *Peer) handleJoin(ev *Join, snap Snapshot) []Effect {
-	if !p.active || snap.Pending || ev.Joiner == p.id || snap.Stream == nil {
+	if !p.active || snap.Pending || ev.Joiner == p.id {
 		return nil
 	}
+	stream := snap.Seq()
 	mark := MarkOffset(snap.Offset, p.cfg.MarkDelta, snap.Rate)
-	if mark >= len(snap.Stream)-1 {
+	if stream == nil || mark >= len(stream)-1 {
 		return nil // too little left to be worth sharing
 	}
-	parts, rate := ShareOut(snap.Stream, mark, snap.Rate, 0, 2)
+	parts, rate := ShareOut(stream, mark, snap.Rate, 0, 2)
 	p.viewAdd(ev.Joiner)
 	p.noteShare(ev.Joiner, parts[1], rate)
 	m := p.pl.msgCommit()

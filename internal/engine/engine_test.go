@@ -459,7 +459,7 @@ func TestEngineTCoPCommitAbsorb(t *testing.T) {
 	got := make(map[string]bool)
 	for i, o := range outs {
 		if o.Active && !h.crashed[o.ID] {
-			for _, pkt := range h.streams[i].Snapshot().Stream {
+			for _, pkt := range h.streams[i].Snapshot().Seq() {
 				got[pkt.Key()] = true
 			}
 		}

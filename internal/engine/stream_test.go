@@ -32,7 +32,7 @@ func refSwitch(rem seq.Sequence, given []seq.Sequence, keep seq.Sequence) seq.Se
 // remainder is what a stream has left to send.
 func remainder(st *engine.Stream) seq.Sequence {
 	snap := st.Snapshot()
-	return snap.Stream[snap.Offset:]
+	return snap.Seq()[snap.Offset:]
 }
 
 // handoff plans a hand-off of st's stream at mark into k parts with
@@ -40,7 +40,7 @@ func remainder(st *engine.Stream) seq.Sequence {
 // shares out, and returns the parts.
 func handoff(st *engine.Stream, mark, p, k int) (keep seq.Sequence, given []seq.Sequence) {
 	snap := st.Snapshot()
-	parts, rate := engine.ShareOut(snap.Stream, mark, snap.Rate, p, k)
+	parts, rate := engine.ShareOut(snap.Seq(), mark, snap.Rate, p, k)
 	keep, given = engine.SplitParts(parts)
 	st.Apply(&engine.Handoff{Keep: keep, Given: given, OldRate: snap.Rate, NewRate: rate, Mark: mark})
 	return keep, given
@@ -62,7 +62,7 @@ func TestStreamSwitchMatchesReference(t *testing.T) {
 		other := seq.Div(parity.Enhance(content, 1+rng.Intn(4)), 3, rng.Intn(3))
 		var st engine.Stream
 		st.Install(parity.Enhance(content, 1+rng.Intn(4)), 10)
-		for round := 0; round < 8 && st.Remaining() > 0; round++ {
+		for round := 0; round < 8 && st.More(); round++ {
 			for n := rng.Intn(12); n > 0; n-- {
 				st.Next()
 			}
@@ -84,9 +84,9 @@ func TestStreamSwitchMatchesReference(t *testing.T) {
 			want := refSwitch(remainder(&st), given, keep)
 			st.Switch()
 			got := st.Snapshot()
-			if got.Offset != 0 || got.Pending || !reflect.DeepEqual(got.Stream, want) {
+			if got.Offset != 0 || got.Pending || !reflect.DeepEqual(got.Seq(), want) {
 				t.Fatalf("trial %d round %d: switched to %d packets at offset %d, want the reference's %d:\n got %v\nwant %v",
-					trial, round, len(got.Stream), got.Offset, len(want), got.Stream, want)
+					trial, round, len(got.Seq()), got.Offset, len(want), got.Seq(), want)
 			}
 			switches++
 		}
@@ -158,21 +158,22 @@ func TestStreamAbsorb(t *testing.T) {
 }
 
 // In control-plane-only mode — a nil sequence — a merge of nothing
-// changes nothing, an absorb with no switch planned adds its rate, and a
+// moves the rate alone, as an absorb with no switch planned does, and a
 // planned switch moves the rate alone, absorbed rates included.
 func TestStreamNilSequenceMovesRatesOnly(t *testing.T) {
 	var st engine.Stream
 	st.Install(nil, 4)
-	if merged := st.Merge(nil, 3); merged != nil || st.Rate() != 4 {
-		t.Fatalf("a nil merge returned %v and left rate %v, want nil and 4", merged, st.Rate())
+	st.Merge(nil, 3)
+	if snap := st.Snapshot(); snap.Seq() != nil || snap.Rate != 7 {
+		t.Fatalf("after a nil merge: %d packets at rate %v, want a nil stream at rate 7", len(snap.Seq()), snap.Rate)
 	}
 	if !st.Apply(&engine.Absorb{RateDelta: 1}) {
 		t.Error("an absorb with no plan did not report the rate change")
 	}
-	if snap := st.Snapshot(); snap.Stream != nil || snap.Rate != 5 {
-		t.Fatalf("after an absorb with no plan: %+v, want a nil stream at rate 5", snap)
+	if snap := st.Snapshot(); snap.Seq() != nil || snap.Rate != 8 {
+		t.Fatalf("after an absorb with no plan: %d packets at rate %v, want a nil stream at rate 8", len(snap.Seq()), snap.Rate)
 	}
-	st.Apply(&engine.Handoff{OldRate: 5, NewRate: 1.5, Mark: 7})
+	st.Apply(&engine.Handoff{OldRate: 8, NewRate: 1.5, Mark: 7})
 	if !st.Snapshot().Pending {
 		t.Fatal("the hand-off planned no switch")
 	}
@@ -180,8 +181,8 @@ func TestStreamNilSequenceMovesRatesOnly(t *testing.T) {
 	if !st.Switch() {
 		t.Error("the planned switch was not applied")
 	}
-	if snap := st.Snapshot(); snap.Stream != nil || snap.Pending || snap.Rate != 2 {
-		t.Errorf("after the switch: %+v, want a nil stream at rate 2, nothing planned", snap)
+	if snap := st.Snapshot(); snap.Seq() != nil || snap.Pending || snap.Rate != 2 {
+		t.Errorf("after the switch: %d packets at rate %v (pending %v), want a nil stream at rate 2, nothing planned", len(snap.Seq()), snap.Rate, snap.Pending)
 	}
 	if st.Switch() {
 		t.Error("a switch applied with nothing planned")
@@ -235,14 +236,14 @@ func TestStreamSecondPlanAppliesTheFirst(t *testing.T) {
 	want := refSwitch(seq.Range(1, 40), given1, keep1)
 	// The second hand-off marks t6 of the sequence both were planned on.
 	snap := st.Snapshot()
-	markPos := snap.Stream[5].Pos
-	parts, rate := engine.ShareOut(snap.Stream, 5, snap.Rate, 0, 2)
+	markPos := snap.Seq()[5].Pos
+	parts, rate := engine.ShareOut(snap.Seq(), 5, snap.Rate, 0, 2)
 	keep2, given2 := engine.SplitParts(parts)
 	if !st.Apply(&engine.Handoff{Keep: keep2, Given: given2, OldRate: snap.Rate, NewRate: rate, Mark: 5}) {
 		t.Error("the second plan did not report the first switch")
 	}
-	if got := st.Snapshot(); !got.Pending || !seq.Equal(got.Stream, want) {
-		t.Fatalf("the second plan left %d packets (pending %v), want the first switch's %d", len(got.Stream), got.Pending, len(want))
+	if got := st.Snapshot(); !got.Pending || !seq.Equal(got.Seq(), want) {
+		t.Fatalf("the second plan left %d packets (pending %v), want the first switch's %d", len(got.Seq()), got.Pending, len(want))
 	}
 	for !st.Due() {
 		st.Next()
@@ -252,8 +253,8 @@ func TestStreamSecondPlanAppliesTheFirst(t *testing.T) {
 	}
 	want = refSwitch(remainder(&st), given2, keep2)
 	st.Switch()
-	if got := st.Snapshot(); got.Pending || !seq.Equal(got.Stream, want) {
-		t.Errorf("the second switch left %d packets (pending %v), want %d", len(got.Stream), got.Pending, len(want))
+	if got := st.Snapshot(); got.Pending || !seq.Equal(got.Seq(), want) {
+		t.Errorf("the second switch left %d packets (pending %v), want %d", len(got.Seq()), got.Pending, len(want))
 	}
 }
 
@@ -265,12 +266,12 @@ func TestStreamNextRewind(t *testing.T) {
 	for pkt, ok := st.Next(); ok; pkt, ok = st.Next() {
 		sent = append(sent, pkt.Index)
 	}
-	if !reflect.DeepEqual(sent, []int64{1, 2, 3}) || st.Remaining() != 0 {
-		t.Fatalf("sent %v with %d left, want [1 2 3] and none", sent, st.Remaining())
+	if !reflect.DeepEqual(sent, []int64{1, 2, 3}) || st.More() {
+		t.Fatalf("sent %v with more left, want [1 2 3] and none", sent)
 	}
 	st.Rewind()
-	if pkt, ok := st.Next(); !ok || pkt.Index != 1 || st.Remaining() != 2 {
-		t.Errorf("after Rewind: %v (ok %v) with %d left, want t1 and 2 left", pkt, ok, st.Remaining())
+	if pkt, ok := st.Next(); !ok || pkt.Index != 1 || st.Snapshot().Offset != 1 || !st.More() {
+		t.Errorf("after Rewind: %v (ok %v) at offset %d, want t1 at 1 and more left", pkt, ok, st.Snapshot().Offset)
 	}
 }
 

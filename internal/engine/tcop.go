@@ -186,7 +186,7 @@ func (p *Peer) tcopFinalize(effs []Effect, snap Snapshot) []Effect {
 	}
 	k := len(p.confirmed) + 1
 	mark := MarkOffset(snap.Offset, p.cfg.MarkDelta, snap.Rate)
-	parts, rate := ShareOut(snap.Stream, mark, snap.Rate, k, k)
+	parts, rate := ShareOut(snap.Seq(), mark, snap.Rate, k, k)
 	if effs == nil {
 		effs = p.pl.slice()
 	}
@@ -216,6 +216,5 @@ func (p *Peer) tcopOnCommit(m *MsgCommit, snap Snapshot) []Effect {
 	p.noteActivated(m.Round, m.AssignedSeq)
 	effs := p.pl.slice()
 	effs = append(effs, p.pl.activate(m.AssignedSeq, m.Rate, m.Round))
-	cur := Stream{seq: m.AssignedSeq, rate: m.Rate}
-	return p.tcopSelect(effs, m.Round+1, cur.Snapshot())
+	return p.tcopSelect(effs, m.Round+1, Snapshot{Stream: m.AssignedSeq, Rate: m.Rate})
 }

@@ -115,7 +115,7 @@ func TestServeRequestAllocs(t *testing.T) {
 		t.Error("requests re-derived the enhanced sequence")
 	}
 	p.mu.Lock()
-	stream := p.st.Snapshot().Stream
+	stream := p.st.Snapshot().Seq()
 	p.mu.Unlock()
 	want := seq.Div(parity.Enhance(c.Sequence(), 2), 3, 1)
 	if !seq.Equal(stream, want) {

@@ -271,7 +271,7 @@ func (p *Peer) Quiesced(now time.Time, grace time.Duration) bool {
 	if !p.core.Active() {
 		return !now.Before(p.deadline)
 	}
-	return !p.st.Snapshot().Pending && p.st.Remaining() == 0
+	return !p.st.Snapshot().Pending && !p.st.More()
 }
 
 // Outcome returns the peer's coordination outcome (parent, children,
@@ -769,7 +769,7 @@ func (p *Peer) streamLoop() {
 		p.mu.Lock()
 		// A stream that ran out with a switch planned goes round once
 		// more: sendOne applies the switch.
-		active := p.st.Remaining() > 0 || p.st.Due()
+		active := p.st.More() || p.st.Due()
 		rate := p.st.Rate()
 		p.mu.Unlock()
 		if !active {
