@@ -178,6 +178,21 @@ func openAndSettle(t *testing.T, fab *transport.Fabric, leaf *live.Node, sc live
 	}
 }
 
+// checkPayloadFree requires every live peer's shares to carry no
+// payload bytes: a share is a schedule, as the simulator's are, and a
+// serving peer writes each packet's bytes only when it sends it.
+func checkPayloadFree(t *testing.T, proto engine.Protocol, seed int64, outs []engine.Outcome) {
+	t.Helper()
+	for _, o := range outs {
+		for _, pkt := range o.Assigned() {
+			if len(pkt.Payload) > 0 {
+				t.Errorf("%s seed %d: live peer %d holds %s with %d payload bytes", proto, seed, o.ID, pkt.Key(), len(pkt.Payload))
+				return
+			}
+		}
+	}
+}
+
 // liveLog is the live side's flight log for a comparison, its session
 // label dropped: the simulator records its one run unlabeled.
 func liveLog(fl *flight.Set) flight.Log {
@@ -198,7 +213,9 @@ func TestSimLiveConformance(t *testing.T) {
 		for seed := int64(1); seed <= 5; seed++ {
 			simFl, liveFl := flight.NewSet(0), flight.NewSet(0)
 			sim := outcomeLines(simOutcomes(t, proto, seed, simFl))
-			lv := outcomeLines(liveOutcomes(t, proto, seed, liveFl))
+			liveOuts := liveOutcomes(t, proto, seed, liveFl)
+			lv := outcomeLines(liveOuts)
+			checkPayloadFree(t, proto, seed, liveOuts)
 			if sim != lv {
 				report := "flight logs agree (divergence is in post-coordination state)"
 				if d := flight.FirstDivergence(

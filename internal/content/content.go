@@ -7,9 +7,10 @@ package content
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/hex"
 	"fmt"
-	"maps"
+	"slices"
 	"sync"
 
 	"p2pmss/internal/parity"
@@ -28,10 +29,6 @@ type Content struct {
 	// enhanced caches Esq(content, h) per parity interval h, at most
 	// maxIntervals of them. The sequences are read-only once stored.
 	enhanced map[int]seq.Sequence
-	// parity maps the identity hash of every parity packet in enhanced
-	// to the packet; of two identities with one hash, the second is left
-	// out. A build replaces the map, so a reader never sees a write.
-	parity map[uint64]*seq.Packet
 }
 
 // maxIntervals bounds how many parity intervals one content caches its
@@ -99,13 +96,14 @@ func (c *Content) Sequence() seq.Sequence {
 	return s
 }
 
-// Enhanced returns [pkt]^h = Esq(content, h) (§3.2), payload-backed: the
-// value parity.Enhance(c.Sequence(), h) returns, derived once per content
-// and interval and then shared. The result is read-only — its packets'
-// payloads alias the content bytes and the cache — so callers
-// take what they need by value (seq.Div, Clone) and never write through
-// it. Once maxIntervals intervals are cached, any other h is derived
-// afresh on every call and not kept.
+// Enhanced returns [pkt]^h = Esq(content, h) (§3.2) as the schedule a
+// serving peer divides and hands off: payload-free, the value
+// parity.Enhance(seq.Range(1, l), h) returns — the simulator's sequence —
+// derived once per content and interval and then shared. The result is
+// read-only, so callers take what they need by value (seq.Div, Clone)
+// and never write through it; a packet's bytes are written when it is
+// sent (XORPayload). Once maxIntervals intervals are cached, any other h
+// is derived afresh on every call and not kept.
 func (c *Content) Enhanced(h int) seq.Sequence {
 	if h <= 0 {
 		panic(fmt.Sprintf("content: Enhanced interval h=%d must be positive", h))
@@ -115,53 +113,51 @@ func (c *Content) Enhanced(h int) seq.Sequence {
 	if !ok && len(c.enhanced) < maxIntervals {
 		// Built under the lock: concurrent first requests wait for one
 		// build instead of each making their own.
-		s, ok = c.deriveLocked(h), true
+		if c.enhanced == nil {
+			c.enhanced = make(map[int]seq.Sequence, maxIntervals)
+		}
+		s, ok = c.esq(h), true
+		c.enhanced[h] = s
 	}
 	c.mu.Unlock()
 	if !ok {
-		s = parity.Enhance(c.Sequence(), h)
+		s = c.esq(h)
 	}
 	return s
 }
 
-// deriveLocked builds and caches Esq(content, h) and files its parity
-// payloads in a fresh copy of the table. Callers hold c.mu.
-func (c *Content) deriveLocked(h int) seq.Sequence {
-	s := parity.Enhance(c.Sequence(), h)
-	table := make(map[uint64]*seq.Packet, len(c.parity)+len(s)/(h+1)+1)
-	maps.Copy(table, c.parity)
-	for i := range s {
-		if id := s[i].Hash(); !s[i].IsData() && table[id] == nil {
-			table[id] = &s[i]
+// esq derives the payload-free Esq(content, h).
+func (c *Content) esq(h int) seq.Sequence { return parity.Enhance(seq.Range(1, c.NumPackets()), h) }
+
+// XORPayload XORs the payload of packet p into buf, first extending buf
+// with zeros to the payload's length, and returns buf: into an empty buf
+// it writes p's payload. A data packet's bytes are the content's (none
+// for an index outside 1..l); a parity's are the XOR of the packets it
+// covers, recursively, since re-enhancement at each coordination level
+// nests parity over parity and what a nested parity covers depends on
+// the session's hand-off marks, not on the content alone. It allocates
+// only when buf must grow.
+func (c *Content) XORPayload(buf []byte, p seq.Packet) []byte {
+	if !p.IsData() {
+		for i := 0; i < p.NumCovers(); i++ {
+			buf = c.XORPayload(buf, p.Cover(i))
 		}
+		return buf
 	}
-	if c.enhanced == nil {
-		c.enhanced = make(map[int]seq.Sequence, maxIntervals)
+	pl := c.Payload(p.Index)
+	if n := len(buf); len(pl) > n {
+		buf = slices.Grow(buf, len(pl)-n)[:len(pl)]
+		clear(buf[n:])
 	}
-	c.enhanced[h], c.parity = s, table
-	return s
-}
-
-// ParityPayload returns the payload of the parity packet with p's
-// identity if a cached enhanced sequence holds it. The bytes are shared
-// and read-only. A parity the cache does not hold — one nested by a
-// later coordination level, or of an interval past the bound — is the
-// caller's to XOR from its covers.
-func (c *Content) ParityPayload(p seq.Packet) ([]byte, bool) {
-	c.mu.Lock()
-	table := c.parity
-	c.mu.Unlock()
-	if q := table[p.Hash()]; q != nil && seq.SameIdentity(q, &p) {
-		return q.Payload, true
-	}
-	return nil, false
+	subtle.XORBytes(buf, buf, pl)
+	return buf
 }
 
 // dropDerived releases everything Enhanced cached. Sequences already
 // handed out stay valid; they are simply no longer shared.
 func (c *Content) dropDerived() {
 	c.mu.Lock()
-	c.enhanced, c.parity = nil, nil
+	c.enhanced = nil
 	c.mu.Unlock()
 }
 

@@ -35,28 +35,57 @@ func samePackets(t *testing.T, got, want seq.Sequence) {
 	}
 }
 
-// The cache returns the value Enhance returns, and returns the same one
-// every time.
+// esq is the simulator's Esq(content, h): payload-free.
+func esq(c *Content, h int) seq.Sequence { return parity.Enhance(seq.Range(1, c.NumPackets()), h) }
+
+// sameBytes requires XORPayload to write, for every packet of s, the
+// bytes the payload-backed reference packet carries, reusing one buffer.
+func sameBytes(t *testing.T, c *Content, s, ref seq.Sequence) {
+	t.Helper()
+	var buf []byte
+	for i, p := range s {
+		buf = c.XORPayload(buf[:0], p)
+		if !bytes.Equal(buf, ref[i].Payload) {
+			t.Fatalf("XORPayload(%s) = %x, the reference carries %x", p.Key(), buf, ref[i].Payload)
+		}
+	}
+}
+
+// The cache returns the simulator's payload-free sequence, and returns
+// the same one every time; XORPayload writes each of its packets the
+// bytes parity.Enhance(c.Sequence(), h) gives it.
 func TestEnhancedEqualsEnhance(t *testing.T) {
 	c := shortTail(1)
 	for _, h := range []int{1, 2, 3, 7} {
-		want := parity.Enhance(c.Sequence(), h)
 		got := c.Enhanced(h)
-		samePackets(t, got, want)
+		samePackets(t, got, esq(c, h))
 		if again := c.Enhanced(h); &again[0] != &got[0] {
 			t.Errorf("h=%d: a second call derived the sequence again", h)
 		}
-		for _, p := range want {
-			pl, ok := c.ParityPayload(p)
-			if p.IsData() == ok || ok && !bytes.Equal(pl, p.Payload) {
-				t.Errorf("h=%d: ParityPayload(%s) = %x, %v; the packet carries %x", h, p.Key(), pl, ok, p.Payload)
-			}
-		}
+		sameBytes(t, c, got, parity.Enhance(c.Sequence(), h))
 	}
-	inner := seq.NewParity([]seq.Packet{seq.NewData(7), seq.NewData(8)}, 7.5)
-	nested := seq.NewParity([]seq.Packet{seq.NewData(5), inner}, 7.25)
-	if _, ok := c.ParityPayload(nested); ok {
-		t.Error("the table holds a nested parity no enhanced content sequence contains")
+	// The §3.6 nesting t⟨5,⟨7,8⟩⟩: a parity over a parity, as a later
+	// coordination level builds it, and one reaching past the content.
+	inner := seq.NewParity([]seq.Packet{c.Packet(7), c.Packet(8)}, 7.5)
+	inner.Payload = parity.XOR([][]byte{c.Payload(7), c.Payload(8)})
+	nested := seq.NewParity([]seq.Packet{c.Packet(5), inner}, 7.25)
+	nested.Payload = parity.XOR([][]byte{c.Payload(5), inner.Payload})
+	tail := seq.NewParity([]seq.Packet{c.Packet(c.NumPackets()), seq.NewData(c.NumPackets() + 1)}, 40)
+	tail.Payload = c.Payload(c.NumPackets())
+	sameBytes(t, c, seq.Sequence{inner, nested, tail}, seq.Sequence{inner, nested, tail})
+}
+
+// Writing a payload into a buffer that fits it allocates nothing.
+func TestXORPayloadAllocs(t *testing.T) {
+	c := shortTail(6)
+	s := c.Enhanced(2)
+	buf := c.XORPayload(nil, s[2])
+	if n := testing.AllocsPerRun(100, func() {
+		for _, p := range s {
+			buf = c.XORPayload(buf[:0], p)
+		}
+	}); n != 0 {
+		t.Errorf("writing %d payloads into a reused buffer: %.0f allocs, want 0", len(s), n)
 	}
 }
 
@@ -84,7 +113,7 @@ func TestPayload(t *testing.T) {
 func TestEnhancedIntervalBound(t *testing.T) {
 	c := shortTail(3)
 	for h := 1; h <= maxIntervals+3; h++ {
-		samePackets(t, c.Enhanced(h), parity.Enhance(c.Sequence(), h))
+		samePackets(t, c.Enhanced(h), esq(c, h))
 	}
 	if got := len(c.enhanced); got != maxIntervals {
 		t.Errorf("%d intervals cached, want the bound %d", got, maxIntervals)
@@ -93,9 +122,6 @@ func TestEnhancedIntervalBound(t *testing.T) {
 	a, b := c.Enhanced(h), c.Enhanced(h)
 	if &a[0] == &b[0] {
 		t.Errorf("h=%d is past the bound but was cached", h)
-	}
-	if _, ok := c.ParityPayload(a[0]); ok {
-		t.Errorf("h=%d is past the bound but its parity %s is in the table", h, a[0].Key())
 	}
 	if first := c.Enhanced(1); &first[0] != &c.Enhanced(1)[0] {
 		t.Error("a cached interval was evicted")
@@ -109,10 +135,10 @@ func TestStoreRemoveDropsDerived(t *testing.T) {
 	s := NewStore()
 	s.Put(c)
 	before := c.Enhanced(2)
-	want := parity.Enhance(c.Sequence(), 2)
+	want := esq(c, 2)
 	s.Remove(c.ID())
 	s.Remove("never stored")
-	if c.enhanced != nil || c.parity != nil {
+	if c.enhanced != nil {
 		t.Error("Remove left the derivation in place")
 	}
 	samePackets(t, before, want)
@@ -124,9 +150,10 @@ func TestStoreRemoveDropsDerived(t *testing.T) {
 	samePackets(t, after, want)
 }
 
-// Many sessions ask for the same derivation at once while the content is
-// removed and re-added; run under -race. Nobody may write through what
-// Enhanced returns, so the content bytes and every reader's view hold.
+// Many sessions ask for the same derivation at once, and write their
+// packets' payloads, while the content is removed and re-added; run
+// under -race. Nobody may write through what Enhanced returns or through
+// the content, so the content bytes and every reader's view hold.
 func TestEnhancedConcurrent(t *testing.T) {
 	c := shortTail(5)
 	pristine := bytes.Clone(c.data)
@@ -139,19 +166,15 @@ func TestEnhancedConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			h := 2 + g%2
+			var buf []byte
 			for i := 0; i < 50; i++ {
 				got := seq.Div(c.Enhanced(h), 3, g%3)
 				exp := seq.Div(want[h], 3, g%3)
 				for j := range exp {
-					if !seq.SameIdentity(&got[j], &exp[j]) || !bytes.Equal(got[j].Payload, exp[j].Payload) {
-						t.Errorf("goroutine %d: share packet %d is %v, want %v", g, j, got[j], exp[j])
+					buf = c.XORPayload(buf[:0], got[j])
+					if !seq.SameIdentity(&got[j], &exp[j]) || got[j].Payload != nil || !bytes.Equal(buf, exp[j].Payload) {
+						t.Errorf("goroutine %d: share packet %d is %v with payload %x, want %v", g, j, got[j], buf, exp[j])
 						return
-					}
-					if !exp[j].IsData() {
-						if pl, ok := c.ParityPayload(exp[j]); ok && !bytes.Equal(pl, exp[j].Payload) {
-							t.Errorf("goroutine %d: table payload of %v differs", g, exp[j])
-							return
-						}
 					}
 				}
 			}

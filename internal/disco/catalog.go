@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -101,6 +102,9 @@ type Catalog struct {
 	ownSig  uint64
 	entries map[string]*entry // remote records by address
 	closed  bool
+	// changed is closed, and replaced, whenever a record is added or its
+	// owner's announcement changes: WaitRoster and WaitContent block on it.
+	changed chan struct{}
 
 	loop *gossip.Live
 }
@@ -129,6 +133,7 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 		met:     newCatalogMetrics(cfg.Metrics, cfg.Self),
 		entries: make(map[string]*entry),
 		own:     Record{Addr: cfg.Self, Bandwidth: cfg.Bandwidth},
+		changed: make(chan struct{}),
 	}
 	// Sign the initial announcement synchronously so the directory is
 	// self-aware (Lookup finds our own contents) before the first round.
@@ -227,6 +232,9 @@ func (c *Catalog) payload(refresh bool) []byte {
 			sort.Strings(contents)
 		}
 		if len(contents) > 0 {
+			if c.own.Version == 0 || !slices.Equal(contents, c.own.Contents) {
+				c.signalLocked()
+			}
 			c.own.Version++
 			c.own.Contents = contents
 			c.ownSig = sign(c.cfg.Seed, c.own.Addr, contents, c.own.Bandwidth, c.own.Version)
@@ -259,6 +267,12 @@ func (c *Catalog) payload(refresh bool) []byte {
 		return nil
 	}
 	return b
+}
+
+// signalLocked wakes every waiter on the directory. Callers hold c.mu.
+func (c *Catalog) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
 }
 
 // sweepLocked drops expired remote records. Callers hold c.mu.
@@ -299,6 +313,7 @@ func (c *Catalog) Deliver(from string, payload []byte) {
 		return
 	}
 	_, knewSender := c.entries[from]
+	changed := false
 	for _, wr := range body.Records {
 		if wr.Addr == c.cfg.Self || wr.TTLMs <= 0 {
 			continue
@@ -318,17 +333,22 @@ func (c *Catalog) Deliver(from string, payload []byte) {
 				Addr: wr.Addr, Contents: wr.Contents, Bandwidth: wr.Bandwidth,
 				Version: wr.Version, Expires: expires,
 			}, sig: wr.Sig}
+			changed = true
 		case wr.Version > e.rec.Version:
 			e.rec = Record{
 				Addr: wr.Addr, Contents: wr.Contents, Bandwidth: wr.Bandwidth,
 				Version: wr.Version, Expires: expires,
 			}
 			e.sig = wr.Sig
+			changed = true
 		case wr.Version == e.rec.Version && expires.After(e.rec.Expires):
 			e.rec.Expires = expires
 		}
 	}
 	_, knowSender := c.entries[from]
+	if changed {
+		c.signalLocked()
+	}
 	c.met.records.Set(float64(c.recordsLocked()))
 	c.mu.Unlock()
 	if from != "" && from != c.cfg.Self && !knewSender && knowSender {
@@ -427,17 +447,29 @@ func (c *Catalog) WaitContent(contentID string, n int, timeout time.Duration) er
 	}, fmt.Sprintf("%d peers for content %q", n, contentID))
 }
 
+// waitFor blocks until cond holds, checking it again whenever the
+// directory changes, or errors once timeout has passed.
 func (c *Catalog) waitFor(timeout time.Duration, cond func() (int, bool), what string) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
+		// The channel is taken before cond reads the directory, so a change
+		// made after that read closes the very channel waited on.
+		c.mu.Lock()
+		changed := c.changed
+		c.mu.Unlock()
 		got, ok := cond()
 		if ok {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-changed:
+		case <-deadline.C:
+			if got, ok = cond(); ok {
+				return nil
+			}
 			return fmt.Errorf("disco: %s not reached within %s (have %d)", what, timeout, got)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -2,6 +2,7 @@ package disco
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -324,5 +325,40 @@ func TestNewerVersionWins(t *testing.T) {
 	}
 	if got := watcher.Lookup("old"); len(got) != 0 {
 		t.Errorf("stale catalog resurrected: lookup(old) = %v", got)
+	}
+}
+
+// A waiter blocks on the directory, not on a clock: WaitContent returns
+// on the Deliver that brings the record it waits for, and WaitRoster
+// reports what it had when its deadline passes.
+func TestWaitWakesOnDeliver(t *testing.T) {
+	quiet := func(self string, contents ...string) *Catalog {
+		c, err := NewCatalog(CatalogConfig{Self: self, Contents: func() []string { return contents },
+			Send: func(string, []byte) {}, Interval: time.Hour, Seed: 77})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	a, b := quiet("a", "movie"), quiet("b", "other")
+	done := make(chan error, 1)
+	go func() { done <- b.WaitContent("movie", 1, time.Minute) }()
+	select {
+	case err := <-done:
+		t.Fatalf("WaitContent returned before any announcement: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	b.Deliver("a", a.payload(false))
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitContent slept through the announcement")
+	}
+	if err := b.WaitRoster(3, 10*time.Millisecond); err == nil || !strings.Contains(err.Error(), "(have 2)") {
+		t.Errorf("WaitRoster past its deadline: %v, want an error with (have 2)", err)
 	}
 }

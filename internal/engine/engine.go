@@ -153,12 +153,12 @@ func (s Snapshot) Seq() seq.Sequence {
 // mergedWith is the snapshot a selection following §3.4's merge of
 // share at rate divides: the unsent remainder ∪ share from its first
 // packet, at the summed rate. In control-plane-only mode (a nil stream
-// merging a nil share) it is the snapshot's offset and rate as they
-// were.
+// merging a nil share) it keeps the snapshot's offset, at the summed
+// rate too.
 func (s Snapshot) mergedWith(share seq.Sequence, rate float64) Snapshot {
 	stream := s.Seq()
 	if stream == nil && share == nil {
-		return Snapshot{Offset: s.Offset, Rate: s.Rate}
+		return Snapshot{Offset: s.Offset, Rate: s.Rate + rate}
 	}
 	var rem seq.Sequence
 	if s.Offset < len(stream) {

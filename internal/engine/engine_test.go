@@ -664,3 +664,66 @@ func TestMarkOffsetFloors(t *testing.T) {
 		}
 	}
 }
+
+// A DCoP peer that merges a parent's share and then selects divides the
+// merged stream at the summed rate, in control-plane-only mode (nil
+// streams, Figures 10/11) as in the packet plane: its children's
+// ChildRate and its hand-off's OldRate are the packet plane's.
+func TestMergeThenSelectAtSummedRate(t *testing.T) {
+	cfg := baseConfig(8, 3, true)
+	cfg.FirstFanout = 1 // the leaf-selected peer keeps selection budget
+	const rate, childRate = 40.0, 15.0
+	content := parity.Enhance(seq.Range(1, 90), cfg.Interval)
+	type result struct {
+		childRates []float64
+		oldRate    float64
+		handoffs   int
+	}
+	run := func(assigned, share seq.Sequence) result {
+		t.Helper()
+		c := cfg
+		if err := c.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		p := engine.NewPeer(c, 0, rand.New(des.NewSource(engine.PeerSeed(1, 0))))
+		p.Handle(&engine.Request{Assigned: assigned, Rate: rate, Selected: []engine.PeerID{0, 1, 2}, Round: 1}, engine.Snapshot{})
+		// Peer 1, also leaf-selected, hands this one a share: a merge, then
+		// a selection with the two children left of the §3.3 budget.
+		effs := p.Handle(&engine.Control{Msg: &engine.MsgControl{
+			Parent: 1, View: []engine.PeerID{1}, Rate: rate, ChildRate: childRate,
+			Children: 2, ChildIdx: 1, Round: 2, AssignedSeq: share,
+		}}, engine.Snapshot{Stream: assigned, Rate: rate})
+		var r result
+		for _, e := range effs {
+			switch e := e.(type) {
+			case *engine.Send:
+				if m, ok := e.Msg.(*engine.MsgControl); ok {
+					r.childRates = append(r.childRates, m.ChildRate)
+				}
+			case *engine.Handoff:
+				r.oldRate, r.handoffs = e.OldRate, r.handoffs+1
+			}
+		}
+		return r
+	}
+	packet := run(seq.Div(content, 3, 0), seq.Div(content, 3, 1))
+	fluid := run(nil, nil)
+	if packet.handoffs != 1 || len(packet.childRates) != 2 {
+		t.Fatalf("the packet plane's merge selected %d children in %d hand-offs, want 2 in 1",
+			len(packet.childRates), packet.handoffs)
+	}
+	want := (rate + childRate) * float64(cfg.Interval+1) / float64(cfg.Interval*3)
+	for _, r := range []result{packet, fluid} {
+		if r.oldRate != rate+childRate {
+			t.Errorf("hand-off OldRate %v, want the merged rate %v", r.oldRate, rate+childRate)
+		}
+		if len(r.childRates) != len(packet.childRates) {
+			t.Fatalf("%d children, the packet plane selects %d", len(r.childRates), len(packet.childRates))
+		}
+		for _, cr := range r.childRates {
+			if cr != want {
+				t.Errorf("ChildRate %v, want %v", cr, want)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -25,28 +26,64 @@ func bulkContent() *content.Content {
 }
 
 // hostedPeer is the serving peer of session "s" on a node that holds c
-// alone under a one-node roster.
+// alone under a one-node roster. Its packets reach a "leaf" that drops
+// them: a send to an address with no endpoint allocates its error, at
+// the stream's pace, which a benchmark would count.
 func hostedPeer(tb testing.TB, c *content.Content, reg *metrics.Registry) *Peer {
 	tb.Helper()
+	f := transport.NewFabric()
+	sink := f.Endpoint("leaf", func(transport.Msg) {})
 	nd, err := NewNode(NodeConfig{Store: storeOf(c), Roster: []string{"cp"}, H: 3, Interval: 2, Seed: 1,
-		Obs: engine.Observability{Metrics: reg}}, WithFabric(transport.NewFabric(), "cp"))
+		Obs: engine.Observability{Metrics: reg}}, WithFabric(f, "cp"))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { nd.Close() })
+	tb.Cleanup(func() {
+		nd.Close()
+		sink.Close()
+	})
 	return serve(tb, nd, "s")
 }
 
-// offTheWire is s as a commit's receiver sees it: payload-stripped,
-// encoded and decoded again.
-func offTheWire(tb testing.TB, s seq.Sequence) seq.Sequence {
+// level1 is the share of the second of two peers a leaf asks for an
+// h = 2 enhanced content: data and content-level parities alike. (Of
+// three peers' shares, each is all data or all parity.)
+func level1(s seq.Sequence) seq.Sequence { return seq.Div(s, 2, 1) }
+
+// handedOff is the share a TCoP hand-off gives child 1 of 2 from the
+// level-1 share, with parities nested over level-1 parities: free as the
+// engine holds it, payload-free, and ref the same share built from
+// payload-backed packets — engine.ShareOut over
+// parity.Enhance(c.Sequence(), 2).
+func handedOff(c *content.Content) (free, ref seq.Sequence) {
+	const mark = 24
+	frees, _ := engine.ShareOut(level1(c.Enhanced(2)), mark, 100, 2, 3)
+	refs, _ := engine.ShareOut(level1(parity.Enhance(c.Sequence(), 2)), mark, 100, 2, 3)
+	return frees[1], refs[1]
+}
+
+// decodeData is the packet a data frame carries.
+func decodeData(tb testing.TB, frame []byte) seq.Packet {
 	tb.Helper()
-	r := wire.NewReader(seq.AppendSequence(nil, stripPayloads(s)))
-	got := seq.ReadSequence(&r)
-	if err := r.Done(); err != nil {
+	var b dataBody
+	if err := b.DecodeWire(frame); err != nil {
 		tb.Fatal(err)
 	}
-	return got
+	return b.Pkt
+}
+
+// packetKind names what a packet is: data, a parity over data, or a
+// parity nested over another parity.
+func packetKind(p seq.Packet) string {
+	if p.IsData() {
+		return "data"
+	}
+	for i := 0; i < p.NumCovers(); i++ {
+		if !p.Cover(i).IsData() {
+			return "nested parity"
+		}
+	}
+	return "parity"
 }
 
 // A well-framed request naming a division that does not exist used to
@@ -100,8 +137,9 @@ func TestRequestOutsideDivisionIsRejected(t *testing.T) {
 }
 
 // Serving a request costs what the peer's own share costs, not what the
-// content costs: the derivation is the content's, made once. Before the
-// cache a 2048-packet request made about 7,200 allocations.
+// content costs: the derivation is the content's, made once, and holds
+// no payload. Before the cache a 2048-packet request made about 7,200
+// allocations.
 func TestServeRequestAllocs(t *testing.T) {
 	c := bulkContent()
 	p := hostedPeer(t, c, nil)
@@ -117,61 +155,68 @@ func TestServeRequestAllocs(t *testing.T) {
 	p.mu.Lock()
 	stream := p.st.Snapshot().Seq()
 	p.mu.Unlock()
-	want := seq.Div(parity.Enhance(c.Sequence(), 2), 3, 1)
-	if !seq.Equal(stream, want) {
+	if want := seq.Div(parity.Enhance(seq.Range(1, c.NumPackets()), 2), 3, 1); !seq.Equal(stream, want) {
 		t.Fatal("the peer streams a different share than Div(Esq(content, h), H, i)")
 	}
-	for i, pkt := range stream {
-		if !bytes.Equal(pkt.Payload, want[i].Payload) {
-			t.Fatalf("%v carries other bytes than Enhance gave it", pkt)
+	for _, pkt := range stream {
+		if pkt.Payload != nil {
+			t.Fatalf("%v carries %d bytes in the peer's schedule", pkt, len(pkt.Payload))
 		}
 	}
 }
 
-// Hydrating a commit looks payloads up: one allocation for the sequence
-// however long it is, and one XOR buffer per parity the content does not
-// hold (one nested by a later coordination level).
-func TestHydrateCommitAllocs(t *testing.T) {
+// Every packet a serving peer sends carries the bytes the payload-backed
+// reference gives it — data, a content-level parity, and a parity nested
+// by a TCoP hand-off — written into the streaming goroutine's reused
+// buffers, so the send path allocates nothing per packet.
+func TestSendWritesReferencePayloads(t *testing.T) {
 	c := bulkContent()
-	share := seq.Div(c.Enhanced(2), 3, 1)
-	level1 := offTheWire(t, share)
-	var got seq.Sequence
-	if n := testing.AllocsPerRun(20, func() { got = hydrate(c, level1) }); n > 2 {
-		t.Errorf("hydrating a level-1 commit of %d packets: %.0f allocs, want <= 2", len(level1), n)
+	level2, ref2 := handedOff(c)
+	levels := []struct{ free, ref seq.Sequence }{
+		{level1(c.Enhanced(2)), level1(parity.Enhance(c.Sequence(), 2))},
+		{level2, ref2},
 	}
-	checkHydrated(t, got, share)
-
-	reenhanced := parity.Enhance(share[:60], 2)
-	nested := 0
-	for _, pkt := range reenhanced {
-		if _, held := c.ParityPayload(pkt); !pkt.IsData() && !held {
-			nested++
+	kinds := make(map[string]int)
+	var bufs sendBufs
+	for _, lv := range levels {
+		if !seq.Equal(lv.free, lv.ref) {
+			t.Fatal("the payload-free share is not the reference's share")
+		}
+		for i, pkt := range lv.free {
+			if pkt.Payload != nil {
+				t.Fatalf("%v carries bytes in the schedule", pkt)
+			}
+			sent, want := decodeData(t, bufs.encode(c, pkt)), lv.ref[i]
+			if !seq.SameIdentity(&sent, &want) || sent.Pos != want.Pos || !bytes.Equal(sent.Payload, want.Payload) {
+				t.Fatalf("sent %v with %x, the reference is %v with %x", sent, sent.Payload, want, want.Payload)
+			}
+			kinds[packetKind(pkt)]++
 		}
 	}
-	if nested == 0 {
-		t.Fatal("re-enhancing a share nested no parity")
+	for _, k := range []string{"data", "parity", "nested parity"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s packet was sent", k)
+		}
 	}
-	level2 := offTheWire(t, reenhanced)
-	if n := testing.AllocsPerRun(20, func() { got = hydrate(c, level2) }); n > float64(2+nested) {
-		t.Errorf("hydrating a commit with %d nested parities: %.0f allocs, want <= %d", nested, n, 2+nested)
+	if n := testing.AllocsPerRun(20, func() {
+		for _, pkt := range level2 {
+			bufs.encode(c, pkt)
+		}
+	}); n != 0 {
+		t.Errorf("encoding the %d frames of a level-2 share: %.0f allocs, want 0", len(level2), n)
 	}
-	checkHydrated(t, got, reenhanced)
 
-	// A parity of an interval the content has not cached, and the §3.6
-	// nesting t⟨5,⟨7,8⟩⟩ spelled only by its key, take the XOR path too.
-	other := parity.Enhance(c.Sequence()[:9], 3)
-	checkHydrated(t, hydrate(c, offTheWire(t, other)), other)
-	inner := seq.NewParity([]seq.Packet{c.Packet(7), c.Packet(8)}, 8.5)
-	inner.Payload = parity.XOR([][]byte{c.Payload(7), c.Payload(8)})
-	outer := seq.NewParity([]seq.Packet{c.Packet(5), inner}, 8.75)
-	outer.Payload = parity.XOR([][]byte{c.Payload(5), inner.Payload})
-	checkHydrated(t, hydrate(c, offTheWire(t, seq.Sequence{outer})), seq.Sequence{outer})
-
-	// What the content cannot back hydrates to nothing, not to a panic.
+	// What the content cannot back goes out payload-free, not as a panic,
+	// and so does everything a peer without the content streams.
 	odd := seq.Sequence{{Index: 1 << 40, Pos: 1}, {Index: -1, Pos: 2}, seq.NewParity(nil, 4)}
-	for _, pkt := range hydrate(c, offTheWire(t, odd)) {
-		if pkt.Payload != nil {
-			t.Errorf("%v hydrated to %d bytes", pkt, len(pkt.Payload))
+	for _, pkt := range odd {
+		if sent := decodeData(t, bufs.encode(c, pkt)); len(sent.Payload) != 0 {
+			t.Errorf("%v went out with %d bytes", pkt, len(sent.Payload))
+		}
+	}
+	for _, pkt := range level2[:8] {
+		if sent := decodeData(t, bufs.encode(nil, pkt)); len(sent.Payload) != 0 {
+			t.Errorf("%v went out with %d bytes from no content", pkt, len(sent.Payload))
 		}
 	}
 	// What no packet spells — a parity covering a key that is not one, a
@@ -188,24 +233,89 @@ func TestHydrateCommitAllocs(t *testing.T) {
 	}
 }
 
+// A share is a schedule: a commit (TCoP) or control (DCoP) whose
+// Assigned packets carry bytes — forged ones here — hands the engine a
+// sequence holding none of them, and the peer streams every packet with
+// the bytes the reference gives it.
+func TestHandedOffShareCarriesNoBytes(t *testing.T) {
+	c := bulkContent()
+	free, ref := handedOff(c)
+	forged := slices.Clone(ref)
+	for i := range forged {
+		forged[i].Payload = []byte("forged")
+	}
+	want := make(map[string][]byte, len(ref))
+	for _, pkt := range ref {
+		want[pkt.Key()] = pkt.Payload
+	}
+	for _, proto := range []Protocol{engine.TCoP, engine.DCoP} {
+		f := transport.NewFabric()
+		var mu sync.Mutex
+		got := make(map[string][]byte)
+		all := make(chan struct{})
+		leafEP := f.Endpoint("leaf", func(m transport.Msg) {
+			var b dataBody
+			if m.Type == typeData && b.DecodeWire(m.Payload) == nil {
+				mu.Lock()
+				if _, dup := got[b.Pkt.Key()]; !dup {
+					got[b.Pkt.Key()] = bytes.Clone(b.Pkt.Payload)
+					if len(got) == len(want) {
+						close(all)
+					}
+				}
+				mu.Unlock()
+			}
+		})
+		defer leafEP.Close()
+		nd, err := NewNode(NodeConfig{Store: storeOf(c), Roster: []string{"cp"}, H: 3, Interval: 2, Protocol: proto, Seed: 1},
+			WithFabric(f, "cp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		p := serve(t, nd, "s")
+		typ, body := typeCommit, transport.WireAppender(commitBody{Parent: "cp9", Leaf: "leaf", ContentID: "bulk",
+			Rate: 20000, Streams: 2, ChildIdx: 1, Round: 2, Assigned: forged})
+		if proto == engine.DCoP {
+			typ, body = typeControl, controlBody{Parent: "cp9", Leaf: "leaf", ContentID: "bulk",
+				Rate: 20000, ChildRate: 20000, Children: 1, ChildIdx: 1, Round: 2, Assigned: forged}
+		}
+		p.handle(transport.Msg{Type: typ, From: "cp9", Payload: body.AppendWire(nil)})
+		p.mu.Lock()
+		stream := p.st.Snapshot().Seq()
+		p.mu.Unlock()
+		if !seq.Equal(stream, free) {
+			t.Fatalf("%s: the peer streams %d packets, want the %d of the share", proto, len(stream), len(free))
+		}
+		for _, pkt := range append(stream, p.Outcome().Assigned()...) {
+			if pkt.Payload != nil {
+				t.Fatalf("%s: %v kept %q from the wire", proto, pkt, pkt.Payload)
+			}
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+		}
+		mu.Lock()
+		if len(got) != len(want) {
+			t.Errorf("%s: the leaf received %d packets, want %d", proto, len(got), len(want))
+		}
+		for k, pl := range got {
+			if !bytes.Equal(pl, want[k]) {
+				t.Errorf("%s: %s arrived with %x, want %x", proto, k, pl, want[k])
+				break
+			}
+		}
+		mu.Unlock()
+	}
+}
+
 // oddPacket is the wire form of a packet of the given kind at position
 // 3 naming the given covers, which no constructor builds unless they
 // are cover keys of a parity.
 func oddPacket(kind seq.Kind, covers ...string) []byte {
 	b := wire.AppendFloat(wire.AppendUvarint([]byte{byte(kind)}, 0), 3)
 	return wire.AppendBytes(wire.AppendStrings(b, covers), nil)
-}
-
-func checkHydrated(t *testing.T, got, want seq.Sequence) {
-	t.Helper()
-	if !seq.Equal(got, want) {
-		t.Fatalf("hydrated %v, want %v", got, want)
-	}
-	for i, pkt := range got {
-		if !bytes.Equal(pkt.Payload, want[i].Payload) {
-			t.Fatalf("%v hydrated to other bytes than the sender derived", pkt)
-		}
-	}
 }
 
 // Sixteen sessions stream one shared content at once while it is removed
@@ -403,17 +513,22 @@ func BenchmarkServeRequest(b *testing.B) {
 	})
 }
 
-var hydrateSink seq.Sequence
-
-// BenchmarkHydrateCommit is a child's cost of filling in the payloads of
-// a committed level-1 share (1024 packets, a third of them parity) of a
-// content it has already served once.
-func BenchmarkHydrateCommit(b *testing.B) {
+// BenchmarkEncodeShare is a serving peer's cost of writing every data
+// frame of a level-2 share — a TCoP hand-off over Div(Esq(content, 2),
+// 2, 1), nested parities included — payloads and all, into the streaming
+// goroutine's reused buffers.
+func BenchmarkEncodeShare(b *testing.B) {
 	c := bulkContent()
-	assigned := offTheWire(b, seq.Div(c.Enhanced(2), 3, 1))
+	share, _ := handedOff(c)
+	var bufs sendBufs
+	for _, pkt := range share {
+		bufs.encode(c, pkt)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hydrateSink = hydrate(c, assigned)
+		for _, pkt := range share {
+			bufs.encode(c, pkt)
+		}
 	}
 }

@@ -115,7 +115,7 @@ func TestMergeBeforeMarkKeepsSwitchPoint(t *testing.T) {
 	// restarts the stream on its unsent remainder, well before the mark.
 	redundant := controlBody{
 		Parent: "other", Leaf: "leaf", ContentID: "movie", Rate: 100, ChildRate: 10,
-		Children: 1, ChildIdx: 1, Round: 2, Assigned: stripPayloads(c.Enhanced(2)[500:510]),
+		Children: 1, ChildIdx: 1, Round: 2, Assigned: c.Enhanced(2)[500:510],
 	}
 	p.handle(transport.Msg{Type: typeControl, From: "other", Payload: redundant.AppendWire(nil)})
 	if got := p.Sent(); got >= 150 {

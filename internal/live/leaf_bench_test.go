@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
+	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/transport"
 )
@@ -19,7 +20,8 @@ import (
 // whole session, set-up included; allocs/pkt is per delivered packet.
 func BenchmarkLeafStream(b *testing.B) {
 	const size, packetSize, h = 1 << 20, 1024, 2
-	enhanced := content.New("bench", randomData(size, 91), packetSize).Enhanced(h)
+	c := content.New("bench", randomData(size, 91), packetSize)
+	enhanced := parity.Enhance(c.Sequence(), h) // payload-backed: what the senders' frames carry
 	roster := []string{"cp0", "cp1", "cp2"}
 	f := transport.NewBoundedQueuedFabric(256, transport.QueueBlock)
 	var senders []transport.Endpoint

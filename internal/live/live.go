@@ -21,10 +21,16 @@
 // The protocol transitions themselves live in internal/engine, shared
 // with the simulator; this package is the wall-clock driver. A Peer
 // decodes transport messages into engine events, translates roster
-// addresses to engine peer ids, hydrates payload-stripped sequences from
-// its content copy, and applies the engine's effects: Send becomes a
-// wire message, SetTimer a time.AfterFunc, and the data-plane effects go
-// to the engine.Stream the streaming goroutine sends from.
+// addresses to engine peer ids, and applies the engine's effects: Send
+// becomes a wire message, SetTimer a time.AfterFunc, and the data-plane
+// effects go to the engine.Stream the streaming goroutine sends from.
+//
+// The sequences the engine divides and hands off are payload-free
+// schedules, the simulator's own: controls and commits carry them as
+// they are, and a share a sender filled with bytes keeps none of them.
+// Payloads live at the edges only — the streaming goroutine writes each
+// packet's bytes from its content copy as it sends the packet, and the
+// leaf assembles them.
 //
 // A Node hosts a content.Store on one endpoint and multiplexes many
 // concurrent sessions — serving some as a contents peer and consuming
@@ -89,8 +95,8 @@ type requestBody struct {
 }
 
 // controlBody is the control packet c1 — engine.MsgControl on the wire,
-// with peers named by address and the assigned sequence payload-stripped
-// (the receiver re-derives payloads from its own content copy).
+// with peers named by address and the assigned sequence a payload-free
+// schedule (the receiver streams it from its own content copy).
 type controlBody struct {
 	// Roster propagates a discovered session membership (see
 	// requestBody.Roster); empty on static sessions.
@@ -116,7 +122,7 @@ type confirmBody struct {
 }
 
 // commitBody is TCoP's c2 (and the mid-stream join grant), carrying the
-// child's payload-stripped subsequence.
+// child's payload-free subsequence.
 type commitBody struct {
 	// Roster propagates a discovered session membership (see
 	// requestBody.Roster); empty on static sessions.
@@ -350,68 +356,36 @@ func (p *Peer) addrsOfLocked(ids []engine.PeerID) []string {
 
 // ---- payload codec ------------------------------------------------------
 
-// stripPayloads returns a copy of s with payloads removed, for the wire:
-// the receiver holds the content and re-derives every payload locally,
-// so control traffic stays proportional to sequence length, not content
-// size.
-func stripPayloads(s seq.Sequence) seq.Sequence {
-	if s == nil {
-		return nil
+// dropPayloads returns a share decoded off the wire as the engine's
+// payload-free schedule, dropping in place whatever bytes its sender put
+// in its packets: they alias the borrowed transport buffer, and the
+// serving peer writes each packet's bytes when it sends it.
+func dropPayloads(s seq.Sequence) seq.Sequence {
+	for i := range s {
+		s[i].Payload = nil
 	}
-	out := make(seq.Sequence, len(s))
-	for i, pkt := range s {
-		pkt.Payload = nil
-		out[i] = pkt
-	}
-	return out
+	return s
 }
 
-// hydrate fills in the payloads of a decoded sequence from the peer's
-// own content copy, which is shared and read-only: a data packet's bytes
-// are the content's by index, a parity packet's the ones the content
-// derived with its enhanced sequence (content.Enhanced). Only a parity
-// the content does not hold is XORed here from the packets it covers —
-// recursively, since re-enhancement at each coordination level nests
-// parity over parity, and what a nested parity covers depends on the
-// session's hand-off marks, not on the content alone. Bytes the message
-// itself carried are dropped: they are borrowed from the transport
-// (senders strip them anyway), and without a content the packets stay
-// payload-free.
-func hydrate(c *content.Content, s seq.Sequence) seq.Sequence {
-	if s == nil {
-		return nil
-	}
-	out := make(seq.Sequence, len(s))
-	for i, pkt := range s {
-		switch {
-		case c == nil:
-			pkt.Payload = nil
-		case pkt.IsData():
-			pkt.Payload = c.Payload(pkt.Index)
-		default:
-			pkt.Payload = parityPayload(c, pkt)
-		}
-		out[i] = pkt
-	}
-	return out
-}
+// sendBufs is the streaming goroutine's reused memory: a parity's
+// payload is XORed into pay and every packet encoded into frame (Send
+// keeps no reference to it).
+type sendBufs struct{ frame, pay []byte }
 
-// parityPayload returns the payload of parity packet p: the content's
-// cached one, else the XOR of the packets p covers.
-func parityPayload(c *content.Content, p seq.Packet) []byte {
-	if pl, ok := c.ParityPayload(p); ok {
-		return pl
+// encode writes the wire form of pkt, payload included, into b.frame and
+// returns it: a data packet's bytes are c's by index, a parity's the XOR
+// of what it covers. Without a content the packet goes out payload-free.
+func (b *sendBufs) encode(c *content.Content, pkt seq.Packet) []byte {
+	switch {
+	case c == nil:
+	case pkt.IsData():
+		pkt.Payload = c.Payload(pkt.Index)
+	default:
+		b.pay = c.XORPayload(b.pay[:0], pkt)
+		pkt.Payload = b.pay
 	}
-	var few [8][]byte // a recovery segment is h packets; h is small
-	bufs := few[:0]
-	for i := 0; i < p.NumCovers(); i++ {
-		if cv := p.Cover(i); cv.IsData() {
-			bufs = append(bufs, c.Payload(cv.Index))
-		} else {
-			bufs = append(bufs, parityPayload(c, cv))
-		}
-	}
-	return parity.XOR(bufs)
+	b.frame = seq.AppendPacket(b.frame[:0], pkt)
+	return b.frame
 }
 
 // ---- engine driver ------------------------------------------------------
@@ -443,7 +417,7 @@ func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 	p.obs.Observe(p.core, liveNow(), ev, parent, effs)
 	sends := p.applyLocked(effs)
 	// The batch is consumed: applyLocked copied out everything a send
-	// needs (addresses, stripped payload copies), so the effect nodes
+	// needs (addresses; the shares are immutable), so the effect nodes
 	// can be recycled before the transmissions even start.
 	p.core.Release(effs)
 	p.mu.Unlock()
@@ -522,7 +496,7 @@ func (p *Peer) encodeLocked(e *engine.Send) outSend {
 			Parent: p.Addr(), View: p.addrsOfLocked(m.View), Leaf: p.leaf, ContentID: cid,
 			SeqOffset: m.SeqOffset, Rate: m.Rate, ChildRate: m.ChildRate,
 			Children: m.Children, ChildIdx: m.ChildIdx,
-			Assigned: stripPayloads(m.AssignedSeq), Round: m.Round, Roster: carried,
+			Assigned: m.AssignedSeq, Round: m.Round, Roster: carried,
 		}}
 	case *engine.MsgConfirm:
 		return outSend{to: to, typ: typeConfirm, toID: e.To, msg: e.Msg, ctx: m.Span, body: confirmBody{
@@ -532,7 +506,7 @@ func (p *Peer) encodeLocked(e *engine.Send) outSend {
 		return outSend{to: to, typ: typeCommit, toID: e.To, msg: e.Msg, ctx: m.Span, body: commitBody{
 			Parent: p.Addr(), ContentID: cid, Leaf: p.leaf,
 			Streams: m.Streams, SeqOffset: m.SeqOffset, Rate: m.Rate,
-			ChildIdx: m.ChildIdx, Assigned: stripPayloads(m.AssignedSeq), Round: m.Round,
+			ChildIdx: m.ChildIdx, Assigned: m.AssignedSeq, Round: m.Round,
 			Roster: carried,
 		}}
 	}
@@ -681,7 +655,7 @@ func (p *Peer) onControl(b controlBody, parent span.Context) {
 		Parent: p.idOfLocked(b.Parent), View: p.idsOfLocked(b.View),
 		SeqOffset: b.SeqOffset, Rate: b.Rate, ChildRate: b.ChildRate,
 		Children: b.Children, ChildIdx: b.ChildIdx,
-		AssignedSeq: hydrate(p.content, b.Assigned), Round: b.Round,
+		AssignedSeq: dropPayloads(b.Assigned), Round: b.Round,
 	}
 	p.mu.Unlock()
 	p.dispatchCtx(&engine.Control{Msg: msg}, parent)
@@ -711,7 +685,7 @@ func (p *Peer) onCommit(b commitBody, parent span.Context) {
 	msg := &engine.MsgCommit{
 		Parent: p.idOfLocked(b.Parent), Streams: b.Streams,
 		SeqOffset: b.SeqOffset, Rate: b.Rate, ChildIdx: b.ChildIdx,
-		AssignedSeq: hydrate(c, b.Assigned), Round: b.Round,
+		AssignedSeq: dropPayloads(b.Assigned), Round: b.Round,
 	}
 	p.mu.Unlock()
 	p.dispatchCtx(&engine.Commit{Msg: msg}, parent)
@@ -761,7 +735,7 @@ func (p *Peer) kick() {
 // is due and sends without sleeping while it is behind.
 func (p *Peer) streamLoop() {
 	var pace pacer
-	var buf []byte // every packet is encoded into it: Send keeps no reference
+	var bufs sendBufs
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	defer timer.Stop()
@@ -801,15 +775,14 @@ func (p *Peer) streamLoop() {
 			default:
 			}
 		}
-		buf = p.sendOne(buf)
+		p.sendOne(&bufs)
 	}
 }
 
 // sendOne transmits the next packet of the schedule, switching first
 // when the next packet has reached the planned switch's mark (or the
-// stream has run out). The packet is encoded into buf, which it returns
-// for the next call.
-func (p *Peer) sendOne(buf []byte) []byte {
+// stream has run out). The packet and its payload are written into bufs.
+func (p *Peer) sendOne(bufs *sendBufs) {
 	p.mu.Lock()
 	if p.st.Due() {
 		p.st.Switch()
@@ -817,20 +790,18 @@ func (p *Peer) sendOne(buf []byte) []byte {
 	pkt, ok := p.st.Next()
 	if !ok {
 		p.mu.Unlock()
-		return buf
+		return
 	}
 	p.sent++
 	p.lastTouch = time.Now()
-	leaf := p.leaf
+	leaf, c := p.leaf, p.content
 	p.mu.Unlock()
 	p.met.sent.Inc()
 	// The per-packet path builds the message itself: going through sendBody
 	// would box a dataBody in an interface and allocate a buffer for every
 	// packet.
-	buf = seq.AppendPacket(buf[:0], pkt)
 	p.ep.Send(leaf, transport.Msg{ //nolint:errcheck // a vanished leaf ends the session; repair handles the rest
 		Type: typeData, From: p.Addr(), Session: string(p.sid),
-		Payload: buf,
+		Payload: bufs.encode(c, pkt),
 	})
-	return buf
 }

@@ -63,7 +63,7 @@ func sampleParity() seq.Packet {
 	return p
 }
 
-// control2048 is a control body whose Assigned holds 2048 payload-stripped
+// control2048 is a control body whose Assigned holds 2048 payload-free
 // packets (1707 data + 341 parity), the size a large content's first
 // hand-off carries.
 func control2048() controlBody {
@@ -71,7 +71,7 @@ func control2048() controlBody {
 		Parent: "10.0.0.1:7001", View: []string{"10.0.0.2:7001", "10.0.0.3:7001"}, Leaf: "10.0.0.9:7001",
 		ContentID: "movie", SeqOffset: 12, Rate: 853.3333333333334, ChildRate: 284.44444444444446,
 		Children: 2, ChildIdx: 1, Round: 2,
-		Assigned: stripPayloads(parity.Enhance(seq.Range(1, 1707), 5)),
+		Assigned: parity.Enhance(seq.Range(1, 1707), 5),
 	}
 }
 
@@ -79,7 +79,9 @@ func control2048() controlBody {
 // are checked in under testdata/wire so a format change is a visible diff.
 func goldenBodies() map[string]transport.WireAppender {
 	roster := []string{"10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001"}
-	assigned := stripPayloads(seq.Sequence{seq.NewData(3), sampleParity(), seq.NewData(9)})
+	bare := sampleParity()
+	bare.Payload = nil // a share is a payload-free schedule
+	assigned := seq.Sequence{seq.NewData(3), bare, seq.NewData(9)}
 	return map[string]transport.WireAppender{
 		typeRequest: requestBody{Roster: roster, ContentID: "movie", Rate: 400, H: 3, Interval: 2, Index: 1,
 			Selected: roster[:2], Leaf: "10.0.0.9:7001"},
@@ -374,6 +376,10 @@ func FuzzPeerHandle(f *testing.F) {
 	}
 	f.Add(transport.AppendFrame(nil, transport.Msg{Type: typeRequest, From: "leaf",
 		Payload: requestBody{ContentID: "movie", Rate: 400, H: 2, Interval: 2, Index: 5, Leaf: "leaf"}.AppendWire(nil)}))
+	// A commit whose share carries bytes its receiver must not keep.
+	f.Add(transport.AppendFrame(nil, transport.Msg{Type: typeCommit, From: "cp9", Payload: commitBody{Parent: "cp9",
+		ContentID: "movie", Leaf: "leaf", Streams: 2, Rate: 400, ChildIdx: 1, Round: 2,
+		Assigned: seq.Sequence{seq.NewDataPayload(3, []byte("forged")), sampleParity()}}.AppendWire(nil)}))
 	c := content.New("movie", randomData(3000, 77), 64)
 	store := storeOf(c)
 	names := []string{"cp0", "cp1", "cp2", "cp3", "cp4", "cp5"}

@@ -16,11 +16,11 @@ import (
 //	index   uvarint
 //	pos     8 bytes  (raw float64 bits, little endian)
 //	covers  uvarint count, then each key as uvarint length + bytes
-//	payload uvarint length + bytes (length 0 for a payload-stripped packet)
+//	payload uvarint length + bytes (length 0 for a payload-free packet)
 //
 // and a sequence is a uvarint count followed by that many packets. The
 // live data message carries one packet; control and commit carry their
-// payload-stripped Assigned sequences in the same form. A data packet has
+// payload-free Assigned sequences in the same form. A data packet has
 // no covers; a cover key is "t<k>", k spelled as strconv.FormatInt spells
 // it, or "p(" comma-separated cover keys ")". Anything else is malformed.
 
