@@ -1,0 +1,46 @@
+package archtest
+
+import (
+	"go/ast"
+	"strings"
+	"testing"
+)
+
+// forbiddenRefs lists package-level functions that non-test code under
+// internal/ does not reference: every seeded stream there is a
+// des.Source (splitmix64, O(1) seeding), and nothing polls the wall
+// clock by sleeping.
+var forbiddenRefs = []struct{ path, name, why string }{
+	{"math/rand", "NewSource", "seed a stream with des.NewRand"},
+	{"time", "Sleep", "wait on a signal, a timer or a protocol point, not a sleep"},
+}
+
+func TestForbiddenRefs(t *testing.T) {
+	tr := repo(t)
+	for _, r := range forbiddenRefs {
+		for _, f := range tr.prod(underInternal) {
+			selectorRefs(f.ast, r.path, r.name, func(n ast.Node) {
+				t.Errorf("%s references %s.%s: %s", tr.pos(n), r.path, r.name, r.why)
+			})
+		}
+	}
+}
+
+// deprecatedMarker is godoc's deprecation paragraph, spelled in two parts
+// so that this file holds no such comment itself.
+const deprecatedMarker = "Deprecated" + ":"
+
+// TestNoCompatibilityAliases: an API change renames at its call sites;
+// no Go file keeps an old spelling marked as deprecated.
+func TestNoCompatibilityAliases(t *testing.T) {
+	tr := repo(t)
+	for _, f := range tr.files {
+		for _, cg := range f.ast.Comments {
+			for _, c := range cg.List {
+				if strings.Contains(c.Text, deprecatedMarker) {
+					t.Errorf("%s: a compatibility alias (%s comment)", tr.pos(c), deprecatedMarker)
+				}
+			}
+		}
+	}
+}

@@ -153,14 +153,6 @@ func (c *Content) XORPayload(buf []byte, p seq.Packet) []byte {
 	return buf
 }
 
-// dropDerived releases everything Enhanced cached. Sequences already
-// handed out stay valid; they are simply no longer shared.
-func (c *Content) dropDerived() {
-	c.mu.Lock()
-	c.enhanced = nil
-	c.mu.Unlock()
-}
-
 // Assembler reconstructs content bytes at a leaf peer. Feed it every
 // received packet (data or parity, any order, duplicates fine); parity
 // recovery runs automatically.

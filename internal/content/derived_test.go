@@ -2,6 +2,7 @@ package content
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"math/rand"
 	"sync"
 	"testing"
@@ -36,6 +37,14 @@ func samePackets(t *testing.T, got, want seq.Sequence) {
 }
 
 // esq is the simulator's Esq(content, h): payload-free.
+// xorOf is the bytewise exclusive-or of a and b, as long as the longer.
+func xorOf(a, b []byte) []byte {
+	out := make([]byte, max(len(a), len(b)))
+	subtle.XORBytes(out, out, a)
+	subtle.XORBytes(out, out, b)
+	return out
+}
+
 func esq(c *Content, h int) seq.Sequence { return parity.Enhance(seq.Range(1, c.NumPackets()), h) }
 
 // sameBytes requires XORPayload to write, for every packet of s, the
@@ -67,9 +76,9 @@ func TestEnhancedEqualsEnhance(t *testing.T) {
 	// The §3.6 nesting t⟨5,⟨7,8⟩⟩: a parity over a parity, as a later
 	// coordination level builds it, and one reaching past the content.
 	inner := seq.NewParity([]seq.Packet{c.Packet(7), c.Packet(8)}, 7.5)
-	inner.Payload = parity.XOR([][]byte{c.Payload(7), c.Payload(8)})
+	inner.Payload = xorOf(c.Payload(7), c.Payload(8))
 	nested := seq.NewParity([]seq.Packet{c.Packet(5), inner}, 7.25)
-	nested.Payload = parity.XOR([][]byte{c.Payload(5), inner.Payload})
+	nested.Payload = xorOf(c.Payload(5), inner.Payload)
 	tail := seq.NewParity([]seq.Packet{c.Packet(c.NumPackets()), seq.NewData(c.NumPackets() + 1)}, 40)
 	tail.Payload = c.Payload(c.NumPackets())
 	sameBytes(t, c, seq.Sequence{inner, nested, tail}, seq.Sequence{inner, nested, tail})
@@ -128,37 +137,12 @@ func TestEnhancedIntervalBound(t *testing.T) {
 	}
 }
 
-// Remove drops the derivation even when the caller keeps the content;
-// sequences handed out earlier stay intact.
-func TestStoreRemoveDropsDerived(t *testing.T) {
-	c := shortTail(4)
-	s := NewStore()
-	s.Put(c)
-	before := c.Enhanced(2)
-	want := esq(c, 2)
-	s.Remove(c.ID())
-	s.Remove("never stored")
-	if c.enhanced != nil {
-		t.Error("Remove left the derivation in place")
-	}
-	samePackets(t, before, want)
-	s.Put(c)
-	after := c.Enhanced(2)
-	if &after[0] == &before[0] {
-		t.Error("the dropped derivation came back")
-	}
-	samePackets(t, after, want)
-}
-
 // Many sessions ask for the same derivation at once, and write their
-// packets' payloads, while the content is removed and re-added; run
-// under -race. Nobody may write through what Enhanced returns or through
+// packets' payloads; run under -race. Nobody may write through what Enhanced returns or through
 // the content, so the content bytes and every reader's view hold.
 func TestEnhancedConcurrent(t *testing.T) {
 	c := shortTail(5)
 	pristine := bytes.Clone(c.data)
-	s := NewStore()
-	s.Put(c)
 	want := map[int]seq.Sequence{2: parity.Enhance(c.Sequence(), 2), 3: parity.Enhance(c.Sequence(), 3)}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -180,14 +164,6 @@ func TestEnhancedConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			s.Remove(c.ID())
-			s.Put(c)
-		}
-	}()
 	wg.Wait()
 	if !bytes.Equal(c.data, pristine) {
 		t.Error("content bytes changed")

@@ -1,7 +1,6 @@
 package content
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -38,27 +37,6 @@ func (s *Store) Get(id string) (*Content, bool) {
 	defer s.mu.RUnlock()
 	c, ok := s.byID[id]
 	return c, ok
-}
-
-// MustGet returns the content or an error naming the missing ID.
-func (s *Store) MustGet(id string) (*Content, error) {
-	if c, ok := s.Get(id); ok {
-		return c, nil
-	}
-	return nil, fmt.Errorf("content: %q not in store", id)
-}
-
-// Remove deletes a content from the catalog and drops what the content
-// cached of its enhanced sequences, so a holder that keeps the *Content
-// does not keep size/h parity bytes per interval it once served.
-func (s *Store) Remove(id string) {
-	s.mu.Lock()
-	c := s.byID[id]
-	delete(s.byID, id)
-	s.mu.Unlock()
-	if c != nil {
-		c.dropDerived()
-	}
 }
 
 // IDs lists the held content IDs in sorted order.

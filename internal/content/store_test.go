@@ -28,15 +28,8 @@ func TestStoreBasics(t *testing.T) {
 	if len(ids) != 2 || ids[0] != "alpha" || ids[1] != "beta" {
 		t.Errorf("IDs = %v", ids)
 	}
-	if _, err := s.MustGet("gamma"); err == nil {
-		t.Error("MustGet(gamma) succeeded")
-	}
-	if c, err := s.MustGet("beta"); err != nil || c != b {
-		t.Error("MustGet(beta) failed")
-	}
-	s.Remove("alpha")
-	if s.Len() != 1 {
-		t.Error("Remove failed")
+	if got, ok := s.Get("beta"); !ok || got != b {
+		t.Error("Get(beta) failed")
 	}
 	// Replacing by same ID.
 	b2 := New("beta", []byte("BBBB"), 2)

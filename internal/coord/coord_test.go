@@ -141,7 +141,7 @@ func TestTCoPSingleParentInvariant(t *testing.T) {
 		// Count adopted children: each adopted exactly once across parents.
 		children := map[int]int{}
 		for _, p := range r.peers {
-			for _, c := range p.core.Confirmed() {
+			for _, c := range p.core.Outcome().Children {
 				children[int(c)]++
 			}
 		}
@@ -461,18 +461,23 @@ func TestShareOutPreservesPackets(t *testing.T) {
 	var u seq.Sequence
 	for i, p := range parts {
 		for j := i + 1; j < len(parts); j++ {
-			if !seq.Disjoint(p, parts[j]) {
+			if len(seq.Intersect(p, parts[j])) != 0 {
 				t.Fatalf("parts %d and %d overlap", i, j)
 			}
 		}
 		u = seq.Union(u, p)
 	}
-	got := u.DataIndices()
+	var got []int64
+	for _, p := range u {
+		if p.IsData() {
+			got = append(got, p.Index)
+		}
+	}
 	if len(got) != 50 || got[0] != 11 || got[len(got)-1] != 60 {
 		t.Errorf("union covers %d data packets [%d..%d], want 50 [11..60]",
 			len(got), got[0], got[len(got)-1])
 	}
-	if u.CountParity() == 0 {
+	if u.CountData() == len(u) {
 		t.Error("no parity packets inserted")
 	}
 
@@ -481,7 +486,7 @@ func TestShareOutPreservesPackets(t *testing.T) {
 	if rate != 1.0 {
 		t.Errorf("plain rate = %v, want 1", rate)
 	}
-	if seq.Union(parts[0], parts[1]).CountParity() != 0 {
+	if u := seq.Union(parts[0], parts[1]); u.CountData() != len(u) {
 		t.Error("plain split added parity")
 	}
 
@@ -515,7 +520,7 @@ func TestTCoPTreeEdgeCount(t *testing.T) {
 			if p.active {
 				active++
 			}
-			edges += len(p.core.Confirmed())
+			edges += len(p.core.Outcome().Children)
 		}
 		if edges != active-cfg.H {
 			t.Errorf("seed %d: %d edges for %d active peers (H=%d)", seed, edges, active, cfg.H)

@@ -385,7 +385,7 @@ func TestLeafMissingSetIncremental(t *testing.T) {
 	}
 	r.leaf.arm()
 	r.impl.start()
-	r.eng.RunUntil(10)
+	runUntil(r.eng, 10)
 	if r.leaf.asm.Complete() {
 		t.Fatal("content complete mid-stream: nothing to check")
 	}

@@ -345,15 +345,24 @@ func TestChurnScheduleValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng.RunUntil(6)
+	runUntil(r.eng, 6)
 	if !r.nw.crashed[2] {
 		t.Error("peer did not crash on schedule")
 	}
-	r.eng.RunUntil(10)
+	runUntil(r.eng, 10)
 	if r.nw.crashed[2] {
 		t.Error("peer did not rejoin on schedule")
 	}
 	if notes := countTypes(cfg.Obs.Flight.Events()); notes["crash"] != 1 || notes["rejoin"] != 1 {
 		t.Errorf("flight notes %v, want one crash and one rejoin", notes)
+	}
+}
+
+// runUntil runs eng's events up to virtual time t: those due before t
+// and those already scheduled at t.
+func runUntil(eng *des.Engine, t float64) {
+	done := false
+	eng.At(t, func() { done = true })
+	for !done && eng.Step() {
 	}
 }

@@ -99,7 +99,6 @@ type Engine struct {
 	q       []entry
 	nextSeq int64
 	rng     *rand.Rand
-	fired   int64
 }
 
 // New returns an engine with its clock at 0 and randomness seeded with
@@ -113,9 +112,6 @@ func (e *Engine) Now() float64 { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() int64 { return e.fired }
 
 // Pending returns the number of scheduled events; cancelled ones have
 // already left the queue.
@@ -144,7 +140,6 @@ func (e *Engine) Step() bool {
 	top := e.q[0]
 	e.remove(0)
 	e.now = top.t
-	e.fired++
 	top.fn()
 	return true
 }
@@ -154,19 +149,6 @@ func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-func (e *Engine) RunUntil(t float64) {
-	for len(e.q) > 0 && e.q[0].t <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// RunFor executes events for d units of virtual time from now.
-func (e *Engine) RunFor(d float64) { e.RunUntil(e.now + d) }
 
 // check panics unless t is a valid time to schedule at: not NaN and not
 // before now (written so that NaN fails the comparison).

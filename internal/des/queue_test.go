@@ -63,6 +63,7 @@ type diffRun struct {
 	timers []*Timer
 	armed  []int // id of each timer's pending arming; -1 fired, -2 cancelled
 	nextID int
+	fired  int64
 
 	// Coverage of the cases the test must reach.
 	cancelInFire, cancelFired, cancelTwice, headCancelledRun, liveHeadRun, maxPending int
@@ -134,6 +135,7 @@ func (d *diffRun) cancel(k int, inFire bool) {
 // fire is every callback: it checks the engine fired what the reference
 // pops next, then sometimes schedules, re-arms or cancels from inside.
 func (d *diffRun) fire(id, timer int) {
+	d.fired++
 	want := d.ref.pop()
 	if want.id != id || d.e.Now() != want.t {
 		d.t.Fatalf("fired id %d at %v, reference fires id %d at %v", id, d.e.Now(), want.id, want.t)
@@ -156,9 +158,9 @@ func (d *diffRun) fire(id, timer int) {
 }
 
 func (d *diffRun) check(op string) {
-	if d.e.Now() != d.ref.now || d.e.Fired() != d.ref.fired || d.e.Pending() != len(d.ref.q) {
-		d.t.Fatalf("after %s: Now %v Fired %d Pending %d; reference %v %d %d",
-			op, d.e.Now(), d.e.Fired(), d.e.Pending(), d.ref.now, d.ref.fired, len(d.ref.q))
+	if d.e.Now() != d.ref.now || d.fired != d.ref.fired || d.e.Pending() != len(d.ref.q) {
+		d.t.Fatalf("after %s: Now %v fired %d Pending %d; reference %v %d %d",
+			op, d.e.Now(), d.fired, d.e.Pending(), d.ref.now, d.ref.fired, len(d.ref.q))
 	}
 	for k, tm := range d.timers {
 		if tm.Pending() != (d.armed[k] >= 0) {
@@ -168,15 +170,14 @@ func (d *diffRun) check(op string) {
 	d.maxPending = max(d.maxPending, len(d.ref.q))
 }
 
-// run runs the engine up to t with do (RunUntil or RunFor) and the
-// reference likewise.
-func (d *diffRun) run(t float64, do func()) {
+// run runs the engine and the reference up to t.
+func (d *diffRun) run(t float64) {
 	if d.headCancelled {
 		d.headCancelledRun++
 	} else if len(d.ref.q) > 0 && d.ref.q[0].t <= t {
 		d.liveHeadRun++
 	}
-	do()
+	runUntil(d.e, t)
 	if len(d.ref.q) > 0 && d.ref.q[0].t <= t {
 		d.t.Fatalf("running to %v left id %d at %v", t, d.ref.q[0].id, d.ref.q[0].t)
 	}
@@ -211,21 +212,17 @@ func (d *diffRun) op(growing bool) {
 			d.t.Fatalf("Step = %v with %d pending in the reference", ok, len(d.ref.q))
 		}
 		d.check("Step")
-	case r < 18:
-		t := d.when()
-		d.run(t, func() { d.e.RunUntil(t) })
-		d.check("RunUntil")
 	default:
-		dt := d.when() - d.e.Now()
-		d.run(d.ref.now+dt, func() { d.e.RunFor(dt) })
-		d.check("RunFor")
+		t := d.when()
+		d.run(t)
+		d.check("runUntil")
 	}
 	d.headCancelled = false
 }
 
 // TestQueueMatchesReference checks Engine against a sorted-slice model
 // over seeded random interleavings of At, After, timer arming, Cancel,
-// Step, RunUntil and RunFor, comparing fire order, Now, Fired and
+// Step and runUntil, comparing fire order, Now, the fire count and
 // Pending at every step.
 func TestQueueMatchesReference(t *testing.T) {
 	var total diffRun
@@ -246,7 +243,7 @@ func TestQueueMatchesReference(t *testing.T) {
 		total.liveHeadRun += d.liveHeadRun
 		total.maxPending = max(total.maxPending, d.maxPending)
 	}
-	t.Logf("cancels in a callback %d, of a fired timer %d, double %d; RunUntil after a cancelled head %d, with a live head %d; max pending %d",
+	t.Logf("cancels in a callback %d, of a fired timer %d, double %d; runUntil after a cancelled head %d, with a live head %d; max pending %d",
 		total.cancelInFire, total.cancelFired, total.cancelTwice, total.headCancelledRun, total.liveHeadRun, total.maxPending)
 	for _, c := range []struct {
 		name string
@@ -255,8 +252,8 @@ func TestQueueMatchesReference(t *testing.T) {
 		{"cancel inside a firing callback", total.cancelInFire},
 		{"cancel of a fired timer", total.cancelFired},
 		{"double cancel", total.cancelTwice},
-		{"RunUntil after the head was cancelled", total.headCancelledRun},
-		{"RunUntil with a live head due", total.liveHeadRun},
+		{"runUntil after the head was cancelled", total.headCancelledRun},
+		{"runUntil with a live head due", total.liveHeadRun},
 	} {
 		if c.n == 0 {
 			t.Errorf("never exercised: %s", c.name)

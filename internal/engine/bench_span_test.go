@@ -59,7 +59,7 @@ func BenchmarkSpanDisabledMsgSpan(b *testing.B) {
 	var m any = &MsgControl{Children: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if ctx := msgSpan(m); ctx.Valid() {
+		if ctx := msgSpan(m); ctx.Trace != 0 {
 			b.Fatal("zero message claims a trace")
 		}
 	}

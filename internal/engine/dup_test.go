@@ -90,14 +90,14 @@ func TestDCoPDuplicateControlIgnored(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("original c1 produced no effects")
 	}
-	taken := p.ChildrenTaken()
+	taken := engine.ChildrenTaken(p)
 
 	snap := engine.Snapshot{Stream: m.AssignedSeq, Rate: m.ChildRate}
 	if dup := p.Handle(&engine.Control{Msg: m}, snap); len(dup) != 0 {
 		t.Fatalf("duplicated c1 produced effects: %+v", dup)
 	}
-	if p.ChildrenTaken() != taken {
-		t.Fatalf("duplicated c1 took %d extra children", p.ChildrenTaken()-taken)
+	if engine.ChildrenTaken(p) != taken {
+		t.Fatalf("duplicated c1 took %d extra children", engine.ChildrenTaken(p)-taken)
 	}
 	if a := p.Outcome().Assigned(); !seq.Equal(a, m.AssignedSeq) {
 		t.Fatalf("after a duplicated c1 the peer reports %v assigned, want %v", a, m.AssignedSeq)

@@ -804,20 +804,8 @@ func unionAll(shares []seq.Sequence) seq.Sequence {
 // Active reports whether the peer has activated.
 func (p *Peer) Active() bool { return p.active }
 
-// ParentID returns the adopting parent, the peer itself when
-// leaf-rooted, or -1.
-func (p *Peer) ParentID() int { return p.parent }
-
 // Committed reports whether the peer received its TCoP commit.
 func (p *Peer) Committed() bool { return p.committed }
-
-// Confirmed returns the children confirmed in the peer's most recent
-// handshake round. The slice is reused across rounds; copy to retain.
-func (p *Peer) Confirmed() []PeerID { return p.confirmed }
-
-// ChildrenTaken returns how many children the peer has taken over its
-// lifetime (the §3.3 cap counter).
-func (p *Peer) ChildrenTaken() int { return p.childrenTaken }
 
 // ---- shared math --------------------------------------------------------
 

@@ -384,8 +384,8 @@ func TestEngineDCoPChildrenCapSmallH(t *testing.T) {
 			h.start(content, 8, seed)
 			h.run()
 			for i, p := range h.peers {
-				if p.ChildrenTaken() > hh {
-					t.Fatalf("H=%d seed %d: peer %d took %d children", hh, seed, i, p.ChildrenTaken())
+				if engine.ChildrenTaken(p) > hh {
+					t.Fatalf("H=%d seed %d: peer %d took %d children", hh, seed, i, engine.ChildrenTaken(p))
 				}
 				if got := len(p.Outcome().Children); got > hh {
 					t.Fatalf("H=%d seed %d: peer %d kept %d children", hh, seed, i, got)
@@ -498,8 +498,8 @@ func TestEngineTCoPCommitLostReleasesAdoption(t *testing.T) {
 	if p.Active() || p.Committed() {
 		t.Fatalf("victim %d active=%v committed=%v after losing its commit", victim, p.Active(), p.Committed())
 	}
-	if p.ParentID() != -1 {
-		t.Fatalf("victim %d still adopted by %d after CommitRelease", victim, p.ParentID())
+	if engine.Parent(p) != -1 {
+		t.Fatalf("victim %d still adopted by %d after CommitRelease", victim, engine.Parent(p))
 	}
 }
 

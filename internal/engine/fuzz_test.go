@@ -65,8 +65,8 @@ func FuzzEngine(f *testing.F) {
 			prevAssigned[to] = cur
 
 			if dcop {
-				if p.ChildrenTaken() > cfg.H {
-					t.Fatalf("peer %d exceeded the lifetime fanout cap: %d > %d", to, p.ChildrenTaken(), cfg.H)
+				if engine.ChildrenTaken(p) > cfg.H {
+					t.Fatalf("peer %d exceeded the lifetime fanout cap: %d > %d", to, engine.ChildrenTaken(p), cfg.H)
 				}
 			} else {
 				// Once committed to a parent, the adoption never moves.

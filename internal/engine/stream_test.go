@@ -122,7 +122,7 @@ func TestStreamSwitchRate(t *testing.T) {
 // switch is planned: before any plan, or after the switch.
 func TestStreamAbsorb(t *testing.T) {
 	stream := seq.Range(1, 30)
-	back := seq.FromIndices(40, 41, 42)
+	back := fromIndices(40, 41, 42)
 	cases := []struct {
 		name     string
 		plan     bool // a hand-off of t21..t30 at mark 20
@@ -202,9 +202,9 @@ func TestStreamDue(t *testing.T) {
 	}{
 		{name: "at the mark", mark: 8, sends: 8},
 		{name: "mark at the start", mark: 0, sends: 0},
-		{name: "merge before the mark", mark: 8, merge: seq.FromIndices(3, 5, 30), sends: 8},
+		{name: "merge before the mark", mark: 8, merge: fromIndices(3, 5, 30), sends: 8},
 		{name: "mark past the end", mark: 120, sends: 20},
-		{name: "mark past the end, merge", mark: 120, merge: seq.FromIndices(30), sends: 21},
+		{name: "mark past the end, merge", mark: 120, merge: fromIndices(30), sends: 21},
 	}
 	for _, c := range cases {
 		var st engine.Stream
@@ -278,8 +278,8 @@ func TestStreamNextRewind(t *testing.T) {
 // Data indices from a malformed remote share can be far apart; the
 // switch still subtracts them exactly, without a bitset over the gap.
 func TestStreamSwitchSparseIndices(t *testing.T) {
-	stream := seq.FromIndices(1, 2, 3, 1<<40, 1<<62)
-	given := []seq.Sequence{seq.FromIndices(2, 1<<62)}
+	stream := fromIndices(1, 2, 3, 1<<40, 1<<62)
+	given := []seq.Sequence{fromIndices(2, 1<<62)}
 	var st engine.Stream
 	st.Install(stream, 4)
 	st.Apply(&engine.Handoff{Given: given, OldRate: 4, NewRate: 2, Mark: 1})
@@ -287,4 +287,13 @@ func TestStreamSwitchSparseIndices(t *testing.T) {
 	if got, want := remainder(&st), refSwitch(stream, given, nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("switched to %v, want %v", got, want)
 	}
+}
+
+// fromIndices builds the data packet sequence ⟨t_i : i ∈ idx⟩.
+func fromIndices(idx ...int64) seq.Sequence {
+	s := make(seq.Sequence, len(idx))
+	for i, k := range idx {
+		s[i] = seq.NewData(k)
+	}
+	return s
 }

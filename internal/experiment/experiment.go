@@ -333,42 +333,6 @@ func FprintGossipCoverage(w io.Writer, n int, pts []GossipCoveragePoint) {
 	}
 }
 
-// MinStartupDelay binary-searches the smallest playback startup delay
-// (in δ units, to the given precision) that yields glitch-free playout
-// (zero underruns) for the protocol under cfg — the §1 real-time
-// constraint turned into a measurable quantity.
-func MinStartupDelay(protocol string, cfg coord.Config, maxDelay, precision float64) (float64, error) {
-	underrunsAt := func(d float64) (int64, error) {
-		c := cfg
-		c.Playback = true
-		c.PlaybackDelay = d
-		res, err := coord.Run(protocol, c)
-		if err != nil {
-			return 0, err
-		}
-		return res.Underruns, nil
-	}
-	if u, err := underrunsAt(maxDelay); err != nil {
-		return 0, err
-	} else if u > 0 {
-		return maxDelay, fmt.Errorf("experiment: underruns persist at max delay %v", maxDelay)
-	}
-	lo, hi := 0.0, maxDelay
-	for hi-lo > precision {
-		mid := (lo + hi) / 2
-		u, err := underrunsAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if u == 0 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
 // PaperReference holds the reference values quoted in the paper's text
 // for comparison in EXPERIMENTS.md.
 var PaperReference = struct {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -243,7 +244,7 @@ func TestMinStartupDelay(t *testing.T) {
 	cfg.Loop = false
 	cfg.ContentLen = 300
 	cfg.Rate = 5
-	d, err := MinStartupDelay(coord.DCoP, cfg, 50, 0.5)
+	d, err := minStartupDelay(coord.DCoP, cfg, 50, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +261,42 @@ func TestMinStartupDelay(t *testing.T) {
 	if res.Underruns != 0 {
 		t.Errorf("delay %v still yields %d underruns", d, res.Underruns)
 	}
+}
+
+// minStartupDelay binary-searches the smallest playback startup delay
+// (in δ units, to the given precision) that yields glitch-free playout
+// (zero underruns) for the protocol under cfg — the §1 real-time
+// constraint turned into a measurable quantity.
+func minStartupDelay(protocol string, cfg coord.Config, maxDelay, precision float64) (float64, error) {
+	underrunsAt := func(d float64) (int64, error) {
+		c := cfg
+		c.Playback = true
+		c.PlaybackDelay = d
+		res, err := coord.Run(protocol, c)
+		if err != nil {
+			return 0, err
+		}
+		return res.Underruns, nil
+	}
+	if u, err := underrunsAt(maxDelay); err != nil {
+		return 0, err
+	} else if u > 0 {
+		return maxDelay, errors.New("underruns persist at the largest delay")
+	}
+	lo, hi := 0.0, maxDelay
+	for hi-lo > precision {
+		mid := (lo + hi) / 2
+		u, err := underrunsAt(mid)
+		if err != nil {
+			return 0, err
+		}
+		if u == 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
 }
 
 func TestSweepReportsCI(t *testing.T) {

@@ -2,7 +2,7 @@ package flight
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 )
 
@@ -70,14 +70,17 @@ func (d *Divergence) String() string {
 }
 
 // FirstDivergence aligns two flight logs per peer track and returns the
-// first event where they disagree, or nil when every track matches.
+// earliest event where they disagree, or nil when every track matches.
 // Events are compared by driver-independent identity (Dir, Type, Other,
 // Round, N) — never by timestamp, since the sides run on different
 // clocks (DES virtual time vs wall time) — and driver notes (DirDriver)
 // are left out: they describe the run's environment, not a protocol
-// decision. Tracks are scanned in
-// (session, peer) order and the lowest diverging track wins, so the
-// report is deterministic.
+// decision. Each track's first mismatch is placed in the first log's
+// time: the time of a's event there, or of a's last event on the track
+// when a's track ended first (+Inf when a has none). The earliest wins,
+// ties going to the lowest (session, peer), so the report is
+// deterministic and names where the runs parted, not the lowest peer
+// that noticed.
 func FirstDivergence(a, b Log, opt DiffOptions) *Divergence {
 	ta := tracks(a.Events, opt)
 	tb := tracks(b.Events, opt)
@@ -88,51 +91,47 @@ func FirstDivergence(a, b Log, opt DiffOptions) *Divergence {
 	for k := range tb {
 		keys[k] = true
 	}
-	order := make([]trackKey, 0, len(keys))
+	var first *Divergence
+	firstT := math.Inf(1)
 	for k := range keys {
-		order = append(order, k)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].session != order[j].session {
-			return order[i].session < order[j].session
-		}
-		return order[i].peer < order[j].peer
-	})
-	for _, k := range order {
 		ea, eb := ta[k], tb[k]
-		n := len(ea)
-		if len(eb) < n {
-			n = len(eb)
+		i := 0
+		for i < len(ea) && i < len(eb) && ea[i].Key() == eb[i].Key() {
+			i++
 		}
-		for i := 0; i < n; i++ {
-			if ea[i].Key() != eb[i].Key() {
-				return &Divergence{
-					LabelA: a.Label, LabelB: b.Label,
-					Session: k.session, Peer: k.peer, Index: i,
-					A: &ea[i], B: &eb[i],
-				}
-			}
+		if i == len(ea) && i == len(eb) {
+			continue
 		}
-		if len(ea) != len(eb) {
-			d := &Divergence{
-				LabelA: a.Label, LabelB: b.Label,
-				Session: k.session, Peer: k.peer, Index: n,
-			}
-			if len(ea) > n {
-				d.A = &ea[n]
-			}
-			if len(eb) > n {
-				d.B = &eb[n]
-			}
-			return d
+		d := &Divergence{
+			LabelA: a.Label, LabelB: b.Label,
+			Session: k.session, Peer: k.peer, Index: i,
+		}
+		t := math.Inf(1)
+		if i < len(ea) {
+			d.A, t = &ea[i], ea[i].T
+		} else if i > 0 {
+			t = ea[i-1].T
+		}
+		if i < len(eb) {
+			d.B = &eb[i]
+		}
+		if first == nil || t < firstT || t == firstT && k.less(trackKey{first.Session, first.Peer}) {
+			first, firstT = d, t
 		}
 	}
-	return nil
+	return first
 }
 
 type trackKey struct {
 	session string
 	peer    int
+}
+
+func (k trackKey) less(o trackKey) bool {
+	if k.session != o.session {
+		return k.session < o.session
+	}
+	return k.peer < o.peer
 }
 
 // tracks splits a log into per-(session, peer) event tracks, applying

@@ -163,6 +163,32 @@ func TestFirstDivergenceFindsLowestPeer(t *testing.T) {
 	}
 }
 
+// The report names where the runs parted, in the first log's time, not
+// the lowest peer that noticed: peer 0 diverges at t = 5 because peer 2
+// already had at t = 3.
+func TestFirstDivergenceFindsEarliestInTime(t *testing.T) {
+	at := func(e Event, t float64) Event { e.T = t; return e }
+	a := []Event{
+		at(ev(0, "ev", "control", 1, 1, 2), 1),
+		at(ev(0, "eff", "activate", 0, 1, 2), 5),
+		at(ev(2, "ev", "request", -1, 0, 3), 2),
+		at(ev(2, "eff", "send_control", 4, 1, 2), 3),
+	}
+	b := []Event{
+		at(ev(0, "ev", "control", 1, 1, 2), 0.001),
+		at(ev(0, "eff", "activate", 0, 1, 3), 0.005),
+		at(ev(2, "ev", "request", -1, 0, 3), 0.002),
+		at(ev(2, "eff", "send_control", 5, 1, 2), 0.003),
+	}
+	d := FirstDivergence(Log{"sim", a}, Log{"live", b}, DiffOptions{})
+	if d == nil {
+		t.Fatal("no divergence reported")
+	}
+	if d.Peer != 2 || d.Index != 1 || d.A == nil || d.A.T != 3 {
+		t.Errorf("divergence at peer %d event %d (%+v), want peer 2 event 1 at t=3", d.Peer, d.Index, d.A)
+	}
+}
+
 func TestFirstDivergenceTrackLengthMismatch(t *testing.T) {
 	a := []Event{ev(2, "ev", "control", 0, 1, 1), ev(2, "eff", "activate", 0, 1, 0)}
 	b := []Event{ev(2, "ev", "control", 0, 1, 1)}

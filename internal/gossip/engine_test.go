@@ -49,10 +49,10 @@ func TestRoundsZeroForwardsOnceUnderDuplicateDelivery(t *testing.T) {
 	}
 	for i := 0; i < cfg.N; i++ {
 		switch {
-		case e.Infected(i) && e.Forwards(i) != 1:
-			t.Errorf("infected node %d forwarded %d times, want exactly 1", i, e.Forwards(i))
-		case !e.Infected(i) && e.Forwards(i) != 0:
-			t.Errorf("uninfected node %d forwarded %d times", i, e.Forwards(i))
+		case e.Infected(i) && e.nodes[i].forwards != 1:
+			t.Errorf("infected node %d forwarded %d times, want exactly 1", i, e.nodes[i].forwards)
+		case !e.Infected(i) && e.nodes[i].forwards != 0:
+			t.Errorf("uninfected node %d forwarded %d times", i, e.nodes[i].forwards)
 		}
 	}
 	// Flooding with one forward per node caps the push count at
@@ -69,7 +69,7 @@ func TestRoundsBudgetUnderDuplicateDelivery(t *testing.T) {
 	cfg := Config{N: 30, Fanout: 3, Rounds: 2, Seed: 11}
 	e := runWithDuplicates(t, cfg, 2)
 	for i := 0; i < cfg.N; i++ {
-		if f := e.Forwards(i); f > cfg.Rounds+1 {
+		if f := e.nodes[i].forwards; f > cfg.Rounds+1 {
 			t.Errorf("node %d forwarded %d times, budget is %d", i, f, cfg.Rounds+1)
 		}
 	}

@@ -120,9 +120,6 @@ func (e *Engine) Result() Result { return e.res }
 // Infected reports whether a node has received the rumor.
 func (e *Engine) Infected(id int) bool { return e.nodes[id].infected }
 
-// Forwards reports how many forwarding rounds a node has initiated.
-func (e *Engine) Forwards(id int) int { return e.nodes[id].forwards }
-
 func (e *Engine) forward(n *node) {
 	targets := selectTargets(e.rng, e.cfg, n)
 	if len(targets) == 0 {

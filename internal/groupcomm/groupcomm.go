@@ -131,38 +131,3 @@ func (p *Process) drain() {
 		}
 	}
 }
-
-// HappensBefore reports whether the event stamped a causally precedes b
-// (a < b in vector-clock order: a ≤ b pointwise and a ≠ b).
-func HappensBefore(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	strict := false
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-		if a[i] < b[i] {
-			strict = true
-		}
-	}
-	return strict
-}
-
-// Concurrent reports whether two vector stamps are causally unrelated.
-func Concurrent(a, b []int) bool {
-	return !HappensBefore(a, b) && !HappensBefore(b, a) && !equal(a, b)
-}
-
-func equal(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

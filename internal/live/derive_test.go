@@ -26,9 +26,10 @@ func bulkContent() *content.Content {
 }
 
 // hostedPeer is the serving peer of session "s" on a node that holds c
-// alone under a one-node roster. Its packets reach a "leaf" that drops
-// them: a send to an address with no endpoint allocates its error, at
-// the stream's pace, which a benchmark would count.
+// alone under a one-node roster. Its packets reach a "leaf" endpoint
+// that drops them, so a benchmark counts what a stream to a live leaf
+// costs: a send to an address with no endpoint would skip the fabric's
+// queue (it returns transport.ErrNoEndpoint at once).
 func hostedPeer(tb testing.TB, c *content.Content, reg *metrics.Registry) *Peer {
 	tb.Helper()
 	f := transport.NewFabric()
@@ -318,11 +319,10 @@ func oddPacket(kind seq.Kind, covers ...string) []byte {
 	return wire.AppendBytes(wire.AppendStrings(b, covers), nil)
 }
 
-// Sixteen sessions stream one shared content at once while it is removed
-// from the store and put back. Every one delivers exactly (a request
-// that finds the content gone is recovered by the repair round), and —
-// under -race — nobody wrote through a payload or cover list the
-// sessions share.
+// Sixteen sessions stream one shared content at once while the store's
+// entry is replaced by fresh contents over the same bytes, each deriving
+// its shares afresh. Every session delivers exactly, and — under -race —
+// nobody wrote through a payload or cover list the sessions share.
 func TestSharedContentConcurrentSessions(t *testing.T) {
 	const sessions = 16
 	data := randomData(12<<10, 61)
@@ -349,8 +349,7 @@ func TestSharedContentConcurrentSessions(t *testing.T) {
 			case <-stop:
 				return
 			case <-tick.C:
-				store.Remove("m")
-				store.Put(c)
+				store.Put(content.New("m", data, 64))
 			}
 		}
 	}()

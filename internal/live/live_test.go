@@ -72,6 +72,10 @@ func open(tb testing.TB, nd *Node, sc SessionConfig) *LeafSession {
 	return ls
 }
 
+// sessionCount is the sessions nd has admitted (serving plus leaf), the
+// number the MaxSessions budget meters.
+func sessionCount(nd *Node) int { return int(nd.sessions.Load()) }
+
 // servingPeers returns each node's serving peer of session sid, nil
 // where the node serves none.
 func servingPeers(nodes []*Node, sid SessionID) []*Peer {

@@ -561,10 +561,6 @@ func (n *Node) LeafCount() int {
 	return count
 }
 
-// SessionCount returns the sessions currently admitted (serving plus
-// leaf), the number the MaxSessions budget meters.
-func (n *Node) SessionCount() int { return int(n.sessions.Load()) }
-
 // reaper periodically tears down idle session state: leaves whose
 // reassembly completed, and serving peers that finished their stream
 // and have been quiet for ReapAfter. Without it a long-lived node

@@ -149,7 +149,7 @@ func TestSessionCloseDetaches(t *testing.T) {
 	nodes, leafNode := hostNodes(t, 1, storeOf(content.New("movie", randomData(640, 55), 64)), cfg, onFabric(f))
 	detached := func(nd *Node, role string) {
 		t.Helper()
-		if n := nd.SessionCount(); n != 0 {
+		if n := sessionCount(nd); n != 0 {
 			t.Errorf("%s: %d sessions admitted after close", nd.Addr(), n)
 		}
 		if g := reg.Gauge("live_node_sessions_active", "node", nd.Addr(), "role", role).Value(); g != 0 {
@@ -203,7 +203,7 @@ func TestNeverActivatedPeersAreReaped(t *testing.T) {
 		}
 	}
 	f.Wait()
-	if n, used := len(nd.Serving()), nd.SessionCount(); n != 4 || used != 4 {
+	if n, used := len(nd.Serving()), sessionCount(nd); n != 4 || used != 4 {
 		t.Fatalf("%d serving peers holding %d slots, want 4 and 4", n, used)
 	}
 	for _, p := range nd.Serving() {
@@ -216,7 +216,7 @@ func TestNeverActivatedPeersAreReaped(t *testing.T) {
 		t.Fatalf("%d serving peers left after reaping inside the grace, want 4", n)
 	}
 	nd.reap(time.Now().Add(grace))
-	if n, used := len(nd.Serving()), nd.SessionCount(); n != 0 || used != 0 {
+	if n, used := len(nd.Serving()), sessionCount(nd); n != 0 || used != 0 {
 		t.Fatalf("%d serving peers holding %d slots after the reap, want none", n, used)
 	}
 	serve(t, nd, "another").Close() // the budget is free again

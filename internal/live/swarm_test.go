@@ -272,7 +272,7 @@ func TestNodeReapsIdleSessions(t *testing.T) {
 	for {
 		total := 0
 		for _, nd := range nc.Nodes {
-			total += nd.SessionCount()
+			total += sessionCount(nd)
 		}
 		if total == 0 && gaugeSum("leaf") == 0 && gaugeSum("peer") == 0 {
 			break

@@ -165,20 +165,14 @@ func (v View) String() string {
 // results recorded before the fast path existed.
 const selectSampleThreshold = 4096
 
-// Select implements the paper's Select(CP, CP_i, m): it returns up to m
-// distinct contents peers drawn uniformly at random from the peers NOT in
-// view (CP − {CP_k | CP_k ∈ VW_i}). If the view is full it returns nil
-// (the paper's φ). The caller's own ID should already be in its view.
-func Select(rng *rand.Rand, view View, m int) []PeerID {
-	sel, _ := SelectWithSparesInto(rng, view, m, nil, false)
-	return sel
-}
-
-// SelectWithSpares is Select, also returning the candidates that did
-// NOT make the cut, in shuffled order — the failover preference list
-// for churn-tolerant retry. It consumes the RNG identically to Select
-// (one shuffle of the full candidate list), so a caller that ignores
-// the spares observes the same random stream.
+// SelectWithSpares implements the paper's Select(CP, CP_i, m): it
+// returns up to m distinct contents peers drawn uniformly at random from
+// the peers NOT in view (CP − {CP_k | CP_k ∈ VW_i}), nil when the view is
+// full (the paper's φ), and the candidates that did NOT make the cut, in
+// shuffled order — the failover preference list for churn-tolerant
+// retry. The caller's own ID should already be in its view. The spares
+// cost no extra draw (one shuffle of the full candidate list), so a
+// caller that ignores them observes the same random stream.
 func SelectWithSpares(rng *rand.Rand, view View, m int) (sel, spares []PeerID) {
 	return SelectWithSparesInto(rng, view, m, nil, true)
 }
@@ -239,16 +233,4 @@ func selectSampled(rng *rand.Rand, view View, m int, buf []PeerID, withSpares bo
 		return out[:m], out[m:]
 	}
 	return out[:m], nil
-}
-
-// SelectFrom returns up to m distinct peers drawn uniformly at random
-// from the 0..n-1 universe excluding `exclude` — used by TCoP's Aselect,
-// where the exclusion set is the peers CP_i knows to have been selected,
-// and by the leaf peer's initial selection (exclude empty).
-func SelectFrom(rng *rand.Rand, n int, exclude View, m int) []PeerID {
-	v := exclude
-	if v.n == 0 && n > 0 {
-		v = NewView(n)
-	}
-	return Select(rng, v, m)
 }

@@ -111,7 +111,7 @@ func TestSelectExcludesView(t *testing.T) {
 	v := NewView(10)
 	v.AddAll([]PeerID{0, 1, 2, 3, 4})
 	for trial := 0; trial < 50; trial++ {
-		got := Select(rng, v, 3)
+		got := pick(rng, v, 3)
 		if len(got) != 3 {
 			t.Fatalf("len = %d", len(got))
 		}
@@ -132,7 +132,7 @@ func TestSelectCapsAtAvailable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := NewView(5)
 	v.AddAll([]PeerID{0, 1, 2})
-	got := Select(rng, v, 10)
+	got := pick(rng, v, 10)
 	if len(got) != 2 {
 		t.Errorf("len = %d, want 2", len(got))
 	}
@@ -142,10 +142,10 @@ func TestSelectFullViewReturnsNil(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := NewView(3)
 	v.AddAll([]PeerID{0, 1, 2})
-	if got := Select(rng, v, 2); got != nil {
+	if got := pick(rng, v, 2); got != nil {
 		t.Errorf("Select from full view = %v", got)
 	}
-	if got := Select(rng, NewView(3), 0); got != nil {
+	if got := pick(rng, NewView(3), 0); got != nil {
 		t.Errorf("Select m=0 = %v", got)
 	}
 }
@@ -157,7 +157,7 @@ func TestSelectUniformish(t *testing.T) {
 	counts := make(map[PeerID]int)
 	const trials = 5000
 	for i := 0; i < trials; i++ {
-		for _, p := range Select(rng, v, 3) {
+		for _, p := range pick(rng, v, 3) {
 			counts[p]++
 		}
 	}
@@ -202,13 +202,13 @@ func TestSelectSampledLargeOverlay(t *testing.T) {
 
 func TestSelectFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	got := SelectFrom(rng, 6, View{}, 6)
+	got := pick(rng, NewView(6), 6)
 	if len(got) != 6 {
 		t.Errorf("len = %d, want all 6", len(got))
 	}
 	ex := NewView(6)
 	ex.AddAll([]PeerID{0, 1})
-	got = SelectFrom(rng, 6, ex, 10)
+	got = pick(rng, ex, 10)
 	if len(got) != 4 {
 		t.Errorf("len = %d, want 4", len(got))
 	}
@@ -254,4 +254,10 @@ func viewEq(a, b View) bool {
 		}
 	}
 	return true
+}
+
+// pick is the paper's Select(CP, CP_i, m) without the spare list.
+func pick(rng *rand.Rand, view View, m int) []PeerID {
+	sel, _ := SelectWithSparesInto(rng, view, m, nil, false)
+	return sel
 }

@@ -30,7 +30,7 @@ func BenchmarkXOR(b *testing.B) {
 	b.SetBytes(8 * 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		XOR(bufs)
+		xor(bufs)
 	}
 }
 
@@ -65,7 +65,7 @@ func BenchmarkRecoverWithLoss(b *testing.B) {
 					}
 				}
 				for _, k := range lost {
-					if p, ok := r.DataPayload(k); !ok || len(p) != 64 {
+					if p, ok := dataPayload(r, k); !ok || len(p) != 64 {
 						b.Fatalf("t%d not recovered", k)
 					}
 				}

@@ -52,8 +52,8 @@ func TestEnhanceCountProperty(t *testing.T) {
 		if len(e) != int(l)+segments {
 			t.Fatalf("|Enhance(len %d, h %d)| = %d, want %d", l, h, len(e), int(l)+segments)
 		}
-		if e.CountData() != int(l) || e.CountParity() != segments {
-			t.Fatalf("enhanced counts: %d data, %d parity", e.CountData(), e.CountParity())
+		if e.CountData() != int(l) || len(e)-e.CountData() != segments {
+			t.Fatalf("enhanced counts: %d data, %d parity", e.CountData(), len(e)-e.CountData())
 		}
 	}
 }
@@ -82,11 +82,11 @@ func deliverAndCheck(t *testing.T, s, kept seq.Sequence, order []int, label stri
 	for _, j := range order {
 		r.Add(kept[j])
 	}
-	if got := r.DataPresent(); got != len(s) {
+	if got := dataPresent(r); got != len(s) {
 		t.Fatalf("%s: recovered %d/%d data packets", label, got, len(s))
 	}
 	for _, p := range s {
-		b, ok := r.DataPayload(p.Index)
+		b, ok := dataPayload(r, p.Index)
 		if !ok {
 			t.Fatalf("%s: t%d missing after recovery", label, p.Index)
 		}
@@ -188,7 +188,7 @@ func FuzzRecovererDeliveryOrder(f *testing.F) {
 }
 
 // The OnData hook fires exactly once per content index, for received and
-// recovered packets alike, and DataPresent tracks it.
+// recovered packets alike, and the data count tracks it.
 func TestRecovererDataHook(t *testing.T) {
 	var s seq.Sequence
 	rng := rand.New(rand.NewSource(2))
@@ -208,8 +208,8 @@ func TestRecovererDataHook(t *testing.T) {
 		r.Add(p)
 		r.Add(p) // duplicate delivery must not re-fire the hook
 	}
-	if len(seen) != 20 || r.DataPresent() != 20 {
-		t.Fatalf("hook saw %d indices, DataPresent %d, want 20", len(seen), r.DataPresent())
+	if len(seen) != 20 || dataPresent(r) != 20 {
+		t.Fatalf("hook saw %d indices, %d data present, want 20", len(seen), dataPresent(r))
 	}
 	for k, n := range seen {
 		if n != 1 {

@@ -2,6 +2,7 @@ package parity
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -82,7 +83,7 @@ func (o *fixpointOracle) xorOf(keys []string, skip string) []byte {
 			bufs = append(bufs, o.payload[k])
 		}
 	}
-	return XOR(bufs)
+	return xor(bufs)
 }
 
 // randomStream builds the arrivals of one session: a content of random
@@ -150,9 +151,9 @@ func checkAgainstOracle(t *testing.T, r *Recoverer, arrivals seq.Sequence, l int
 			t.Fatalf("%s: arrival %d (%s): Add = %v, received before = %v", label, i, p.Key(), isNew, received[p.Key()])
 		}
 		received[p.Key()] = true
-		if r.Present() != len(o.payload) || r.DataPresent() != o.dataPresent() || r.Recovered() != o.recovered {
+		if r.Present() != len(o.payload) || dataPresent(r) != o.dataPresent() || r.Recovered() != o.recovered {
 			t.Fatalf("%s: after arrival %d (%s): present/data/recovered = %d/%d/%d, oracle %d/%d/%d", label, i, p.Key(),
-				r.Present(), r.DataPresent(), r.Recovered(), len(o.payload), o.dataPresent(), o.recovered)
+				r.Present(), dataPresent(r), r.Recovered(), len(o.payload), o.dataPresent(), o.recovered)
 		}
 	}
 	for key, want := range o.payload {
@@ -160,7 +161,7 @@ func checkAgainstOracle(t *testing.T, r *Recoverer, arrivals seq.Sequence, l int
 			t.Fatalf("%s: oracle holds %s, recoverer does not", label, key)
 		}
 		if k, ok := DataIndexOf(key); ok {
-			if got, _ := r.DataPayload(k); !equalPadded(got, want) {
+			if got, _ := dataPayload(r, k); !equalPadded(got, want) {
 				t.Fatalf("%s: t%d payload %x, oracle %x", label, k, got, want)
 			}
 		}
@@ -219,7 +220,7 @@ func TestRecovererOddKeysMatchOracle(t *testing.T) {
 			t.Errorf("oracle holds %q, recoverer does not", key)
 		}
 		if k, ok := DataIndexOf(key); ok {
-			if got, _ := r.DataPayload(k); !bytes.Equal(got, want) {
+			if got, _ := dataPayload(r, k); !bytes.Equal(got, want) {
 				t.Errorf("t%d payload %x, oracle %x", k, got, want)
 			}
 		}
@@ -237,7 +238,7 @@ func TestRecovererDeterministic(t *testing.T) {
 			r.Add(p)
 		}
 		for k := int64(1); k <= l; k++ {
-			b, _ := r.DataPayload(k)
+			b, _ := dataPayload(r, k)
 			payloads = append(payloads, b)
 		}
 		return order, payloads
@@ -257,4 +258,39 @@ func TestRecovererDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// xor returns the bitwise exclusive-or of bufs, padded to the longest
+// length, or nil when every input is empty.
+func xor(bufs [][]byte) []byte {
+	maxLen := 0
+	for _, b := range bufs {
+		maxLen = max(maxLen, len(b))
+	}
+	if maxLen == 0 {
+		return nil
+	}
+	out := make([]byte, maxLen)
+	for _, b := range bufs {
+		subtle.XORBytes(out, out, b)
+	}
+	return out
+}
+
+// dataPayload returns the payload r holds for data packet t_k and
+// whether t_k is present.
+func dataPayload(r *Recoverer, k int64) ([]byte, bool) {
+	nd := &r.nodes[r.lookupData(k)]
+	return nd.pkt.Payload, nd.present
+}
+
+// dataPresent counts the distinct data packets present in r.
+func dataPresent(r *Recoverer) int {
+	n := 0
+	for _, nd := range r.nodes[1:] {
+		if nd.present && nd.pkt.IsData() {
+			n++
+		}
+	}
+	return n
 }

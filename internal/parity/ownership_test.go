@@ -32,7 +32,7 @@ func TestRecovererKeepsNoReference(t *testing.T) {
 			}
 			for k := int64(1); k <= l; k++ {
 				want, ok := o.payload[DataKey(k)]
-				if got, present := r.DataPayload(k); present != ok || !equalPadded(got, want) {
+				if got, present := dataPayload(r, k); present != ok || !equalPadded(got, want) {
 					t.Fatalf("seed %d: t%d = %x (%v), oracle %x (%v)", seed, k, got, present, want, ok)
 				}
 			}
@@ -55,9 +55,9 @@ func TestRecovererLosslessXORsNothing(t *testing.T) {
 			r.Add(p)
 			o.add(p.Key(), p.Payload)
 		}
-		if r.Present() != len(o.payload) || r.DataPresent() != o.dataPresent() || r.Recovered() != o.recovered {
+		if r.Present() != len(o.payload) || dataPresent(r) != o.dataPresent() || r.Recovered() != o.recovered {
 			t.Fatalf("seed %d: present/data/recovered = %d/%d/%d, oracle %d/%d/%d", seed,
-				r.Present(), r.DataPresent(), r.Recovered(), len(o.payload), o.dataPresent(), o.recovered)
+				r.Present(), dataPresent(r), r.Recovered(), len(o.payload), o.dataPresent(), o.recovered)
 		}
 		if r.store.xors != 0 {
 			t.Fatalf("seed %d: %d payload XORs on a lossless stream", seed, r.store.xors)
@@ -121,7 +121,7 @@ func TestRecovererLossThroughDerivedParity(t *testing.T) {
 		rng.Read(data[k])
 	}
 	outer := mustParse(t, "p(t5,p(t7,t8))")
-	outer.Payload = XOR([][]byte{data[5], data[7], data[8]})
+	outer.Payload = xor([][]byte{data[5], data[7], data[8]})
 	r, o := NewContentRecoverer(8*32, 32), newFixpointOracle()
 	for _, p := range []seq.Packet{seq.NewDataPayload(7, data[7]), seq.NewDataPayload(8, data[8])} {
 		r.Add(p)
@@ -132,7 +132,7 @@ func TestRecovererLossThroughDerivedParity(t *testing.T) {
 	if r.Recovered() != o.recovered || r.Present() != len(o.payload) {
 		t.Fatalf("present/recovered = %d/%d, oracle %d/%d", r.Present(), r.Recovered(), len(o.payload), o.recovered)
 	}
-	if got, ok := r.DataPayload(5); !ok || !bytes.Equal(got, data[5]) {
+	if got, ok := dataPayload(r, 5); !ok || !bytes.Equal(got, data[5]) {
 		t.Fatalf("t5 = %x (%v), want %x", got, ok, data[5])
 	}
 	if r.store.xors == 0 {
@@ -186,7 +186,7 @@ func TestRecovererRecyclesParityBuffers(t *testing.T) {
 }
 
 // A lost data packet is XORed straight into its slot of the content
-// buffer when its rule recovers it: DataPayload returns that slot, and
+// buffer when its rule recovers it: its node holds that slot, and
 // the content is complete without it ever arriving.
 func TestRecovererRecoversIntoSlot(t *testing.T) {
 	var s seq.Sequence
@@ -213,7 +213,7 @@ func TestRecovererRecoversIntoSlot(t *testing.T) {
 		t.Fatal("content differs")
 	}
 	for _, k := range lost {
-		p, ok := r.DataPayload(k)
+		p, ok := dataPayload(r, k)
 		if !ok || &p[0] != &got[(k-1)*32] {
 			t.Fatalf("t%d is not held in its slot of the content buffer", k)
 		}

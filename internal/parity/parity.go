@@ -166,26 +166,6 @@ func xorPayloads(pkts []seq.Packet) []byte {
 	return out
 }
 
-// XOR returns the bitwise exclusive-or of the given byte slices, padded to
-// the longest length. It returns nil when every input is empty (the
-// accounting-only mode used by the simulator, where payloads are nil).
-func XOR(bufs [][]byte) []byte {
-	maxLen := 0
-	for _, b := range bufs {
-		if len(b) > maxLen {
-			maxLen = len(b)
-		}
-	}
-	if maxLen == 0 {
-		return nil
-	}
-	out := make([]byte, maxLen)
-	for _, b := range bufs {
-		subtle.XORBytes(out, out, b)
-	}
-	return out
-}
-
 // PerPeerRate returns the transmission rate τ(h+1)/(hH) each of H peers
 // sends an h-enhanced division of a rate-τ content at (§3.2).
 func PerPeerRate(contentRate float64, h, H int) float64 {

@@ -50,9 +50,8 @@ type Recoverer struct {
 	size, slot int
 	store      *payloads
 
-	present     int
-	recovered   int
-	dataPresent int
+	present   int
+	recovered int
 	// onData, when set, is invoked with the content index of every data
 	// packet that becomes present (received or recovered), exactly once
 	// per index — the incremental feed for missing-set tracking.
@@ -148,22 +147,12 @@ func (r *Recoverer) HasData(k int64) bool {
 	return r.nodes[r.lookupData(k)].present
 }
 
-// DataPayload returns the payload of data packet t_k if present. The
-// bytes are the Recoverer's and read-only.
-func (r *Recoverer) DataPayload(k int64) ([]byte, bool) {
-	nd := &r.nodes[r.lookupData(k)]
-	return nd.pkt.Payload, nd.present
-}
-
 // Recovered returns how many packets have been derived (not directly
 // received) so far.
 func (r *Recoverer) Recovered() int { return r.recovered }
 
 // Present returns the number of present packets (received + recovered).
 func (r *Recoverer) Present() int { return r.present }
-
-// DataPresent returns the number of distinct data packets present.
-func (r *Recoverer) DataPresent() int { return r.dataPresent }
 
 // lookupData returns the node of data packet t_k, or 0.
 func (r *Recoverer) lookupData(k int64) int32 {
@@ -255,11 +244,8 @@ func (r *Recoverer) markPresent(id int32) {
 	nd := &r.nodes[id]
 	nd.present = true
 	r.present++
-	if nd.pkt.IsData() {
-		r.dataPresent++
-		if r.onData != nil {
-			r.onData(nd.pkt.Index)
-		}
+	if nd.pkt.IsData() && r.onData != nil {
+		r.onData(nd.pkt.Index)
 	}
 	for l := nd.covered; l != 0; l = r.links[l].next {
 		rule := r.links[l].rule

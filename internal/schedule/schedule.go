@@ -162,9 +162,6 @@ func (a *Allocator) SetSlotLen(chID int, slotLen float64) {
 	panic(fmt.Sprintf("schedule: unknown channel %d", chID))
 }
 
-// Allocated returns how many packets have been allocated so far.
-func (a *Allocator) Allocated() int { return len(a.result.Slots) }
-
 // Result returns the allocation so far. The returned value shares state
 // with the allocator; callers should stop allocating before using it.
 func (a *Allocator) Result() Allocation { return a.result }

@@ -191,13 +191,13 @@ func TestAllocatePanics(t *testing.T) {
 
 func TestAllocatedCount(t *testing.T) {
 	a := NewAllocator(ProportionalChannels(1))
-	if a.Allocated() != 0 {
-		t.Error("fresh allocator not empty")
+	if n := len(a.Result().Slots); n != 0 {
+		t.Errorf("fresh allocator holds %d slots", n)
 	}
 	a.Next()
 	a.Next()
-	if a.Allocated() != 2 {
-		t.Errorf("Allocated = %d", a.Allocated())
+	if n := len(a.Result().Slots); n != 2 {
+		t.Errorf("%d slots after two allocations, want 2", n)
 	}
 }
 

@@ -176,7 +176,7 @@ func randomSequence(rng *rand.Rand, span int64, recur ...Sequence) Sequence {
 // sorted by (Pos, key) with no duplicate identities.
 func canonical(t *testing.T, label string, s Sequence) {
 	t.Helper()
-	if !s.Sorted() {
+	if !sorted(s) {
 		t.Fatalf("%s: not in canonical order: %v", label, s)
 	}
 	for i := 1; i < len(s); i++ {
@@ -238,7 +238,7 @@ func TestSetAlgebraInvariants(t *testing.T) {
 				len(u), len(x), len(a), len(b))
 		}
 		for _, p := range x {
-			if a.IndexOfKey(p.Key()) < 0 || b.IndexOfKey(p.Key()) < 0 {
+			if indexOfKey(a, p.Key()) < 0 || indexOfKey(b, p.Key()) < 0 {
 				t.Fatalf("intersection element %v missing from an input", p)
 			}
 		}
@@ -275,10 +275,10 @@ func TestIntersectSortedUnsortedAgree(t *testing.T) {
 	if recurring == 0 {
 		t.Fatal("no trial intersected a recurring parity")
 	}
-	a := Sequence{NewData(1), NewParity(FromIndices(1, 2), 1.5), NewData(2)}
+	a := Sequence{NewData(1), NewParity(fromIndices(1, 2), 1.5), NewData(2)}
 	b := Sequence{NewData(7), a[1], NewData(8)}
 	b[1].Pos = 7.5
-	if x := Intersect(a, b); len(x) != 1 || x[0].Key() != "p(t1,t2)" || Disjoint(a, b) {
+	if x := Intersect(a, b); len(x) != 1 || x[0].Key() != "p(t1,t2)" || disjoint(a, b) {
 		t.Fatalf("Intersect(%v, %v) = %v, want ⟨p(t1,t2)⟩", a, b, x)
 	}
 }
@@ -304,7 +304,7 @@ func TestDivideInvariants(t *testing.T) {
 			}
 			total += len(p)
 			for j := i + 1; j < len(parts); j++ {
-				if !Disjoint(p, parts[j]) {
+				if !disjoint(p, parts[j]) {
 					t.Fatalf("parts %d and %d overlap", i, j)
 				}
 			}

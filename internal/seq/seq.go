@@ -171,15 +171,6 @@ func (p Packet) GoString() string {
 // by identity key so ordering is total and deterministic).
 type Sequence []Packet
 
-// FromIndices builds the data packet sequence ⟨t_i : i ∈ idx⟩.
-func FromIndices(idx ...int64) Sequence {
-	s := make(Sequence, len(idx))
-	for i, k := range idx {
-		s[i] = NewData(k)
-	}
-	return s
-}
-
 // Range returns the content sequence ⟨t_lo, …, t_hi⟩ inclusive.
 func Range(lo, hi int64) Sequence {
 	if hi < lo {
@@ -216,11 +207,6 @@ func (s Sequence) Sort() {
 	sort.Slice(s, func(i, j int) bool { return Less(&s[i], &s[j]) })
 }
 
-// Sorted reports whether the sequence is in canonical order.
-func (s Sequence) Sorted() bool {
-	return sort.SliceIsSorted(s, func(i, j int) bool { return Less(&s[i], &s[j]) })
-}
-
 // Clone returns a copy of the sequence sharing packet payloads.
 func (s Sequence) Clone() Sequence {
 	c := make(Sequence, len(s))
@@ -242,17 +228,6 @@ func (s Sequence) String() string {
 	return "⟨" + strings.Join(s.Keys(), ", ") + "⟩"
 }
 
-// DataIndices returns the content indices of the data packets in s, in order.
-func (s Sequence) DataIndices() []int64 {
-	var out []int64
-	for _, p := range s {
-		if p.IsData() {
-			out = append(out, p.Index)
-		}
-	}
-	return out
-}
-
 // CountData returns the number of data packets in s.
 func (s Sequence) CountData() int {
 	n := 0
@@ -262,30 +237,6 @@ func (s Sequence) CountData() int {
 		}
 	}
 	return n
-}
-
-// CountParity returns the number of parity packets in s.
-func (s Sequence) CountParity() int { return len(s) - s.CountData() }
-
-// IndexOfData returns the offset of data packet t_k in s, or -1.
-func (s Sequence) IndexOfData(k int64) int {
-	for i, p := range s {
-		if p.IsData() && p.Index == k {
-			return i
-		}
-	}
-	return -1
-}
-
-// IndexOfKey returns the offset of the packet with the given identity key,
-// or -1 if absent.
-func (s Sequence) IndexOfKey(key string) int {
-	for i, p := range s {
-		if p.Key() == key {
-			return i
-		}
-	}
-	return -1
 }
 
 // Prefix returns pkt⟨t] — the prefix of s up to and including the packet at
@@ -298,20 +249,6 @@ func (s Sequence) Prefix(i int) Sequence {
 // end. It panics if i is out of range.
 func (s Sequence) Postfix(i int) Sequence {
 	return s[i:].Clone()
-}
-
-// PostfixFromData returns pkt[t_k⟩ for data packet t_k. If t_k is not in s,
-// the postfix starts at the first packet positioned after t_k would be.
-func (s Sequence) PostfixFromData(k int64) Sequence {
-	if i := s.IndexOfData(k); i >= 0 {
-		return s.Postfix(i)
-	}
-	for i, p := range s {
-		if p.Pos >= float64(k) {
-			return s.Postfix(i)
-		}
-	}
-	return nil
 }
 
 // Union returns the sequence containing every packet of a and b exactly
@@ -419,10 +356,6 @@ func Intersect(a, b Sequence) Sequence {
 	}
 	return out
 }
-
-// Disjoint reports whether a and b share no packets
-// (pkt_i ∩ pkt_j = φ, the condition §3.2 imposes on subsequences).
-func Disjoint(a, b Sequence) bool { return len(Intersect(a, b)) == 0 }
 
 // Divide splits s into H subsequences by round-robin: the j-th packet
 // (0-based) of s goes to subsequence j mod H, matching §3.2's division

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -36,7 +37,7 @@ func TestNewParityKeyNesting(t *testing.T) {
 func TestRangeAndIndices(t *testing.T) {
 	s := Range(3, 6)
 	want := []int64{3, 4, 5, 6}
-	got := s.DataIndices()
+	got := dataIndices(s)
 	if len(got) != len(want) {
 		t.Fatalf("DataIndices() = %v, want %v", got, want)
 	}
@@ -53,11 +54,11 @@ func TestRangeAndIndices(t *testing.T) {
 func TestPrefixPostfix(t *testing.T) {
 	s := Range(1, 8)
 	pre := s.Prefix(2) // ⟨t1,t2,t3⟩
-	if !Equal(pre, FromIndices(1, 2, 3)) {
+	if !Equal(pre, fromIndices(1, 2, 3)) {
 		t.Errorf("Prefix = %v", pre)
 	}
 	post := s.Postfix(5) // ⟨t6,t7,t8⟩
-	if !Equal(post, FromIndices(6, 7, 8)) {
+	if !Equal(post, fromIndices(6, 7, 8)) {
 		t.Errorf("Postfix = %v", post)
 	}
 	// Mutating the views must not alias the original.
@@ -67,34 +68,18 @@ func TestPrefixPostfix(t *testing.T) {
 	}
 }
 
-func TestPostfixFromData(t *testing.T) {
-	s := FromIndices(1, 3, 5, 7)
-	got := s.PostfixFromData(5)
-	if !Equal(got, FromIndices(5, 7)) {
-		t.Errorf("PostfixFromData(5) = %v", got)
-	}
-	// Absent index: start from first packet at or after that position.
-	got = s.PostfixFromData(4)
-	if !Equal(got, FromIndices(5, 7)) {
-		t.Errorf("PostfixFromData(4) = %v", got)
-	}
-	if s.PostfixFromData(100) != nil {
-		t.Error("PostfixFromData beyond end should be nil")
-	}
-}
-
 func TestUnionPaperExample(t *testing.T) {
 	// §2: pkt1 ∪ pkt2 ∪ pkt3 = ⟨t1..t8⟩ for pkt1=⟨t1,t2,t4,t5⟩,
 	// pkt2=⟨t3,t6⟩, pkt3=⟨t7,t8⟩.
-	u := Union(Union(FromIndices(1, 2, 4, 5), FromIndices(3, 6)), FromIndices(7, 8))
+	u := Union(Union(fromIndices(1, 2, 4, 5), fromIndices(3, 6)), fromIndices(7, 8))
 	if !Equal(u, Range(1, 8)) {
 		t.Errorf("union = %v", u)
 	}
 }
 
 func TestUnionDedupes(t *testing.T) {
-	a := FromIndices(1, 2, 3)
-	b := FromIndices(2, 3, 4)
+	a := fromIndices(1, 2, 3)
+	b := fromIndices(2, 3, 4)
 	u := Union(a, b)
 	if !Equal(u, Range(1, 4)) {
 		t.Errorf("union = %v", u)
@@ -102,30 +87,30 @@ func TestUnionDedupes(t *testing.T) {
 }
 
 func TestIntersectAndDisjoint(t *testing.T) {
-	a := FromIndices(1, 2, 4, 5)
-	b := FromIndices(2, 5, 9)
+	a := fromIndices(1, 2, 4, 5)
+	b := fromIndices(2, 5, 9)
 	got := Intersect(a, b)
-	if !Equal(got, FromIndices(2, 5)) {
+	if !Equal(got, fromIndices(2, 5)) {
 		t.Errorf("intersect = %v", got)
 	}
-	if Disjoint(a, b) {
-		t.Error("Disjoint = true for overlapping sequences")
+	if disjoint(a, b) {
+		t.Error("overlapping sequences reported disjoint")
 	}
-	if !Disjoint(FromIndices(1, 3), FromIndices(2, 4)) {
-		t.Error("Disjoint = false for disjoint sequences")
+	if !disjoint(fromIndices(1, 3), fromIndices(2, 4)) {
+		t.Error("disjoint sequences reported overlapping")
 	}
 }
 
 func TestDivideRoundRobin(t *testing.T) {
 	s := Range(1, 7)
 	parts := Divide(s, 3)
-	if !Equal(parts[0], FromIndices(1, 4, 7)) {
+	if !Equal(parts[0], fromIndices(1, 4, 7)) {
 		t.Errorf("part0 = %v", parts[0])
 	}
-	if !Equal(parts[1], FromIndices(2, 5)) {
+	if !Equal(parts[1], fromIndices(2, 5)) {
 		t.Errorf("part1 = %v", parts[1])
 	}
-	if !Equal(parts[2], FromIndices(3, 6)) {
+	if !Equal(parts[2], fromIndices(3, 6)) {
 		t.Errorf("part2 = %v", parts[2])
 	}
 	for i := 0; i < 3; i++ {
@@ -155,7 +140,7 @@ func TestDividePartitionProperty(t *testing.T) {
 		u := Sequence(nil)
 		for i, p := range parts {
 			for j := i + 1; j < len(parts); j++ {
-				if !Disjoint(p, parts[j]) {
+				if !disjoint(p, parts[j]) {
 					return false
 				}
 			}
@@ -196,15 +181,15 @@ func TestUnionAlgebraProperty(t *testing.T) {
 }
 
 func TestSortAndSorted(t *testing.T) {
-	s := FromIndices(3, 1, 2)
-	if s.Sorted() {
+	s := fromIndices(3, 1, 2)
+	if sorted(s) {
 		t.Error("unsorted sequence reported sorted")
 	}
 	s.Sort()
-	if !Equal(s, FromIndices(1, 2, 3)) {
+	if !Equal(s, fromIndices(1, 2, 3)) {
 		t.Errorf("after Sort = %v", s)
 	}
-	if !s.Sorted() {
+	if !sorted(s) {
 		t.Error("sorted sequence reported unsorted")
 	}
 }
@@ -213,24 +198,8 @@ func TestCounts(t *testing.T) {
 	s := Range(1, 4)
 	s = append(s, NewParity([]Packet{s[0], s[1]}, 0.5))
 	s.Sort()
-	if s.CountData() != 4 || s.CountParity() != 1 {
-		t.Errorf("counts = %d data, %d parity", s.CountData(), s.CountParity())
-	}
-}
-
-func TestIndexOf(t *testing.T) {
-	s := FromIndices(2, 4, 6)
-	if i := s.IndexOfData(4); i != 1 {
-		t.Errorf("IndexOfData(4) = %d", i)
-	}
-	if i := s.IndexOfData(5); i != -1 {
-		t.Errorf("IndexOfData(5) = %d", i)
-	}
-	if i := s.IndexOfKey("t6"); i != 2 {
-		t.Errorf("IndexOfKey(t6) = %d", i)
-	}
-	if i := s.IndexOfKey("p(t1,t2)"); i != -1 {
-		t.Errorf("IndexOfKey missing = %d", i)
+	if s.CountData() != 4 || len(s) != 5 {
+		t.Errorf("counts = %d data of %d", s.CountData(), len(s))
 	}
 }
 
@@ -244,11 +213,51 @@ func TestMidPos(t *testing.T) {
 }
 
 func TestStringNotation(t *testing.T) {
-	s := FromIndices(1, 2)
+	s := fromIndices(1, 2)
 	if got := s.String(); got != "⟨t1, t2⟩" {
 		t.Errorf("String() = %q", got)
 	}
 	if Data.String() != "data" || Parity.String() != "parity" {
 		t.Error("Kind.String wrong")
 	}
+}
+
+// fromIndices builds the data packet sequence ⟨t_i : i ∈ idx⟩.
+func fromIndices(idx ...int64) Sequence {
+	s := make(Sequence, len(idx))
+	for i, k := range idx {
+		s[i] = NewData(k)
+	}
+	return s
+}
+
+// sorted reports whether s is in canonical order.
+func sorted(s Sequence) bool {
+	return sort.SliceIsSorted(s, func(i, j int) bool { return Less(&s[i], &s[j]) })
+}
+
+// dataIndices returns the indices of the data packets of s, in order.
+func dataIndices(s Sequence) []int64 {
+	var out []int64
+	for _, p := range s {
+		if p.IsData() {
+			out = append(out, p.Index)
+		}
+	}
+	return out
+}
+
+// disjoint reports whether a and b share no packet (pkt_i ∩ pkt_j = φ,
+// the condition §3.2 imposes on subsequences).
+func disjoint(a, b Sequence) bool { return len(Intersect(a, b)) == 0 }
+
+// indexOfKey returns the offset of the packet with the given identity
+// key in s, or -1.
+func indexOfKey(s Sequence, key string) int {
+	for i, p := range s {
+		if p.Key() == key {
+			return i
+		}
+	}
+	return -1
 }

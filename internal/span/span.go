@@ -48,9 +48,6 @@ type Context struct {
 	Span  SpanID  `json:"span,omitempty"`
 }
 
-// Valid reports whether the context carries a trace.
-func (c Context) Valid() bool { return c.Trace != 0 }
-
 // Span is one recorded unit of work. Start and End are in the driver's
 // clock domain (virtual seconds for the simulator, wall seconds since
 // the collector epoch for the live runtime); instant spans have

@@ -275,6 +275,11 @@ func (f *Fabric) Endpoint(name string, h Handler) Endpoint {
 // Wait blocks until all in-flight deliveries complete.
 func (f *Fabric) Wait() { f.wg.Wait() }
 
+// ErrNoEndpoint is a fabric send's error when no endpoint is open at
+// the address. It names no address, so a send into a vanished peer
+// allocates nothing; a caller that reports it names the address.
+var ErrNoEndpoint = errors.New("transport: no endpoint at the address")
+
 type memEndpoint struct {
 	f    *Fabric
 	name string
@@ -291,7 +296,7 @@ func (e *memEndpoint) Send(to string, m Msg) error {
 	met := f.met
 	f.mu.Unlock()
 	if !ok || closed {
-		return fmt.Errorf("transport: no endpoint %q", to)
+		return ErrNoEndpoint
 	}
 	met.msgs.Inc()
 	met.bytes.Add(int64(len(m.Payload)))

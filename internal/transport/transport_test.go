@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -97,8 +98,23 @@ func TestFabricDelivery(t *testing.T) {
 func TestFabricUnknownEndpoint(t *testing.T) {
 	f := NewFabric()
 	a := f.Endpoint("a", func(Msg) {})
-	if err := a.Send("ghost", Msg{}); err == nil {
-		t.Error("send to unknown endpoint succeeded")
+	if err := a.Send("ghost", Msg{}); !errors.Is(err, ErrNoEndpoint) {
+		t.Errorf("send to unknown endpoint: %v, want ErrNoEndpoint", err)
+	}
+}
+
+// A serving peer whose leaf is gone streams on into the address until it
+// is reaped: each of those sends, to an address never opened or since
+// closed, allocates nothing.
+func TestFabricSendToNoEndpointAllocs(t *testing.T) {
+	f := NewFabric()
+	a := f.Endpoint("a", func(Msg) {})
+	f.Endpoint("gone", func(Msg) {}).Close()
+	m := Msg{Type: "data", Payload: make([]byte, 64)}
+	for _, to := range []string{"ghost", "gone"} {
+		if n := testing.AllocsPerRun(100, func() { a.Send(to, m) }); n != 0 {
+			t.Errorf("a send to %q allocates %v times, want 0", to, n)
+		}
 	}
 }
 
@@ -108,8 +124,8 @@ func TestFabricClose(t *testing.T) {
 	ep := f.Endpoint("b", b.handler())
 	a := f.Endpoint("a", func(Msg) {})
 	ep.Close()
-	if err := a.Send("b", Msg{Type: "x"}); err == nil {
-		t.Error("send to closed endpoint succeeded")
+	if err := a.Send("b", Msg{Type: "x"}); !errors.Is(err, ErrNoEndpoint) {
+		t.Errorf("send to closed endpoint: %v, want ErrNoEndpoint", err)
 	}
 	f.Wait()
 	if b.len() != 0 {
