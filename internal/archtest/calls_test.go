@@ -26,6 +26,19 @@ func TestForbiddenRefs(t *testing.T) {
 	}
 }
 
+// TestOnePoolPerSimulatedRun: the simulator drives a run's peers from
+// one goroutine and builds every one of them from the run's
+// engine.Pool, so non-test internal/coord does not reference
+// engine.NewPeer, which gives a peer a pool of its own.
+func TestOnePoolPerSimulatedRun(t *testing.T) {
+	tr := repo(t)
+	for _, f := range tr.prod(func(d string) bool { return d == "internal/coord" }) {
+		selectorRefs(f.ast, "p2pmss/internal/engine", "NewPeer", func(n ast.Node) {
+			t.Errorf("%s references engine.NewPeer: build a simulated peer from the run's engine.Pool", tr.pos(n))
+		})
+	}
+}
+
 // deprecatedMarker is godoc's deprecation paragraph, spelled in two parts
 // so that this file holds no such comment itself.
 const deprecatedMarker = "Deprecated" + ":"

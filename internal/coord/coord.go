@@ -566,10 +566,17 @@ func newRunner(cfg Config) (*runner, error) {
 	} else if cfg.DataPlane {
 		r.content = seq.Range(1, cfg.ContentLen)
 	}
-	for i := 0; i < cfg.N; i++ {
-		p := &peerNode{r: r, id: overlay.PeerID(i)}
-		p.tx = &transmitter{r: r, node: i}
-		r.peers = append(r.peers, p)
+	// Each node and its transmitter come from two bulk slices, not 2N
+	// allocations.
+	nodes := make([]peerNode, cfg.N)
+	txs := make([]transmitter, cfg.N)
+	r.peers = make([]*peerNode, cfg.N)
+	for i := range nodes {
+		p := &nodes[i]
+		p.r, p.id = r, overlay.PeerID(i)
+		p.tx = &txs[i]
+		p.tx.r, p.tx.node = r, i
+		r.peers[i] = p
 	}
 	r.leaf = newLeaf(r)
 	// Crashes before the run go unnoted; timed ones, CrashAt's first and

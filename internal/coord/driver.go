@@ -54,9 +54,11 @@ func (c *coordinated) deliver(p *peerNode, from int, m any) {
 	}
 }
 
-// initEngine builds the per-peer engine cores. Called from the
-// protocol's start() rather than newRunner because tests install
-// protocol impls directly.
+// initEngine builds the engine cores, every one from the run's one
+// pool: the whole run is driven from one goroutine, so a node any peer
+// released is the next one any peer takes. Called from the protocol's
+// start() rather than newRunner because tests install protocol impls
+// directly.
 func (r *runner) initEngine(dcopMode bool) {
 	ecfg := engine.Config{
 		N:                r.cfg.N,
@@ -72,9 +74,10 @@ func (r *runner) initEngine(dcopMode bool) {
 	if err := ecfg.Normalize(); err != nil {
 		panic(err) // unreachable: Config.normalize validated the same fields
 	}
+	pool := new(engine.Pool)
 	for _, p := range r.peers {
 		rng := des.NewRand(engine.PeerSeed(r.cfg.Seed, p.id))
-		p.core = engine.NewPeer(ecfg, p.id, rng)
+		p.core = pool.NewPeer(ecfg, p.id, rng)
 		p.obs = r.cfg.Obs.Observer("", p.id, r.met.peer)
 	}
 }

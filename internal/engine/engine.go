@@ -16,11 +16,12 @@
 // clocks, no I/O: all randomness comes from the injected *rand.Rand, so
 // a driver that replays the same events observes the same effects.
 //
-// Events, effects and messages are pointer types drawn from per-peer
-// free lists (see pool.go): a driver that returns batches via
-// Peer.Release and message nodes via ReleaseMsg runs a steady-state
-// coordination round with (amortized) zero engine allocations. Both
-// calls are optional — uncollected nodes fall back to the GC.
+// Events, effects and messages are pointer types drawn from free lists
+// (a Pool, one per simulated run or per live peer; see pool.go): a
+// driver that returns batches via Peer.Release and message nodes via
+// ReleaseMsg runs a steady-state coordination round with (amortized)
+// zero engine allocations. Both calls are optional — uncollected nodes
+// fall back to the GC.
 package engine
 
 import (
@@ -253,7 +254,7 @@ type MsgControl struct {
 	// protocol logic.
 	Span span.Context
 
-	pl *pool
+	pl *Pool
 }
 
 // MsgConfirm is TCoP's (positive or negative) confirmation cc1.
@@ -263,7 +264,7 @@ type MsgConfirm struct {
 	Round  int
 	Span   span.Context
 
-	pl *pool
+	pl *Pool
 }
 
 // MsgCommit is TCoP's second control packet c2.
@@ -277,7 +278,7 @@ type MsgCommit struct {
 	Round       int
 	Span        span.Context
 
-	pl *pool
+	pl *Pool
 }
 
 // ---- timers -------------------------------------------------------------
@@ -409,7 +410,7 @@ type Peer struct {
 	childrenTaken int
 	// DCoP: assignments already delivered once, so network-duplicated
 	// controls/commits don't re-merge or re-flood (see assignKey).
-	seenAssign map[assignKey]bool
+	seenAssign []assignKey
 
 	// TCoP handshake state. outstanding is a small slice (≤ H entries)
 	// scanned linearly; outstandingOpen distinguishes "no round in
@@ -438,31 +439,55 @@ type Peer struct {
 	retried  int
 	absorbed int
 
-	// Free lists and scratch buffers (selection, view membership,
-	// restricted views) reused across Handle calls.
-	pl         pool
-	selBuf     []PeerID
-	membersBuf []PeerID
-	rviewBuf   []PeerID
-	one        [1]PeerID
+	// The pool the peer's effects and messages come from (shared by a
+	// simulated run's peers, see pool.go), and the scratch the peer keeps
+	// to itself: the selection buffer, whose spare tail is candQueue.
+	pl     *Pool
+	selBuf []PeerID
+	one    [1]PeerID
 }
 
-// NewPeer returns the state machine of contents peer id. The caller
-// must have normalized cfg and owns the seeding of rng (see PeerSeed).
+// NewPeer returns the state machine of contents peer id, with a pool of
+// its own. The caller must have normalized cfg and owns the seeding of
+// rng (see PeerSeed).
 func NewPeer(cfg Config, id PeerID, rng *rand.Rand) *Peer {
-	return &Peer{
+	o := new(ownedPeer) // the peer and its pool in one allocation
+	o.Peer = newPeer(cfg, id, rng, &o.pool)
+	return &o.Peer
+}
+
+// ownedPeer is a peer NewPeer built together with the pool only it
+// draws from.
+type ownedPeer struct {
+	Peer
+	pool Pool
+}
+
+// NewPeer returns the state machine of contents peer id, drawing its
+// effects and messages from pl; every peer of pl must be driven from
+// one goroutine. The caller must have normalized cfg and owns the
+// seeding of rng (see PeerSeed).
+func (pl *Pool) NewPeer(cfg Config, id PeerID, rng *rand.Rand) *Peer {
+	p := newPeer(cfg, id, rng, pl)
+	return &p
+}
+
+func newPeer(cfg Config, id PeerID, rng *rand.Rand, pl *Pool) Peer {
+	return Peer{
 		cfg:    cfg,
 		id:     id,
 		rng:    rng,
 		view:   overlay.NewView(cfg.N),
 		parent: -1,
+		pl:     pl,
 	}
 }
 
 // Reset rewinds the state machine to its just-constructed state while
-// keeping every internal capacity — view words, scratch buffers, free
-// lists — so a harness can rerun rounds on the same peers without
-// reallocating. The caller owns reseeding the injected rng.
+// keeping every internal capacity — view words, scratch buffers, and
+// the pool it draws from — so a harness can rerun rounds on the same
+// peers without reallocating. The caller owns reseeding the injected
+// rng.
 func (p *Peer) Reset() {
 	p.view.Clear()
 	p.active = false
@@ -470,7 +495,7 @@ func (p *Peer) Reset() {
 	p.committed = false
 	p.round = 0
 	p.childrenTaken = 0
-	clear(p.seenAssign)
+	p.seenAssign = p.seenAssign[:0]
 	p.wanted = 0
 	p.outstanding = p.outstanding[:0]
 	p.outstandingOpen = false
@@ -709,17 +734,18 @@ func (p *Peer) dropChild(c PeerID) {
 }
 
 // restrictedView builds the sorted c1 view restricted to the sender and
-// the given children in the peer's scratch buffer (valid until the next
-// call). Out-of-range sender ids (live-layer ephemeral joiners) are
-// skipped, like viewAdd.
+// the given children in the pool's scratch buffer (valid until the next
+// call on any peer of the pool). Out-of-range sender ids (live-layer
+// ephemeral joiners) are skipped, like viewAdd.
 func (p *Peer) restrictedView(children []PeerID) []PeerID {
-	p.rviewBuf = p.rviewBuf[:0]
+	rv := p.pl.rview[:0]
 	if p.id >= 0 && int(p.id) < p.cfg.N {
-		p.rviewBuf = append(p.rviewBuf, p.id)
+		rv = append(rv, p.id)
 	}
-	p.rviewBuf = append(p.rviewBuf, children...)
-	slices.Sort(p.rviewBuf)
-	return p.rviewBuf
+	rv = append(rv, children...)
+	slices.Sort(rv)
+	p.pl.rview = rv
+	return rv
 }
 
 // ---- outcome ------------------------------------------------------------

@@ -60,6 +60,10 @@ type harness struct {
 	// onAssign observes every share the engine takes on for a peer, in
 	// arrival order: the Seq of each Activate and Merge effect.
 	onAssign func(to engine.PeerID, s seq.Sequence)
+
+	// onBatch observes every effect batch a peer's Handle returned, in
+	// order, before any of it is applied or released.
+	onBatch func(to engine.PeerID, effs []engine.Effect)
 }
 
 // delivery is one queued message (msg set) or direct event (ev set).
@@ -76,6 +80,12 @@ type timerEntry struct {
 }
 
 func newHarness(cfg engine.Config, seed int64) *harness {
+	return newHarnessOn(cfg, seed, nil)
+}
+
+// newHarnessOn builds every peer from pl, as the simulator does, or
+// each with a pool of its own (engine.NewPeer) when pl is nil.
+func newHarnessOn(cfg engine.Config, seed int64, pl *engine.Pool) *harness {
 	if err := cfg.Normalize(); err != nil {
 		panic(err)
 	}
@@ -84,7 +94,11 @@ func newHarness(cfg engine.Config, seed int64) *harness {
 		id := engine.PeerID(i)
 		src := des.NewSource(engine.PeerSeed(seed, id))
 		h.sources = append(h.sources, src)
-		h.peers = append(h.peers, engine.NewPeer(cfg, id, rand.New(src)))
+		if pl != nil {
+			h.peers = append(h.peers, pl.NewPeer(cfg, id, rand.New(src)))
+		} else {
+			h.peers = append(h.peers, engine.NewPeer(cfg, id, rand.New(src)))
+		}
 		h.streams = append(h.streams, engine.Stream{})
 	}
 	return h
@@ -217,6 +231,9 @@ func (h *harness) apply(to engine.PeerID, effs []engine.Effect) {
 	st := &h.streams[to]
 	batches := append(h.batchBuf[:0], effs)
 	for bi := 0; bi < len(batches); bi++ {
+		if h.onBatch != nil {
+			h.onBatch(to, batches[bi])
+		}
 		for _, eff := range batches[bi] {
 			switch e := eff.(type) {
 			case *engine.Send:

@@ -2,13 +2,13 @@ package engine
 
 import "p2pmss/internal/seq"
 
-// Per-peer free lists. A coordination round used to allocate every
-// event box, effect node, message and effect slice afresh — ~21k
-// allocations for a 100-peer TCoP round. Events, effects and messages
-// are pointer types precisely so the nodes can be recycled: a driver
-// that calls Peer.Release after applying a batch, and ReleaseMsg once a
-// protocol message has been fully consumed, runs a steady-state round
-// with (amortized) zero engine allocations.
+// Free lists. A coordination round used to allocate every event box,
+// effect node, message and effect slice afresh — ~21k allocations for a
+// 100-peer TCoP round. Events, effects and messages are pointer types
+// precisely so the nodes can be recycled: a driver that calls
+// Peer.Release after applying a batch, and ReleaseMsg once a protocol
+// message has been fully consumed, runs a steady-state round with
+// (amortized) zero engine allocations.
 //
 // Both calls are OPTIONAL. A driver that never releases anything —
 // or that drops a batch on a crash path — simply leaves the nodes to
@@ -22,17 +22,28 @@ import "p2pmss/internal/seq"
 //     a message may still be in flight (the simulator delivers it with
 //     latency; the live layer may still be encoding it). Whoever
 //     consumes the message last calls ReleaseMsg.
-//   - ReleaseMsg returns a message node to the pool of the peer that
-//     created it (messages carry an unexported back-pointer). Messages
-//     constructed by hand or decoded from the wire carry no pool and
-//     ReleaseMsg is a no-op for them.
+//   - ReleaseMsg returns a message node to the pool that created it
+//     (messages carry an unexported back-pointer). Messages constructed
+//     by hand or decoded from the wire carry no pool and ReleaseMsg is a
+//     no-op for them.
 //
-// Pools are per-peer and the engine is single-threaded per peer, so no
-// locking is needed; in the simulator ReleaseMsg returns a node to the
-// *sender's* pool from the receiver's dispatch, which is safe because
-// the whole simulation runs on one goroutine. The live runtime never
-// shares message nodes across peers (they cross as encoded bytes).
-type pool struct {
+// Who shares a pool. A Pool has no lock: every peer drawing from it
+// must be driven from one goroutine. The simulator runs a whole run on
+// one goroutine, so it builds all N peers of a run from one Pool
+// (Pool.NewPeer): a node any peer released is the next one any peer
+// takes, where per-peer lists — a peer handles only a few events per
+// run — almost never handed a node back. The live runtime serves each
+// peer under its own mutex, so every live peer owns its pool (NewPeer),
+// and its message nodes never reach another peer (they cross as
+// encoded bytes).
+//
+// The pool also holds the scratch that no state outlives: the view
+// membership a DCoP selection copies into each of its controls, and the
+// restricted view of a TCoP control, each filled and copied out within
+// one Handle call. The selection buffer stays per peer: tcopSelect keeps
+// the spare tail of it as the candidate queue, and a later retry reads
+// it, after other peers on the pool may have selected.
+type Pool struct {
 	effs [][]Effect
 
 	sends     []*Send
@@ -46,10 +57,13 @@ type pool struct {
 	ctls     []*MsgControl
 	confirms []*MsgConfirm
 	commits  []*MsgCommit
+
+	members []PeerID // dcopSelect's view membership
+	rview   []PeerID // restrictedView's result
 }
 
 // slice returns an empty effect slice with recycled capacity.
-func (pl *pool) slice() []Effect {
+func (pl *Pool) slice() []Effect {
 	if n := len(pl.effs); n > 0 {
 		s := pl.effs[n-1]
 		pl.effs = pl.effs[:n-1]
@@ -58,7 +72,7 @@ func (pl *pool) slice() []Effect {
 	return make([]Effect, 0, 8)
 }
 
-func (pl *pool) send(to PeerID, msg any) *Send {
+func (pl *Pool) send(to PeerID, msg any) *Send {
 	if n := len(pl.sends); n > 0 {
 		e := pl.sends[n-1]
 		pl.sends = pl.sends[:n-1]
@@ -68,7 +82,7 @@ func (pl *pool) send(to PeerID, msg any) *Send {
 	return &Send{To: to, Msg: msg}
 }
 
-func (pl *pool) setTimer(id TimerID, delay float64) *SetTimer {
+func (pl *Pool) setTimer(id TimerID, delay float64) *SetTimer {
 	if n := len(pl.timers); n > 0 {
 		e := pl.timers[n-1]
 		pl.timers = pl.timers[:n-1]
@@ -78,7 +92,7 @@ func (pl *pool) setTimer(id TimerID, delay float64) *SetTimer {
 	return &SetTimer{ID: id, Delay: delay}
 }
 
-func (pl *pool) activate(s seq.Sequence, rate float64, round int) *Activate {
+func (pl *Pool) activate(s seq.Sequence, rate float64, round int) *Activate {
 	if n := len(pl.activates); n > 0 {
 		e := pl.activates[n-1]
 		pl.activates = pl.activates[:n-1]
@@ -88,7 +102,7 @@ func (pl *pool) activate(s seq.Sequence, rate float64, round int) *Activate {
 	return &Activate{Seq: s, Rate: rate, Round: round}
 }
 
-func (pl *pool) merge(s, stream seq.Sequence, rate float64, round int) *Merge {
+func (pl *Pool) merge(s, stream seq.Sequence, rate float64, round int) *Merge {
 	if n := len(pl.merges); n > 0 {
 		e := pl.merges[n-1]
 		pl.merges = pl.merges[:n-1]
@@ -98,7 +112,7 @@ func (pl *pool) merge(s, stream seq.Sequence, rate float64, round int) *Merge {
 	return &Merge{Seq: s, Stream: stream, Rate: rate, Round: round}
 }
 
-func (pl *pool) handoff(keep seq.Sequence, given []seq.Sequence, oldRate, newRate float64, mark int) *Handoff {
+func (pl *Pool) handoff(keep seq.Sequence, given []seq.Sequence, oldRate, newRate float64, mark int) *Handoff {
 	if n := len(pl.handoffs); n > 0 {
 		e := pl.handoffs[n-1]
 		pl.handoffs = pl.handoffs[:n-1]
@@ -108,7 +122,7 @@ func (pl *pool) handoff(keep seq.Sequence, given []seq.Sequence, oldRate, newRat
 	return &Handoff{Keep: keep, Given: given, OldRate: oldRate, NewRate: newRate, Mark: mark}
 }
 
-func (pl *pool) absorbEff(s seq.Sequence, rateDelta float64) *Absorb {
+func (pl *Pool) absorbEff(s seq.Sequence, rateDelta float64) *Absorb {
 	if n := len(pl.absorbs); n > 0 {
 		e := pl.absorbs[n-1]
 		pl.absorbs = pl.absorbs[:n-1]
@@ -118,7 +132,7 @@ func (pl *pool) absorbEff(s seq.Sequence, rateDelta float64) *Absorb {
 	return &Absorb{Seq: s, RateDelta: rateDelta}
 }
 
-func (pl *pool) serveRepair(indices []int64) *ServeRepair {
+func (pl *Pool) serveRepair(indices []int64) *ServeRepair {
 	if n := len(pl.serves); n > 0 {
 		e := pl.serves[n-1]
 		pl.serves = pl.serves[:n-1]
@@ -130,7 +144,7 @@ func (pl *pool) serveRepair(indices []int64) *ServeRepair {
 
 // msgControl returns a zeroed control message with recycled View
 // capacity, owned by this pool.
-func (pl *pool) msgControl() *MsgControl {
+func (pl *Pool) msgControl() *MsgControl {
 	if n := len(pl.ctls); n > 0 {
 		m := pl.ctls[n-1]
 		pl.ctls = pl.ctls[:n-1]
@@ -141,7 +155,7 @@ func (pl *pool) msgControl() *MsgControl {
 	return &MsgControl{pl: pl}
 }
 
-func (pl *pool) msgConfirm() *MsgConfirm {
+func (pl *Pool) msgConfirm() *MsgConfirm {
 	if n := len(pl.confirms); n > 0 {
 		m := pl.confirms[n-1]
 		pl.confirms = pl.confirms[:n-1]
@@ -151,7 +165,7 @@ func (pl *pool) msgConfirm() *MsgConfirm {
 	return &MsgConfirm{pl: pl}
 }
 
-func (pl *pool) msgCommit() *MsgCommit {
+func (pl *Pool) msgCommit() *MsgCommit {
 	if n := len(pl.commits); n > 0 {
 		m := pl.commits[n-1]
 		pl.commits = pl.commits[:n-1]
@@ -162,7 +176,7 @@ func (pl *pool) msgCommit() *MsgCommit {
 }
 
 // Release returns a Handle batch — the nodes and the slice — to the
-// peer's free lists. Call it on the peer whose Handle produced effs,
+// peer's pool. Call it on the peer whose Handle produced effs,
 // after every node has been fully consumed. Message nodes hanging off
 // *Send effects are NOT recycled here (they may still be in flight);
 // see ReleaseMsg. Release(nil) is a no-op.
@@ -170,7 +184,7 @@ func (p *Peer) Release(effs []Effect) {
 	if effs == nil {
 		return
 	}
-	pl := &p.pl
+	pl := p.pl
 	for i, e := range effs {
 		switch v := e.(type) {
 		case *Send:
@@ -199,8 +213,8 @@ func (p *Peer) Release(effs []Effect) {
 	pl.effs = append(pl.effs, effs[:0])
 }
 
-// ReleaseMsg returns a protocol message node to the pool of the peer
-// that created it. Call it once, after the message's final consumer —
+// ReleaseMsg returns a protocol message node to the pool that created
+// it. Call it once, after the message's final consumer —
 // the receiving Handle (plus observers) in the simulator, the encoder
 // in the live layer — is done with it. Messages without a pool
 // (hand-constructed, or decoded off the wire) are left to the GC.
