@@ -29,6 +29,7 @@ import (
 	"p2pmss/internal/experiment"
 	"p2pmss/internal/span"
 	"p2pmss/internal/svgplot"
+	"p2pmss/internal/transport"
 )
 
 func main() {
@@ -70,7 +71,7 @@ func main() {
 	o.HandshakeTimeout = *hsTimeout
 	o.LossProb = *loss
 	if *burst != "" {
-		bp, err := parseBurst(*burst)
+		bp, err := transport.ParseBurst(*burst)
 		if err != nil {
 			fatal(err)
 		}
@@ -240,27 +241,6 @@ func parseNs(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// parseBurst decodes the -burst flag's four comma-separated
-// Gilbert–Elliott parameters.
-func parseBurst(s string) (*coord.BurstParams, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return nil, fmt.Errorf("bad -burst %q: want pGoodToBad,pBadToGood,lossGood,lossBad", s)
-	}
-	vals := make([]float64, 4)
-	for i, part := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -burst entry %q: %w", part, err)
-		}
-		vals[i] = v
-	}
-	return &coord.BurstParams{
-		PGoodToBad: vals[0], PBadToGood: vals[1],
-		LossGood: vals[2], LossBad: vals[3],
-	}, nil
 }
 
 func fatal(err error) {

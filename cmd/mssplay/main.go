@@ -30,6 +30,7 @@
 //
 //	mssplay -peers 8 -h 3 -size 65536 -kill 2
 //	mssplay -udp -loss 0.05 -reorder 0.05    # lossy UDP; parity covers the gaps
+//	mssplay -mem -loss 0.05 -burst 0.04,0.25,0,1   # Gilbert–Elliott bursts too
 //	mssplay -peers 10 -sessions 4 -kill 1
 //	mssplay -sessions 4 -discover            # roster-free: gossip discovery
 //	mssplay -listen 127.0.0.1:9090   # then: curl localhost:9090/metrics
@@ -82,7 +83,7 @@ func main() {
 		useUDP   = flag.Bool("udp", false, "run every peer on its own UDP socket (real datagram semantics; default is TCP)")
 		useMem   = flag.Bool("mem", false, "run the session on the in-process fabric instead of sockets")
 		loss     = flag.Float64("loss", 0, "impairment: drop each datagram with this probability (needs -udp or -mem)")
-		burst    = flag.Int("burst", 0, "impairment: drop this many extra datagrams after each loss (bursty loss)")
+		burst    = flag.String("burst", "", "impairment: Gilbert–Elliott bursty loss as pGoodToBad,pBadToGood,lossGood,lossBad (e.g. 0.01,0.2,0,0.5)")
 		dup      = flag.Float64("dup", 0, "impairment: deliver each datagram twice with this probability")
 		reorder  = flag.Float64("reorder", 0, "impairment: hold each datagram back behind later traffic with this probability")
 		queueCap = flag.Int("queue-cap", 0, "in-process fabric pending-queue capacity (0 = default 4096, negative = unbounded)")
@@ -98,8 +99,13 @@ func main() {
 	if *useUDP && *useMem {
 		fatal(fmt.Errorf("-udp and -mem are mutually exclusive"))
 	}
-	impair := transport.Impairment{
-		Seed: *seed, Loss: *loss, BurstLen: *burst, Duplicate: *dup, Reorder: *reorder,
+	impair := transport.Impairment{Seed: *seed, Loss: *loss, Duplicate: *dup, Reorder: *reorder}
+	if *burst != "" {
+		bp, err := transport.ParseBurst(*burst)
+		if err != nil {
+			fatal(err)
+		}
+		impair.Burst = bp
 	}
 	if impair.Enabled() && !*useUDP && !*useMem {
 		fatal(fmt.Errorf("impairment flags need -udp or -mem (a TCP stream cannot lose frames)"))

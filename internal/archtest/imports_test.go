@@ -18,11 +18,11 @@ var internalImports = map[string][]string{
 	"archtest":    nil, // test-only: these rules
 	"conformance": nil, // test-only: the sim/live conformance suite
 	"content":     {"parity", "seq"},
-	"coord":       {"content", "des", "engine", "flight", "fluid", "groupcomm", "metrics", "overlay", "parity", "schedule", "seq", "span"},
+	"coord":       {"content", "des", "engine", "flight", "fluid", "groupcomm", "metrics", "overlay", "parity", "schedule", "seq", "span", "transport"},
 	"des":         nil,
 	"disco":       {"gossip", "metrics"},
 	"engine":      {"content", "des", "flight", "metrics", "overlay", "parity", "seq", "span"},
-	"experiment":  {"coord", "gossip", "metrics", "span", "svgplot"},
+	"experiment":  {"coord", "gossip", "metrics", "span", "svgplot", "transport"},
 	"flight":      nil,
 	"fluid":       nil,
 	"gossip":      {"des"},

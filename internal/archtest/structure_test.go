@@ -140,3 +140,47 @@ func TestOneTransmitterAndLeafPolicy(t *testing.T) {
 		t.Errorf("parity.NewLossDetector is called from %v, want only from the assembler in %v", got, want)
 	}
 }
+
+// retiredLinkNames are the simulator's private Gilbert–Elliott channel
+// and the impairer's fixed-length burst that transport.Link replaced.
+var retiredLinkNames = []string{"burstChannel", "BurstLen", "burstLeft"}
+
+// TestOneLinkModel: every loss verdict, simulated or live, comes from a
+// transport.Link on its link's own stream, and Gilbert–Elliott is the
+// one burst model. No Go file names a retired model, and no function of
+// non-test internal/coord both reads a loss setting (LossProb, Burst)
+// and draws from a stream: a loss draw on the engine's stream would.
+func TestOneLinkModel(t *testing.T) {
+	tr := repo(t)
+	for _, f := range tr.files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && slices.Contains(retiredLinkNames, id.Name) {
+				t.Errorf("%s: %s is a retired loss model; use transport.Link", tr.pos(id), id.Name)
+			}
+			return true
+		})
+	}
+	for _, f := range tr.prod(func(d string) bool { return d == "internal/coord" }) {
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			var loss, draw ast.Node
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					switch sel.Sel.Name {
+					case "LossProb", "Burst":
+						loss = sel
+					case "Rand", "Float64", "Intn":
+						draw = sel
+					}
+				}
+				return true
+			})
+			if loss != nil && draw != nil {
+				t.Errorf("%s: %s reads a loss setting and draws from a stream; a link's loss verdicts come from transport.Link", tr.pos(draw), fd.Name.Name)
+			}
+		}
+	}
+}

@@ -2,16 +2,21 @@
 // (coord.PlaneFluid, internal/fluid) must reproduce the per-packet
 // plane's results at small n, where running both is cheap.
 //
-// The contract has two tiers. With zero jitter and zero loss the fluid
+// The contract has three tiers. With zero jitter and zero loss the fluid
 // plane mirrors every eng.Rand() draw of the packet plane (transmitter
 // phase draws are the only data-plane draws), so the control trajectory
 // is event-identical: sync time, rounds, control packets and active
 // peers must be exactly equal, per-peer send counts equal up to one
 // boundary slot, and the receipt rate equal up to the packet plane's
-// accumulated floating-point slot drift. With loss and jitter the two
-// planes consume randomness differently (every per-packet send draws),
-// so only the seed-averaged receipt rate is comparable, within a pinned
-// tolerance.
+// accumulated floating-point slot drift. Bernoulli loss keeps the control
+// trajectory identical: every directed link draws its verdicts from its
+// own stream, so the packet plane's data packets, which travel only to
+// the leaf, leave the verdicts of every link between peers as they were.
+// With zero jitter and loss the control results must still be exactly
+// equal. With jitter too the
+// two planes consume the engine's stream differently (every per-packet
+// send draws jitter), so only the seed-averaged receipt rate is
+// comparable, within a pinned tolerance.
 package conformance_test
 
 import (
@@ -20,6 +25,7 @@ import (
 
 	"p2pmss/internal/coord"
 	"p2pmss/internal/overlay"
+	"p2pmss/internal/transport"
 )
 
 // fluidBaseConfig is the small-n data-plane setting both planes run.
@@ -83,6 +89,37 @@ func TestFluidConformanceExactWithoutImpairments(t *testing.T) {
 						t.Errorf("%s h=%d seed=%d: PeerSent[%d] fluid %d vs packet %d",
 							id("sent"), h, seed, i, fl.PeerSent[i], pk.PeerSent[i])
 					}
+				}
+			}
+		}
+	}
+}
+
+// At zero jitter, Bernoulli loss leaves the control trajectory
+// identical across planes: the packet plane's data sends draw their
+// verdicts on the links to the leaf only, each link on its own stream.
+func TestFluidConformanceExactUnderLoss(t *testing.T) {
+	for _, proto := range []coord.Protocol{coord.DCoP, coord.TCoP} {
+		for _, h := range []int{5, 10} {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := fluidBaseConfig(40, h, seed)
+				cfg.LossProb = 0.05
+				pk, err := coord.Run(proto, cfg)
+				if err != nil {
+					t.Fatalf("%s packet run: %v", proto, err)
+				}
+				cfg.PlaneMode = coord.PlaneFluid
+				fl, err := coord.Run(proto, cfg)
+				if err != nil {
+					t.Fatalf("%s fluid run: %v", proto, err)
+				}
+				if pk.NetStats.Dropped == 0 {
+					t.Fatalf("%s h=%d seed=%d: the packet plane lost nothing; the comparison is vacuous", proto, h, seed)
+				}
+				got := [4]float64{fl.SyncTime, float64(fl.Rounds), float64(fl.ControlPackets), float64(fl.ActivePeers)}
+				want := [4]float64{pk.SyncTime, float64(pk.Rounds), float64(pk.ControlPackets), float64(pk.ActivePeers)}
+				if got != want {
+					t.Errorf("%s h=%d seed=%d: fluid (sync, rounds, controls, active) %v != packet %v", proto, h, seed, got, want)
 				}
 			}
 		}
@@ -173,7 +210,9 @@ func TestFluidRejectsPacketOnlyFeatures(t *testing.T) {
 		"playback":      func(c *coord.Config) { c.Playback = true },
 		"repair":        func(c *coord.Config) { c.Repair = true },
 		"leaf rate":     func(c *coord.Config) { c.LeafMaxRate = 1 },
-		"burst":         func(c *coord.Config) { c.Burst = &coord.BurstParams{PGoodToBad: 0.1, PBadToGood: 0.5, LossBad: 0.9} },
+		"burst": func(c *coord.Config) {
+			c.Burst = &transport.BurstParams{PGoodToBad: 0.1, PBadToGood: 0.5, LossBad: 0.9}
+		},
 	}
 	for name, mutate := range cases {
 		cfg := base()

@@ -25,6 +25,7 @@ import (
 	"p2pmss/internal/schedule"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/span"
+	"p2pmss/internal/transport"
 )
 
 // Protocol identifies a coordination protocol. DCoP and TCoP are the
@@ -138,9 +139,9 @@ type Config struct {
 	// schedule on top of (or instead of) CrashPeers — the sim-side
 	// counterpart of the live layer's churn injection.
 	Churn *ChurnSchedule
-	// Burst enables Gilbert–Elliott bursty loss on every directed
-	// channel (§3.2's "lost … in a bursty manner").
-	Burst *BurstParams
+	// Burst enables Gilbert–Elliott bursty loss on every directed link
+	// (§3.2's "lost … in a bursty manner"), on top of LossProb.
+	Burst *transport.BurstParams
 	// Bandwidths, when it has N entries, gives each contents peer a
 	// relative bandwidth; the initial division then uses the §2
 	// time-slot allocation instead of round-robin, and per-peer rates
@@ -191,15 +192,6 @@ const (
 
 // fluid reports whether the run uses the flow-level data plane.
 func (c *Config) fluid() bool { return c.DataPlane && c.PlaneMode == PlaneFluid }
-
-// BurstParams parameterizes the per-channel Gilbert–Elliott loss model.
-// The json tags shape the scenario stamp in experiment JSONL archives.
-type BurstParams struct {
-	PGoodToBad float64 `json:"p_good_to_bad"`
-	PBadToGood float64 `json:"p_bad_to_good"`
-	LossGood   float64 `json:"loss_good"`
-	LossBad    float64 `json:"loss_bad"`
-}
 
 // DefaultConfig returns the paper's evaluation setting: n = 100 contents
 // peers, reliable zero-loss links (§4 assumes 10 Gbps Ethernet), δ = 1
@@ -343,8 +335,9 @@ func (c *Config) normalize() error {
 }
 
 // checkImpairments rejects link and crash settings the network cannot
-// run: a probability outside [0, 1], a negative delay, or a crash that
-// names no contents peer. NaN fails every check.
+// run: a probability outside [0, 1] (transport.Impairment.Validate, the
+// live nodes' check too), a negative delay, or a crash that names no
+// contents peer. NaN fails every check.
 func (c *Config) checkImpairments() error {
 	for _, d := range []struct {
 		name string
@@ -354,14 +347,8 @@ func (c *Config) checkImpairments() error {
 			return fmt.Errorf("coord: %s %v must not be negative", d.name, d.v)
 		}
 	}
-	probs := []float64{c.LossProb}
-	if b := c.Burst; b != nil {
-		probs = append(probs, b.PGoodToBad, b.PBadToGood, b.LossGood, b.LossBad)
-	}
-	for _, p := range probs {
-		if !(p >= 0 && p <= 1) {
-			return fmt.Errorf("coord: loss or burst probability %v outside [0, 1]", p)
-		}
+	if err := (transport.Impairment{Loss: c.LossProb, Burst: c.Burst}).Validate(); err != nil {
+		return fmt.Errorf("coord: %w", err)
 	}
 	for _, p := range c.CrashPeers {
 		if p < 0 || int(p) >= c.N {

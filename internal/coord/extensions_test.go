@@ -12,6 +12,7 @@ import (
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/seq"
+	"p2pmss/internal/transport"
 )
 
 func TestAMSBaseline(t *testing.T) {
@@ -84,7 +85,7 @@ func TestBurstLossIsApplied(t *testing.T) {
 	cfg.TrackDelivery = true
 	cfg.ContentLen = 400
 	cfg.Rate = 5
-	cfg.Burst = &BurstParams{PGoodToBad: 0.05, PBadToGood: 0.2, LossGood: 0, LossBad: 1}
+	cfg.Burst = &transport.BurstParams{PGoodToBad: 0.05, PBadToGood: 0.2, LossGood: 0, LossBad: 1}
 	res, err := Run(DCoP, cfg)
 	if err != nil {
 		t.Fatal(err)

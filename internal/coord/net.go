@@ -2,12 +2,12 @@ package coord
 
 import (
 	"fmt"
-	"math/rand"
 
 	"p2pmss/internal/des"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/overlay"
+	"p2pmss/internal/transport"
 )
 
 // NetStats aggregates the simulated network's delivery counters.
@@ -19,17 +19,18 @@ type NetStats struct {
 }
 
 // network is the simulator's link model: nodes 0..N-1 are the contents
-// peers and node N the leaf. Every directed channel has the one-way
-// latency Delta plus a uniform draw in [0, Jitter), loses each message
-// with probability LossProb and, with Config.Burst, through its own
-// Gilbert–Elliott state as well (§3.2's "lost … in a bursty manner").
-// A crash-stopped node neither sends nor receives; a message already in
-// flight to it is discarded on arrival, unseen by its sender.
+// peers and node N the leaf. Every directed link has the one-way latency
+// Delta plus a uniform draw in [0, Jitter) on the engine's stream, and
+// takes its loss verdicts from a transport.Link of its own: probability
+// LossProb and, with Config.Burst, Gilbert–Elliott bursts (§3.2's "lost
+// … in a bursty manner"). A crash-stopped node neither sends nor
+// receives; a message already in flight to it is discarded on arrival,
+// unseen by its sender.
 type network struct {
 	eng     *des.Engine
 	cfg     *Config
-	chans   map[[2]int]*burstChannel // with Config.Burst
-	crashed []bool                   // indexed by node
+	links   map[[2]int]*transport.Link // with LossProb > 0 or Config.Burst
+	crashed []bool                     // indexed by node
 	free    []*delivery
 	stats   NetStats
 	met     netMetrics
@@ -60,8 +61,8 @@ type netMetrics struct {
 // the run.
 func newNetwork(eng *des.Engine, cfg *Config, receive func(from, to int, m any)) *network {
 	n := &network{eng: eng, cfg: cfg, crashed: make([]bool, cfg.N+1), receive: receive}
-	if cfg.Burst != nil {
-		n.chans = make(map[[2]int]*burstChannel)
+	if cfg.LossProb > 0 || cfg.Burst != nil {
+		n.links = make(map[[2]int]*transport.Link)
 	}
 	if reg := cfg.Obs.Metrics; reg != nil {
 		n.met = netMetrics{
@@ -76,16 +77,16 @@ func newNetwork(eng *des.Engine, cfg *Config, receive func(from, to int, m any))
 	return n
 }
 
-// send transmits m from → to. The draws come in a fixed order: loss (only
-// with LossProb > 0), then the channel's burst state, then jitter (only
-// with Jitter > 0), all but the burst on the engine's stream.
+// send transmits m from → to: the link's loss verdict first, on the
+// link's own stream, then jitter (only with Jitter > 0) on the engine's.
+// A lossless run draws no verdict.
 func (n *network) send(from, to int, m any) {
 	if n.crashed[from] {
 		return
 	}
 	n.stats.Sent++
 	n.met.sent.Inc()
-	if loss := n.cfg.LossProb; loss > 0 && n.eng.Rand().Float64() < loss || n.chans != nil && n.channel(from, to).lost() {
+	if n.links != nil && n.link(from, to).Lost() {
 		n.stats.Dropped++
 		n.met.dropped.Inc()
 		return
@@ -125,42 +126,16 @@ func (dl *delivery) deliver() {
 	n.receive(from, to, m)
 }
 
-// channel returns the burst state of the directed channel from → to,
-// created on first use on its own stream, seeded Seed+7919+from·100003+to.
-func (n *network) channel(from, to int) *burstChannel {
+// link returns the directed link from → to, created on first use on its
+// own stream, seeded Seed+7919+from·100003+to.
+func (n *network) link(from, to int) *transport.Link {
 	key := [2]int{from, to}
-	c := n.chans[key]
-	if c == nil {
-		c = &burstChannel{p: n.cfg.Burst, rng: des.NewRand(n.cfg.Seed + 7919 + int64(from)*100003 + int64(to))}
-		n.chans[key] = c
+	l := n.links[key]
+	if l == nil {
+		l = transport.NewLink(n.cfg.Seed+7919+int64(from)*100003+int64(to), n.cfg.LossProb, n.cfg.Burst)
+		n.links[key] = l
 	}
-	return c
-}
-
-// burstChannel is one channel's Gilbert–Elliott state: a two-state
-// Markov chain, Good and Bad (a burst), stepped once per message, with a
-// loss probability for each state.
-type burstChannel struct {
-	p   *BurstParams
-	rng *rand.Rand
-	bad bool
-}
-
-// lost steps the chain one message and reports whether that message is
-// lost.
-func (c *burstChannel) lost() bool {
-	if c.bad {
-		if c.rng.Float64() < c.p.PBadToGood {
-			c.bad = false
-		}
-	} else if c.rng.Float64() < c.p.PGoodToBad {
-		c.bad = true
-	}
-	loss := c.p.LossGood
-	if c.bad {
-		loss = c.p.LossBad
-	}
-	return c.rng.Float64() < loss
+	return l
 }
 
 // ChurnEvent is one membership change in a churn schedule: peer Peer

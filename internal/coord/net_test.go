@@ -8,6 +8,7 @@ import (
 	"p2pmss/internal/des"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
+	"p2pmss/internal/transport"
 )
 
 // TestLinkModelGolden pins the link model's draw order: one seeded
@@ -17,8 +18,8 @@ import (
 // their order or in the crash scheduling shows here.
 func TestLinkModelGolden(t *testing.T) {
 	want := map[Protocol]string{
-		DCoP: "net={Sent:708 Delivered:629 Dropped:74 ToCrashed:5} ctl=44 rounds=3 rate=1.980000 delivered=299",
-		TCoP: "net={Sent:600 Delivered:540 Dropped:54 ToCrashed:6} ctl=76 rounds=6 rate=1.575000 delivered=297",
+		DCoP: "net={Sent:720 Delivered:627 Dropped:88 ToCrashed:5} ctl=44 rounds=3 rate=1.965000 delivered=296",
+		TCoP: "net={Sent:566 Delivered:505 Dropped:55 ToCrashed:6} ctl=74 rounds=8 rate=1.495000 delivered=285",
 	}
 	for _, proto := range []Protocol{DCoP, TCoP} {
 		cfg := DefaultConfig()
@@ -35,7 +36,7 @@ func TestLinkModelGolden(t *testing.T) {
 		cfg.Seed = 5
 		cfg.Retries = 2
 		cfg.LossProb = 0.05
-		cfg.Burst = &BurstParams{PGoodToBad: 0.02, PBadToGood: 0.3, LossGood: 0, LossBad: 0.6}
+		cfg.Burst = &transport.BurstParams{PGoodToBad: 0.02, PBadToGood: 0.3, LossGood: 0, LossBad: 0.6}
 		cfg.CrashPeers = []overlay.PeerID{3}
 		cfg.CrashAt = 2.5
 		cfg.Churn = &ChurnSchedule{Events: []ChurnEvent{
@@ -105,13 +106,13 @@ func TestLoss(t *testing.T) {
 	}
 }
 
-// A channel in its burst state loses what it carries; back in the good
-// state (here lossless) it delivers again.
+// A link in its burst state loses what it carries; back in the good
+// state (here lossless) it delivers again. This chain flips state on
+// every message, so the first message falls into a burst and the second
+// out of it.
 func TestBurstLossHook(t *testing.T) {
-	nw := newTestNet(Config{N: 2, Burst: &BurstParams{LossBad: 1}})
-	nw.channel(0, 1).bad = true
+	nw := newTestNet(Config{N: 2, Burst: &transport.BurstParams{PGoodToBad: 1, PBadToGood: 1, LossBad: 1}})
 	nw.send(0, 1, "a")
-	nw.channel(0, 1).bad = false
 	nw.send(0, 1, "b")
 	nw.eng.Run()
 	if len(nw.got) != 1 || nw.got[0] != "b" {
@@ -119,6 +120,32 @@ func TestBurstLossHook(t *testing.T) {
 	}
 	if nw.stats.Dropped != 1 {
 		t.Errorf("dropped %d, want 1", nw.stats.Dropped)
+	}
+}
+
+// A link's verdicts come from its own stream: adding traffic on other
+// links, and the jitter draws it makes on the engine's stream, changes
+// nothing about which of its messages are lost.
+func TestLinkVerdictsIgnoreOtherLinks(t *testing.T) {
+	lostOn01 := func(noise bool) []bool {
+		nw := newTestNet(Config{N: 3, Delta: 1, Jitter: 0.5, LossProb: 0.3, Seed: 4})
+		lost := make([]bool, 300)
+		for i := range lost {
+			if noise {
+				nw.send(2, 3, "noise")
+				nw.send(1, 0, "noise")
+			}
+			before := nw.stats.Dropped
+			nw.send(0, 1, i)
+			lost[i] = nw.stats.Dropped > before
+		}
+		return lost
+	}
+	alone, crowded := lostOn01(false), lostOn01(true)
+	for i := range alone {
+		if alone[i] != crowded[i] {
+			t.Fatalf("message %d on link 0→1: lost=%v alone, %v beside other links' traffic", i, alone[i], crowded[i])
+		}
 	}
 }
 
@@ -229,7 +256,7 @@ func TestGilbertElliottValidation(t *testing.T) {
 			probs[field] = v
 			cfg := DefaultConfig()
 			cfg.N, cfg.H = 10, 3
-			cfg.Burst = &BurstParams{PGoodToBad: probs[0], PBadToGood: probs[1], LossGood: probs[2], LossBad: probs[3]}
+			cfg.Burst = &transport.BurstParams{PGoodToBad: probs[0], PBadToGood: probs[1], LossGood: probs[2], LossBad: probs[3]}
 			if _, err := Run(DCoP, cfg); err == nil {
 				t.Errorf("burst %+v accepted", *cfg.Burst)
 			}
@@ -237,19 +264,26 @@ func TestGilbertElliottValidation(t *testing.T) {
 	}
 }
 
-// newChannel is a lone burst channel on its own stream.
-func newChannel(pGB, pBG, lossGood, lossBad float64, seed int64) *burstChannel {
-	return &burstChannel{p: &BurstParams{pGB, pBG, lossGood, lossBad}, rng: des.NewRand(seed)}
+// burstVerdicts sends n messages over link 0 → 1 of a network with
+// Gilbert–Elliott loss b and reports which of them were lost.
+func burstVerdicts(b transport.BurstParams, seed int64, n int) []bool {
+	nw := newTestNet(Config{N: 1, Seed: seed, Burst: &b})
+	lost := make([]bool, n)
+	for i := range lost {
+		before := nw.stats.Dropped
+		nw.send(0, 1, nil)
+		lost[i] = nw.stats.Dropped > before
+	}
+	return lost
 }
 
 func TestGilbertElliottStationaryLoss(t *testing.T) {
 	// pGB=0.1, pBG=0.5 → stationary bad fraction = 0.1/(0.1+0.5) ≈ 1/6.
 	// With lossGood=0, lossBad=1, expected loss ≈ 16.7%.
-	c := newChannel(0.1, 0.5, 0, 1, 42)
 	const n = 200000
 	lost := 0
-	for i := 0; i < n; i++ {
-		if c.lost() {
+	for _, l := range burstVerdicts(transport.BurstParams{PGoodToBad: 0.1, PBadToGood: 0.5, LossBad: 1}, 42, n) {
+		if l {
 			lost++
 		}
 	}
@@ -261,10 +295,9 @@ func TestGilbertElliottStationaryLoss(t *testing.T) {
 func TestGilbertElliottBurstiness(t *testing.T) {
 	// Losses should cluster: with sticky states, consecutive-loss runs
 	// are much longer than under i.i.d. loss of the same rate.
-	c := newChannel(0.01, 0.2, 0, 1, 7)
 	var runs, runLen, maxRun int
-	for i := 0; i < 100000; i++ {
-		if !c.lost() {
+	for _, l := range burstVerdicts(transport.BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, LossBad: 1}, 7, 100000) {
+		if !l {
 			runLen = 0
 			continue
 		}
@@ -278,48 +311,49 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 		t.Fatal("no loss runs")
 	}
 	if maxRun < 5 {
-		t.Errorf("max burst %d too short for a bursty channel", maxRun)
+		t.Errorf("max burst %d too short for a bursty link", maxRun)
 	}
 }
 
 func TestGilbertElliottNeverLoses(t *testing.T) {
-	c := newChannel(0.5, 0.5, 0, 0, 1)
-	for i := 0; i < 1000; i++ {
-		if c.lost() {
-			t.Fatal("lossless channel dropped")
+	for i, l := range burstVerdicts(transport.BurstParams{PGoodToBad: 0.5, PBadToGood: 0.5}, 1, 1000) {
+		if l {
+			t.Fatalf("lossless link dropped message %d", i)
 		}
 	}
 }
 
-func BenchmarkGilbertElliott(b *testing.B) {
-	c := newChannel(0.05, 0.3, 0.001, 0.5, 1)
-	for i := 0; i < b.N; i++ {
-		c.lost()
-	}
-}
-
-// Every directed channel has its own burst state on its own stream,
-// seeded Seed+7919+from·100003+to, and looking a channel up does not
-// step it.
+// Every directed link has its own verdicts on its own stream, seeded
+// Seed+7919+from·100003+to, and looking a link up does not step it.
 func TestChannelSetIndependence(t *testing.T) {
-	burst := BurstParams{PGoodToBad: 0.05, PBadToGood: 0.3, LossBad: 1}
-	nw := newTestNet(Config{N: 3, Seed: 9, Burst: &burst})
-	a, b := nw.channel(0, 1), nw.channel(2, 3)
-	if a == b || nw.channel(0, 1) != a || nw.channel(1, 0) == a {
-		t.Fatal("channels shared")
+	burst := transport.BurstParams{PGoodToBad: 0.05, PBadToGood: 0.3, LossBad: 1}
+	nw := newTestNet(Config{N: 3, Seed: 9, LossProb: 0.1, Burst: &burst})
+	a, b := nw.link(0, 1), nw.link(2, 3)
+	if a == b || nw.link(0, 1) != a || nw.link(1, 0) == a {
+		t.Fatal("links shared")
 	}
-	refA := newChannel(0.05, 0.3, 0, 1, 9+7919+1)
-	refB := newChannel(0.05, 0.3, 0, 1, 9+7919+2*100003+3)
+	refA := transport.NewLink(9+7919+1, 0.1, &burst)
+	refB := transport.NewLink(9+7919+2*100003+3, 0.1, &burst)
 	same := true
 	for i := 0; i < 5000; i++ {
-		la, lb := a.lost(), b.lost()
-		if la != refA.lost() || lb != refB.lost() {
-			t.Fatalf("message %d: a channel left its seeded stream", i)
+		la, lb := a.Lost(), b.Lost()
+		if la != refA.Lost() || lb != refB.Lost() {
+			t.Fatalf("message %d: a link left its seeded stream", i)
 		}
 		same = same && la == lb
 	}
 	if same {
-		t.Error("suspiciously identical channels")
+		t.Error("suspiciously identical links")
+	}
+}
+
+// A lossless run keeps no link table: no message draws a verdict.
+func TestLosslessRunHasNoLinks(t *testing.T) {
+	nw := newTestNet(Config{N: 2, Delta: 1, Jitter: 0.5, Seed: 1})
+	nw.send(0, 1, "x")
+	nw.eng.Run()
+	if nw.links != nil {
+		t.Errorf("lossless network built %d links", len(nw.links))
 	}
 }
 

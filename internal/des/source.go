@@ -39,6 +39,17 @@ func (s *Source) Uint64() uint64 {
 // Int63 returns the next draw with its top bit cleared.
 func (s *Source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
+// Float64 returns a draw in [0, 1): the draw (*rand.Rand).Float64 makes
+// over this source, so a holder of a bare Source, kept by value, walks
+// the same stream as a *rand.Rand over it.
+func (s *Source) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
 // NewRand returns a *rand.Rand drawing from a Source seeded with seed.
 // Every seeded stream of the simulator and the live runtime is made by it.
 func NewRand(seed int64) *rand.Rand { return rand.New(NewSource(seed)) }

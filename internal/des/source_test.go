@@ -70,3 +70,13 @@ func TestNewRandTakesSource64Path(t *testing.T) {
 		}
 	}
 }
+
+// A bare Source's Float64 walks the stream a *rand.Rand over it walks.
+func TestSourceFloat64MatchesRand(t *testing.T) {
+	s, r := NewSource(11), NewRand(11)
+	for i := 0; i < 10000; i++ {
+		if a, b := s.Float64(), r.Float64(); a != b {
+			t.Fatalf("draw %d: Source.Float64 %v, rand.Float64 %v", i, a, b)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 
 	"p2pmss/internal/coord"
 	"p2pmss/internal/gossip"
+	"p2pmss/internal/transport"
 )
 
 // Options parameterizes an experiment sweep.
@@ -41,7 +42,7 @@ type Options struct {
 	// stamped into each RunRecord so a JSONL archive is self-describing
 	// — a record read months later says what loss/churn it ran under.
 	LossProb float64
-	Burst    *coord.BurstParams
+	Burst    *transport.BurstParams
 	Churn    *coord.ChurnSchedule
 	// Parallel is the number of worker goroutines sweep points fan out
 	// over: 0 or 1 runs serially, a negative value selects

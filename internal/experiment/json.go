@@ -8,6 +8,7 @@ import (
 	"p2pmss/internal/coord"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/span"
+	"p2pmss/internal/transport"
 )
 
 // RunRecord is one (protocol, H, seed) grid point in machine-readable
@@ -34,7 +35,7 @@ type Scenario struct {
 	// LossProb is the independent per-message drop probability.
 	LossProb float64 `json:"loss_prob,omitempty"`
 	// Burst echoes the Gilbert–Elliott parameters when bursty loss was on.
-	Burst *coord.BurstParams `json:"burst,omitempty"`
+	Burst *transport.BurstParams `json:"burst,omitempty"`
 	// ChurnEvents is how many crash/join events the churn schedule held.
 	ChurnEvents int `json:"churn_events,omitempty"`
 	// Retries and HandshakeTimeout echo the churn-tolerance tuning.

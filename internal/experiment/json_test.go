@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"p2pmss/internal/coord"
+	"p2pmss/internal/transport"
 )
 
 // TestScenarioStamping pins the archive contract: unimpaired records
@@ -31,7 +32,7 @@ func TestScenarioStamping(t *testing.T) {
 
 	lossy := base
 	lossy.LossProb = 0.05
-	lossy.Burst = &coord.BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, LossBad: 0.5}
+	lossy.Burst = &transport.BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, LossBad: 0.5}
 	lossy.Churn = &coord.ChurnSchedule{Events: []coord.ChurnEvent{{}, {}}}
 	lossy.Retries = 3
 	recs, err := SweepRecords(lossy, false, coord.TCoP)

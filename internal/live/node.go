@@ -774,6 +774,9 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 	if cfg.UseTCP && cfg.UseUDP {
 		return nil, fmt.Errorf("live: UseTCP and UseUDP are mutually exclusive")
 	}
+	if err := cfg.Impair.Validate(); err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
 	if cfg.UseTCP && cfg.Impair.Enabled() {
 		return nil, fmt.Errorf("live: impairment needs a datagram transport (in-memory fabric or UDP), not TCP")
 	}

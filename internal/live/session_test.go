@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -107,6 +108,25 @@ func TestStartNodesValidation(t *testing.T) {
 	}
 	if _, err := StartNodes(NodesConfig{Store: store, Nodes: 2, H: 1, Interval: 1, UseTCP: true, UseUDP: true}); err == nil {
 		t.Error("TCP and UDP together accepted")
+	}
+	// Every probability of the impairment is checked, the burst model's
+	// too: a NaN loss used to switch impairment off, and a loss above 1
+	// to drop everything.
+	for _, v := range []float64{-0.1, 1.5, math.NaN()} {
+		for _, im := range []transport.Impairment{
+			{Loss: v},
+			{Duplicate: v},
+			{Reorder: v},
+			{Burst: &transport.BurstParams{PGoodToBad: v}},
+			{Burst: &transport.BurstParams{PBadToGood: v}},
+			{Burst: &transport.BurstParams{LossGood: v}},
+			{Burst: &transport.BurstParams{LossBad: v}},
+		} {
+			if nc, err := StartNodes(NodesConfig{Store: store, Nodes: 2, H: 1, Interval: 1, Impair: im}); err == nil {
+				nc.Close()
+				t.Errorf("impairment %+v (burst %+v) accepted", im, im.Burst)
+			}
+		}
 	}
 }
 

@@ -236,7 +236,7 @@ func TestBoundedQueueUnboundedWhenCapZero(t *testing.T) {
 func TestQueuedFabricPumpSurvivesIdleGaps(t *testing.T) {
 	f := NewBoundedQueuedFabric(8, QueueBlock)
 	ids := make(chan uint64, 1)
-	sink := f.Endpoint("sink", func(Msg) { ids <- goid() })
+	sink := f.Endpoint("sink", func(Msg) { ids <- f.goid() })
 	src := f.Endpoint("src", func(Msg) {})
 	deliver := func() uint64 {
 		t.Helper()
@@ -267,7 +267,7 @@ func TestQueuedFabricPumpSurvivesIdleGaps(t *testing.T) {
 	sink.Close()
 	waitFor(t, "the pump to exit with the last endpoint", func() bool { return !pumping() })
 
-	sink = f.Endpoint("sink", func(Msg) { ids <- goid() })
+	sink = f.Endpoint("sink", func(Msg) { ids <- f.goid() })
 	src = f.Endpoint("src", func(Msg) {})
 	if id := deliver(); id == first {
 		t.Fatalf("a fabric reopened after its pump exited delivered on the old goroutine %d", id)
@@ -306,5 +306,24 @@ func TestFabricRingKeepsFIFOOrder(t *testing.T) {
 	}
 	if q.n != 0 || grown > 8 {
 		t.Fatalf("n = %d after draining, grew %d times", q.n, grown)
+	}
+}
+
+// A send that finds a blocking fabric's queue full reads its goroutine id
+// to tell the pump from other senders. That read allocates nothing, so a
+// session's allocation count does not follow how often scheduling fills
+// the queue.
+func TestGoidAllocs(t *testing.T) {
+	f := NewBoundedQueuedFabric(1, QueueBlock)
+	self := f.goid()
+	if self == 0 {
+		t.Fatal("goid parsed no id")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if f.goid() != self {
+			t.Fatal("goid changed on one goroutine")
+		}
+	}); n != 0 {
+		t.Errorf("goid allocates %v times, want 0", n)
 	}
 }

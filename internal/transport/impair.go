@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,10 +31,10 @@ type Impairment struct {
 	Seed int64
 	// Loss is the per-message drop probability in [0,1].
 	Loss float64
-	// BurstLen extends each loss event to a burst: after a message is
-	// lost, the next BurstLen messages on the same link are lost too
-	// (Gilbert-style correlated loss). Zero means independent losses.
-	BurstLen int
+	// Burst, when set, adds Gilbert–Elliott bursty loss on every link
+	// (see Link): a message is lost if the independent Loss draw or the
+	// link's chain says so.
+	Burst *BurstParams
 	// Duplicate is the probability a delivered message is delivered
 	// twice, back to back.
 	Duplicate float64
@@ -53,7 +56,100 @@ type Impairment struct {
 
 // Enabled reports whether the policy impairs anything at all.
 func (im Impairment) Enabled() bool {
-	return im.Loss > 0 || im.Duplicate > 0 || im.Reorder > 0
+	return im.Loss > 0 || im.Burst != nil || im.Duplicate > 0 || im.Reorder > 0
+}
+
+// Validate rejects a probability outside [0, 1], NaN included: Loss,
+// Duplicate, Reorder and Burst's four. It is the one check of a link
+// model's settings; the live nodes and the simulator's Config both run
+// it.
+func (im Impairment) Validate() error {
+	names := []string{"loss", "duplicate", "reorder"}
+	probs := []float64{im.Loss, im.Duplicate, im.Reorder}
+	if b := im.Burst; b != nil {
+		names = append(names, "burst pGoodToBad", "burst pBadToGood", "burst lossGood", "burst lossBad")
+		probs = append(probs, b.PGoodToBad, b.PBadToGood, b.LossGood, b.LossBad)
+	}
+	for i, p := range probs {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("transport: %s probability %v outside [0, 1]", names[i], p)
+		}
+	}
+	return nil
+}
+
+// BurstParams parameterizes the Gilbert–Elliott loss model (§3.2's
+// "lost … in a bursty manner"): a two-state Markov chain per directed
+// link, Good and Bad (a burst), with a loss probability for each state.
+// The json tags shape the scenario stamp in experiment JSONL archives.
+type BurstParams struct {
+	PGoodToBad float64 `json:"p_good_to_bad"`
+	PBadToGood float64 `json:"p_bad_to_good"`
+	LossGood   float64 `json:"loss_good"`
+	LossBad    float64 `json:"loss_bad"`
+}
+
+// ParseBurst decodes the commands' -burst flag: the four Gilbert–Elliott
+// parameters pGoodToBad,pBadToGood,lossGood,lossBad, comma-separated.
+// Their range is Validate's to check.
+func ParseBurst(s string) (*BurstParams, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 4 {
+		return nil, fmt.Errorf("bad -burst %q: want pGoodToBad,pBadToGood,lossGood,lossBad", s)
+	}
+	var v [4]float64
+	for i, part := range parts {
+		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad -burst entry %q: %w", part, err)
+		}
+		v[i] = f
+	}
+	return &BurstParams{PGoodToBad: v[0], PBadToGood: v[1], LossGood: v[2], LossBad: v[3]}, nil
+}
+
+// Link is one directed link's loss verdicts, the link model of both the
+// Impairer and the simulator's network: its own seeded stream, drawing
+// nothing another link draws, and with a burst model its Gilbert–Elliott
+// state. It reads no clock and takes no lock; its owner serializes calls.
+// The stream is held by value: a lossy simulated run keeps one Link per
+// directed link it used, one allocation each.
+type Link struct {
+	src   des.Source
+	loss  float64
+	burst *BurstParams
+	bad   bool
+}
+
+// NewLink returns a link on the stream seed that drops each message with
+// probability loss and, with burst set, through its chain as well.
+func NewLink(seed int64, loss float64, burst *BurstParams) *Link {
+	l := &Link{loss: loss, burst: burst}
+	l.src.Seed(seed)
+	return l
+}
+
+// Lost decides the next message's fate. The draws come in a fixed order:
+// the independent loss draw (only with loss > 0), then, with a burst
+// model, one step of the chain and a draw at the new state's loss
+// probability. The chain steps on every message, whatever the first
+// draw said.
+func (l *Link) Lost() bool {
+	lost := l.loss > 0 && l.src.Float64() < l.loss
+	b := l.burst
+	if b == nil {
+		return lost
+	}
+	if l.bad {
+		l.bad = l.src.Float64() >= b.PBadToGood
+	} else {
+		l.bad = l.src.Float64() < b.PGoodToBad
+	}
+	loss := b.LossGood
+	if l.bad {
+		loss = b.LossBad
+	}
+	return l.src.Float64() < loss || lost
 }
 
 // window resolves the reorder window default.
@@ -124,10 +220,13 @@ func (im *Impairer) Instrument(reg *metrics.Registry, kind string) {
 // linkKey names one directed link.
 type linkKey struct{ from, to string }
 
+// linkState is one link's verdicts and the messages held back on it.
+// rng draws the reorder and duplicate verdicts on the link's stream,
+// after its loss draws.
 type linkState struct {
-	rng       *rand.Rand
-	burstLeft int
-	held      []*heldMsg
+	*Link
+	rng  *rand.Rand
+	held []*heldMsg
 }
 
 // heldMsg is a message held back for reordering. Its payload is a
@@ -170,7 +269,8 @@ func (im *Impairer) linkLocked(from, to string) *linkState {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(from + "\x00" + to))
-	l := &linkState{rng: des.NewRand(im.cfg.Seed ^ int64(h.Sum64()&0x7fffffffffffffff))}
+	l := &linkState{Link: NewLink(im.cfg.Seed^int64(h.Sum64()&0x7fffffffffffffff), im.cfg.Loss, im.cfg.Burst)}
+	l.rng = rand.New(&l.src)
 	im.links[linkKey{from, to}] = l
 	return l
 }
@@ -204,14 +304,13 @@ func (im *Impairer) Admit(from, to string, m Msg, deliver func(Msg)) (dropped bo
 		l.held = keep
 	}
 	switch {
-	case l.burstLeft > 0:
-		l.burstLeft--
+	case l.Lost():
 		dropped = true
-		im.met.burst.Inc()
-	case im.cfg.Loss > 0 && l.rng.Float64() < im.cfg.Loss:
-		l.burstLeft = im.cfg.BurstLen
-		dropped = true
-		im.met.drop.Inc()
+		if l.bad {
+			im.met.burst.Inc()
+		} else {
+			im.met.drop.Inc()
+		}
 	case im.cfg.Reorder > 0 && l.rng.Float64() < im.cfg.Reorder:
 		h := &heldMsg{remaining: 1 + l.rng.Intn(im.cfg.window()), to: to, m: m}
 		h.bp, h.m.Payload = borrow(m.Payload)

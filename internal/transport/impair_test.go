@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -33,10 +36,20 @@ func script(cfg Impairment, link string, n int) []string {
 	return trace
 }
 
+// ge43 with Loss 0.2 loses 3/7 ≈ 43 % of the messages: the chain spends
+// 2/7 of its time in the lossy Bad state, and 0.8·5/7 of the messages
+// survive both draws.
+var ge43 = BurstParams{PGoodToBad: 0.2, PBadToGood: 0.5, LossGood: 0, LossBad: 1}
+
+// ge17 with Loss 0.05 loses 4/23 ≈ 17 % of the messages, as Loss 0.05
+// with a three-message burst after every loss did: the chain spends 3/23
+// of its time in Bad, four messages at a stretch on average.
+var ge17 = BurstParams{PGoodToBad: 0.0375, PBadToGood: 0.25, LossGood: 0, LossBad: 1}
+
 // A fixed seed reproduces the exact same loss/duplicate/reorder verdict
-// sequence run after run — the determinism contract of the tentpole.
+// sequence run after run: the determinism contract of the impairer.
 func TestImpairerDeterministicForFixedSeed(t *testing.T) {
-	cfg := Impairment{Seed: 42, Loss: 0.2, BurstLen: 2, Duplicate: 0.1, Reorder: 0.15, ReorderWindow: 3}
+	cfg := Impairment{Seed: 42, Loss: 0.2, Burst: &ge43, Duplicate: 0.1, Reorder: 0.15, ReorderWindow: 3}
 	first := script(cfg, "", 500)
 	second := script(cfg, "", 500)
 	for i := range first {
@@ -44,7 +57,7 @@ func TestImpairerDeterministicForFixedSeed(t *testing.T) {
 			t.Fatalf("run diverged at message %d: %q vs %q", i, first[i], second[i])
 		}
 	}
-	diff := script(Impairment{Seed: 43, Loss: 0.2, BurstLen: 2, Duplicate: 0.1, Reorder: 0.15, ReorderWindow: 3}, "", 500)
+	diff := script(Impairment{Seed: 43, Loss: 0.2, Burst: &ge43, Duplicate: 0.1, Reorder: 0.15, ReorderWindow: 3}, "", 500)
 	same := true
 	for i := range first {
 		if first[i] != diff[i] {
@@ -85,11 +98,11 @@ func TestImpairerPerLinkIsolation(t *testing.T) {
 	}
 }
 
-// Observed loss tracks the configured rate, and BurstLen yields runs of
-// consecutive drops.
+// Observed loss tracks the configured rate, and a Gilbert–Elliott burst
+// model yields runs of consecutive drops.
 func TestImpairerLossRateAndBursts(t *testing.T) {
 	const n = 5000
-	im := NewImpairer(Impairment{Seed: 1, Loss: 0.05, BurstLen: 3}, nil)
+	im := NewImpairer(Impairment{Seed: 1, Loss: 0.05, Burst: &ge17}, nil)
 	drops, runLen, maxRun := 0, 0, 0
 	for i := 0; i < n; i++ {
 		_, dropped := admit(im, "a", "b", Msg{})
@@ -103,10 +116,10 @@ func TestImpairerLossRateAndBursts(t *testing.T) {
 			runLen = 0
 		}
 	}
-	// Loss=0.05 with BurstLen=3 quadruples each loss event: ~18% overall.
+	// Loss=0.05 on top of ge17's 3/23 of the time in Bad: 4/23 ≈ 17 %.
 	rate := float64(drops) / n
 	if rate < 0.10 || rate > 0.30 {
-		t.Fatalf("observed loss rate %.3f implausible for Loss=0.05 BurstLen=3", rate)
+		t.Fatalf("observed loss rate %.3f implausible for Loss=0.05 and %+v", rate, ge17)
 	}
 	if maxRun < 4 {
 		t.Fatalf("longest drop run %d; bursts of >=4 expected", maxRun)
@@ -265,7 +278,9 @@ func TestFabricImpairmentDeterministic(t *testing.T) {
 			mu.Unlock()
 		})
 		src := f.Endpoint("src", func(Msg) {})
-		f.SetImpairment(Impairment{Seed: 99, Loss: 0.1, BurstLen: 1, Duplicate: 0.05, Reorder: 0.1, ReorderWindow: 3})
+		// 2/11 ≈ 18 % lost: Bad holds 1/11 of the time, and 0.9·10/11 of
+		// the messages survive both draws.
+		f.SetImpairment(Impairment{Seed: 99, Loss: 0.1, Burst: &BurstParams{PGoodToBad: 0.05, PBadToGood: 0.5, LossBad: 1}, Duplicate: 0.05, Reorder: 0.1, ReorderWindow: 3})
 		for i := 0; i < 400; i++ {
 			if err := src.Send("dst", Msg{Type: fmt.Sprintf("m%d", i)}); err != nil {
 				t.Fatalf("send %d: %v", i, err)
@@ -287,5 +302,94 @@ func TestFabricImpairmentDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery order diverged at %d: %q vs %q", i, a[i], b[i])
 		}
+	}
+}
+
+// TestImpairerNoBurstVerdictsGolden pins SHA-256 digests of the verdict
+// scripts, on three links each, of two impairments without a burst
+// model; the second is live_udp_lossy's. The digests were recorded with
+// the Impairer's own loss draw, before Link existed: the draw order
+// without Burst (loss, then reorder, then duplicate, on the link's
+// stream) must not move.
+func TestImpairerNoBurstVerdictsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Impairment
+		want string
+	}{
+		{Impairment{Seed: 7, Loss: 0.3, Duplicate: 0.2, Reorder: 0.1}, "96ec1f1c9a48c7a8fd944dfc45d0fcd47f87531cc8fd250349c1736bd053f818"},
+		{Impairment{Seed: 3, Loss: 0.05, Reorder: 0.05, ReorderWindow: 4}, "63c6cbbbc153177ce8d8e82f001e7eca45a1721a44b43673aa43c0af368cf7c0"},
+	} {
+		var all []string
+		for _, link := range []string{"", "1", "x"} {
+			all = append(all, script(tc.cfg, link, 1000)...)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(all, "|")))); got != tc.want {
+			t.Errorf("%+v: verdicts digest %s, want %s", tc.cfg, got, tc.want)
+		}
+	}
+}
+
+// The chain steps on every message, also on one the independent draw has
+// already lost: with certain loss, this chain still flips state each time.
+func TestLinkChainStepsOnEveryMessage(t *testing.T) {
+	l := NewLink(1, 1, &BurstParams{PGoodToBad: 1, PBadToGood: 1})
+	for i := 1; i <= 10; i++ {
+		if !l.Lost() {
+			t.Fatalf("message %d survived certain loss", i)
+		}
+		if want := i%2 == 1; l.bad != want {
+			t.Fatalf("after message %d the chain is bad=%v, want %v", i, l.bad, want)
+		}
+	}
+}
+
+// Validate rejects every probability outside [0, 1], NaN included, and
+// Enabled counts a burst model.
+func TestImpairmentValidate(t *testing.T) {
+	ok := Impairment{Loss: 0.1, Burst: &BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, LossBad: 0.5}, Duplicate: 0.1, Reorder: 0.1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid impairment rejected: %v", err)
+	}
+	fields := []func(*Impairment) *float64{
+		func(im *Impairment) *float64 { return &im.Loss },
+		func(im *Impairment) *float64 { return &im.Duplicate },
+		func(im *Impairment) *float64 { return &im.Reorder },
+		func(im *Impairment) *float64 { return &im.Burst.PGoodToBad },
+		func(im *Impairment) *float64 { return &im.Burst.PBadToGood },
+		func(im *Impairment) *float64 { return &im.Burst.LossGood },
+		func(im *Impairment) *float64 { return &im.Burst.LossBad },
+	}
+	for i, field := range fields {
+		for _, v := range []float64{-0.1, 1.5, math.NaN()} {
+			im := ok
+			b := *ok.Burst
+			im.Burst = &b
+			*field(&im) = v
+			if err := im.Validate(); err == nil {
+				t.Errorf("field %d = %v accepted", i, v)
+			}
+		}
+	}
+	if !(Impairment{Burst: &BurstParams{}}).Enabled() {
+		t.Error("an impairment with only a burst model is not Enabled")
+	}
+}
+
+func TestParseBurst(t *testing.T) {
+	b, err := ParseBurst("0.01, 0.2,0,0.5")
+	if err != nil || *b != (BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, LossGood: 0, LossBad: 0.5}) {
+		t.Fatalf("ParseBurst = %+v, %v", b, err)
+	}
+	for _, bad := range []string{"", "3", "0.1,0.2,0.3", "0.1,0.2,0.3,x", "0.1,0.2,0.3,0.4,0.5"} {
+		if _, err := ParseBurst(bad); err == nil {
+			t.Errorf("ParseBurst(%q) accepted", bad)
+		}
+	}
+}
+
+func BenchmarkLinkLost(b *testing.B) {
+	l := NewLink(1, 0.01, &BurstParams{PGoodToBad: 0.05, PBadToGood: 0.3, LossGood: 0.001, LossBad: 0.5})
+	for i := 0; i < b.N; i++ {
+		l.Lost()
 	}
 }

@@ -144,8 +144,13 @@ type Fabric struct {
 	space      *sync.Cond
 	pumpID     uint64
 	queueDrops int64
-	wg         sync.WaitGroup
-	met        fabricMetrics
+	// stack is goid's buffer, under its own lock: goid runs outside mu.
+	stack struct {
+		sync.Mutex
+		buf [32]byte
+	}
+	wg  sync.WaitGroup
+	met fabricMetrics
 	// reg is retained from Instrument so an impairment installed later
 	// gets its verdict counters on the same registry.
 	reg *metrics.Registry
@@ -339,7 +344,7 @@ func (f *Fabric) enqueue(to string, m Msg) {
 		}
 		// goid walks the stack: not under the lock every sender needs.
 		f.mu.Unlock()
-		self := goid()
+		self := f.goid()
 		f.mu.Lock()
 		if f.pumpID != self {
 			for f.queue.n >= f.queueCap {
@@ -368,7 +373,7 @@ func (f *Fabric) enqueue(to string, m Msg) {
 func (f *Fabric) pump() {
 	var id uint64
 	if f.queueCap > 0 && f.policy == QueueBlock {
-		id = goid() // enqueue is pumpID's only reader, and only when blocking
+		id = f.goid() // enqueue is pumpID's only reader, and only when blocking
 	}
 	f.mu.Lock()
 	f.pumpID = id
@@ -405,11 +410,13 @@ func (f *Fabric) pump() {
 
 // goid parses the running goroutine's id from its stack header; used
 // once per pump goroutine and on the bounded-queue slow path, to
-// recognize the pump there.
-func goid() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	s := buf[:n]
+// recognize the pump there. It reads the header into f.stack: a local
+// array handed to runtime.Stack escapes to the heap, and the slow path
+// would then allocate as often as scheduling fills the queue.
+func (f *Fabric) goid() uint64 {
+	f.stack.Lock()
+	defer f.stack.Unlock()
+	s := f.stack.buf[:runtime.Stack(f.stack.buf[:], false)]
 	// "goroutine 123 [...":  skip "goroutine ", parse digits.
 	const prefix = "goroutine "
 	var id uint64

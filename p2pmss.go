@@ -92,9 +92,10 @@ type SimResult = coord.Result
 // PeerID identifies a contents peer in a simulation (0..N-1).
 type PeerID = overlay.PeerID
 
-// BurstParams parameterizes the Gilbert–Elliott bursty loss model on
-// every simulated channel (§3.2's bursty loss).
-type BurstParams = coord.BurstParams
+// BurstParams parameterizes the Gilbert–Elliott bursty loss model (§3.2's
+// bursty loss), the one burst model of the simulator's links
+// (SimConfig.Burst) and the live transports' impairment.
+type BurstParams = transport.BurstParams
 
 // DataPlaneMode selects how a simulated run's data plane is executed:
 // one DES event per packet (PlanePacket, the default) or closed-form
