@@ -507,6 +507,10 @@ type runner struct {
 
 	// batchBuf is applyEffects' reusable worklist of effect batches.
 	batchBuf [][]engine.Effect
+	// timerFree and switchFree hold the pooled des events not in the
+	// queue: engine-timer firings and transmitters' planned switches.
+	timerFree  []*timerEvent
+	switchFree []*switchEvent
 }
 
 // leafID returns the network node of the leaf peer.

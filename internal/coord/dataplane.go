@@ -19,7 +19,7 @@ type transmitter struct {
 	// slotTimer sends the next packet; one timer, re-armed every slot
 	// and cancelled by a restart (nil until the first packet-plane one).
 	slotTimer *des.Timer
-	plans     int     // switches planned; a δ timer switches only its own
+	plans     int     // switches planned; a δ event switches only its own
 	startedAt float64 // activation time (control-plane-only bookkeeping)
 	sentTotal int64
 }
@@ -39,12 +39,27 @@ func (tx *transmitter) plan(h *engine.Handoff) {
 		tx.restart()
 	}
 	tx.plans++
-	plan := tx.plans
-	tx.r.eng.After(tx.r.cfg.Delta, func() {
-		if plan == tx.plans && tx.st.Switch() && tx.r.cfg.DataPlane {
-			tx.restart()
-		}
-	})
+	r := tx.r
+	sw := take(&r.switchFree)
+	sw.tx, sw.plan = tx, tx.plans
+	r.eng.Schedule(r.eng.Now()+r.cfg.Delta, sw)
+}
+
+// switchEvent is a planned switch in the queue, a pooled des event: it
+// switches its transmitter if no later plan has superseded it.
+type switchEvent struct {
+	tx   *transmitter
+	plan int
+}
+
+// Fire applies the switch. The record goes back to the pool first: the
+// switch plans nothing.
+func (sw *switchEvent) Fire() {
+	tx, plan := sw.tx, sw.plan
+	tx.r.switchFree = append(tx.r.switchFree, sw)
+	if plan == tx.plans && tx.st.Switch() && tx.r.cfg.DataPlane {
+		tx.restart()
+	}
 }
 
 // restart begins transmitting the schedule as it now stands. On the
@@ -133,9 +148,10 @@ type leafNode struct {
 
 	// Playback model (Config.Playback): consumption of data packets in
 	// content order at the content rate, starting PlaybackDelay after
-	// the first arrival.
-	playbackScheduled bool
-	nextConsume       int64
+	// the first arrival, one packet per firing of playTimer (nil until
+	// playback is scheduled).
+	playTimer   *des.Timer
+	nextConsume int64
 }
 
 // receive takes a data packet from the network; coordination
@@ -192,12 +208,12 @@ func (l *leafNode) receive(from int, m any) {
 			l.winParity++
 		}
 	}
-	if l.r.cfg.Playback && !l.playbackScheduled {
-		l.playbackScheduled = true
+	if l.r.cfg.Playback && l.playTimer == nil {
+		l.playTimer = l.r.eng.NewTimer(l.consume)
 		l.nextConsume = 1
 		start := now + l.r.cfg.PlaybackDelay
 		l.r.res.PlaybackStart = start
-		l.r.eng.At(start, l.consume)
+		l.playTimer.At(start)
 	}
 }
 
@@ -214,7 +230,7 @@ func (l *leafNode) consume() {
 		l.r.met.underruns.Inc()
 	}
 	l.nextConsume++
-	l.r.eng.After(1/l.r.cfg.Rate, l.consume)
+	l.playTimer.After(1 / l.r.cfg.Rate)
 }
 
 func (l *leafNode) resetWindow() {

@@ -187,8 +187,7 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 					}
 				}
 			case *engine.SetTimer:
-				id := e.ID
-				r.eng.After(e.Delay, func() { r.dispatch(p, &engine.TimerFired{Timer: id}) })
+				r.setTimer(p, e)
 			case *engine.Activate:
 				p.activate(e.Round, e.Seq, e.Rate)
 			case *engine.Merge:
@@ -215,6 +214,29 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 		p.core.Release(b)
 	}
 	r.batchBuf = batches[:0]
+}
+
+// timerEvent is an engine timer in the queue: a pooled des event that
+// hands its peer the TimerFired it carries.
+type timerEvent struct {
+	p  *peerNode
+	ev engine.TimerFired
+}
+
+// setTimer queues the TimerFired e asks for, e.Delay from now.
+func (r *runner) setTimer(p *peerNode, e *engine.SetTimer) {
+	tf := take(&r.timerFree)
+	tf.p, tf.ev.Timer = p, e.ID
+	r.eng.Schedule(r.eng.Now()+e.Delay, tf)
+}
+
+// Fire dispatches the timer to its peer. The record goes back to the
+// pool only afterwards: the peer's Handle and observer read the event
+// it holds.
+func (tf *timerEvent) Fire() {
+	r := tf.p.r
+	r.dispatch(tf.p, &tf.ev)
+	r.timerFree = append(r.timerFree, tf)
 }
 
 // msgRound extracts the round number carried by an engine message.

@@ -27,23 +27,29 @@ type NetStats struct {
 // receives; a message already in flight to it is discarded on arrival,
 // unseen by its sender.
 type network struct {
-	eng     *des.Engine
-	cfg     *Config
-	links   map[[2]int]*transport.Link // with LossProb > 0 or Config.Burst
-	crashed []bool                     // indexed by node
+	eng   *des.Engine
+	cfg   *Config
+	links map[[2]int]*transport.Link // with LossProb > 0 or Config.Burst
+	// slab is where the next links go: they are held by value, a block
+	// of linkBlock at a time, so a lossy run allocates per block, not per
+	// link, and a link's address stays put.
+	slab    []transport.Link
+	crashed []bool // indexed by node
 	free    []*delivery
 	stats   NetStats
 	met     netMetrics
 	receive func(from, to int, m any)
 }
 
-// delivery is one in-flight message: a pooled record whose callback is
-// bound once, so a send schedules it without allocating.
+// linkBlock is how many links one slab allocation holds.
+const linkBlock = 256
+
+// delivery is one in-flight message: a pooled record that is itself the
+// des event, so a send schedules it without allocating.
 type delivery struct {
 	n        *network
 	from, to int
 	m        any
-	fire     func()
 }
 
 // netMetrics holds the network's instrument handles. The zero value (all
@@ -97,21 +103,24 @@ func (n *network) send(from, to int, m any) {
 	}
 	n.met.latency.Observe(d)
 	n.met.inflight.Add(1)
-	var dl *delivery
-	if k := len(n.free) - 1; k >= 0 {
-		dl = n.free[k]
-		n.free = n.free[:k]
-	} else {
-		dl = &delivery{n: n}
-		dl.fire = dl.deliver
-	}
-	dl.from, dl.to, dl.m = from, to, m
-	n.eng.After(d, dl.fire)
+	dl := take(&n.free)
+	dl.n, dl.from, dl.to, dl.m = n, from, to, m
+	n.eng.Schedule(n.eng.Now()+d, dl)
 }
 
-// deliver hands the message to its destination. The record goes back to
+// take pops a pooled event record off free, or makes a new one.
+func take[T any](free *[]*T) *T {
+	if n := len(*free); n > 0 {
+		v := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return v
+	}
+	return new(T)
+}
+
+// Fire delivers the message to its destination. The record goes back to
 // the pool first, so the receiver's own sends can reuse it.
-func (dl *delivery) deliver() {
+func (dl *delivery) Fire() {
 	n, from, to, m := dl.n, dl.from, dl.to, dl.m
 	dl.m = nil
 	n.free = append(n.free, dl)
@@ -132,7 +141,12 @@ func (n *network) link(from, to int) *transport.Link {
 	key := [2]int{from, to}
 	l := n.links[key]
 	if l == nil {
-		l = transport.NewLink(n.cfg.Seed+7919+int64(from)*100003+int64(to), n.cfg.LossProb, n.cfg.Burst)
+		if len(n.slab) == 0 {
+			n.slab = make([]transport.Link, linkBlock)
+		}
+		l = &n.slab[0]
+		n.slab = n.slab[1:]
+		*l = transport.NewLink(n.cfg.Seed+7919+int64(from)*100003+int64(to), n.cfg.LossProb, n.cfg.Burst)
 		n.links[key] = l
 	}
 	return l

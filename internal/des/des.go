@@ -7,23 +7,33 @@
 // are reproducible from a seed and a stream costs nothing to create.
 //
 // Ordering: events fire in ascending (time, scheduling sequence) order.
-// Every At, After and Timer arming takes the next sequence number, so
-// events scheduled for the same instant fire in the order they were
-// scheduled, which keeps runs deterministic across platforms. A time
-// before the current one, or NaN, panics: the clock never runs back.
+// Every Schedule, At, After and Timer arming takes the next sequence
+// number, so events scheduled for the same instant fire in the order
+// they were scheduled, which keeps runs deterministic across platforms.
+// A time before the current one, or NaN, panics: the clock never runs
+// back.
 //
-// Two scheduling forms. At and After schedule a fire-and-forget
-// callback: no handle, and no allocation beyond the callback itself
-// once the queue has grown to its working size. A Timer is the
-// cancellable form: one callback bound at NewTimer, armed and re-armed
-// as often as needed without allocating. Cancel is eager — the timer
-// knows its queue position and its entry leaves the queue at once — so
-// a cancelled event never occupies the queue and Pending counts exactly
-// what will fire.
+// What the queue holds is an Event, a value with a Fire method. Three
+// ways to schedule one, none allocating once the queue has grown to its
+// working size:
 //
-// The queue is a 4-ary min-heap of value entries whose key sits inline,
-// so a comparison dereferences nothing; its backing array grows by
-// doubling.
+//   - Schedule queues an Event the caller owns, fire and forget. A
+//     caller that recycles its event records (the simulator's in-flight
+//     messages and engine timers) schedules them without allocating at
+//     all.
+//   - At and After queue a plain callback, fire and forget. The func is
+//     wrapped as an Event in place, so they cost what building the
+//     callback costs and nothing more: a method value or closure made
+//     per call allocates, one made once does not.
+//   - A Timer is the cancellable form: one callback bound at NewTimer,
+//     armed and re-armed as often as needed. Cancel is eager — the timer
+//     knows its queue position and its entry leaves the queue at once —
+//     so a cancelled event never occupies the queue and Pending counts
+//     exactly what will fire.
+//
+// The queue is a 4-ary min-heap of 32-byte value entries whose key sits
+// inline, so a comparison dereferences nothing; its backing array grows
+// by doubling.
 package des
 
 import (
@@ -31,13 +41,24 @@ import (
 	"math/rand"
 )
 
-// entry is one scheduled callback. tm is the owning Timer, nil for a
-// fire-and-forget event.
+// Event is something that happens at a virtual time: the queue calls
+// Fire when the clock reaches it. A pointer to a caller's record is an
+// Event without an allocation.
+type Event interface{ Fire() }
+
+// funcEvent is a callback as an Event. A func value is one pointer, so
+// the conversion stores it in the interface as is.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// entry is one scheduled event: its key inline, then the event. A
+// *Timer event is the cancellable kind, whose queue position the heap
+// keeps up to date.
 type entry struct {
 	t   float64
 	seq int64
-	fn  func()
-	tm  *Timer
+	ev  Event
 }
 
 // before is the queue's total order: time, then scheduling sequence.
@@ -46,7 +67,8 @@ func (a *entry) before(b *entry) bool {
 }
 
 // Timer is a reusable, cancellable event: one callback, armed at a time
-// and re-armed at will. The zero value is not usable; see Engine.NewTimer.
+// and re-armed at will. It is armed by its own At and After, never by
+// Engine.Schedule. The zero value is not usable; see Engine.NewTimer.
 type Timer struct {
 	e   *Engine
 	fn  func()
@@ -65,7 +87,7 @@ func (tm *Timer) At(t float64) {
 	e := tm.e
 	e.check(t)
 	if tm.idx < 0 {
-		e.push(entry{t: t, seq: e.take(), fn: tm.fn, tm: tm})
+		e.push(entry{t: t, seq: e.take(), ev: tm})
 		return
 	}
 	i := tm.idx
@@ -93,6 +115,10 @@ func (tm *Timer) Cancel() {
 // is false while the timer's own callback runs.
 func (tm *Timer) Pending() bool { return tm.idx >= 0 }
 
+// Fire runs the timer's callback; the queue calls it when the armed
+// time comes.
+func (tm *Timer) Fire() { tm.fn() }
+
 // Engine is a discrete-event simulator instance.
 type Engine struct {
 	now     float64
@@ -117,11 +143,22 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // already left the queue.
 func (e *Engine) Pending() int { return len(e.q) }
 
+// Schedule queues ev to fire at virtual time t. A time before the
+// current one, or NaN, panics, and so does a *Timer: a timer is armed
+// by its At or After, which keep track of its place in the queue.
+func (e *Engine) Schedule(t float64, ev Event) {
+	e.check(t)
+	if _, ok := ev.(*Timer); ok {
+		panic("des: Schedule given a *Timer; arm it with its At or After")
+	}
+	e.push(entry{t: t, seq: e.take(), ev: ev})
+}
+
 // At schedules fn to run at virtual time t. A time before the current
 // one, or NaN, panics.
 func (e *Engine) At(t float64, fn func()) {
 	e.check(t)
-	e.push(entry{t: t, seq: e.take(), fn: fn})
+	e.push(entry{t: t, seq: e.take(), ev: funcEvent(fn)})
 }
 
 // After schedules fn to run d time units from now. Negative or NaN
@@ -140,7 +177,7 @@ func (e *Engine) Step() bool {
 	top := e.q[0]
 	e.remove(0)
 	e.now = top.t
-	top.fn()
+	top.ev.Fire()
 	return true
 }
 
@@ -193,12 +230,12 @@ func (e *Engine) push(en entry) {
 
 // remove takes the entry at i out of the queue and disarms its timer.
 func (e *Engine) remove(i int) {
-	if tm := e.q[i].tm; tm != nil {
+	if tm, ok := e.q[i].ev.(*Timer); ok {
 		tm.idx = -1
 	}
 	last := len(e.q) - 1
 	en := e.q[last]
-	e.q[last] = entry{} // drop the callback reference
+	e.q[last] = entry{} // drop the event reference
 	e.q = e.q[:last]
 	if i < last {
 		e.q[i] = en
@@ -257,7 +294,7 @@ func (e *Engine) down(i int, en entry) {
 // set stores en at i and tells its timer where it is.
 func (e *Engine) set(i int, en entry) {
 	e.q[i] = en
-	if en.tm != nil {
-		en.tm.idx = i
+	if tm, ok := en.ev.(*Timer); ok {
+		tm.idx = i
 	}
 }

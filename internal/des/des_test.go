@@ -2,7 +2,9 @@ package des
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -166,6 +168,10 @@ func TestScheduleTimeChecks(t *testing.T) {
 		{"Timer.After(-1)", func(e *Engine) { e.NewTimer(func() {}).After(-1) }, true},
 		{"Timer.After(NaN)", func(e *Engine) { e.NewTimer(func() {}).After(nan) }, true},
 		{"Timer.At(+Inf)", func(e *Engine) { e.NewTimer(func() {}).At(inf) }, false},
+		{"Schedule(past)", func(e *Engine) { e.Schedule(1, &logEvent{}) }, true},
+		{"Schedule(NaN)", func(e *Engine) { e.Schedule(nan, &logEvent{}) }, true},
+		{"Schedule(now)", func(e *Engine) { e.Schedule(5, &logEvent{}) }, false},
+		{"Schedule(*Timer)", func(e *Engine) { e.Schedule(6, e.NewTimer(func() {})) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(1)
@@ -186,9 +192,46 @@ func TestScheduleTimeChecks(t *testing.T) {
 	}
 }
 
+// logEvent is a caller-owned event: it appends its name to log.
+type logEvent struct {
+	log  *[]string
+	name string
+}
+
+func (ev *logEvent) Fire() { *ev.log = append(*ev.log, ev.name) }
+
+// TestEventKindsInterleave: timers, callbacks and caller-owned events
+// share one order, (time, scheduling sequence), whatever their kind; a
+// cancelled timer leaves its place without disturbing the rest, and a
+// re-armed one takes the place of a fresh scheduling.
+func TestEventKindsInterleave(t *testing.T) {
+	e := New(1)
+	var log []string
+	fn := func(name string) func() { return func() { log = append(log, name) } }
+	ev := func(name string) *logEvent { return &logEvent{log: &log, name: name} }
+	t1, t2, t3 := e.NewTimer(fn("t1")), e.NewTimer(fn("t2")), e.NewTimer(fn("t3"))
+	e.Schedule(2, ev("e1"))
+	t1.At(1)
+	e.At(2, fn("f1"))
+	t2.At(2)
+	e.Schedule(1, ev("e2"))
+	e.After(1, fn("f2"))
+	t3.At(2)
+	e.Schedule(2, ev("e3"))
+	t2.Cancel()
+	t1.At(2) // re-armed: now behind e3
+	e.Schedule(0.5, ev("e4"))
+	e.Run()
+	want := []string{"e4", "e2", "f2", "e1", "f1", "t3", "e3", "t1"}
+	if !slices.Equal(log, want) {
+		t.Errorf("fired %v, want %v", log, want)
+	}
+}
+
 // TestScheduleAllocs pins the allocation contract: once the queue has
-// grown, a fire-and-forget event costs nothing beyond its callback and
-// re-arming or cancelling a timer costs nothing at all.
+// grown, a fire-and-forget callback costs nothing beyond the callback,
+// a caller-owned event and re-arming or cancelling a timer nothing at
+// all.
 func TestScheduleAllocs(t *testing.T) {
 	e := New(1)
 	fn := func() {}
@@ -204,6 +247,17 @@ func TestScheduleAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("At/After + Run: %v allocs, want 0", n)
 	}
+	var log []string
+	evs := []*logEvent{{log: &log}, {log: &log}, {log: &log}}
+	if n := testing.AllocsPerRun(100, func() {
+		for i, ev := range evs {
+			e.Schedule(e.Now()+float64(3-i), ev)
+		}
+		e.Run()
+		log = log[:0]
+	}); n != 0 {
+		t.Errorf("Schedule of a pooled event + Run: %v allocs, want 0", n)
+	}
 	tm := e.NewTimer(fn)
 	if n := testing.AllocsPerRun(100, func() {
 		tm.After(2)
@@ -213,6 +267,14 @@ func TestScheduleAllocs(t *testing.T) {
 		e.Run()
 	}); n != 0 {
 		t.Errorf("Timer arm/cancel/fire: %v allocs, want 0", n)
+	}
+}
+
+// A queue entry stays 32 bytes: the key and an interface, nothing
+// beside them for a timer.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 32 {
+		t.Errorf("a queue entry is %d bytes, want at most 32", n)
 	}
 }
 

@@ -62,6 +62,7 @@ type diffRun struct {
 	ref    refQueue
 	timers []*Timer
 	armed  []int // id of each timer's pending arming; -1 fired, -2 cancelled
+	free   []*diffEvent
 	nextID int
 	fired  int64
 
@@ -91,16 +92,39 @@ func (d *diffRun) id() int {
 	return d.nextID
 }
 
+// diffEvent is a pooled event of the run, reused once it has fired,
+// the way the simulator recycles its in-flight messages.
+type diffEvent struct {
+	d  *diffRun
+	id int
+}
+
+func (ev *diffEvent) Fire() {
+	d, id := ev.d, ev.id
+	d.free = append(d.free, ev)
+	d.fire(id, -1)
+}
+
 func (d *diffRun) schedule() {
 	id := d.id()
-	if d.rng.Intn(2) == 0 {
+	switch d.rng.Intn(3) {
+	case 0:
 		t := d.when()
 		d.e.At(t, func() { d.fire(id, -1) })
 		d.ref.add(t, id, -1)
-	} else {
+	case 1:
 		dt := d.when() - d.e.Now()
 		d.e.After(dt, func() { d.fire(id, -1) })
 		d.ref.add(d.ref.now+dt, id, -1)
+	default:
+		ev := &diffEvent{d: d}
+		if k := len(d.free) - 1; k >= 0 {
+			ev, d.free = d.free[k], d.free[:k]
+		}
+		ev.id = id
+		t := d.when()
+		d.e.Schedule(t, ev)
+		d.ref.add(t, id, -1)
 	}
 }
 
@@ -196,7 +220,7 @@ func (d *diffRun) op(growing bool) {
 	switch {
 	case r < 6:
 		d.schedule()
-		d.check("At/After")
+		d.check("At/After/Schedule")
 		return
 	case r < 10:
 		d.arm(d.rng.Intn(len(d.timers)))
@@ -221,9 +245,9 @@ func (d *diffRun) op(growing bool) {
 }
 
 // TestQueueMatchesReference checks Engine against a sorted-slice model
-// over seeded random interleavings of At, After, timer arming, Cancel,
-// Step and runUntil, comparing fire order, Now, the fire count and
-// Pending at every step.
+// over seeded random interleavings of At, After, Schedule of pooled
+// events, timer arming, Cancel, Step and runUntil, comparing fire order,
+// Now, the fire count and Pending at every step.
 func TestQueueMatchesReference(t *testing.T) {
 	var total diffRun
 	for seed := int64(1); seed <= 40; seed++ {

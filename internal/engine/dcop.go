@@ -132,14 +132,13 @@ func (p *Peer) dcopSelect(effs []Effect, fanout, round int, cur Snapshot) []Effe
 
 	mark := MarkOffset(cur.Offset, p.cfg.MarkDelta, cur.Rate)
 	parts, childRate := ShareOut(cur.Seq(), mark, cur.Rate, p.cfg.Interval, len(children)+1)
-	members := p.view.MembersInto(p.pl.members[:0])
-	p.pl.members = members
+	view := p.pl.view(p.view.Count(), len(children))
+	view.ids = p.view.MembersInto(view.ids)
 	for i, c := range children {
 		assigned := seqAt(parts, i+1)
 		p.noteShare(c, assigned, childRate)
-		m := p.pl.msgControl()
+		m := p.pl.msgControl(view)
 		m.Parent = p.id
-		m.View = append(m.View[:0], members...)
 		m.SeqOffset, m.Rate = cur.Offset, cur.Rate
 		m.ChildRate, m.Children, m.ChildIdx = childRate, len(children), i+1
 		m.AssignedSeq, m.Round = assigned, round

@@ -236,12 +236,16 @@ func (*Repair) isEvent()     {}
 // carries the child's share in AssignedSeq (nil in control-plane-only
 // mode; DCoP only — TCoP assigns at commit time).
 //
+// View is immutable once sent, like a seq.Sequence: every control of one
+// selection points at the same list, the sender's view then; receivers
+// only read it, and its pool reuses it once those controls are released.
+//
 // Message nodes created by the engine are pool-owned (see ReleaseMsg);
 // nodes constructed by hand or decoded from the wire are plain GC'd
 // values.
 type MsgControl struct {
 	Parent      overlay.PeerID
-	View        []overlay.PeerID // c.VW
+	View        []overlay.PeerID // c.VW, shared by the selection's controls
 	SeqOffset   int              // offset of the most recently sent packet (c.SEQ)
 	Rate        float64          // c.τ, the parent's transmission rate
 	ChildRate   float64          // the derived per-child rate
@@ -254,7 +258,7 @@ type MsgControl struct {
 	// protocol logic.
 	Span span.Context
 
-	pl *Pool
+	view *sharedView // what View points into; nil off the pool
 }
 
 // MsgConfirm is TCoP's (positive or negative) confirmation cc1.
@@ -734,18 +738,17 @@ func (p *Peer) dropChild(c PeerID) {
 }
 
 // restrictedView builds the sorted c1 view restricted to the sender and
-// the given children in the pool's scratch buffer (valid until the next
-// call on any peer of the pool). Out-of-range sender ids (live-layer
-// ephemeral joiners) are skipped, like viewAdd.
-func (p *Peer) restrictedView(children []PeerID) []PeerID {
-	rv := p.pl.rview[:0]
+// the given children, with room for a whole wave (so a retry's view can
+// serve the next wave). Out-of-range sender ids (live-layer ephemeral
+// joiners) are skipped, like viewAdd.
+func (p *Peer) restrictedView(children []PeerID) *sharedView {
+	v := p.pl.view(p.cfg.H+1, len(children))
 	if p.id >= 0 && int(p.id) < p.cfg.N {
-		rv = append(rv, p.id)
+		v.ids = append(v.ids, p.id)
 	}
-	rv = append(rv, children...)
-	slices.Sort(rv)
-	p.pl.rview = rv
-	return rv
+	v.ids = append(v.ids, children...)
+	slices.Sort(v.ids)
+	return v
 }
 
 // ---- outcome ------------------------------------------------------------

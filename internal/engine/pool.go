@@ -23,9 +23,9 @@ import "p2pmss/internal/seq"
 //     latency; the live layer may still be encoding it). Whoever
 //     consumes the message last calls ReleaseMsg.
 //   - ReleaseMsg returns a message node to the pool that created it
-//     (messages carry an unexported back-pointer). Messages constructed
-//     by hand or decoded from the wire carry no pool and ReleaseMsg is a
-//     no-op for them.
+//     (messages carry an unexported back-pointer, a control through its
+//     view). Messages constructed by hand or decoded from the wire carry
+//     no pool and ReleaseMsg is a no-op for them.
 //
 // Who shares a pool. A Pool has no lock: every peer drawing from it
 // must be driven from one goroutine. The simulator runs a whole run on
@@ -37,12 +37,15 @@ import "p2pmss/internal/seq"
 // and its message nodes never reach another peer (they cross as
 // encoded bytes).
 //
-// The pool also holds the scratch that no state outlives: the view
-// membership a DCoP selection copies into each of its controls, and the
-// restricted view of a TCoP control, each filled and copied out within
-// one Handle call. The selection buffer stays per peer: tcopSelect keeps
-// the spare tail of it as the candidate queue, and a later retry reads
-// it, after other peers on the pool may have selected.
+// Views. A selection builds its view once and every control of the
+// selection points at it (MsgControl.View is immutable once sent). The
+// view counts its controls: a released control drops its reference, and
+// the pool takes the view back only with the last of them, since
+// recycling it sooner would overwrite the view of a sibling still in
+// flight. A view with a control never released stays out of the pool
+// and goes to the GC with it. The selection buffer stays per peer:
+// tcopSelect keeps the spare tail of it as the candidate queue, and a
+// later retry reads it, after other peers on the pool may have selected.
 type Pool struct {
 	effs [][]Effect
 
@@ -57,9 +60,26 @@ type Pool struct {
 	ctls     []*MsgControl
 	confirms []*MsgConfirm
 	commits  []*MsgCommit
+	views    []*sharedView // views no control holds any more
+}
 
-	members []PeerID // dcopSelect's view membership
-	rview   []PeerID // restrictedView's result
+// sharedView is the view of one selection, which its controls point at;
+// a control reaches its pool through it.
+type sharedView struct {
+	pl   *Pool
+	ids  []PeerID
+	refs int // controls not yet released
+}
+
+// view returns an empty view with room for k members, for refs controls.
+func (pl *Pool) view(k, refs int) *sharedView {
+	v := take(&pl.views)
+	v.pl = pl
+	if cap(v.ids) < k {
+		v.ids = make([]PeerID, 0, k)
+	}
+	v.ids, v.refs = v.ids[:0], refs
+	return v
 }
 
 // slice returns an empty effect slice with recycled capacity.
@@ -72,107 +92,76 @@ func (pl *Pool) slice() []Effect {
 	return make([]Effect, 0, 8)
 }
 
-func (pl *Pool) send(to PeerID, msg any) *Send {
-	if n := len(pl.sends); n > 0 {
-		e := pl.sends[n-1]
-		pl.sends = pl.sends[:n-1]
-		e.To, e.Msg = to, msg
-		return e
+// take pops a node off a free list, or makes a new one.
+func take[T any](free *[]*T) *T {
+	if n := len(*free); n > 0 {
+		v := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return v
 	}
-	return &Send{To: to, Msg: msg}
+	return new(T)
+}
+
+func (pl *Pool) send(to PeerID, msg any) *Send {
+	e := take(&pl.sends)
+	*e = Send{To: to, Msg: msg}
+	return e
 }
 
 func (pl *Pool) setTimer(id TimerID, delay float64) *SetTimer {
-	if n := len(pl.timers); n > 0 {
-		e := pl.timers[n-1]
-		pl.timers = pl.timers[:n-1]
-		e.ID, e.Delay = id, delay
-		return e
-	}
-	return &SetTimer{ID: id, Delay: delay}
+	e := take(&pl.timers)
+	*e = SetTimer{ID: id, Delay: delay}
+	return e
 }
 
 func (pl *Pool) activate(s seq.Sequence, rate float64, round int) *Activate {
-	if n := len(pl.activates); n > 0 {
-		e := pl.activates[n-1]
-		pl.activates = pl.activates[:n-1]
-		e.Seq, e.Rate, e.Round = s, rate, round
-		return e
-	}
-	return &Activate{Seq: s, Rate: rate, Round: round}
+	e := take(&pl.activates)
+	*e = Activate{Seq: s, Rate: rate, Round: round}
+	return e
 }
 
 func (pl *Pool) merge(s, stream seq.Sequence, rate float64, round int) *Merge {
-	if n := len(pl.merges); n > 0 {
-		e := pl.merges[n-1]
-		pl.merges = pl.merges[:n-1]
-		e.Seq, e.Stream, e.Rate, e.Round = s, stream, rate, round
-		return e
-	}
-	return &Merge{Seq: s, Stream: stream, Rate: rate, Round: round}
+	e := take(&pl.merges)
+	*e = Merge{Seq: s, Stream: stream, Rate: rate, Round: round}
+	return e
 }
 
 func (pl *Pool) handoff(keep seq.Sequence, given []seq.Sequence, oldRate, newRate float64, mark int) *Handoff {
-	if n := len(pl.handoffs); n > 0 {
-		e := pl.handoffs[n-1]
-		pl.handoffs = pl.handoffs[:n-1]
-		e.Keep, e.Given, e.OldRate, e.NewRate, e.Mark = keep, given, oldRate, newRate, mark
-		return e
-	}
-	return &Handoff{Keep: keep, Given: given, OldRate: oldRate, NewRate: newRate, Mark: mark}
+	e := take(&pl.handoffs)
+	*e = Handoff{Keep: keep, Given: given, OldRate: oldRate, NewRate: newRate, Mark: mark}
+	return e
 }
 
 func (pl *Pool) absorbEff(s seq.Sequence, rateDelta float64) *Absorb {
-	if n := len(pl.absorbs); n > 0 {
-		e := pl.absorbs[n-1]
-		pl.absorbs = pl.absorbs[:n-1]
-		e.Seq, e.RateDelta = s, rateDelta
-		return e
-	}
-	return &Absorb{Seq: s, RateDelta: rateDelta}
+	e := take(&pl.absorbs)
+	*e = Absorb{Seq: s, RateDelta: rateDelta}
+	return e
 }
 
 func (pl *Pool) serveRepair(indices []int64) *ServeRepair {
-	if n := len(pl.serves); n > 0 {
-		e := pl.serves[n-1]
-		pl.serves = pl.serves[:n-1]
-		e.Indices = indices
-		return e
-	}
-	return &ServeRepair{Indices: indices}
+	e := take(&pl.serves)
+	*e = ServeRepair{Indices: indices}
+	return e
 }
 
-// msgControl returns a zeroed control message with recycled View
-// capacity, owned by this pool.
-func (pl *Pool) msgControl() *MsgControl {
-	if n := len(pl.ctls); n > 0 {
-		m := pl.ctls[n-1]
-		pl.ctls = pl.ctls[:n-1]
-		view := m.View[:0]
-		*m = MsgControl{View: view, pl: pl}
-		return m
-	}
-	return &MsgControl{pl: pl}
+// msgControl returns a control message owned by this pool, carrying
+// view v and otherwise zeroed.
+func (pl *Pool) msgControl(v *sharedView) *MsgControl {
+	m := take(&pl.ctls)
+	*m = MsgControl{View: v.ids[:len(v.ids):len(v.ids)], view: v}
+	return m
 }
 
 func (pl *Pool) msgConfirm() *MsgConfirm {
-	if n := len(pl.confirms); n > 0 {
-		m := pl.confirms[n-1]
-		pl.confirms = pl.confirms[:n-1]
-		*m = MsgConfirm{pl: pl}
-		return m
-	}
-	return &MsgConfirm{pl: pl}
+	m := take(&pl.confirms)
+	*m = MsgConfirm{pl: pl}
+	return m
 }
 
 func (pl *Pool) msgCommit() *MsgCommit {
-	if n := len(pl.commits); n > 0 {
-		m := pl.commits[n-1]
-		pl.commits = pl.commits[:n-1]
-		*m = MsgCommit{pl: pl}
-		return m
-	}
-	return &MsgCommit{pl: pl}
+	m := take(&pl.commits)
+	*m = MsgCommit{pl: pl}
+	return m
 }
 
 // Release returns a Handle batch — the nodes and the slice — to the
@@ -216,27 +205,26 @@ func (p *Peer) Release(effs []Effect) {
 // ReleaseMsg returns a protocol message node to the pool that created
 // it. Call it once, after the message's final consumer —
 // the receiving Handle (plus observers) in the simulator, the encoder
-// in the live layer — is done with it. Messages without a pool
-// (hand-constructed, or decoded off the wire) are left to the GC.
+// in the live layer — is done with it. A control's View goes back to
+// the pool with the last control of its selection. Messages without a
+// pool (hand-constructed, or decoded off the wire) are left to the GC.
 func ReleaseMsg(m any) {
 	switch v := m.(type) {
 	case *MsgControl:
-		if v.pl != nil {
-			view := v.View[:0]
-			pl := v.pl
-			*v = MsgControl{View: view, pl: pl}
-			pl.ctls = append(pl.ctls, v)
+		if sv := v.view; sv != nil {
+			*v = MsgControl{}
+			sv.pl.ctls = append(sv.pl.ctls, v)
+			if sv.refs--; sv.refs == 0 {
+				sv.pl.views = append(sv.pl.views, sv)
+			}
 		}
 	case *MsgConfirm:
-		if v.pl != nil {
-			pl := v.pl
-			*v = MsgConfirm{pl: pl}
+		if pl := v.pl; pl != nil {
 			pl.confirms = append(pl.confirms, v)
 		}
 	case *MsgCommit:
-		if v.pl != nil {
-			pl := v.pl
-			*v = MsgCommit{pl: pl}
+		if pl := v.pl; pl != nil {
+			v.AssignedSeq = nil
 			pl.commits = append(pl.commits, v)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,4 +185,101 @@ func TestTCoPSparesSurviveOtherSelections(t *testing.T) {
 			t.Errorf("seed %d: retried peer %d on a shared pool, %d on its own", seed, shared, own)
 		}
 	}
+}
+
+// sentControls lists the control messages in effs and their recipients.
+func sentControls(effs []engine.Effect) (ctls []*engine.MsgControl, to []engine.PeerID) {
+	for _, e := range effs {
+		if s, ok := e.(*engine.Send); ok {
+			if m, ok := s.Msg.(*engine.MsgControl); ok {
+				ctls, to = append(ctls, m), append(to, s.To)
+			}
+		}
+	}
+	return ctls, to
+}
+
+// TestSelectionSharesOneView pins the ownership rule of MsgControl.View:
+// every control of one selection points at one list, the sender's view,
+// and nothing writes that list while a control holds it. A released
+// control drops it, and the pool takes it back only with the last
+// sibling: releasing one control and then running another DCoP
+// selection, a TCoP wave and a TCoP retry on the same pool leaves the
+// siblings' view as it was.
+func TestSelectionSharesOneView(t *testing.T) {
+	pl := new(engine.Pool)
+	dcfg, tcfg := baseConfig(40, 5, true), baseConfig(40, 5, false)
+	for _, cfg := range []*engine.Config{&dcfg, &tcfg} {
+		if err := cfg.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peer := func(cfg engine.Config, id engine.PeerID) *engine.Peer {
+		return pl.NewPeer(cfg, id, des.NewRand(engine.PeerSeed(7, id)))
+	}
+	request := func(id engine.PeerID) *engine.Request {
+		return &engine.Request{Rate: 10, Selected: []engine.PeerID{id, id + 1}, Round: 1}
+	}
+
+	p := peer(dcfg, 0)
+	effs := p.Handle(request(0), engine.Snapshot{})
+	ctls, children := sentControls(effs)
+	if len(ctls) < 3 {
+		t.Fatalf("the DCoP selection sent %d controls, want at least 3", len(ctls))
+	}
+	want := append([]engine.PeerID{0, 1}, children...)
+	slices.Sort(want)
+	for i, m := range ctls {
+		if !slices.Equal(m.View, want) {
+			t.Fatalf("control %d carries view %v, want %v", i, m.View, want)
+		}
+		if &m.View[0] != &ctls[0].View[0] {
+			t.Errorf("control %d carries a view of its own, not the selection's", i)
+		}
+	}
+	p.Release(effs)
+	engine.ReleaseMsg(ctls[0])
+	if ctls[0].View != nil {
+		t.Errorf("a released control keeps its view %v for the pool to hand out", ctls[0].View)
+	}
+	siblings := ctls[1:]
+
+	q := peer(dcfg, 10)
+	effs = q.Handle(request(10), engine.Snapshot{})
+	if c, _ := sentControls(effs); len(c) == 0 {
+		t.Fatal("the second DCoP selection sent no control")
+	}
+	q.Release(effs)
+
+	tp := peer(tcfg, 20)
+	effs = tp.Handle(request(20), engine.Snapshot{})
+	_, wave := sentControls(effs)
+	if len(wave) == 0 {
+		t.Fatal("the TCoP wave sent no control")
+	}
+	tp.Release(effs)
+	effs = tp.Handle(&engine.Confirm{Msg: &engine.MsgConfirm{Child: wave[0], Accept: false, Round: 2}}, engine.Snapshot{})
+	if retry, _ := sentControls(effs); len(retry) != 1 {
+		t.Fatalf("a declined TCoP control was retried with %d controls, want 1", len(retry))
+	}
+	tp.Release(effs)
+
+	for i, m := range siblings {
+		if !slices.Equal(m.View, want) {
+			t.Errorf("sibling control %d now carries view %v, want %v", i+1, m.View, want)
+		}
+	}
+
+	// With the last of its controls released, the view serves the next
+	// selection.
+	backing := &siblings[0].View[0]
+	for _, m := range siblings {
+		engine.ReleaseMsg(m)
+	}
+	r := peer(dcfg, 30)
+	effs = r.Handle(request(30), engine.Snapshot{})
+	if c, _ := sentControls(effs); len(c) == 0 || &c[0].View[0] != backing {
+		t.Error("the next selection did not reuse the view its selection released")
+	}
+	r.Release(effs)
 }

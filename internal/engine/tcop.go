@@ -36,12 +36,11 @@ func (p *Peer) tcopSelect(effs []Effect, round int, cur Snapshot) []Effect {
 
 	// c1 carries a restricted view — only the sender and the selected
 	// children — so children's own selections overlap and the flooding
-	// stays redundant (§3.5).
+	// stays redundant (§3.5). The wave's controls share it.
 	rv := p.restrictedView(wave)
 	for _, c := range wave {
-		m := p.pl.msgControl()
+		m := p.pl.msgControl(rv)
 		m.Parent = p.id
-		m.View = append(m.View[:0], rv...)
 		m.SeqOffset, m.Rate = cur.Offset, cur.Rate
 		m.Children, m.Round = len(wave), round
 		effs = append(effs, p.pl.send(c, m))
@@ -120,10 +119,8 @@ func (p *Peer) pullAlternate() (PeerID, bool) {
 func (p *Peer) retryControl(snap Snapshot, repl PeerID) *MsgControl {
 	p.viewAdd(repl)
 	p.one[0] = repl
-	rv := p.restrictedView(p.one[:])
-	m := p.pl.msgControl()
+	m := p.pl.msgControl(p.restrictedView(p.one[:]))
 	m.Parent = p.id
-	m.View = append(m.View[:0], rv...)
 	m.SeqOffset, m.Rate = snap.Offset, snap.Rate
 	m.Children, m.Round = p.wanted, p.ctlRound
 	return m

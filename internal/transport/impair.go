@@ -112,8 +112,8 @@ func ParseBurst(s string) (*BurstParams, error) {
 // Impairer and the simulator's network: its own seeded stream, drawing
 // nothing another link draws, and with a burst model its Gilbert–Elliott
 // state. It reads no clock and takes no lock; its owner serializes calls.
-// The stream is held by value: a lossy simulated run keeps one Link per
-// directed link it used, one allocation each.
+// A Link is a value with its stream inside: the simulator keeps its
+// links in blocks, and each impairer link state embeds one.
 type Link struct {
 	src   des.Source
 	loss  float64
@@ -123,8 +123,8 @@ type Link struct {
 
 // NewLink returns a link on the stream seed that drops each message with
 // probability loss and, with burst set, through its chain as well.
-func NewLink(seed int64, loss float64, burst *BurstParams) *Link {
-	l := &Link{loss: loss, burst: burst}
+func NewLink(seed int64, loss float64, burst *BurstParams) Link {
+	l := Link{loss: loss, burst: burst}
 	l.src.Seed(seed)
 	return l
 }
@@ -224,7 +224,7 @@ type linkKey struct{ from, to string }
 // rng draws the reorder and duplicate verdicts on the link's stream,
 // after its loss draws.
 type linkState struct {
-	*Link
+	Link
 	rng  *rand.Rand
 	held []*heldMsg
 }
