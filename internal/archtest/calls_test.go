@@ -39,6 +39,23 @@ func TestOnePoolPerSimulatedRun(t *testing.T) {
 	}
 }
 
+// TestOneFreeList: des.FreeList is the one free list of pooled records,
+// carving them in blocks, and des.Slab the one slab of carved slices.
+// The copies it replaced were a package-level generic take, popping a
+// []*T and making a new record when empty, in internal/engine and in
+// internal/coord; no non-test file outside internal/des declares a
+// function of that name again.
+func TestOneFreeList(t *testing.T) {
+	tr := repo(t)
+	for _, f := range tr.prod(func(d string) bool { return d != "internal/des" }) {
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "take" {
+				t.Errorf("%s declares take: take pooled records from a des.FreeList", tr.pos(fd))
+			}
+		}
+	}
+}
+
 // deprecatedMarker is godoc's deprecation paragraph, spelled in two parts
 // so that this file holds no such comment itself.
 const deprecatedMarker = "Deprecated" + ":"

@@ -24,7 +24,7 @@ var internalImports = map[string][]string{
 	"engine":      {"content", "des", "flight", "metrics", "overlay", "parity", "seq", "span"},
 	"experiment":  {"coord", "gossip", "metrics", "span", "svgplot", "transport"},
 	"flight":      nil,
-	"fluid":       nil,
+	"fluid":       {"des"},
 	"gossip":      {"des"},
 	"groupcomm":   nil,
 	"live":        {"content", "des", "disco", "engine", "flight", "metrics", "overlay", "parity", "seq", "span", "transport", "wire"},

@@ -22,3 +22,24 @@ func BenchmarkRunControlPlane(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunFluid is one whole n = 10,000, H = 10 run per op on the
+// fluid data plane, the shape of the sweeps' large points: the engine
+// peers, their views and the flow ledger dominate. Every op runs the
+// same seed, so allocs/op is the run's own count and CI gates it
+// (BENCH_des.json).
+func BenchmarkRunFluid(b *testing.B) {
+	for _, proto := range []Protocol{DCoP, TCoP} {
+		b.Run(proto, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.N, cfg.H = 10000, 10
+			cfg.DataPlane, cfg.PlaneMode = true, PlaneFluid
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(proto, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

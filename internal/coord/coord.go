@@ -509,8 +509,8 @@ type runner struct {
 	batchBuf [][]engine.Effect
 	// timerFree and switchFree hold the pooled des events not in the
 	// queue: engine-timer firings and transmitters' planned switches.
-	timerFree  []*timerEvent
-	switchFree []*switchEvent
+	timerFree  des.FreeList[timerEvent]
+	switchFree des.FreeList[switchEvent]
 }
 
 // leafID returns the network node of the leaf peer.

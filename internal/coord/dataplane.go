@@ -40,7 +40,7 @@ func (tx *transmitter) plan(h *engine.Handoff) {
 	}
 	tx.plans++
 	r := tx.r
-	sw := take(&r.switchFree)
+	sw := r.switchFree.Take()
 	sw.tx, sw.plan = tx, tx.plans
 	r.eng.Schedule(r.eng.Now()+r.cfg.Delta, sw)
 }
@@ -56,7 +56,7 @@ type switchEvent struct {
 // switch plans nothing.
 func (sw *switchEvent) Fire() {
 	tx, plan := sw.tx, sw.plan
-	tx.r.switchFree = append(tx.r.switchFree, sw)
+	tx.r.switchFree.Put(sw)
 	if plan == tx.plans && tx.st.Switch() && tx.r.cfg.DataPlane {
 		tx.restart()
 	}

@@ -76,8 +76,7 @@ func (r *runner) initEngine(dcopMode bool) {
 	}
 	pool := new(engine.Pool)
 	for _, p := range r.peers {
-		rng := des.NewRand(engine.PeerSeed(r.cfg.Seed, p.id))
-		p.core = pool.NewPeer(ecfg, p.id, rng)
+		p.core = pool.NewPeer(ecfg, p.id, engine.PeerSeed(r.cfg.Seed, p.id))
 		p.obs = r.cfg.Obs.Observer("", p.id, r.met.peer)
 	}
 }
@@ -225,7 +224,7 @@ type timerEvent struct {
 
 // setTimer queues the TimerFired e asks for, e.Delay from now.
 func (r *runner) setTimer(p *peerNode, e *engine.SetTimer) {
-	tf := take(&r.timerFree)
+	tf := r.timerFree.Take()
 	tf.p, tf.ev.Timer = p, e.ID
 	r.eng.Schedule(r.eng.Now()+e.Delay, tf)
 }
@@ -236,7 +235,7 @@ func (r *runner) setTimer(p *peerNode, e *engine.SetTimer) {
 func (tf *timerEvent) Fire() {
 	r := tf.p.r
 	r.dispatch(tf.p, &tf.ev)
-	r.timerFree = append(r.timerFree, tf)
+	r.timerFree.Put(tf)
 }
 
 // msgRound extracts the round number carried by an engine message.

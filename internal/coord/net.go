@@ -35,7 +35,7 @@ type network struct {
 	// link, and a link's address stays put.
 	slab    []transport.Link
 	crashed []bool // indexed by node
-	free    []*delivery
+	free    des.FreeList[delivery]
 	stats   NetStats
 	met     netMetrics
 	receive func(from, to int, m any)
@@ -103,19 +103,9 @@ func (n *network) send(from, to int, m any) {
 	}
 	n.met.latency.Observe(d)
 	n.met.inflight.Add(1)
-	dl := take(&n.free)
+	dl := n.free.Take()
 	dl.n, dl.from, dl.to, dl.m = n, from, to, m
 	n.eng.Schedule(n.eng.Now()+d, dl)
-}
-
-// take pops a pooled event record off free, or makes a new one.
-func take[T any](free *[]*T) *T {
-	if n := len(*free); n > 0 {
-		v := (*free)[n-1]
-		*free = (*free)[:n-1]
-		return v
-	}
-	return new(T)
 }
 
 // Fire delivers the message to its destination. The record goes back to
@@ -123,7 +113,7 @@ func take[T any](free *[]*T) *T {
 func (dl *delivery) Fire() {
 	n, from, to, m := dl.n, dl.from, dl.to, dl.m
 	dl.m = nil
-	n.free = append(n.free, dl)
+	n.free.Put(dl)
 	n.met.inflight.Add(-1)
 	if n.crashed[to] {
 		n.stats.ToCrashed++

@@ -34,6 +34,9 @@
 // The queue is a 4-ary min-heap of 32-byte value entries whose key sits
 // inline, so a comparison dereferences nothing; its backing array grows
 // by doubling.
+//
+// FreeList and Slab (pool.go) are where a run's pooled records and
+// per-peer slices come from, a block at a time.
 package des
 
 import (

@@ -48,7 +48,7 @@ func (p *Peer) firstDelivery(k assignKey) bool {
 	if slices.Contains(p.seenAssign, k) {
 		return false
 	}
-	p.seenAssign = append(p.seenAssign, k)
+	p.seenAssign = append(room(p.seenAssign, p.pl, keySlab, p.cfg.H), k)
 	return true
 }
 
@@ -120,10 +120,8 @@ func (p *Peer) dcopSelect(effs []Effect, fanout, round int, cur Snapshot) []Effe
 	if fanout <= 0 {
 		return effs
 	}
-	children, _ := overlay.SelectWithSparesInto(p.rng, p.view, fanout, p.selBuf, false)
-	if children != nil {
-		p.selBuf = children[:0] // recapture the (possibly regrown) scratch array
-	}
+	p.selBuf = room(p.selBuf, p.pl, idSlab, overlay.SelectLen(p.view, fanout, false))
+	children, _ := overlay.SelectWithSparesInto(p.stream(), p.view, fanout, p.selBuf, false)
 	if len(children) == 0 {
 		return effs
 	}

@@ -402,13 +402,14 @@ type pendShare struct {
 type Peer struct {
 	cfg Config
 	id  PeerID
-	rng *rand.Rand
+	rng *rand.Rand // the caller's stream (NewPeer), or nil to draw from src
+	src des.Source // the stream Pool.NewPeer seeds, held in place
 
-	view      overlay.View
-	active    bool
-	parent    int // -1 = none; leaf-rooted peers point at themselves
-	committed bool
-	round     int // activation round (tree depth)
+	view   overlay.View
+	parent int // -1 = none; leaf-rooted peers point at themselves
+	round  int // activation round (tree depth)
+	// The flags, side by side (outstandingOpen and final are TCoP's).
+	active, committed, outstandingOpen, final bool
 
 	// DCoP: children taken over the peer's lifetime (capped at H, §3.3).
 	childrenTaken int
@@ -418,18 +419,17 @@ type Peer struct {
 
 	// TCoP handshake state. outstanding is a small slice (≤ H entries)
 	// scanned linearly; outstandingOpen distinguishes "no round in
-	// flight" from "round open with every control answered".
-	wanted          int
-	outstanding     []PeerID
-	outstandingOpen bool
-	candQueue       []PeerID
-	retryLeft       int
-	confirmed       []PeerID
-	ctlRound        int
-	final           bool
-	gen             int // confirmation-round generation
-	relGen          int // adoption-release generation
-	confirmDelay    float64
+	// flight" from "round open with every control answered". The
+	// failover candidates are selBuf[cand:].
+	wanted       int
+	outstanding  []PeerID
+	cand         int
+	retryLeft    int
+	confirmed    []PeerID
+	ctlRound     int
+	gen          int // confirmation-round generation
+	relGen       int // adoption-release generation
+	confirmDelay float64
 
 	// Open hand-off shares, absorbable while their send can still fail.
 	// A slice, not a map: a peer hands out at most H+joins shares.
@@ -445,53 +445,63 @@ type Peer struct {
 
 	// The pool the peer's effects and messages come from (shared by a
 	// simulated run's peers, see pool.go), and the scratch the peer keeps
-	// to itself: the selection buffer, whose spare tail is candQueue.
+	// to itself: the selection buffer, holding a TCoP wave and its spares.
 	pl     *Pool
 	selBuf []PeerID
-	one    [1]PeerID
 }
 
 // NewPeer returns the state machine of contents peer id, with a pool of
-// its own. The caller must have normalized cfg and owns the seeding of
-// rng (see PeerSeed).
+// its own, drawing from rng's source. The caller must have normalized
+// cfg and owns the seeding of rng.
 func NewPeer(cfg Config, id PeerID, rng *rand.Rand) *Peer {
-	o := new(ownedPeer) // the peer and its pool in one allocation
-	o.Peer = newPeer(cfg, id, rng, &o.pool)
-	return &o.Peer
-}
-
-// ownedPeer is a peer NewPeer built together with the pool only it
-// draws from.
-type ownedPeer struct {
-	Peer
-	pool Pool
+	p := new(Pool).peer(cfg, id)
+	p.rng = rng
+	return p
 }
 
 // NewPeer returns the state machine of contents peer id, drawing its
-// effects and messages from pl; every peer of pl must be driven from
-// one goroutine. The caller must have normalized cfg and owns the
-// seeding of rng (see PeerSeed).
-func (pl *Pool) NewPeer(cfg Config, id PeerID, rng *rand.Rand) *Peer {
-	p := newPeer(cfg, id, rng, pl)
-	return &p
+// effects and messages from pl and its randomness from a stream seeded
+// with seed (see PeerSeed); every peer of pl must be driven from one
+// goroutine. The caller must have normalized cfg.
+func (pl *Pool) NewPeer(cfg Config, id PeerID, seed int64) *Peer {
+	p := pl.peer(cfg, id)
+	p.src.Seed(seed)
+	return p
 }
 
-func newPeer(cfg Config, id PeerID, rng *rand.Rand, pl *Pool) Peer {
-	return Peer{
-		cfg:    cfg,
-		id:     id,
-		rng:    rng,
-		view:   overlay.NewView(cfg.N),
-		parent: -1,
-		pl:     pl,
+// stream is what the peer draws from. Over src it is a fresh wrapper
+// each time, which draws what one kept wrapper would: a rand.Rand keeps
+// no state of its own but what Read buffers, and the engine never reads.
+func (p *Peer) stream() *rand.Rand {
+	if p.rng != nil {
+		return p.rng
 	}
+	return rand.New(&p.src)
+}
+
+// peer carves a peer and its view from the pool's blocks.
+func (pl *Pool) peer(cfg Config, id PeerID) *Peer {
+	if pl.batch > 0 && pl.run == nil { // the pool's second peer
+		pl.run = new(runBlocks)
+	}
+	pl.batch = max(pl.batch, cfg.H+2)
+	var p *Peer
+	var words []uint64
+	if r := pl.run; r != nil {
+		p, words = r.peers.Take(), r.words.Carve((cfg.N+63)/64)
+	} else {
+		p, words = new(Peer), make([]uint64, (cfg.N+63)/64)
+	}
+	*p = Peer{cfg: cfg, id: id, parent: -1, pl: pl}
+	p.view = overlay.NewViewOn(cfg.N, words)
+	return p
 }
 
 // Reset rewinds the state machine to its just-constructed state while
 // keeping every internal capacity — view words, scratch buffers, and
 // the pool it draws from — so a harness can rerun rounds on the same
-// peers without reallocating. The caller owns reseeding the injected
-// rng.
+// peers without reallocating. The caller of NewPeer owns reseeding the
+// rng it handed over.
 func (p *Peer) Reset() {
 	p.view.Clear()
 	p.active = false
@@ -503,7 +513,7 @@ func (p *Peer) Reset() {
 	p.wanted = 0
 	p.outstanding = p.outstanding[:0]
 	p.outstandingOpen = false
-	p.candQueue = nil
+	p.selBuf, p.cand = p.selBuf[:0], 0
 	p.retryLeft = 0
 	p.confirmed = p.confirmed[:0]
 	p.ctlRound = 0
@@ -722,9 +732,9 @@ func (p *Peer) noteShare(to PeerID, s seq.Sequence, rate float64) {
 		}
 	}
 	if !replaced {
-		p.shares = append(p.shares, pendShare{to: to, s: s, rate: rate})
+		p.shares = append(room(p.shares, p.pl, shareSlab, p.cfg.H), pendShare{to: to, s: s, rate: rate})
 	}
-	p.children = append(p.children, to)
+	p.children = append(room(p.children, p.pl, idSlab, p.cfg.H), to)
 }
 
 // dropChild removes the last occurrence of c from the children list.
@@ -741,7 +751,7 @@ func (p *Peer) dropChild(c PeerID) {
 // the given children, with room for a whole wave (so a retry's view can
 // serve the next wave). Out-of-range sender ids (live-layer ephemeral
 // joiners) are skipped, like viewAdd.
-func (p *Peer) restrictedView(children []PeerID) *sharedView {
+func (p *Peer) restrictedView(children ...PeerID) *sharedView {
 	v := p.pl.view(p.cfg.H+1, len(children))
 	if p.id >= 0 && int(p.id) < p.cfg.N {
 		v.ids = append(v.ids, p.id)

@@ -92,11 +92,11 @@ func newHarnessOn(cfg engine.Config, seed int64, pl *engine.Pool) *harness {
 	h := &harness{cfg: cfg, crashed: make(map[engine.PeerID]bool)}
 	for i := 0; i < cfg.N; i++ {
 		id := engine.PeerID(i)
-		src := des.NewSource(engine.PeerSeed(seed, id))
-		h.sources = append(h.sources, src)
 		if pl != nil {
-			h.peers = append(h.peers, pl.NewPeer(cfg, id, rand.New(src)))
+			h.peers = append(h.peers, pl.NewPeer(cfg, id, engine.PeerSeed(seed, id)))
 		} else {
+			src := des.NewSource(engine.PeerSeed(seed, id))
+			h.sources = append(h.sources, src)
 			h.peers = append(h.peers, engine.NewPeer(cfg, id, rand.New(src)))
 		}
 		h.streams = append(h.streams, engine.Stream{})
@@ -106,7 +106,8 @@ func newHarnessOn(cfg engine.Config, seed int64, pl *engine.Pool) *harness {
 
 // reset rewinds the harness — peers, clocks, queues — to a fresh run
 // of the given seed while keeping every capacity (the benchmark hot
-// loop reruns rounds through one harness).
+// loop reruns rounds through one harness). Only a harness of peers
+// with pools of their own resets: it reseeds the sources they draw from.
 func (h *harness) reset(seed int64) {
 	h.now = 0
 	h.queue = h.queue[:0]

@@ -1,6 +1,9 @@
 package engine
 
-import "p2pmss/internal/seq"
+import (
+	"p2pmss/internal/des"
+	"p2pmss/internal/seq"
+)
 
 // Free lists. A coordination round used to allocate every event box,
 // effect node, message and effect slice afresh — ~21k allocations for a
@@ -31,11 +34,15 @@ import "p2pmss/internal/seq"
 // must be driven from one goroutine. The simulator runs a whole run on
 // one goroutine, so it builds all N peers of a run from one Pool
 // (Pool.NewPeer): a node any peer released is the next one any peer
-// takes, where per-peer lists — a peer handles only a few events per
-// run — almost never handed a node back. The live runtime serves each
-// peer under its own mutex, so every live peer owns its pool (NewPeer),
-// and its message nodes never reach another peer (they cross as
-// encoded bytes).
+// takes. The live runtime serves each peer under its own mutex, so
+// every live peer owns its pool, and its message nodes never reach
+// another peer (they cross as encoded bytes).
+//
+// Blocks. Every list is a des.FreeList (blocks of 1, 2, 4 … 32 records),
+// and what a peer keeps for its lifetime — the peer, its view words, its
+// lists — is carved from per-run slabs (runBlocks, room). A pool of one
+// peer, as every live peer owns, makes its peer and lists on their own,
+// so it stays as small as one that allocated per record.
 //
 // Views. A selection builds its view once and every control of the
 // selection points at it (MsgControl.View is immutable once sent). The
@@ -47,21 +54,44 @@ import "p2pmss/internal/seq"
 // tcopSelect keeps the spare tail of it as the candidate queue, and a
 // later retry reads it, after other peers on the pool may have selected.
 type Pool struct {
-	effs [][]Effect
+	effs  [][]Effect
+	batch int // the longest batch: a selection's activation, H sends, hand-off
 
-	sends     []*Send
-	timers    []*SetTimer
-	activates []*Activate
-	merges    []*Merge
-	handoffs  []*Handoff
-	absorbs   []*Absorb
-	serves    []*ServeRepair
+	sends     des.FreeList[Send]
+	timers    des.FreeList[SetTimer]
+	activates des.FreeList[Activate]
+	merges    des.FreeList[Merge]
+	handoffs  des.FreeList[Handoff]
+	absorbs   des.FreeList[Absorb]
+	serves    des.FreeList[ServeRepair]
 
-	ctls     []*MsgControl
-	confirms []*MsgConfirm
-	commits  []*MsgCommit
-	views    []*sharedView // views no control holds any more
+	ctls     des.FreeList[MsgControl]
+	confirms des.FreeList[MsgConfirm]
+	commits  des.FreeList[MsgCommit]
+	views    des.FreeList[sharedView] // views no control holds any more
+
+	// run holds what a run's peers are carved from. The pool makes it
+	// with its second peer; until then each peer and list is made on its
+	// own, as a pool of one peer — every live peer owns one — gains
+	// nothing from blocks.
+	run *runBlocks
 }
+
+// runBlocks are what the peers of a run are carved from: the peers,
+// their view words and their lists, each list with a capacity of its
+// own (see room).
+type runBlocks struct {
+	peers  des.FreeList[Peer]
+	words  des.Slab[uint64]
+	ids    des.Slab[PeerID]
+	shares des.Slab[pendShare]
+	keys   des.Slab[assignKey]
+}
+
+// The slabs room carves each kind of list from.
+func idSlab(r *runBlocks) *des.Slab[PeerID]       { return &r.ids }
+func shareSlab(r *runBlocks) *des.Slab[pendShare] { return &r.shares }
+func keySlab(r *runBlocks) *des.Slab[assignKey]   { return &r.keys }
 
 // sharedView is the view of one selection, which its controls point at;
 // a control reaches its pool through it.
@@ -73,73 +103,77 @@ type sharedView struct {
 
 // view returns an empty view with room for k members, for refs controls.
 func (pl *Pool) view(k, refs int) *sharedView {
-	v := take(&pl.views)
+	v := pl.views.Take()
 	v.pl = pl
-	if cap(v.ids) < k {
-		v.ids = make([]PeerID, 0, k)
-	}
-	v.ids, v.refs = v.ids[:0], refs
+	v.ids, v.refs = room(v.ids, pl, idSlab, k)[:0], refs
 	return v
 }
 
-// slice returns an empty effect slice with recycled capacity.
+// room returns s, or an empty slice with room for n elements when s has
+// less: exactly n the first time, at least twice as many as s after, so
+// a buffer reused across rounds regrows a few times, not once per larger
+// round. The slice is carved from the run's slab that slab picks, or made
+// on its own in a pool of one peer. Callers keep nothing of s they still
+// need when it is too small.
+func room[T any](s []T, pl *Pool, slab func(*runBlocks) *des.Slab[T], n int) []T {
+	switch {
+	case cap(s) >= n:
+		return s
+	case pl.run == nil:
+		return make([]T, 0, max(n, 2*cap(s)))
+	}
+	return slab(pl.run).Carve(max(n, 2*cap(s)))
+}
+
+// slice returns an empty effect slice with recycled capacity, or a new
+// one with room for the longest batch of the pool's peers.
 func (pl *Pool) slice() []Effect {
 	if n := len(pl.effs); n > 0 {
 		s := pl.effs[n-1]
 		pl.effs = pl.effs[:n-1]
 		return s
 	}
-	return make([]Effect, 0, 8)
-}
-
-// take pops a node off a free list, or makes a new one.
-func take[T any](free *[]*T) *T {
-	if n := len(*free); n > 0 {
-		v := (*free)[n-1]
-		*free = (*free)[:n-1]
-		return v
-	}
-	return new(T)
+	return make([]Effect, 0, pl.batch)
 }
 
 func (pl *Pool) send(to PeerID, msg any) *Send {
-	e := take(&pl.sends)
+	e := pl.sends.Take()
 	*e = Send{To: to, Msg: msg}
 	return e
 }
 
 func (pl *Pool) setTimer(id TimerID, delay float64) *SetTimer {
-	e := take(&pl.timers)
+	e := pl.timers.Take()
 	*e = SetTimer{ID: id, Delay: delay}
 	return e
 }
 
 func (pl *Pool) activate(s seq.Sequence, rate float64, round int) *Activate {
-	e := take(&pl.activates)
+	e := pl.activates.Take()
 	*e = Activate{Seq: s, Rate: rate, Round: round}
 	return e
 }
 
 func (pl *Pool) merge(s, stream seq.Sequence, rate float64, round int) *Merge {
-	e := take(&pl.merges)
+	e := pl.merges.Take()
 	*e = Merge{Seq: s, Stream: stream, Rate: rate, Round: round}
 	return e
 }
 
 func (pl *Pool) handoff(keep seq.Sequence, given []seq.Sequence, oldRate, newRate float64, mark int) *Handoff {
-	e := take(&pl.handoffs)
+	e := pl.handoffs.Take()
 	*e = Handoff{Keep: keep, Given: given, OldRate: oldRate, NewRate: newRate, Mark: mark}
 	return e
 }
 
 func (pl *Pool) absorbEff(s seq.Sequence, rateDelta float64) *Absorb {
-	e := take(&pl.absorbs)
+	e := pl.absorbs.Take()
 	*e = Absorb{Seq: s, RateDelta: rateDelta}
 	return e
 }
 
 func (pl *Pool) serveRepair(indices []int64) *ServeRepair {
-	e := take(&pl.serves)
+	e := pl.serves.Take()
 	*e = ServeRepair{Indices: indices}
 	return e
 }
@@ -147,19 +181,19 @@ func (pl *Pool) serveRepair(indices []int64) *ServeRepair {
 // msgControl returns a control message owned by this pool, carrying
 // view v and otherwise zeroed.
 func (pl *Pool) msgControl(v *sharedView) *MsgControl {
-	m := take(&pl.ctls)
+	m := pl.ctls.Take()
 	*m = MsgControl{View: v.ids[:len(v.ids):len(v.ids)], view: v}
 	return m
 }
 
 func (pl *Pool) msgConfirm() *MsgConfirm {
-	m := take(&pl.confirms)
+	m := pl.confirms.Take()
 	*m = MsgConfirm{pl: pl}
 	return m
 }
 
 func (pl *Pool) msgCommit() *MsgCommit {
-	m := take(&pl.commits)
+	m := pl.commits.Take()
 	*m = MsgCommit{pl: pl}
 	return m
 }
@@ -178,24 +212,24 @@ func (p *Peer) Release(effs []Effect) {
 		switch v := e.(type) {
 		case *Send:
 			v.Msg = nil
-			pl.sends = append(pl.sends, v)
+			pl.sends.Put(v)
 		case *SetTimer:
-			pl.timers = append(pl.timers, v)
+			pl.timers.Put(v)
 		case *Activate:
 			v.Seq = nil
-			pl.activates = append(pl.activates, v)
+			pl.activates.Put(v)
 		case *Merge:
 			v.Seq, v.Stream = nil, nil
-			pl.merges = append(pl.merges, v)
+			pl.merges.Put(v)
 		case *Handoff:
 			v.Keep, v.Given = nil, nil
-			pl.handoffs = append(pl.handoffs, v)
+			pl.handoffs.Put(v)
 		case *Absorb:
 			v.Seq = nil
-			pl.absorbs = append(pl.absorbs, v)
+			pl.absorbs.Put(v)
 		case *ServeRepair:
 			v.Indices = nil
-			pl.serves = append(pl.serves, v)
+			pl.serves.Put(v)
 		}
 		effs[i] = nil
 	}
@@ -213,19 +247,19 @@ func ReleaseMsg(m any) {
 	case *MsgControl:
 		if sv := v.view; sv != nil {
 			*v = MsgControl{}
-			sv.pl.ctls = append(sv.pl.ctls, v)
+			sv.pl.ctls.Put(v)
 			if sv.refs--; sv.refs == 0 {
-				sv.pl.views = append(sv.pl.views, sv)
+				sv.pl.views.Put(sv)
 			}
 		}
 	case *MsgConfirm:
 		if pl := v.pl; pl != nil {
-			pl.confirms = append(pl.confirms, v)
+			pl.confirms.Put(v)
 		}
 	case *MsgCommit:
 		if pl := v.pl; pl != nil {
 			v.AssignedSeq = nil
-			pl.commits = append(pl.commits, v)
+			pl.commits.Put(v)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -148,7 +149,7 @@ func TestTCoPSparesSurviveOtherSelections(t *testing.T) {
 		t.Helper()
 		var p *engine.Peer
 		if pl != nil {
-			p = pl.NewPeer(cfg, 0, rng(seed, 0))
+			p = pl.NewPeer(cfg, 0, engine.PeerSeed(seed, 0))
 		} else {
 			p = engine.NewPeer(cfg, 0, rng(seed, 0))
 		}
@@ -166,7 +167,7 @@ func TestTCoPSparesSurviveOtherSelections(t *testing.T) {
 		}
 		if pl != nil {
 			for id := engine.PeerID(1); id <= 4; id++ {
-				other := pl.NewPeer(cfg, id, rng(seed, id))
+				other := pl.NewPeer(cfg, id, engine.PeerSeed(seed, id))
 				other.Release(other.Handle(&engine.Request{Rate: 10, Selected: []engine.PeerID{id}, Round: 1}, engine.Snapshot{}))
 			}
 		}
@@ -215,7 +216,7 @@ func TestSelectionSharesOneView(t *testing.T) {
 		}
 	}
 	peer := func(cfg engine.Config, id engine.PeerID) *engine.Peer {
-		return pl.NewPeer(cfg, id, des.NewRand(engine.PeerSeed(7, id)))
+		return pl.NewPeer(cfg, id, engine.PeerSeed(7, id))
 	}
 	request := func(id engine.PeerID) *engine.Request {
 		return &engine.Request{Rate: 10, Selected: []engine.PeerID{id, id + 1}, Round: 1}
@@ -282,4 +283,190 @@ func TestSelectionSharesOneView(t *testing.T) {
 		t.Error("the next selection did not reuse the view its selection released")
 	}
 	r.Release(effs)
+}
+
+// TestCarvedListsStayApart: the peers of one pool carve their lists from
+// shared slabs, each with a capacity of its own, so a list that grows
+// past its carve moves out and writes nothing into the carve after it.
+// Three lists grow so: a TCoP parent's children past H through joins, a
+// DCoP peer's delivered assignments past H, and a neighbour's children
+// carved right before a TCoP selection's spares, which a retry then reads.
+func TestCarvedListsStayApart(t *testing.T) {
+	snap := engine.Snapshot{Stream: seq.Range(1, 400), Rate: 10}
+	tcfg, dcfg := baseConfig(40, 3, false), baseConfig(40, 3, true)
+	for _, cfg := range []*engine.Config{&tcfg, &dcfg} {
+		if err := cfg.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// release gives p's batch back and returns whom it sent to.
+	release := func(p *engine.Peer, effs []engine.Effect) []engine.PeerID {
+		var to []engine.PeerID
+		for _, e := range effs {
+			if s, ok := e.(*engine.Send); ok {
+				to = append(to, s.To)
+			}
+		}
+		p.Release(effs)
+		return to
+	}
+	// request activates p from the leaf and returns the wave it asked.
+	request := func(p *engine.Peer, id engine.PeerID) []engine.PeerID {
+		return release(p, p.Handle(&engine.Request{Assigned: snap.Stream, Rate: 10, Selected: []engine.PeerID{id}, Round: 1}, snap))
+	}
+	// commit has p's whole wave accept, so p commits every child of it.
+	commit := func(p *engine.Peer, wave []engine.PeerID) {
+		for _, c := range wave {
+			release(p, p.Handle(&engine.Confirm{Msg: &engine.MsgConfirm{Child: c, Accept: true, Round: 2}}, snap))
+		}
+		if got := p.Outcome().Children; !slices.Equal(got, wave) {
+			t.Fatalf("a peer whose wave %v all accepted has children %v", wave, got)
+		}
+	}
+	join := func(p *engine.Peer, joiner engine.PeerID) {
+		if to := release(p, p.Handle(&engine.Join{Joiner: joiner}, snap)); !slices.Equal(to, []engine.PeerID{joiner}) {
+			t.Fatalf("a join by %d sent to %v", joiner, to)
+		}
+	}
+	const k = 6
+
+	// newPeers builds peers 0..k-1 of cfg on one pool, all before any
+	// of them carves a list.
+	newPeers := func(cfg engine.Config) []*engine.Peer {
+		pl := new(engine.Pool)
+		peers := make([]*engine.Peer, k)
+		for i := range peers {
+			peers[i] = pl.NewPeer(cfg, engine.PeerID(i), engine.PeerSeed(3, engine.PeerID(i)))
+		}
+		return peers
+	}
+
+	t.Run("TCoP children past H", func(t *testing.T) {
+		peers := newPeers(tcfg)
+		waves := make([][]engine.PeerID, k)
+		for i, p := range peers {
+			waves[i] = request(p, engine.PeerID(i))
+		}
+		want := make([][]engine.PeerID, k)
+		for i, p := range peers { // the children lists, carved one after another
+			commit(p, waves[i])
+			want[i] = p.Outcome().Children
+		}
+		for i, p := range peers {
+			for j := 0; j < 3*tcfg.H; j++ {
+				joiner := engine.PeerID(100 + 20*i + j)
+				join(p, joiner)
+				want[i] = append(want[i], joiner)
+			}
+			for n, q := range peers {
+				if got := q.Outcome().Children; !slices.Equal(got, want[n]) {
+					t.Fatalf("after peer %d took %d joiners, peer %d has children %v, want %v", i, 3*tcfg.H, n, got, want[n])
+				}
+			}
+		}
+	})
+
+	t.Run("DCoP assignments past H", func(t *testing.T) {
+		control := func(round int) *engine.Control {
+			return &engine.Control{Msg: &engine.MsgControl{Parent: 30, Round: round, ChildIdx: 1, Children: 1, ChildRate: 1}}
+		}
+		peers := newPeers(dcfg)
+		for i, p := range peers { // the delivered-assignment lists, carved one after another
+			effs := p.Handle(control(1), engine.Snapshot{})
+			if effs == nil {
+				t.Fatalf("peer %d dropped its first control", i)
+			}
+			p.Release(effs)
+		}
+		for i, p := range peers {
+			for round := 2; round < 2+3*dcfg.H; round++ {
+				effs := p.Handle(control(round), engine.Snapshot{})
+				if effs == nil {
+					t.Fatalf("peer %d dropped a control of round %d it never saw", i, round)
+				}
+				p.Release(effs)
+			}
+			for n, q := range peers {
+				if effs := q.Handle(control(1), engine.Snapshot{}); effs != nil {
+					t.Fatalf("after peer %d took %d more assignments, peer %d took its first control again", i, 3*dcfg.H, n)
+				}
+			}
+		}
+	})
+
+	t.Run("TCoP spares after a neighbour's children", func(t *testing.T) {
+		// retried has peer 0 select, then declines the first control of
+		// its wave and every retry, and returns whom it retried, in
+		// order. On a shared pool, peer 1's children are carved right
+		// before peer 0's selection and grow past H after it, and two
+		// more peers select before the retries read the spares.
+		retried := func(shared bool) []engine.PeerID {
+			pl := new(engine.Pool)
+			var x *engine.Peer
+			if shared {
+				pl.NewPeer(tcfg, 9, engine.PeerSeed(5, 9)) // the slabs come with a second peer
+				x = pl.NewPeer(tcfg, 1, engine.PeerSeed(5, 1))
+				commit(x, request(x, 1))
+			}
+			p := pl.NewPeer(tcfg, 0, engine.PeerSeed(5, 0))
+			wave := request(p, 0)
+			if shared {
+				for j := 0; j < 4*tcfg.H; j++ {
+					join(x, engine.PeerID(100+j))
+				}
+				for _, id := range []engine.PeerID{2, 3} {
+					request(pl.NewPeer(tcfg, id, engine.PeerSeed(5, id)), id)
+				}
+			}
+			var got []engine.PeerID
+			for declined := wave[0]; ; {
+				to := release(p, p.Handle(&engine.Confirm{Msg: &engine.MsgConfirm{Child: declined, Accept: false, Round: 2}}, snap))
+				if len(to) != 1 {
+					return got
+				}
+				got, declined = append(got, to[0]), to[0]
+			}
+		}
+		own, shared := retried(false), retried(true)
+		if len(own) != tcfg.Retries || !slices.Equal(shared, own) {
+			t.Errorf("on a shared pool peer 0 retried %v, on its own %v (want %d retries)", shared, own, tcfg.Retries)
+		}
+	})
+}
+
+// TestOwnPoolsStaySmall: every live peer owns its pool (the live runtime
+// builds each serving peer with new(engine.Pool).NewPeer), so a pool's
+// blocks grow with what its one peer takes and do not start full. A
+// session of the live benchmark's shape (n = 8, H = 3), every peer built
+// that way, allocates no more bytes than the same session did when pools
+// took one record at a time and each peer drew from a *rand.Rand of its
+// own: maxBytes are those figures, measured with this harness.
+func TestOwnPoolsStaySmall(t *testing.T) {
+	for _, c := range []struct {
+		dcop     bool
+		maxBytes uint64
+	}{{false, 25672}, {true, 24048}} {
+		cfg := baseConfig(8, 3, c.dcop)
+		var before, after runtime.MemStats
+		least := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			runtime.ReadMemStats(&before)
+			if err := cfg.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			h := &harness{cfg: cfg, crashed: make(map[engine.PeerID]bool)}
+			for i := 0; i < cfg.N; i++ {
+				id := engine.PeerID(i)
+				h.peers = append(h.peers, new(engine.Pool).NewPeer(cfg, id, engine.PeerSeed(1, id)))
+				h.streams = append(h.streams, engine.Stream{})
+			}
+			h.start(nil, 10, 1)
+			h.run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > c.maxBytes {
+			t.Errorf("dcop=%v: a session on pools of one peer allocated %d bytes, more than %d", c.dcop, least, c.maxBytes)
+		}
+	}
 }

@@ -16,20 +16,18 @@ import "p2pmss/internal/overlay"
 // packet, and arm the confirmation deadline. cur is the data-plane
 // snapshot the controls should advertise; effects are appended to effs.
 func (p *Peer) tcopSelect(effs []Effect, round int, cur Snapshot) []Effect {
-	wave, spares := overlay.SelectWithSparesInto(p.rng, p.view, p.cfg.H, p.selBuf, true)
-	if wave != nil {
-		p.selBuf = wave[:0] // recapture the (possibly regrown) scratch array
-	}
+	p.selBuf = room(p.selBuf, p.pl, idSlab, overlay.SelectLen(p.view, p.cfg.H, true))
+	wave, spares := overlay.SelectWithSparesInto(p.stream(), p.view, p.cfg.H, p.selBuf, true)
 	if len(wave) == 0 {
 		return effs // view full: re-enhancement ends here
 	}
 	p.view.AddAll(wave)
 	p.wanted = len(wave)
-	p.outstanding = append(p.outstanding[:0], wave...)
+	p.outstanding = append(room(p.outstanding, p.pl, idSlab, p.cfg.H)[:0], wave...)
 	p.outstandingOpen = true
-	p.candQueue = spares
+	p.selBuf, p.cand = p.selBuf[:len(wave)+len(spares)], len(wave)
 	p.retryLeft = p.cfg.Retries
-	p.confirmed = p.confirmed[:0]
+	p.confirmed = room(p.confirmed, p.pl, idSlab, p.cfg.H)[:0]
 	p.ctlRound = round
 	p.final = false
 	p.confirmDelay = p.cfg.HandshakeTimeout
@@ -37,7 +35,7 @@ func (p *Peer) tcopSelect(effs []Effect, round int, cur Snapshot) []Effect {
 	// c1 carries a restricted view — only the sender and the selected
 	// children — so children's own selections overlap and the flooding
 	// stays redundant (§3.5). The wave's controls share it.
-	rv := p.restrictedView(wave)
+	rv := p.restrictedView(wave...)
 	for _, c := range wave {
 		m := p.pl.msgControl(rv)
 		m.Parent = p.id
@@ -104,11 +102,11 @@ func (p *Peer) tcopOnConfirm(m *MsgConfirm, snap Snapshot) []Effect {
 
 // pullAlternate draws the next failover candidate, spending one retry.
 func (p *Peer) pullAlternate() (PeerID, bool) {
-	if p.final || p.retryLeft <= 0 || len(p.candQueue) == 0 {
+	if p.final || p.retryLeft <= 0 || p.cand == len(p.selBuf) {
 		return 0, false
 	}
-	repl := p.candQueue[0]
-	p.candQueue = p.candQueue[1:]
+	repl := p.selBuf[p.cand]
+	p.cand++
 	p.retryLeft--
 	p.retried++
 	return repl, true
@@ -118,8 +116,7 @@ func (p *Peer) pullAlternate() (PeerID, bool) {
 // child count as the original wave, view restricted to sender+candidate.
 func (p *Peer) retryControl(snap Snapshot, repl PeerID) *MsgControl {
 	p.viewAdd(repl)
-	p.one[0] = repl
-	m := p.pl.msgControl(p.restrictedView(p.one[:]))
+	m := p.pl.msgControl(p.restrictedView(repl))
 	m.Parent = p.id
 	m.SeqOffset, m.Rate = snap.Offset, snap.Rate
 	m.Children, m.Round = p.wanted, p.ctlRound
@@ -132,7 +129,7 @@ func (p *Peer) maybeFinalize(effs []Effect, snap Snapshot) []Effect {
 	if p.final || !p.outstandingOpen || len(p.outstanding) > 0 {
 		return effs
 	}
-	if len(p.confirmed) >= p.wanted || len(p.candQueue) == 0 || p.retryLeft <= 0 {
+	if len(p.confirmed) >= p.wanted || p.cand == len(p.selBuf) || p.retryLeft <= 0 {
 		return p.tcopFinalize(effs, snap)
 	}
 	return effs

@@ -15,9 +15,17 @@
 // per-packet counting up to boundary ties. Jitter is folded in as its
 // mean (latency + Jitter/2) and Bernoulli loss as a thinning factor, so
 // with impairments the fluid counts are expectations, not samples.
+//
+// A Ledger keeps every flow's segments in one per-run slab (des.Slab):
+// a flow that fills its carve moves to one twice as long, so a run
+// allocates per block of segments, not per restart.
 package fluid
 
-import "math"
+import (
+	"math"
+
+	"p2pmss/internal/des"
+)
 
 // segment is one steady-state stretch of a flow: sends at
 // first, first+period, first+2·period, … strictly before until.
@@ -61,6 +69,7 @@ type interval struct {
 type Ledger struct {
 	flows [][]segment
 	masks [][]interval
+	segs  des.Slab[segment] // where the flows' segment lists are carved
 }
 
 // NewLedger returns a ledger for n flows, all idle.
@@ -77,7 +86,11 @@ func (l *Ledger) Start(id int, now, phase, period float64) {
 	if period <= 0 {
 		return
 	}
-	l.flows[id] = append(l.flows[id], segment{first: now + phase, period: period, until: math.Inf(1)})
+	segs := l.flows[id]
+	if len(segs) == cap(segs) {
+		segs = append(l.segs.Carve(max(2, 2*len(segs))), segs...)
+	}
+	l.flows[id] = append(segs, segment{first: now + phase, period: period, until: math.Inf(1)})
 }
 
 // Cut closes flow id's open segment at now: the send scheduled at or

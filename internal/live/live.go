@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"p2pmss/internal/content"
-	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
@@ -235,7 +234,7 @@ func newPeer(n *Node, ep transport.Endpoint, sid SessionID, roster []string) *Pe
 	self := p.idOfLocked(ep.Name())
 	ecfg := n.engine
 	ecfg.N = len(roster)
-	p.core = engine.NewPeer(ecfg, self, des.NewRand(engine.PeerSeed(n.sessionSeed(sid), self)))
+	p.core = new(engine.Pool).NewPeer(ecfg, self, engine.PeerSeed(n.sessionSeed(sid), self))
 	p.obs = n.sessionObs(sid).Observer(string(sid), self, p.met.PeerMetrics)
 	p.mu.Unlock()
 	go p.streamLoop()

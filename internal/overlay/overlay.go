@@ -24,10 +24,17 @@ type View struct {
 
 // NewView returns an empty view over n contents peers.
 func NewView(n int) View {
+	return NewViewOn(n, make([]uint64, (n+63)/64))
+}
+
+// NewViewOn returns an empty view over n contents peers whose bit vector
+// is the first (n+63)/64 words of words' capacity, which must be zero:
+// the form for a caller that carves many views' words from one block.
+func NewViewOn(n int, words []uint64) View {
 	if n < 0 {
 		panic(fmt.Sprintf("overlay: view size %d", n))
 	}
-	return View{n: n, bits: make([]uint64, (n+63)/64)}
+	return View{n: n, bits: words[:(n+63)/64]}
 }
 
 // Size returns n, the total number of contents peers.
@@ -194,7 +201,7 @@ func SelectWithSparesInto(rng *rand.Rand, view View, m int, buf []PeerID, withSp
 	if missing == 0 {
 		return nil, nil
 	}
-	if missing > selectSampleThreshold && missing >= 8*m {
+	if sampled(missing, m) {
 		return selectSampled(rng, view, m, buf, withSpares)
 	}
 	cand := view.MissingInto(buf[:0])
@@ -206,6 +213,29 @@ func SelectWithSparesInto(rng *rand.Rand, view View, m int, buf []PeerID, withSp
 		return cand[:m], nil
 	}
 	return cand, nil
+}
+
+// sampled reports whether a selection of m among missing out-of-view
+// peers samples them rather than shuffling them all.
+func sampled(missing, m int) bool {
+	return missing > selectSampleThreshold && missing >= 8*m
+}
+
+// SelectLen is how many entries SelectWithSparesInto writes into its
+// buffer when it selects m peers outside view: every missing peer on the
+// shuffle path, m (2m with spares) when it samples. A buffer with that
+// capacity is never regrown.
+func SelectLen(view View, m int, withSpares bool) int {
+	missing := view.n - view.Count()
+	switch {
+	case m <= 0 || missing == 0:
+		return 0
+	case !sampled(missing, m):
+		return missing
+	case withSpares:
+		return 2 * m
+	}
+	return m
 }
 
 // selectSampled draws want = m (+ up to m spares) distinct out-of-view
