@@ -16,7 +16,6 @@ package coord
 import (
 	"fmt"
 
-	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/fluid"
@@ -480,11 +479,12 @@ type protocolImpl interface {
 	deliver(p *peerNode, from int, m any)
 }
 
+// runner is one run: its arena, which the next run reuses (arena.go),
+// and what is the run's own.
 type runner struct {
+	arena
+
 	cfg     Config
-	eng     *des.Engine
-	nw      *network
-	peers   []*peerNode
 	leaf    *leafNode
 	impl    protocolImpl
 	content seq.Sequence
@@ -494,23 +494,16 @@ type runner struct {
 	enhanced     seq.Sequence   // memoized Enhance(content, Interval)
 	initialParts []seq.Sequence // memoized EnhanceDivide(content, Interval, H)
 	activeCount  int
-	measureEv    [2]*des.Timer // the window's opening and closing edges
 	measureDone  bool
 	measureOpen  bool
 
-	// fl is the flow ledger of a fluid run (Config.PlaneMode); nil on
-	// the packet plane. winStart/winEnd record when the measurement
-	// window actually opened and closed, so the fluid result can
-	// integrate arrivals over exactly the window the packet plane counts.
+	// fl is the flow ledger of a fluid run (Config.PlaneMode), the
+	// arena's ledger; nil on the packet plane. winStart/winEnd record
+	// when the measurement window actually opened and closed, so the
+	// fluid result can integrate arrivals over exactly the window the
+	// packet plane counts.
 	fl               *fluid.Ledger
 	winStart, winEnd float64
-
-	// batchBuf is applyEffects' reusable worklist of effect batches.
-	batchBuf [][]engine.Effect
-	// timerFree and switchFree hold the pooled des events not in the
-	// queue: engine-timer firings and transmitters' planned switches.
-	timerFree  des.FreeList[timerEvent]
-	switchFree des.FreeList[switchEvent]
 }
 
 // leafID returns the network node of the leaf peer.
@@ -541,31 +534,34 @@ type peerNode struct {
 	statesSeen int
 }
 
+// newRunner readies a run of cfg in an arena the last run left, or in a
+// new one.
 func newRunner(cfg Config) (*runner, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	eng := des.New(cfg.Seed)
-	r := &runner{cfg: cfg, eng: eng}
-	r.nw = newNetwork(eng, &r.cfg, r.receive)
+	r := takeArena()
+	r.cfg = cfg
+	eng := r.eng
+	eng.Rand().Seed(cfg.Seed)
+	r.nw.setUp()
 	r.met = newCoordMetrics(cfg.Obs.Metrics, cfg.Repair)
 	r.res.Protocol = "?"
 	if cfg.fluid() {
 		// The fluid plane never materializes the content: assignments are
 		// rates, not sequences, which is what makes n = 10⁵ sweeps cheap.
-		r.fl = fluid.NewLedger(cfg.N)
+		r.ledger.Reset(cfg.N)
+		r.fl = &r.ledger
 	} else if cfg.DataPlane {
 		r.content = seq.Range(1, cfg.ContentLen)
 	}
 	// Each node and its transmitter come from two bulk slices, not 2N
 	// allocations.
-	nodes := make([]peerNode, cfg.N)
-	txs := make([]transmitter, cfg.N)
-	r.peers = make([]*peerNode, cfg.N)
-	for i := range nodes {
-		p := &nodes[i]
+	r.nodes, r.txs, r.peers = resize(r.nodes, cfg.N), resize(r.txs, cfg.N), resize(r.peers, cfg.N)
+	for i := range r.nodes {
+		p := &r.nodes[i]
 		p.r, p.id = r, overlay.PeerID(i)
-		p.tx = &txs[i]
+		p.tx = &r.txs[i]
 		p.tx.r, p.tx.node = r, i
 		r.peers[i] = p
 	}
@@ -781,11 +777,24 @@ func (r *runner) closeSpans() {
 }
 
 // Run executes the named protocol under cfg and returns its metrics.
+// The run's memory comes from an arena an earlier run left, if any, and
+// goes back for the next (arena.go); the Result shares none of it.
 func Run(proto Protocol, cfg Config) (Result, error) {
 	r, err := newRunner(cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	if err := r.use(proto); err != nil {
+		r.release()
+		return Result{}, err
+	}
+	res := r.run()
+	r.release()
+	return res, nil
+}
+
+// use installs the named protocol's implementation.
+func (r *runner) use(proto Protocol) error {
 	switch proto {
 	case DCoP, TCoP:
 		r.impl = &coordinated{r: r, dcop: proto == DCoP}
@@ -798,10 +807,10 @@ func Run(proto Protocol, cfg Config) (Result, error) {
 	case AMS:
 		r.impl = &ams{r: r}
 	default:
-		return Result{}, fmt.Errorf("coord: unknown protocol %q", proto)
+		return fmt.Errorf("coord: unknown protocol %q", proto)
 	}
 	r.res.Protocol = proto
-	return r.run(), nil
+	return nil
 }
 
 // ---- helpers shared by the protocols ------------------------------------

@@ -55,10 +55,10 @@ func (c *coordinated) deliver(p *peerNode, from int, m any) {
 }
 
 // initEngine builds the engine cores, every one from the run's one
-// pool: the whole run is driven from one goroutine, so a node any peer
-// released is the next one any peer takes. Called from the protocol's
-// start() rather than newRunner because tests install protocol impls
-// directly.
+// pool, the arena's: the whole run is driven from one goroutine, so a
+// node any peer released is the next one any peer takes. Called from
+// the protocol's start() rather than newRunner because tests install
+// protocol impls directly.
 func (r *runner) initEngine(dcopMode bool) {
 	ecfg := engine.Config{
 		N:                r.cfg.N,
@@ -74,9 +74,8 @@ func (r *runner) initEngine(dcopMode bool) {
 	if err := ecfg.Normalize(); err != nil {
 		panic(err) // unreachable: Config.normalize validated the same fields
 	}
-	pool := new(engine.Pool)
 	for _, p := range r.peers {
-		p.core = pool.NewPeer(ecfg, p.id, engine.PeerSeed(r.cfg.Seed, p.id))
+		p.core = r.pool.NewPeer(ecfg, p.id, engine.PeerSeed(r.cfg.Seed, p.id))
 		p.obs = r.cfg.Obs.Observer("", p.id, r.met.peer)
 	}
 }
@@ -90,7 +89,12 @@ func newLeaf(r *runner) *leafNode {
 	if r.cfg.TrackDelivery {
 		l.asm = content.NewAssembler(int(r.cfg.ContentLen), 1)
 	} else if r.content != nil {
-		l.seen = parity.NewSizedRecoverer(len(r.content))
+		if r.seen == nil {
+			r.seen = parity.NewSizedRecoverer(len(r.content))
+		} else {
+			r.seen.Reset(len(r.content))
+		}
+		l.seen = r.seen
 	}
 	var window float64
 	if r.cfg.Repair {
@@ -252,12 +256,11 @@ func msgRound(m any) int {
 }
 
 // mirrorOutcomes copies the engines' coordination outcomes into the
-// Result.
+// Result, in blocks the Result owns: the arena's peers are carved again
+// by the next run.
 func (r *runner) mirrorOutcomes() {
-	for _, p := range r.peers {
-		if p.core == nil {
-			return // baseline run: no engine cores
-		}
-		r.res.Outcomes = append(r.res.Outcomes, p.core.Outcome())
+	if r.peers[0].core == nil {
+		return // baseline run: no engine cores
 	}
+	r.res.Outcomes = engine.Outcomes(len(r.peers), func(i int) *engine.Peer { return r.peers[i].core })
 }

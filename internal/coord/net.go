@@ -30,19 +30,16 @@ type network struct {
 	eng   *des.Engine
 	cfg   *Config
 	links map[[2]int]*transport.Link // with LossProb > 0 or Config.Burst
-	// slab is where the next links go: they are held by value, a block
-	// of linkBlock at a time, so a lossy run allocates per block, not per
-	// link, and a link's address stays put.
-	slab    []transport.Link
+	// slab is where the links are carved: they are held by value, a
+	// block at a time, so a lossy run allocates per block, not per link,
+	// and a link's address stays put.
+	slab    des.Slab[transport.Link]
 	crashed []bool // indexed by node
 	free    des.FreeList[delivery]
 	stats   NetStats
 	met     netMetrics
 	receive func(from, to int, m any)
 }
-
-// linkBlock is how many links one slab allocation holds.
-const linkBlock = 256
 
 // delivery is one in-flight message: a pooled record that is itself the
 // des event, so a send schedules it without allocating.
@@ -60,14 +57,18 @@ type netMetrics struct {
 	latency                             *metrics.Histogram
 }
 
-// newNetwork builds cfg's network of cfg.N+1 nodes on eng, handing every
-// delivery to receive. It registers the simnet_* series on
+// setUp readies the network for a run of *n.cfg, reusing what an earlier
+// run left (see release). It registers the simnet_* series on
 // cfg.Obs.Metrics, if any (messages sent / delivered / dropped /
 // to-crashed, in-flight depth, delivery latency); they never influence
 // the run.
-func newNetwork(eng *des.Engine, cfg *Config, receive func(from, to int, m any)) *network {
-	n := &network{eng: eng, cfg: cfg, crashed: make([]bool, cfg.N+1), receive: receive}
-	if cfg.LossProb > 0 || cfg.Burst != nil {
+func (n *network) setUp() {
+	cfg := n.cfg
+	n.crashed = resize(n.crashed, cfg.N+1)
+	switch {
+	case cfg.LossProb == 0 && cfg.Burst == nil:
+		n.links = nil
+	case n.links == nil:
 		n.links = make(map[[2]int]*transport.Link)
 	}
 	if reg := cfg.Obs.Metrics; reg != nil {
@@ -80,7 +81,17 @@ func newNetwork(eng *des.Engine, cfg *Config, receive func(from, to int, m any))
 			latency:   reg.Histogram("simnet_delivery_latency", []float64{0.5, 1, 1.5, 2, 3, 5, 10}),
 		}
 	}
-	return n
+}
+
+// release rewinds the network for the next run, keeping its link table,
+// link blocks, crash flags and delivery records (a delivery drops its
+// message as it fires), and drops what refers to this run: its links,
+// its counters and its metric handles.
+func (n *network) release() {
+	clear(n.links)
+	n.slab.Reset()
+	clear(n.crashed)
+	n.stats, n.met = NetStats{}, netMetrics{}
 }
 
 // send transmits m from → to: the link's loss verdict first, on the
@@ -131,11 +142,7 @@ func (n *network) link(from, to int) *transport.Link {
 	key := [2]int{from, to}
 	l := n.links[key]
 	if l == nil {
-		if len(n.slab) == 0 {
-			n.slab = make([]transport.Link, linkBlock)
-		}
-		l = &n.slab[0]
-		n.slab = n.slab[1:]
+		l = &n.slab.Carve(1)[:1][0]
 		*l = transport.NewLink(n.cfg.Seed+7919+int64(from)*100003+int64(to), n.cfg.LossProb, n.cfg.Burst)
 		n.links[key] = l
 	}

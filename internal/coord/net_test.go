@@ -11,6 +11,14 @@ import (
 	"p2pmss/internal/transport"
 )
 
+// newNetwork builds cfg's network of cfg.N+1 nodes on eng, handing every
+// delivery to receive, as a run's arena does.
+func newNetwork(eng *des.Engine, cfg *Config, receive func(from, to int, m any)) *network {
+	n := &network{eng: eng, cfg: cfg, receive: receive}
+	n.setUp()
+	return n
+}
+
 // TestLinkModelGolden pins the link model's draw order: one seeded
 // packet-plane run per protocol with jitter, Bernoulli loss, bursts, a
 // CrashAt crash and a churn crash and rejoin. Every loss, burst and jitter

@@ -36,7 +36,9 @@
 // by doubling.
 //
 // FreeList and Slab (pool.go) are where a run's pooled records and
-// per-peer slices come from, a block at a time.
+// per-peer slices come from, a block at a time. An engine, its lists
+// and its slabs can each be Reset and serve the next run, which is how
+// the simulator reuses one run's memory for the next.
 package des
 
 import (
@@ -134,6 +136,22 @@ type Engine struct {
 // the given seed.
 func New(seed int64) *Engine {
 	return &Engine{rng: NewRand(seed)}
+}
+
+// Reset makes e a new engine with its clock at 0 for the next simulated
+// run, keeping the queue's backing array: the events still queued are
+// dropped (a dropped Timer is disarmed) and the sequence numbers start
+// again from 0. The random stream is left where it is; reseed it with
+// Rand().Seed, which restarts it as New does.
+func (e *Engine) Reset() {
+	for i := range e.q {
+		if tm, ok := e.q[i].ev.(*Timer); ok {
+			tm.idx = -1
+		}
+	}
+	clear(e.q)
+	e.q = e.q[:0]
+	e.now, e.nextSeq = 0, 0
 }
 
 // Now returns the current virtual time.

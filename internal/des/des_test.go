@@ -288,3 +288,48 @@ func runUntil(e *Engine, t float64) {
 		e.now = t
 	}
 }
+
+// TestResetMatchesNew: an engine Reset with events still queued and a
+// timer armed, its stream reseeded, is the engine New makes: clock,
+// sequence numbers, an empty queue, the timer disarmed, and the same
+// events in the same order and draws after. It keeps its queue's array.
+func TestResetMatchesNew(t *testing.T) {
+	// trace schedules a fixed mix on e, timer tm included, and returns
+	// what fired when, with a draw per event.
+	trace := func(e *Engine, tm *Timer, fired *[]float64) []float64 {
+		*fired = (*fired)[:0]
+		for i := 0; i < 50; i++ {
+			e.At(float64(i%7), func() { *fired = append(*fired, e.Now(), e.Rand().Float64()) })
+		}
+		tm.At(3)
+		e.Run()
+		return append([]float64(nil), *fired...)
+	}
+	var got, want []float64
+	fresh := New(5)
+	want = trace(fresh, fresh.NewTimer(func() { want = append(want, -1) }), &want)
+
+	e := New(9)
+	tm := e.NewTimer(func() { got = append(got, -1) })
+	for i := 0; i < 300; i++ {
+		e.At(float64(i), func() {})
+	}
+	tm.At(50)
+	e.Step()
+	q := cap(e.q)
+	e.Reset()
+	e.Rand().Seed(5)
+	if e.now != 0 || e.nextSeq != 0 || len(e.q) != 0 || tm.Pending() {
+		t.Fatalf("after Reset: now %v, next sequence %d, %d queued, timer pending %v; want 0, 0, 0, false",
+			e.now, e.nextSeq, len(e.q), tm.Pending())
+	}
+	if cap(e.q) != q {
+		t.Errorf("Reset left a queue of capacity %d, want the %d it had", cap(e.q), q)
+	}
+	if got = trace(e, tm, &got); !slices.Equal(got, want) {
+		t.Errorf("a reset engine ran %v, a new one %v", got, want)
+	}
+	if e.nextSeq != fresh.nextSeq {
+		t.Errorf("a reset engine numbered %d events, a new one %d", e.nextSeq, fresh.nextSeq)
+	}
+}

@@ -52,22 +52,46 @@ func (l *FreeList[T]) Put(v *T) { l.free = append(l.free, v) }
 
 // Slab carves short slices out of shared blocks. A carve's capacity is
 // exact (a full slice expression), so an append past it reallocates and
-// never writes into the next carve. Carved elements are never handed
-// out twice: a slab suits slices that live as long as their owner, a
-// peer of one run. The zero value is an empty slab.
+// never writes into the next carve. A slab suits slices that live as
+// long as their owner, a peer of one run; Reset hands the elements out
+// again, to the next run's peers. The zero value is an empty slab.
 type Slab[T any] struct {
-	block []T // the current block: its length is what is carved of it
+	// blocks are every block the slab made, in carving order; a block's
+	// length is what is carved of it. Carves come from blocks[cur].
+	blocks [][]T
+	cur    int
 }
 
 // Carve returns an empty slice with room for exactly n elements, all
-// zero. When the current block has less than n left, the slab starts a
-// new one of twice the last block's size, up to maxSlab, and at least n;
-// what the old block had left stays unused.
+// zero. When the current block has less than n left, carving moves on
+// to the next block with room for n that an earlier round made, or else
+// starts a new one of twice the last block's size, up to maxSlab, and
+// at least n; what the blocks passed over had left stays unused.
 func (s *Slab[T]) Carve(n int) []T {
-	used := len(s.block)
-	if used+n > cap(s.block) {
-		s.block, used = make([]T, 0, max(n, min(2*cap(s.block), maxSlab))), 0
+	for ; s.cur < len(s.blocks); s.cur++ {
+		if b := s.blocks[s.cur]; len(b)+n <= cap(b) {
+			s.blocks[s.cur] = b[:len(b)+n]
+			return b[len(b) : len(b) : len(b)+n]
+		}
 	}
-	s.block = s.block[:used+n]
-	return s.block[used : used : used+n]
+	last := 0
+	if k := len(s.blocks); k > 0 {
+		last = cap(s.blocks[k-1])
+	}
+	s.blocks = append(s.blocks, make([]T, n, max(n, min(2*last, maxSlab))))
+	return s.blocks[s.cur][:0:n]
+}
+
+// Reset takes every carve back, for a simulated run's arena to carve the
+// next run's lists from: it keeps every block, so carving what the last
+// round carved passes through the same blocks and makes none, and it
+// clears only what was carved of them, so a small run after a large one
+// does not zero the large one's blocks. A slice carved before the Reset
+// must be dropped by then, as its elements are carved again.
+func (s *Slab[T]) Reset() {
+	for i := range s.blocks[:min(s.cur+1, len(s.blocks))] {
+		clear(s.blocks[i])
+		s.blocks[i] = s.blocks[i][:0]
+	}
+	s.cur = 0
 }

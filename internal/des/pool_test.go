@@ -1,6 +1,7 @@
 package des
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -68,14 +69,14 @@ func TestFreeListReuseIsLIFO(t *testing.T) {
 // unless one carve needs more.
 func TestSlabCarves(t *testing.T) {
 	var s Slab[int]
-	if c := s.Carve(2); len(c) != 0 || cap(c) != 2 || cap(s.block) != 2 {
-		t.Fatalf("the first carve has len/cap %d/%d in a block of %d, want 0/2 in a block of 2", len(c), cap(c), cap(s.block))
+	if c := s.Carve(2); len(c) != 0 || cap(c) != 2 || cap(s.current()) != 2 {
+		t.Fatalf("the first carve has len/cap %d/%d in a block of %d, want 0/2 in a block of 2", len(c), cap(c), cap(s.current()))
 	}
 	a := s.Carve(3) // opens a block of 4
 	b := s.Carve(1) // the rest of it, right after a
-	if len(a) != 0 || cap(a) != 3 || len(b) != 0 || cap(b) != 1 || cap(s.block) != 4 {
+	if len(a) != 0 || cap(a) != 3 || len(b) != 0 || cap(b) != 1 || cap(s.current()) != 4 {
 		t.Fatalf("carves have len/cap %d/%d and %d/%d in a block of %d, want 0/3 and 0/1 in a block of 4",
-			len(a), cap(a), len(b), cap(b), cap(s.block))
+			len(a), cap(a), len(b), cap(b), cap(s.current()))
 	}
 	if d := uintptr(unsafe.Pointer(&b[:1][0])) - uintptr(unsafe.Pointer(&a[:3][0])); d != 3*unsafe.Sizeof(0) {
 		t.Fatalf("the second carve starts %d bytes after the first, want right after its 3 elements", d)
@@ -94,12 +95,66 @@ func TestSlabCarves(t *testing.T) {
 	s = Slab[int]{}
 	var sizes []int
 	for want := 1; len(sizes) < 13; want = min(2*want, maxSlab) {
-		s.Carve(cap(s.block) - len(s.block) + 1)
-		if sizes = append(sizes, cap(s.block)); cap(s.block) != want {
+		s.Carve(cap(s.current()) - len(s.current()) + 1)
+		if sizes = append(sizes, cap(s.current())); cap(s.current()) != want {
 			t.Fatalf("block sizes %v, want each twice the last up to %d", sizes, maxSlab)
 		}
 	}
-	if big := s.Carve(5000); cap(big) != 5000 || cap(s.block) != 5000 {
-		t.Fatalf("a carve of 5000 got cap %d from a block of %d", cap(big), cap(s.block))
+	if big := s.Carve(5000); cap(big) != 5000 || cap(s.current()) != 5000 {
+		t.Fatalf("a carve of 5000 got cap %d from a block of %d", cap(big), cap(s.current()))
 	}
+}
+
+// TestSlabReset: after a Reset the slab carves again from the blocks it
+// made, in order, so carving what the last round carved returns the same
+// elements, zero again, and makes no block; a Reset clears the blocks
+// only as far as they were carved.
+func TestSlabReset(t *testing.T) {
+	var s Slab[int]
+	carveAll := func(fill int) []*int {
+		var at []*int
+		for _, n := range []int{3, 5, 700, 900, 2} {
+			c := s.Carve(n)[:n]
+			for i := range c {
+				if c[i] != 0 {
+					t.Fatalf("a carve of %d holds %v at %d, want zero", n, c[i], i)
+				}
+				c[i] = fill
+			}
+			at = append(at, &c[0])
+		}
+		return at
+	}
+	first := carveAll(1)
+	blocks := len(s.blocks)
+	s.Reset()
+	if s.cur != 0 || len(s.blocks[0]) != 0 || len(s.blocks[blocks-1]) != 0 {
+		t.Fatalf("after a Reset carving is in block %d, and the first and last blocks hold %d and %d carved elements; want 0, 0, 0",
+			s.cur, len(s.blocks[0]), len(s.blocks[blocks-1]))
+	}
+	if second := carveAll(2); !slices.Equal(second, first) || len(s.blocks) != blocks {
+		t.Fatalf("carving the last round again after a Reset made %d blocks (had %d), or carved elsewhere", len(s.blocks), blocks)
+	}
+
+	// A small round passes over a block too small for it, and the next
+	// Reset clears what it carved and no block past it (a mark put in
+	// the last block stays).
+	s.Reset()
+	if c := s.Carve(4)[:4]; &c[0] != first[1] || c[3] != 0 {
+		t.Fatalf("a carve of 4 after the second Reset is not the start of the second block, or not zero: %v", c)
+	}
+	s.blocks[blocks-1][:1][0] = 7
+	s.Reset()
+	if s.blocks[1][:1][0] != 0 || s.blocks[blocks-1][:1][0] != 7 {
+		t.Fatalf("a Reset after a carve of 4 left %d where it carved and %d in the last block, want 0 and the mark 7",
+			s.blocks[1][:1][0], s.blocks[blocks-1][:1][0])
+	}
+}
+
+// current is the block the slab carves from, nil before the first.
+func (s *Slab[T]) current() []T {
+	if len(s.blocks) == 0 {
+		return nil
+	}
+	return s.blocks[s.cur]
 }

@@ -48,7 +48,7 @@ func (p *Peer) firstDelivery(k assignKey) bool {
 	if slices.Contains(p.seenAssign, k) {
 		return false
 	}
-	p.seenAssign = append(room(p.seenAssign, p.pl, keySlab, p.cfg.H), k)
+	p.seenAssign = append(roomForOne(p.seenAssign, p.pl, keySlab, p.cfg.H), k)
 	return true
 }
 
@@ -120,7 +120,7 @@ func (p *Peer) dcopSelect(effs []Effect, fanout, round int, cur Snapshot) []Effe
 	if fanout <= 0 {
 		return effs
 	}
-	p.selBuf = room(p.selBuf, p.pl, idSlab, overlay.SelectLen(p.view, fanout, false))
+	p.selBuf = room(p.selBuf[:0], p.pl, idSlab, overlay.SelectLen(p.view, fanout, false))
 	children, _ := overlay.SelectWithSparesInto(p.stream(), p.view, fanout, p.selBuf, false)
 	if len(children) == 0 {
 		return effs

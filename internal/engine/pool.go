@@ -42,7 +42,8 @@ import (
 // and what a peer keeps for its lifetime — the peer, its view words, its
 // lists — is carved from per-run slabs (runBlocks, room). A pool of one
 // peer, as every live peer owns, makes its peer and lists on their own,
-// so it stays as small as one that allocated per record.
+// so it stays as small as one that allocated per record. The simulator
+// keeps one pool from run to run: Reset rewinds it for the next.
 //
 // Views. A selection builds its view once and every control of the
 // selection points at it (MsgControl.View is immutable once sent). The
@@ -69,11 +70,12 @@ type Pool struct {
 	confirms des.FreeList[MsgConfirm]
 	commits  des.FreeList[MsgCommit]
 	views    des.FreeList[sharedView] // views no control holds any more
+	resets   int                      // how often Reset ran; see view
 
 	// run holds what a run's peers are carved from. The pool makes it
-	// with its second peer; until then each peer and list is made on its
-	// own, as a pool of one peer — every live peer owns one — gains
-	// nothing from blocks.
+	// with its second peer, or its first Reset; until then each peer and
+	// list is made on its own, as a pool of one peer — every live peer
+	// owns one — gains nothing from blocks.
 	run *runBlocks
 }
 
@@ -81,7 +83,7 @@ type Pool struct {
 // their view words and their lists, each list with a capacity of its
 // own (see room).
 type runBlocks struct {
-	peers  des.FreeList[Peer]
+	peers  des.Slab[Peer]
 	words  des.Slab[uint64]
 	ids    des.Slab[PeerID]
 	shares des.Slab[pendShare]
@@ -96,33 +98,48 @@ func keySlab(r *runBlocks) *des.Slab[assignKey]   { return &r.keys }
 // sharedView is the view of one selection, which its controls point at;
 // a control reaches its pool through it.
 type sharedView struct {
-	pl   *Pool
-	ids  []PeerID
-	refs int // controls not yet released
+	pl     *Pool
+	ids    []PeerID
+	refs   int // controls not yet released
+	resets int // the pool's resets when ids was carved
 }
 
 // view returns an empty view with room for k members, for refs controls.
+// A view whose ids were carved before the pool's last Reset drops them:
+// the slab has carved that room again since.
 func (pl *Pool) view(k, refs int) *sharedView {
 	v := pl.views.Take()
+	if v.resets != pl.resets {
+		v.ids, v.resets = nil, pl.resets
+	}
 	v.pl = pl
-	v.ids, v.refs = room(v.ids, pl, idSlab, k)[:0], refs
+	v.ids, v.refs = room(v.ids[:0], pl, idSlab, k), refs
 	return v
 }
 
-// room returns s, or an empty slice with room for n elements when s has
-// less: exactly n the first time, at least twice as many as s after, so
-// a buffer reused across rounds regrows a few times, not once per larger
-// round. The slice is carved from the run's slab that slab picks, or made
-// on its own in a pool of one peer. Callers keep nothing of s they still
-// need when it is too small.
+// room returns s with room for at least n elements, its contents kept:
+// s itself when it has the room, else a copy with room for exactly n the
+// first time and at least twice s's after, so a list that grows past its
+// first carve regrows a few times, not once per element. The room is
+// carved from the run's slab that slab picks, or made on its own in a
+// pool of one peer. A caller that keeps nothing of s passes s[:0].
 func room[T any](s []T, pl *Pool, slab func(*runBlocks) *des.Slab[T], n int) []T {
-	switch {
-	case cap(s) >= n:
+	if cap(s) >= n {
 		return s
-	case pl.run == nil:
-		return make([]T, 0, max(n, 2*cap(s)))
 	}
-	return slab(pl.run).Carve(max(n, 2*cap(s)))
+	var t []T
+	if pl.run == nil {
+		t = make([]T, 0, max(n, 2*cap(s)))
+	} else {
+		t = slab(pl.run).Carve(max(n, 2*cap(s)))
+	}
+	return append(t, s...)
+}
+
+// roomForOne is s with room for one more element: at least h the first
+// time, h being how many a peer keeps of the list in the common case.
+func roomForOne[T any](s []T, pl *Pool, slab func(*runBlocks) *des.Slab[T], h int) []T {
+	return room(s, pl, slab, max(h, len(s)+1))
 }
 
 // slice returns an empty effect slice with recycled capacity, or a new
@@ -196,6 +213,33 @@ func (pl *Pool) msgCommit() *MsgCommit {
 	m := pl.commits.Take()
 	*m = MsgCommit{pl: pl}
 	return m
+}
+
+// Reset readies a simulated run's pool for the next run, keeping its
+// records and blocks. The records on its free lists hold no sequence or
+// message of the last run (Release and ReleaseMsg clear them as they go
+// back), and the slabs are rewound (see des.Slab.Reset): every peer the
+// pool made since the last Reset, and every list carved for them, is
+// carved again after it, so the caller must have dropped them. The cost
+// is what the last run carved, not what the lists hold. A pool Reset
+// before its first peer carves that one from blocks too, as it does
+// every peer after a Reset, so a run carves the same in a new arena as
+// in a recycled one. Only the simulator resets a pool, before a new
+// arena's first run and between two runs; a live peer's pool of one is
+// never reset.
+func (pl *Pool) Reset() {
+	pl.batch = 0
+	pl.resets++
+	r := pl.run
+	if r == nil {
+		pl.run = new(runBlocks)
+		return
+	}
+	r.peers.Reset()
+	r.words.Reset()
+	r.ids.Reset()
+	r.shares.Reset()
+	r.keys.Reset()
 }
 
 // Release returns a Handle batch — the nodes and the slice — to the

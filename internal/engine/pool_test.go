@@ -470,3 +470,80 @@ func TestOwnPoolsStaySmall(t *testing.T) {
 		}
 	}
 }
+
+// TestResetPoolMatchesNewPool: a pool Reset after rounds of another
+// shape — more peers, another seed, duplicated deliveries, a data plane
+// or none — runs the same rounds as a new pool: every effect batch and
+// every outcome agree. Its peers, their view words and lists and its
+// views are carved again from blocks the earlier rounds wrote, so a
+// list or view that kept a carve across the Reset shows here.
+func TestResetPoolMatchesNewPool(t *testing.T) {
+	run := func(cfg engine.Config, content seq.Sequence, seed int64, hook func(*harness), pl *engine.Pool) string {
+		h := newHarnessOn(cfg, seed, pl)
+		hook(h)
+		var b strings.Builder
+		h.onBatch = func(to engine.PeerID, effs []engine.Effect) {
+			fmt.Fprintf(&b, "peer %d:\n", to)
+			for _, e := range effs {
+				describeEffect(&b, e)
+			}
+		}
+		h.start(content, 12, seed)
+		h.run()
+		outs, err := json.Marshal(h.outcomes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String() + string(outs)
+	}
+	for _, dcop := range []bool{false, true} {
+		for _, content := range []seq.Sequence{nil, seq.Range(1, 60)} {
+			for seed := int64(1); seed <= 6; seed++ {
+				cfg := baseConfig(24, 4, dcop)
+				want := run(cfg, content, seed, poolHooks["none"], new(engine.Pool))
+				pl := new(engine.Pool)
+				run(baseConfig(40, 6, !dcop), seq.Range(1, 90), seed+100, poolHooks["dup"], pl)
+				pl.Reset()
+				run(baseConfig(30, 3, dcop), content, seed+200, poolHooks["crash"], pl)
+				pl.Reset()
+				if got := run(cfg, content, seed, poolHooks["none"], pl); got != want {
+					t.Fatalf("dcop=%v data=%v seed %d: a reset pool ran\n%s\n--a new pool--\n%s", dcop, content != nil, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAssignmentsPastHStayOnTheSlab: a DCoP peer is often given more
+// than H assignments, and its list of delivered ones grows past its
+// first carve onto the run's slab, not the heap. Given 3H of them on a
+// pool Reset after a round of the same shape, the round allocates
+// nothing.
+func TestAssignmentsPastHStayOnTheSlab(t *testing.T) {
+	cfg := baseConfig(4, 3, true)
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	everyone := []engine.PeerID{0, 1, 2, 3} // a full view: no selection follows
+	msg := engine.MsgControl{Parent: 1, View: everyone, ChildIdx: 1, Children: 1, ChildRate: 1}
+	ev := engine.Control{Msg: &msg}
+	pl := new(engine.Pool)
+	round := func() {
+		pl.Reset()
+		pl.NewPeer(cfg, 3, engine.PeerSeed(1, 3)) // the slabs come with a second peer
+		p := pl.NewPeer(cfg, 0, engine.PeerSeed(1, 0))
+		for r := 1; r <= 3*cfg.H; r++ {
+			msg.Round = r
+			effs := p.Handle(&ev, engine.Snapshot{})
+			if effs == nil {
+				t.Fatalf("the peer dropped the control of round %d, its first", r)
+			}
+			p.Release(effs)
+		}
+	}
+	round()
+	round()
+	if n := testing.AllocsPerRun(1, round); n != 0 {
+		t.Errorf("a warm round of %d assignments allocated %v times, want 0", 3*cfg.H, n)
+	}
+}

@@ -16,18 +16,18 @@ import "p2pmss/internal/overlay"
 // packet, and arm the confirmation deadline. cur is the data-plane
 // snapshot the controls should advertise; effects are appended to effs.
 func (p *Peer) tcopSelect(effs []Effect, round int, cur Snapshot) []Effect {
-	p.selBuf = room(p.selBuf, p.pl, idSlab, overlay.SelectLen(p.view, p.cfg.H, true))
+	p.selBuf = room(p.selBuf[:0], p.pl, idSlab, overlay.SelectLen(p.view, p.cfg.H, true))
 	wave, spares := overlay.SelectWithSparesInto(p.stream(), p.view, p.cfg.H, p.selBuf, true)
 	if len(wave) == 0 {
 		return effs // view full: re-enhancement ends here
 	}
 	p.view.AddAll(wave)
 	p.wanted = len(wave)
-	p.outstanding = append(room(p.outstanding, p.pl, idSlab, p.cfg.H)[:0], wave...)
+	p.outstanding = append(room(p.outstanding[:0], p.pl, idSlab, p.cfg.H), wave...)
 	p.outstandingOpen = true
 	p.selBuf, p.cand = p.selBuf[:len(wave)+len(spares)], len(wave)
 	p.retryLeft = p.cfg.Retries
-	p.confirmed = room(p.confirmed, p.pl, idSlab, p.cfg.H)[:0]
+	p.confirmed = room(p.confirmed[:0], p.pl, idSlab, p.cfg.H)
 	p.ctlRound = round
 	p.final = false
 	p.confirmDelay = p.cfg.HandshakeTimeout

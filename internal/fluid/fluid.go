@@ -23,6 +23,7 @@ package fluid
 
 import (
 	"math"
+	"slices"
 
 	"p2pmss/internal/des"
 )
@@ -65,16 +66,20 @@ type interval struct {
 }
 
 // Ledger tracks every flow of one run. Flow IDs are the contents-peer
-// indices 0..n-1. The zero Ledger is not usable; call NewLedger.
+// indices 0..n-1. The zero Ledger has no flows; Reset sizes it.
 type Ledger struct {
 	flows [][]segment
 	masks [][]interval
 	segs  des.Slab[segment] // where the flows' segment lists are carved
 }
 
-// NewLedger returns a ledger for n flows, all idle.
-func NewLedger(n int) *Ledger {
-	return &Ledger{flows: make([][]segment, n), masks: make([][]interval, n)}
+// Reset makes l a ledger for n flows, all idle, in the storage l has: a
+// simulated run's arena keeps one ledger from run to run.
+func (l *Ledger) Reset(n int) {
+	clear(l.flows) // past their lengths, an earlier Reset cleared them
+	clear(l.masks)
+	l.flows, l.masks = slices.Grow(l.flows[:0], n)[:n], slices.Grow(l.masks[:0], n)[:n]
+	l.segs.Reset()
 }
 
 // Start cuts flow id's open segment at now and opens a new one whose

@@ -47,7 +47,7 @@ func TestLedgerMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const horizon = 200.0
 	for trial := 0; trial < 200; trial++ {
-		l := NewLedger(1)
+		l := newLedger(1)
 		var b bruteFlow
 		now := 0.0
 		open := segment{until: math.Inf(1)}
@@ -106,7 +106,7 @@ func TestLedgerMatchesBruteForce(t *testing.T) {
 }
 
 func TestLedgerBoundaries(t *testing.T) {
-	l := NewLedger(2)
+	l := newLedger(2)
 	// Flow 0: first send at 1.0, period 1 → sends at 1, 2, 3, ...
 	l.Start(0, 0, 1.0, 1.0)
 	if got := l.Sends(0, 1.0); got != 0 {
@@ -138,7 +138,7 @@ func TestLedgerBoundaries(t *testing.T) {
 }
 
 func TestLedgerMaskSuppressesArrivalsNotSends(t *testing.T) {
-	l := NewLedger(1)
+	l := newLedger(1)
 	l.Start(0, 0, 1.0, 1.0) // sends at 1, 2, 3, ...
 	l.Mask(0, 2.5)
 	l.Unmask(0, 5.5)
@@ -157,4 +157,11 @@ func TestLedgerMaskSuppressesArrivalsNotSends(t *testing.T) {
 	if got := l.Arrivals(8.5, 13, 0, 1); got != 2 {
 		t.Errorf("Arrivals after re-mask = %v, want 2 (at 11 and 12)", got)
 	}
+}
+
+// newLedger returns a ledger for n idle flows.
+func newLedger(n int) *Ledger {
+	l := new(Ledger)
+	l.Reset(n)
+	return l
 }

@@ -1,6 +1,10 @@
 package parity
 
-import "p2pmss/internal/seq"
+import (
+	"slices"
+
+	"p2pmss/internal/seq"
+)
 
 // Recoverer reconstructs lost packets at the leaf peer from received data
 // and parity packets. Add every received packet; recovery is incremental.
@@ -112,6 +116,25 @@ func NewSizedRecoverer(dataPackets int) *Recoverer {
 		r.dense = make([]int32, n+1)
 	}
 	return r
+}
+
+// Reset empties r for a content of the given number of data packets, as
+// NewSizedRecoverer makes one, in the storage r has: the simulator keeps
+// its leaf's recoverer from run to run. Reset(0) leaves r holding no
+// packet of what it held before.
+func (r *Recoverer) Reset(dataPackets int) {
+	n := max(dataPackets, 0)
+	clear(r.nodes)
+	clear(r.links)
+	r.nodes, r.links = r.nodes[:1], r.links[:1]
+	clear(r.ids)
+	clear(r.sparse)
+	clear(r.dense) // past its length, an earlier Reset cleared it
+	r.dense = r.dense[:0]
+	if n > 0 {
+		r.dense = slices.Grow(r.dense, n+1)[:n+1]
+	}
+	*r = Recoverer{nodes: r.nodes, links: r.links, dense: r.dense, sparse: r.sparse, ids: r.ids, work: r.work[:0]}
 }
 
 // Add records a received packet and performs any recovery it enables. It
