@@ -113,12 +113,10 @@ func BenchmarkFaultTolerance(b *testing.B) {
 		cfg.Interval = 2
 		cfg.DataPlane = true
 		cfg.Loop = false
-		cfg.TrackDelivery = true
 		cfg.ContentLen = 600
 		cfg.Rate = 10
 		cfg.LossProb = 0.03
-		cfg.CrashPeers = []PeerID{0, 5}
-		cfg.CrashAt = 20
+		cfg.Churn = &ChurnSchedule{Events: []ChurnEvent{{At: 20, Peer: 0}, {At: 20, Peer: 5}}}
 		cfg.Seed = int64(i + 1)
 		res, err := Simulate(DCoP, cfg)
 		if err != nil {

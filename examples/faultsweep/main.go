@@ -18,7 +18,6 @@ func main() {
 		cfg.H = 6
 		cfg.DataPlane = true
 		cfg.Loop = false
-		cfg.TrackDelivery = true
 		cfg.ContentLen = 600
 		cfg.Rate = 10
 		return cfg
@@ -31,10 +30,11 @@ func main() {
 		for _, h := range []int{2, 5, 120} { // h ≥ ContentLen/H ≈ no parity
 			cfg := base()
 			cfg.Interval = h
+			cfg.Churn = &p2pmss.ChurnSchedule{}
 			for i := 0; i < crashes; i++ {
-				cfg.CrashPeers = append(cfg.CrashPeers, p2pmss.PeerID(i*3))
+				// After coordination, mid-stream.
+				cfg.Churn.Events = append(cfg.Churn.Events, p2pmss.ChurnEvent{At: 20, Peer: p2pmss.PeerID(i * 3)})
 			}
-			cfg.CrashAt = 20 // after coordination, mid-stream
 			res, err := p2pmss.Simulate(p2pmss.DCoP, cfg)
 			if err != nil {
 				log.Fatal(err)

@@ -14,8 +14,9 @@ import (
 var facade = []string{
 	"AMS", "Allocate", "Allocation", "Allocator", "Assembler", "BaselineRow",
 	"Baselines", "Broadcast", "BurstParams", "Centralized", "Channel",
-	"Content", "ContentStore", "DCoP", "DataPlaneMode", "DebugHandler",
-	"DefaultExperimentOptions", "DefaultSimConfig", "ExperimentOptions",
+	"ChurnEvent", "ChurnSchedule", "Content", "ContentStore", "DCoP",
+	"DataPlaneMode", "DebugHandler", "DefaultExperimentOptions",
+	"DefaultSimConfig", "ExperimentOptions",
 	"Figure10", "Figure11", "Figure12", "FlightSet", "LiveLeafSession",
 	"LiveNodeCluster", "LiveNodesConfig", "LiveSessionConfig",
 	"MetricsDebugMux", "MetricsRegistry", "NewAllocator", "NewAssembler",

@@ -42,7 +42,7 @@ func mixedVictims(seed int64) (victims []engine.PeerID, spare engine.PeerID) {
 
 // simChurnOutcomes runs the simulator at the session seed of node seed
 // seed with the victims crash-stopped before the run
-// (coord.Config.CrashPeers with CrashAt zero) and member-level retries
+// (coord.Config.CrashPeers) and member-level retries
 // enabled, mirroring the live driver's defaults.
 func simChurnOutcomes(t *testing.T, proto engine.Protocol, seed int64, victims []engine.PeerID) []engine.Outcome {
 	t.Helper()

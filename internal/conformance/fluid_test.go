@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"p2pmss/internal/coord"
-	"p2pmss/internal/overlay"
 	"p2pmss/internal/transport"
 )
 
@@ -165,8 +164,8 @@ func TestFluidConformanceUnderLoss(t *testing.T) {
 // packet plane's dropped sends thin its window counts.
 func TestFluidConformanceWithCrash(t *testing.T) {
 	cfg := fluidBaseConfig(40, 8, 1)
-	cfg.CrashPeers = []overlay.PeerID{3, 7}
-	cfg.CrashAt = 40 // mid-window: flows are up, then two go dark
+	// Mid-window: flows are up, then two go dark.
+	cfg.Churn = &coord.ChurnSchedule{Events: []coord.ChurnEvent{{At: 40, Peer: 3}, {At: 40, Peer: 7}}}
 	pk, err := coord.Run(coord.DCoP, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +205,6 @@ func TestFluidRejectsPacketOnlyFeatures(t *testing.T) {
 	cases := map[string]func(*coord.Config){
 		"no data plane": func(c *coord.Config) { c.DataPlane = false },
 		"no loop":       func(c *coord.Config) { c.Loop = false },
-		"track":         func(c *coord.Config) { c.TrackDelivery = true },
 		"playback":      func(c *coord.Config) { c.Playback = true },
 		"repair":        func(c *coord.Config) { c.Repair = true },
 		"leaf rate":     func(c *coord.Config) { c.LeafMaxRate = 1 },

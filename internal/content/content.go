@@ -61,12 +61,7 @@ func (c *Content) Size() int { return len(c.data) }
 func (c *Content) PacketSize() int { return c.packetSize }
 
 // NumPackets returns l, the number of packets in the sequence.
-func (c *Content) NumPackets() int64 {
-	if len(c.data) == 0 {
-		return 0
-	}
-	return int64((len(c.data) + c.packetSize - 1) / c.packetSize)
-}
+func (c *Content) NumPackets() int64 { return int64(parity.Packets(len(c.data), c.packetSize)) }
 
 // Payload returns the bytes of data packet t_k (1-based), aliasing the
 // content; nil when the content has no such packet.
@@ -173,17 +168,22 @@ func NewAssembler(size, packetSize int) *Assembler {
 	if packetSize <= 0 {
 		panic(fmt.Sprintf("content: packet size %d must be positive", packetSize))
 	}
-	n := int64(0)
-	if size > 0 {
-		n = int64((size + packetSize - 1) / packetSize)
-	}
 	a := &Assembler{
-		recov: parity.NewContentRecoverer(size, packetSize), loss: parity.NewLossDetector(int(n)),
+		recov: parity.NewContentRecoverer(size, packetSize),
+		loss:  parity.NewLossDetector(parity.Packets(size, packetSize)),
 	}
 	// Out-of-range indices (a peer serving a different content) do not
 	// count toward completion; the detector ignores them.
 	a.recov.OnData(a.loss.Present)
 	return a
+}
+
+// Reset empties a for a content of the given byte size and packet size,
+// as NewAssembler makes one, in the storage a has: the simulator keeps
+// its leaf's assembler from run to run.
+func (a *Assembler) Reset(size, packetSize int) {
+	a.recov.Reset(size, packetSize)
+	a.loss.Reset(parity.Packets(size, packetSize))
 }
 
 // Add feeds one received packet and reports whether it is the first

@@ -58,11 +58,7 @@ func (a *ams) onRequest(p *peerNode, m reqMsg) {
 	r := a.r
 	// Asynchronous start: the division by peer rank is pre-agreed, so no
 	// coordination precedes transmission.
-	var part seq.Sequence
-	if r.cfg.DataPlane {
-		part = seq.Div(r.enhancedContent(), r.cfg.N, int(p.id))
-	}
-	p.activate(m.Round, part, r.perPeerRateAll())
+	p.activate(m.Round, seq.Div(r.enhancedContent(), r.cfg.N, int(p.id)), r.perPeerRateAll())
 	// Periodic state exchange through the causal broadcast substrate.
 	a.broadcastState(p, 1)
 }

@@ -4,10 +4,10 @@ import (
 	"runtime"
 	"sync"
 
+	"p2pmss/internal/content"
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/fluid"
-	"p2pmss/internal/parity"
 )
 
 // Across runs. A sweep runs the simulator hundreds of times, and a run
@@ -26,7 +26,7 @@ import (
 //     delivery records;
 //   - the peer nodes, transmitters (with their slot timers) and the
 //     fluid ledger keep their arrays, the packet-plane leaf its
-//     recoverer.
+//     assembler.
 //
 // What a Result holds is never the arena's: the content and its
 // enhanced parts are made per run (Outcomes' shares alias them), and
@@ -48,8 +48,8 @@ type arena struct {
 	txs   []transmitter
 	peers []*peerNode
 
-	ledger fluid.Ledger      // the fluid plane's (runner.fl)
-	seen   *parity.Recoverer // the packet-plane leaf's, made by its first run
+	ledger fluid.Ledger       // the fluid plane's (runner.fl)
+	asm    *content.Assembler // the packet-plane leaf's, made by its first run
 
 	measureEv [2]*des.Timer // the window's opening and closing edges
 	released  int           // arenas.ticks when the arena was last released
@@ -113,8 +113,8 @@ func (r *runner) release() {
 	}
 	clear(r.peers)
 	r.ledger.Reset(0)
-	if r.seen != nil {
-		r.seen.Reset(0)
+	if r.asm != nil {
+		r.asm.Reset(0, 1)
 	}
 	clear(r.batchBuf[:cap(r.batchBuf)])
 	*r = runner{arena: r.arena}
@@ -141,17 +141,19 @@ func ageArenas() {
 }
 
 // gcTick is a finalizer's hook: a collection finds it unreachable, and
-// its finalizer ages the arenas and makes the next one. It holds a
-// pointer so it is an allocation of its own (the runtime may never
-// finalize a tiny one).
+// its finalizer ages the arenas and sets itself again on the same tick,
+// which the finalizer made reachable, so a collection allocates nothing
+// here. It holds a pointer so it is an allocation of its own (the runtime
+// may never finalize a tiny one).
 type gcTick struct{ _ *int }
 
 // tickEachCollection runs ageArenas after every collection from now on.
-func tickEachCollection() {
-	runtime.SetFinalizer(&gcTick{}, func(*gcTick) {
-		ageArenas()
-		tickEachCollection()
-	})
+func tickEachCollection() { runtime.SetFinalizer(&gcTick{}, tock) }
+
+// tock ages the arenas and re-arms t for the next collection.
+func tock(t *gcTick) {
+	ageArenas()
+	runtime.SetFinalizer(t, tock)
 }
 
 // resize returns s with length n, in s's array when it has room. The

@@ -11,7 +11,6 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/overlay"
 	"p2pmss/internal/transport"
 )
 
@@ -79,8 +78,8 @@ type arenaCase struct {
 
 // arenaCases cover every plane and what each keeps in the arena: the
 // packet plane with loss, bursts, repair, churn and crashes (links, crash
-// flags, the leaf's assembler), a looping packet run (the leaf's
-// recoverer), a lossy fluid run with churn (the ledger and its masks),
+// flags, the leaf's assembler), a looping packet run (the assembler
+// again), a lossy fluid run with churn (the ledger and its masks),
 // an observed control-plane run at the sweeps' shape, and two baselines.
 func arenaCases() []arenaCase {
 	packet := func(n, h int) Config {
@@ -100,7 +99,7 @@ func arenaCases() []arenaCase {
 		{"tcop packet lossy retries crashes", TCoP, func() Config {
 			cfg := packet(36, 5)
 			cfg.Loop, cfg.LossProb, cfg.Burst, cfg.Repair, cfg.Retries = false, 0.05, burst, true, 2
-			cfg.CrashPeers, cfg.CrashAt = []overlay.PeerID{3, 7}, 2
+			cfg.Churn = crashesAt(2, 3, 7)
 			return cfg
 		}},
 		{"dcop packet looping", DCoP, func() Config { return packet(40, 5) }},
@@ -143,11 +142,12 @@ func runBytes(t *testing.T, res Result, cfg Config) []byte {
 // TestRecycledRunMatchesFresh: each case's reference is a run in a new
 // arena that is never released, so nothing recycles or clears it. The
 // case then runs through Run in a new arena, then every other case and
-// the case itself at another seed run (each leaving its arena to the
-// next; the last has the case's links), then the case runs again in the
-// arena they left. Both Results must equal the reference byte for byte,
-// the first still after the runs that followed it: a Result shares
-// nothing with the arena its run released.
+// the case itself at another seed and, on the packet plane, with a
+// content four times as long run (each leaving its arena to the next;
+// the last has the case's links and a larger assembler), then the case
+// runs again in the arena they left. Both Results must equal the
+// reference byte for byte, the first still after the runs that followed
+// it: a Result shares nothing with the arena its run released.
 func TestRecycledRunMatchesFresh(t *testing.T) {
 	cases := arenaCases()
 	for i, c := range cases {
@@ -156,6 +156,9 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 			run := func(c arenaCase, seed int64) (Result, Config) {
 				cfg := c.cfg()
 				cfg.Seed += seed
+				if seed != 0 && cfg.DataPlane && !cfg.fluid() {
+					cfg.ContentLen *= 4
+				}
 				res, err := Run(c.proto, cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -34,12 +34,7 @@ func (b *broadcast) deliver(p *peerNode, from int, m any) {
 
 func (b *broadcast) onRequest(p *peerNode, m reqMsg) {
 	r := b.r
-	var full seq.Sequence
-	rate := parity.ReceiptRate(r.cfg.Rate, r.cfg.Interval)
-	if r.cfg.DataPlane {
-		full = r.enhancedContent()
-	}
-	p.activate(m.Round, full, rate)
+	p.activate(m.Round, r.enhancedContent(), parity.ReceiptRate(r.cfg.Rate, r.cfg.Interval))
 	// Group communication: one state control packet to every other peer.
 	for j := 0; j < r.cfg.N; j++ {
 		if j != int(p.id) {
@@ -55,11 +50,7 @@ func (b *broadcast) onState(p *peerNode, m stateMsg) {
 		return
 	}
 	// Heard from everyone: converge to the 1/n division by peer rank.
-	var part seq.Sequence
-	if r.cfg.DataPlane {
-		part = seq.Div(r.enhancedContent(), r.cfg.N, int(p.id))
-	}
-	p.tx.install(part, r.perPeerRateAll())
+	p.tx.install(seq.Div(r.enhancedContent(), r.cfg.N, int(p.id)), r.perPeerRateAll())
 }
 
 // unicast implements the second baseline of §3.1: the leaf peer sends the
@@ -87,11 +78,7 @@ func (u *unicast) deliver(p *peerNode, from int, m any) {
 
 func (u *unicast) onRequest(p *peerNode, m reqMsg) {
 	r := u.r
-	var full seq.Sequence
-	if r.cfg.DataPlane {
-		full = r.enhancedContent()
-	}
-	p.activate(m.Round, full, parity.ReceiptRate(r.cfg.Rate, r.cfg.Interval))
+	p.activate(m.Round, r.enhancedContent(), parity.ReceiptRate(r.cfg.Rate, r.cfg.Interval))
 	u.forward(p, m.Round+1)
 }
 
@@ -204,9 +191,5 @@ func (c *centralized) onStart(p *peerNode, m startMsg) {
 
 func (c *centralized) activateDivision(p *peerNode, idx, round int) {
 	r := c.r
-	var part seq.Sequence
-	if r.cfg.DataPlane {
-		part = seq.Div(r.enhancedContent(), r.cfg.N, idx)
-	}
-	p.activate(round, part, r.perPeerRateAll())
+	p.activate(round, seq.Div(r.enhancedContent(), r.cfg.N, idx), r.perPeerRateAll())
 }

@@ -1,6 +1,10 @@
 package coord
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+)
 
 // BenchmarkRunControlPlane is one whole simulated run per op: Run at
 // n = 100, H = 10 on the control plane only, the shape of one point of
@@ -13,7 +17,7 @@ func BenchmarkRunControlPlane(b *testing.B) {
 		b.Run(proto, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.N, cfg.H = 100, 10
-			b.ReportAllocs()
+			startThreads(b)
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(proto, cfg); err != nil {
 					b.Fatal(err)
@@ -34,7 +38,7 @@ func BenchmarkRunFluid(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.N, cfg.H = 10000, 10
 			cfg.DataPlane, cfg.PlaneMode = true, PlaneFluid
-			b.ReportAllocs()
+			startThreads(b)
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(proto, cfg); err != nil {
 					b.Fatal(err)
@@ -42,4 +46,37 @@ func BenchmarkRunFluid(b *testing.B) {
 			}
 		})
 	}
+}
+
+// startThreads has the runtime start, before b's timer, the OS threads
+// that a busy run keeps its other Ps on, and resets the timer. The
+// runtime starts a thread when the scheduler wakes an idle P and finds
+// no idle thread for it, which a run's collections or a preemption of
+// its goroutine may do at any point; the first time, that costs six
+// allocations of about 5.5 KB (the thread's m, its g0 and signal
+// goroutines and its profiling stacks), counted in allocs/op if it
+// lands inside the timer, as BenchmarkRunFluid/dcop's 32 allocs/op
+// against 29 showed in about one process of ten. Each of
+// 2×GOMAXPROCS goroutines holds a thread of its own until all are
+// parked, and the threads stay behind, idle, when they finish.
+func startThreads(b *testing.B) {
+	n := 2 * runtime.GOMAXPROCS(0)
+	var parked, done sync.WaitGroup
+	parked.Add(n)
+	done.Add(n)
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			parked.Done()
+			<-release
+		}()
+	}
+	parked.Wait()
+	close(release)
+	done.Wait()
+	b.ReportAllocs()
+	b.ResetTimer()
 }

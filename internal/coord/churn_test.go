@@ -12,6 +12,15 @@ import (
 // deadlines, alternate-peer retry waves, commit re-absorption — now runs
 // under virtual time, so churn scenarios replay bit-identically.
 
+// crashesAt is a churn schedule that crashes peers, in order, at time at.
+func crashesAt(at float64, peers ...overlay.PeerID) *ChurnSchedule {
+	s := &ChurnSchedule{}
+	for _, p := range peers {
+		s.Events = append(s.Events, ChurnEvent{At: at, Peer: p})
+	}
+	return s
+}
+
 func churnConfig(seed int64) Config {
 	cfg := DefaultConfig()
 	cfg.N = 12
@@ -79,8 +88,7 @@ func TestTCoPConfirmDeadlineRetryWave(t *testing.T) {
 	retriedSome := false
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := churnConfig(seed)
-		cfg.CrashPeers = []overlay.PeerID{2, 7}
-		cfg.CrashAt = 2.5
+		cfg.Churn = crashesAt(2.5, 2, 7)
 		a := outcomesFingerprint(t, cfg)
 		if b := outcomesFingerprint(t, cfg); a != b {
 			t.Fatalf("seed %d: two runs diverged\n%s\n--vs--\n%s", seed, a, b)
@@ -105,8 +113,7 @@ func TestTCoPCommitReabsorption(t *testing.T) {
 	absorbedSome := false
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := churnConfig(seed)
-		cfg.CrashPeers = []overlay.PeerID{3, 8}
-		cfg.CrashAt = 3.5
+		cfg.Churn = crashesAt(3.5, 3, 8)
 		a := outcomesFingerprint(t, cfg)
 		if b := outcomesFingerprint(t, cfg); a != b {
 			t.Fatalf("seed %d: two runs diverged\n%s\n--vs--\n%s", seed, a, b)

@@ -87,9 +87,9 @@ type Config struct {
 	// schedules one DES event per data packet; PlaneFluid models each
 	// transmitter as a closed-form slot grid (internal/fluid), so run
 	// cost scales with coordination events instead of rate × time and a
-	// sweep can reach n = 10⁵ peers. Fluid runs require Loop and reject
-	// the per-packet-only features (TrackDelivery, Playback, Repair,
-	// LeafMaxRate, Burst); at zero Jitter and LossProb their control
+	// sweep can reach n = 10⁵ peers. Fluid runs require Loop, reject the
+	// per-packet-only features (Playback, Repair, LeafMaxRate, Burst)
+	// and report no delivery; at zero Jitter and LossProb their control
 	// trajectory is event-identical to the packet plane's and the receipt
 	// rate agrees up to floating-point slot drift, with impairments the
 	// fluid rate is the expectation. See DESIGN.md §11.
@@ -109,11 +109,6 @@ type Config struct {
 	// LeafBuffer is the leaf buffer capacity in packets when LeafMaxRate
 	// is set.
 	LeafBuffer int
-	// TrackDelivery makes the leaf feed every arrival into a parity
-	// recoverer so Result reports how much of the content was delivered
-	// (directly or via parity recovery). Use with Loop=false and a small
-	// ContentLen; the run then executes to quiescence.
-	TrackDelivery bool
 	// Retries bounds how many alternate peers a TCoP parent contacts
 	// when a selected child refuses, is unreachable, or stays silent —
 	// the simulated counterpart of the live layer's churn-tolerant
@@ -131,12 +126,10 @@ type Config struct {
 	Seed int64
 	// CrashPeers crash-stops the listed peers before the run starts.
 	CrashPeers []overlay.PeerID
-	// CrashAt, when >0 with CrashPeers set, delays the crashes to that
-	// virtual time instead (peers participate, then fail).
-	CrashAt float64
 	// Churn, when non-nil, installs a deterministic crash/rejoin
 	// schedule on top of (or instead of) CrashPeers — the sim-side
-	// counterpart of the live layer's churn injection.
+	// counterpart of the live layer's churn injection. A crash at a
+	// later time (peers participate, then fail) is a churn event.
 	Churn *ChurnSchedule
 	// Burst enables Gilbert–Elliott bursty loss on every directed link
 	// (§3.2's "lost … in a bursty manner"), on top of LossProb.
@@ -153,8 +146,8 @@ type Config struct {
 	StatePeriods int
 	// Playback simulates continuous playout at the leaf: consumption of
 	// data packets in order at rate Rate, starting PlaybackDelay after
-	// the first arrival. Underruns are counted in the Result. Implies
-	// TrackDelivery; use with Loop=false.
+	// the first arrival. Underruns are counted in the Result. Use with
+	// Loop=false.
 	Playback      bool
 	PlaybackDelay float64
 	// Repair enables the leaf-driven retransmission protocol, the
@@ -163,8 +156,7 @@ type Config struct {
 	// recover it, and, when delivery stalls (no data packet became
 	// present for RepairInterval), for every missing packet — the
 	// engine.Leaf policy the live leaf runs, asking the peers it most
-	// recently heard from first. Requires TrackDelivery (enabled
-	// automatically).
+	// recently heard from first. Requires the packet plane.
 	Repair bool
 	// RepairInterval is the stall window (default 5δ), checked every half
 	// window.
@@ -254,8 +246,8 @@ func (c *Config) normalize() error {
 		if !c.Loop {
 			return fmt.Errorf("coord: PlaneMode fluid requires Loop (steady-state streams)")
 		}
-		if c.TrackDelivery || c.Playback || c.Repair {
-			return fmt.Errorf("coord: PlaneMode fluid models flow rates, not packet identities; TrackDelivery/Playback/Repair need the packet plane")
+		if c.Playback || c.Repair {
+			return fmt.Errorf("coord: PlaneMode fluid models flow rates, not packet identities; Playback/Repair need the packet plane")
 		}
 		if c.LeafMaxRate > 0 {
 			return fmt.Errorf("coord: PlaneMode fluid does not model the leaf buffer; LeafMaxRate needs the packet plane")
@@ -309,14 +301,10 @@ func (c *Config) normalize() error {
 	if c.StatePeriods == 0 {
 		c.StatePeriods = 3
 	}
-	if c.Playback {
-		c.TrackDelivery = true
-		if !c.DataPlane {
-			return fmt.Errorf("coord: Playback requires DataPlane")
-		}
+	if c.Playback && !c.DataPlane {
+		return fmt.Errorf("coord: Playback requires DataPlane")
 	}
 	if c.Repair {
-		c.TrackDelivery = true
 		if !c.DataPlane {
 			return fmt.Errorf("coord: Repair requires DataPlane")
 		}
@@ -389,10 +377,10 @@ type Result struct {
 	Overruns int64
 	// DeliveredData is how many of the ContentLen data packets the leaf
 	// holds after the run — received directly or recovered from parity
-	// (TrackDelivery only).
+	// (packet plane only).
 	DeliveredData int64
-	// RecoveredData is how many packets parity recovery derived
-	// (TrackDelivery only).
+	// RecoveredData is how many packets parity recovery derived (packet
+	// plane only).
 	RecoveredData int64
 	// StateMessages counts the AMS baseline's periodic state broadcasts
 	// (already included in ControlPackets).
@@ -566,14 +554,10 @@ func newRunner(cfg Config) (*runner, error) {
 		r.peers[i] = p
 	}
 	r.leaf = newLeaf(r)
-	// Crashes before the run go unnoted; timed ones, CrashAt's first and
-	// then the churn events in order, are des events through setDown.
+	// Crashes before the run go unnoted; churn events, in order, are des
+	// events through setDown.
 	for _, cp := range cfg.CrashPeers {
-		if cfg.CrashAt > 0 {
-			eng.At(cfg.CrashAt, func() { r.setDown(cp, true) })
-		} else {
-			r.nw.crashed[cp] = true
-		}
+		r.nw.crashed[cp] = true
 	}
 	if cfg.Churn != nil {
 		for _, e := range cfg.Churn.Events {
@@ -860,7 +844,8 @@ func (r *runner) heterogeneousAssignment(idx int, selected []overlay.PeerID) (se
 	return out, rate
 }
 
-// enhancedContent memoizes Esq(content, Interval).
+// enhancedContent memoizes Esq(content, Interval): nil without a packet
+// plane, whose Div is nil too.
 func (r *runner) enhancedContent() seq.Sequence {
 	if r.enhanced == nil && r.content != nil {
 		r.enhanced = parity.Enhance(r.content, r.cfg.Interval)

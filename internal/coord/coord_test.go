@@ -7,6 +7,7 @@ import (
 
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
+	"p2pmss/internal/metrics"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/seq"
 )
@@ -285,7 +286,6 @@ func TestDeliveryComplete(t *testing.T) {
 		cfg.H = 4
 		cfg.DataPlane = true
 		cfg.Loop = false
-		cfg.TrackDelivery = true
 		cfg.ContentLen = 300
 		cfg.Rate = 5
 		res, err := Run(proto, cfg)
@@ -294,6 +294,45 @@ func TestDeliveryComplete(t *testing.T) {
 		}
 		if res.DeliveredData != cfg.ContentLen {
 			t.Errorf("%s: delivered %d/%d data packets", proto, res.DeliveredData, cfg.ContentLen)
+		}
+	}
+}
+
+// TestPacketPlaneReportsDelivery: every packet-plane run assembles the
+// content at its leaf, so a run with no option set reports what the leaf
+// holds and what parity recovered, in the Result and in the leaf's
+// metrics, lossless and lossy. The figures are those the simulator
+// reported when a run assembled only if its config asked.
+func TestPacketPlaneReportsDelivery(t *testing.T) {
+	for _, c := range []struct {
+		proto                Protocol
+		loss                 float64
+		delivered, recovered int64
+	}{
+		{DCoP, 0, 400, 562},
+		{DCoP, 0.2, 389, 484},
+		{TCoP, 0, 400, 389},
+		{TCoP, 0.2, 348, 317},
+	} {
+		cfg := DefaultConfig()
+		cfg.N, cfg.H, cfg.Interval, cfg.Seed = 30, 4, 2, 3
+		cfg.DataPlane, cfg.Loop, cfg.ContentLen, cfg.Rate = true, false, 400, 5
+		cfg.LossProb = c.loss
+		reg := metrics.New()
+		cfg.Obs.Metrics = reg
+		res, err := Run(c.proto, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DeliveredData != c.delivered || res.RecoveredData != c.recovered {
+			t.Errorf("%s loss %v: delivered %d, recovered %d; want %d, %d",
+				c.proto, c.loss, res.DeliveredData, res.RecoveredData, c.delivered, c.recovered)
+		}
+		if got := reg.Gauge("coord_leaf_delivered_data").Value(); got != float64(res.DeliveredData) {
+			t.Errorf("%s loss %v: coord_leaf_delivered_data %v, the Result %d", c.proto, c.loss, got, res.DeliveredData)
+		}
+		if got := reg.Counter("coord_leaf_recovered_total").Value(); got != res.RecoveredData {
+			t.Errorf("%s loss %v: coord_leaf_recovered_total %d, the Result %d", c.proto, c.loss, got, res.RecoveredData)
 		}
 	}
 }
@@ -308,7 +347,6 @@ func TestDeliveryWithLoss(t *testing.T) {
 	cfg.Interval = 2 // strong parity: one parity packet per 2 data packets
 	cfg.DataPlane = true
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.ContentLen = 400
 	cfg.Rate = 5
 	cfg.LossProb = 0.03
@@ -334,11 +372,9 @@ func TestPeerCrashTolerance(t *testing.T) {
 	cfg.Interval = 2
 	cfg.DataPlane = true
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.ContentLen = 300
 	cfg.Rate = 10
-	cfg.CrashPeers = []overlay.PeerID{3}
-	cfg.CrashAt = 30
+	cfg.Churn = crashesAt(30, 3)
 	res, err := Run(DCoP, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -538,7 +574,6 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 	cfg.Interval = 2
 	cfg.DataPlane = true
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.ContentLen = 300
 	cfg.Rate = 10
 	cfg.Obs.Flight = flight.NewSet(4096)

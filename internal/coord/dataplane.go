@@ -4,7 +4,6 @@ import (
 	"p2pmss/internal/content"
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 )
 
@@ -35,7 +34,7 @@ func (tx *transmitter) install(s seq.Sequence, rate float64) {
 // pkt_jj and the rate … on δ time units after CP_j sends the control
 // packet"). A switch still planned is applied first.
 func (tx *transmitter) plan(h *engine.Handoff) {
-	if tx.st.Apply(h) && tx.r.cfg.DataPlane {
+	if tx.st.Apply(h) {
 		tx.restart()
 	}
 	tx.plans++
@@ -57,7 +56,7 @@ type switchEvent struct {
 func (sw *switchEvent) Fire() {
 	tx, plan := sw.tx, sw.plan
 	tx.r.switchFree.Put(sw)
-	if plan == tx.plans && tx.st.Switch() && tx.r.cfg.DataPlane {
+	if plan == tx.plans && tx.st.Switch() {
 		tx.restart()
 	}
 }
@@ -124,15 +123,12 @@ func (tx *transmitter) sendNext() {
 // leafNode is the leaf peer LP_s's simulated side: core (the engine's
 // leaf) selects, requests, assembles and repairs; the node enforces the
 // leaf's maximum receipt rate ρ_s with a drain-at-ρ buffer (§3.1's buffer
-// overrun), deduplicates untracked runs, and measures arrival rate inside
-// the experiment's window.
+// overrun) and measures arrival rate inside the experiment's window.
 type leafNode struct {
 	r    *runner
 	core *engine.Leaf
-	// asm, non-nil when Config.TrackDelivery, also tells first receipts
-	// from duplicates; without it seen does.
-	asm  *content.Assembler
-	seen *parity.Recoverer
+	// asm is core's assembler, the arena's; nil without a packet plane.
+	asm *content.Assembler
 	// timer fires at the leaf's next deadline, armed (when pending).
 	timer *des.Timer
 	armed float64
@@ -176,21 +172,15 @@ func (l *leafNode) receive(from int, m any) {
 		}
 		l.bufLevel++
 	}
-	var isDup bool
-	if l.asm != nil {
-		before := l.asm.Recovered()
-		fresh, d := l.core.Arrive(now, engine.PeerID(from), &dm.Pkt)
-		isDup = !fresh
-		if n := l.asm.Recovered() - before; n > 0 {
-			l.r.met.recovered.Add(int64(n))
-		}
-		l.r.met.delivered.Set(float64(l.asm.Have()))
-		d.Send(l)
-		l.arm()
-	} else {
-		l.core.Arrive(now, engine.PeerID(from), &dm.Pkt)
-		isDup = !l.seen.Add(dm.Pkt)
+	before := l.asm.Recovered()
+	fresh, d := l.core.Arrive(now, engine.PeerID(from), &dm.Pkt)
+	isDup := !fresh
+	if n := l.asm.Recovered() - before; n > 0 {
+		l.r.met.recovered.Add(int64(n))
 	}
+	l.r.met.delivered.Set(float64(l.asm.Have()))
+	d.Send(l)
+	l.arm()
 	if isDup {
 		l.r.met.arrivalsDup.Inc()
 	} else if dm.Pkt.IsData() {

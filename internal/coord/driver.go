@@ -7,7 +7,6 @@ import (
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
-	"p2pmss/internal/parity"
 	"p2pmss/internal/span"
 )
 
@@ -82,19 +81,18 @@ func (r *runner) initEngine(dcopMode bool) {
 
 // newLeaf builds the leaf peer around the engine's leaf, on the random
 // stream the live layer seeds its leaf with, so the initial selection
-// agrees. A run that tracks delivery assembles ContentLen 1-byte packets.
+// agrees. On the packet plane the leaf assembles the content, ContentLen
+// 1-byte packets, in the arena's assembler.
 func newLeaf(r *runner) *leafNode {
 	l := &leafNode{r: r}
 	l.timer = r.eng.NewTimer(l.tick)
-	if r.cfg.TrackDelivery {
-		l.asm = content.NewAssembler(int(r.cfg.ContentLen), 1)
-	} else if r.content != nil {
-		if r.seen == nil {
-			r.seen = parity.NewSizedRecoverer(len(r.content))
+	if r.content != nil {
+		if r.asm == nil {
+			r.asm = content.NewAssembler(len(r.content), 1)
 		} else {
-			r.seen.Reset(len(r.content))
+			r.asm.Reset(len(r.content), 1)
 		}
-		l.seen = r.seen
+		l.asm = r.asm
 	}
 	var window float64
 	if r.cfg.Repair {
@@ -199,7 +197,7 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 				if e.Round > p.depth {
 					p.depth = e.Round
 				}
-				if r.cfg.DataPlane && p.tx.st.Apply(e) {
+				if p.tx.st.Apply(e) {
 					p.tx.restart()
 				}
 			case *engine.Handoff:

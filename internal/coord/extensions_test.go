@@ -63,7 +63,6 @@ func TestAMSDelivery(t *testing.T) {
 	cfg.H = 4
 	cfg.DataPlane = true
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.ContentLen = 200
 	cfg.Rate = 5
 	res, err := Run(AMS, cfg)
@@ -82,7 +81,6 @@ func TestBurstLossIsApplied(t *testing.T) {
 	cfg.Interval = 2
 	cfg.DataPlane = true
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.ContentLen = 400
 	cfg.Rate = 5
 	cfg.Burst = &transport.BurstParams{PGoodToBad: 0.05, PBadToGood: 0.2, LossGood: 0, LossBad: 1}
@@ -136,7 +134,6 @@ func TestHeterogeneousAssignment(t *testing.T) {
 	cfg.Interval = 3
 	cfg.DataPlane = true
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.ContentLen = 400
 	cfg.Rate = 5
 	bws := uniformBandwidths(cfg.N, 1)
@@ -231,16 +228,15 @@ func TestTraceRecordsRun(t *testing.T) {
 func TestTraceRecordsCrashes(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Obs.Flight = flight.NewSet(0)
-	cfg.CrashPeers = []overlay.PeerID{1, 2}
-	cfg.CrashAt = 1.5
+	cfg.Churn = crashesAt(1.5, 1, 2)
 	if _, err := Run(DCoP, cfg); err != nil {
 		t.Fatal(err)
 	}
 	var crashed []int
 	for _, e := range cfg.Obs.Flight.Events() {
 		if e.Dir == flight.DirDriver && e.Type == "crash" {
-			if e.T != cfg.CrashAt {
-				t.Errorf("crash note at t=%v, want %v", e.T, cfg.CrashAt)
+			if e.T != 1.5 {
+				t.Errorf("crash note at t=%v, want 1.5", e.T)
 			}
 			crashed = append(crashed, e.Peer)
 		}
@@ -257,8 +253,7 @@ func TestTraceRecordsCrashes(t *testing.T) {
 func TestDriverNotesDoNotDiverge(t *testing.T) {
 	bare, noted := baseCfg(), baseCfg()
 	bare.Obs.Flight, noted.Obs.Flight = flight.NewSet(0), flight.NewSet(0)
-	noted.CrashPeers = []overlay.PeerID{1, 2}
-	noted.CrashAt = 1e6
+	noted.Churn = crashesAt(1e6, 1, 2)
 	for _, cfg := range []Config{bare, noted} {
 		if _, err := Run(TCoP, cfg); err != nil {
 			t.Fatal(err)
@@ -289,8 +284,7 @@ func TestRepairRecoversAfterCrash(t *testing.T) {
 	cfg.Repair = true
 	cfg.ContentLen = 300
 	cfg.Rate = 10
-	cfg.CrashPeers = []overlay.PeerID{0, 1}
-	cfg.CrashAt = 10
+	cfg.Churn = crashesAt(10, 0, 1)
 	cfg.Obs.Flight = flight.NewSet(0)
 	res, err := Run(DCoP, cfg)
 	if err != nil {
@@ -474,8 +468,8 @@ func TestRepairFallsThroughQuietStart(t *testing.T) {
 	cfg.Repair = true
 	cfg.ContentLen = 120
 	cfg.Rate = 10
-	cfg.CrashPeers, _ = engine.SelectInitial(des.NewRand(engine.PeerSeed(cfg.Seed, engine.LeafID)), cfg.N, cfg.H)
-	cfg.CrashAt = cfg.Delta / 2
+	selected, _ := engine.SelectInitial(des.NewRand(engine.PeerSeed(cfg.Seed, engine.LeafID)), cfg.N, cfg.H)
+	cfg.Churn = crashesAt(cfg.Delta/2, selected...)
 	res, err := Run(TCoP, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +499,6 @@ func TestHeterogeneousLoadProportional(t *testing.T) {
 	cfg.Interval = 3
 	cfg.DataPlane = true
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.ContentLen = 800
 	cfg.Rate = 8
 	cfg.Bandwidths = []float64{4, 2, 1, 1}

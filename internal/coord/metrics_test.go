@@ -19,7 +19,6 @@ func metricsTestConfig() Config {
 	cfg.DataPlane = true
 	cfg.ContentLen = 400
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.Seed = 7
 	return cfg
 }

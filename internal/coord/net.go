@@ -179,7 +179,7 @@ func (s *ChurnSchedule) validate(n int) error {
 // setDown crash-stops (down) or rejoins contents peer id now: the network
 // drops what it sends and what reaches it, the fluid ledger stops or
 // resumes counting its flow (its slot grid keeps ticking), and its flight
-// track notes the change. CrashAt crashes and Churn events both come here.
+// track notes the change. Every churn event comes here.
 func (r *runner) setDown(id overlay.PeerID, down bool) {
 	r.nw.crashed[id] = down
 	now := r.eng.Now()

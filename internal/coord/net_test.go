@@ -7,7 +7,6 @@ import (
 
 	"p2pmss/internal/des"
 	"p2pmss/internal/flight"
-	"p2pmss/internal/overlay"
 	"p2pmss/internal/transport"
 )
 
@@ -20,8 +19,8 @@ func newNetwork(eng *des.Engine, cfg *Config, receive func(from, to int, m any))
 }
 
 // TestLinkModelGolden pins the link model's draw order: one seeded
-// packet-plane run per protocol with jitter, Bernoulli loss, bursts, a
-// CrashAt crash and a churn crash and rejoin. Every loss, burst and jitter
+// packet-plane run per protocol with jitter, Bernoulli loss, bursts, the
+// crash of one peer and the crash and rejoin of another. Every loss, burst and jitter
 // draw moves the network counters and the leaf's receipts, so a change in
 // their order or in the crash scheduling shows here.
 func TestLinkModelGolden(t *testing.T) {
@@ -36,7 +35,6 @@ func TestLinkModelGolden(t *testing.T) {
 		cfg.Interval = 2
 		cfg.DataPlane = true
 		cfg.Loop = false
-		cfg.TrackDelivery = true
 		cfg.ContentLen = 300
 		cfg.Rate = 10
 		cfg.Settle = 2
@@ -45,9 +43,8 @@ func TestLinkModelGolden(t *testing.T) {
 		cfg.Retries = 2
 		cfg.LossProb = 0.05
 		cfg.Burst = &transport.BurstParams{PGoodToBad: 0.02, PBadToGood: 0.3, LossGood: 0, LossBad: 0.6}
-		cfg.CrashPeers = []overlay.PeerID{3}
-		cfg.CrashAt = 2.5
 		cfg.Churn = &ChurnSchedule{Events: []ChurnEvent{
+			{At: 2.5, Peer: 3},
 			{At: 1.5, Peer: 7},
 			{At: 9, Peer: 7, Join: true},
 		}}

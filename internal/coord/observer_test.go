@@ -10,7 +10,6 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
-	"p2pmss/internal/overlay"
 	"p2pmss/internal/span"
 )
 
@@ -25,13 +24,13 @@ func observerGoldenConfig() Config {
 	cfg := churnConfig(3)
 	cfg.DataPlane = true
 	cfg.Loop = false
-	cfg.TrackDelivery = true
 	cfg.ContentLen = 120
 	cfg.Repair = true
 	cfg.LossProb = 0.1
-	cfg.CrashPeers = []overlay.PeerID{2, 5, 9}
-	cfg.CrashAt = 2.5
 	cfg.Churn = &ChurnSchedule{Events: []ChurnEvent{
+		{At: 2.5, Peer: 2},
+		{At: 2.5, Peer: 5},
+		{At: 2.5, Peer: 9},
 		{At: 0.5, Peer: 7},
 		{At: 6, Peer: 7, Join: true},
 	}}

@@ -3,7 +3,6 @@ package engine
 import (
 	"testing"
 
-	"p2pmss/internal/des"
 	"p2pmss/internal/span"
 )
 
@@ -23,7 +22,7 @@ func BenchmarkSpanDisabledObserve(b *testing.B) {
 	if err := cfg.Normalize(); err != nil {
 		b.Fatal(err)
 	}
-	p := NewPeer(cfg, 0, des.NewRand(1))
+	p := new(Pool).NewPeer(cfg, 0, 1)
 	o := Observability{}.Observer("", 0, PeerMetrics{})
 	if o != nil {
 		b.Fatal("observer with nothing attached must be nil")

@@ -12,7 +12,8 @@ import (
 // overlay (H=10) through the in-memory harness in control-plane-only
 // mode (rates and topology, no packet divisions) — the configuration
 // the simulator's sweep ceilings run thousands of times per point. The
-// harness and peers are built once and Reset per iteration, so the
+// harness is built once, and each iteration resets its pool and builds
+// the peers from it again, as the simulator starts a run, so the
 // steady-state allocs/op is the engine's own footprint; CI gates it at
 // ≤100 via `benchjson -assert-max-allocs 100` over BENCH_engine.json.
 //

@@ -402,8 +402,7 @@ type pendShare struct {
 type Peer struct {
 	cfg Config
 	id  PeerID
-	rng *rand.Rand // the caller's stream (NewPeer), or nil to draw from src
-	src des.Source // the stream Pool.NewPeer seeds, held in place
+	src des.Source // the peer's stream, held in place
 
 	view   overlay.View
 	parent int // -1 = none; leaf-rooted peers point at themselves
@@ -451,12 +450,10 @@ type Peer struct {
 }
 
 // NewPeer returns the state machine of contents peer id, with a pool of
-// its own, drawing from rng's source. The caller must have normalized
-// cfg and owns the seeding of rng.
+// its own, its stream seeded with a draw from rng. The caller must have
+// normalized cfg.
 func NewPeer(cfg Config, id PeerID, rng *rand.Rand) *Peer {
-	p := new(Pool).peer(cfg, id)
-	p.rng = rng
-	return p
+	return new(Pool).NewPeer(cfg, id, rng.Int63())
 }
 
 // NewPeer returns the state machine of contents peer id, drawing its
@@ -469,15 +466,10 @@ func (pl *Pool) NewPeer(cfg Config, id PeerID, seed int64) *Peer {
 	return p
 }
 
-// stream is what the peer draws from. Over src it is a fresh wrapper
-// each time, which draws what one kept wrapper would: a rand.Rand keeps
-// no state of its own but what Read buffers, and the engine never reads.
-func (p *Peer) stream() *rand.Rand {
-	if p.rng != nil {
-		return p.rng
-	}
-	return rand.New(&p.src)
-}
+// stream is what the peer draws from: a fresh wrapper over src each
+// time, which draws what one kept wrapper would: a rand.Rand keeps no
+// state of its own but what Read buffers, and the engine never reads.
+func (p *Peer) stream() *rand.Rand { return rand.New(&p.src) }
 
 // peer carves a peer and its view from the pool's blocks.
 func (pl *Pool) peer(cfg Config, id PeerID) *Peer {
@@ -495,38 +487,6 @@ func (pl *Pool) peer(cfg Config, id PeerID) *Peer {
 	*p = Peer{cfg: cfg, id: id, parent: -1, pl: pl}
 	p.view = overlay.NewViewOn(cfg.N, words)
 	return p
-}
-
-// Reset rewinds the state machine to its just-constructed state while
-// keeping every internal capacity — view words, scratch buffers, and
-// the pool it draws from — so a harness can rerun rounds on the same
-// peers without reallocating. The caller of NewPeer owns reseeding the
-// rng it handed over.
-func (p *Peer) Reset() {
-	p.view.Clear()
-	p.active = false
-	p.parent = -1
-	p.committed = false
-	p.round = 0
-	p.childrenTaken = 0
-	p.seenAssign = p.seenAssign[:0]
-	p.wanted = 0
-	p.outstanding = p.outstanding[:0]
-	p.outstandingOpen = false
-	p.selBuf, p.cand = p.selBuf[:0], 0
-	p.retryLeft = 0
-	p.confirmed = p.confirmed[:0]
-	p.ctlRound = 0
-	p.final = false
-	p.gen = 0
-	p.relGen = 0
-	p.confirmDelay = 0
-	p.shares = p.shares[:0]
-	p.children = p.children[:0]
-	clear(p.assigned) // drop the retained shares, keep the headers' array
-	p.assigned = p.assigned[:0]
-	p.retried = 0
-	p.absorbed = 0
 }
 
 // Handle advances the state machine by one event and returns the
@@ -715,7 +675,7 @@ func (p *Peer) noteMerged(round int, s seq.Sequence) {
 // noteAssigned records s as one more operand of pkt_i.
 func (p *Peer) noteAssigned(s seq.Sequence) {
 	if len(s) > 0 {
-		p.assigned = append(p.assigned, s)
+		p.assigned = append(roomForOne(p.assigned, p.pl, seqSlab, p.cfg.H), s)
 	}
 }
 

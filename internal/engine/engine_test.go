@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -21,8 +20,8 @@ import (
 // transport.
 type harness struct {
 	cfg     engine.Config
+	pl      *engine.Pool // the peers' one pool; nil: a pool each
 	peers   []*engine.Peer
-	sources []*des.Source
 	streams []engine.Stream
 	crashed map[engine.PeerID]bool
 
@@ -79,46 +78,49 @@ type timerEntry struct {
 	id engine.TimerID
 }
 
+// newHarness builds every peer from one pool, as the simulator does.
 func newHarness(cfg engine.Config, seed int64) *harness {
-	return newHarnessOn(cfg, seed, nil)
+	return newHarnessOn(cfg, seed, new(engine.Pool))
 }
 
-// newHarnessOn builds every peer from pl, as the simulator does, or
-// each with a pool of its own (engine.NewPeer) when pl is nil.
+// newHarnessOn builds every peer from pl, or each from a pool of its
+// own, as a live node does, when pl is nil.
 func newHarnessOn(cfg engine.Config, seed int64, pl *engine.Pool) *harness {
 	if err := cfg.Normalize(); err != nil {
 		panic(err)
 	}
-	h := &harness{cfg: cfg, crashed: make(map[engine.PeerID]bool)}
-	for i := 0; i < cfg.N; i++ {
+	h := &harness{cfg: cfg, pl: pl, crashed: make(map[engine.PeerID]bool)}
+	h.newPeers(seed)
+	return h
+}
+
+// newPeers builds the peers of a run of the given seed.
+func (h *harness) newPeers(seed int64) {
+	h.peers, h.streams = h.peers[:0], h.streams[:0]
+	for i := 0; i < h.cfg.N; i++ {
 		id := engine.PeerID(i)
-		if pl != nil {
-			h.peers = append(h.peers, pl.NewPeer(cfg, id, engine.PeerSeed(seed, id)))
-		} else {
-			src := des.NewSource(engine.PeerSeed(seed, id))
-			h.sources = append(h.sources, src)
-			h.peers = append(h.peers, engine.NewPeer(cfg, id, rand.New(src)))
+		pl := h.pl
+		if pl == nil {
+			pl = new(engine.Pool)
 		}
+		h.peers = append(h.peers, pl.NewPeer(h.cfg, id, engine.PeerSeed(seed, id)))
 		h.streams = append(h.streams, engine.Stream{})
 	}
-	return h
 }
 
 // reset rewinds the harness — peers, clocks, queues — to a fresh run
 // of the given seed while keeping every capacity (the benchmark hot
-// loop reruns rounds through one harness). Only a harness of peers
-// with pools of their own resets: it reseeds the sources they draw from.
+// loop reruns rounds through one harness), as the simulator rewinds a
+// run: the pool is Reset and the peers are built from it again. Only a
+// harness of one pool resets.
 func (h *harness) reset(seed int64) {
 	h.now = 0
 	h.queue = h.queue[:0]
 	h.qHead = 0
 	h.timers = h.timers[:0]
 	clear(h.crashed)
-	for i, p := range h.peers {
-		p.Reset()
-		h.sources[i].Seed(engine.PeerSeed(seed, engine.PeerID(i)))
-		h.streams[i] = engine.Stream{}
-	}
+	h.pl.Reset()
+	h.newPeers(seed)
 }
 
 func (h *harness) snap(id engine.PeerID) engine.Snapshot {
@@ -703,7 +705,7 @@ func TestMergeThenSelectAtSummedRate(t *testing.T) {
 		if err := c.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		p := engine.NewPeer(c, 0, rand.New(des.NewSource(engine.PeerSeed(1, 0))))
+		p := new(engine.Pool).NewPeer(c, 0, engine.PeerSeed(1, 0))
 		p.Handle(&engine.Request{Assigned: assigned, Rate: rate, Selected: []engine.PeerID{0, 1, 2}, Round: 1}, engine.Snapshot{})
 		// Peer 1, also leaf-selected, hands this one a share: a merge, then
 		// a selection with the two children left of the §3.3 budget.

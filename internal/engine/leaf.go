@@ -85,7 +85,8 @@ const requestRetryWaves, repairGiveUp = 5, 40
 
 // NewLeaf returns a leaf drawing selection and repair targets from rng
 // and assembling into asm, its stall checks starting at now. Without asm
-// (a simulation that tracks no delivery) it neither repairs nor re-sends.
+// (a simulation with no packet plane, where nothing arrives) it neither
+// repairs nor re-sends.
 func NewLeaf(cfg LeafConfig, rng *rand.Rand, asm *content.Assembler, now float64) *Leaf {
 	l := &Leaf{cfg: cfg, rng: rng, asm: asm}
 	if asm != nil {
@@ -135,17 +136,14 @@ func (l *Leaf) Started(d *Dispatch, now float64) {
 }
 
 // Arrive records that peer from delivered p at now and reports whether
-// it is p's first receipt (always, without an Assembler: telling
-// duplicates apart is then the driver's). The Dispatch, nil unless the
-// arrival proved a gap, asks for what parity can no longer recover.
+// it is p's first receipt. The Dispatch, nil unless the arrival proved a
+// gap, asks for what parity can no longer recover. It needs the
+// Assembler NewLeaf was given.
 func (l *Leaf) Arrive(now float64, from PeerID, p *seq.Packet) (fresh bool, d *Dispatch) {
 	if !l.heard {
 		l.heard = true
 		l.cfg.Metrics.TimeToFirstPacket.Observe(now - l.start)
 		l.span("first_packet", now, now, "")
-	}
-	if l.asm == nil {
-		return true, nil
 	}
 	fresh = l.asm.Add(*p)
 	if lost := l.loss.Arrive(int(from), p, now, nil); lost != nil {

@@ -88,12 +88,14 @@ type runBlocks struct {
 	ids    des.Slab[PeerID]
 	shares des.Slab[pendShare]
 	keys   des.Slab[assignKey]
+	seqs   des.Slab[seq.Sequence]
 }
 
 // The slabs room carves each kind of list from.
-func idSlab(r *runBlocks) *des.Slab[PeerID]       { return &r.ids }
-func shareSlab(r *runBlocks) *des.Slab[pendShare] { return &r.shares }
-func keySlab(r *runBlocks) *des.Slab[assignKey]   { return &r.keys }
+func idSlab(r *runBlocks) *des.Slab[PeerID]        { return &r.ids }
+func shareSlab(r *runBlocks) *des.Slab[pendShare]  { return &r.shares }
+func keySlab(r *runBlocks) *des.Slab[assignKey]    { return &r.keys }
+func seqSlab(r *runBlocks) *des.Slab[seq.Sequence] { return &r.seqs }
 
 // sharedView is the view of one selection, which its controls point at;
 // a control reaches its pool through it.
@@ -240,6 +242,7 @@ func (pl *Pool) Reset() {
 	r.ids.Reset()
 	r.shares.Reset()
 	r.keys.Reset()
+	r.seqs.Reset()
 }
 
 // Release returns a Handle batch — the nodes and the slice — to the

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -134,6 +133,35 @@ func TestSharedPoolMatchesOwnPools(t *testing.T) {
 	}
 }
 
+// TestNewPeerSeedsItsStream: engine.NewPeer, the constructor the
+// benchmark's probes call, seeds the peer's own stream with one draw
+// from the caller's rng, and the peer draws from nothing else: its
+// DCoP selection is that of a peer seeded with the draw.
+func TestNewPeerSeedsItsStream(t *testing.T) {
+	cfg := baseConfig(30, 3, true)
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	selection := func(p *engine.Peer) string {
+		var b strings.Builder
+		for _, e := range p.Handle(&engine.Request{Rate: 10, Selected: []engine.PeerID{0}, Round: 1}, engine.Snapshot{}) {
+			describeEffect(&b, e)
+		}
+		return b.String()
+	}
+	rng := des.NewRand(7)
+	got := selection(engine.NewPeer(cfg, 0, rng))
+	want := selection(new(engine.Pool).NewPeer(cfg, 0, des.NewRand(7).Int63()))
+	if got != want {
+		t.Fatalf("a peer of NewPeer selected\n%s\n--a peer seeded with the rng's first draw--\n%s", got, want)
+	}
+	after := des.NewRand(7)
+	after.Int63()
+	if rng.Int63() != after.Int63() {
+		t.Error("the peer drew from the caller's rng after NewPeer's one draw")
+	}
+}
+
 // TestTCoPSparesSurviveOtherSelections: a TCoP peer keeps the spare
 // tail of its selection as the candidates it retries when a child
 // declines. Other peers of its pool select in between; the candidate
@@ -144,15 +172,13 @@ func TestTCoPSparesSurviveOtherSelections(t *testing.T) {
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	rng := func(seed int64, id engine.PeerID) *rand.Rand { return des.NewRand(engine.PeerSeed(seed, id)) }
 	retried := func(seed int64, pl *engine.Pool) engine.PeerID {
 		t.Helper()
-		var p *engine.Peer
-		if pl != nil {
-			p = pl.NewPeer(cfg, 0, engine.PeerSeed(seed, 0))
-		} else {
-			p = engine.NewPeer(cfg, 0, rng(seed, 0))
+		own := pl
+		if own == nil {
+			own = new(engine.Pool)
 		}
+		p := own.NewPeer(cfg, 0, engine.PeerSeed(seed, 0))
 		effs := p.Handle(&engine.Request{Rate: 10, Selected: []engine.PeerID{0}, Round: 1}, engine.Snapshot{})
 		var declined engine.PeerID = -1
 		for _, e := range effs {

@@ -40,14 +40,6 @@ func NewViewOn(n int, words []uint64) View {
 // Size returns n, the total number of contents peers.
 func (v View) Size() int { return v.n }
 
-// Clear resets every bit, so a long-lived view can be reused across
-// coordination rounds without reallocating its word array.
-func (v *View) Clear() {
-	for i := range v.bits {
-		v.bits[i] = 0
-	}
-}
-
 // Clone returns an independent copy of the view.
 func (v View) Clone() View {
 	c := View{n: v.n, bits: make([]uint64, len(v.bits))}

@@ -118,12 +118,24 @@ var never = Sender{LastHeard: math.Inf(-1), MaxPos: math.Inf(-1)}
 // NewLossDetector returns the missing set of a content of l data
 // packets, every index missing and the loss rule unarmed.
 func NewLossDetector(l int) *LossDetector {
-	l = max(l, 0)
-	d := &LossDetector{l: int64(l), next: make([]int32, l+2), cursor: 1}
-	for k := range d.next {
-		d.next[k] = int32(k)
-	}
+	d := new(LossDetector)
+	d.Reset(l)
 	return d
+}
+
+// Reset empties d for a content of l data packets, as NewLossDetector
+// makes one, in the storage d has.
+func (d *LossDetector) Reset(l int) {
+	l = max(l, 0)
+	next := d.next
+	if cap(next) < l+2 {
+		next = make([]int32, l+2)
+	}
+	next = next[:l+2]
+	for k := range next {
+		next[k] = int32(k)
+	}
+	*d = LossDetector{l: int64(l), next: next, cursor: 1, senders: d.senders[:0]}
 }
 
 // Arm enables the loss rule for a content enhanced with parity interval

@@ -90,13 +90,18 @@ func NewRecoverer() *Recoverer { return NewSizedRecoverer(0) }
 // bytes in packets of packetSize: sized as NewSizedRecoverer, and with
 // data payloads copied into their slots of one content buffer (Content).
 func NewContentRecoverer(size, packetSize int) *Recoverer {
-	n := 0
-	if size > 0 && packetSize > 0 {
-		n = (size + packetSize - 1) / packetSize
-	}
-	r := NewSizedRecoverer(n)
+	r := NewSizedRecoverer(Packets(size, packetSize))
 	r.size, r.slot = max(size, 0), max(packetSize, 0)
 	return r
+}
+
+// Packets is how many packets of packetSize bytes a content of size
+// bytes takes: 0 when either is not positive.
+func Packets(size, packetSize int) int {
+	if size <= 0 || packetSize <= 0 {
+		return 0
+	}
+	return (size + packetSize - 1) / packetSize
 }
 
 // NewSizedRecoverer returns an empty Recoverer with storage sized for a
@@ -118,12 +123,13 @@ func NewSizedRecoverer(dataPackets int) *Recoverer {
 	return r
 }
 
-// Reset empties r for a content of the given number of data packets, as
-// NewSizedRecoverer makes one, in the storage r has: the simulator keeps
-// its leaf's recoverer from run to run. Reset(0) leaves r holding no
+// Reset empties r for a content of size bytes in packets of packetSize,
+// as NewContentRecoverer makes one, in the storage r has; the OnData hook
+// stays. The simulator keeps its leaf's assembler, and so this
+// recoverer, from run to run. A Reset to size 0 leaves r holding no
 // packet of what it held before.
-func (r *Recoverer) Reset(dataPackets int) {
-	n := max(dataPackets, 0)
+func (r *Recoverer) Reset(size, packetSize int) {
+	n := Packets(size, packetSize)
 	clear(r.nodes)
 	clear(r.links)
 	r.nodes, r.links = r.nodes[:1], r.links[:1]
@@ -134,7 +140,10 @@ func (r *Recoverer) Reset(dataPackets int) {
 	if n > 0 {
 		r.dense = slices.Grow(r.dense, n+1)[:n+1]
 	}
-	*r = Recoverer{nodes: r.nodes, links: r.links, dense: r.dense, sparse: r.sparse, ids: r.ids, work: r.work[:0]}
+	*r = Recoverer{
+		nodes: r.nodes, links: r.links, dense: r.dense, sparse: r.sparse, ids: r.ids, work: r.work[:0],
+		size: max(size, 0), slot: max(packetSize, 0), onData: r.onData,
+	}
 }
 
 // Add records a received packet and performs any recovery it enables. It

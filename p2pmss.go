@@ -92,6 +92,13 @@ type SimResult = coord.Result
 // PeerID identifies a contents peer in a simulation (0..N-1).
 type PeerID = overlay.PeerID
 
+// ChurnSchedule is a simulated run's crash and rejoin schedule
+// (SimConfig.Churn), its events run in order.
+type ChurnSchedule = coord.ChurnSchedule
+
+// ChurnEvent is one crash or rejoin of a ChurnSchedule.
+type ChurnEvent = coord.ChurnEvent
+
 // BurstParams parameterizes the Gilbert–Elliott bursty loss model (§3.2's
 // bursty loss), the one burst model of the simulator's links
 // (SimConfig.Burst) and the live transports' impairment.
