@@ -4,7 +4,8 @@
 # fig_scale_fluid.txt) and the SHA-256 digests of outputs too large or too
 # many to keep (SHA256SUMS: `-fig all -csv`; a lossy, bursty `-fig 12
 # -json` that also carries NetStats and the metrics snapshot; `-fig all
-# -trace-out F`, its stdout and its span file; `-fig baselines`; `-fig
+# -trace-out F`, its stdout and its span file; `-fig baselines`, as a
+# table and as JSON Lines with every run's Outcomes and metrics; `-fig
 # gossip`; and the msstrace flight timelines of a DCoP and a TCoP run as
 # JSON Lines). The span file and the timelines pin the observers' enabled
 # path: every span and flight record the engine's Observer derives. Any
@@ -44,6 +45,7 @@ msstrace=$tmp/msstrace
 	"$mssim" -fig all -trace-out "$tmp/spans.jsonl" | sha256sum | sed 's/-$/fig_all_traced.txt/'
 	sha256sum <"$tmp/spans.jsonl" | sed 's/-$/fig_all_spans.jsonl/'
 	"$mssim" -fig baselines | sha256sum | sed 's/-$/fig_baselines.txt/'
+	"$mssim" -fig baselines -json | sha256sum | sed 's/-$/fig_baselines.jsonl/'
 	"$mssim" -fig gossip | sha256sum | sed 's/-$/fig_gossip.txt/'
 	"$msstrace" -proto dcop -json 2>/dev/null | sha256sum | sed 's/-$/msstrace_dcop.jsonl/'
 	"$msstrace" -proto tcop -json 2>/dev/null | sha256sum | sed 's/-$/msstrace_tcop.jsonl/'
