@@ -18,7 +18,7 @@ var internalImports = map[string][]string{
 	"archtest":    nil, // test-only: these rules
 	"conformance": nil, // test-only: the sim/live conformance suite
 	"content":     {"parity", "seq"},
-	"coord":       {"content", "des", "engine", "flight", "fluid", "groupcomm", "metrics", "overlay", "parity", "schedule", "seq", "span", "transport"},
+	"coord":       {"content", "des", "engine", "flight", "fluid", "metrics", "overlay", "parity", "schedule", "seq", "span", "transport"},
 	"des":         nil,
 	"disco":       {"gossip", "metrics"},
 	"engine":      {"content", "des", "flight", "metrics", "overlay", "parity", "seq", "span"},
@@ -26,7 +26,6 @@ var internalImports = map[string][]string{
 	"flight":      nil,
 	"fluid":       {"des"},
 	"gossip":      {"des"},
-	"groupcomm":   nil,
 	"live":        {"content", "des", "disco", "engine", "flight", "metrics", "overlay", "parity", "seq", "span", "transport", "wire"},
 	"metrics":     nil,
 	"overlay":     nil,
@@ -41,7 +40,7 @@ var internalImports = map[string][]string{
 
 // clockFree are the packages that read no clock: the sequence algebra,
 // the engine and the simulator run on the time they are handed.
-var clockFree = []string{"content", "coord", "des", "engine", "fluid", "groupcomm", "overlay", "parity", "schedule", "seq", "wire"}
+var clockFree = []string{"content", "coord", "des", "engine", "fluid", "overlay", "parity", "schedule", "seq", "wire"}
 
 func TestInternalPackages(t *testing.T) {
 	tr := repo(t)

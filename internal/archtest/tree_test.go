@@ -2,8 +2,9 @@
 // internal packages exist and what each may import, which calls and
 // declarations stay out of which files, the facade's exported surface,
 // that every exported function has a caller, and that the docs name only
-// code that exists. It parses the source with go/parser and runs nothing
-// else, so it is part of every `go test ./...`.
+// code that exists. It parses the source with go/parser, type-checks it
+// with go/types where a rule resolves names, and runs none of it, so it
+// is part of every `go test ./...`.
 //
 // A rule that fails names the file and line. When the change is intended
 // (a new package, a new facade export, a new import edge), the fix is an

@@ -119,9 +119,6 @@ type Config struct {
 	// on every retry wave. Zero means 2(δ+jitter)+ε, just past the
 	// worst-case control+confirm round trip.
 	HandshakeTimeout float64
-	// CommitRelease is how long an adopted child waits for the commit
-	// before releasing the adoption. Zero means 4(δ+jitter)+ε.
-	CommitRelease float64
 	// Seed seeds all randomness of the run.
 	Seed int64
 	// CrashPeers crash-stops the listed peers before the run starts.
@@ -140,10 +137,6 @@ type Config struct {
 	// are proportional (the heterogeneous-environment extension).
 	// Requires LeafShares so the selected peers know each other.
 	Bandwidths []float64
-	// StatePeriod and StatePeriods drive the AMS baseline's periodic
-	// state exchange (defaults: 2δ, 3 periods).
-	StatePeriod  float64
-	StatePeriods int
 	// Playback simulates continuous playout at the leaf: consumption of
 	// data packets in order at rate Rate, starting PlaybackDelay after
 	// the first arrival. Underruns are counted in the Result. Use with
@@ -225,9 +218,6 @@ func (c *Config) normalize() error {
 	if c.Interval == 0 { // H == 1
 		c.Interval = 1
 	}
-	if c.FirstFanout == 0 {
-		c.FirstFanout = c.H
-	}
 	if c.DataPlane {
 		if c.ContentLen <= 0 {
 			return fmt.Errorf("coord: ContentLen %d must be positive with DataPlane", c.ContentLen)
@@ -271,9 +261,6 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("coord: heterogeneous bandwidths require LeafShares")
 		}
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
 	if c.Obs.Spans != nil && c.Obs.SpanTrace == 0 {
 		c.Obs.SpanTrace = span.DeriveTrace(fmt.Sprintf("coord/seed=%d", c.Seed))
 	}
@@ -282,24 +269,6 @@ func (c *Config) normalize() error {
 	}
 	if c.HandshakeTimeout < 0 {
 		return fmt.Errorf("coord: HandshakeTimeout %v must be positive", c.HandshakeTimeout)
-	}
-	if c.CommitRelease == 0 {
-		c.CommitRelease = 4*(c.Delta+c.Jitter) + 0.001
-	}
-	if c.CommitRelease < 0 {
-		return fmt.Errorf("coord: CommitRelease %v must be positive", c.CommitRelease)
-	}
-	if c.StatePeriod == 0 {
-		c.StatePeriod = 2 * c.Delta
-		if c.StatePeriod <= 0 {
-			c.StatePeriod = 1 // δ = 0 (instantaneous links): any period works
-		}
-	}
-	if c.StatePeriod < 0 {
-		return fmt.Errorf("coord: StatePeriod %v must be positive", c.StatePeriod)
-	}
-	if c.StatePeriods == 0 {
-		c.StatePeriods = 3
 	}
 	if c.Playback && !c.DataPlane {
 		return fmt.Errorf("coord: Playback requires DataPlane")
@@ -505,7 +474,6 @@ type peerNode struct {
 	r      *runner
 	id     overlay.PeerID
 	active bool
-	depth  int // activation round
 	tx     *transmitter
 
 	// core is the peer's coordination state machine (DCoP/TCoP runs).
@@ -624,12 +592,9 @@ func (r *runner) flightPeer(id int) int {
 }
 
 // activate marks peer p active at the given round and installs its
-// first stream. Every protocol activates a peer once; a repeat only
-// deepens the recorded round.
+// first stream. Every protocol activates a peer once; a repeat does
+// nothing.
 func (p *peerNode) activate(round int, s seq.Sequence, rate float64) {
-	if round > p.depth {
-		p.depth = round
-	}
 	if p.active {
 		return
 	}

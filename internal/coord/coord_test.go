@@ -70,9 +70,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Interval != 3 {
 		t.Errorf("Interval default = %d, want H-1 = 3", cfg.Interval)
 	}
-	if cfg.FirstFanout != 4 {
-		t.Errorf("FirstFanout default = %d, want H", cfg.FirstFanout)
-	}
 	cfg = Config{N: 10, H: 1, Rate: 1}
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
@@ -135,7 +132,7 @@ func TestTCoPSingleParentInvariant(t *testing.T) {
 		r.impl = &coordinated{r: r}
 		r.run()
 		for _, p := range r.peers {
-			if !p.active && p.core.Committed() {
+			if !p.active && p.core.Outcome().Committed {
 				t.Errorf("seed %d: peer %d committed but inactive", seed, p.id)
 			}
 		}

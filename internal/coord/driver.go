@@ -66,9 +66,11 @@ func (r *runner) initEngine(dcopMode bool) {
 		FirstFanout:      r.cfg.FirstFanout,
 		MarkDelta:        r.cfg.Delta,
 		HandshakeTimeout: r.cfg.HandshakeTimeout,
-		CommitRelease:    r.cfg.CommitRelease,
-		Retries:          r.cfg.Retries,
-		DCoP:             dcopMode,
+		// An adopted child waits for the commit past two worst-case
+		// control+confirm round trips before it releases the adoption.
+		CommitRelease: 4*(r.cfg.Delta+r.cfg.Jitter) + 0.001,
+		Retries:       r.cfg.Retries,
+		DCoP:          dcopMode,
 	}
 	if err := ecfg.Normalize(); err != nil {
 		panic(err) // unreachable: Config.normalize validated the same fields
@@ -194,9 +196,6 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 			case *engine.Merge:
 				// A union the engine built is against the snapshot stamped on
 				// this very Handle call, which is still the transmitter's state.
-				if e.Round > p.depth {
-					p.depth = e.Round
-				}
 				if p.tx.st.Apply(e) {
 					p.tx.restart()
 				}

@@ -17,7 +17,6 @@ import (
 
 func TestAMSBaseline(t *testing.T) {
 	cfg := baseCfg()
-	cfg.StatePeriods = 3
 	res, err := Run(AMS, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -31,12 +30,53 @@ func TestAMSBaseline(t *testing.T) {
 	}
 	// State exchange: n(n-1) control packets per period.
 	n := int64(cfg.N)
-	wantStates := n * (n - 1) * int64(cfg.StatePeriods)
+	wantStates := n * (n - 1) * stateRounds
 	if res.StateMessages != wantStates {
 		t.Errorf("state messages = %d, want %d", res.StateMessages, wantStates)
 	}
 	if res.ControlPackets != n+wantStates {
 		t.Errorf("control packets = %d, want %d", res.ControlPackets, n+wantStates)
+	}
+}
+
+// Every peer sends its state rounds 2δ apart, three of them, the first
+// on the leaf's request (δ after the start); a peer that crashes between
+// two rounds sends no further one.
+func TestAMSStatePeriods(t *testing.T) {
+	cfg := baseCfg()
+	cfg.N = 10
+	cfg.Delta, cfg.Jitter = 1, 0
+	cfg.Churn = crashesAt(2, 3)
+	cfg.Obs.Flight = flight.NewSet(0)
+	res, err := Run(AMS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make([][]float64, cfg.N) // per peer, the time of every state message
+	for _, e := range cfg.Obs.Flight.Events() {
+		if e.Type == "send_ams" {
+			sent[e.Peer] = append(sent[e.Peer], e.T)
+		}
+	}
+	var total int64
+	for p, got := range sent {
+		rounds := []float64{1, 3, 5}
+		if p == 3 {
+			rounds = rounds[:1]
+		}
+		var want []float64
+		for _, at := range rounds {
+			for range cfg.N - 1 {
+				want = append(want, at)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("peer %d sent state at %v, want N-1 messages at each of %v", p, got, rounds)
+		}
+		total += int64(len(got))
+	}
+	if res.StateMessages != total {
+		t.Errorf("state messages = %d, flight log shows %d", res.StateMessages, total)
 	}
 }
 

@@ -160,10 +160,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Pending returns the number of scheduled events; cancelled ones have
-// already left the queue.
-func (e *Engine) Pending() int { return len(e.q) }
-
 // Schedule queues ev to fire at virtual time t. A time before the
 // current one, or NaN, panics, and so does a *Timer: a timer is armed
 // by its At or After, which keep track of its place in the queue.

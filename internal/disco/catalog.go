@@ -139,14 +139,13 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 	// self-aware (Lookup finds our own contents) before the first round.
 	c.payload(false)
 	loop, err := gossip.StartLive(gossip.LiveConfig{
-		Self:        cfg.Self,
-		Peers:       c.candidates,
-		Payload:     func() []byte { return c.payload(true) },
-		Send:        c.send,
-		Fanout:      cfg.Fanout,
-		Interval:    cfg.Interval,
-		Directional: true,
-		Seed:        gossipSeed(cfg.Seed, cfg.Self),
+		Self:     cfg.Self,
+		Peers:    c.candidates,
+		Payload:  func() []byte { return c.payload(true) },
+		Send:     c.send,
+		Fanout:   cfg.Fanout,
+		Interval: cfg.Interval,
+		Seed:     gossipSeed(cfg.Seed, cfg.Self),
 	})
 	if err != nil {
 		return nil, err

@@ -841,9 +841,6 @@ func unionAll(shares []seq.Sequence) seq.Sequence {
 // Active reports whether the peer has activated.
 func (p *Peer) Active() bool { return p.active }
 
-// Committed reports whether the peer received its TCoP commit.
-func (p *Peer) Committed() bool { return p.committed }
-
 // ---- shared math --------------------------------------------------------
 
 // MarkOffset computes the §3.3 marked packet: the parent reported

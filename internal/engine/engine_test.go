@@ -515,8 +515,8 @@ func TestEngineTCoPCommitLostReleasesAdoption(t *testing.T) {
 		t.Fatal("no commit was ever sent")
 	}
 	p := h.peers[victim]
-	if p.Active() || p.Committed() {
-		t.Fatalf("victim %d active=%v committed=%v after losing its commit", victim, p.Active(), p.Committed())
+	if p.Active() || p.Outcome().Committed {
+		t.Fatalf("victim %d active=%v committed=%v after losing its commit", victim, p.Active(), p.Outcome().Committed)
 	}
 	if engine.Parent(p) != -1 {
 		t.Fatalf("victim %d still adopted by %d after CommitRelease", victim, engine.Parent(p))

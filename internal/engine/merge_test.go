@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"unsafe"
 
@@ -174,7 +175,7 @@ func (m *mergeScript) share(kind int) seq.Sequence {
 			}
 		}
 		s = append(s, part...)
-		s.Sort()
+		sort.Slice(s, func(i, j int) bool { return seq.Less(&s[i], &s[j]) })
 		return tag(s)
 	case 4: // adjacent duplicates
 		if len(part) == 0 {

@@ -119,14 +119,6 @@ func NewRecorder(session string, peer, capacity int) *Recorder {
 // 100-peer cluster's footprint.
 const DefaultCapacity = 512
 
-// Peer returns the recorder's peer id.
-func (r *Recorder) Peer() int {
-	if r == nil {
-		return 0
-	}
-	return r.peer
-}
-
 // Record appends one event, stamping its Seq, Session and Peer. The
 // caller fills T, Dir, Type, Other, Round and N.
 func (r *Recorder) Record(e Event) {

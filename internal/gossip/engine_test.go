@@ -153,13 +153,12 @@ func TestLiveDirectionalSweep(t *testing.T) {
 	newLoop := func(record func(to string)) *Live {
 		return &Live{
 			cfg: LiveConfig{
-				Self:        "a",
-				Peers:       func() []string { return peers },
-				Payload:     func() []byte { return []byte("x") },
-				Send:        func(to string, _ []byte) { record(to) },
-				Fanout:      2,
-				Directional: true,
-				Seed:        42,
+				Self:    "a",
+				Peers:   func() []string { return peers },
+				Payload: func() []byte { return []byte("x") },
+				Send:    func(to string, _ []byte) { record(to) },
+				Fanout:  2,
+				Seed:    42,
 			},
 			rng:    rand.New(rand.NewSource(42)),
 			pushed: make(map[string]bool),

@@ -117,9 +117,6 @@ func (e *Engine) Deliver(to int, p Push) {
 // Result reports the dissemination outcome so far.
 func (e *Engine) Result() Result { return e.res }
 
-// Infected reports whether a node has received the rumor.
-func (e *Engine) Infected(id int) bool { return e.nodes[id].infected }
-
 func (e *Engine) forward(n *node) {
 	targets := selectTargets(e.rng, e.cfg, n)
 	if len(targets) == 0 {

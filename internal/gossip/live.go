@@ -14,7 +14,9 @@ import (
 // driver's fixed 0..N-1 population. It carries
 // state dissemination for long-lived swarms — each round the node
 // pushes its current payload to Fanout targets — rather than the DES
-// driver's one-shot rumor.
+// driver's one-shot rumor. Its target choice is the [7]-style
+// directional sweep: a target already pushed to is left out until the
+// candidate view is exhausted, then the sweep starts over.
 
 // LiveConfig parameterizes a wall-clock gossip loop.
 type LiveConfig struct {
@@ -33,11 +35,6 @@ type LiveConfig struct {
 	Fanout int
 	// Interval is the round period (default 500 ms).
 	Interval time.Duration
-	// Directional applies the [7]-style preference to the live loop:
-	// targets already pushed to are excluded until the candidate view is
-	// exhausted, then the exclusion set resets — a stateful sweep instead
-	// of independent random rounds.
-	Directional bool
 	// Seed makes target selection deterministic; 0 uses the clock.
 	// Populations derive per-node seeds (e.g. by hashing Self into a
 	// shared base seed) so every node walks its own reproducible stream.
@@ -49,7 +46,7 @@ type Live struct {
 	cfg LiveConfig
 	rng *rand.Rand
 
-	pushed map[string]bool // targets already pushed to (directional)
+	pushed map[string]bool // targets already pushed to in this sweep
 
 	poke    chan struct{}
 	stopCh  chan struct{}
@@ -115,20 +112,17 @@ func (l *Live) loop() {
 	}
 }
 
-// round pushes the current payload to Fanout selected targets.
+// round pushes the current payload to Fanout targets the sweep has not
+// reached yet.
 func (l *Live) round() {
 	all := l.cfg.Peers()
 	cands := make([]string, 0, len(all))
 	for _, a := range all {
-		if a == l.cfg.Self {
-			continue
+		if a != l.cfg.Self && !l.pushed[a] {
+			cands = append(cands, a)
 		}
-		if l.cfg.Directional && l.pushed[a] {
-			continue
-		}
-		cands = append(cands, a)
 	}
-	if l.cfg.Directional && len(cands) == 0 {
+	if len(cands) == 0 {
 		// The sweep exhausted the view: reset and start a new pass.
 		clear(l.pushed)
 		for _, a := range all {

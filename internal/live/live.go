@@ -244,16 +244,6 @@ func newPeer(n *Node, ep transport.Endpoint, sid SessionID, roster []string) *Pe
 // Addr returns the peer's transport address.
 func (p *Peer) Addr() string { return p.ep.Name() }
 
-// Session returns the session this peer serves.
-func (p *Peer) Session() SessionID { return p.sid }
-
-// Sent returns the number of data packets transmitted so far.
-func (p *Peer) Sent() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sent
-}
-
 // Active reports whether the peer is transmitting.
 func (p *Peer) Active() bool {
 	p.mu.Lock()

@@ -540,15 +540,6 @@ func (n *Node) Serving() map[SessionID]*Peer {
 	return out
 }
 
-// Leaf returns the leaf for a session this node hosts, if any.
-func (n *Node) Leaf(sid SessionID) (*Leaf, bool) {
-	sh := &n.shards[shardIndex(sid)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	l, ok := sh.leaves[sid]
-	return l, ok
-}
-
 // LeafCount returns how many leaf sessions the node hosts.
 func (n *Node) LeafCount() int {
 	count := 0

@@ -37,16 +37,6 @@ func NewViewOn(n int, words []uint64) View {
 	return View{n: n, bits: words[:(n+63)/64]}
 }
 
-// Size returns n, the total number of contents peers.
-func (v View) Size() int { return v.n }
-
-// Clone returns an independent copy of the view.
-func (v View) Clone() View {
-	c := View{n: v.n, bits: make([]uint64, len(v.bits))}
-	copy(c.bits, v.bits)
-	return c
-}
-
 // Add sets bit p. It panics if p is out of range.
 func (v *View) Add(p PeerID) {
 	v.check(p)
@@ -85,24 +75,6 @@ func (v View) Count() int {
 // condition).
 func (v View) Full() bool { return v.Count() == v.n }
 
-// UnionIn merges o into v (VW_i := VW_i ∪ c.VW). Both views must have the
-// same size.
-func (v *View) UnionIn(o View) {
-	if v.n != o.n {
-		panic(fmt.Sprintf("overlay: union of views with sizes %d and %d", v.n, o.n))
-	}
-	for i := range v.bits {
-		v.bits[i] |= o.bits[i]
-	}
-}
-
-// Union returns VW_i ∪ VW_j as a new view.
-func (v View) Union(o View) View {
-	c := v.Clone()
-	c.UnionIn(o)
-	return c
-}
-
 // Members returns the set peers in ascending order.
 func (v View) Members() []PeerID {
 	return v.MembersInto(make([]PeerID, 0, v.Count()))
@@ -120,11 +92,6 @@ func (v View) MembersInto(buf []PeerID) []PeerID {
 		}
 	}
 	return buf
-}
-
-// Missing returns the unset peers in ascending order.
-func (v View) Missing() []PeerID {
-	return v.MissingInto(make([]PeerID, 0, v.n-v.Count()))
 }
 
 // MissingInto appends the unset peers to buf in ascending order and

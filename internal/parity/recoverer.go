@@ -170,10 +170,6 @@ func (r *Recoverer) Add(p seq.Packet) bool {
 // per index. Pass nil to clear. fn must not call back into the Recoverer.
 func (r *Recoverer) OnData(fn func(k int64)) { r.onData = fn }
 
-// Has reports whether a packet with p's identity is present (received
-// or recovered).
-func (r *Recoverer) Has(p seq.Packet) bool { return r.nodes[r.lookup(&p)].present }
-
 // HasData reports whether content data packet t_k is present.
 func (r *Recoverer) HasData(k int64) bool {
 	return r.nodes[r.lookupData(k)].present
@@ -182,9 +178,6 @@ func (r *Recoverer) HasData(k int64) bool {
 // Recovered returns how many packets have been derived (not directly
 // received) so far.
 func (r *Recoverer) Recovered() int { return r.recovered }
-
-// Present returns the number of present packets (received + recovered).
-func (r *Recoverer) Present() int { return r.present }
 
 // lookupData returns the node of data packet t_k, or 0.
 func (r *Recoverer) lookupData(k int64) int32 {

@@ -43,7 +43,6 @@ package seq
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -200,11 +199,6 @@ func keyLess(a, b *Packet) bool {
 	}
 	var ka, kb [64]byte
 	return string(appendKey(ka[:0], a.ref())) < string(appendKey(kb[:0], b.ref()))
-}
-
-// Sort sorts the sequence in place into canonical order.
-func (s Sequence) Sort() {
-	sort.Slice(s, func(i, j int) bool { return Less(&s[i], &s[j]) })
 }
 
 // Clone returns a copy of the sequence sharing packet payloads.
