@@ -96,8 +96,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if *useUDP && *useMem {
+	network := live.TCP
+	switch {
+	case *useUDP && *useMem:
 		fatal(fmt.Errorf("-udp and -mem are mutually exclusive"))
+	case *useUDP:
+		network = live.UDP
+	case *useMem:
+		network = live.Fabric
 	}
 	impair := transport.Impairment{Seed: *seed, Loss: *loss, Duplicate: *dup, Reorder: *reorder}
 	if *burst != "" {
@@ -107,7 +113,7 @@ func main() {
 		}
 		impair.Burst = bp
 	}
-	if impair.Enabled() && !*useUDP && !*useMem {
+	if impair.Enabled() && network == live.TCP {
 		fatal(fmt.Errorf("impairment flags need -udp or -mem (a TCP stream cannot lose frames)"))
 	}
 	var policy transport.QueuePolicy
@@ -148,7 +154,7 @@ func main() {
 		go srv.Serve(ln) //nolint:errcheck // shut down with the process
 	}
 
-	wire := wiring{useUDP: *useUDP, useMem: *useMem, impair: impair, queueCap: *queueCap, policy: policy}
+	wire := wiring{network: network, impair: impair, queueCap: *queueCap, policy: policy}
 
 	runSessions(*nPeers, *sessions, *fanout, *interval, *size, *pktSize, *rate,
 		*kill, *proto, *timeout, *seed, *retries, *hsTime, wire, *discover, *announceEvery,
@@ -157,10 +163,10 @@ func main() {
 
 // wiring bundles the transport selection.
 type wiring struct {
-	useUDP, useMem bool
-	impair         transport.Impairment
-	queueCap       int
-	policy         transport.QueuePolicy
+	network  live.Network
+	impair   transport.Impairment
+	queueCap int
+	policy   transport.QueuePolicy
 }
 
 // runSessions streams `sessions` distinct contents concurrently over one
@@ -191,8 +197,7 @@ func runSessions(nodes, sessions, fanout, interval, size, pktSize int, rate floa
 		H:                fanout,
 		Interval:         interval,
 		Protocol:         proto,
-		UseTCP:           !wire.useUDP && !wire.useMem,
-		UseUDP:           wire.useUDP,
+		Network:          wire.network,
 		Impair:           wire.impair,
 		QueueCap:         wire.queueCap,
 		QueuePolicy:      wire.policy,

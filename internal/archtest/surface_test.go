@@ -17,8 +17,9 @@ var facade = []string{
 	"ChurnEvent", "ChurnSchedule", "Content", "ContentStore", "DCoP",
 	"DataPlaneMode", "DebugHandler", "DefaultExperimentOptions",
 	"DefaultSimConfig", "ExperimentOptions",
-	"Figure10", "Figure11", "Figure12", "FlightSet", "LiveLeafSession",
-	"LiveNodeCluster", "LiveNodesConfig", "LiveSessionConfig",
+	"Figure10", "Figure11", "Figure12", "FlightSet", "LiveFabric",
+	"LiveLeafSession", "LiveNodeCluster", "LiveNodesConfig",
+	"LiveSessionConfig", "LiveTCP", "LiveUDP",
 	"MetricsDebugMux", "MetricsRegistry", "NewAllocator", "NewAssembler",
 	"NewContent", "NewContentStore", "NewFlightSet", "NewMetricsRegistry",
 	"NewSpanCollector", "Observability", "PeerID", "PlaneFluid",

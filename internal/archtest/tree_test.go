@@ -1,8 +1,8 @@
 // Package archtest states the repository's architecture as tests: which
 // internal packages exist and what each may import, which calls and
 // declarations stay out of which files, the facade's exported surface,
-// that every exported function has a caller, and that the docs name only
-// code that exists. It parses the source with go/parser, type-checks it
+// that every exported function has a caller and every config field a
+// setter, and that the docs name only code that exists. It parses the source with go/parser, type-checks it
 // with go/types where a rule resolves names, and runs none of it, so it
 // is part of every `go test ./...`.
 //

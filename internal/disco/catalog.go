@@ -19,11 +19,10 @@ import (
 // newer versions replace older ones everywhere, so a node's latest
 // catalog wins and a crashed node's last record ages out by TTL.
 type Record struct {
-	Addr      string    `json:"addr"`
-	Contents  []string  `json:"contents,omitempty"`
-	Bandwidth int       `json:"bandwidth,omitempty"`
-	Version   uint64    `json:"version"`
-	Expires   time.Time `json:"expires"`
+	Addr     string    `json:"addr"`
+	Contents []string  `json:"contents,omitempty"`
+	Version  uint64    `json:"version"`
+	Expires  time.Time `json:"expires"`
 }
 
 // wireRecord is a record on the wire. TTLMs is the remaining lifetime at
@@ -34,12 +33,11 @@ type Record struct {
 // receiver caps it at its own configured TTL, so a forged TTL cannot
 // pin a record forever.
 type wireRecord struct {
-	Addr      string   `json:"addr"`
-	Contents  []string `json:"contents,omitempty"`
-	Bandwidth int      `json:"bandwidth,omitempty"`
-	Version   uint64   `json:"version"`
-	TTLMs     int64    `json:"ttl_ms"`
-	Sig       uint64   `json:"sig"`
+	Addr     string   `json:"addr"`
+	Contents []string `json:"contents,omitempty"`
+	Version  uint64   `json:"version"`
+	TTLMs    int64    `json:"ttl_ms"`
+	Sig      uint64   `json:"sig"`
 }
 
 // announceBody is the gossip payload: a full-state batch of every
@@ -56,9 +54,6 @@ type CatalogConfig struct {
 	// (or an empty return) announces nothing — the node still relays
 	// other nodes' records and can look contents up (a pure consumer).
 	Contents func() []string
-	// Bandwidth is announced alongside the catalog (advisory; selection
-	// hooks may rank by it).
-	Bandwidth int
 	// Bootstrap lists initial contact addresses; a new node pushes its
 	// first announcements there and is welcomed back with the full
 	// directory state.
@@ -67,8 +62,6 @@ type CatalogConfig struct {
 	// must not block indefinitely; delivery failures are acceptable —
 	// gossip's redundancy is the retry.
 	Send func(to string, payload []byte)
-	// Fanout is the per-round push width (default 3).
-	Fanout int
 	// Interval is the announcement round period (default 500 ms).
 	Interval time.Duration
 	// TTL is how long a record lives without a refresh from its owner
@@ -119,9 +112,6 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 	if cfg.Send == nil {
 		return nil, fmt.Errorf("disco: catalog needs a send function")
 	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 3
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
@@ -132,7 +122,7 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 		cfg:     cfg,
 		met:     newCatalogMetrics(cfg.Metrics, cfg.Self),
 		entries: make(map[string]*entry),
-		own:     Record{Addr: cfg.Self, Bandwidth: cfg.Bandwidth},
+		own:     Record{Addr: cfg.Self},
 		changed: make(chan struct{}),
 	}
 	// Sign the initial announcement synchronously so the directory is
@@ -143,7 +133,7 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 		Peers:    c.candidates,
 		Payload:  func() []byte { return c.payload(true) },
 		Send:     c.send,
-		Fanout:   cfg.Fanout,
+		Fanout:   3,
 		Interval: cfg.Interval,
 		Seed:     gossipSeed(cfg.Seed, cfg.Self),
 	})
@@ -169,7 +159,7 @@ func gossipSeed(seed int64, self string) int64 {
 // sign authenticates a record's owner-controlled fields under the
 // population's shared seed (FNV-1a; a stand-in for a real MAC with the
 // same wire shape).
-func sign(seed int64, addr string, contents []string, bandwidth int, version uint64) uint64 {
+func sign(seed int64, addr string, contents []string, version uint64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(seed))
@@ -180,8 +170,6 @@ func sign(seed int64, addr string, contents []string, bandwidth int, version uin
 		h.Write([]byte(cid))
 		h.Write([]byte{0})
 	}
-	binary.LittleEndian.PutUint64(b[:], uint64(bandwidth))
-	h.Write(b[:])
 	binary.LittleEndian.PutUint64(b[:], version)
 	h.Write(b[:])
 	return h.Sum64()
@@ -236,13 +224,13 @@ func (c *Catalog) payload(refresh bool) []byte {
 			}
 			c.own.Version++
 			c.own.Contents = contents
-			c.ownSig = sign(c.cfg.Seed, c.own.Addr, contents, c.own.Bandwidth, c.own.Version)
+			c.ownSig = sign(c.cfg.Seed, c.own.Addr, contents, c.own.Version)
 		}
 	}
 	body := announceBody{Records: make([]wireRecord, 0, len(c.entries)+1)}
 	if c.own.Version > 0 {
 		body.Records = append(body.Records, wireRecord{
-			Addr: c.own.Addr, Contents: c.own.Contents, Bandwidth: c.own.Bandwidth,
+			Addr: c.own.Addr, Contents: c.own.Contents,
 			Version: c.own.Version, TTLMs: c.cfg.TTL.Milliseconds(), Sig: c.ownSig,
 		})
 	}
@@ -252,7 +240,7 @@ func (c *Catalog) payload(refresh bool) []byte {
 			continue
 		}
 		body.Records = append(body.Records, wireRecord{
-			Addr: e.rec.Addr, Contents: e.rec.Contents, Bandwidth: e.rec.Bandwidth,
+			Addr: e.rec.Addr, Contents: e.rec.Contents,
 			Version: e.rec.Version, TTLMs: ttl, Sig: e.sig,
 		})
 	}
@@ -317,7 +305,7 @@ func (c *Catalog) Deliver(from string, payload []byte) {
 		if wr.Addr == c.cfg.Self || wr.TTLMs <= 0 {
 			continue
 		}
-		if sign(c.cfg.Seed, wr.Addr, wr.Contents, wr.Bandwidth, wr.Version) != wr.Sig {
+		if sign(c.cfg.Seed, wr.Addr, wr.Contents, wr.Version) != wr.Sig {
 			c.met.rejected.Inc()
 			continue
 		}
@@ -329,14 +317,12 @@ func (c *Catalog) Deliver(from string, payload []byte) {
 		switch {
 		case e == nil:
 			c.entries[wr.Addr] = &entry{rec: Record{
-				Addr: wr.Addr, Contents: wr.Contents, Bandwidth: wr.Bandwidth,
-				Version: wr.Version, Expires: expires,
+				Addr: wr.Addr, Contents: wr.Contents, Version: wr.Version, Expires: expires,
 			}, sig: wr.Sig}
 			changed = true
 		case wr.Version > e.rec.Version:
 			e.rec = Record{
-				Addr: wr.Addr, Contents: wr.Contents, Bandwidth: wr.Bandwidth,
-				Version: wr.Version, Expires: expires,
+				Addr: wr.Addr, Contents: wr.Contents, Version: wr.Version, Expires: expires,
 			}
 			e.sig = wr.Sig
 			changed = true

@@ -60,7 +60,6 @@ func startSwarm(t *testing.T, lb *loopback, n int, contents func(i int) []string
 			Contents:  func() []string { return cids },
 			Bootstrap: boot,
 			Send:      lb.send(addr),
-			Fanout:    3,
 			Interval:  interval,
 			TTL:       ttl,
 			Seed:      77,
@@ -204,7 +203,6 @@ func TestLateJoinerConverges(t *testing.T) {
 		Contents:  func() []string { return []string{"latecontent"} },
 		Bootstrap: []string{"cat03"},
 		Send:      lb.send("late"),
-		Fanout:    3,
 		Interval:  interval,
 		TTL:       time.Second,
 		Seed:      77,

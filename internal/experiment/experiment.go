@@ -37,13 +37,13 @@ type Options struct {
 	// (see coord.Config); zero keeps the coordination defaults.
 	Retries          int
 	HandshakeTimeout float64
-	// LossProb, Burst, and Churn impair every run of the sweep (see the
-	// same-named coord.Config fields). When any is set, the scenario is
-	// stamped into each RunRecord so a JSONL archive is self-describing
-	// — a record read months later says what loss/churn it ran under.
+	// LossProb and Burst impair every run of the sweep (see the
+	// same-named coord.Config fields). When either is set, the scenario
+	// is stamped into each RunRecord so a JSONL archive is
+	// self-describing — a record read months later says what loss it ran
+	// under.
 	LossProb float64
 	Burst    *transport.BurstParams
-	Churn    *coord.ChurnSchedule
 	// Parallel is the number of worker goroutines sweep points fan out
 	// over: 0 or 1 runs serially, a negative value selects
 	// runtime.NumCPU(). Every run is an isolated deterministic DES
@@ -141,7 +141,6 @@ func (o Options) pointConfig(H, seed int, dataPlane bool) coord.Config {
 	}
 	cfg.LossProb = o.LossProb
 	cfg.Burst = o.Burst
-	cfg.Churn = o.Churn
 	if dataPlane {
 		cfg.DataPlane = true
 		cfg.PlaneMode = o.PlaneMode
@@ -231,9 +230,9 @@ func SeriesFromRecords(protocol string, o Options, recs []RunRecord) Series {
 	return s
 }
 
-// figure runs one protocol's sweep and averages it.
-func figure(protocol string, o Options, dataPlane bool) (Series, error) {
-	recs, err := SweepRecords(o, dataPlane, protocol)
+// figure runs one protocol's control-plane sweep and averages it.
+func figure(protocol string, o Options) (Series, error) {
+	recs, err := SweepRecords(o, false, protocol)
 	if err != nil {
 		return Series{}, err
 	}
@@ -241,10 +240,10 @@ func figure(protocol string, o Options, dataPlane bool) (Series, error) {
 }
 
 // Figure10 reproduces "Rounds and number of control packets in DCoP".
-func Figure10(o Options) (Series, error) { return figure(coord.DCoP, o, false) }
+func Figure10(o Options) (Series, error) { return figure(coord.DCoP, o) }
 
 // Figure11 reproduces "Rounds and number of control packets in TCoP".
-func Figure11(o Options) (Series, error) { return figure(coord.TCoP, o, false) }
+func Figure11(o Options) (Series, error) { return figure(coord.TCoP, o) }
 
 // Figure12 reproduces "Receipt rate of leaf peer" for DCoP and TCoP.
 // Both protocols' grids run on one worker pool so the sweep has a single
@@ -313,7 +312,7 @@ func GossipCoverage(n int, fanouts []int, seeds int) ([]GossipCoveragePoint, err
 	if seeds <= 0 {
 		seeds = 10
 	}
-	curve, err := gossip.CoverageCurve(n, fanouts, seeds, false)
+	curve, err := gossip.CoverageCurve(n, fanouts, seeds)
 	if err != nil {
 		return nil, err
 	}

@@ -26,18 +26,16 @@ type RunRecord struct {
 	Spans    []span.Span       `json:"-"`
 }
 
-// Scenario stamps a run's impairment and churn configuration into its
-// record, so a JSONL archive is self-describing: a record produced
-// under 5% loss or a churn schedule says so without needing the command
-// line that produced it. Nil (omitted) for unimpaired runs, keeping
+// Scenario stamps a run's impairment and churn-tolerance configuration
+// into its record, so a JSONL archive is self-describing: a record
+// produced under 5% loss says so without needing the command line that
+// produced it. Nil (omitted) for unimpaired runs, keeping
 // their byte output identical to before scenarios existed.
 type Scenario struct {
 	// LossProb is the independent per-message drop probability.
 	LossProb float64 `json:"loss_prob,omitempty"`
 	// Burst echoes the Gilbert–Elliott parameters when bursty loss was on.
 	Burst *transport.BurstParams `json:"burst,omitempty"`
-	// ChurnEvents is how many crash/join events the churn schedule held.
-	ChurnEvents int `json:"churn_events,omitempty"`
 	// Retries and HandshakeTimeout echo the churn-tolerance tuning.
 	Retries          int     `json:"retries,omitempty"`
 	HandshakeTimeout float64 `json:"handshake_timeout,omitempty"`
@@ -54,9 +52,6 @@ func scenarioFor(cfg coord.Config) *Scenario {
 		Burst:            cfg.Burst,
 		Retries:          cfg.Retries,
 		HandshakeTimeout: cfg.HandshakeTimeout,
-	}
-	if cfg.Churn != nil {
-		s.ChurnEvents = len(cfg.Churn.Events)
 	}
 	if cfg.PlaneMode == coord.PlaneFluid {
 		s.PlaneMode = string(cfg.PlaneMode)

@@ -33,7 +33,6 @@ func TestScenarioStamping(t *testing.T) {
 	lossy := base
 	lossy.LossProb = 0.05
 	lossy.Burst = &transport.BurstParams{PGoodToBad: 0.01, PBadToGood: 0.2, LossBad: 0.5}
-	lossy.Churn = &coord.ChurnSchedule{Events: []coord.ChurnEvent{{}, {}}}
 	lossy.Retries = 3
 	recs, err := SweepRecords(lossy, false, coord.TCoP)
 	if err != nil {
@@ -44,14 +43,14 @@ func TestScenarioStamping(t *testing.T) {
 		t.Fatal("impaired record carries no scenario stamp")
 	}
 	if s.LossProb != 0.05 || s.Burst == nil || s.Burst.LossBad != 0.5 ||
-		s.ChurnEvents != 2 || s.Retries != 3 {
+		s.Retries != 3 {
 		t.Errorf("scenario = %+v", s)
 	}
 	line, err = json.Marshal(recs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"loss_prob":0.05`, `"p_bad_to_good":0.2`, `"churn_events":2`} {
+	for _, want := range []string{`"loss_prob":0.05`, `"p_bad_to_good":0.2`} {
 		if !strings.Contains(string(line), want) {
 			t.Errorf("record JSON missing %s: %.200s", want, line)
 		}

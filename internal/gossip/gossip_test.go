@@ -31,6 +31,24 @@ func TestFullCoverageWithLargeFanout(t *testing.T) {
 	}
 }
 
+// Each infected node forwards exactly once, on its first infection, to
+// min(Fanout, N−1) targets, however many pushes reach it later; so the
+// push count is fixed by the coverage.
+func TestEachNodeForwardsOnce(t *testing.T) {
+	for _, cfg := range []Config{{N: 40, Fanout: 4}, {N: 30, Fanout: 3}, {N: 100, Fanout: 2}, {N: 5, Fanout: 9}} {
+		for seed := int64(1); seed <= 8; seed++ {
+			cfg.Seed = seed
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(res.Infected) * int64(min(cfg.Fanout, cfg.N-1)); res.Messages != want {
+				t.Errorf("%+v: %d messages for %d infected, want %d", cfg, res.Messages, res.Infected, want)
+			}
+		}
+	}
+}
+
 func TestSingleNode(t *testing.T) {
 	res, err := Run(Config{N: 1, Fanout: 3, Seed: 1})
 	if err != nil {
@@ -45,7 +63,7 @@ func TestSingleNode(t *testing.T) {
 // coverage; fanout 1 does not.
 func TestCoveragePhaseTransition(t *testing.T) {
 	n := 100
-	curve, err := CoverageCurve(n, []int{1, int(math.Log(float64(n))) + 3}, 10, false)
+	curve, err := CoverageCurve(n, []int{1, int(math.Log(float64(n))) + 3}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,44 +77,6 @@ func TestCoveragePhaseTransition(t *testing.T) {
 	}
 	if high <= low {
 		t.Errorf("no phase transition: %.2f vs %.2f", low, high)
-	}
-}
-
-// Directional gossip ([7]) wastes fewer messages for the same coverage:
-// excluding known-infected targets cannot reduce coverage.
-func TestDirectionalNoWorseCoverage(t *testing.T) {
-	var plain, directional float64
-	var plainMsgs, dirMsgs int64
-	for seed := int64(1); seed <= 10; seed++ {
-		p, err := Run(Config{N: 80, Fanout: 6, Seed: seed, Rounds: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := Run(Config{N: 80, Fanout: 6, Seed: seed, Rounds: 2, Directional: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain += float64(p.Infected)
-		directional += float64(d.Infected)
-		plainMsgs += p.Messages
-		dirMsgs += d.Messages
-	}
-	if directional < plain*0.95 {
-		t.Errorf("directional coverage %v much below plain %v", directional, plain)
-	}
-}
-
-func TestLossReducesCoverage(t *testing.T) {
-	noLoss, err := Run(Config{N: 100, Fanout: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := Run(Config{N: 100, Fanout: 3, Seed: 5, LossProb: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lossy.Infected >= noLoss.Infected {
-		t.Errorf("60%% loss did not reduce coverage: %d vs %d", lossy.Infected, noLoss.Infected)
 	}
 }
 
@@ -130,16 +110,6 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("same seed diverged: %+v vs %+v", a, b)
-	}
-}
-
-func TestLatencyAccumulates(t *testing.T) {
-	res, err := Run(Config{N: 40, Fanout: 3, Seed: 2, Latency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Time < float64(res.Rounds)-0.001 {
-		t.Errorf("time %v below rounds %d with unit latency", res.Time, res.Rounds)
 	}
 }
 

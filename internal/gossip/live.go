@@ -9,12 +9,11 @@ import (
 	"p2pmss/internal/des"
 )
 
-// This file is the wall-clock driver: periodic push rounds over real
-// send callbacks, with a dynamic candidate view instead of the DES
-// driver's fixed 0..N-1 population. It carries
-// state dissemination for long-lived swarms — each round the node
-// pushes its current payload to Fanout targets — rather than the DES
-// driver's one-shot rumor. Its target choice is the [7]-style
+// This file is the wall-clock loop: periodic push rounds over real send
+// callbacks, with a dynamic candidate view instead of Run's fixed 0..N-1
+// population. It carries state dissemination for long-lived swarms —
+// each round the node pushes its current payload to Fanout targets —
+// rather than Run's one-shot rumor. Its target choice is the [7]-style
 // directional sweep: a target already pushed to is left out until the
 // candidate view is exhausted, then the sweep starts over.
 

@@ -330,12 +330,18 @@ func TestSharedContentConcurrentSessions(t *testing.T) {
 	c := content.New("m", data, 64)
 	store := content.NewStore()
 	store.Put(c)
-	nc, err := StartNodes(NodesConfig{Nodes: 7, Store: store, H: 3, Interval: 2,
-		Delta: 2 * time.Millisecond, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
+	// Two populations over the one store, at parity intervals 2 and 3,
+	// so the content's enhanced sequences are derived for both at once.
+	var pops [2]*NodeCluster
+	for i := range pops {
+		nc, err := StartNodes(NodesConfig{Nodes: 7, Store: store, H: 3, Interval: 2 + i,
+			Delta: 2 * time.Millisecond, Seed: 77})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		pops[i] = nc
 	}
-	defer nc.Close()
 
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
@@ -359,9 +365,9 @@ func TestSharedContentConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ls, err := nc.Open(6, SessionConfig{
+			ls, err := pops[i%2].Open(6, SessionConfig{
 				ID: SessionID(fmt.Sprintf("s%d", i)), ContentID: "m", ContentSize: len(data), PacketSize: 64,
-				Rate: 4000, Interval: 2 + i%2, RepairAfter: 100 * time.Millisecond,
+				Rate: 4000, RepairAfter: 100 * time.Millisecond,
 			})
 			if err != nil {
 				t.Error(err)
@@ -384,29 +390,29 @@ func TestSharedContentConcurrentSessions(t *testing.T) {
 	}
 }
 
-// A leaf chooses the interval. Sessions naming more distinct intervals
-// than a content caches are all served exactly, the later ones by
-// deriving afresh; the cache stops growing (its bound is pinned by
+// A leaf's node chooses the interval. Sessions naming more distinct
+// intervals than a content caches are all served exactly, the later ones
+// by deriving afresh; the cache stops growing (its bound is pinned by
 // content.TestEnhancedIntervalBound).
 func TestSessionsPastTheIntervalBound(t *testing.T) {
 	data := randomData(6000, 62)
 	store := content.NewStore()
 	c := content.New("m", data, 64)
 	store.Put(c)
-	nc, err := StartNodes(NodesConfig{Nodes: 6, Store: store, H: 3, Interval: 2,
-		Delta: 2 * time.Millisecond, Seed: 78})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
 	const intervals = 7
 	for h := 1; h <= intervals; h++ {
+		nc, err := StartNodes(NodesConfig{Nodes: 6, Store: store, H: 3, Interval: h,
+			Delta: 2 * time.Millisecond, Seed: 78})
+		if err != nil {
+			t.Fatal(err)
+		}
 		ls, err := nc.Open(5, SessionConfig{ContentID: "m", ContentSize: len(data), PacketSize: 64,
-			Rate: 4000, Interval: h, RepairAfter: 250 * time.Millisecond})
+			Rate: 4000, RepairAfter: 250 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitExact(t, ls, data, 20*time.Second)
+		nc.Close()
 	}
 	cached := 0
 	for h := 1; h <= intervals; h++ {

@@ -70,7 +70,7 @@ func newLeaf(n *Node, ep transport.Endpoint, sc SessionConfig, roster, carried [
 	}
 	o := n.sessionObs(sc.ID)
 	l.core = engine.NewLeaf(engine.LeafConfig{
-		N: len(roster), H: sc.H, Interval: sc.Interval,
+		N: len(roster), H: n.cfg.H, Interval: n.cfg.Interval,
 		Window: sc.RepairAfter.Seconds(), Retry: sc.RequestRetry.Seconds(),
 		Metrics: l.met.LeafMetrics,
 		Spans:   o.Spans, Trace: o.SpanTrace, Session: string(sc.ID),
@@ -92,7 +92,7 @@ func (c carrier) Request(to engine.PeerID, slot int, selected []engine.PeerID, c
 		sel[i] = l.roster[id]
 	}
 	return sendBody(l.ep, l.sc.ID, l.roster[to], typeRequest, requestBody{
-		ContentID: l.sc.ContentID, Rate: l.sc.Rate, H: l.sc.H, Interval: l.sc.Interval,
+		ContentID: l.sc.ContentID, Rate: l.sc.Rate, H: l.n.cfg.H, Interval: l.n.cfg.Interval,
 		Index: slot, Selected: sel, Leaf: l.Addr(), Roster: l.carried,
 	}, ctx)
 }

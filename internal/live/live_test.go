@@ -167,7 +167,7 @@ func TestLiveStreamingWithLoss(t *testing.T) {
 
 func TestLiveOverTCP(t *testing.T) {
 	data := randomData(3000, 4)
-	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, UseTCP: true, Seed: 77}, 5, data,
+	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Network: TCP, Seed: 77}, 5, data,
 		SessionConfig{PacketSize: 128, Rate: 400, RepairAfter: 400 * time.Millisecond})
 	if addr := nc.Nodes[0].Addr(); !strings.HasPrefix(addr, "127.0.0.1:") {
 		t.Fatalf("node address %q is not a TCP loopback socket", addr)
@@ -194,11 +194,12 @@ func TestNewNodeValidation(t *testing.T) {
 // Open validates a session against what its node can serve: no more
 // selected peers than serve the content, a positive rate.
 func TestOpenValidation(t *testing.T) {
-	_, leaf := hostNodes(t, 1, storeOf(content.New("x", []byte("data"), 2)), NodeConfig{H: 1, Interval: 1},
-		onFabric(transport.NewFabric()))
-	if _, err := leaf.Open(SessionConfig{ContentID: "x", H: 2, Rate: 1, ContentSize: 4, PacketSize: 2}); err == nil {
+	store := storeOf(content.New("x", []byte("data"), 2))
+	_, wide := hostNodes(t, 1, store, NodeConfig{H: 2, Interval: 1}, onFabric(transport.NewFabric()))
+	if _, err := wide.Open(SessionConfig{ContentID: "x", Rate: 1, ContentSize: 4, PacketSize: 2}); err == nil {
 		t.Error("H > serving peers accepted")
 	}
+	_, leaf := hostNodes(t, 1, store, NodeConfig{H: 1, Interval: 1}, onFabric(transport.NewFabric()))
 	if _, err := leaf.Open(SessionConfig{ContentID: "x", Rate: 0, ContentSize: 4, PacketSize: 2}); err == nil {
 		t.Error("zero rate accepted")
 	}

@@ -162,7 +162,7 @@ func TestLiveOverUDPWithLoss(t *testing.T) {
 				H:        3,
 				Interval: 3,
 				Protocol: proto,
-				UseUDP:   true,
+				Network:  UDP,
 				Impair:   transport.Impairment{Seed: 7, Loss: 0.05, Reorder: 0.05, ReorderWindow: 4},
 				Delta:    5 * time.Millisecond,
 				Seed:     11,
@@ -185,7 +185,7 @@ func TestNodesOverUDPWithLoss(t *testing.T) {
 		H:        3,
 		Interval: 3,
 		Delta:    5 * time.Millisecond,
-		UseUDP:   true,
+		Network:  UDP,
 		Impair:   transport.Impairment{Seed: 55, Loss: 0.03, Reorder: 0.03, ReorderWindow: 4},
 		Seed:     70,
 	})

@@ -127,7 +127,7 @@ func TestSessionMetricsTCP(t *testing.T) {
 		data[i] = byte(i)
 	}
 	reg := metrics.New()
-	_, ls := startSession(t, NodesConfig{H: 2, Interval: 4, UseTCP: true, Seed: 7, Obs: engine.Observability{Metrics: reg}}, 4, data,
+	_, ls := startSession(t, NodesConfig{H: 2, Interval: 4, Network: TCP, Seed: 7, Obs: engine.Observability{Metrics: reg}}, 4, data,
 		SessionConfig{PacketSize: 256, Rate: 2000})
 	waitExact(t, ls, data, 30*time.Second)
 	snap := reg.Snapshot()

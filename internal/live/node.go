@@ -366,8 +366,6 @@ type SessionConfig struct {
 	ContentSize, PacketSize int
 	// Rate is the content rate in packets per second.
 	Rate float64
-	// H and Interval override the node defaults when positive.
-	H, Interval int
 	// RepairAfter enables repair (zero disables it). A missing packet
 	// parity provably cannot recover is requested as soon as an arrival
 	// shows it; RepairAfter is how long a silent sender still holds that
@@ -397,6 +395,7 @@ type LeafSession struct {
 // Open starts a leaf session on the node: the serving peers are
 // resolved from the node's directory (which peers announce the
 // content), the content is requested from them, and reassembled here.
+// The session runs at the node's H and parity interval.
 // Many sessions may be open concurrently on one node.
 func (n *Node) Open(sc SessionConfig) (*LeafSession, error) {
 	if n.closed.Load() {
@@ -418,12 +417,6 @@ func (n *Node) Open(sc SessionConfig) (*LeafSession, error) {
 		sc.ID = makeSessionID(rt.ep.Name(), sc.ContentID, n.nextID)
 		n.mu.Unlock()
 	}
-	if sc.H <= 0 {
-		sc.H = n.cfg.H
-	}
-	if sc.Interval <= 0 {
-		sc.Interval = n.cfg.Interval
-	}
 	if sc.Seed == 0 {
 		sc.Seed = n.sessionSeed(sc.ID)
 	}
@@ -432,8 +425,8 @@ func (n *Node) Open(sc SessionConfig) (*LeafSession, error) {
 	if len(roster) == 0 {
 		return nil, fmt.Errorf("live: no peers serve content %q", sc.ContentID)
 	}
-	if sc.H > len(roster) {
-		return nil, fmt.Errorf("live: H=%d exceeds the %d peers serving content %q", sc.H, len(roster), sc.ContentID)
+	if n.cfg.H > len(roster) {
+		return nil, fmt.Errorf("live: H=%d exceeds the %d peers serving content %q", n.cfg.H, len(roster), sc.ContentID)
 	}
 	var carried []string
 	if n.carry {
@@ -681,6 +674,19 @@ func (n *Node) detach(sid SessionID, p *Peer, l *Leaf) {
 
 // ---- node cluster ---------------------------------------------------------
 
+// Network is what a node population talks over.
+type Network int
+
+const (
+	// Fabric is the in-memory fabric.
+	Fabric Network = iota
+	// TCP gives every node its own TCP loopback socket.
+	TCP
+	// UDP gives every node its own UDP loopback socket: real datagram
+	// semantics.
+	UDP
+)
+
 // NodesConfig wires a population of nodes sharing a catalog, over the
 // in-memory fabric, TCP loopback, or UDP loopback.
 type NodesConfig struct {
@@ -712,11 +718,8 @@ type NodesConfig struct {
 	Delta            time.Duration
 	HandshakeTimeout time.Duration
 	Retries          int
-	// UseTCP runs every node on its own TCP loopback socket.
-	UseTCP bool
-	// UseUDP runs every node on its own UDP loopback socket (real
-	// datagram semantics; mutually exclusive with UseTCP).
-	UseUDP bool
+	// Network picks what the nodes talk over (default Fabric).
+	Network Network
 	// Impair injects seeded loss/duplication/reordering into every send
 	// on the in-memory fabric or the UDP sockets; see transport.Impairment.
 	Impair transport.Impairment
@@ -762,16 +765,13 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("live: need at least one node")
 	}
-	if cfg.UseTCP && cfg.UseUDP {
-		return nil, fmt.Errorf("live: UseTCP and UseUDP are mutually exclusive")
-	}
 	if err := cfg.Impair.Validate(); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if cfg.UseTCP && cfg.Impair.Enabled() {
+	if cfg.Network == TCP && cfg.Impair.Enabled() {
 		return nil, fmt.Errorf("live: impairment needs a datagram transport (in-memory fabric or UDP), not TCP")
 	}
-	nc := &NodeCluster{obs: cfg.Obs, datagram: cfg.UseUDP || cfg.Impair.Enabled()}
+	nc := &NodeCluster{obs: cfg.Obs, datagram: cfg.Network == UDP || cfg.Impair.Enabled()}
 	roster, trs, err := nc.listen(cfg)
 	if err != nil {
 		nc.Close()
@@ -826,7 +826,7 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 // (and the discovery bootstrap contact) must be known up front — and
 // returns each node's address and transport.
 func (nc *NodeCluster) listen(cfg NodesConfig) (roster []string, trs []Transport, err error) {
-	if !cfg.UseTCP && !cfg.UseUDP {
+	if cfg.Network == Fabric {
 		queueCap := cfg.QueueCap
 		if queueCap == 0 {
 			queueCap = 4096
@@ -856,7 +856,7 @@ func (nc *NodeCluster) listen(cfg NodesConfig) (roster []string, trs []Transport
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		lb := &lateBinder{}
-		if cfg.UseUDP {
+		if cfg.Network == UDP {
 			ep, err := transport.ListenUDP("127.0.0.1:0", lb.dispatch)
 			if err != nil {
 				return nil, nil, err

@@ -61,7 +61,7 @@ func TestSessionFabric(t *testing.T) {
 
 func TestSessionTCPWithCrash(t *testing.T) {
 	data := randomData(6000, 42)
-	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, UseTCP: true, Protocol: engine.DCoP, Seed: 2}, 6, data,
+	nc, ls := startSession(t, NodesConfig{H: 3, Interval: 2, Network: TCP, Protocol: engine.DCoP, Seed: 2}, 6, data,
 		SessionConfig{PacketSize: 128, Rate: 600})
 	time.Sleep(150 * time.Millisecond)
 	if killed := nc.CrashServing(1); killed != 1 {
@@ -105,9 +105,6 @@ func TestStartNodesValidation(t *testing.T) {
 	}
 	if _, err := StartNodes(NodesConfig{Store: store, Nodes: 2, H: 1, Interval: 1, Protocol: "bogus"}); err == nil {
 		t.Error("bogus protocol accepted")
-	}
-	if _, err := StartNodes(NodesConfig{Store: store, Nodes: 2, H: 1, Interval: 1, UseTCP: true, UseUDP: true}); err == nil {
-		t.Error("TCP and UDP together accepted")
 	}
 	// Every probability of the impairment is checked, the burst model's
 	// too: a NaN loss used to switch impairment off, and a loss above 1

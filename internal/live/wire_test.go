@@ -405,7 +405,7 @@ func FuzzPeerHandle(f *testing.F) {
 		}
 		// A leaf that has sent nothing: built as Open builds it, not started.
 		ln := node("leaf", engine.TCoP)
-		leaf := newLeaf(ln, ln.runtime().ep, SessionConfig{ID: "fz", ContentID: "movie", H: 3, Interval: 2, Rate: 4000,
+		leaf := newLeaf(ln, ln.runtime().ep, SessionConfig{ID: "fz", ContentID: "movie", Rate: 4000,
 			ContentSize: c.Size(), PacketSize: c.PacketSize(), Seed: 1}, names, nil)
 		defer leaf.Close()
 		peers[1].handle(transport.Msg{Type: typeRequest, From: "leaf", Payload: start})

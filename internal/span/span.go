@@ -19,7 +19,7 @@
 //     gets its own collector, merged in grid order).
 //
 // Time is driver-defined: the simulator records virtual seconds, the
-// live runtime records wall-clock seconds since the collector's epoch.
+// live runtime wall-clock seconds since its process-wide epoch.
 // Both export to the same two formats — span JSONL for tooling and
 // Chrome trace-event JSON loadable in Perfetto (one track per peer).
 package span
@@ -28,7 +28,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // TraceID identifies one session (one coordination run): all spans of
@@ -50,7 +49,7 @@ type Context struct {
 
 // Span is one recorded unit of work. Start and End are in the driver's
 // clock domain (virtual seconds for the simulator, wall seconds since
-// the collector epoch for the live runtime); instant spans have
+// its process-wide epoch for the live runtime); instant spans have
 // End == Start.
 type Span struct {
 	Trace  TraceID `json:"trace"`
@@ -87,15 +86,11 @@ type shard struct {
 // all methods are no-ops on it.
 type Collector struct {
 	ids    atomic.Uint64
-	epoch  time.Time
 	shards [shardCount]shard
 }
 
-// NewCollector returns an empty collector whose wall-clock epoch
-// (see Now) is the moment of creation.
-func NewCollector() *Collector {
-	return &Collector{epoch: time.Now()}
-}
+// NewCollector returns an empty collector.
+func NewCollector() *Collector { return &Collector{} }
 
 // NextID allocates a fresh span ID, or 0 on a nil collector. IDs are
 // dense and start at 1, so a single-threaded driver allocates them in

@@ -25,8 +25,6 @@ type Chart struct {
 	XLabel string
 	YLabel string
 	Series []Series
-	// Width and Height default to 720×480.
-	Width, Height int
 	// YLog uses a log10 y-axis (useful when packet counts span decades).
 	YLog bool
 }
@@ -38,13 +36,7 @@ func (c *Chart) Render(w io.Writer) error {
 	if len(c.Series) == 0 {
 		return fmt.Errorf("svgplot: chart %q has no series", c.Title)
 	}
-	width, height := c.Width, c.Height
-	if width == 0 {
-		width = 720
-	}
-	if height == 0 {
-		height = 480
-	}
+	const width, height = 720, 480
 	const marginL, marginR, marginT, marginB = 70, 20, 40, 50
 	plotW := float64(width - marginL - marginR)
 	plotH := float64(height - marginT - marginB)

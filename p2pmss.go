@@ -292,6 +292,16 @@ type LiveNodeCluster = live.NodeCluster
 // LiveNodesConfig wires a node population in one call.
 type LiveNodesConfig = live.NodesConfig
 
+// Networks for LiveNodesConfig.Network.
+const (
+	// LiveFabric, the default, runs the nodes on the in-memory fabric.
+	LiveFabric = live.Fabric
+	// LiveTCP gives every node its own TCP loopback socket.
+	LiveTCP = live.TCP
+	// LiveUDP gives every node its own UDP loopback socket.
+	LiveUDP = live.UDP
+)
+
 // StartLiveNodes builds a node population ready to open sessions.
 func StartLiveNodes(cfg LiveNodesConfig) (*LiveNodeCluster, error) {
 	return live.StartNodes(cfg)
