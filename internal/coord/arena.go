@@ -8,6 +8,7 @@ import (
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/fluid"
+	"p2pmss/internal/seq"
 )
 
 // Across runs. A sweep runs the simulator hundreds of times, and a run
@@ -24,18 +25,21 @@ import (
 //     (des.Slab.Reset);
 //   - the network keeps its link table and link slab, crash flags and
 //     delivery records;
-//   - the peer nodes, transmitters (with their slot timers) and the
-//     fluid ledger keep their arrays, the packet-plane leaf its
-//     assembler.
+//   - the peer nodes, transmitters (with their slot timers and their
+//     streams' chains) and the fluid ledger keep their arrays, the
+//     packet-plane leaf its assembler;
+//   - the content and the leaf's first division of it serve every
+//     packet-plane run of the same ContentLen, Interval and H.
 //
-// What a Result holds is never the arena's: the content and its
-// enhanced parts are made per run (Outcomes' shares alias them), and
-// engine.Outcomes copies the peers' lists into blocks of the Result's
-// own. A pooled record is cleared as it goes back on its list, and
-// release clears what the run used of the rest, so an idle arena refers
-// to no config, metrics registry, observer or sequence of the run
-// before, and a recycled run is a fresh one byte for byte. Release costs
-// what the run used, not what the arena holds: a small run after a
+// Those two are read-only (nothing writes into a sequence, and identity
+// is structural), and a Result's Outcomes may alias them. The rest of a
+// Result is its own: engine.Outcomes copies the peers' lists (of shares,
+// the headers: the hand-off divisions they alias stay per run). A pooled
+// record is cleared as it goes back on its list, and release clears what
+// the run used of the rest, so an idle arena refers to no config,
+// metrics registry, observer or sequence of the run before but the
+// shared two, and a recycled run is a fresh one byte for byte. Release
+// costs what the run used, not what the arena holds: a small run after a
 // large one clears little. Every worker of a parallel sweep takes an
 // arena of its own.
 
@@ -60,6 +64,12 @@ type arena struct {
 	// (each record points only into the arena).
 	timerFree  des.FreeList[timerEvent]
 	switchFree des.FreeList[switchEvent]
+	// shared is 1..len(content) and EnhanceDivide(content, interval, len(parts)).
+	shared struct {
+		content  seq.Sequence
+		parts    []seq.Sequence
+		interval int
+	}
 }
 
 // arenas holds the runners of finished runs for the runs after them. A
@@ -96,7 +106,8 @@ func takeArena() *runner {
 	r = new(runner)
 	r.pool.Reset() // the first run carves what every later one does
 	r.eng = des.New(0)
-	r.nw = &network{eng: r.eng, cfg: &r.cfg, receive: r.receive}
+	r.nw = &network{eng: r.eng, cfg: &r.cfg, receive: r.receive,
+		receiveData: func(from, _ int, pkt *seq.Packet) { r.leaf.receive(from, pkt) }}
 	return r
 }
 
@@ -108,8 +119,9 @@ func (r *runner) release() {
 	r.nw.release()
 	r.pool.Reset()
 	clear(r.nodes)
-	for i := range r.txs {
-		r.txs[i] = transmitter{slotTimer: r.txs[i].slotTimer} // bound to this slot
+	for i, tx := range r.txs {
+		tx.st.Reset()
+		r.txs[i] = transmitter{st: tx.st, slotTimer: tx.slotTimer} // bound to this slot
 	}
 	clear(r.peers)
 	r.ledger.Reset(0)

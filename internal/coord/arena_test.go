@@ -199,25 +199,34 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 // TestColdRunAllocs: a run that finds no arena to recycle allocates no
 // more than a run did before arenas were recycled, the CI caps of
 // BenchmarkRunControlPlane at the time: 415 (DCoP) and 320 (TCoP) at
-// n = 100, H = 10.
+// n = 100, H = 10. A cold Figure-12 run (BenchmarkRunPacket's n = 100,
+// H = 60 on the packet plane) makes no more than it did before runs of
+// one shape shared their content and first division, data packets
+// travelled unboxed and streams kept their chains: 2,350 (DCoP) and
+// 1,396 (TCoP).
 func TestColdRunAllocs(t *testing.T) {
+	packet := DefaultConfig()
+	packet.N, packet.H = 100, 60
+	packet.DataPlane, packet.Rate = true, 2
+	packet.ContentLen, packet.Window = 30000, 200
+	control := DefaultConfig()
+	control.N, control.H = 100, 10
 	for _, c := range []struct {
 		proto Protocol
+		cfg   Config
 		limit uint64
-	}{{DCoP, 415}, {TCoP, 320}} {
-		cfg := DefaultConfig()
-		cfg.N, cfg.H = 100, 10
+	}{{DCoP, control, 415}, {TCoP, control, 320}, {DCoP, packet, 2350}, {TCoP, packet, 1396}} {
 		emptyArenas(t)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := Run(c.proto, cfg); err != nil {
+		if _, err := Run(c.proto, c.cfg); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		if n := after.Mallocs - before.Mallocs; n > c.limit {
-			t.Errorf("%s: a cold run made %d allocations, more than %d", c.proto, n, c.limit)
+			t.Errorf("%s, data plane %v: a cold run made %d allocations, more than %d", c.proto, c.cfg.DataPlane, n, c.limit)
 		} else {
-			t.Logf("%s: a cold run made %d allocations", c.proto, n)
+			t.Logf("%s, data plane %v: a cold run made %d allocations", c.proto, c.cfg.DataPlane, n)
 		}
 	}
 }

@@ -48,6 +48,30 @@ func BenchmarkRunFluid(b *testing.B) {
 	}
 }
 
+// BenchmarkRunPacket is one whole Figure-12 run per op: n = 100,
+// H = 60 on the packet data plane at rate 2, a 30,000-packet content and
+// a 200-unit window, as mssim -fig 12 runs it. Every op runs the same
+// seed, so allocs/op is the run's own count and CI gates it
+// (BENCH_des.json): the content and the leaf's first division, every
+// hand-off's division, the transmitters' streams and the data packets in
+// flight together.
+func BenchmarkRunPacket(b *testing.B) {
+	for _, proto := range []Protocol{DCoP, TCoP} {
+		b.Run(proto, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.N, cfg.H = 100, 60
+			cfg.DataPlane, cfg.Rate = true, 2
+			cfg.ContentLen, cfg.Window = 30000, 200
+			startThreads(b)
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(proto, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // startThreads has the runtime start, before b's timer, the OS threads
 // that a busy run keeps its other Ps on, and resets the timer. The
 // runtime starts a thread when the scheduler wakes an idle P and finds

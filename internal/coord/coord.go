@@ -416,11 +416,6 @@ type startMsg struct {
 	Round int
 }
 
-// dataMsg carries one content or parity packet to the leaf peer.
-type dataMsg struct {
-	Pkt seq.Packet
-}
-
 // repairMsg is the leaf's retransmission request for missing data
 // packets (Config.Repair).
 type repairMsg struct {
@@ -446,13 +441,12 @@ type runner struct {
 	impl    protocolImpl
 	content seq.Sequence
 
-	res          Result
-	met          coordMetrics
-	enhanced     seq.Sequence   // memoized Enhance(content, Interval)
-	initialParts []seq.Sequence // memoized EnhanceDivide(content, Interval, H)
-	activeCount  int
-	measureDone  bool
-	measureOpen  bool
+	res         Result
+	met         coordMetrics
+	enhanced    seq.Sequence // memoized Enhance(content, Interval)
+	activeCount int
+	measureDone bool
+	measureOpen bool
 
 	// fl is the flow ledger of a fluid run (Config.PlaneMode), the
 	// arena's ledger; nil on the packet plane. winStart/winEnd record
@@ -509,7 +503,10 @@ func newRunner(cfg Config) (*runner, error) {
 		r.ledger.Reset(cfg.N)
 		r.fl = &r.ledger
 	} else if cfg.DataPlane {
-		r.content = seq.Range(1, cfg.ContentLen)
+		if sh := &r.shared; int64(len(sh.content)) != cfg.ContentLen {
+			sh.content, sh.parts = seq.Range(1, cfg.ContentLen), nil
+		}
+		r.content = r.shared.content
 	}
 	// Each node and its transmitter come from two bulk slices, not 2N
 	// allocations.
@@ -535,13 +532,9 @@ func newRunner(cfg Config) (*runner, error) {
 	return r, nil
 }
 
-// receive takes a delivery from the network to the leaf or a contents
-// peer.
+// receive takes a coordination message from the network; every one is
+// addressed to a contents peer.
 func (r *runner) receive(from, to int, m any) {
-	if to == r.leafID() {
-		r.leaf.receive(from, m)
-		return
-	}
 	p := r.peers[to]
 	if rm, ok := m.(repairMsg); ok {
 		r.onRepair(p, rm)
@@ -654,7 +647,7 @@ func (r *runner) onRepair(p *peerNode, m repairMsg) {
 func (r *runner) serveRepair(p *peerNode, indices []int64) {
 	for _, k := range indices {
 		if k >= 1 && k <= r.cfg.ContentLen {
-			r.nw.send(int(p.id), r.leafID(), dataMsg{Pkt: seq.NewData(k)})
+			r.nw.sendData(int(p.id), r.leafID(), seq.NewData(k))
 		}
 	}
 }
@@ -777,10 +770,10 @@ func (r *runner) initialAssignment(idx int, selected []overlay.PeerID) (seq.Sequ
 	if !r.cfg.DataPlane || r.cfg.fluid() {
 		return nil, rate
 	}
-	if r.initialParts == nil {
-		r.initialParts = parity.EnhanceDivide(r.content, r.cfg.Interval, r.cfg.H)
+	if sh := &r.shared; len(sh.parts) != r.cfg.H || sh.interval != r.cfg.Interval {
+		sh.parts, sh.interval = parity.EnhanceDivide(r.content, r.cfg.Interval, r.cfg.H), r.cfg.Interval
 	}
-	return r.initialParts[idx], rate
+	return r.shared.parts[idx], rate
 }
 
 // heterogeneousAssignment allocates the enhanced sequence across the

@@ -117,7 +117,7 @@ func (tx *transmitter) sendNext() {
 	}
 	tx.sentTotal++
 	tx.r.met.dataSent.Inc()
-	tx.r.nw.send(tx.node, tx.r.leafID(), dataMsg{Pkt: pkt})
+	tx.r.nw.sendData(tx.node, tx.r.leafID(), pkt)
 }
 
 // leafNode is the leaf peer LP_s's simulated side: core (the engine's
@@ -150,14 +150,8 @@ type leafNode struct {
 	nextConsume int64
 }
 
-// receive takes a data packet from the network; coordination
-// messages addressed to the leaf (TCoP confirmations are peer→peer, so
-// none today) are ignored.
-func (l *leafNode) receive(from int, m any) {
-	dm, ok := m.(dataMsg)
-	if !ok {
-		return
-	}
+// receive takes a data packet from the network, keeping no pointer to it.
+func (l *leafNode) receive(from int, pkt *seq.Packet) {
 	now := l.r.eng.Now()
 	if l.r.cfg.LeafMaxRate > 0 {
 		l.bufLevel -= (now - l.lastDrain) * l.r.cfg.LeafMaxRate
@@ -173,30 +167,23 @@ func (l *leafNode) receive(from int, m any) {
 		l.bufLevel++
 	}
 	before := l.asm.Recovered()
-	fresh, d := l.core.Arrive(now, engine.PeerID(from), &dm.Pkt)
-	isDup := !fresh
+	fresh, d := l.core.Arrive(now, engine.PeerID(from), pkt)
 	if n := l.asm.Recovered() - before; n > 0 {
 		l.r.met.recovered.Add(int64(n))
 	}
 	l.r.met.delivered.Set(float64(l.asm.Have()))
 	d.Send(l)
 	l.arm()
-	if isDup {
-		l.r.met.arrivalsDup.Inc()
-	} else if dm.Pkt.IsData() {
-		l.r.met.arrivalsData.Inc()
-	} else {
-		l.r.met.arrivalsParity.Inc()
+	arrivals, win := l.r.met.arrivalsParity, &l.winParity
+	if !fresh {
+		arrivals, win = l.r.met.arrivalsDup, &l.winDup
+	} else if pkt.IsData() {
+		arrivals, win = l.r.met.arrivalsData, &l.winData
 	}
+	arrivals.Inc()
 	if l.r.measureOpen {
 		l.winTotal++
-		if isDup {
-			l.winDup++
-		} else if dm.Pkt.IsData() {
-			l.winData++
-		} else {
-			l.winParity++
-		}
+		*win++
 	}
 	if l.r.cfg.Playback && l.playTimer == nil {
 		l.playTimer = l.r.eng.NewTimer(l.consume)

@@ -193,18 +193,14 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 				r.setTimer(p, e)
 			case *engine.Activate:
 				p.activate(e.Round, e.Seq, e.Rate)
-			case *engine.Merge:
-				// A union the engine built is against the snapshot stamped on
+			case *engine.Merge, *engine.Absorb:
+				// A union a Merge carries is against the snapshot stamped on
 				// this very Handle call, which is still the transmitter's state.
-				if p.tx.st.Apply(e) {
+				if p.tx.st.Apply(eff) {
 					p.tx.restart()
 				}
 			case *engine.Handoff:
 				p.tx.plan(e)
-			case *engine.Absorb:
-				if p.tx.st.Apply(e) {
-					p.tx.restart()
-				}
 			case *engine.ServeRepair:
 				r.serveRepair(p, e.Indices)
 			}

@@ -450,16 +450,17 @@ func runWithheld(t *testing.T, keys ...string) (Result, map[string]int) {
 		t.Fatal(err)
 	}
 	r.impl = &coordinated{r: r}
-	r.nw.receive = func(from, to int, m any) {
-		if dm, ok := m.(dataMsg); ok && r.res.RepairRequests == 0 {
-			ids := strings.FieldsFunc(dm.Pkt.Key(), func(c rune) bool { return c == '(' || c == ')' || c == ',' })
+	deliver := r.nw.receiveData
+	r.nw.receiveData = func(from, to int, pkt *seq.Packet) {
+		if r.res.RepairRequests == 0 {
+			ids := strings.FieldsFunc(pkt.Key(), func(c rune) bool { return c == '(' || c == ')' || c == ',' })
 			for _, k := range keys {
 				if slices.Contains(ids, k) {
 					return
 				}
 			}
 		}
-		r.receive(from, to, m)
+		deliver(from, to, pkt)
 	}
 	res := r.run()
 	notes := map[string]int{}

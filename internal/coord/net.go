@@ -7,6 +7,7 @@ import (
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/overlay"
+	"p2pmss/internal/seq"
 	"p2pmss/internal/transport"
 )
 
@@ -25,7 +26,7 @@ type NetStats struct {
 // LossProb and, with Config.Burst, Gilbert–Elliott bursts (§3.2's "lost
 // … in a bursty manner"). A crash-stopped node neither sends nor
 // receives; a message already in flight to it is discarded on arrival,
-// unseen by its sender.
+// unseen by its sender. A data packet travels unboxed (sendData).
 type network struct {
 	eng   *des.Engine
 	cfg   *Config
@@ -33,20 +34,29 @@ type network struct {
 	// slab is where the links are carved: they are held by value, a
 	// block at a time, so a lossy run allocates per block, not per link,
 	// and a link's address stays put.
-	slab    des.Slab[transport.Link]
-	crashed []bool // indexed by node
-	free    des.FreeList[delivery]
-	stats   NetStats
-	met     netMetrics
-	receive func(from, to int, m any)
+	slab        des.Slab[transport.Link]
+	crashed     []bool // indexed by node
+	free        des.FreeList[delivery]
+	dfree       des.FreeList[dataDelivery]
+	stats       NetStats
+	met         netMetrics
+	receive     func(from, to int, m any)
+	receiveData func(from, to int, pkt *seq.Packet) // pkt valid until it returns
 }
 
-// delivery is one in-flight message: a pooled record that is itself the
-// des event, so a send schedules it without allocating.
+// delivery is one in-flight coordination message: a pooled record that
+// is itself the des event, so a send schedules it without allocating.
 type delivery struct {
 	n        *network
 	from, to int
 	m        any
+}
+
+// dataDelivery is delivery for a data packet, held by value: boxed, it allocates.
+type dataDelivery struct {
+	n        *network
+	from, to int
+	pkt      seq.Packet
 }
 
 // netMetrics holds the network's instrument handles. The zero value (all
@@ -85,8 +95,8 @@ func (n *network) setUp() {
 
 // release rewinds the network for the next run, keeping its link table,
 // link blocks, crash flags and delivery records (a delivery drops its
-// message as it fires), and drops what refers to this run: its links,
-// its counters and its metric handles.
+// message or packet as it fires), and drops what refers to this run: its
+// links, its counters and its metric handles.
 func (n *network) release() {
 	clear(n.links)
 	n.slab.Reset()
@@ -94,19 +104,37 @@ func (n *network) release() {
 	n.stats, n.met = NetStats{}, netMetrics{}
 }
 
-// send transmits m from → to: the link's loss verdict first, on the
-// link's own stream, then jitter (only with Jitter > 0) on the engine's.
-// A lossless run draws no verdict.
+// send transmits m from → to.
 func (n *network) send(from, to int, m any) {
+	if at, ok := n.depart(from, to); ok {
+		dl := n.free.Take()
+		dl.n, dl.from, dl.to, dl.m = n, from, to, m
+		n.eng.Schedule(at, dl)
+	}
+}
+
+// sendData transmits the data packet pkt from → to, as send does.
+func (n *network) sendData(from, to int, pkt seq.Packet) {
+	if at, ok := n.depart(from, to); ok {
+		dl := n.dfree.Take()
+		dl.n, dl.from, dl.to, dl.pkt = n, from, to, pkt
+		n.eng.Schedule(at, dl)
+	}
+}
+
+// depart counts a message from → to and returns when it arrives, false
+// if its sender has crashed or the link lost it: the link's verdict on its
+// own stream (none if lossless), then jitter (if any) on the engine's.
+func (n *network) depart(from, to int) (at float64, ok bool) {
 	if n.crashed[from] {
-		return
+		return 0, false
 	}
 	n.stats.Sent++
 	n.met.sent.Inc()
 	if n.links != nil && n.link(from, to).Lost() {
 		n.stats.Dropped++
 		n.met.dropped.Inc()
-		return
+		return 0, false
 	}
 	d := n.cfg.Delta
 	if j := n.cfg.Jitter; j > 0 {
@@ -114,9 +142,20 @@ func (n *network) send(from, to int, m any) {
 	}
 	n.met.latency.Observe(d)
 	n.met.inflight.Add(1)
-	dl := n.free.Take()
-	dl.n, dl.from, dl.to, dl.m = n, from, to, m
-	n.eng.Schedule(n.eng.Now()+d, dl)
+	return n.eng.Now() + d, true
+}
+
+// arrive counts a message reaching to; false if to has crashed.
+func (n *network) arrive(to int) bool {
+	n.met.inflight.Add(-1)
+	if n.crashed[to] {
+		n.stats.ToCrashed++
+		n.met.toCrashed.Inc()
+		return false
+	}
+	n.stats.Delivered++
+	n.met.delivered.Inc()
+	return true
 }
 
 // Fire delivers the message to its destination. The record goes back to
@@ -125,15 +164,20 @@ func (dl *delivery) Fire() {
 	n, from, to, m := dl.n, dl.from, dl.to, dl.m
 	dl.m = nil
 	n.free.Put(dl)
-	n.met.inflight.Add(-1)
-	if n.crashed[to] {
-		n.stats.ToCrashed++
-		n.met.toCrashed.Inc()
-		return
+	if n.arrive(to) {
+		n.receive(from, to, m)
 	}
-	n.stats.Delivered++
-	n.met.delivered.Inc()
-	n.receive(from, to, m)
+}
+
+// Fire hands over the packet in place, then puts the record back: a
+// copy passed by address would escape, an allocation per packet.
+func (dl *dataDelivery) Fire() {
+	n := dl.n
+	if n.arrive(dl.to) {
+		n.receiveData(dl.from, dl.to, &dl.pkt)
+	}
+	dl.pkt = seq.Packet{}
+	n.dfree.Put(dl)
 }
 
 // link returns the directed link from → to, created on first use on its

@@ -7,6 +7,8 @@ import (
 
 	"p2pmss/internal/des"
 	"p2pmss/internal/flight"
+	"p2pmss/internal/metrics"
+	"p2pmss/internal/seq"
 	"p2pmss/internal/transport"
 )
 
@@ -60,8 +62,58 @@ func TestLinkModelGolden(t *testing.T) {
 	}
 }
 
+// TestNetBooksBalance: once a finite packet-plane run has drained, every
+// message sent was delivered, dropped by its link or discarded at a
+// crashed peer, and the simnet_* series say what NetStats says. The run
+// is lossy, bursty and churned, and repairs, so every way out of the
+// network is taken, by data packets and coordination messages alike.
+func TestNetBooksBalance(t *testing.T) {
+	for _, proto := range []Protocol{DCoP, TCoP} {
+		cfg := DefaultConfig()
+		cfg.N, cfg.H, cfg.Interval, cfg.Seed = 12, 4, 2, 5
+		cfg.DataPlane, cfg.Loop, cfg.Repair = true, false, true
+		cfg.ContentLen, cfg.Rate = 300, 10
+		cfg.LossProb = 0.05
+		cfg.Burst = &transport.BurstParams{PGoodToBad: 0.02, PBadToGood: 0.3, LossBad: 0.6}
+		cfg.Churn = &ChurnSchedule{Events: []ChurnEvent{{At: 2.5, Peer: 3}, {At: 1.5, Peer: 7}, {At: 9, Peer: 7, Join: true}}}
+		reg := metrics.New()
+		cfg.Obs.Metrics = reg
+		res, err := Run(proto, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.NetStats
+		if st.Dropped == 0 || st.ToCrashed == 0 || res.RepairRequests == 0 {
+			t.Fatalf("%s: %+v after %d repair requests: the run takes not every way out of the network", proto, st, res.RepairRequests)
+		}
+		if st.Sent != st.Delivered+st.Dropped+st.ToCrashed {
+			t.Errorf("%s: %+v: sent is not delivered + dropped + to crashed", proto, st)
+		}
+		snap := reg.Snapshot()
+		got := map[string]float64{}
+		for _, c := range snap.Counters {
+			got[c.Name] = float64(c.Value)
+		}
+		for _, g := range snap.Gauges {
+			got[g.Name] = g.Value
+		}
+		want := map[string]float64{
+			"simnet_messages_sent_total":       float64(st.Sent),
+			"simnet_messages_delivered_total":  float64(st.Delivered),
+			"simnet_messages_dropped_total":    float64(st.Dropped),
+			"simnet_messages_to_crashed_total": float64(st.ToCrashed),
+			"simnet_inflight_messages":         0,
+		}
+		for name, v := range want {
+			if g, ok := got[name]; !ok || g != v {
+				t.Errorf("%s: %s = %v (present %v), NetStats says %v", proto, name, g, ok, v)
+			}
+		}
+	}
+}
+
 // testNet is a bare network of cfg.N+1 nodes whose deliveries land in a
-// log: what arrived, where, and when.
+// log: what arrived (a data packet as a seq.Packet), where, and when.
 type testNet struct {
 	*network
 	eng *des.Engine
@@ -72,11 +124,13 @@ type testNet struct {
 
 func newTestNet(cfg Config) *testNet {
 	t := &testNet{eng: des.New(cfg.Seed)}
-	t.network = newNetwork(t.eng, &cfg, func(_, to int, m any) {
+	log := func(_, to int, m any) {
 		t.got = append(t.got, m)
 		t.to = append(t.to, to)
 		t.at = append(t.at, t.eng.Now())
-	})
+	}
+	t.network = newNetwork(t.eng, &cfg, log)
+	t.receiveData = func(from, to int, pkt *seq.Packet) { log(from, to, *pkt) }
 	return t
 }
 
@@ -154,34 +208,40 @@ func TestLinkVerdictsIgnoreOtherLinks(t *testing.T) {
 	}
 }
 
+// A crashed node neither sends nor receives, a coordination message or
+// a data packet.
 func TestCrash(t *testing.T) {
 	nw := newTestNet(Config{N: 2})
 	nw.crashed[1] = true
-	nw.send(0, 1, "to crashed")   // discarded at delivery
-	nw.send(1, 2, "from crashed") // ignored at send
+	nw.send(0, 1, "to crashed")       // discarded at delivery
+	nw.sendData(0, 1, seq.NewData(1)) // likewise
+	nw.send(1, 2, "from crashed")     // ignored at send
+	nw.sendData(1, 2, seq.NewData(2)) // likewise
 	nw.eng.Run()
 	if len(nw.got) != 0 {
 		t.Errorf("got = %v", nw.got)
 	}
-	if st := nw.stats; st != (NetStats{Sent: 1, ToCrashed: 1}) {
+	if st := nw.stats; st != (NetStats{Sent: 2, ToCrashed: 2}) {
 		t.Errorf("stats = %+v", st)
 	}
 	nw.crashed[1] = false
 	nw.send(0, 1, "after rejoin")
+	nw.sendData(0, 1, seq.NewData(3))
 	nw.eng.Run()
-	if len(nw.got) != 1 {
+	if len(nw.got) != 2 || nw.got[1].(seq.Packet).Index != 3 {
 		t.Errorf("after rejoin got = %v", nw.got)
 	}
 }
 
-// A message in flight when the destination crashes is lost: a crash
-// takes effect at delivery time.
+// A message or data packet in flight when the destination crashes is
+// lost: a crash takes effect at delivery time.
 func TestCrashInFlight(t *testing.T) {
 	nw := newTestNet(Config{N: 2, Delta: 2})
 	nw.send(0, 1, "x")
+	nw.sendData(0, 1, seq.NewData(1))
 	nw.eng.After(1, func() { nw.crashed[1] = true })
 	nw.eng.Run()
-	if len(nw.got) != 0 || nw.stats.ToCrashed != 1 {
+	if len(nw.got) != 0 || nw.stats.ToCrashed != 2 {
 		t.Errorf("got = %v, stats %+v", nw.got, nw.stats)
 	}
 }
@@ -199,26 +259,40 @@ func TestJitterBounds(t *testing.T) {
 	}
 }
 
-// TestSendAllocs pins the pooled delivery: once warmed, a send and its
-// delivery allocate nothing.
+// TestSendAllocs pins the pooled deliveries: once warmed, a send and
+// its delivery allocate nothing, a coordination message and a data
+// packet alike.
 func TestSendAllocs(t *testing.T) {
 	cfg := Config{N: 1, Delta: 1, Jitter: 0.5, Seed: 1}
 	eng := des.New(cfg.Seed)
-	got := 0
+	got, gotData := 0, 0
 	nw := newNetwork(eng, &cfg, func(int, int, any) { got++ })
-	var msg any = "x"
-	send := func() {
-		for i := 0; i < 8; i++ {
-			nw.send(0, 1, msg)
+	nw.receiveData = func(_, _ int, pkt *seq.Packet) {
+		if pkt.Index == 7 {
+			gotData++
 		}
-		eng.Run()
 	}
-	send()
-	if n := testing.AllocsPerRun(100, send); n != 0 {
-		t.Errorf("warm send + delivery: %v allocs, want 0", n)
+	var msg any = "x"
+	for _, c := range []struct {
+		name string
+		send func()
+	}{
+		{"control", func() { nw.send(0, 1, msg) }},
+		{"data", func() { nw.sendData(0, 1, seq.NewData(7)) }},
+	} {
+		send := func() {
+			for i := 0; i < 8; i++ {
+				c.send()
+			}
+			eng.Run()
+		}
+		send()
+		if n := testing.AllocsPerRun(100, send); n != 0 {
+			t.Errorf("warm %s send + delivery: %v allocs, want 0", c.name, n)
+		}
 	}
-	if got != 8*102 {
-		t.Errorf("delivered %d, want %d", got, 8*102)
+	if got != 8*102 || gotData != 8*102 {
+		t.Errorf("delivered %d messages and %d data packets, want %d each", got, gotData, 8*102)
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 // answers: for dense data (the bitset), data too sparse for it, and
 // parities nested over parities or recurring at another position (the
 // hashed set), probed with every packet of the stream the parts came
-// from and of a second enhancement of it.
+// from and of a second enhancement of it. One set is refilled trial
+// after trial, as a stream's chain refills its drop sets.
 func TestGivenSetMatchesKeyMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
+	var g givenSet
 	for trial := 0; trial < 400; trial++ {
 		l := int64(1 + rng.Intn(200))
 		content := seq.Range(1, l)
@@ -41,7 +43,7 @@ func TestGivenSetMatchesKeyMap(t *testing.T) {
 				want[p.Key()] = true
 			}
 		}
-		g := newGivenSet(given)
+		g.fill(given)
 		probes := append(append(stream.Clone(), parity.Enhance(stream, 3)...), parts[0]...)
 		for _, g := range given {
 			for _, p := range g {

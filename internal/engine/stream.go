@@ -50,6 +50,8 @@ type chain struct {
 	off    int
 	orgPos int
 	org    []run
+	// inUse lists the switches' drop sets, which a reset makes spare.
+	inUse, spare *givenSet
 }
 
 // run is a merged-in share and the state of its step-by-step merge
@@ -88,6 +90,13 @@ func (st *Stream) Install(s seq.Sequence, rate float64) {
 	st.ch.reset()
 }
 
+// Reset empties the stream for another session, keeping its chain's
+// arrays: a simulator's transmitter builds its chain once, not per run.
+func (st *Stream) Reset() {
+	st.ch.reset()
+	*st = Stream{ch: st.ch}
+}
+
 // Merge is §3.4's pkt_i := pkt_i ∪ pkt_ji: the peer goes on with its
 // unsent remainder ∪ s, from the first packet, at its rate plus rate.
 // It costs the share: s becomes a run the remainder is merged with as
@@ -96,23 +105,27 @@ func (st *Stream) Install(s seq.Sequence, rate float64) {
 func (st *Stream) Merge(s seq.Sequence, rate float64) {
 	st.rate += rate
 	if s != nil || st.seq != nil || st.lazy() {
-		st.push(run{s: s})
+		st.push(s, nil)
 	}
 }
 
 // lazy reports whether runs are merged on top of the sequence.
 func (st *Stream) lazy() bool { return st.ch != nil && len(st.ch.runs) > 0 }
 
-// push puts r on top of the chain: the stream goes on with what r's
-// merge gives, from its first packet.
-func (st *Stream) push(r run) {
+// push puts a run of s on top of the chain, a switch's if given is not
+// nil: the stream goes on with what its merge gives, from its first
+// packet.
+func (st *Stream) push(s seq.Sequence, given []seq.Sequence) {
 	if st.ch == nil {
 		st.ch = new(chain)
 	}
 	ch := st.ch
-	r.left = ch.head
-	if r.drop != nil && r.left.ok && r.left.p != nil && r.drop.has(r.left.p) {
-		r.left.ok = false // a look-ahead the switch drops
+	r := run{s: s, left: ch.head}
+	if given != nil {
+		r.drop = ch.newGiven(given)
+		if r.left.ok && r.left.p != nil && r.drop.has(r.left.p) {
+			r.left.ok = false // a look-ahead the switch drops
+		}
 	}
 	ch.runs = append(ch.runs, r)
 	ch.head, ch.off, ch.orgPos = lookahead{}, 0, st.pos
@@ -180,8 +193,7 @@ func (st *Stream) Switch() bool {
 		st.rate = pl.newRate
 	}
 	if st.seq != nil || st.lazy() {
-		g := newGivenSet(pl.given)
-		st.push(run{s: pl.keep, drop: &g})
+		st.push(pl.keep, pl.given)
 	}
 	return true
 }
@@ -283,6 +295,21 @@ func (ch *chain) reset() {
 	clear(ch.org)
 	ch.runs, ch.org = ch.runs[:0], ch.org[:0]
 	ch.head, ch.off, ch.orgPos = lookahead{}, 0, 0
+	for g := ch.inUse; g != nil; g = ch.inUse {
+		g.ids.Reset(0) // let go of the shares
+		ch.inUse, g.next, ch.spare = g.next, ch.spare, g
+	}
+}
+
+// newGiven returns a drop set, a spare one if any, holding parts.
+func (ch *chain) newGiven(parts []seq.Sequence) *givenSet {
+	if ch.spare == nil {
+		ch.spare = new(givenSet)
+	}
+	g := ch.spare
+	ch.spare, g.next, ch.inUse = g.next, ch.inUse, g
+	g.fill(parts)
+	return g
 }
 
 // next takes the next packet of the sequence and its first n runs; nil
@@ -348,9 +375,11 @@ type givenSet struct {
 	lo   int64
 	data []uint64 // bit k−lo: data packet t_k was given
 	ids  seq.Set
+	next *givenSet // in its chain's list
 }
 
-func newGivenSet(parts []seq.Sequence) givenSet {
+// fill makes g the identities of parts, in g's arrays if they fit.
+func (g *givenSet) fill(parts []seq.Sequence) {
 	lo, hi, ndata, n := int64(math.MaxInt64), int64(math.MinInt64), 0, 0
 	for _, part := range parts {
 		for i := range part {
@@ -360,27 +389,26 @@ func newGivenSet(parts []seq.Sequence) givenSet {
 		}
 		n += len(part)
 	}
-	g := givenSet{lo: lo}
+	g.lo, g.data = lo, g.data[:0]
 	if ndata > 0 && uint64(hi-lo) < 64*uint64(ndata) {
-		g.data = make([]uint64, (hi-lo)/64+1)
+		g.data = append(g.data, make([]uint64, (hi-lo)/64+1)...)
 		n -= ndata
 	}
-	g.ids = seq.NewSet(n)
+	g.ids.Reset(n)
 	for _, part := range parts {
 		for i := range part {
-			if p := &part[i]; p.IsData() && g.data != nil {
+			if p := &part[i]; p.IsData() && len(g.data) > 0 {
 				g.data[(p.Index-lo)/64] |= 1 << ((p.Index - lo) % 64)
 			} else {
 				g.ids.Add(p)
 			}
 		}
 	}
-	return g
 }
 
 // has reports whether p was given away.
 func (g *givenSet) has(p *seq.Packet) bool {
-	if p.IsData() && g.data != nil {
+	if p.IsData() && len(g.data) > 0 {
 		k := p.Index - g.lo
 		return k >= 0 && k/64 < int64(len(g.data)) && g.data[k/64]&(1<<(k%64)) != 0
 	}

@@ -38,6 +38,7 @@
 package live
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -785,12 +786,20 @@ func (p *Peer) sendOne(bufs *sendBufs) {
 	p.lastTouch = time.Now()
 	leaf, c := p.leaf, p.content
 	p.mu.Unlock()
-	p.met.sent.Inc()
 	// The per-packet path builds the message itself: going through sendBody
 	// would box a dataBody in an interface and allocate a buffer for every
-	// packet.
-	p.ep.Send(leaf, transport.Msg{ //nolint:errcheck // a vanished leaf ends the session; repair handles the rest
+	// packet. A failed send is counted, not retried: a vanished leaf ends
+	// the session, and repair handles the rest.
+	err := p.ep.Send(leaf, transport.Msg{
 		Type: typeData, From: p.Addr(), Session: string(p.sid),
 		Payload: bufs.encode(c, pkt),
 	})
+	switch {
+	case err == nil:
+		p.met.sent.Inc()
+	case errors.Is(err, transport.ErrNoEndpoint):
+		p.met.unsentNoEndpoint.Inc()
+	default:
+		p.met.unsentError.Inc()
+	}
 }

@@ -16,6 +16,12 @@ type peerMetrics struct {
 	// visible on /metrics; the rest aggregate per session.
 	sent         *metrics.Counter
 	repairServed *metrics.Counter
+	// unsentNoEndpoint and unsentError count streamed packets whose send
+	// failed, labeled like sent: to an address with no endpoint (the leaf
+	// has gone), or for any other reason. One series, told apart by
+	// reason.
+	unsentNoEndpoint *metrics.Counter
+	unsentError      *metrics.Counter
 	// decodeErrors counts well-framed messages whose body failed
 	// DecodeWire and was dropped; invalidBodies those whose body decoded
 	// but asks for something that does not exist (a request for part 5
@@ -31,6 +37,9 @@ var latencyBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25
 // newPeerMetrics looks up a serving peer's series; each is labeled with
 // its session, after its own labels.
 func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetrics {
+	if reg == nil {
+		return peerMetrics{} // a lookup's label list allocates even on a nil registry
+	}
 	s := string(sid)
 	return peerMetrics{
 		PeerMetrics: engine.PeerMetrics{
@@ -42,10 +51,12 @@ func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetri
 			CommitLatency:  reg.Histogram("live_control_commit_latency_seconds", latencyBounds, "session", s),
 			RetryWaveDepth: reg.Histogram("live_retry_wave_depth", []float64{1, 2, 3, 4, 6, 8}, "session", s),
 		},
-		sent:          reg.Counter("live_data_packets_sent_total", "peer", addr, "session", s),
-		repairServed:  reg.Counter("live_repair_packets_served_total", "session", s),
-		decodeErrors:  reg.Counter("live_body_decode_errors_total", "role", "peer", "reason", "decode", "session", s),
-		invalidBodies: reg.Counter("live_body_decode_errors_total", "role", "peer", "reason", "invalid", "session", s),
+		sent:             reg.Counter("live_data_packets_sent_total", "peer", addr, "session", s),
+		repairServed:     reg.Counter("live_repair_packets_served_total", "session", s),
+		unsentNoEndpoint: reg.Counter("live_data_packets_unsent_total", "peer", addr, "reason", "no_endpoint", "session", s),
+		unsentError:      reg.Counter("live_data_packets_unsent_total", "peer", addr, "reason", "error", "session", s),
+		decodeErrors:     reg.Counter("live_body_decode_errors_total", "role", "peer", "reason", "decode", "session", s),
+		invalidBodies:    reg.Counter("live_body_decode_errors_total", "role", "peer", "reason", "invalid", "session", s),
 	}
 }
 

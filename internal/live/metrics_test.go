@@ -5,13 +5,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
+	"p2pmss/internal/transport"
 )
 
 // scrape GETs url and returns each non-comment sample line as
@@ -117,6 +120,66 @@ func TestSessionMetricsScrapeMidStream(t *testing.T) {
 	final := scrape(t, srv.URL+"/metrics")
 	if v, _ := sumSeries(final, "live_leaf_delivered_packets"); int64(v) != ls.Progress() {
 		t.Errorf("delivered gauge %v != leaf progress %d", v, ls.Progress())
+	}
+}
+
+// TestSendToVanishedLeafCountedUnsent: a serving peer whose leaf's
+// endpoint closes mid-stream streams the rest of its share into nothing
+// until it is reaped. Each of those sends fails with
+// transport.ErrNoEndpoint and counts under
+// live_data_packets_unsent_total{reason="no_endpoint"}, not as sent: the
+// two series together count every packet the peers streamed, once.
+func TestSendToVanishedLeafCountedUnsent(t *testing.T) {
+	data := randomData(64<<10, 3)
+	reg := metrics.New()
+	nodes, leafNode := hostNodes(t, 3, storeOf(content.New("movie", data, 64)),
+		NodeConfig{H: 3, Interval: 2, Delta: 5 * time.Millisecond, Seed: 4, Obs: engine.Observability{Metrics: reg}},
+		onFabric(transport.NewFabric()))
+	leaf := open(t, leafNode, movieSession(data, 64, 5))
+	counts := func() (sent, noEndpoint, other int64) {
+		for _, c := range reg.Snapshot().Counters {
+			switch {
+			case c.Name == "live_data_packets_sent_total":
+				sent += c.Value
+			case c.Name != "live_data_packets_unsent_total":
+			case slices.Contains(c.Labels, metrics.Label{Key: "reason", Value: "no_endpoint"}):
+				noEndpoint += c.Value
+			default:
+				other += c.Value
+			}
+		}
+		return sent, noEndpoint, other
+	}
+	wait := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %s within 10s", what)
+			}
+		}
+	}
+	wait("delivery progress", func() bool { return leaf.Progress() > 0 })
+	leafNode.Close()
+	peers := servingPeers(nodes, leaf.ID)
+	wait("failed send", func() bool { _, n, _ := counts(); return n > 0 })
+	for _, nd := range nodes {
+		nd.Close()
+	}
+	// A stopped peer's stream loop may still be in its last send.
+	var streamed int64
+	wait("settled counters", func() bool {
+		streamed = 0
+		for _, p := range peers {
+			if p != nil {
+				streamed += p.Sent()
+			}
+		}
+		sent, noEndpoint, other := counts()
+		return sent+noEndpoint+other == streamed
+	})
+	sent, noEndpoint, other := counts()
+	if sent == 0 || noEndpoint == 0 || other != 0 {
+		t.Errorf("of %d packets streamed, %d sent, %d to no endpoint, %d failed otherwise", streamed, sent, noEndpoint, other)
 	}
 }
 

@@ -17,6 +17,18 @@ func NewSet(n int) Set {
 	return s
 }
 
+// Reset empties the set, keeping its table if that has room for n
+// packets.
+func (s *Set) Reset(n int) {
+	if 2*n > len(s.slots) {
+		s.slots = nil
+		s.resize(n)
+		return
+	}
+	clear(s.slots)
+	s.n = 0
+}
+
 func (s *Set) resize(n int) {
 	size := 8
 	for size < 2*n {
