@@ -12,6 +12,7 @@ import (
 	"p2pmss/internal/des"
 	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
+	"p2pmss/internal/seq"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
 )
@@ -32,8 +33,10 @@ type Leaf struct {
 	roster, carried []string
 	met             leafMetrics
 
-	mu         sync.Mutex
-	core       *engine.Leaf
+	mu   sync.Mutex
+	core *engine.Leaf
+	// arena holds the identities of the parities the session received.
+	arena      seq.Arena
 	asm        *content.Assembler
 	total, dup int64
 	// ids maps a sender's address to its peer id: its roster index, or
@@ -161,13 +164,14 @@ func (l *Leaf) handle(m transport.Msg) {
 	if m.Type != typeData {
 		return
 	}
+	at := liveNow()
 	var b dataBody
-	if b.DecodeWire(m.Payload) != nil {
+	l.mu.Lock()
+	if b.decodeIn(&l.arena, m.Payload) != nil {
+		l.mu.Unlock()
 		l.met.decodeErrors.Inc()
 		return
 	}
-	at := liveNow()
-	l.mu.Lock()
 	l.total++
 	l.met.arrivals.Inc()
 	from, ok := l.ids[m.From]

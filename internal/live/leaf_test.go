@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"p2pmss/internal/engine"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/parity"
+	"p2pmss/internal/seq"
 	"p2pmss/internal/transport"
 )
 
@@ -169,5 +171,55 @@ func TestLeafParksNoGoroutine(t *testing.T) {
 	}
 	if n := nc.Nodes[0].LeafCount(); n != sessions {
 		t.Fatalf("%d of %d sessions still open", n, sessions)
+	}
+}
+
+// Over TCP, every serving peer's connection hands its data to the leaf
+// on its own goroutine, and all of them decode into the session's one
+// arena. Three senders at once, with a data packet in every third
+// segment left for its parity to recover, still assemble the content.
+func TestLeafDecodesConcurrently(t *testing.T) {
+	const size, packetSize, h = 64 << 10, 256, 2
+	data := randomData(size, 17)
+	enhanced := parity.Enhance(content.New("c", data, packetSize).Sequence(), h)
+	roster := []string{"cp0", "cp1", "cp2"}
+	f := transport.NewFabric()
+	for _, name := range roster {
+		ep := f.Endpoint(name, func(transport.Msg) {})
+		t.Cleanup(func() { ep.Close() })
+	}
+	node, err := NewNode(NodeConfig{Store: content.NewStore(), Roster: roster, H: 3, Interval: h}, WithFabric(f, "leaf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	leaf, err := node.Open(SessionConfig{ID: "s", ContentID: "c", Rate: 1e6, ContentSize: size, PacketSize: packetSize, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	var wg sync.WaitGroup
+	for i, from := range roster {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for j := i; j < len(enhanced); j += len(roster) {
+				if p := enhanced[j]; !p.IsData() || p.Index%(3*h) != 1 {
+					buf = seq.AppendPacket(buf[:0], p)
+					leaf.handle(transport.Msg{Type: typeData, From: from, Session: "s", Payload: buf})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := leaf.Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := leaf.Bytes(); !ok || !bytes.Equal(got, data) {
+		t.Fatal("content assembled from concurrent decodes differs")
+	}
+	if _, _, recovered := leaf.Stats(); recovered == 0 {
+		t.Error("no packet recovered: the parities' identities went unused")
 	}
 }

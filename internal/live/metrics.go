@@ -37,9 +37,6 @@ var latencyBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25
 // newPeerMetrics looks up a serving peer's series; each is labeled with
 // its session, after its own labels.
 func newPeerMetrics(reg *metrics.Registry, addr string, sid SessionID) peerMetrics {
-	if reg == nil {
-		return peerMetrics{} // a lookup's label list allocates even on a nil registry
-	}
 	s := string(sid)
 	return peerMetrics{
 		PeerMetrics: engine.PeerMetrics{

@@ -207,3 +207,18 @@ func TestSessionMetricsTCP(t *testing.T) {
 		t.Errorf("tcp transport counters: sent=%d received=%d, want both > 0", sent, received)
 	}
 }
+
+// A node without Obs.Metrics looks its series up on a nil registry:
+// every session and every node pays for those lookups, so they must
+// allocate nothing.
+func TestNilRegistryMetricsAllocateNothing(t *testing.T) {
+	for name, build := range map[string]func(){
+		"newPeerMetrics": func() { newPeerMetrics(nil, "cp0", "s") },
+		"newLeafMetrics": func() { newLeafMetrics(nil, "s") },
+		"newNodeMetrics": func() { newNodeMetrics(nil, "cp0") },
+	} {
+		if n := testing.AllocsPerRun(100, build); n != 0 {
+			t.Errorf("%s(nil, …): %.0f allocs, want 0", name, n)
+		}
+	}
+}

@@ -12,7 +12,11 @@ import (
 // replaces the receiver, rejects trailing bytes, and checks every count
 // against the input that remains before allocating for it. Decoded
 // packet payloads alias the input, a borrowed transport.Msg.Payload:
-// a handler copies what it keeps.
+// a handler copies what it keeps. Identities are built where nothing
+// aliases the input: an Assigned sequence's in one block pair of exactly
+// their size, and the data packets of a leaf session in the session's
+// own seq.Arena, whose fixed-size blocks each hold many parities and
+// retain no more than the parities the session received.
 
 func (b requestBody) AppendWire(buf []byte) []byte {
 	buf = wire.AppendStrings(buf, b.Roster)
@@ -118,9 +122,13 @@ func (b *commitBody) DecodeWire(buf []byte) error {
 
 func (b dataBody) AppendWire(buf []byte) []byte { return seq.AppendPacket(buf, b.Pkt) }
 
-func (b *dataBody) DecodeWire(buf []byte) error {
+func (b *dataBody) DecodeWire(buf []byte) error { return b.decodeIn(nil, buf) }
+
+// decodeIn is DecodeWire with a parity's identity built in a's blocks (a
+// nil Arena builds it in blocks of its own, exactly its size).
+func (b *dataBody) decodeIn(a *seq.Arena, buf []byte) error {
 	r := wire.NewReader(buf)
-	b.Pkt = seq.ReadPacket(&r)
+	b.Pkt = a.ReadPacket(&r)
 	return r.Done()
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"p2pmss/internal/seq"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
+	"p2pmss/internal/wire"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/wire/*.bin from the current encoder")
@@ -512,6 +514,35 @@ func TestDataBodyAllocs(t *testing.T) {
 	}
 }
 
+// An Assigned sequence decodes into one block pair of exactly its
+// parities' size: the sequence, its nodes and its covers are three
+// allocations whatever the parity count, and a 2,048-packet control
+// body nine.
+func TestAssignedDecodeAllocs(t *testing.T) {
+	body := control2048()
+	all := body.Assigned
+	for _, s := range []seq.Sequence{all, all[:len(all)/8]} {
+		enc := seq.AppendSequence(nil, s)
+		if got := testing.AllocsPerRun(20, func() {
+			r := wire.NewReader(enc)
+			if seq.ReadSequence(&r) == nil || r.Done() != nil {
+				t.Fatal(r.Err())
+			}
+		}); got != 3 {
+			t.Errorf("%d packets: ReadSequence %.0f allocs, want 3", len(s), got)
+		}
+	}
+	enc := body.AppendWire(nil)
+	var out controlBody
+	if got := testing.AllocsPerRun(20, func() {
+		if err := out.DecodeWire(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 9 {
+		t.Errorf("control body of %d packets: DecodeWire %.0f allocs, want <= 9", len(all), got)
+	}
+}
+
 // A well-framed message whose body does not decode is dropped — and
 // counted, by the peer and by the leaf.
 func TestBodyDecodeErrorsAreCounted(t *testing.T) {
@@ -532,12 +563,19 @@ func TestBodyDecodeErrorsAreCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The session's first parity is due seconds from now: until then its
+	// arena holds nothing, and a body that fails to decode adds nothing.
 	for _, body := range [][]byte{{0, 1}, oddPacket(seq.Parity, "t1", "x")} {
 		if err := src.Send("leaf", transport.Msg{Type: typeData, Session: string(leaf.ID), Payload: body}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.Wait()
+	leaf.mu.Lock()
+	if !reflect.DeepEqual(leaf.arena, seq.Arena{}) {
+		t.Error("a data body that failed to decode reserved identity blocks in the leaf's arena")
+	}
+	leaf.mu.Unlock()
 	for _, c := range []struct {
 		role, session string
 		want          int64

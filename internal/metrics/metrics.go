@@ -67,7 +67,9 @@ func identity(name string, labels []string) (string, []Label) {
 		panic("metrics: empty instrument name")
 	}
 	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("metrics: %s: odd label list %q", name, labels))
+		// Spelled without fmt: a slice passed to it as an interface would
+		// make every caller's variadic label list escape to the heap.
+		panic("metrics: " + name + ": odd label list " + strconv.Quote(strings.Join(labels, " ")))
 	}
 	if len(labels) == 0 {
 		return name, nil
@@ -131,7 +133,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: %s: bucket bounds %v not ascending", name, bounds))
+			panic(fmt.Sprintf("metrics: %s: bucket bound %g after %g, not ascending", name, bounds[i], bounds[i-1]))
 		}
 	}
 	key, ls := identity(name, labels)

@@ -237,9 +237,11 @@ func (r *Recoverer) intern(p seq.Packet) int32 {
 	}
 	// The rule's links are reserved before its covers are interned, so
 	// they stay contiguous; nothing holds a pointer across a recursive
-	// call, which may grow nodes and links.
+	// call, which may grow nodes and links. They are grown, not appended
+	// from a make, which a race-detector build allocates once per parity.
 	first := len(r.links)
-	r.links = append(r.links, make([]link, n)...)
+	r.links = slices.Grow(r.links, n)[:first+n]
+	clear(r.links[first:])
 	missing := int32(0)
 	for i := 0; i < n; i++ {
 		c, l := r.intern(p.Cover(i)), int32(first+i)

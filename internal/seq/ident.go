@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"p2pmss/internal/des"
+	"p2pmss/internal/wire"
 )
 
 // ident is a parity packet's identity: what it covers, in stream order,
@@ -86,21 +87,39 @@ func keyLen(r ref) int {
 
 // An Arena builds parity packets whose identity nodes and cover lists
 // come out of shared blocks: two allocations for all the parities
-// parity.Enhance makes. The zero value allocates per packet.
+// parity.Enhance makes or ReadSequence decodes, and two per readBlock
+// parities a leaf session decodes (Arena.ReadPacket). NewParity on the
+// zero value allocates per packet.
 type Arena struct {
 	nodes []ident
 	refs  []ref
 }
 
+// readBlock is how many identity nodes, and half how many covers, a
+// block replaced by Arena.ReadPacket holds: a parity of an interval-2
+// enhancement takes one node and two covers, so a block pair (4 KiB)
+// serves 64 of them.
+const readBlock = 64
+
 // Reserve makes room for the given numbers of parity packets and covers
 // in one block each.
-func (a *Arena) Reserve(parities, covers int) {
-	if cap(a.nodes)-len(a.nodes) < parities {
-		a.nodes = make([]ident, 0, parities)
+func (a *Arena) Reserve(parities, covers int) { a.reserve(parities, covers, 0) }
+
+// reserve is Reserve with a block that lacks room replaced by one of at
+// least block nodes and 2·block covers. A replaced block stays alive as
+// long as an identity built in it does.
+func (a *Arena) reserve(parities, covers, block int) {
+	a.nodes = room(a.nodes, parities, block)
+	a.refs = room(a.refs, covers, 2*block)
+}
+
+// room returns s, or an empty block of at least max(n, block) elements
+// when s has no room for n more.
+func room[T any](s []T, n, block int) []T {
+	if cap(s)-len(s) < n {
+		return make([]T, 0, max(n, block))
 	}
-	if cap(a.refs)-len(a.refs) < covers {
-		a.refs = make([]ref, 0, covers)
-	}
+	return s
 }
 
 // NewParity is NewParity with the packet's identity built in a.
@@ -154,13 +173,37 @@ func scanIndex(b []byte) (k int64, n int) {
 	return int64(u), n
 }
 
-// keyReader reads cover keys twice: to count their nodes and covers, then
-// to build them in an Arena reserved for the counts. An open node's covers
-// wait at the far end of the cover block, from top up, until it closes.
+// keyReader reads packets twice: to check them and count their parities'
+// identity nodes and covers, then to build those identities in an Arena
+// with room for the counts. An open node's covers wait at the far end of
+// the cover block, from top up, until it closes; the block's free covers
+// lie below them, so one block holds the covers of many packets.
 type keyReader struct {
-	a                Arena
-	build            bool
+	a                *Arena // nil while counting
 	nodes, refs, top int
+}
+
+// packet reads one packet. Counting, it fails r on a malformed packet
+// and adds the packet's nodes and covers to the counts; building, it
+// reads a packet that counting accepted and builds its identity.
+func (d *keyReader) packet(r *wire.Reader) Packet {
+	kind := Kind(r.Byte())
+	p := Packet{Index: int64(r.Uvarint()), Pos: r.Float()}
+	n := r.Count(1)
+	if kind > Parity || kind == Data && n > 0 {
+		r.Invalid()
+	}
+	mark := d.top
+	for i := 0; i < n; i++ {
+		if c := r.Bytes(); len(c) == 0 || d.cover(c, 0) != len(c) {
+			r.Invalid()
+		}
+	}
+	if kind == Parity {
+		p.id = d.close(mark)
+	}
+	p.Payload = r.Bytes()
+	return p
 }
 
 // cover reads the cover key b starts with — "t<k>", k spelled as
@@ -193,7 +236,7 @@ func (d *keyReader) cover(b []byte, depth int) int {
 }
 
 func (d *keyReader) push(r ref) {
-	if !d.build {
+	if d.a == nil {
 		d.refs++
 		return
 	}
@@ -203,7 +246,7 @@ func (d *keyReader) push(r ref) {
 
 // close files the node whose covers wait at [top, mark).
 func (d *keyReader) close(mark int) *ident {
-	if !d.build {
+	if d.a == nil {
 		d.nodes++
 		return nil
 	}

@@ -49,35 +49,33 @@ func AppendPacket(b []byte, p Packet) []byte {
 
 // ReadPacket decodes one packet. Its Payload aliases the reader's input;
 // a parity's identity is the node its constructor builds, made in two
-// allocations whatever its cover count or nesting. An unknown kind, a
-// data packet naming covers, or a malformed cover key fails the reader.
+// allocations of exactly its size whatever its cover count or nesting.
+// An unknown kind, a data packet naming covers, or a malformed cover key
+// fails the reader.
 func ReadPacket(r *wire.Reader) Packet {
-	kind := Kind(r.Byte())
-	p := Packet{Index: int64(r.Uvarint()), Pos: r.Float()}
-	n := r.Count(1)
-	if kind > Parity || kind == Data && n > 0 {
-		r.Invalid()
+	var a Arena
+	return a.readPacket(r, 0)
+}
+
+// ReadPacket is ReadPacket with the identity built in a's blocks, each
+// holding the identities of many packets; a nil Arena is ReadPacket. A
+// packet that fails the reader leaves a as it was.
+func (a *Arena) ReadPacket(r *wire.Reader) Packet {
+	if a == nil {
+		return ReadPacket(r)
 	}
-	covers := *r // read again below to build the identity
+	return a.readPacket(r, readBlock)
+}
+
+func (a *Arena) readPacket(r *wire.Reader, block int) Packet {
+	in := *r // read again below to build the identity
 	var d keyReader
-	for i := 0; i < n; i++ {
-		if c := r.Bytes(); len(c) == 0 || d.cover(c, 0) != len(c) {
-			r.Invalid()
-		}
-	}
-	p.Payload = r.Bytes()
-	if r.Err() != nil {
+	if d.packet(r); r.Err() != nil {
 		return Packet{}
 	}
-	if kind == Parity {
-		d.a.Reserve(d.nodes+1, d.refs)
-		d.build, d.top = true, d.refs
-		for i := 0; i < n; i++ {
-			d.cover(covers.Bytes(), 0)
-		}
-		p.id = d.close(d.refs)
-	}
-	return p
+	a.reserve(d.nodes, d.refs, block)
+	d = keyReader{a: a, top: cap(a.refs)}
+	return d.packet(&in)
 }
 
 // AppendSequence appends the counted wire form of s to b.
@@ -90,18 +88,28 @@ func AppendSequence(b []byte, s Sequence) []byte {
 }
 
 // ReadSequence decodes a sequence written by AppendSequence (nil when
-// empty). Payloads alias the reader's input.
+// empty). Payloads alias the reader's input. Every packet is checked
+// before anything is allocated for it; the identities of all its
+// parities are built in one block pair of exactly their size.
 func ReadSequence(r *wire.Reader) Sequence {
 	n := r.Count(minWirePacket)
 	if n == 0 {
 		return nil
 	}
-	s := make(Sequence, n)
-	for i := range s {
-		s[i] = ReadPacket(r)
+	in := *r // read again below to build the identities
+	var d keyReader
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d.packet(r)
 	}
 	if r.Err() != nil {
 		return nil
+	}
+	var a Arena
+	a.Reserve(d.nodes, d.refs)
+	d = keyReader{a: &a, top: cap(a.refs)}
+	s := make(Sequence, n)
+	for i := range s {
+		s[i] = d.packet(&in)
 	}
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,6 +86,80 @@ func TestReadPacketBuildsIdentityOnce(t *testing.T) {
 		r := wire.NewReader(AppendPacket(nil, want)[:20])
 		if p := ReadPacket(&r); r.Err() == nil || !reflect.DeepEqual(p, Packet{}) {
 			t.Errorf("cut cover list decoded to %+v (%v)", p, r.Err())
+		}
+	}
+}
+
+// An Arena decodes many packets' identities into each of its blocks,
+// replacing a block only when the next identity does not fit; a nil
+// Arena is ReadPacket, and a packet the reader rejects leaves the Arena
+// as it was.
+func TestArenaReadPacketSharesBlocks(t *testing.T) {
+	var enc []byte
+	var want Sequence
+	for k := int64(1); k < 1280; k += 2 {
+		p := NewParity([]Packet{NewData(k), NewData(k + 1)}, float64(k)+1.5)
+		enc, want = AppendPacket(enc, p), append(want, p)
+	}
+	var a Arena
+	got := make(Sequence, 0, len(want))
+	if n := testing.AllocsPerRun(1, func() {
+		a, got = Arena{}, got[:0]
+		r := wire.NewReader(enc)
+		for range want {
+			got = append(got, a.ReadPacket(&r))
+		}
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2*float64(len(want))/readBlock {
+		t.Errorf("%d parities of two covers each: %.0f allocs, want one block pair per %d", len(want), n, readBlock)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("arena decode differs from the packets encoded")
+	}
+
+	one := AppendPacket(nil, want[0])
+	if n := testing.AllocsPerRun(100, func() {
+		r := wire.NewReader(one)
+		(*Arena)(nil).ReadPacket(&r)
+	}); n != 2 {
+		t.Errorf("nil Arena: %.0f allocs, want ReadPacket's 2", n)
+	}
+
+	held := a
+	malformed := wire.AppendBytes(wire.AppendStrings(slices.Clone(one[:10]), []string{"t1", "p(t1"}), nil)
+	for _, bad := range [][]byte{one[:len(one)-1], one[:14], malformed} {
+		r := wire.NewReader(bad)
+		if p := a.ReadPacket(&r); r.Err() == nil || !reflect.DeepEqual(p, Packet{}) {
+			t.Errorf("%x decoded to %+v (%v)", bad, p, r.Err())
+		}
+		if len(a.nodes) != len(held.nodes) || len(a.refs) != len(held.refs) ||
+			unsafe.SliceData(a.nodes) != unsafe.SliceData(held.nodes) || unsafe.SliceData(a.refs) != unsafe.SliceData(held.refs) {
+			t.Errorf("rejecting %x moved the arena", bad)
+		}
+	}
+}
+
+// A sequence is checked whole before anything is built: one whose count
+// passes but one of whose packets holds a malformed cover fails the
+// reader and allocates nothing, neither the sequence nor an identity
+// block.
+func TestReadSequenceChecksBeforeBuilding(t *testing.T) {
+	good := NewParity([]Packet{NewData(1), NewParity([]Packet{NewData(2), NewData(3)}, 2.5)}, 3.5)
+	bad := wire.AppendBytes(wire.AppendStrings(wire.AppendFloat([]byte{byte(Parity), 0}, 4.5), []string{"t4", "p(t5,"}), nil)
+	for name, in := range map[string][]byte{
+		"last packet's cover":  append(AppendPacket(AppendPacket([]byte{3}, good), good), bad...),
+		"first packet's cover": AppendPacket(AppendPacket(append([]byte{3}, bad...), good), good),
+		"cut in the second":    AppendPacket(AppendPacket([]byte{2}, good), good)[:40],
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			r := wire.NewReader(in)
+			if ReadSequence(&r) != nil || r.Err() == nil {
+				t.Fatalf("%s: accepted", name)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", name, n)
 		}
 	}
 }
@@ -195,10 +270,47 @@ func TestPacketRepresentation(t *testing.T) {
 	}
 }
 
+// decodeEach decodes packets from in one after another with read until
+// the input ends or a packet is rejected. It returns the packets
+// accepted, the bytes each came from, each key as read right after its
+// packet was decoded, and the error that stopped it.
+func decodeEach(in []byte, read func(*wire.Reader) Packet) (pkts Sequence, used [][]byte, keys []string, err error) {
+	r := wire.NewReader(in)
+	for {
+		probe := r
+		left := probe.Rest()
+		if len(left) == 0 {
+			return pkts, used, keys, nil
+		}
+		p := read(&r)
+		if r.Err() != nil {
+			return pkts, used, keys, r.Err()
+		}
+		after := r
+		pkts, keys = append(pkts, p), append(keys, p.Key())
+		used = append(used, left[:len(left)-len(after.Rest())])
+	}
+}
+
+// sameDecode fails t unless a and b, the same bytes decoded two ways,
+// re-encode alike and share an identity, key and hash.
+func sameDecode(t *testing.T, a, b *Packet) {
+	t.Helper()
+	if !bytes.Equal(AppendPacket(nil, *a), AppendPacket(nil, *b)) || !SameIdentity(a, b) || !SameIdentity(b, a) ||
+		a.Key() != b.Key() || a.Hash() != b.Hash() {
+		t.Fatalf("decoded two ways to %s (%x) and %s (%x)", a.Key(), a.Hash(), b.Key(), b.Hash())
+	}
+}
+
 // FuzzPacketIdentity decodes packets one after another from arbitrary
-// bytes. Nothing panics; every packet accepted re-encodes to the bytes
-// it came from; and over every pair decoded, SameIdentity holds exactly
-// when the keys are equal, and equal identities hash equal.
+// bytes, with ReadPacket and again through one shared Arena, and the
+// bytes as a counted sequence with ReadSequence and packet by packet.
+// Nothing panics; the decoders accept the same packets, and decode them
+// to the same bytes, identities, keys and hashes; every packet accepted
+// re-encodes to the bytes it came from; over every pair decoded,
+// SameIdentity holds exactly when the keys are equal, and equal
+// identities hash equal; and no decode into the Arena, accepted or
+// rejected, writes into an identity built before it.
 func FuzzPacketIdentity(f *testing.F) {
 	inner := NewParity([]Packet{NewData(7), NewData(8)}, 8.5)
 	nested := NewParity([]Packet{NewData(5), inner}, 8.75)
@@ -213,27 +325,24 @@ func FuzzPacketIdentity(f *testing.F) {
 			b = AppendPacket(b, p)
 		}
 		f.Add(b)
+		f.Add(AppendSequence(nil, s))
 	}
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 8, 'p', '(', 't', '1', ',', 't', '2', ')', 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		r := wire.NewReader(in)
-		var pkts Sequence
-		for {
-			probe := r
-			left := probe.Rest()
-			if len(left) == 0 {
-				break
+		pkts, used, _, err := decodeEach(in, ReadPacket)
+		var a Arena
+		shared, _, keys, sharedErr := decodeEach(in, a.ReadPacket)
+		if len(shared) != len(pkts) || (sharedErr == nil) != (err == nil) {
+			t.Fatalf("ReadPacket accepts %d packets (%v), an Arena %d (%v)", len(pkts), err, len(shared), sharedErr)
+		}
+		for i := range pkts {
+			if enc := AppendPacket(nil, pkts[i]); !bytes.Equal(enc, used[i]) {
+				t.Fatalf("%s decoded from %x re-encodes to %x", pkts[i].Key(), used[i], enc)
 			}
-			p := ReadPacket(&r)
-			if r.Err() != nil {
-				break
+			sameDecode(t, &pkts[i], &shared[i])
+			if k := shared[i].Key(); k != keys[i] {
+				t.Fatalf("packet %d decoded as %s reads %s after the decodes that followed it", i, keys[i], k)
 			}
-			after := r
-			used := left[:len(left)-len(after.Rest())]
-			if enc := AppendPacket(nil, p); !bytes.Equal(enc, used) {
-				t.Fatalf("%s decoded from %x re-encodes to %x", p.Key(), used, enc)
-			}
-			pkts = append(pkts, p)
 		}
 		for i := range pkts {
 			for j := range pkts {
@@ -246,6 +355,25 @@ func FuzzPacketIdentity(f *testing.F) {
 					t.Fatalf("%s hashes %x and %x", a.Key(), a.Hash(), b.Hash())
 				}
 			}
+		}
+
+		r, each := wire.NewReader(in), wire.NewReader(in)
+		s := ReadSequence(&r)
+		want := make(Sequence, each.Count(minWirePacket))
+		for i := range want {
+			want[i] = ReadPacket(&each)
+		}
+		if (r.Err() == nil) != (each.Err() == nil) {
+			t.Fatalf("ReadSequence fails with %v, packet by packet with %v", r.Err(), each.Err())
+		}
+		if r.Err() != nil {
+			return
+		}
+		if len(s) != len(want) || len(r.Rest()) != len(each.Rest()) {
+			t.Fatalf("ReadSequence read %d packets, packet by packet %d", len(s), len(want))
+		}
+		for i := range s {
+			sameDecode(t, &s[i], &want[i])
 		}
 	})
 }
